@@ -49,7 +49,7 @@ use clado_core::{
     SensitivityOptions, ShardContext,
 };
 use clado_dist::{
-    run_worker, scheme_to_u8, Coordinator, CoordinatorOptions, JobSpec, WorkerOptions,
+    run_sweep, run_worker, scheme_to_u8, JobSpec, PoolOptions, WorkerOptions, WorkerPool,
 };
 use clado_estim::{
     assignment_regret, error_vs_exact, estimator_for, EstimatorKind, EstimatorOptions,
@@ -127,9 +127,9 @@ fn bench_setup() -> (Network, DataSplit) {
     (network, set)
 }
 
-/// Configuration (f): a loopback-TCP coordinator sharding the sweep
+/// Configuration (f): a loopback-TCP worker pool sharding the sweep
 /// across `workers` in-process worker threads. Returns the assembled
-/// matrix, its wall time, and the coordinator's startup/steady-state
+/// matrix, its wall time, and the sweep's startup/steady-state
 /// split (time to first lease grant vs shard-service time after it) —
 /// the split explains how much of `distributed.speedup_ratio` is fixed
 /// setup cost rather than per-shard overhead.
@@ -147,25 +147,14 @@ fn measure_distributed(workers: usize) -> (SensitivityMatrix, f64, f64, f64) {
         bits: bits.iter().map(|b| b.bits()).collect(),
         scheme: scheme_to_u8(scheme),
         use_prefix_cache: true,
-        fingerprint: ctx.fingerprint(),
+        fingerprint: 0, // filled in by `run_sweep`
         trace_id: 0,
         estimator: 0,
         probe_budget: 0,
         estimator_seed: 0,
     };
-    let dist_registry = Telemetry::new();
-    let coordinator = Coordinator::bind(
-        "127.0.0.1:0",
-        ctx,
-        job,
-        CoordinatorOptions {
-            idle_timeout: Some(std::time::Duration::from_secs(120)),
-            telemetry: dist_registry.clone(),
-            ..Default::default()
-        },
-    )
-    .expect("bind coordinator");
-    let addr = coordinator.local_addr().to_string();
+    let pool = WorkerPool::bind("127.0.0.1:0", PoolOptions::default()).expect("bind worker pool");
+    let addr = pool.worker_addr().to_string();
     let handles: Vec<_> = (0..workers)
         .map(|_| {
             let addr = addr.clone();
@@ -175,17 +164,21 @@ fn measure_distributed(workers: usize) -> (SensitivityMatrix, f64, f64, f64) {
         })
         .collect();
     let start = std::time::Instant::now();
-    let outcome = coordinator.run().expect("distributed sweep");
+    let outcome = run_sweep(
+        &pool,
+        &ctx,
+        job,
+        None,
+        false,
+        Some(std::time::Duration::from_secs(120)),
+    )
+    .expect("distributed sweep");
     let secs = start.elapsed().as_secs_f64();
+    pool.shutdown();
     for h in handles {
         h.join().expect("worker thread").expect("worker run");
     }
-    let startup = dist_registry
-        .gauge_value("dist.startup_seconds")
-        .unwrap_or(0.0);
-    let steady = dist_registry
-        .gauge_value("dist.steady_seconds")
-        .unwrap_or(0.0);
+    let (startup, steady) = (outcome.startup_seconds, outcome.steady_seconds);
     println!(
         "  {:<28} {secs:>7.2}s   {} workers, {} evictions, straggler {:.2}s, \
          startup {startup:.2}s + steady {steady:.2}s",

@@ -10,12 +10,12 @@ use clado_core::{
     Algorithm, AssignOptions, CladoVariant, ExperimentContext, SensitivityOptions, ShardContext,
 };
 use clado_dist::{
-    run_pool_worker, run_worker, scheme_to_u8, Coordinator, CoordinatorOptions, JobSpec,
-    WorkerOptions,
+    run_sweep, run_worker, scheme_to_u8, DistOutcome, JobSpec, PoolOptions, WorkerOptions,
+    WorkerPool,
 };
 use clado_estim::{
-    assignment_regret, build_report, estimate_sensitivities, estimation_fingerprint, estimator_for,
-    EstimatorKind, EstimatorOptions, DEFAULT_ESTIMATOR_SEED,
+    assignment_regret, build_report, estimate_sensitivities, estimator_for, EstimatorKind,
+    EstimatorOptions, DEFAULT_ESTIMATOR_SEED,
 };
 use clado_models::{pretrained, ModelKind};
 use clado_quant::{bits_to_mb, BitWidth, BitWidthSet, LayerSizes, QuantScheme};
@@ -70,12 +70,12 @@ COMMANDS:
                [--set-size 128] [--set-seed 0] [--bits 2,4,8]
                [--scheme symmetric|affine] [--threads N] [--no-prefix-cache]
                [--out <file.clsm>   persist the estimated Ω̂ (single estimator only)]
-  worker       --connect <addr>          join a distributed sensitivity sweep; the
-                                         coordinator sends the job spec and shards
+  worker       --connect <addr>          join a worker pool (`measure --listen` or
+                                         `serve`): it sends job specs and shards; the
+                                         worker stays connected across jobs and
+                                         repeat job specs reuse the warm model
                [--heartbeat-ms 500] [--connect-timeout-secs 10] [--verbose]
                [--connect-retries 5      capped-exponential-backoff connect attempts]
-               [--pool                   stay connected across jobs (for `clado serve`);
-                                         repeat job specs reuse the warm model]
   serve        run the quantization-planning daemon: bounded admission with
                typed shedding (overloaded / deadline-infeasible), an Ω result
                cache (repeat configs pay zero probes), pooled crash-resilient
@@ -516,9 +516,10 @@ pub fn cmd_sensitivity(args: &Args) -> Result<(), Box<dyn Error>> {
     )
 }
 
-/// The distributed arm of `clado sensitivity`: bind a coordinator,
-/// optionally spawn `--workers` local worker subprocesses, lease shards
-/// until the sweep completes, then persist the (bitwise-identical) Ĝ.
+/// The distributed arm of `clado sensitivity`: bind a worker pool,
+/// optionally spawn `--workers` local worker subprocesses, run one sweep
+/// on the pool (loading or resuming the journal), then shut the pool
+/// down and persist the (bitwise-identical) Ĝ.
 #[allow(clippy::too_many_arguments)]
 fn cmd_sensitivity_distributed(
     args: &Args,
@@ -569,32 +570,23 @@ fn cmd_sensitivity_distributed(
         bits: bits.iter().map(|b| b.bits()).collect(),
         scheme: scheme_to_u8(scheme),
         use_prefix_cache,
-        fingerprint: match estimator {
-            Some(est_kind) => {
-                estimation_fingerprint(&ctx, est_kind, probe_budget as usize, estimator_seed)
-            }
-            None => ctx.fingerprint(),
-        },
+        fingerprint: 0, // filled in by `run_sweep`
         trace_id: run.telemetry.trace_id(),
         estimator: estimator.map_or(0, |k| k.tag()),
         probe_budget,
         estimator_seed,
     };
     let idle_secs: u64 = args.get_or("idle-timeout-secs", 180)?;
-    let coordinator = Coordinator::bind(
+    let pool = WorkerPool::bind(
         args.get("listen").unwrap_or("127.0.0.1:0"),
-        ctx,
-        job,
-        CoordinatorOptions {
+        PoolOptions {
             heartbeat_timeout: Duration::from_millis(args.get_or("heartbeat-timeout-ms", 3000)?),
-            checkpoint_dir,
-            resume,
             telemetry: run.telemetry.clone(),
             verbose,
-            idle_timeout: (idle_secs > 0).then(|| Duration::from_secs(idle_secs)),
+            ..PoolOptions::default()
         },
     )?;
-    let addr = coordinator.local_addr();
+    let addr = pool.worker_addr();
     // Always printed (even under --quiet): with `--listen 127.0.0.1:0`
     // this line is the only way to learn the bound port, and scripts
     // parse it to start remote workers.
@@ -615,13 +607,23 @@ fn cmd_sensitivity_distributed(
         }
         children.push(cmd.spawn()?);
     }
-    let outcome = coordinator.run();
-    // Reap the subprocess fleet whether the sweep succeeded or not.
+    let outcome = run_sweep(
+        &pool,
+        &ctx,
+        job,
+        checkpoint_dir.as_deref(),
+        resume,
+        (idle_secs > 0).then(|| Duration::from_secs(idle_secs)),
+    );
+    // Reap the subprocess fleet whether the sweep succeeded or not, then
+    // shut the pool down (remote workers get a graceful Shutdown).
     for mut child in children {
         let _ = child.kill();
         let _ = child.wait();
     }
+    pool.shutdown();
     let outcome = outcome?;
+    record_dist_outcome(&run.telemetry, &outcome);
     let sm = outcome.matrix;
     {
         let _s = run.telemetry.span("save");
@@ -676,6 +678,27 @@ fn cmd_sensitivity_distributed(
             ("omega_provenance", sm.stats.provenance.to_string().into()),
         ],
     )
+}
+
+/// Records a distributed sweep's accounting in the `measure` manifest:
+/// the fleet spin-up vs steady-state split, per-worker load (ids in
+/// connection order), shard service times, evictions, and rejections.
+fn record_dist_outcome(t: &Telemetry, outcome: &DistOutcome) {
+    t.counter("dist.resumed_probes").add(outcome.resumed as u64);
+    t.counter("dist.evictions").add(outcome.evictions);
+    t.counter("dist.rejected_workers").add(outcome.rejected);
+    t.set_gauge("dist.straggler_seconds", outcome.straggler_seconds);
+    t.set_gauge("dist.startup_seconds", outcome.startup_seconds);
+    t.set_gauge("dist.steady_seconds", outcome.steady_seconds);
+    let service = t.histogram("dist.shard_service");
+    for &seconds in &outcome.shard_seconds {
+        service.record_us((seconds * 1e6) as u64);
+    }
+    for w in &outcome.workers {
+        t.set_gauge(&format!("dist.worker.{}.probes", w.id), w.probes as f64);
+        t.set_gauge(&format!("dist.worker.{}.shards", w.id), w.shards as f64);
+        t.set_gauge(&format!("dist.worker.{}.busy_seconds", w.id), w.seconds);
+    }
 }
 
 /// `clado estimate --model <id> [--estimator <name>|all]`
@@ -798,13 +821,13 @@ pub fn cmd_estimate(args: &Args) -> Result<(), Box<dyn Error>> {
     run.finish("estimate", &config)
 }
 
-/// `clado worker --connect <addr> [--pool]`
+/// `clado worker --connect <addr>`
 pub fn cmd_worker(args: &Args) -> Result<(), Box<dyn Error>> {
     let run = RunContext::from_args(args)?;
     let addr: String = args.require("connect")?;
-    // Mirror the coordinator's job setup exactly: same model loader,
+    // Mirror the pool owner's job setup exactly: same model loader,
     // same subset sampling. Any drift shows up as a fingerprint
-    // mismatch and the coordinator rejects us.
+    // mismatch and the pool rejects us.
     let provider = |job: &JobSpec| {
         let kind = model_kind(&job.model).map_err(|e| e.to_string())?;
         let p = pretrained(kind);
@@ -818,11 +841,7 @@ pub fn cmd_worker(args: &Args) -> Result<(), Box<dyn Error>> {
         telemetry: run.telemetry.clone(),
         verbose: args.switch("verbose"),
     };
-    let report = if args.switch("pool") {
-        run_pool_worker(&addr, provider, &opts)?
-    } else {
-        run_worker(&addr, provider, &opts)?
-    };
+    let report = run_worker(&addr, provider, &opts)?;
     println!(
         "worker finished: {} shards, {} probes, {:.1}s busy",
         report.shards, report.probes, report.seconds
@@ -831,7 +850,6 @@ pub fn cmd_worker(args: &Args) -> Result<(), Box<dyn Error>> {
         "worker",
         &[
             ("connect", addr.as_str().into()),
-            ("pool", args.switch("pool").into()),
             ("shards", report.shards.into()),
             ("probes", report.probes.into()),
             ("busy_seconds", report.seconds.into()),
@@ -904,7 +922,6 @@ pub fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
         cmd.arg("worker")
             .arg("--connect")
             .arg(worker_addr.to_string())
-            .arg("--pool")
             .arg("--quiet")
             .stdin(std::process::Stdio::null())
             .stdout(std::process::Stdio::null());
@@ -1167,7 +1184,6 @@ fn spawn_chaos_worker(worker_addr: &str) -> Result<std::process::Child, Box<dyn 
         .arg("worker")
         .arg("--connect")
         .arg(worker_addr)
-        .arg("--pool")
         .arg("--quiet")
         .stdin(std::process::Stdio::null())
         .stdout(std::process::Stdio::null())

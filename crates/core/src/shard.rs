@@ -140,6 +140,17 @@ pub struct ShardRunStats {
     pub seconds: f64,
 }
 
+impl std::ops::AddAssign for ShardRunStats {
+    fn add_assign(&mut self, other: Self) {
+        self.full_evals += other.full_evals;
+        self.cache_hits += other.cache_hits;
+        self.cache_builds += other.cache_builds;
+        self.retried += other.retried;
+        self.quarantined += other.quarantined;
+        self.seconds += other.seconds;
+    }
+}
+
 /// Everything needed to evaluate any shard of one measurement
 /// configuration: the Δw perturbation table, the pristine weight
 /// snapshot, and the probe-evaluation options.

@@ -6,7 +6,7 @@ use std::fmt;
 use std::io;
 use std::time::Duration;
 
-/// A failure of the distributed coordinator or worker.
+/// A failure of the worker pool, a job it runs, or a worker.
 #[derive(Debug)]
 pub enum DistError {
     /// Socket setup failed (bind, connect, accept).
@@ -29,9 +29,16 @@ pub enum DistError {
     /// Work remained but no worker was connected for the configured
     /// idle window.
     NoWorkers {
-        /// How long the coordinator waited.
+        /// How long the job waited.
         waited: Duration,
     },
+    /// The job's deadline expired before its grid completed.
+    DeadlineExceeded,
+    /// The job's cancel flag was raised.
+    Canceled,
+    /// A shard was evicted (worker death, hang, or protocol violation)
+    /// more often than the pool's retry cap allows.
+    RetriesExhausted(String),
 }
 
 impl fmt::Display for DistError {
@@ -49,6 +56,9 @@ impl fmt::Display for DistError {
                 "work remained but no worker connected for {:.0?}",
                 waited
             ),
+            Self::DeadlineExceeded => write!(f, "deadline expired before the sweep completed"),
+            Self::Canceled => write!(f, "sweep canceled"),
+            Self::RetriesExhausted(detail) => write!(f, "worker retries exhausted: {detail}"),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! # clado-dist
 //!
-//! Distributed sensitivity sweeps for CLADO: a coordinator/worker
-//! subsystem that shards the probe grid of
+//! Distributed sensitivity sweeps for CLADO: a worker pool that shards
+//! the probe grid of
 //! [`clado_core::measure_sensitivities`] across worker *processes* over
 //! TCP, built entirely on `std::net`.
 //!
@@ -10,12 +10,15 @@
 //! * **Protocol** ([`protocol`]): a versioned handshake carrying the
 //!   CLSJ config fingerprint (mismatched workers are rejected), then a
 //!   worker-driven lease loop.
-//! * **Coordinator** ([`Coordinator`]): leases shards with heartbeat
-//!   deadlines, evicts and requeues shards from dead or hung workers,
-//!   journals completions through the atomic CLSJ commit path (a killed
-//!   coordinator resumes losslessly), and assembles Ω in canonical
-//!   probe order — bitwise identical to a single-process run.
-//! * **Worker** ([`run_worker`]): reconstructs the job from its spec,
+//! * **Worker pool** ([`WorkerPool`]): the one shard scheduler. Warm
+//!   worker connections lease shards with heartbeat deadlines; shards
+//!   of dead or hung workers are requeued with capped backoff; completed
+//!   shards can be committed through the atomic CLSJ journal, and the
+//!   grid is assembled in canonical probe order — bitwise identical to a
+//!   single-process run. `clado measure --workers/--listen` runs one job
+//!   on it ([`run_sweep`], resumable from the journal); the `clado serve`
+//!   daemon runs a stream of jobs on one pool.
+//! * **Worker** ([`run_worker`]): reconstructs each job from its spec,
 //!   evaluates leased shards with [`clado_core::ShardContext`], and
 //!   heartbeats from a side thread while measuring.
 //!
@@ -23,19 +26,20 @@
 //!
 //! ```no_run
 //! use clado_core::ShardContext;
-//! use clado_dist::{Coordinator, CoordinatorOptions, JobSpec, WorkerOptions};
+//! use clado_dist::{run_sweep, JobSpec, PoolOptions, WorkerOptions, WorkerPool};
 //!
 //! # fn demo(ctx: ShardContext, job: JobSpec) -> Result<(), clado_dist::DistError> {
-//! let coordinator = Coordinator::bind("127.0.0.1:0", ctx, job, CoordinatorOptions::default())?;
-//! let addr = coordinator.local_addr().to_string();
+//! let pool = WorkerPool::bind("127.0.0.1:0", PoolOptions::default())?;
+//! let addr = pool.worker_addr().to_string();
 //! std::thread::spawn(move || {
 //!     clado_dist::run_worker(
 //!         &addr,
-//!         |job| panic!("reconstruct model for {job:?}"),
+//!         |job| Err(format!("reconstruct model for {job:?}")),
 //!         &WorkerOptions::default(),
 //!     )
 //! });
-//! let outcome = coordinator.run()?;
+//! let outcome = run_sweep(&pool, &ctx, job, None, false, None)?;
+//! pool.shutdown();
 //! println!("Ω assembled from {} workers", outcome.workers.len());
 //! # Ok(())
 //! # }
@@ -43,15 +47,17 @@
 
 #![warn(missing_docs)]
 
-mod coordinator;
 mod error;
 pub mod frame;
+mod pool;
 pub mod protocol;
+mod sweep;
 pub mod wire;
 mod worker;
 
-pub use coordinator::{Coordinator, CoordinatorOptions, DistOutcome, WorkerSummary};
 pub use error::DistError;
 pub use frame::{FrameError, MAX_PAYLOAD, PROTOCOL_VERSION};
+pub use pool::{Fallback, Job, JobOutcome, PoolOptions, WorkerPool, WorkerSummary};
 pub use protocol::{scheme_from_u8, scheme_to_u8, JobSpec, Message};
-pub use worker::{run_pool_worker, run_worker, WorkerOptions, WorkerReport};
+pub use sweep::{run_sweep, DistOutcome};
+pub use worker::{run_worker, WorkerOptions, WorkerReport};

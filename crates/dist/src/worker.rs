@@ -1,9 +1,9 @@
-//! The sweep worker: connects to a coordinator, reconstructs the job
+//! The sweep worker: connects to a worker pool, reconstructs each job
 //! locally, and evaluates leased shards until told to shut down.
 //!
 //! The worker's main thread is synchronous — request a lease, evaluate
 //! it, report it — while a side thread sends `Heartbeat` frames every
-//! [`WorkerOptions::heartbeat_interval`] so the coordinator can tell a
+//! [`WorkerOptions::heartbeat_interval`] so the pool can tell a
 //! slow shard from a dead worker. Writes from the two threads are
 //! serialized through a mutex; the main thread is the only reader.
 
@@ -11,31 +11,30 @@ use crate::error::DistError;
 use crate::frame::{FrameError, PROTOCOL_VERSION};
 use crate::protocol::{self, scheme_from_u8, JobSpec, Message};
 use clado_core::ShardContext;
-use clado_estim::{estimation_fingerprint, resolved_probe_budget, EstimatorKind, ProbePlanner};
+use clado_estim::{job_fingerprint, GridEstimation, ProbePlanner};
 use clado_models::DataSplit;
 use clado_nn::Network;
 use clado_quant::BitWidthSet;
 use clado_telemetry::{faultpoint, Telemetry};
-use std::collections::HashMap;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// How long the worker waits for a coordinator reply before giving up
+/// How long the worker waits for a pool reply before giving up
 /// (replies are immediate in a healthy exchange; this only bounds a
-/// wedged coordinator).
+/// wedged pool).
 const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Options controlling a worker run.
 #[derive(Debug, Clone)]
 pub struct WorkerOptions {
     /// Interval between liveness frames while the main thread measures.
-    /// Must be comfortably below the coordinator's heartbeat timeout.
+    /// Must be comfortably below the pool's heartbeat timeout.
     pub heartbeat_interval: Duration,
-    /// Total window for connecting (with retries) to the coordinator —
-    /// workers often start before the coordinator finishes binding.
+    /// Total window for connecting (with retries) to the pool —
+    /// workers often start before the pool finishes binding.
     pub connect_timeout: Duration,
     /// Maximum connection retries after the first failed attempt.
     /// Delays grow 100 ms → 1.6 s (capped, ±25% jitter), so the default
@@ -96,7 +95,7 @@ impl Conn {
 
 /// Stops and joins the heartbeat thread on every exit path — including
 /// a panic unwinding out of the lease loop, where leaving the thread
-/// running would hold the socket open and stall the coordinator's
+/// running would hold the socket open and stall the pool's
 /// eviction until its heartbeat deadline.
 struct HeartbeatGuard {
     stop: Arc<AtomicBool>,
@@ -127,55 +126,6 @@ fn backoff_delay(attempt: u32) -> Duration {
     Duration::from_millis(nominal - jitter_span / 2 + jitter)
 }
 
-/// Prepares an estimation job (`job.estimator != 0`): resolves the
-/// estimator kind, rebuilds the deterministic probe plan locally (the
-/// base and diagonal probes it measures are bitwise identical on every
-/// node, so every worker derives the *same* plan from just the tag,
-/// budget, and seed in the job), and returns the estimator fingerprint
-/// this worker must echo in `Ready`. Exact jobs return no planner and
-/// the plain configuration fingerprint.
-fn prepare_estimation(
-    ctx: &ShardContext,
-    network: &mut Network,
-    set: &DataSplit,
-    telemetry: &Telemetry,
-    job: &JobSpec,
-) -> Result<(Option<ProbePlanner>, u64), DistError> {
-    if job.estimator == 0 {
-        return Ok((None, ctx.fingerprint()));
-    }
-    let kind = match EstimatorKind::from_tag(job.estimator) {
-        Some(EstimatorKind::Hutchinson) => {
-            return Err(DistError::BadJob(
-                "hutchinson estimation is diagonal-only and not grid-shardable; \
-                 run it single-process"
-                    .into(),
-            ))
-        }
-        Some(kind) => kind,
-        None => {
-            return Err(DistError::BadJob(format!(
-                "unknown estimator tag {}",
-                job.estimator
-            )))
-        }
-    };
-    let budget = resolved_probe_budget(ctx, job.probe_budget as usize);
-    let fp = estimation_fingerprint(ctx, kind, job.probe_budget as usize, job.estimator_seed);
-    let _s = telemetry.span("dist.work.plan");
-    let (planner, _fresh, _stats) = ProbePlanner::build(
-        ctx,
-        network,
-        set,
-        telemetry,
-        kind,
-        budget,
-        job.estimator_seed,
-        &HashMap::new(),
-    )?;
-    Ok((Some(planner), fp))
-}
-
 fn connect_with_retry(addr: &str, window: Duration, retries: u32) -> Result<TcpStream, DistError> {
     let deadline = Instant::now() + window;
     let mut attempt = 0u32;
@@ -198,132 +148,6 @@ fn connect_with_retry(addr: &str, window: Duration, retries: u32) -> Result<TcpS
     }
 }
 
-/// Runs a worker against the coordinator at `addr` until the sweep
-/// completes (or fails). `provider` reconstructs the model and
-/// sensitivity set from the received [`JobSpec`] — the CLI passes the
-/// pretrained-model loader; tests and benches pass synthetic builders.
-///
-/// # Errors
-///
-/// [`DistError::Rejected`] when the coordinator refuses the handshake
-/// (version or fingerprint mismatch), [`DistError::Provider`] when the
-/// job cannot be reconstructed, and [`DistError::Frame`]/[`DistError::Io`]
-/// when the coordinator link drops mid-sweep.
-pub fn run_worker<F>(
-    addr: &str,
-    provider: F,
-    opts: &WorkerOptions,
-) -> Result<WorkerReport, DistError>
-where
-    F: FnOnce(&JobSpec) -> Result<(Network, DataSplit), String>,
-{
-    let telemetry = opts.telemetry.clone();
-    let _root = telemetry.span("dist.work");
-    let stream = connect_with_retry(addr, opts.connect_timeout, opts.connect_retries)?;
-    stream.set_nodelay(true).map_err(DistError::Io)?;
-    stream
-        .set_read_timeout(Some(REPLY_TIMEOUT))
-        .map_err(DistError::Io)?;
-    let conn = Arc::new(Conn {
-        stream,
-        write: Mutex::new(()),
-    });
-
-    conn.send(&Message::Hello {
-        protocol: PROTOCOL_VERSION,
-        pid: std::process::id(),
-    })?;
-    let job = match conn.recv()? {
-        Message::Job(job) => job,
-        Message::Reject { reason } => return Err(DistError::Rejected(reason)),
-        other => {
-            return Err(
-                FrameError::Malformed(format!("expected Job, got kind {}", other.kind())).into(),
-            )
-        }
-    };
-    if job.bits.is_empty() {
-        return Err(FrameError::Malformed("job carries no bit-widths".into()).into());
-    }
-    let scheme = scheme_from_u8(job.scheme)?;
-    // A nonzero trace id means the coordinator is tracing: record local
-    // events (tagged with the shared id) and ship them in ShardDone.
-    if job.trace_id != 0 {
-        telemetry.set_trace_id(job.trace_id);
-        telemetry.set_trace_enabled(true);
-    }
-
-    // Liveness side channel, started *before* the (potentially slow)
-    // model reconstruction: any frame resets the coordinator's
-    // heartbeat deadline, so neither a long model load nor a long shard
-    // looks like a dead worker.
-    let stop = Arc::new(AtomicBool::new(false));
-    let current_lease = Arc::new(AtomicU64::new(0));
-    let _heartbeat = {
-        let conn = Arc::clone(&conn);
-        let stop_flag = Arc::clone(&stop);
-        let lease = Arc::clone(&current_lease);
-        let interval = opts.heartbeat_interval;
-        HeartbeatGuard {
-            stop: Arc::clone(&stop),
-            handle: Some(std::thread::spawn(move || {
-                while !stop_flag.load(Ordering::Relaxed) {
-                    std::thread::sleep(interval);
-                    if stop_flag.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let msg = Message::Heartbeat {
-                        lease: lease.load(Ordering::Relaxed),
-                    };
-                    if conn.send(&msg).is_err() {
-                        break;
-                    }
-                }
-            })),
-        }
-    };
-
-    let (mut network, set) = {
-        let _s = telemetry.span("dist.work.load");
-        provider(&job).map_err(DistError::Provider)?
-    };
-    let bits = BitWidthSet::new(&job.bits);
-    let ctx = ShardContext::new(
-        &network,
-        set.len(),
-        &bits,
-        scheme,
-        job.batch_size as usize,
-        job.use_prefix_cache,
-    );
-    let (planner, fingerprint) = prepare_estimation(&ctx, &mut network, &set, &telemetry, &job)?;
-    if opts.verbose && fingerprint != job.fingerprint {
-        eprintln!(
-            "dist: local fingerprint {fingerprint:#018x} differs from job \
-             {:#018x}; expecting rejection",
-            job.fingerprint
-        );
-    }
-    conn.send(&Message::Ready {
-        fingerprint,
-        clock_us: telemetry.now_us(),
-    })?;
-
-    let mut report = WorkerReport::default();
-    lease_loop(
-        &conn,
-        &ctx,
-        planner.as_ref(),
-        &mut network,
-        &set,
-        &telemetry,
-        &current_lease,
-        &mut report,
-        opts.verbose,
-    )
-    .map(|_| report)
-}
-
 /// Why the lease loop handed control back to the caller.
 enum JobEnd {
     /// `JobDone` (v3): the job is over, the connection is not.
@@ -332,9 +156,7 @@ enum JobEnd {
     Shutdown,
 }
 
-/// The worker-driven lease/evaluate/report cycle shared by
-/// [`run_worker`] (one job per connection) and [`run_pool_worker`]
-/// (many jobs per connection).
+/// The worker-driven lease/evaluate/report cycle for one job.
 #[allow(clippy::too_many_arguments)]
 fn lease_loop(
     conn: &Conn,
@@ -414,7 +236,7 @@ fn lease_loop(
             Message::Reject { reason } => return Err(DistError::Rejected(reason)),
             other => {
                 return Err(FrameError::Malformed(format!(
-                    "unexpected coordinator message kind {}",
+                    "unexpected pool message kind {}",
                     other.kind()
                 ))
                 .into())
@@ -423,21 +245,26 @@ fn lease_loop(
     }
 }
 
-/// Runs a pooled worker: like [`run_worker`], but the connection
-/// outlives a single job. When the coordinator (the `clado serve`
-/// daemon) ends one job with `JobDone`, the worker keeps the socket
-/// warm and awaits the next `Job`; `Shutdown` — or the daemon closing
-/// the socket while the worker is between jobs — ends the session
-/// cleanly. The provider is consulted once per distinct job spec:
-/// repeat specs (ignoring the per-request trace id) reuse the
-/// previously reconstructed model and sensitivity set, which is what
-/// makes a warm pool cheap to hit.
+/// Runs a worker against the pool at `addr` (a `clado measure
+/// --workers/--listen` sweep or the `clado serve` daemon). The
+/// connection outlives a single job: after `JobDone` the worker keeps
+/// the socket warm and awaits the next `Job`; `Shutdown` — or the pool
+/// closing the socket while the worker is between jobs — ends the
+/// session cleanly. `provider` reconstructs the model and sensitivity
+/// set from a [`JobSpec`] (the CLI passes the pretrained-model loader;
+/// tests and benches pass synthetic builders). It is consulted once per
+/// distinct job spec: repeat specs (ignoring the trace id) reuse the
+/// previously reconstructed model, which is what makes a warm pool cheap
+/// to hit.
 ///
 /// # Errors
 ///
-/// Same taxonomy as [`run_worker`]; additionally, a mid-job disconnect
-/// is an error while a between-jobs disconnect is a clean exit.
-pub fn run_pool_worker<F>(
+/// [`DistError::Rejected`] when the pool refuses the worker (version or
+/// fingerprint mismatch), [`DistError::BadJob`] for a job this worker
+/// cannot shard, [`DistError::Provider`] when the job cannot be
+/// reconstructed, and [`DistError::Frame`]/[`DistError::Io`] when the
+/// link drops mid-job. A disconnect between jobs is a clean exit.
+pub fn run_worker<F>(
     addr: &str,
     mut provider: F,
     opts: &WorkerOptions,
@@ -446,7 +273,7 @@ where
     F: FnMut(&JobSpec) -> Result<(Network, DataSplit), String>,
 {
     let telemetry = opts.telemetry.clone();
-    let _root = telemetry.span("dist.work.pool");
+    let _root = telemetry.span("dist.work");
     let stream = connect_with_retry(addr, opts.connect_timeout, opts.connect_retries)?;
     stream.set_nodelay(true).map_err(DistError::Io)?;
     stream
@@ -462,8 +289,9 @@ where
     })?;
 
     // One heartbeat thread for the whole connection (lease 0 between
-    // jobs): the daemon's heartbeat machinery is what detects a dead
-    // pooled worker, so the liveness signal must not pause between jobs.
+    // jobs), started before any (potentially slow) model reconstruction:
+    // the pool's heartbeat deadline is what detects a dead worker, so
+    // the liveness signal must not pause between jobs.
     let stop = Arc::new(AtomicBool::new(false));
     let current_lease = Arc::new(AtomicU64::new(0));
     let _heartbeat = {
@@ -544,7 +372,24 @@ where
             job.batch_size as usize,
             job.use_prefix_cache,
         );
-        let (planner, fingerprint) = prepare_estimation(&ctx, network, set, &telemetry, &job)?;
+        let est = GridEstimation::from_job(job.estimator, job.probe_budget, job.estimator_seed)
+            .map_err(DistError::BadJob)?;
+        let fingerprint = job_fingerprint(&ctx, est.as_ref());
+        if opts.verbose && fingerprint != job.fingerprint {
+            eprintln!(
+                "dist: local fingerprint {fingerprint:#018x} differs from job \
+                 {:#018x}; expecting rejection",
+                job.fingerprint
+            );
+        }
+        // Estimation jobs rebuild the deterministic probe plan locally:
+        // the base and diagonal probes it measures are bitwise identical
+        // on every node, so every worker derives the same plan from the
+        // job's tag, budget, and seed.
+        let planner = match est {
+            Some(e) => Some(e.plan(&ctx, network, set, &telemetry)?.0),
+            None => None,
+        };
         conn.send(&Message::Ready {
             fingerprint,
             clock_us: telemetry.now_us(),

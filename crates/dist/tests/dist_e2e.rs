@@ -1,8 +1,9 @@
-//! End-to-end tests of the distributed sweep over loopback TCP:
-//! bitwise parity with the single-process engine, lease eviction for
-//! dead and hung workers, fingerprint/version rejection, malformed-frame
-//! robustness, and crash-safe resume (including journal interop with
-//! the single-process engine).
+//! End-to-end tests of the distributed sweep on the worker pool over
+//! loopback TCP: bitwise parity with the single-process engine, lease
+//! eviction for dead and hung workers, fingerprint/version rejection,
+//! malformed-frame robustness (during the handshake and while idle), and
+//! crash-safe resume (including journal interop with the single-process
+//! engine).
 //!
 //! Every test takes the fault-injection `test_guard`, which serializes
 //! the suite: the fault registry is process-global, so a fault armed
@@ -13,8 +14,8 @@ use clado_core::{
     SensitivityOptions, ShardContext,
 };
 use clado_dist::{
-    protocol, run_worker, Coordinator, CoordinatorOptions, DistError, JobSpec, Message,
-    WorkerOptions,
+    protocol, run_sweep, run_worker, DistError, DistOutcome, JobSpec, Message, PoolOptions,
+    WorkerOptions, WorkerPool,
 };
 use clado_models::{DataSplit, SynthVision, SynthVisionConfig};
 use clado_nn::Network;
@@ -90,12 +91,37 @@ fn job(fingerprint: u64) -> JobSpec {
     }
 }
 
-fn coordinator_options() -> CoordinatorOptions {
-    CoordinatorOptions {
-        idle_timeout: Some(Duration::from_secs(60)),
-        ..Default::default()
+fn bind(opts: PoolOptions) -> WorkerPool {
+    WorkerPool::bind("127.0.0.1:0", opts).expect("bind worker pool")
+}
+
+/// One sweep on `pool` with the suite's idle timeout.
+fn sweep(
+    pool: &WorkerPool,
+    ctx: &ShardContext,
+    job: JobSpec,
+    checkpoint_dir: Option<&std::path::Path>,
+    resume: bool,
+) -> Result<DistOutcome, DistError> {
+    run_sweep(
+        pool,
+        ctx,
+        job,
+        checkpoint_dir,
+        resume,
+        Some(Duration::from_secs(60)),
+    )
+}
+
+/// Shuts the pool down (idle workers get `Shutdown`) and joins workers.
+fn finish(pool: WorkerPool, workers: Vec<WorkerHandle>) {
+    pool.shutdown();
+    for handle in workers {
+        handle.join().expect("worker thread").expect("worker run");
     }
 }
+
+type WorkerHandle = std::thread::JoinHandle<Result<clado_dist::WorkerReport, DistError>>;
 
 /// Spawns `n` worker threads against `addr`, each reconstructing the
 /// synthetic job from clones. Returns their join handles.
@@ -105,14 +131,16 @@ fn spawn_workers(
     net: &Network,
     set: &DataSplit,
     opts: &WorkerOptions,
-) -> Vec<std::thread::JoinHandle<Result<clado_dist::WorkerReport, DistError>>> {
+) -> Vec<WorkerHandle> {
     (0..n)
         .map(|_| {
             let addr = addr.to_string();
             let net = net.clone();
             let set = set.clone();
             let opts = opts.clone();
-            std::thread::spawn(move || run_worker(&addr, move |_job| Ok((net, set)), &opts))
+            std::thread::spawn(move || {
+                run_worker(&addr, move |_job| Ok((net.clone(), set.clone())), &opts)
+            })
         })
         .collect()
 }
@@ -154,19 +182,11 @@ fn distributed_sweep_matches_single_process_bitwise() {
     let (net, set) = setup();
     let reference = reference_matrix(&net, &set);
     let ctx = context(&net, &set);
-    let coordinator = Coordinator::bind(
-        "127.0.0.1:0",
-        ctx,
-        job(context(&net, &set).fingerprint()),
-        coordinator_options(),
-    )
-    .expect("bind");
-    let addr = coordinator.local_addr().to_string();
+    let pool = bind(PoolOptions::default());
+    let addr = pool.worker_addr().to_string();
     let workers = spawn_workers(&addr, 3, &net, &set, &WorkerOptions::default());
-    let outcome = coordinator.run().expect("distributed sweep");
-    for handle in workers {
-        handle.join().expect("worker thread").expect("worker run");
-    }
+    let outcome = sweep(&pool, &ctx, job(ctx.fingerprint()), None, false).expect("sweep");
+    finish(pool, workers);
     assert_bitwise_equal(&outcome.matrix, &reference, "3 workers");
     assert_eq!(
         outcome.matrix.stats.evaluations,
@@ -178,15 +198,16 @@ fn distributed_sweep_matches_single_process_bitwise() {
     assert!(!outcome.workers.is_empty());
     let shard_total: u64 = outcome.workers.iter().map(|w| w.shards).sum();
     assert_eq!(shard_total, 6, "every shard reported by exactly one worker");
+    assert_eq!(outcome.shard_seconds.len(), 6, "one service time per shard");
     assert!(outcome.straggler_seconds >= 0.0);
 }
 
 /// Same seed + budget ⇒ a 2-worker distributed estimation sweep is
 /// bitwise identical to the single-process estimator, for both a
-/// completion-based estimator (sketched: the coordinator runs the same
-/// ALS the single-process path does) and the adaptive two-round one
-/// (each pair shard's refinement is self-contained, so sharding cannot
-/// change it).
+/// completion-based estimator (sketched: the sweep runs the same ALS
+/// the single-process path does) and the adaptive two-round one (each
+/// pair shard's refinement is self-contained, so sharding cannot change
+/// it).
 #[test]
 fn distributed_estimation_matches_single_process_bitwise() {
     use clado_estim::{
@@ -219,14 +240,11 @@ fn distributed_estimation_matches_single_process_bitwise() {
         job.estimator = kind.tag();
         job.probe_budget = budget as u64;
         job.estimator_seed = DEFAULT_ESTIMATOR_SEED;
-        let coordinator =
-            Coordinator::bind("127.0.0.1:0", ctx, job, coordinator_options()).expect("bind");
-        let addr = coordinator.local_addr().to_string();
+        let pool = bind(PoolOptions::default());
+        let addr = pool.worker_addr().to_string();
         let workers = spawn_workers(&addr, 2, &net, &set, &WorkerOptions::default());
-        let outcome = coordinator.run().expect("distributed estimation");
-        for handle in workers {
-            handle.join().expect("worker thread").expect("worker run");
-        }
+        let outcome = sweep(&pool, &ctx, job, None, false).expect("distributed estimation");
+        finish(pool, workers);
         assert_bitwise_equal(&outcome.matrix, &single.matrix, kind.name());
         assert_eq!(
             outcome.matrix.stats.provenance, single.matrix.stats.provenance,
@@ -238,24 +256,19 @@ fn distributed_estimation_matches_single_process_bitwise() {
 }
 
 /// Hutchinson estimation is diagonal-only and cannot be grid-sharded:
-/// the coordinator refuses the job up front instead of producing a
+/// the sweep refuses the job up front instead of producing a
 /// half-meaningful sweep.
 #[test]
-fn coordinator_rejects_hutchinson_and_unknown_estimators() {
+fn sweep_rejects_hutchinson_and_unknown_estimators() {
     use clado_estim::EstimatorKind;
     let _guard = test_guard();
     let (net, set) = setup();
+    let pool = bind(PoolOptions::default());
     for tag in [EstimatorKind::Hutchinson.tag(), 200u8] {
-        let mut bad = job(context(&net, &set).fingerprint());
+        let ctx = context(&net, &set);
+        let mut bad = job(ctx.fingerprint());
         bad.estimator = tag;
-        let coordinator = Coordinator::bind(
-            "127.0.0.1:0",
-            context(&net, &set),
-            bad,
-            coordinator_options(),
-        )
-        .expect("bind");
-        match coordinator.run() {
+        match sweep(&pool, &ctx, bad, None, false) {
             Err(DistError::BadJob(why)) => {
                 assert!(
                     why.contains("hutchinson") || why.contains("unknown estimator"),
@@ -265,6 +278,7 @@ fn coordinator_rejects_hutchinson_and_unknown_estimators() {
             other => panic!("expected BadJob, got {other:?}"),
         }
     }
+    pool.shutdown();
 }
 
 #[cfg(debug_assertions)]
@@ -277,17 +291,11 @@ fn dead_worker_mid_lease_is_evicted_and_sweep_still_matches() {
     // Exactly one worker thread dies the moment it takes its second
     // lease (skip 1 so the sweep is mid-flight), with the lease held.
     faultinject::arm("dist.worker.shard", FaultSpec::panic().skip(1).times(1));
-    let coordinator = Coordinator::bind(
-        "127.0.0.1:0",
-        ctx,
-        job(context(&net, &set).fingerprint()),
-        CoordinatorOptions {
-            heartbeat_timeout: Duration::from_millis(500),
-            ..coordinator_options()
-        },
-    )
-    .expect("bind");
-    let addr = coordinator.local_addr().to_string();
+    let pool = bind(PoolOptions {
+        heartbeat_timeout: Duration::from_millis(500),
+        ..Default::default()
+    });
+    let addr = pool.worker_addr().to_string();
     let workers = spawn_workers(
         &addr,
         3,
@@ -298,7 +306,9 @@ fn dead_worker_mid_lease_is_evicted_and_sweep_still_matches() {
             ..Default::default()
         },
     );
-    let outcome = coordinator.run().expect("sweep survives a dead worker");
+    let outcome = sweep(&pool, &ctx, job(ctx.fingerprint()), None, false)
+        .expect("sweep survives a dead worker");
+    pool.shutdown();
     let results: Vec<_> = workers.into_iter().map(|h| h.join()).collect();
     let panicked = results.iter().filter(|r| r.is_err()).count();
     assert_eq!(panicked, 1, "exactly one worker thread died");
@@ -317,6 +327,14 @@ fn dead_worker_mid_lease_is_evicted_and_sweep_still_matches() {
     );
 }
 
+/// Sends `Hello` on a raw connection to `addr`.
+fn raw_hello(addr: &str, protocol: u16, pid: u32) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut s = &stream;
+    protocol::send(&mut s, &Message::Hello { protocol, pid }).expect("hello");
+    stream
+}
+
 #[test]
 fn hung_worker_is_evicted_by_heartbeat_deadline() {
     let _guard = test_guard();
@@ -324,34 +342,21 @@ fn hung_worker_is_evicted_by_heartbeat_deadline() {
     let reference = reference_matrix(&net, &set);
     let ctx = context(&net, &set);
     let fp = ctx.fingerprint();
-    let coordinator = Coordinator::bind(
-        "127.0.0.1:0",
-        ctx,
-        job(fp),
-        CoordinatorOptions {
-            heartbeat_timeout: Duration::from_millis(300),
-            ..coordinator_options()
-        },
-    )
-    .expect("bind");
-    let addr = coordinator.local_addr().to_string();
+    let pool = bind(PoolOptions {
+        heartbeat_timeout: Duration::from_millis(300),
+        ..Default::default()
+    });
+    let addr = pool.worker_addr().to_string();
 
     // A "hung" worker: completes the handshake, takes a lease, then
-    // goes silent — no heartbeats, no result. The coordinator must
-    // evict it at the deadline and reassign the shard.
-    let hung = {
-        let addr = addr.clone();
-        std::thread::spawn(move || {
-            let stream = TcpStream::connect(&addr).expect("connect");
+    // goes silent — no heartbeats, no result. The pool must evict it at
+    // the deadline and reassign the shard.
+    let (leased_tx, leased_rx) = std::sync::mpsc::channel();
+    let outcome = std::thread::scope(|scope| {
+        let running = scope.spawn(|| sweep(&pool, &ctx, job(fp), None, false));
+        let hung = scope.spawn(|| {
+            let stream = raw_hello(&addr, clado_dist::PROTOCOL_VERSION, 0);
             let mut s = &stream;
-            protocol::send(
-                &mut s,
-                &Message::Hello {
-                    protocol: clado_dist::PROTOCOL_VERSION,
-                    pid: 0,
-                },
-            )
-            .expect("hello");
             let Message::Job(_) = protocol::recv(&mut s).expect("job") else {
                 panic!("expected job");
             };
@@ -368,29 +373,112 @@ fn hung_worker_is_evicted_by_heartbeat_deadline() {
                 Message::Lease { .. } => {}
                 other => panic!("expected a lease, got kind {}", other.kind()),
             }
+            leased_tx.send(()).expect("signal the lease");
             // Hold the lease silently past the heartbeat deadline.
             std::thread::sleep(Duration::from_millis(1500));
-        })
-    };
-    // Give the hung worker a head start so it takes the first lease.
-    std::thread::sleep(Duration::from_millis(100));
-    let workers = spawn_workers(
-        &addr,
-        1,
-        &net,
-        &set,
-        &WorkerOptions {
-            heartbeat_interval: Duration::from_millis(50),
-            ..Default::default()
-        },
-    );
-    let outcome = coordinator.run().expect("sweep survives a hung worker");
-    hung.join().expect("hung worker thread");
-    for handle in workers {
-        handle.join().expect("worker thread").expect("worker run");
-    }
+        });
+        // The hung worker takes the first lease before any real worker
+        // joins.
+        leased_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("hung worker holds a lease");
+        let workers = spawn_workers(
+            &addr,
+            1,
+            &net,
+            &set,
+            &WorkerOptions {
+                heartbeat_interval: Duration::from_millis(50),
+                ..Default::default()
+            },
+        );
+        let outcome = running
+            .join()
+            .expect("sweep thread")
+            .expect("sweep survives a hung worker");
+        hung.join().expect("hung worker thread");
+        pool.shutdown();
+        for handle in workers {
+            handle.join().expect("worker thread").expect("worker run");
+        }
+        outcome
+    });
     assert!(outcome.evictions >= 1, "the hung lease was evicted");
     assert_bitwise_equal(&outcome.matrix, &reference, "after hung-worker eviction");
+}
+
+/// A worker whose lease loop outlasts the heartbeat timeout (kept alive
+/// by heartbeats) stays pooled once it is idle again: the idle phase
+/// measures silence from its own start, not from before the job.
+#[test]
+fn worker_stays_pooled_after_a_job_longer_than_the_heartbeat_timeout() {
+    let _guard = test_guard();
+    let (net, set) = setup();
+    let ctx = context(&net, &set);
+    let fp = ctx.fingerprint();
+    let hb = Duration::from_millis(300);
+    let pool = bind(PoolOptions {
+        heartbeat_timeout: hb,
+        ..Default::default()
+    });
+    let addr = pool.worker_addr().to_string();
+    let outcome = std::thread::scope(|scope| {
+        let running = scope.spawn(|| sweep(&pool, &ctx, job(fp), None, false));
+        // A hand-driven worker that holds its first lease for twice the
+        // heartbeat timeout, heartbeating, and evaluates every shard.
+        let stream = raw_hello(&addr, clado_dist::PROTOCOL_VERSION, 4);
+        let mut s = &stream;
+        let Message::Job(_) = protocol::recv(&mut s).expect("job") else {
+            panic!("expected job");
+        };
+        let ready = Message::Ready {
+            fingerprint: fp,
+            clock_us: 0,
+        };
+        protocol::send(&mut s, &ready).expect("ready");
+        let mut net = net.clone();
+        let mut held_long = false;
+        loop {
+            protocol::send(&mut s, &Message::LeaseRequest).expect("lease request");
+            match protocol::recv(&mut s).expect("lease reply") {
+                Message::Lease { lease, shard, .. } => {
+                    if !held_long {
+                        for _ in 0..4 {
+                            std::thread::sleep(hb / 2);
+                            protocol::send(&mut s, &Message::Heartbeat { lease })
+                                .expect("heartbeat");
+                        }
+                        held_long = true;
+                    }
+                    let (records, stats) =
+                        ctx.run_shard(&mut net, &set, shard, &Telemetry::disabled());
+                    let done = Message::ShardDone {
+                        lease,
+                        shard,
+                        records,
+                        stats,
+                        events: Vec::new(),
+                    };
+                    protocol::send(&mut s, &done).expect("shard done");
+                }
+                Message::Idle { retry_ms } => {
+                    std::thread::sleep(Duration::from_millis(u64::from(retry_ms)))
+                }
+                Message::JobDone => break,
+                other => panic!("unexpected kind {}", other.kind()),
+            }
+        }
+        // Idle between jobs, heartbeating well inside the timeout.
+        for _ in 0..4 {
+            std::thread::sleep(hb / 2);
+            protocol::send(&mut s, &Message::Heartbeat { lease: 0 }).expect("idle heartbeat");
+        }
+        assert_eq!(pool.live_workers(), 1, "the idle worker is still pooled");
+        running.join().expect("sweep thread").expect("sweep")
+    });
+    pool.shutdown();
+    assert_eq!(outcome.evictions, 0);
+    assert_eq!(outcome.workers.len(), 1);
 }
 
 #[test]
@@ -399,25 +487,16 @@ fn fingerprint_mismatch_worker_is_rejected() {
     let (net, set) = setup();
     let ctx = context(&net, &set);
     let fp = ctx.fingerprint();
-    let coordinator =
-        Coordinator::bind("127.0.0.1:0", ctx, job(fp), coordinator_options()).expect("bind");
-    let addr = coordinator.local_addr().to_string();
+    let pool = bind(PoolOptions::default());
+    let addr = pool.worker_addr().to_string();
 
-    // An impostor with a different configuration fingerprint must be
-    // refused with a Reject frame naming both fingerprints.
-    let impostor = {
-        let addr = addr.clone();
-        std::thread::spawn(move || {
-            let stream = TcpStream::connect(&addr).expect("connect");
+    let outcome = std::thread::scope(|scope| {
+        let running = scope.spawn(|| sweep(&pool, &ctx, job(fp), None, false));
+        // An impostor with a different configuration fingerprint must be
+        // refused with a Reject frame naming both fingerprints.
+        let impostor = scope.spawn(|| {
+            let stream = raw_hello(&addr, clado_dist::PROTOCOL_VERSION, 1);
             let mut s = &stream;
-            protocol::send(
-                &mut s,
-                &Message::Hello {
-                    protocol: clado_dist::PROTOCOL_VERSION,
-                    pid: 1,
-                },
-            )
-            .expect("hello");
             let Message::Job(_) = protocol::recv(&mut s).expect("job") else {
                 panic!("expected job");
             };
@@ -438,38 +517,34 @@ fn fingerprint_mismatch_worker_is_rejected() {
                 }
                 other => panic!("expected Reject, got kind {}", other.kind()),
             }
-        })
-    };
-    // A worker announcing an incompatible protocol version is also
-    // turned away before any job state is exchanged.
-    let old_version = {
-        let addr = addr.clone();
-        std::thread::spawn(move || {
-            let stream = TcpStream::connect(&addr).expect("connect");
+        });
+        // A worker announcing an incompatible protocol version is also
+        // turned away before any job state is exchanged.
+        let old_version = scope.spawn(|| {
+            let stream = raw_hello(&addr, 99, 2);
             let mut s = &stream;
-            protocol::send(
-                &mut s,
-                &Message::Hello {
-                    protocol: 99,
-                    pid: 2,
-                },
-            )
-            .expect("hello");
             match protocol::recv(&mut s).expect("reject reply") {
                 Message::Reject { reason } => {
                     assert!(reason.contains("version"), "reject reason: {reason}");
                 }
                 other => panic!("expected Reject, got kind {}", other.kind()),
             }
-        })
-    };
-    let workers = spawn_workers(&addr, 1, &net, &set, &WorkerOptions::default());
-    let outcome = coordinator.run().expect("sweep completes");
-    impostor.join().expect("impostor thread");
-    old_version.join().expect("old-version thread");
-    for handle in workers {
-        handle.join().expect("worker thread").expect("worker run");
-    }
+        });
+        impostor.join().expect("impostor thread");
+        old_version.join().expect("old-version thread");
+        // The honest worker joins only after both refusals, so the sweep
+        // is still open when the impostor asks for its job.
+        let workers = spawn_workers(&addr, 1, &net, &set, &WorkerOptions::default());
+        let outcome = running
+            .join()
+            .expect("sweep thread")
+            .expect("sweep completes");
+        pool.shutdown();
+        for handle in workers {
+            handle.join().expect("worker thread").expect("worker run");
+        }
+        outcome
+    });
     assert_eq!(outcome.rejected, 2, "both impostors were rejected");
     let reference = reference_matrix(&net, &set);
     assert_bitwise_equal(&outcome.matrix, &reference, "after rejected impostors");
@@ -482,22 +557,16 @@ fn malformed_frames_never_disturb_the_sweep() {
     let reference = reference_matrix(&net, &set);
     let ctx = context(&net, &set);
     let telemetry = Telemetry::new();
-    let coordinator = Coordinator::bind(
-        "127.0.0.1:0",
-        ctx,
-        job(context(&net, &set).fingerprint()),
-        CoordinatorOptions {
-            telemetry: telemetry.clone(),
-            ..coordinator_options()
-        },
-    )
-    .expect("bind");
-    let addr = coordinator.local_addr().to_string();
+    let pool = bind(PoolOptions {
+        telemetry: telemetry.clone(),
+        ..Default::default()
+    });
+    let addr = pool.worker_addr().to_string();
 
     // A rogue's gallery of malformed clients: garbage bytes, a
     // truncated frame, an oversized length header, and a corrupted
-    // version field. Each must be dropped without panicking the
-    // coordinator or corrupting the sweep.
+    // version field. Each must be dropped without panicking the pool or
+    // corrupting the sweep.
     let mut good_frame = Vec::new();
     clado_dist::frame::write_frame(
         &mut good_frame,
@@ -523,25 +592,71 @@ fn malformed_frames_never_disturb_the_sweep() {
                 use std::io::Write;
                 let mut stream = TcpStream::connect(&addr).expect("connect");
                 stream.write_all(&bytes).expect("write garbage");
-                // Close immediately; the coordinator should classify and
-                // drop without waiting for its heartbeat deadline.
+                // Close immediately; the pool should classify and drop
+                // without waiting for its heartbeat deadline.
             })
         })
         .collect();
     let workers = spawn_workers(&addr, 2, &net, &set, &WorkerOptions::default());
-    let outcome = coordinator.run().expect("sweep completes despite rogues");
+    let outcome = sweep(&pool, &ctx, job(ctx.fingerprint()), None, false)
+        .expect("sweep completes despite rogues");
     for rogue in rogues {
         rogue.join().expect("rogue thread");
     }
-    for handle in workers {
-        handle.join().expect("worker thread").expect("worker run");
-    }
+    finish(pool, workers);
     assert_bitwise_equal(&outcome.matrix, &reference, "after malformed frames");
     assert!(
-        telemetry.counter_value("dist.protocol_errors") >= 3,
+        telemetry.counter_value("dist.pool.protocol_errors") >= 3,
         "malformed clients were counted: {}",
-        telemetry.counter_value("dist.protocol_errors")
+        telemetry.counter_value("dist.pool.protocol_errors")
     );
+}
+
+/// A handshaken worker that corrupts a frame while idle between jobs is
+/// dropped and counted as a protocol error — the same classification
+/// as a malformed frame during the handshake or mid-lease.
+#[test]
+fn corrupted_frame_from_an_idle_worker_is_a_protocol_error() {
+    let _guard = test_guard();
+    let telemetry = Telemetry::new();
+    let pool = bind(PoolOptions {
+        telemetry: telemetry.clone(),
+        ..Default::default()
+    });
+    let addr = pool.worker_addr().to_string();
+    let stream = raw_hello(&addr, clado_dist::PROTOCOL_VERSION, 3);
+    let live_deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while pool.live_workers() < 1 {
+        assert!(
+            std::time::Instant::now() < live_deadline,
+            "worker goes live"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // A well-formed heartbeat frame with one payload byte flipped: the
+    // header parses, the checksum does not match.
+    let heartbeat = Message::Heartbeat { lease: 0 };
+    let mut frame = Vec::new();
+    clado_dist::frame::write_frame(&mut frame, heartbeat.kind(), &heartbeat.encode())
+        .expect("encode");
+    let last = frame.len() - 1;
+    frame[last] ^= 0xFF;
+    {
+        use std::io::Write;
+        (&stream).write_all(&frame).expect("write corrupted frame");
+    }
+    let counted_deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while telemetry.counter_value("dist.pool.protocol_errors") < 1 {
+        assert!(
+            std::time::Instant::now() < counted_deadline,
+            "the corrupted idle frame is counted"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(pool.live_workers(), 0, "the corrupting worker was dropped");
+    drop(stream);
+    pool.shutdown();
+    assert_eq!(telemetry.counter_value("dist.pool.protocol_errors"), 1);
 }
 
 #[test]
@@ -549,25 +664,16 @@ fn killed_coordinator_resumes_losslessly_from_partial_journal() {
     let _guard = test_guard();
     let (net, set) = setup();
     let reference = reference_matrix(&net, &set);
+    let ctx = context(&net, &set);
     let dir = temp_dir("resume");
 
     // First pass: full distributed run with journaling.
-    let coordinator = Coordinator::bind(
-        "127.0.0.1:0",
-        context(&net, &set),
-        job(context(&net, &set).fingerprint()),
-        CoordinatorOptions {
-            checkpoint_dir: Some(dir.clone()),
-            ..coordinator_options()
-        },
-    )
-    .expect("bind");
-    let addr = coordinator.local_addr().to_string();
+    let pool = bind(PoolOptions::default());
+    let addr = pool.worker_addr().to_string();
     let workers = spawn_workers(&addr, 2, &net, &set, &WorkerOptions::default());
-    let first = coordinator.run().expect("journaled sweep");
-    for handle in workers {
-        handle.join().expect("worker thread").expect("worker run");
-    }
+    let first =
+        sweep(&pool, &ctx, job(ctx.fingerprint()), Some(&dir), false).expect("journaled sweep");
+    finish(pool, workers);
     assert_bitwise_equal(&first.matrix, &reference, "journaled distributed run");
 
     // Simulate the coordinator dying mid-sweep by deleting half the
@@ -583,23 +689,12 @@ fn killed_coordinator_resumes_losslessly_from_partial_journal() {
         std::fs::remove_file(lost).expect("delete shard");
     }
 
-    let coordinator = Coordinator::bind(
-        "127.0.0.1:0",
-        context(&net, &set),
-        job(context(&net, &set).fingerprint()),
-        CoordinatorOptions {
-            checkpoint_dir: Some(dir.clone()),
-            resume: true,
-            ..coordinator_options()
-        },
-    )
-    .expect("bind for resume");
-    let addr = coordinator.local_addr().to_string();
+    let pool = bind(PoolOptions::default());
+    let addr = pool.worker_addr().to_string();
     let workers = spawn_workers(&addr, 2, &net, &set, &WorkerOptions::default());
-    let resumed = coordinator.run().expect("resumed sweep");
-    for handle in workers {
-        handle.join().expect("worker thread").expect("worker run");
-    }
+    let resumed =
+        sweep(&pool, &ctx, job(ctx.fingerprint()), Some(&dir), true).expect("resumed sweep");
+    finish(pool, workers);
     assert!(resumed.resumed > 0, "some probes came from the journal");
     assert!(
         resumed.matrix.stats.evaluations < reference.stats.evaluations,
@@ -609,19 +704,10 @@ fn killed_coordinator_resumes_losslessly_from_partial_journal() {
 
     // A non-empty journal without resume stays a hard error, exactly
     // like the single-process engine.
-    let err = Coordinator::bind(
-        "127.0.0.1:0",
-        context(&net, &set),
-        job(context(&net, &set).fingerprint()),
-        CoordinatorOptions {
-            checkpoint_dir: Some(dir.clone()),
-            resume: false,
-            ..coordinator_options()
-        },
-    )
-    .expect("bind")
-    .run()
-    .expect_err("non-empty journal without resume must be refused");
+    let pool = bind(PoolOptions::default());
+    let err = sweep(&pool, &ctx, job(ctx.fingerprint()), Some(&dir), false)
+        .expect_err("non-empty journal without resume must be refused");
+    pool.shutdown();
     assert!(matches!(err, DistError::Journal(_)), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -645,23 +731,14 @@ fn distributed_resume_finishes_a_single_process_checkpoint() {
     )
     .expect("single-process journaled run");
 
-    // ...and a distributed coordinator resumes it: zero re-evaluation,
+    // ...and a distributed sweep resumes it: zero re-evaluation,
     // bitwise-identical matrix. CLSJ journals are interchangeable
     // between the two engines.
-    let coordinator = Coordinator::bind(
-        "127.0.0.1:0",
-        context(&net, &set),
-        job(context(&net, &set).fingerprint()),
-        CoordinatorOptions {
-            checkpoint_dir: Some(dir.clone()),
-            resume: true,
-            ..coordinator_options()
-        },
-    )
-    .expect("bind");
-    let outcome = coordinator
-        .run()
+    let ctx = context(&net, &set);
+    let pool = bind(PoolOptions::default());
+    let outcome = sweep(&pool, &ctx, job(ctx.fingerprint()), Some(&dir), true)
         .expect("fully-journaled sweep completes with no workers at all");
+    pool.shutdown();
     assert_eq!(outcome.matrix.stats.evaluations, 0, "nothing re-evaluated");
     assert_eq!(outcome.resumed, reference.stats.evaluations);
     assert_bitwise_equal(&outcome.matrix, &reference, "single-process → distributed");
@@ -673,19 +750,11 @@ fn save_load_round_trip_preserves_distributed_matrix() {
     let _guard = test_guard();
     let (net, set) = setup();
     let ctx = context(&net, &set);
-    let coordinator = Coordinator::bind(
-        "127.0.0.1:0",
-        ctx,
-        job(context(&net, &set).fingerprint()),
-        coordinator_options(),
-    )
-    .expect("bind");
-    let addr = coordinator.local_addr().to_string();
+    let pool = bind(PoolOptions::default());
+    let addr = pool.worker_addr().to_string();
     let workers = spawn_workers(&addr, 2, &net, &set, &WorkerOptions::default());
-    let outcome = coordinator.run().expect("sweep");
-    for handle in workers {
-        handle.join().expect("worker thread").expect("worker run");
-    }
+    let outcome = sweep(&pool, &ctx, job(ctx.fingerprint()), None, false).expect("sweep");
+    finish(pool, workers);
     let path = std::env::temp_dir().join(format!("clado-dist-io-{}.clsm", std::process::id()));
     save_sensitivities(&outcome.matrix, &path).expect("save");
     let loaded = load_sensitivities(&path).expect("load");

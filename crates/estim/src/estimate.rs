@@ -337,12 +337,7 @@ pub fn estimate_sensitivities(
         },
     )?;
     for (recs, s) in &outs {
-        run_stats.full_evals += s.full_evals;
-        run_stats.cache_hits += s.cache_hits;
-        run_stats.cache_builds += s.cache_builds;
-        run_stats.retried += s.retried;
-        run_stats.quarantined += s.quarantined;
-        run_stats.seconds += s.seconds;
+        run_stats += *s;
         for rec in recs {
             records.insert(rec.id, *rec);
         }

@@ -57,6 +57,7 @@ mod complete;
 mod estimate;
 mod planner;
 mod report;
+mod sharded;
 
 pub use complete::{als_complete, complete_partial};
 pub use estimate::{
@@ -68,6 +69,7 @@ pub use planner::ProbePlanner;
 pub use report::{
     assignment_regret, build_report, error_vs_exact, EstimatorReport, OmegaError, RegretReport,
 };
+pub use sharded::{assemble_omega, job_fingerprint, GridEstimation};
 
 use std::fmt;
 use std::str::FromStr;

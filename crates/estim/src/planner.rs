@@ -124,12 +124,7 @@ impl ProbePlanner {
                 return recs;
             }
             let (recs, s) = ctx.run_shard(net, set, spec, telemetry);
-            stats.full_evals += s.full_evals;
-            stats.cache_hits += s.cache_hits;
-            stats.cache_builds += s.cache_builds;
-            stats.retried += s.retried;
-            stats.quarantined += s.quarantined;
-            stats.seconds += s.seconds;
+            stats += s;
             fresh.push(recs.clone());
             recs
         };
@@ -441,12 +436,7 @@ impl ProbePlanner {
             let ids2: Vec<ProbeId> = sel2.iter().map(|&s| cands[s].id).collect();
             let (recs2, stats2) = ctx.run_probes(net, set, &ids2, telemetry);
             recs.extend(recs2);
-            stats.full_evals += stats2.full_evals;
-            stats.cache_hits += stats2.cache_hits;
-            stats.cache_builds += stats2.cache_builds;
-            stats.retried += stats2.retried;
-            stats.quarantined += stats2.quarantined;
-            stats.seconds += stats2.seconds;
+            stats += stats2;
         }
         (recs, stats)
     }

@@ -1,7 +1,7 @@
 //! The serve-side error taxonomy.
 
 use crate::protocol::RejectReason;
-use clado_dist::FrameError;
+use clado_dist::{DistError, FrameError};
 use std::fmt;
 use std::io;
 
@@ -58,5 +58,14 @@ impl From<io::Error> for ServeError {
 impl From<FrameError> for ServeError {
     fn from(e: FrameError) -> Self {
         Self::Frame(e)
+    }
+}
+
+impl From<DistError> for ServeError {
+    fn from(e: DistError) -> Self {
+        match e {
+            DistError::Io(e) => Self::Io(e),
+            other => Self::Io(io::Error::other(other.to_string())),
+        }
     }
 }

@@ -17,7 +17,7 @@
 //! * **Ω cache** ([`OmegaCache`]): keyed by a fingerprint over every
 //!   field of the [`MeasureSpec`]; a hit re-serves the first response's
 //!   CLSM image byte for byte, with zero probe evaluations.
-//! * **Pooled crash-resilient workers** ([`WorkerPool`]): warm
+//! * **Pooled crash-resilient workers** ([`clado_dist::WorkerPool`]): warm
 //!   connections reused across requests, dead workers evicted by
 //!   heartbeat, failed shards retried on surviving workers with capped
 //!   backoff — a SIGKILLed worker mid-request costs a retry, not the
@@ -57,7 +57,6 @@ mod cache;
 mod client;
 mod diskcache;
 mod error;
-mod pool;
 pub mod protocol;
 mod server;
 
@@ -65,7 +64,6 @@ pub use cache::{CachedOmega, OmegaCache};
 pub use client::{submit, submit_with_retries, SubmitOutcome};
 pub use diskcache::DiskCache;
 pub use error::ServeError;
-pub use pool::{JobFailure, JobOutcome, PoolOptions, WorkerPool};
 pub use protocol::{
     AssignRow, FailKind, MeasureSpec, Op, RejectReason, ServeMessage, SubmitRequest,
 };

@@ -31,19 +31,12 @@
 use crate::cache::{CachedOmega, OmegaCache};
 use crate::diskcache::DiskCache;
 use crate::error::ServeError;
-use crate::pool::{JobFailure, PoolOptions, WorkerPool};
 use crate::protocol::{
     self, AssignRow, FailKind, MeasureSpec, Op, RejectReason, ServeMessage, SubmitRequest,
 };
-use clado_core::{
-    assign_bits, sensitivities_to_bytes, AssignOptions, OmegaProvenance, SensitivityMatrix,
-    SensitivityStats, ShardContext,
-};
-use clado_dist::{scheme_from_u8, JobSpec};
-use clado_estim::{
-    complete_partial, estimation_fingerprint, resolved_probe_budget, EstimatorKind, ProbePlanner,
-    DEFAULT_ALS_ITERS, DEFAULT_ALS_RANK,
-};
+use clado_core::{assign_bits, sensitivities_to_bytes, AssignOptions, ShardContext};
+use clado_dist::{scheme_from_u8, DistError, Fallback, Job, JobSpec, PoolOptions, WorkerPool};
+use clado_estim::{assemble_omega, job_fingerprint, GridEstimation};
 use clado_models::DataSplit;
 use clado_nn::Network;
 use clado_quant::{BitWidthSet, LayerSizes};
@@ -390,28 +383,17 @@ fn validate(req: &SubmitRequest) -> Option<String> {
     if spec.batch_size == 0 {
         return Some("batch size must be positive".into());
     }
-    match spec.estimator {
-        0 => {
-            // Exact specs must keep the estimation fields zeroed so
-            // equal exact requests hash to equal cache keys.
-            if spec.probe_budget != 0 {
-                return Some("probe budget requires an estimator".into());
-            }
-            if spec.estimator_seed != 0 {
-                return Some("estimator seed requires an estimator".into());
-            }
+    match GridEstimation::from_job(spec.estimator, spec.probe_budget, spec.estimator_seed) {
+        Err(refusal) => return Some(refusal),
+        // Exact specs must keep the estimation fields zeroed so equal
+        // exact requests hash to equal cache keys.
+        Ok(None) if spec.probe_budget != 0 => {
+            return Some("probe budget requires an estimator".into())
         }
-        tag => match EstimatorKind::from_tag(tag) {
-            Some(EstimatorKind::Hutchinson) => {
-                return Some(
-                    "hutchinson estimation is diagonal-only and not grid-shardable; \
-                     run it single-process"
-                        .into(),
-                )
-            }
-            Some(_) => {}
-            None => return Some(format!("unknown estimator tag {tag}")),
-        },
+        Ok(None) if spec.estimator_seed != 0 => {
+            return Some("estimator seed requires an estimator".into())
+        }
+        Ok(_) => {}
     }
     match req.op {
         Op::Measure => None,
@@ -796,35 +778,20 @@ fn measure(
     );
     let started = Instant::now();
     let telemetry = inner.telemetry.clone();
-    // Estimation requests (admission validated the tag: 1–3, never
-    // hutchinson) rebuild the same deterministic probe plan pooled
-    // workers derive from the job's estimator fields; the job
-    // fingerprint becomes the estimation fingerprint so only workers
-    // with the identical plan pass the Ready check.
-    let estimator = EstimatorKind::from_tag(spec.estimator);
-    let (planner, plan_stats) = match estimator {
-        Some(kind) => {
-            let budget = resolved_probe_budget(&ctx, spec.probe_budget as usize);
-            let (planner, _fresh, stats) = ProbePlanner::build(
-                &ctx,
-                &mut network,
-                &set,
-                &telemetry,
-                kind,
-                budget,
-                spec.estimator_seed,
-                &HashMap::new(),
-            )
-            .map_err(|e| failed(id, FailKind::Internal, format!("probe planning: {e}")))?;
+    // Estimation requests (admission validated the tag) rebuild the same
+    // deterministic probe plan pooled workers derive from the job's
+    // estimator fields; the job fingerprint becomes the estimation
+    // fingerprint so only workers with the identical plan pass `Ready`.
+    let est = GridEstimation::from_job(spec.estimator, spec.probe_budget, spec.estimator_seed)
+        .expect("estimator validated at admission");
+    let (planner, plan_stats) = match &est {
+        Some(e) => {
+            let (planner, stats) = e
+                .plan(&ctx, &mut network, &set, &telemetry)
+                .map_err(|e| failed(id, FailKind::Internal, format!("probe planning: {e}")))?;
             (Some(planner), stats)
         }
         None => (None, Default::default()),
-    };
-    let job_fingerprint = match estimator {
-        Some(kind) => {
-            estimation_fingerprint(&ctx, kind, spec.probe_budget as usize, spec.estimator_seed)
-        }
-        None => ctx.fingerprint(),
     };
     let job = JobSpec {
         model: spec.model.clone(),
@@ -834,7 +801,7 @@ fn measure(
         bits: spec.bits.clone(),
         scheme: spec.scheme,
         use_prefix_cache: spec.use_prefix_cache,
-        fingerprint: job_fingerprint,
+        fingerprint: job_fingerprint(&ctx, est.as_ref()),
         // Pooled jobs do not ship worker trace events; request latency
         // is captured by the serve.request histogram instead.
         trace_id: 0,
@@ -851,17 +818,22 @@ fn measure(
     };
     let mut progress_writer = &item.stream;
     let accepted_sent = Arc::clone(&item.accepted_sent);
+    let mut local = |shard| match planner.as_ref() {
+        Some(p) => p.run_shard(&ctx, &mut network, &set, shard, &telemetry),
+        None => ctx.run_shard(&mut network, &set, shard, &telemetry),
+    };
     let outcome = inner
         .pool
         .run_job(
-            job,
-            ctx.shards(),
+            Job {
+                spec: job,
+                shards: ctx.shards(),
+                records: HashMap::new(),
+                journal: None,
+            },
             &item.cancel,
             item.deadline,
-            |shard| match planner.as_ref() {
-                Some(p) => p.run_shard(&ctx, &mut network, &set, shard, &telemetry),
-                None => ctx.run_shard(&mut network, &set, shard, &telemetry),
-            },
+            Fallback::Local(&mut local),
             |probes_done| {
                 // Never write before the admission thread's `Accepted`
                 // frame is on the wire — and never fail the request over
@@ -879,66 +851,38 @@ fn measure(
                 }
             },
         )
-        .map_err(|f| match f {
-            JobFailure::DeadlineExceeded => failed(
+        .map_err(|e| match e {
+            DistError::DeadlineExceeded => failed(
                 id,
                 FailKind::DeadlineExceeded,
                 "deadline expired mid-measure",
             ),
-            JobFailure::Canceled => failed(id, FailKind::Canceled, "request canceled mid-measure"),
-            JobFailure::WorkerRetriesExhausted(detail) => {
+            DistError::Canceled => failed(id, FailKind::Canceled, "request canceled mid-measure"),
+            DistError::RetriesExhausted(detail) => {
                 failed(id, FailKind::WorkerRetriesExhausted, detail)
             }
+            other => failed(id, FailKind::Internal, other.to_string()),
         })?;
-    let (matrix, base_loss, quarantined) = match estimator {
-        Some(kind) => {
-            let assembly = ctx
-                .assemble_partial(&outcome.records)
-                .map_err(|e| failed(id, FailKind::Internal, format!("assembly: {e}")))?;
-            let completed = complete_partial(
-                kind,
-                &assembly.g,
-                &assembly.observed,
-                DEFAULT_ALS_RANK,
-                DEFAULT_ALS_ITERS,
-                spec.estimator_seed,
-            );
-            (completed, assembly.base_loss, assembly.quarantined)
-        }
-        None => ctx
-            .assemble(&outcome.records)
-            .map_err(|e| failed(id, FailKind::Internal, format!("assembly: {e}")))?,
-    };
+    let shard_service = telemetry.histogram("serve.pool.shard_service");
+    for &seconds in &outcome.shard_seconds {
+        shard_service.record_us((seconds * 1e6) as u64);
+    }
     // The planner's local base+diagonal pass for an estimation request
     // runs outside the pool, so its evaluations are added here.
-    let evaluations =
-        outcome.full_evals + outcome.cache_hits + plan_stats.full_evals + plan_stats.cache_hits;
-    let stats = SensitivityStats {
-        evaluations: evaluations as usize,
-        seconds: started.elapsed().as_secs_f64(),
-        threads_used: outcome.workers_used.max(1),
-        prefix_cache_builds: (outcome.cache_builds + plan_stats.cache_builds) as usize,
-        prefix_cache_hits: (outcome.cache_hits + plan_stats.cache_hits) as usize,
-        full_evals: (outcome.full_evals + plan_stats.full_evals) as usize,
-        resumed: 0,
-        retried: (outcome.retried + plan_stats.retried) as usize,
-        quarantined,
-        provenance: match estimator {
-            Some(kind) => OmegaProvenance::estimated(
-                kind.tag(),
-                resolved_probe_budget(&ctx, spec.probe_budget as usize) as u64,
-                spec.estimator_seed,
-            ),
-            None => OmegaProvenance::exact(),
-        },
-    };
-    let matrix = SensitivityMatrix::from_parts(
-        matrix,
-        ctx.num_layers(),
-        ctx.bits().clone(),
-        base_loss,
-        stats,
-    );
+    let mut totals = outcome.totals;
+    totals += plan_stats;
+    let workers_used = outcome.workers.iter().filter(|w| w.shards > 0).count();
+    let matrix = assemble_omega(
+        &ctx,
+        &outcome.records,
+        est.as_ref(),
+        &totals,
+        workers_used,
+        0,
+        started,
+    )
+    .map_err(|e| failed(id, FailKind::Internal, format!("assembly: {e}")))?;
+    let evaluations = matrix.stats.evaluations as u64;
     let entry = Arc::new(CachedOmega {
         clsm: sensitivities_to_bytes(&matrix),
         param_counts: network.layer_param_counts(),

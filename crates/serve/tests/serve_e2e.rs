@@ -12,7 +12,7 @@
 use clado_core::{
     measure_sensitivities, sensitivities_from_bytes, SensitivityMatrix, SensitivityOptions,
 };
-use clado_dist::{run_pool_worker, WorkerOptions};
+use clado_dist::{run_worker, WorkerOptions};
 use clado_models::{DataSplit, SynthVision, SynthVisionConfig};
 use clado_nn::Network;
 use clado_quant::BitWidthSet;
@@ -634,7 +634,7 @@ fn killed_worker_mid_request_is_retried_on_the_survivor_bitwise_identical() {
             let net = net.clone();
             let set = set.clone();
             std::thread::spawn(move || {
-                run_pool_worker(
+                run_worker(
                     &worker_addr,
                     move |_job| Ok((net.clone(), set.clone())),
                     &WorkerOptions {
@@ -648,7 +648,7 @@ fn killed_worker_mid_request_is_retried_on_the_survivor_bitwise_identical() {
     // Let both workers finish the handshake before submitting, so the
     // shards actually fan out across the pool.
     let connect_deadline = Instant::now() + Duration::from_secs(10);
-    while telemetry.counter_value("serve.pool.workers_connected") < 2 {
+    while telemetry.counter_value("dist.pool.workers_connected") < 2 {
         assert!(Instant::now() < connect_deadline, "workers connect");
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -670,7 +670,7 @@ fn killed_worker_mid_request_is_retried_on_the_survivor_bitwise_identical() {
         "skip=1 + fire=1"
     );
     assert!(
-        telemetry.counter_value("serve.pool.evictions") >= 1,
+        telemetry.counter_value("dist.pool.evictions") >= 1,
         "the dead worker was evicted"
     );
 
@@ -680,6 +680,95 @@ fn killed_worker_mid_request_is_retried_on_the_survivor_bitwise_identical() {
     let results: Vec<_> = workers.into_iter().map(|h| h.join()).collect();
     let panicked = results.iter().filter(|r| r.is_err()).count();
     assert_eq!(panicked, 1, "exactly one worker thread died");
+}
+
+/// A pooled worker whose provider builds a different sensitivity set
+/// reconstructed another configuration: the pool refuses and counts it,
+/// and the request completes on the honest worker — bitwise identical
+/// to the in-process reference.
+#[test]
+fn mismatched_pool_worker_is_refused_and_the_request_completes() {
+    let _guard = test_guard();
+    let (net, set) = setup();
+    let reference = reference_matrix(&net, &set);
+    let telemetry = Telemetry::new();
+    let (addr, worker_addr, drain, handle) = start(
+        provider_of(&net, &set),
+        ServeOptions {
+            telemetry: telemetry.clone(),
+            ..ServeOptions::default()
+        },
+    );
+    let opts = WorkerOptions {
+        heartbeat_interval: Duration::from_millis(50),
+        ..Default::default()
+    };
+    // 12 of the 16 samples: a different set size, so a different
+    // configuration fingerprint.
+    let short_set = set.subset(&(0..12).collect::<Vec<_>>());
+    let mismatched = {
+        let (worker_addr, net, opts) = (worker_addr.clone(), net.clone(), opts.clone());
+        std::thread::spawn(move || {
+            run_worker(
+                &worker_addr,
+                move |_job| Ok((net.clone(), short_set.clone())),
+                &opts,
+            )
+        })
+    };
+    // The honest worker takes its time rebuilding the model, so the
+    // mismatched one reaches `Ready` first, while the request is open.
+    let honest = {
+        let (worker_addr, net, set) = (worker_addr.clone(), net.clone(), set.clone());
+        std::thread::spawn(move || {
+            run_worker(
+                &worker_addr,
+                move |_job| {
+                    std::thread::sleep(Duration::from_millis(300));
+                    Ok((net.clone(), set.clone()))
+                },
+                &opts,
+            )
+        })
+    };
+    let connect_deadline = Instant::now() + Duration::from_secs(10);
+    while telemetry.counter_value("dist.pool.workers_connected") < 2 {
+        assert!(Instant::now() < connect_deadline, "workers connect");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let outcome = submit(&addr, &measure_request(spec()), None)
+        .expect("request survives the mismatched worker");
+    match outcome.response {
+        ServeMessage::MeasureDone {
+            cache_hit, clsm, ..
+        } => {
+            assert!(!cache_hit);
+            let served = sensitivities_from_bytes(&clsm).expect("served CLSM decodes");
+            assert_bitwise_equal(&served, &reference, "with a mismatched worker");
+        }
+        other => panic!("expected MeasureDone, got kind {}", other.kind()),
+    }
+    assert_eq!(
+        telemetry.counter_value("dist.pool.rejected_workers"),
+        1,
+        "exactly the mismatched worker was refused"
+    );
+
+    let report = drain_and_join(&drain, handle);
+    assert_eq!(report.completed, 1);
+    assert_eq!(report.failed, 0);
+    assert!(
+        mismatched
+            .join()
+            .expect("mismatched worker thread")
+            .is_err(),
+        "the refused worker ends with an error"
+    );
+    honest
+        .join()
+        .expect("honest worker thread")
+        .expect("honest worker shuts down cleanly");
 }
 
 #[test]
