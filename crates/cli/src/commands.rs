@@ -47,8 +47,6 @@ COMMANDS:
                                   run Algorithm 1 and persist Ĝ
                [--set-size 128] [--set-seed 0] [--bits 2,4,8] [--scheme symmetric|affine]
                [--threads N (0 = all cores)] [--no-prefix-cache] [--verbose]
-               [--no-batched-probes      probe each pair from the outer stage instead
-                                         of advancing the prefix cache (exact either way)]
                [--checkpoint-dir <dir>   journal each probe for crash-safe resume]
                [--resume                 restore completed probes from the journal]
                [--retries N (default 1)  per-probe retry budget on worker panics]
@@ -442,7 +440,6 @@ pub fn cmd_sensitivity(args: &Args) -> Result<(), Box<dyn Error>> {
         verbose: args.switch("verbose"),
         threads: args.get_or("threads", 0)?,
         use_prefix_cache: !args.switch("no-prefix-cache"),
-        batched_probes: !args.switch("no-batched-probes"),
         telemetry: run.telemetry.clone(),
         checkpoint_dir,
         resume,

@@ -402,6 +402,46 @@ impl JournalWriter {
         self.pending.clear();
         Ok(())
     }
+
+    /// Appends `records` and commits them as one shard (see
+    /// [`JournalWriter::commit`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`JournalWriter::commit`].
+    pub fn commit_records(&mut self, records: &[ProbeRecord]) -> Result<(), JournalError> {
+        self.pending.extend_from_slice(records);
+        self.commit()
+    }
+}
+
+/// Opens a sweep's checkpoint: loads the journal in `dir` under
+/// `fingerprint`, refuses a directory that already holds shards unless
+/// `resume`, and opens a writer after the last shard. Without a
+/// directory there is nothing to load and no writer. The returned
+/// records are the probes a resumed sweep skips (none without `resume`).
+///
+/// # Errors
+///
+/// [`JournalError::NotEmpty`] for a populated directory without
+/// `resume`, and the errors of [`load_journal`] and
+/// [`JournalWriter::open`].
+pub fn open_checkpoint(
+    dir: Option<&Path>,
+    fingerprint: u64,
+    resume: bool,
+) -> Result<(JournalState, Option<JournalWriter>), JournalError> {
+    let Some(dir) = dir else {
+        return Ok((JournalState::default(), None));
+    };
+    let state = load_journal(dir, fingerprint)?;
+    if !resume && state.shards + state.corrupt_shards > 0 {
+        return Err(JournalError::NotEmpty {
+            dir: dir.to_path_buf(),
+        });
+    }
+    let writer = JournalWriter::open(dir, fingerprint, state.next_seq)?;
+    Ok((state, Some(writer)))
 }
 
 #[cfg(test)]

@@ -30,20 +30,17 @@
 
 use crate::engine::{replica_map_checked, resolve_threads};
 use crate::errors::MeasureError;
-use crate::journal::{self, JournalError, JournalWriter, ProbeId, ProbeRecord};
-use crate::probe::{
-    advance_prefix_cache, build_prefix_cache, eval_loss, eval_loss_from, quant_error_table,
-    PrefixCache, PROBE_BATCH,
-};
+use crate::journal::{self, ProbeId};
+use crate::probe::PROBE_BATCH;
+use crate::shard::{ShardContext, ShardRunStats, ShardSpec};
 use clado_models::DataSplit;
 use clado_nn::Network;
 use clado_quant::{BitWidthSet, QuantScheme};
 use clado_solver::SymMatrix;
-use clado_telemetry::{faultpoint, with_panic_context, Counter, Hist, Telemetry};
-use std::collections::HashMap;
+use clado_telemetry::Telemetry;
+use std::collections::hash_map::Entry;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Options controlling sensitivity measurement.
@@ -58,16 +55,12 @@ pub struct SensitivityOptions {
     /// Worker threads for the measurement fan-out; `0` means all
     /// available cores. The result is bitwise identical for any value.
     pub threads: usize,
-    /// Reuse cached prefix activations for probes sharing an outer
-    /// perturbation (exact; disable only for measurement A/B testing).
+    /// Reuse cached prefix activations so each probe re-runs only the
+    /// suffix from its layer's stage, and batch pair probes on a cache
+    /// advanced past the outer perturbation (exact — see
+    /// [`crate::advance_prefix_cache`]; disable only for measurement A/B
+    /// testing).
     pub use_prefix_cache: bool,
-    /// Batch pairwise probes: once the outer perturbation `(i, m)` is
-    /// applied, advance the prefix cache past layer `i`'s stage so every
-    /// inner probe at layer `j` re-runs only the suffix from `j`'s own
-    /// stage instead of from `i`'s (exact — see
-    /// [`crate::advance_prefix_cache`]; requires
-    /// [`SensitivityOptions::use_prefix_cache`]).
-    pub batched_probes: bool,
     /// Telemetry sink for spans, counters, and progress. The default
     /// (disabled) handle records nothing; measured values are bitwise
     /// identical either way (test-enforced).
@@ -94,7 +87,6 @@ impl Default for SensitivityOptions {
             verbose: false,
             threads: 0,
             use_prefix_cache: true,
-            batched_probes: true,
             telemetry: Telemetry::disabled(),
             checkpoint_dir: None,
             resume: false,
@@ -334,215 +326,21 @@ impl SensitivityMatrix {
     }
 }
 
-/// One probe's outcome as it leaves a worker: the journal record plus
-/// whether it was restored from the journal rather than evaluated.
-#[derive(Clone, Copy)]
-struct ProbeOut {
-    rec: ProbeRecord,
-    resumed: bool,
-}
-
-/// Span names for one measurement pass (diagonal or pairwise).
-struct PassSpans {
-    build: &'static str,
-    suffix: &'static str,
-    full: &'static str,
-}
-
-const DIAG_SPANS: PassSpans = PassSpans {
-    build: "measure.diagonal.prefix_build",
-    suffix: "measure.diagonal.suffix_eval",
-    full: "measure.diagonal.full_eval",
-};
-const PAIR_SPANS: PassSpans = PassSpans {
-    build: "measure.pairwise.prefix_build",
-    suffix: "measure.pairwise.suffix_eval",
-    full: "measure.pairwise.full_eval",
-};
-/// Span covering one batched-probe cache advance (pairwise pass only).
-const PAIR_ADVANCE_SPAN: &str = "measure.pairwise.prefix_advance";
-
-/// Shared probe accounting: telemetry counter handles (fetched once,
-/// bumped live from worker threads) plus local atomics that stay
-/// authoritative for per-run [`SensitivityStats`] even on a reused or
-/// disabled registry.
-struct ProbeCounters {
-    evals: Counter,
-    full: Counter,
-    hits: Counter,
-    builds: Counter,
-    advances: Counter,
-    resumed: Counter,
-    retries: Counter,
-    quarantined: Counter,
-    /// Latency histogram over every probe forward pass (suffix or full).
-    h_eval: Hist,
-    /// Latency histogram over prefix-cache builds.
-    h_build: Hist,
-    l_full: AtomicU64,
-    l_hits: AtomicU64,
-    l_builds: AtomicU64,
-    l_resumed: AtomicU64,
-    l_retried: AtomicU64,
-    l_quarantined: AtomicU64,
-}
-
-impl ProbeCounters {
-    fn new(telemetry: &Telemetry) -> Self {
-        Self {
-            evals: telemetry.counter("measure.evaluations"),
-            full: telemetry.counter("measure.full_evals"),
-            hits: telemetry.counter("measure.prefix_cache_hits"),
-            builds: telemetry.counter("measure.prefix_cache_builds"),
-            advances: telemetry.counter("measure.prefix_cache_advances"),
-            resumed: telemetry.counter("measure.resumed"),
-            retries: telemetry.counter("measure.retries"),
-            quarantined: telemetry.counter("measure.quarantined"),
-            h_eval: telemetry.histogram("probe.eval"),
-            h_build: telemetry.histogram("probe.prefix_build"),
-            l_full: AtomicU64::new(0),
-            l_hits: AtomicU64::new(0),
-            l_builds: AtomicU64::new(0),
-            l_resumed: AtomicU64::new(0),
-            l_retried: AtomicU64::new(0),
-            l_quarantined: AtomicU64::new(0),
-        }
-    }
-
-    fn count_resumed(&self) {
-        self.resumed.incr();
-        self.l_resumed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn count_retry(&self) {
-        self.retries.incr();
-        self.l_retried.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Runs one forward evaluation for a probe, building the prefix cache
-/// lazily on first use. The `measure.probe_panic` fail point simulates a
-/// probe crash (exercised by the engine's retry path); the
-/// `measure.probe_nan` fail point poisons the returned loss.
-#[allow(clippy::too_many_arguments)]
-fn probe_loss(
-    net: &mut Network,
-    cache: &mut Option<PrefixCache>,
-    cache_stage: Option<usize>,
-    sens_set: &DataSplit,
-    batch_size: usize,
-    telemetry: &Telemetry,
-    spans: &PassSpans,
-    c: &ProbeCounters,
-) -> f64 {
-    faultpoint!("measure.probe_panic", {
-        panic!("fault injected: probe panic")
-    });
-    c.evals.incr();
-    let mut loss = match cache_stage {
-        Some(stage) => {
-            if cache.is_none() {
-                let _s = telemetry.span_timed(spans.build, &c.h_build);
-                c.builds.incr();
-                c.l_builds.fetch_add(1, Ordering::Relaxed);
-                *cache = Some(build_prefix_cache(net, sens_set, batch_size, stage));
-            }
-            let _s = telemetry.span_timed(spans.suffix, &c.h_eval);
-            c.hits.incr();
-            c.l_hits.fetch_add(1, Ordering::Relaxed);
-            eval_loss_from(net, cache.as_ref().expect("cache built above"))
-        }
-        None => {
-            let _s = telemetry.span_timed(spans.full, &c.h_eval);
-            c.full.incr();
-            c.l_full.fetch_add(1, Ordering::Relaxed);
-            eval_loss(net, sens_set, batch_size)
-        }
-    };
-    faultpoint!("measure.probe_nan", {
-        loss = f64::NAN;
-    });
-    loss
-}
-
-/// Evaluates a probe with the non-finite quarantine policy: a NaN/Inf
-/// loss is re-evaluated once; if still non-finite the probe is
-/// quarantined (canonical NaN is stored and the Ω assembly degrades the
-/// affected entries to zero).
-#[allow(clippy::too_many_arguments)]
-fn measure_probe(
-    net: &mut Network,
-    cache: &mut Option<PrefixCache>,
-    cache_stage: Option<usize>,
-    sens_set: &DataSplit,
-    batch_size: usize,
-    telemetry: &Telemetry,
-    spans: &PassSpans,
-    c: &ProbeCounters,
-) -> (f64, bool) {
-    let mut loss = probe_loss(
-        net,
-        cache,
-        cache_stage,
-        sens_set,
-        batch_size,
-        telemetry,
-        spans,
-        c,
-    );
-    if !loss.is_finite() {
-        c.count_retry();
-        loss = probe_loss(
-            net,
-            cache,
-            cache_stage,
-            sens_set,
-            batch_size,
-            telemetry,
-            spans,
-            c,
-        );
-    }
-    if loss.is_finite() {
-        (loss, false)
-    } else {
-        c.quarantined.incr();
-        c.l_quarantined.fetch_add(1, Ordering::Relaxed);
-        (f64::NAN, true)
-    }
-}
-
-/// Journals one completed work item's fresh probes as a single
-/// atomically-committed shard. A no-op without a checkpoint directory.
-fn journal_item(writer: &mut Option<JournalWriter>, outs: &[ProbeOut]) -> Result<(), MeasureError> {
-    let Some(w) = writer.as_mut() else {
-        return Ok(());
-    };
-    for o in outs {
-        if !o.resumed {
-            w.append(o.rec);
-        }
-    }
-    w.commit().map_err(MeasureError::from)
-}
-
 /// Runs Algorithm 1 on `network` over the sensitivity set.
 ///
-/// All perturbations are applied to per-worker replicas, so the caller's
-/// network is never modified. The `(i, m)`-outer / `(j, n)`-inner probe
-/// order lets every worker cache the unperturbed prefix activations up to
-/// the stage holding layer `i` and re-run only the suffix for each inner
-/// probe; evaluation-mode forward is pure, so the cached path is bitwise
-/// equal to a full forward. With [`SensitivityOptions::batched_probes`]
-/// (the default) the pairwise pass goes further: after applying the outer
-/// perturbation `(i, m)` it advances the cache to each inner layer's
-/// stage, amortizing one boundary forward over all `|𝔹|` probes of that
-/// inner layer — still bitwise exact, because the stage fold composes
-/// identically however it is split. Work is sharded per outer layer `i` across
-/// [`SensitivityOptions::threads`] workers and merged in deterministic
-/// order, so the result is bitwise identical for any thread count — and,
-/// because the journal stores losses bit-exactly, identical whether the
-/// run completed in one pass or was resumed any number of times.
+/// The grid is split into [`ShardContext`]'s canonical shards and every
+/// probe runs through [`ShardContext::run_probes`] on a per-worker
+/// replica, so the caller's network is never modified. The base probe
+/// runs first, then the diagonal shards and then the pair shards are
+/// fanned out over [`SensitivityOptions::threads`] workers; with
+/// [`SensitivityOptions::use_prefix_cache`] each probe re-runs only the
+/// suffix from its layer's stage (for pair probes, from the inner
+/// layer's stage on a cache advanced past the outer perturbation).
+/// Evaluation-mode forward is pure and the cached paths are bitwise equal
+/// to a full forward, and assembly is keyed by [`ProbeId`], so the result
+/// is bitwise identical for any thread count, with or without the cache —
+/// and, because the journal stores losses bit-exactly, identical whether
+/// the run completed in one pass or was resumed any number of times.
 ///
 /// # Errors
 ///
@@ -553,7 +351,7 @@ fn journal_item(writer: &mut Option<JournalWriter>, outs: &[ProbeOut]) -> Result
 ///   stay on disk.
 /// - [`MeasureError::WorkerPanic`] when a probe panics beyond the retry
 ///   budget; [`MeasureError::WorkerLost`] when a worker thread dies
-///   without reporting. In both cases every *other* completed item has
+///   without reporting. In both cases every *other* completed shard has
 ///   already been journaled.
 /// - [`MeasureError::NonFiniteBaseLoss`] when `L(w)` is NaN/Inf even
 ///   after a retry (no sensitivity entry can be formed without it).
@@ -566,380 +364,144 @@ pub fn measure_sensitivities(
     let start = Instant::now();
     let telemetry = &options.telemetry;
     let _span_measure = telemetry.span("measure");
-    let num_layers = network.quantizable_layers().len();
-    let k = bits.len();
-    let dim = num_layers * k;
-    let mut g = SymMatrix::zeros(dim);
-    let deltas = quant_error_table(network, bits, options.scheme);
-    let stages: Vec<usize> = (0..num_layers).map(|i| network.stage_of(i)).collect();
-    let originals = network.snapshot_weights();
+    let ctx = ShardContext::new(
+        network,
+        sens_set.len(),
+        bits,
+        options.scheme,
+        options.batch_size,
+        options.use_prefix_cache,
+    );
+    let num_layers = ctx.num_layers();
     let threads = resolve_threads(options.threads);
-    let use_cache = options.use_prefix_cache;
-    let batched = use_cache && options.batched_probes;
-    let batch_size = options.batch_size;
-
-    let counters = ProbeCounters::new(telemetry);
-    let evals_at_start = counters.evals.value();
 
     // The journal fingerprint binds a checkpoint directory to one
     // measurement configuration; resuming under different bits, scheme,
-    // data, or batch size is a hard error rather than a silent mix.
-    // Shared with the distributed coordinator/worker handshake, so a
-    // journal written here is resumable there and vice versa.
-    let fp = crate::shard::config_fingerprint(
-        num_layers,
-        bits,
-        options.scheme,
-        sens_set.len(),
-        batch_size,
-    );
-
-    let mut resume_records: HashMap<ProbeId, ProbeRecord> = HashMap::new();
-    let mut writer: Option<JournalWriter> = None;
-    if let Some(dir) = &options.checkpoint_dir {
-        let state = journal::load_journal(dir, fp)?;
-        if !options.resume && (state.shards + state.corrupt_shards) > 0 {
-            return Err(JournalError::NotEmpty { dir: dir.clone() }.into());
-        }
-        if options.resume {
-            if options.verbose {
-                eprintln!(
-                    "sensitivity: resuming from {} journaled probes ({} shards, {} corrupt)",
-                    state.records.len(),
-                    state.shards,
-                    state.corrupt_shards
-                );
-            }
-            resume_records = state.records;
-        }
-        writer = Some(JournalWriter::open(dir, fp, state.next_seq)?);
-    }
-    let resume = &resume_records;
-
-    let base_loss = if let Some(rec) = resume.get(&ProbeId::Base) {
-        counters.count_resumed();
-        rec.loss
-    } else {
-        let _s = telemetry.span("measure.base");
-        let eval_base = |net: &mut Network| {
-            counters.evals.incr();
-            counters.full.incr();
-            counters.l_full.fetch_add(1, Ordering::Relaxed);
-            let mut loss = eval_loss(net, sens_set, batch_size);
-            faultpoint!("measure.probe_nan", {
-                loss = f64::NAN;
-            });
-            loss
-        };
-        let mut loss = eval_base(network);
-        if !loss.is_finite() {
-            counters.count_retry();
-            loss = eval_base(network);
-        }
-        if !loss.is_finite() {
-            return Err(MeasureError::NonFiniteBaseLoss { loss });
-        }
-        journal_item(
-            &mut writer,
-            &[ProbeOut {
-                rec: ProbeRecord {
-                    id: ProbeId::Base,
-                    loss,
-                    quarantined: false,
-                },
-                resumed: false,
-            }],
-        )?;
-        loss
-    };
-    if options.verbose {
-        eprintln!("sensitivity: {num_layers} layers × {k} bit-widths on {threads} threads");
-    }
-
-    // Layer-specific sensitivities: Ω_ii(m) = 2(L(w + Δ) − L(w)).
-    // One work item per layer i; each worker probes all bit-widths of its
-    // layer against its own replica, restoring from the shared snapshot
-    // between probes. A prefix cache at layer i's stage is valid for all
-    // of them because the perturbation never touches stages before it;
-    // it is built lazily so a fully-resumed item costs nothing.
-    let span_diagonal = telemetry.span("measure.diagonal");
-    let layer_ids: Vec<usize> = (0..num_layers).collect();
-    let (single_out, diag_retries): (Vec<Vec<ProbeOut>>, u64) = replica_map_checked(
-        network,
-        threads,
-        &layer_ids,
-        options.retries,
-        |net, &i| {
-            let mut cache: Option<PrefixCache> = None;
-            let cache_stage = (use_cache && stages[i] > 0).then_some(stages[i]);
-            let mut outs = Vec::with_capacity(k);
-            for (m, delta) in deltas[i].iter().enumerate() {
-                let id = ProbeId::Diag {
-                    layer: i as u32,
-                    bit: m as u32,
-                };
-                if let Some(rec) = resume.get(&id) {
-                    counters.count_resumed();
-                    outs.push(ProbeOut {
-                        rec: *rec,
-                        resumed: true,
-                    });
-                    continue;
-                }
-                net.perturb_weight(i, delta);
-                let (loss, quarantined) = with_panic_context(
-                    || format!("diagonal probe (layer {i}, {} bits)", bits.get(m)),
-                    || {
-                        measure_probe(
-                            net,
-                            &mut cache,
-                            cache_stage,
-                            sens_set,
-                            batch_size,
-                            telemetry,
-                            &DIAG_SPANS,
-                            &counters,
-                        )
-                    },
-                );
-                net.set_weight(i, &originals[i]);
-                outs.push(ProbeOut {
-                    rec: ProbeRecord {
-                        id,
-                        loss,
-                        quarantined,
-                    },
-                    resumed: false,
-                });
-            }
-            outs
-        },
-        |_, outs| journal_item(&mut writer, outs),
+    // data, or batch size is a hard error rather than a silent mix. The
+    // distributed sweep stamps the same fingerprint, so a journal written
+    // here is resumable there and vice versa.
+    let (state, mut writer) = journal::open_checkpoint(
+        options.checkpoint_dir.as_deref(),
+        ctx.fingerprint(),
+        options.resume,
     )?;
-    // Losses indexed [layer][bit]; NaN marks a quarantined probe whose
-    // dependent Ω entries degrade to zero below.
-    let mut single_loss = vec![vec![f64::NAN; k]; num_layers];
-    for o in single_out.iter().flatten() {
-        if let ProbeId::Diag { layer, bit } = o.rec.id {
-            single_loss[layer as usize][bit as usize] = o.rec.loss;
-        }
-    }
-    for (i, row) in single_loss.iter().enumerate() {
-        for (m, &loss) in row.iter().enumerate() {
-            let v = i * k + m;
-            let omega = if loss.is_finite() {
-                2.0 * (loss - base_loss)
-            } else {
-                0.0
-            };
-            g.set(v, v, omega);
-        }
-    }
-    drop(span_diagonal);
-    if options.verbose {
-        eprintln!("sensitivity: diagonal pass done ({num_layers} layers)");
-    }
-
-    // Cross-layer sensitivities, eq. (13). One work item per outer layer
-    // i < I−1; each probe carries its (i,m,j,n) identity, so assembly is
-    // keyed rather than positional and a resumed run slots journaled
-    // losses into exactly the right entries. Layer indices follow stage
-    // order, so j > i keeps the prefix below layer i unperturbed and the
-    // same cache serves every inner probe.
-    let span_pairwise = telemetry.span("measure.pairwise");
-    let pair_probe_total: usize = (0..num_layers).map(|i| k * k * (num_layers - 1 - i)).sum();
-    let progress = telemetry.progress("sensitivity pairwise probes", pair_probe_total as u64);
-    let outer_ids: Vec<usize> = (0..num_layers.saturating_sub(1)).collect();
-    let (pair_out, pair_retries): (Vec<Vec<ProbeOut>>, u64) = replica_map_checked(
-        network,
-        threads,
-        &outer_ids,
-        options.retries,
-        |net, &i| {
-            let mut cache: Option<PrefixCache> = None;
-            let cache_stage = (use_cache && stages[i] > 0).then_some(stages[i]);
-            let mut outs = Vec::with_capacity(k * k * (num_layers - 1 - i));
-            for (m, delta_i) in deltas[i].iter().enumerate() {
-                // The outer perturbation is applied lazily: an m-block
-                // whose probes were all resumed never touches the replica.
-                let mut outer_applied = false;
-                // Batched probes: boundary activations with Δw_m⁽ⁱ⁾ baked
-                // in, advanced to the stage of the current inner layer.
-                // Valid only within this m-block (it depends on the outer
-                // perturbation), and only ever advanced forward — `j`
-                // ascends and layers follow stage order, so each stage
-                // range between consecutive inner layers is traversed
-                // exactly once per block instead of once per probe.
-                let mut adv: Option<PrefixCache> = None;
-                for j in (i + 1)..num_layers {
-                    for (n, delta_j) in deltas[j].iter().enumerate() {
-                        let id = ProbeId::Pair {
-                            layer_i: i as u32,
-                            bit_m: m as u32,
-                            layer_j: j as u32,
-                            bit_n: n as u32,
-                        };
-                        if let Some(rec) = resume.get(&id) {
-                            counters.count_resumed();
-                            outs.push(ProbeOut {
-                                rec: *rec,
-                                resumed: true,
-                            });
-                            progress.tick();
-                            continue;
-                        }
-                        if !outer_applied {
-                            net.perturb_weight(i, delta_i);
-                            outer_applied = true;
-                        }
-                        let batch_here = batched && stages[j] > stages[i];
-                        if batch_here && adv.as_ref().is_none_or(|c| c.stage() < stages[j]) {
-                            // The base cache excludes layer i's stage, so
-                            // building it with the outer perturbation
-                            // already applied is still the unperturbed
-                            // prefix; the advance then runs stage[i]..
-                            // stage[j] with Δw_m⁽ⁱ⁾ in place (and layer j
-                            // not yet perturbed), baking the outer
-                            // perturbation into the boundary activations.
-                            if cache.is_none() {
-                                let _s = telemetry.span(PAIR_SPANS.build);
-                                counters.builds.incr();
-                                counters.l_builds.fetch_add(1, Ordering::Relaxed);
-                                cache =
-                                    Some(build_prefix_cache(net, sens_set, batch_size, stages[i]));
-                            }
-                            let _s = telemetry.span(PAIR_ADVANCE_SPAN);
-                            counters.advances.incr();
-                            let from = adv
-                                .as_ref()
-                                .unwrap_or_else(|| cache.as_ref().expect("base cache built above"));
-                            adv = Some(advance_prefix_cache(net, from, stages[j]));
-                        }
-                        net.perturb_weight(j, delta_j);
-                        let (loss, quarantined) = with_panic_context(
-                            || {
-                                format!(
-                                    "pairwise probe (layer {i} @ {} bits, layer {j} @ {} bits)",
-                                    bits.get(m),
-                                    bits.get(n)
-                                )
-                            },
-                            || {
-                                let (probe_cache, probe_stage) = if batch_here {
-                                    (&mut adv, Some(stages[j]))
-                                } else {
-                                    (&mut cache, cache_stage)
-                                };
-                                let out = measure_probe(
-                                    net,
-                                    probe_cache,
-                                    probe_stage,
-                                    sens_set,
-                                    batch_size,
-                                    telemetry,
-                                    &PAIR_SPANS,
-                                    &counters,
-                                );
-                                progress.tick();
-                                out
-                            },
-                        );
-                        net.set_weight(j, &originals[j]);
-                        outs.push(ProbeOut {
-                            rec: ProbeRecord {
-                                id,
-                                loss,
-                                quarantined,
-                            },
-                            resumed: false,
-                        });
-                    }
-                }
-                if outer_applied {
-                    net.set_weight(i, &originals[i]);
-                }
-            }
-            outs
-        },
-        |_, outs| journal_item(&mut writer, outs),
-    )?;
-    if pair_probe_total > 0 {
-        progress.finish();
-    }
-    for o in pair_out.iter().flatten() {
-        if let ProbeId::Pair {
-            layer_i,
-            bit_m,
-            layer_j,
-            bit_n,
-        } = o.rec.id
-        {
-            let (i, m, j, n) = (
-                layer_i as usize,
-                bit_m as usize,
-                layer_j as usize,
-                bit_n as usize,
-            );
-            let (si, sj) = (single_loss[i][m], single_loss[j][n]);
-            // Quarantined probes (own or either single-loss input)
-            // degrade the cross-term to zero — the diagonal-only
-            // estimate for this pair — instead of spreading NaN into Q.
-            let omega = if o.rec.quarantined || !si.is_finite() || !sj.is_finite() {
-                0.0
-            } else {
-                o.rec.loss + base_loss - si - sj
-            };
-            g.set(i * k + m, j * k + n, omega);
-        }
-    }
-    drop(span_pairwise);
-    if options.verbose {
-        eprintln!("sensitivity: pairwise pass done");
-    }
-
-    let engine_retries = diag_retries + pair_retries;
-    counters.retries.add(engine_retries);
-    counters
-        .l_retried
-        .fetch_add(engine_retries, Ordering::Relaxed);
-
-    let full_evals = counters.l_full.load(Ordering::Relaxed) as usize;
-    let prefix_cache_hits = counters.l_hits.load(Ordering::Relaxed) as usize;
-    let prefix_cache_builds = counters.l_builds.load(Ordering::Relaxed) as usize;
-    let resumed = counters.l_resumed.load(Ordering::Relaxed) as usize;
-    let retried = counters.l_retried.load(Ordering::Relaxed) as usize;
-    let quarantined = counters.l_quarantined.load(Ordering::Relaxed) as usize;
-    if telemetry.is_enabled() {
-        // The registry counters (deltas against the pre-run snapshot, so
-        // a reused registry still reconciles) must agree with the local
-        // accounting exactly.
-        debug_assert_eq!(
-            (counters.evals.value() - evals_at_start) as usize,
-            full_evals + prefix_cache_hits,
-            "every evaluation is exactly one of full or suffix-only"
+    if options.verbose && options.resume && options.checkpoint_dir.is_some() {
+        eprintln!(
+            "sensitivity: resuming from {} journaled probes ({} shards, {} corrupt)",
+            state.records.len(),
+            state.shards,
+            state.corrupt_shards
         );
     }
+    let mut records = state.records;
+    let mut run = ShardRunStats::default();
+    let mut resumed = 0usize;
+    let mut panic_retries = 0u64;
+
+    match records.entry(ProbeId::Base) {
+        Entry::Occupied(_) => resumed += 1,
+        Entry::Vacant(slot) => {
+            let _s = telemetry.span("measure.base");
+            let (recs, stats) = ctx.run_shard(network, sens_set, ShardSpec::Base, telemetry);
+            run += stats;
+            if recs[0].quarantined {
+                return Err(MeasureError::NonFiniteBaseLoss { loss: recs[0].loss });
+            }
+            if let Some(w) = writer.as_mut() {
+                w.commit_records(&recs)?;
+            }
+            slot.insert(recs[0]);
+        }
+    }
+    if options.verbose {
+        eprintln!(
+            "sensitivity: {num_layers} layers × {} bit-widths on {threads} threads",
+            bits.len()
+        );
+    }
+
+    // Layer-specific sensitivities (eq. 12), then cross-layer ones
+    // (eq. 13): one work item per shard with probes left to measure,
+    // each evaluated on its worker's replica and journaled as one CLSJ
+    // shard as soon as it completes.
+    let (diag, pair): (Vec<ShardSpec>, Vec<ShardSpec>) = ctx
+        .shards()
+        .into_iter()
+        .filter(|&s| s != ShardSpec::Base)
+        .partition(|s| matches!(s, ShardSpec::Diag { .. }));
+    for (pass, shards) in [("diagonal", diag), ("pairwise", pair)] {
+        let _span = telemetry.span(&format!("measure.{pass}"));
+        let total: usize = shards.iter().map(|&s| ctx.shard_probes(s).len()).sum();
+        let pending: Vec<Vec<ProbeId>> = shards
+            .iter()
+            .map(|&s| {
+                let mut ids = ctx.shard_probes(s);
+                ids.retain(|id| !records.contains_key(id));
+                ids
+            })
+            .filter(|ids| !ids.is_empty())
+            .collect();
+        let fresh: usize = pending.iter().map(Vec::len).sum();
+        resumed += total - fresh;
+        // Only the quadratic pass reports progress, as it always has.
+        let progress = (pass == "pairwise" && total > 0)
+            .then(|| telemetry.progress("sensitivity pairwise probes", total as u64));
+        if let Some(p) = &progress {
+            p.add((total - fresh) as u64);
+        }
+        let (outs, retries) = replica_map_checked(
+            network,
+            threads,
+            &pending,
+            options.retries,
+            |net, ids| ctx.run_probes(net, sens_set, ids, telemetry),
+            |_, (recs, _)| {
+                if let Some(p) = &progress {
+                    p.add(recs.len() as u64);
+                }
+                match writer.as_mut() {
+                    Some(w) => w.commit_records(recs).map_err(MeasureError::from),
+                    None => Ok(()),
+                }
+            },
+        )?;
+        if let Some(p) = &progress {
+            p.finish();
+        }
+        panic_retries += retries;
+        for (recs, stats) in outs {
+            run += stats;
+            records.extend(recs.into_iter().map(|r| (r.id, r)));
+        }
+        if options.verbose {
+            eprintln!("sensitivity: {pass} pass done");
+        }
+    }
+    telemetry.counter("measure.resumed").add(resumed as u64);
+    telemetry.counter("measure.retries").add(panic_retries);
+
+    let (g, base_loss, _) = ctx.assemble(&records)?;
+    let quarantined = run.quarantined as usize;
     if options.verbose && quarantined > 0 {
         eprintln!(
             "sensitivity: WARNING {quarantined} probe(s) quarantined (non-finite loss); \
              affected Ω entries degraded to the diagonal-only estimate"
         );
     }
-
     Ok(SensitivityMatrix {
         g,
         num_layers,
         bits: bits.clone(),
         base_loss,
         stats: SensitivityStats {
-            evaluations: full_evals + prefix_cache_hits,
+            evaluations: (run.full_evals + run.cache_hits) as usize,
             seconds: start.elapsed().as_secs_f64(),
             threads_used: threads,
-            prefix_cache_builds,
-            prefix_cache_hits,
-            full_evals,
+            prefix_cache_builds: run.cache_builds as usize,
+            prefix_cache_hits: run.cache_hits as usize,
+            full_evals: run.full_evals as usize,
             resumed,
-            retried,
+            retried: (run.retried + panic_retries) as usize,
             quarantined,
             provenance: OmegaProvenance::exact(),
         },
@@ -949,6 +511,8 @@ pub fn measure_sensitivities(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::JournalError;
+    use crate::probe::eval_loss;
     use clado_models::{SynthVision, SynthVisionConfig};
     use clado_nn::{Conv2d, GlobalAvgPool, Linear, Network, Sequential};
     use clado_tensor::Conv2dSpec;
@@ -1228,8 +792,8 @@ mod tests {
         let sm = measure(&mut net, &set, &bits, &SensitivityOptions::default());
         let s = sm.stats;
         assert_eq!(s.evaluations, s.prefix_cache_hits + s.full_evals);
-        // Layers sit at stages 0 (conv1), 2 (conv2), 5 (fc). With batched
-        // probes (the default), only the base eval and conv1's 2 diagonal
+        // Layers sit at stages 0 (conv1), 2 (conv2), 5 (fc). With the
+        // prefix cache (the default), only the base eval and conv1's 2 diagonal
         // probes run in full: every pairwise probe — including conv1's,
         // whose stage-0 "prefix" is just the raw inputs — evaluates the
         // suffix from its *inner* layer's stage on an advanced cache.
@@ -1243,17 +807,6 @@ mod tests {
         assert_eq!(s.resumed, 0);
         assert_eq!(s.retried, 0);
         assert_eq!(s.quarantined, 0);
-
-        // Without batching, probes evaluate from the outer layer's stage:
-        // conv1's 8 pairwise probes join the full-eval count.
-        let unbatched = SensitivityOptions {
-            batched_probes: false,
-            ..Default::default()
-        };
-        let sm = measure(&mut net, &set, &bits, &unbatched);
-        assert_eq!(sm.stats.full_evals, 11);
-        assert_eq!(sm.stats.prefix_cache_hits, 8);
-        assert_eq!(sm.stats.prefix_cache_builds, 3);
 
         let naive = SensitivityOptions {
             use_prefix_cache: false,
@@ -1270,11 +823,12 @@ mod tests {
         let (mut net, data) = setup();
         let set = data.train.subset(&(0..16).collect::<Vec<_>>());
         let bits = BitWidthSet::new(&[2, 8]);
-        let unbatched = SensitivityOptions {
-            batched_probes: false,
+        // The reference runs every probe as a full forward.
+        let naive = SensitivityOptions {
+            use_prefix_cache: false,
             ..Default::default()
         };
-        let reference = measure(&mut net, &set, &bits, &unbatched);
+        let reference = measure(&mut net, &set, &bits, &naive);
 
         let telemetry = Telemetry::new();
         let batched = SensitivityOptions {
@@ -1304,9 +858,8 @@ mod tests {
         // Disabling the prefix cache disables batching with it.
         let telemetry = Telemetry::new();
         let naive = SensitivityOptions {
-            use_prefix_cache: false,
             telemetry: telemetry.clone(),
-            ..Default::default()
+            ..naive
         };
         let sm = measure(&mut net, &set, &bits, &naive);
         assert_eq!(sm.base_loss.to_bits(), reference.base_loss.to_bits());

@@ -1,9 +1,10 @@
-//! Canonical shard decomposition of the sensitivity probe grid.
+//! Canonical shard decomposition of the sensitivity probe grid, and the
+//! one probe executor that evaluates it.
 //!
-//! [`crate::measure_sensitivities`] evaluates the probe grid in-process;
-//! `clado-dist` fans the same grid out across worker processes. Both
-//! views agree on one canonical decomposition into *shards* — the unit
-//! of leasing, journaling, and reassignment:
+//! [`crate::measure_sensitivities`] fans the grid out over threads;
+//! `clado-dist` fans it out across worker processes. Both agree on one
+//! canonical decomposition into *shards* — the unit of leasing,
+//! journaling, and reassignment:
 //!
 //! * [`ShardSpec::Base`] — the single unperturbed evaluation `L(w)`;
 //! * [`ShardSpec::Diag`]`{ layer: i }` — all `|𝔹|` diagonal probes of
@@ -11,30 +12,33 @@
 //! * [`ShardSpec::Pair`]`{ outer: i }` — all `|𝔹|²(I−1−i)` cross-layer
 //!   probes whose outer layer is `i` (eq. 13).
 //!
-//! These are exactly the work items of the in-process engine, so CLSJ
+//! Both run every probe through [`ShardContext::run_probes`], so CLSJ
 //! journals written by either path resume interchangeably: a sweep
 //! checkpointed by a single process can be finished by a distributed
-//! coordinator and vice versa, bit for bit.
+//! sweep and vice versa, bit for bit.
 //!
 //! # Determinism
 //!
-//! [`ShardContext::run_shard`] replays the in-process engine's exact
-//! perturb → evaluate → restore order per shard, the evaluation-mode
-//! forward is pure, and the prefix-cached path is bitwise equal to a
-//! full forward (all test-enforced). Because every probe is keyed by its
-//! [`ProbeId`], [`ShardContext::assemble`] rebuilds Ω from any execution
-//! order — whichever worker evaluated whichever shard, however many
-//! times leases were evicted and reassigned — and the result is bitwise
-//! identical to a single-process run.
+//! [`ShardContext::run_probes`] probes a replica at the pristine weights
+//! and restores every perturbation it applies, the evaluation-mode
+//! forward is pure, and the prefix-cached and advanced-cache paths are
+//! bitwise equal to a full forward (all test-enforced). Because every
+//! probe is keyed by its [`ProbeId`], [`ShardContext::assemble`] rebuilds
+//! Ω from any execution order — whichever thread or worker evaluated
+//! whichever shard, however many times leases were evicted and
+//! reassigned — and the result is bitwise identical.
 
 use crate::errors::MeasureError;
 use crate::journal::{fingerprint, ProbeId, ProbeRecord};
-use crate::probe::{build_prefix_cache, eval_loss, eval_loss_from, quant_error_table, PrefixCache};
+use crate::probe::{
+    advance_prefix_cache, build_prefix_cache, eval_loss, eval_loss_from, quant_error_table,
+    PrefixCache,
+};
 use clado_models::DataSplit;
 use clado_nn::Network;
 use clado_quant::{BitWidthSet, QuantScheme};
 use clado_solver::{ObservedMask, SymMatrix};
-use clado_telemetry::Telemetry;
+use clado_telemetry::{faultpoint, with_panic_context, Telemetry};
 use clado_tensor::Tensor;
 use std::collections::HashMap;
 use std::fmt;
@@ -150,6 +154,33 @@ impl std::ops::AddAssign for ShardRunStats {
         self.seconds += other.seconds;
     }
 }
+
+/// The `measure.<pass>.<step>` span names of one measurement pass.
+struct ProbeSpans {
+    build: &'static str,
+    advance: &'static str,
+    suffix: &'static str,
+    full: &'static str,
+}
+
+const BASE_SPANS: ProbeSpans = ProbeSpans {
+    build: "measure.base.prefix_build",
+    advance: "measure.base.prefix_advance",
+    suffix: "measure.base.suffix_eval",
+    full: "measure.base.full_eval",
+};
+const DIAG_SPANS: ProbeSpans = ProbeSpans {
+    build: "measure.diagonal.prefix_build",
+    advance: "measure.diagonal.prefix_advance",
+    suffix: "measure.diagonal.suffix_eval",
+    full: "measure.diagonal.full_eval",
+};
+const PAIR_SPANS: ProbeSpans = ProbeSpans {
+    build: "measure.pairwise.prefix_build",
+    advance: "measure.pairwise.prefix_advance",
+    suffix: "measure.pairwise.suffix_eval",
+    full: "measure.pairwise.full_eval",
+};
 
 /// Everything needed to evaluate any shard of one measurement
 /// configuration: the Δw perturbation table, the pristine weight
@@ -276,16 +307,29 @@ impl ShardContext {
     }
 
     /// Evaluates an explicit probe subset on `net` (a replica at the
-    /// pristine weights; restored before returning), with the same
-    /// quarantine policy and bitwise-identical losses as
-    /// [`ShardContext::run_shard`].
+    /// pristine weights; restored before returning). This is the one
+    /// probe executor: [`ShardContext::run_shard`], the in-process
+    /// engine, dist/serve workers and the estimators all run through it.
     ///
-    /// Consecutive probes sharing an outer layer reuse one prefix cache
-    /// and consecutive pair probes sharing an outer `(layer, bit)` reuse
-    /// one applied outer perturbation, so callers should pass ids in
-    /// canonical order (the order [`ShardContext::shard_probes`] emits)
-    /// for full-sweep-equivalent cache behavior. Any order is *correct*;
-    /// a scrambled order only costs extra cache builds.
+    /// Probes keep one prefix cache per stage, one applied outer
+    /// perturbation per run of pair probes sharing an outer
+    /// `(layer, bit)`, and — for a pair probe whose inner layer sits in a
+    /// later stage than its outer layer — one cache advanced to the inner
+    /// layer's stage with the outer perturbation baked in, so each inner
+    /// probe re-runs only the suffix from its own stage. The advanced
+    /// cache is dropped when the outer perturbation changes and rebuilt
+    /// from the stage cache when a later inner layer comes first, so any
+    /// id order is *correct*; canonical order (the order
+    /// [`ShardContext::shard_probes`] emits) does the least forward work.
+    /// Every path is bitwise equal to a full forward (see
+    /// [`crate::advance_prefix_cache`]).
+    ///
+    /// A non-finite loss is re-evaluated once; if it stays non-finite the
+    /// probe is quarantined (canonical NaN stored; assembly degrades the
+    /// affected Ω entries to zero). Work is counted in the returned
+    /// [`ShardRunStats`] and in `telemetry`'s `measure.*` counters and
+    /// `probe.*` histograms. The `measure.probe_panic` fail point panics
+    /// a probe; `measure.probe_nan` poisons its loss.
     pub fn run_probes(
         &self,
         net: &mut Network,
@@ -294,92 +338,154 @@ impl ShardContext {
         telemetry: &Telemetry,
     ) -> (Vec<ProbeRecord>, ShardRunStats) {
         let start = Instant::now();
-        let mut stats = ShardRunStats::default();
-        let mut out = Vec::with_capacity(ids.len());
-        // The prefix cache covers stages strictly before the probed
-        // layer's stage, which only pristine weights feed, so it stays
-        // valid across perturbation changes and is keyed by stage alone.
-        let mut cache: Option<PrefixCache> = None;
-        let mut cached_stage: Option<usize> = None;
-        let mut applied_outer: Option<(usize, usize)> = None;
-        for &id in ids {
-            match id {
-                ProbeId::Base => {
-                    if let Some((i, _)) = applied_outer.take() {
-                        net.set_weight(i, &self.originals[i]);
-                    }
-                    let (loss, quarantined) =
-                        self.probe(net, &mut None, None, set, telemetry, &mut stats);
-                    out.push(ProbeRecord {
-                        id,
-                        loss,
-                        quarantined,
-                    });
+        let h_build = telemetry.histogram("probe.prefix_build");
+        let h_eval = telemetry.histogram("probe.eval");
+        // One forward evaluation: the suffix on `cache`, or a full
+        // forward without one.
+        let eval = |net: &mut Network,
+                    cache: Option<&PrefixCache>,
+                    spans: &ProbeSpans,
+                    stats: &mut ShardRunStats| {
+            faultpoint!("measure.probe_panic", {
+                panic!("fault injected: probe panic")
+            });
+            let mut loss = match cache {
+                Some(cache) => {
+                    let _s = telemetry.span_timed(spans.suffix, &h_eval);
+                    stats.cache_hits += 1;
+                    eval_loss_from(net, cache)
                 }
+                None => {
+                    let _s = telemetry.span_timed(spans.full, &h_eval);
+                    stats.full_evals += 1;
+                    eval_loss(net, set, self.batch_size)
+                }
+            };
+            faultpoint!("measure.probe_nan", {
+                loss = f64::NAN;
+            });
+            loss
+        };
+        let mut stats = ShardRunStats::default();
+        let mut advances = 0u64;
+        let mut out = Vec::with_capacity(ids.len());
+        // Unperturbed activations entering one stage. Only pristine
+        // weights feed them, so they stay valid across perturbation
+        // changes and are keyed by stage alone.
+        let mut base: Option<PrefixCache> = None;
+        // `base` advanced past the applied outer layer's stage with its
+        // perturbation in place; valid only while that stays applied.
+        let mut advanced: Option<PrefixCache> = None;
+        let mut applied: Option<(usize, usize)> = None;
+        for &id in ids {
+            // The outer perturbation a pair probe shares with its
+            // neighbours, and the one perturbation applied per probe.
+            let (spans, outer, probed) = match id {
+                ProbeId::Base => (&BASE_SPANS, None, None),
                 ProbeId::Diag { layer, bit } => {
-                    if let Some((i, _)) = applied_outer.take() {
-                        net.set_weight(i, &self.originals[i]);
-                    }
-                    let i = layer as usize;
-                    let stage =
-                        (self.use_prefix_cache && self.stages[i] > 0).then_some(self.stages[i]);
-                    if stage != cached_stage {
-                        cache = None;
-                        cached_stage = stage;
-                    }
-                    net.perturb_weight(i, &self.deltas[i][bit as usize]);
-                    let (loss, quarantined) =
-                        self.probe(net, &mut cache, stage, set, telemetry, &mut stats);
-                    net.set_weight(i, &self.originals[i]);
-                    out.push(ProbeRecord {
-                        id,
-                        loss,
-                        quarantined,
-                    });
+                    (&DIAG_SPANS, None, Some((layer as usize, bit as usize)))
                 }
                 ProbeId::Pair {
                     layer_i,
                     bit_m,
                     layer_j,
                     bit_n,
-                } => {
-                    let (i, m) = (layer_i as usize, bit_m as usize);
-                    if applied_outer != Some((i, m)) {
-                        if let Some((prev, _)) = applied_outer.take() {
-                            net.set_weight(prev, &self.originals[prev]);
-                        }
-                        net.perturb_weight(i, &self.deltas[i][m]);
-                        applied_outer = Some((i, m));
-                    }
-                    let stage =
-                        (self.use_prefix_cache && self.stages[i] > 0).then_some(self.stages[i]);
-                    if stage != cached_stage {
-                        cache = None;
-                        cached_stage = stage;
-                    }
-                    let j = layer_j as usize;
-                    net.perturb_weight(j, &self.deltas[j][bit_n as usize]);
-                    let (loss, quarantined) =
-                        self.probe(net, &mut cache, stage, set, telemetry, &mut stats);
-                    net.set_weight(j, &self.originals[j]);
-                    out.push(ProbeRecord {
-                        id,
-                        loss,
-                        quarantined,
-                    });
+                } => (
+                    &PAIR_SPANS,
+                    Some((layer_i as usize, bit_m as usize)),
+                    Some((layer_j as usize, bit_n as usize)),
+                ),
+            };
+            if applied != outer {
+                if let Some((i, _)) = applied {
+                    net.set_weight(i, &self.originals[i]);
+                }
+                if let Some((i, m)) = outer {
+                    net.perturb_weight(i, &self.deltas[i][m]);
+                }
+                applied = outer;
+                advanced = None;
+            }
+            // The stage cache the probe needs (`None`: a full forward),
+            // and the stage to advance it to first, if any.
+            let (from, advance_to) = match (outer, probed) {
+                _ if !self.use_prefix_cache => (None, None),
+                (_, None) => (None, None),
+                (Some((i, _)), Some((j, _))) if self.stages[j] > self.stages[i] => {
+                    (Some(self.stages[i]), Some(self.stages[j]))
+                }
+                (Some((i, _)), _) | (None, Some((i, _))) => {
+                    ((self.stages[i] > 0).then_some(self.stages[i]), None)
+                }
+            };
+            if let Some(stage) = from {
+                if base.as_ref().is_none_or(|c| c.stage() != stage) {
+                    let _s = telemetry.span_timed(spans.build, &h_build);
+                    stats.cache_builds += 1;
+                    base = Some(build_prefix_cache(net, set, self.batch_size, stage));
                 }
             }
+            if let Some(to) = advance_to {
+                if advanced.as_ref().is_none_or(|c| c.stage() != to) {
+                    let _s = telemetry.span(spans.advance);
+                    advances += 1;
+                    let src = match &advanced {
+                        Some(c) if c.stage() < to => c,
+                        _ => base.as_ref().expect("stage cache built above"),
+                    };
+                    advanced = Some(advance_prefix_cache(net, src, to));
+                }
+            }
+            let cache = if advance_to.is_some() {
+                advanced.as_ref()
+            } else {
+                from.and(base.as_ref())
+            };
+            if let Some((j, n)) = probed {
+                net.perturb_weight(j, &self.deltas[j][n]);
+            }
+            let loss = with_panic_context(
+                || format!("probe {id:?}"),
+                || {
+                    let loss = eval(net, cache, spans, &mut stats);
+                    if loss.is_finite() {
+                        return loss;
+                    }
+                    stats.retried += 1;
+                    eval(net, cache, spans, &mut stats)
+                },
+            );
+            if let Some((j, _)) = probed {
+                net.set_weight(j, &self.originals[j]);
+            }
+            let quarantined = !loss.is_finite();
+            stats.quarantined += u64::from(quarantined);
+            out.push(ProbeRecord {
+                id,
+                loss: if quarantined { f64::NAN } else { loss },
+                quarantined,
+            });
         }
-        if let Some((i, _)) = applied_outer.take() {
+        if let Some((i, _)) = applied {
             net.set_weight(i, &self.originals[i]);
         }
         stats.seconds = start.elapsed().as_secs_f64();
+        for (name, n) in [
+            ("measure.evaluations", stats.full_evals + stats.cache_hits),
+            ("measure.full_evals", stats.full_evals),
+            ("measure.prefix_cache_hits", stats.cache_hits),
+            ("measure.prefix_cache_builds", stats.cache_builds),
+            ("measure.prefix_cache_advances", advances),
+            ("measure.retries", stats.retried),
+            ("measure.quarantined", stats.quarantined),
+        ] {
+            telemetry.counter(name).add(n);
+        }
         (out, stats)
     }
 
-    /// Evaluates one shard on `net` (a replica at the pristine weights;
-    /// restored before returning), replaying the in-process engine's
-    /// exact probe order and non-finite quarantine policy.
+    /// Evaluates one shard: [`ShardContext::run_probes`] over the
+    /// shard's probes in canonical order.
     pub fn run_shard(
         &self,
         net: &mut Network,
@@ -387,140 +493,13 @@ impl ShardContext {
         spec: ShardSpec,
         telemetry: &Telemetry,
     ) -> (Vec<ProbeRecord>, ShardRunStats) {
-        let start = Instant::now();
-        let mut stats = ShardRunStats::default();
-        let mut out = Vec::new();
-        match spec {
-            ShardSpec::Base => {
-                let (loss, quarantined) =
-                    self.probe(net, &mut None, None, set, telemetry, &mut stats);
-                out.push(ProbeRecord {
-                    id: ProbeId::Base,
-                    loss,
-                    quarantined,
-                });
-            }
-            ShardSpec::Diag { layer } => {
-                let i = layer as usize;
-                let mut cache: Option<PrefixCache> = None;
-                let cache_stage =
-                    (self.use_prefix_cache && self.stages[i] > 0).then_some(self.stages[i]);
-                for (m, delta) in self.deltas[i].iter().enumerate() {
-                    net.perturb_weight(i, delta);
-                    let (loss, quarantined) =
-                        self.probe(net, &mut cache, cache_stage, set, telemetry, &mut stats);
-                    net.set_weight(i, &self.originals[i]);
-                    out.push(ProbeRecord {
-                        id: ProbeId::Diag {
-                            layer,
-                            bit: m as u32,
-                        },
-                        loss,
-                        quarantined,
-                    });
-                }
-            }
-            ShardSpec::Pair { outer } => {
-                let i = outer as usize;
-                let mut cache: Option<PrefixCache> = None;
-                let cache_stage =
-                    (self.use_prefix_cache && self.stages[i] > 0).then_some(self.stages[i]);
-                for (m, delta_i) in self.deltas[i].iter().enumerate() {
-                    net.perturb_weight(i, delta_i);
-                    for j in (i + 1)..self.num_layers() {
-                        for (n, delta_j) in self.deltas[j].iter().enumerate() {
-                            net.perturb_weight(j, delta_j);
-                            let (loss, quarantined) = self.probe(
-                                net,
-                                &mut cache,
-                                cache_stage,
-                                set,
-                                telemetry,
-                                &mut stats,
-                            );
-                            net.set_weight(j, &self.originals[j]);
-                            out.push(ProbeRecord {
-                                id: ProbeId::Pair {
-                                    layer_i: outer,
-                                    bit_m: m as u32,
-                                    layer_j: j as u32,
-                                    bit_n: n as u32,
-                                },
-                                loss,
-                                quarantined,
-                            });
-                        }
-                    }
-                    net.set_weight(i, &self.originals[i]);
-                }
-            }
-        }
-        stats.seconds = start.elapsed().as_secs_f64();
-        (out, stats)
+        self.run_probes(net, set, &self.shard_probes(spec), telemetry)
     }
 
-    /// One forward evaluation, building the prefix cache lazily on first
-    /// use (mirrors the in-process engine's `probe_loss`).
-    fn probe_once(
-        &self,
-        net: &mut Network,
-        cache: &mut Option<PrefixCache>,
-        cache_stage: Option<usize>,
-        set: &DataSplit,
-        telemetry: &Telemetry,
-        stats: &mut ShardRunStats,
-    ) -> f64 {
-        match cache_stage {
-            Some(stage) => {
-                if cache.is_none() {
-                    let h = telemetry.histogram("probe.prefix_build");
-                    let _s = telemetry.span_timed("shard.prefix_build", &h);
-                    stats.cache_builds += 1;
-                    *cache = Some(build_prefix_cache(net, set, self.batch_size, stage));
-                }
-                let h = telemetry.histogram("probe.eval");
-                let _s = telemetry.span_timed("shard.suffix_eval", &h);
-                stats.cache_hits += 1;
-                eval_loss_from(net, cache.as_ref().expect("cache built above"))
-            }
-            None => {
-                let h = telemetry.histogram("probe.eval");
-                let _s = telemetry.span_timed("shard.full_eval", &h);
-                stats.full_evals += 1;
-                eval_loss(net, set, self.batch_size)
-            }
-        }
-    }
-
-    /// Probe with the non-finite quarantine policy: a NaN/Inf loss is
-    /// re-evaluated once; if still non-finite the probe is quarantined
-    /// (canonical NaN stored, Ω assembly degrades the entry to zero).
-    fn probe(
-        &self,
-        net: &mut Network,
-        cache: &mut Option<PrefixCache>,
-        cache_stage: Option<usize>,
-        set: &DataSplit,
-        telemetry: &Telemetry,
-        stats: &mut ShardRunStats,
-    ) -> (f64, bool) {
-        let mut loss = self.probe_once(net, cache, cache_stage, set, telemetry, stats);
-        if !loss.is_finite() {
-            stats.retried += 1;
-            loss = self.probe_once(net, cache, cache_stage, set, telemetry, stats);
-        }
-        if loss.is_finite() {
-            (loss, false)
-        } else {
-            stats.quarantined += 1;
-            (f64::NAN, true)
-        }
-    }
-
-    /// Assembles the Ω matrix from a complete probe-record map, using the
-    /// identical arithmetic (and quarantine degradation) of
-    /// [`crate::measure_sensitivities`]. Returns the matrix, the base
-    /// loss `L(w)`, and the number of quarantined records.
+    /// Assembles the Ω matrix from a complete probe-record map with
+    /// [`ShardContext::assemble_partial`]'s arithmetic (and quarantine
+    /// degradation). Returns the matrix, the base loss `L(w)`, and the
+    /// number of quarantined records.
     ///
     /// # Errors
     ///
@@ -531,90 +510,20 @@ impl ShardContext {
         &self,
         records: &HashMap<ProbeId, ProbeRecord>,
     ) -> Result<(SymMatrix, f64, usize), MeasureError> {
-        let i_n = self.num_layers();
-        let k = self.bits.len();
-        let mut missing = 0usize;
-        let mut quarantined = 0usize;
-        let base_loss = match records.get(&ProbeId::Base) {
-            Some(r) => {
-                if r.quarantined {
-                    quarantined += 1;
-                }
-                r.loss
-            }
-            None => {
-                missing += 1;
-                f64::NAN
-            }
-        };
-        let mut single_loss = vec![vec![f64::NAN; k]; i_n];
-        for (i, row) in single_loss.iter_mut().enumerate() {
-            for (m, slot) in row.iter_mut().enumerate() {
-                let id = ProbeId::Diag {
-                    layer: i as u32,
-                    bit: m as u32,
-                };
-                match records.get(&id) {
-                    Some(r) => {
-                        if r.quarantined {
-                            quarantined += 1;
-                        }
-                        *slot = r.loss;
-                    }
-                    None => missing += 1,
-                }
-            }
-        }
-        let mut g = SymMatrix::zeros(i_n * k);
-        for i in 0..i_n.saturating_sub(1) {
-            for m in 0..k {
-                for j in (i + 1)..i_n {
-                    for n in 0..k {
-                        let id = ProbeId::Pair {
-                            layer_i: i as u32,
-                            bit_m: m as u32,
-                            layer_j: j as u32,
-                            bit_n: n as u32,
-                        };
-                        let Some(r) = records.get(&id) else {
-                            missing += 1;
-                            continue;
-                        };
-                        if r.quarantined {
-                            quarantined += 1;
-                        }
-                        let (si, sj) = (single_loss[i][m], single_loss[j][n]);
-                        let omega = if r.quarantined || !si.is_finite() || !sj.is_finite() {
-                            0.0
-                        } else {
-                            r.loss + base_loss - si - sj
-                        };
-                        g.set(i * k + m, j * k + n, omega);
-                    }
-                }
-            }
-        }
+        let missing = self
+            .shards()
+            .into_iter()
+            .flat_map(|shard| self.shard_probes(shard))
+            .filter(|id| !records.contains_key(id))
+            .count();
         if missing > 0 {
             return Err(MeasureError::MissingProbes {
                 missing,
                 total: self.total_probes(),
             });
         }
-        if !base_loss.is_finite() {
-            return Err(MeasureError::NonFiniteBaseLoss { loss: base_loss });
-        }
-        for (i, row) in single_loss.iter().enumerate() {
-            for (m, &loss) in row.iter().enumerate() {
-                let v = i * k + m;
-                let omega = if loss.is_finite() {
-                    2.0 * (loss - base_loss)
-                } else {
-                    0.0
-                };
-                g.set(v, v, omega);
-            }
-        }
-        Ok((g, base_loss, quarantined))
+        let p = self.assemble_partial(records)?;
+        Ok((p.g, p.base_loss, p.quarantined))
     }
 
     /// Assembles a partially-observed Ω from an estimator's probe subset.
@@ -900,25 +809,33 @@ mod tests {
         let (net, data) = setup();
         let bits = BitWidthSet::new(&[2, 8]);
         let set = data.train.subset(&(0..16).collect::<Vec<_>>());
-        let ctx = ShardContext::new(
-            &net,
-            set.len(),
-            &bits,
-            QuantScheme::PerTensorSymmetric,
-            64,
-            true,
-        );
+        let context = |use_cache| {
+            ShardContext::new(
+                &net,
+                set.len(),
+                &bits,
+                QuantScheme::PerTensorSymmetric,
+                64,
+                use_cache,
+            )
+        };
+        let ctx = context(true);
         let telemetry = Telemetry::disabled();
+        // The reference runs every probe as a full forward.
+        let naive = context(false);
         let mut replica = net.clone();
         let mut reference = HashMap::new();
-        for shard in ctx.shards() {
-            let (recs, _stats) = ctx.run_shard(&mut replica, &set, shard, &telemetry);
+        for shard in naive.shards() {
+            let (recs, _stats) = naive.run_shard(&mut replica, &set, shard, &telemetry);
             for r in recs {
                 reference.insert(r.id, r);
             }
         }
-        // Full canonical order, and a sparse subset skipping every other
-        // pair probe, both reproduce the shard-path losses bit for bit.
+        // Full canonical order, a sparse subset skipping every other
+        // pair probe, and the grid with each outer block's inner layers
+        // in reverse stage order (which rebuilds the advanced cache from
+        // the stage cache) all reproduce the full-forward losses bit for
+        // bit.
         let all: Vec<ProbeId> = ctx
             .shards()
             .into_iter()
@@ -930,7 +847,18 @@ mod tests {
             .filter(|(idx, id)| !matches!(id, ProbeId::Pair { .. }) || idx % 2 == 0)
             .map(|(_, &id)| id)
             .collect();
-        for ids in [&all, &sparse] {
+        let mut reversed = all.clone();
+        reversed.sort_by_key(|id| match *id {
+            ProbeId::Pair {
+                layer_i,
+                bit_m,
+                layer_j,
+                bit_n,
+            } => (1, layer_i, bit_m, std::cmp::Reverse(layer_j), bit_n),
+            _ => (0, 0, 0, std::cmp::Reverse(0), 0),
+        });
+        assert_ne!(reversed, all);
+        for ids in [&all, &sparse, &reversed] {
             let mut replica = net.clone();
             let (recs, _stats) = ctx.run_probes(&mut replica, &set, ids, &telemetry);
             assert_eq!(recs.len(), ids.len());

@@ -11,14 +11,19 @@
 //! subprocess via `CLADO_FAULTPOINTS=...=abort` and resuming it.
 #![cfg(debug_assertions)]
 
-use clado_core::{measure_sensitivities, MeasureError, SensitivityMatrix, SensitivityOptions};
+use clado_core::{
+    measure_sensitivities, MeasureError, ProbeId, SensitivityMatrix, SensitivityOptions,
+    ShardContext, ShardSpec, PROBE_BATCH,
+};
 use clado_models::{DataSplit, SynthVision, SynthVisionConfig};
 use clado_nn::{Conv2d, GlobalAvgPool, Linear, Network, Sequential};
-use clado_quant::BitWidthSet;
+use clado_quant::{BitWidthSet, QuantScheme};
 use clado_telemetry::faultinject::{arm, disarm, test_guard, FaultSpec};
+use clado_telemetry::Telemetry;
 use clado_tensor::Conv2dSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 use std::fs;
 use std::path::PathBuf;
 
@@ -316,4 +321,58 @@ fn fully_journaled_run_resumes_with_zero_evaluations() {
     assert_eq!(second.stats.resumed, first.stats.evaluations);
     assert_bitwise_equal(&second, &first, "fully-resumed run");
     let _ = fs::remove_dir_all(&ckpt);
+}
+
+#[test]
+fn shard_path_quarantines_a_persistent_non_finite_probe() {
+    let _guard = test_guard();
+    let (mut net, set) = setup();
+    let want = reference(&mut net, &set);
+    let ctx = ShardContext::new(
+        &net,
+        set.len(),
+        &bits(),
+        QuantScheme::PerTensorSymmetric,
+        PROBE_BATCH,
+        true,
+    );
+    let poisoned_shard = ShardSpec::Pair { outer: 0 };
+    let mut replica = net.clone();
+    let mut records = HashMap::new();
+    let mut poisoned = None;
+    for shard in ctx.shards() {
+        if shard == poisoned_shard {
+            // Poison the shard's third probe and its retry.
+            arm("measure.probe_nan", FaultSpec::trigger().skip(2).times(2));
+        }
+        let (recs, stats) = ctx.run_shard(&mut replica, &set, shard, &Telemetry::disabled());
+        disarm("measure.probe_nan");
+        if shard == poisoned_shard {
+            assert_eq!(stats.retried, 1, "the poisoned probe was retried once");
+            assert_eq!(stats.quarantined, 1, "one probe quarantined");
+            let rec = recs[2];
+            assert!(rec.quarantined && rec.loss.is_nan(), "{rec:?}");
+            poisoned = Some(rec.id);
+        }
+        records.extend(recs.into_iter().map(|r| (r.id, r)));
+    }
+
+    let (g, _, quarantined) = ctx.assemble(&records).expect("assembly");
+    assert_eq!(quarantined, 1);
+    let Some(ProbeId::Pair {
+        layer_i,
+        bit_m,
+        layer_j,
+        bit_n,
+    }) = poisoned
+    else {
+        panic!("expected a poisoned pair probe, got {poisoned:?}");
+    };
+    let k = bits().len();
+    let (u, v) = (
+        layer_i as usize * k + bit_m as usize,
+        layer_j as usize * k + bit_n as usize,
+    );
+    assert_ne!(want.matrix().get(u, v), 0.0, "clean entry is non-zero");
+    assert_eq!(g.get(u, v), 0.0, "quarantined entry degrades to zero");
 }

@@ -12,12 +12,9 @@
 use crate::error::DistError;
 use crate::pool::{Fallback, Job, WorkerPool, WorkerSummary};
 use crate::protocol::JobSpec;
-use clado_core::journal::load_journal;
-use clado_core::{
-    JournalError, JournalWriter, ProbeId, ProbeRecord, SensitivityMatrix, ShardContext, ShardSpec,
-};
+use clado_core::journal::open_checkpoint;
+use clado_core::{ProbeId, SensitivityMatrix, ShardContext, ShardSpec};
 use clado_estim::{assemble_omega, job_fingerprint, GridEstimation};
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
@@ -79,21 +76,8 @@ pub fn run_sweep(
 
     // Load (or refuse) the checkpoint journal exactly like the in-process
     // engine: same fingerprint, same not-empty guard.
-    let mut records: HashMap<ProbeId, ProbeRecord> = HashMap::new();
-    let mut journal = None;
-    if let Some(dir) = checkpoint_dir {
-        let state = load_journal(dir, fingerprint)?;
-        if !resume && (state.shards + state.corrupt_shards) > 0 {
-            return Err(JournalError::NotEmpty {
-                dir: dir.to_path_buf(),
-            }
-            .into());
-        }
-        if resume {
-            records = state.records;
-        }
-        journal = Some(JournalWriter::open(dir, fingerprint, state.next_seq)?);
-    }
+    let (state, journal) = open_checkpoint(checkpoint_dir, fingerprint, resume)?;
+    let records = state.records;
     let resumed = records.len();
     // In estimation mode a pair shard only carries its selected probes,
     // so resume completeness is "any record present": CLSJ shard commits

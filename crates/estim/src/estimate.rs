@@ -8,9 +8,8 @@ use crate::EstimatorKind;
 use clado_core::journal::{self, ProbeId, ProbeRecord};
 use clado_core::{
     estimator_config_fingerprint, eval_loss, hawq_sensitivities, replica_map_checked,
-    resolve_threads, BaselineOptions, JournalError, JournalWriter, MeasureError, OmegaProvenance,
-    SensitivityMatrix, SensitivityOptions, SensitivityStats, ShardContext, ShardRunStats,
-    ShardSpec,
+    resolve_threads, BaselineOptions, MeasureError, OmegaProvenance, SensitivityMatrix,
+    SensitivityOptions, SensitivityStats, ShardContext, ShardRunStats, ShardSpec,
 };
 use clado_models::DataSplit;
 use clado_nn::Network;
@@ -255,18 +254,12 @@ pub fn estimate_sensitivities(
         budget as u64,
         options.seed,
     );
-    let mut resume_records: HashMap<ProbeId, ProbeRecord> = HashMap::new();
-    let mut writer: Option<JournalWriter> = None;
-    if let Some(dir) = &options.measure.checkpoint_dir {
-        let state = journal::load_journal(dir, fp)?;
-        if !options.measure.resume && (state.shards + state.corrupt_shards) > 0 {
-            return Err(JournalError::NotEmpty { dir: dir.clone() }.into());
-        }
-        if options.measure.resume {
-            resume_records = state.records;
-        }
-        writer = Some(JournalWriter::open(dir, fp, state.next_seq)?);
-    }
+    let (state, mut writer) = journal::open_checkpoint(
+        options.measure.checkpoint_dir.as_deref(),
+        fp,
+        options.measure.resume,
+    )?;
+    let resume_records = state.records;
 
     // Base + diagonal pass (serial — O(|𝔹|I) and needed before any pair
     // probe can be planned) and the deterministic pair selection.
@@ -282,10 +275,7 @@ pub fn estimate_sensitivities(
     )?;
     if let Some(w) = writer.as_mut() {
         for shard in &fresh_mandatory {
-            for rec in shard {
-                w.append(*rec);
-            }
-            w.commit()?;
+            w.commit_records(shard)?;
         }
     }
     let fresh_count: usize = fresh_mandatory.iter().map(Vec::len).sum();
@@ -326,14 +316,9 @@ pub fn estimate_sensitivities(
         &pending,
         options.measure.retries,
         |net, &spec| planner_ref.run_shard(ctx_ref, net, set, spec, telemetry_ref),
-        |_, (recs, _)| {
-            if let Some(w) = writer.as_mut() {
-                for rec in recs {
-                    w.append(*rec);
-                }
-                w.commit()?;
-            }
-            Ok(())
+        |_, (recs, _)| match writer.as_mut() {
+            Some(w) => w.commit_records(recs).map_err(MeasureError::from),
+            None => Ok(()),
         },
     )?;
     for (recs, s) in &outs {
