@@ -19,8 +19,8 @@ fn main() {
         sets,
         kind.display_name()
     );
-    let p = pretrained(kind);
-    println!("FP32 accuracy {:.2}%\n", p.val_accuracy * 100.0);
+    let mut p = pretrained(kind);
+    println!("FP32 accuracy {:.2}%\n", p.val_accuracy() * 100.0);
     let (bits, scheme) = table1_config(kind);
     let algorithms = [Algorithm::Hawq, Algorithm::Mpqco, Algorithm::Clado];
 

@@ -11,7 +11,7 @@ fn main() {
         print!(
             "{:<28} fp32 {:>6.2}% |",
             kind.display_name(),
-            p.val_accuracy * 100.0
+            p.val_accuracy() * 100.0
         );
         for bits in [8u8, 4, 3, 2] {
             let snap = p.network.snapshot_weights();

@@ -14,11 +14,11 @@ fn main() {
         ModelKind::ViT,
     ] {
         let start = std::time::Instant::now();
-        let p = pretrained(kind);
+        let mut p = pretrained(kind);
         println!(
             "{:<28} FP32 val acc {:>6.2}%  ({} quantizable layers, {:.1}s)",
             kind.display_name(),
-            p.val_accuracy * 100.0,
+            p.val_accuracy() * 100.0,
             p.network.quantizable_layers().len(),
             start.elapsed().as_secs_f64()
         );

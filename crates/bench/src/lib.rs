@@ -57,10 +57,10 @@ pub fn table1_budgets(_kind: ModelKind) -> [f64; 3] {
 /// Builds an [`ExperimentContext`] for a pretrained model with a seeded
 /// sensitivity set.
 pub fn context_for(kind: ModelKind, sens_seed: u64) -> (ExperimentContext, f64) {
-    let p: Pretrained = pretrained(kind);
+    let mut p: Pretrained = pretrained(kind);
     let (bits, scheme) = table1_config(kind);
     let sens = p.data.train.sample_subset(sens_size(), sens_seed);
-    let fp32 = p.val_accuracy;
+    let fp32 = p.val_accuracy();
     (
         ExperimentContext::new(p.network, sens, p.data.val.clone(), bits, scheme),
         fp32,

@@ -369,14 +369,14 @@ pub fn cmd_models(args: &Args) -> Result<(), Box<dyn Error>> {
 pub fn cmd_train(args: &Args) -> Result<(), Box<dyn Error>> {
     let run = RunContext::from_args(args)?;
     let kind = model_kind(args.require::<String>("model")?.as_str())?;
-    let p = {
+    let mut p = {
         let _s = run.telemetry.span("load");
         pretrained(kind)
     };
     println!(
         "{}: FP32 val accuracy {:.2}% ({} quantizable layers, {:.1}s incl. cache)",
         kind.display_name(),
-        p.val_accuracy * 100.0,
+        p.val_accuracy() * 100.0,
         p.network.quantizable_layers().len(),
         run.telemetry.elapsed().as_secs_f64()
     );
@@ -1809,14 +1809,14 @@ pub fn cmd_sweep(args: &Args) -> Result<(), Box<dyn Error>> {
     let bits = BitWidthSet::new(&args.u8_list_or("bits", &[2, 4, 8])?);
     let set_size: usize = args.get_or("set-size", 128)?;
 
-    let p = {
+    let mut p = {
         let _s = run.telemetry.span("load");
         pretrained(kind)
     };
     run.info(&format!(
         "{} (FP32 {:.2}%), {}",
         kind.display_name(),
-        p.val_accuracy * 100.0,
+        p.val_accuracy() * 100.0,
         algorithm.label()
     ));
     let sens_set = p

@@ -13,7 +13,7 @@
 //! use clado_models::{pretrained, ModelKind};
 //!
 //! let mut p = pretrained(ModelKind::ResNet20);
-//! println!("FP32 val accuracy: {:.2}%", p.val_accuracy * 100.0);
+//! println!("FP32 val accuracy: {:.2}%", p.val_accuracy() * 100.0);
 //! println!("quantizable layers: {}", p.network.quantizable_layers().len());
 //! ```
 

@@ -180,15 +180,20 @@ pub fn build_mobilenet(config: &MobileNetConfig) -> Network {
     if let Some(ab) = config.act_bits {
         stem = stem.push("aq", clado_nn::ActQuant::new(ab));
     }
-    let mut features = Sequential::new().push("0", stem);
+    // The stem, each inverted-residual block and the head are root stages
+    // of their own (`features.{i}`).
+    let mut root = Sequential::new().push("features.0", stem);
     let mut cin = config.stem;
     for (i, &row) in config.rows.iter().enumerate() {
-        features = features.push((i + 1).to_string(), inverted_residual(cin, row, &mut rng));
+        root = root.push(
+            format!("features.{}", i + 1),
+            inverted_residual(cin, row, &mut rng),
+        );
         cin = row.out;
     }
     let head_idx = config.rows.len() + 1;
-    features = features.push(
-        head_idx.to_string(),
+    let root = root.push(
+        format!("features.{head_idx}"),
         Sequential::new()
             .push(
                 "0",
@@ -197,13 +202,10 @@ pub fn build_mobilenet(config: &MobileNetConfig) -> Network {
             .push("1", BatchNorm2d::new(config.head))
             .push("act", Activation::new(ActKind::HardSwish)),
     );
-    let root = Sequential::new()
-        .push("features", features)
-        .push("avgpool", GlobalAvgPool::new())
-        .push_boxed(
-            "classifier",
-            Box::new(Linear::new(config.head, config.classes, &mut rng).unquantized()),
-        );
+    let root = root.push("avgpool", GlobalAvgPool::new()).push_boxed(
+        "classifier",
+        Box::new(Linear::new(config.head, config.classes, &mut rng).unquantized()),
+    );
     Network::new(root, config.classes)
 }
 

@@ -121,17 +121,16 @@ pub fn build_regnet(config: &RegNetConfig) -> Network {
         .push("stem_bn", BatchNorm2d::new(stem))
         .push("stem_relu", Activation::new(ActKind::Relu));
     let mut cin = stem;
+    // Each residual block is its own root stage (`layer{s}.{b}`).
     for (s, (&w, &n)) in config.widths.iter().zip(&config.blocks).enumerate() {
-        let mut stage = Sequential::new();
         for b in 0..n {
             let stride = if b == 0 && s > 0 { 2 } else { 1 };
-            stage = stage.push(
-                b.to_string(),
+            root = root.push(
+                format!("layer{}.{b}", s + 1),
                 x_block(cin, w, config.group_width, stride, &mut rng),
             );
             cin = w;
         }
-        root = root.push(format!("layer{}", s + 1), stage);
         if let Some(ab) = config.act_bits {
             root = root.push(format!("aq{}", s + 1), clado_nn::ActQuant::new(ab));
         }

@@ -187,8 +187,8 @@ pub fn build_resnet(config: &ResNetConfig) -> Network {
     }
 
     let mut cin = stem_width;
+    // Each residual block is its own root stage (`layer{s}.{b}`).
     for (s, (&w, &n_blocks)) in config.widths.iter().zip(&config.blocks).enumerate() {
-        let mut stage = Sequential::new();
         for b in 0..n_blocks {
             let stride = if b == 0 && s > 0 { 2 } else { 1 };
             let block: ResidualBlock = if config.bottleneck {
@@ -200,9 +200,8 @@ pub fn build_resnet(config: &ResNetConfig) -> Network {
                 cin = w;
                 blk
             };
-            stage = stage.push(b.to_string(), block);
+            root = root.push(format!("layer{}.{b}", s + 1), block);
         }
-        root = root.push(format!("layer{}", s + 1), stage);
         if let Some(ab) = config.act_bits {
             root = root.push(format!("aq{}", s + 1), clado_nn::ActQuant::new(ab));
         }

@@ -62,31 +62,25 @@ impl ViTConfig {
 /// Builds the mini ViT.
 pub fn build_vit(config: &ViTConfig) -> Network {
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut embed_holder = Sequential::new();
-    {
-        let mut pe = PatchEmbed::new(CHANNELS, config.img, config.patch, config.dim, &mut rng);
-        // The patch projection is excluded from quantization, matching the
-        // paper's ViT layer list (attention + MLP layers only).
-        pe.visit_params("", &mut |_, p| p.quantizable = false);
-        embed_holder = embed_holder.push("embeddings", pe);
-    }
-    let mut blocks = Sequential::new();
+    let mut pe = PatchEmbed::new(CHANNELS, config.img, config.patch, config.dim, &mut rng);
+    // The patch projection is excluded from quantization, matching the
+    // paper's ViT layer list (attention + MLP layers only).
+    pe.visit_params("", &mut |_, p| p.quantizable = false);
+    let mut root = Sequential::new().push("embeddings", pe);
+    // Each encoder block is its own root stage (`layer.{i}`).
     for i in 0..config.depth {
-        blocks = blocks.push(
-            i.to_string(),
+        root = root.push(
+            format!("layer.{i}"),
             TransformerBlock::new(config.dim, config.heads, config.mlp, &mut rng),
         );
         if let Some(ab) = config.act_bits {
-            blocks = blocks.push(format!("aq{i}"), clado_nn::ActQuant::new(ab));
+            root = root.push(format!("layer.aq{i}"), clado_nn::ActQuant::new(ab));
         }
     }
-    let root = embed_holder
-        .push("layer", blocks)
-        .push("pooler", TokenMeanPool::new())
-        .push_boxed(
-            "classifier",
-            Box::new(Linear::new(config.dim, config.classes, &mut rng).unquantized()),
-        );
+    let root = root.push("pooler", TokenMeanPool::new()).push_boxed(
+        "classifier",
+        Box::new(Linear::new(config.dim, config.classes, &mut rng).unquantized()),
+    );
     Network::new(root, config.classes)
 }
 

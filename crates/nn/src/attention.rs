@@ -4,6 +4,7 @@ use crate::dense::Linear;
 use crate::layer::{join, ActKind, Activation, Layer};
 use crate::norm::LayerNorm;
 use crate::param::{Param, ParamVisitor, ParamVisitorRef};
+use clado_tensor::kernel::sgemm_overwrite;
 use clado_tensor::{ops, Tensor};
 use rand::Rng;
 
@@ -27,8 +28,9 @@ struct AttnCache {
     q: Tensor,
     k: Tensor,
     v: Tensor,
-    /// Softmax attention maps, one `[T, T]` matrix per (sample, head).
-    attn: Vec<Tensor>,
+    /// Softmax attention maps, `[N, H, T, T]`: one `[T, T]` matrix per
+    /// (sample, head).
+    attn: Vec<f32>,
     n: usize,
     t: usize,
 }
@@ -55,23 +57,32 @@ impl MultiHeadAttention {
         }
     }
 
+    /// Copies head `h` of sample `n` from `[N, T, D]` into the `[T, dh]`
+    /// tile `out`.
+    fn gather_head(&self, x: &Tensor, n: usize, h: usize, out: &mut [f32]) {
+        let dh = self.dim / self.heads;
+        let t = out.len() / dh;
+        for (tok, row) in out.chunks_exact_mut(dh).enumerate() {
+            let base = (n * t + tok) * self.dim + h * dh;
+            row.copy_from_slice(&x.data()[base..base + dh]);
+        }
+    }
+
     /// Extracts head `h` of sample `n` from `[N, T, D]` as a `[T, dh]` matrix.
     fn head(&self, x: &Tensor, n: usize, h: usize, t: usize) -> Tensor {
         let dh = self.dim / self.heads;
         let mut out = vec![0.0f32; t * dh];
-        for tok in 0..t {
-            let base = (n * t + tok) * self.dim + h * dh;
-            out[tok * dh..(tok + 1) * dh].copy_from_slice(&x.data()[base..base + dh]);
-        }
+        self.gather_head(x, n, h, &mut out);
         Tensor::from_vec([t, dh], out).expect("sized correctly")
     }
 
-    /// Scatters a `[T, dh]` head matrix back into `[N, T, D]` storage.
-    fn scatter_head(&self, dst: &mut Tensor, src: &Tensor, n: usize, h: usize, t: usize) {
+    /// Scatters a `[T, dh]` head tile back into `[N, T, D]` storage.
+    fn scatter_head(&self, dst: &mut Tensor, src: &[f32], n: usize, h: usize) {
         let dh = self.dim / self.heads;
-        for tok in 0..t {
+        let t = src.len() / dh;
+        for (tok, row) in src.chunks_exact(dh).enumerate() {
             let base = (n * t + tok) * self.dim + h * dh;
-            dst.data_mut()[base..base + dh].copy_from_slice(&src.data()[tok * dh..(tok + 1) * dh]);
+            dst.data_mut()[base..base + dh].copy_from_slice(row);
         }
     }
 }
@@ -88,27 +99,29 @@ impl Layer for MultiHeadAttention {
         let k = self.wk.forward(x.clone(), training);
         let v = self.wv.forward(x, training);
 
+        // Every map lands in one `[N, H, T, T]` buffer (also the backward
+        // cache). Each head is gathered into three reused `[T, dh]` tiles;
+        // the Q tile takes the head's output once its scores are computed.
         let mut concat = Tensor::zeros([n, t, self.dim]);
-        let mut attn_maps = Vec::with_capacity(n * self.heads);
-        for s in 0..n {
-            for h in 0..self.heads {
-                let qh = self.head(&q, s, h, t);
-                let kh = self.head(&k, s, h, t);
-                let vh = self.head(&v, s, h, t);
-                let mut scores = clado_tensor::matmul_a_bt(&qh, &kh);
-                scores.scale(scale);
-                let attn = ops::softmax_rows(&scores);
-                let oh = clado_tensor::matmul(&attn, &vh);
-                self.scatter_head(&mut concat, &oh, s, h, t);
-                attn_maps.push(attn);
-            }
+        let mut attn = vec![0.0f32; n * self.heads * t * t];
+        let [mut qh, mut kh, mut vh] = [(); 3].map(|_| vec![0.0f32; t * dh]);
+        for (i, map) in attn.chunks_exact_mut((t * t).max(1)).enumerate() {
+            let (s, h) = (i / self.heads, i % self.heads);
+            self.gather_head(&q, s, h, &mut qh);
+            self.gather_head(&k, s, h, &mut kh);
+            self.gather_head(&v, s, h, &mut vh);
+            sgemm_overwrite(&qh, &kh, map, t, dh, t, false, true);
+            map.iter_mut().for_each(|x| *x *= scale);
+            ops::softmax_rows_in_place(map, t);
+            sgemm_overwrite(map, &vh, &mut qh, t, t, dh, false, false);
+            self.scatter_head(&mut concat, &qh, s, h);
         }
         let out = self.wo.forward(concat, training);
         self.cache = Some(AttnCache {
             q,
             k,
             v,
-            attn: attn_maps,
+            attn,
             n,
             t,
         });
@@ -134,21 +147,23 @@ impl Layer for MultiHeadAttention {
                 let qh = self.head(&cache.q, s, h, t);
                 let kh = self.head(&cache.k, s, h, t);
                 let vh = self.head(&cache.v, s, h, t);
-                let attn = &cache.attn[s * self.heads + h];
+                let map = (s * self.heads + h) * t * t;
+                let attn = Tensor::from_vec([t, t], cache.attn[map..map + t * t].to_vec())
+                    .expect("sized correctly");
 
                 // O = A·V  ⇒  dA = dO·Vᵀ, dV = Aᵀ·dO.
                 let d_attn = clado_tensor::matmul_a_bt(&d_oh, &vh);
-                let d_vh = clado_tensor::matmul_at_b(attn, &d_oh);
+                let d_vh = clado_tensor::matmul_at_b(&attn, &d_oh);
                 // A = softmax(S) row-wise.
-                let mut d_scores = ops::softmax_rows_backward(attn, &d_attn);
+                let mut d_scores = ops::softmax_rows_backward(&attn, &d_attn);
                 d_scores.scale(scale);
                 // S = Q·Kᵀ  ⇒  dQ = dS·K, dK = dSᵀ·Q.
                 let d_qh = clado_tensor::matmul(&d_scores, &kh);
                 let d_kh = clado_tensor::matmul_at_b(&d_scores, &qh);
 
-                self.scatter_head(&mut dq, &d_qh, s, h, t);
-                self.scatter_head(&mut dk, &d_kh, s, h, t);
-                self.scatter_head(&mut dv, &d_vh, s, h, t);
+                self.scatter_head(&mut dq, d_qh.data(), s, h);
+                self.scatter_head(&mut dk, d_kh.data(), s, h);
+                self.scatter_head(&mut dv, d_vh.data(), s, h);
             }
         }
         let dx_q = self.wq.backward(dq);
@@ -280,6 +295,47 @@ mod tests {
         let x = init::normal([2, 5, 8], 0.0, 1.0, &mut rng);
         let y = attn.forward(x, false);
         assert_eq!(y.shape().dims(), &[2, 5, 8]);
+    }
+
+    /// The tiled forward equals, bit for bit, the per-(sample, head)
+    /// forward built from the tensor-level ops, in its output and in the
+    /// cached maps. The shapes cover the scalar tiles of vit-mini and the
+    /// skinny and blocked SIMD GEMM paths.
+    #[test]
+    fn forward_matches_per_head_reference_bitwise() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = StdRng::seed_from_u64(4);
+        for (n, t, dim, heads) in [(3, 16, 24, 4), (2, 12, 64, 2), (2, 20, 64, 2)] {
+            for training in [false, true] {
+                let mut attn = MultiHeadAttention::new(dim, heads, &mut rng);
+                let x = init::normal([n, t, dim], 0.0, 1.0, &mut rng);
+                let y = attn.forward(x.clone(), training);
+                let maps = attn.cache.take().expect("forward caches its maps").attn;
+
+                let q = attn.wq.forward(x.clone(), false);
+                let k = attn.wk.forward(x.clone(), false);
+                let v = attn.wv.forward(x, false);
+                let mut concat = Tensor::zeros([n, t, dim]);
+                let mut want_maps = Vec::new();
+                for s in 0..n {
+                    for h in 0..heads {
+                        let qh = attn.head(&q, s, h, t);
+                        let kh = attn.head(&k, s, h, t);
+                        let vh = attn.head(&v, s, h, t);
+                        let mut scores = clado_tensor::matmul_a_bt(&qh, &kh);
+                        scores.scale(1.0 / ((dim / heads) as f32).sqrt());
+                        let a = ops::softmax_rows(&scores);
+                        let oh = clado_tensor::matmul(&a, &vh);
+                        attn.scatter_head(&mut concat, oh.data(), s, h);
+                        want_maps.extend_from_slice(a.data());
+                    }
+                }
+                let want = attn.wo.forward(concat, false);
+                let case = format!("[{n}, {t}, {dim}] × {heads} heads, training {training}");
+                assert_eq!(bits(y.data()), bits(want.data()), "{case}: output");
+                assert_eq!(bits(&maps), bits(&want_maps), "{case}: maps");
+            }
+        }
     }
 
     #[test]

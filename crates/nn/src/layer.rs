@@ -284,7 +284,11 @@ impl Layer for GlobalAvgPool {
 ///
 /// The direct children are the network's *stages*: the sensitivity engine's
 /// prefix-activation cache splits execution at stage boundaries via
-/// [`Sequential::forward_prefix`] / [`Sequential::forward_from`].
+/// [`Sequential::forward_prefix`] / [`Sequential::forward_from`]. The zoo
+/// builders push every residual or encoder block straight onto the root
+/// under a dotted name (`layer1.0`, `layer.2`), so a probe re-runs only
+/// the blocks from its perturbed layer's block on; child names may contain
+/// dots because parameter paths are built by joining them.
 #[derive(Clone)]
 pub struct Sequential {
     children: Vec<(String, Box<dyn Layer>)>,

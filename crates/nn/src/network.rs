@@ -24,9 +24,10 @@ pub struct QuantizableLayer {
     /// block.
     pub block: usize,
     /// Index of the top-level root-stack child (the *stage*) containing
-    /// this layer. Activations before this stage are unaffected by
-    /// perturbing the layer, which is what the sensitivity engine's
-    /// prefix-activation cache exploits.
+    /// this layer; in the zoo models, one stage per residual or encoder
+    /// block. Activations before this stage are unaffected by perturbing
+    /// the layer, which is what the sensitivity engine's prefix-activation
+    /// cache exploits.
     pub stage: usize,
 }
 
@@ -45,11 +46,11 @@ pub struct Network {
     /// string formatting or name comparisons.
     slots: Vec<usize>,
     /// Optional telemetry handle. When enabled, [`Network::forward`] records
-    /// a per-stage span under `forward.<stage-name>`; when disabled (the
+    /// a per-stage span under `forward.<module>`; when disabled (the
     /// default) the forward path is exactly the plain fold with no timing
     /// code in the loop.
     telemetry: Telemetry,
-    /// `forward.<stage-name>` span paths, built once when telemetry
+    /// `forward.<module>` span paths, built once when telemetry
     /// attaches so the timed forward loops never format strings.
     span_paths: Vec<String>,
 }
@@ -147,12 +148,17 @@ impl Network {
     }
 
     /// Attaches a telemetry handle. With an enabled handle every
-    /// [`Network::forward`] records one span per root stage
-    /// (`forward.<stage-name>`); pass [`Telemetry::disabled`] to detach.
+    /// [`Network::forward`] records one span per root stage, named after
+    /// the first component of the stage name: the stages `layer1.0` and
+    /// `layer1.1` both record under `forward.layer1`, so the span sums the
+    /// module's blocks. Pass [`Telemetry::disabled`] to detach.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         if telemetry.is_enabled() && self.span_paths.is_empty() {
             self.span_paths = (0..self.root.len())
-                .map(|s| format!("forward.{}", self.root.stage_name(s)))
+                .map(|s| {
+                    let name = self.root.stage_name(s);
+                    format!("forward.{}", name.split('.').next().unwrap_or(name))
+                })
                 .collect();
         }
         self.telemetry = telemetry;

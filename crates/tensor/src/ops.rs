@@ -73,10 +73,16 @@ fn gelu_grad_scalar(x: f32) -> f32 {
 ///
 /// Panics if `x` is not 2-D.
 pub fn softmax_rows(x: &Tensor) -> Tensor {
-    let (rows, cols) = rows_cols(x);
+    let (_, cols) = rows_cols(x);
     let mut out = x.clone();
-    for r in 0..rows {
-        let row = &mut out.data_mut()[r * cols..(r + 1) * cols];
+    softmax_rows_in_place(out.data_mut(), cols);
+    out
+}
+
+/// Row-wise softmax in place over the consecutive `cols`-wide rows of `x`
+/// (the slice form of [`softmax_rows`], bitwise identical to it).
+pub fn softmax_rows_in_place(x: &mut [f32], cols: usize) {
+    for row in x.chunks_exact_mut(cols.max(1)) {
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let mut sum = 0.0f32;
         for v in row.iter_mut() {
@@ -88,7 +94,6 @@ pub fn softmax_rows(x: &Tensor) -> Tensor {
             *v *= inv;
         }
     }
-    out
 }
 
 /// Backward of row-wise softmax given forward output `y` and upstream

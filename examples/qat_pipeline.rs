@@ -10,11 +10,11 @@ use clado_models::{pretrained, ModelKind};
 use clado_quant::{BitWidthSet, QuantScheme};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let p = pretrained(ModelKind::ResNet20);
+    let mut p = pretrained(ModelKind::ResNet20);
     println!(
         "{} — FP32 accuracy {:.2}%",
         ModelKind::ResNet20.display_name(),
-        p.val_accuracy * 100.0
+        p.val_accuracy() * 100.0
     );
     let train_split = p.data.train.clone();
     let val_split = p.data.val.clone();

@@ -13,11 +13,11 @@ use clado_models::{pretrained, ModelKind};
 use clado_quant::{bits_to_mb, BitWidthSet, QuantScheme};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let p = pretrained(ModelKind::ResNet34);
+    let mut p = pretrained(ModelKind::ResNet34);
     println!(
         "{} — FP32 accuracy {:.2}%, {} quantizable layers",
         ModelKind::ResNet34.display_name(),
-        p.val_accuracy * 100.0,
+        p.val_accuracy() * 100.0,
         p.network.quantizable_layers().len()
     );
     let sens_set = p.data.train.sample_subset(48, 0);

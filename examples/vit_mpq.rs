@@ -10,11 +10,11 @@ use clado_models::{pretrained, ModelKind};
 use clado_quant::{BitWidthSet, QuantScheme};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let p = pretrained(ModelKind::ViT);
+    let mut p = pretrained(ModelKind::ViT);
     println!(
         "{} — FP32 accuracy {:.2}%, {} quantizable layers (q/k/v/out + MLP per block)",
         ModelKind::ViT.display_name(),
-        p.val_accuracy * 100.0,
+        p.val_accuracy() * 100.0,
         p.network.quantizable_layers().len()
     );
     let sens_set = p.data.train.sample_subset(48, 0);
