@@ -49,10 +49,11 @@ use clado_core::{
     SensitivityOptions, ShardContext,
 };
 use clado_dist::{
-    run_sweep, run_worker, scheme_to_u8, JobSpec, PoolOptions, WorkerOptions, WorkerPool,
+    run_sweep, run_worker, scheme_to_u8, JobControl, JobSpec, PoolOptions, WorkerOptions,
+    WorkerPool,
 };
 use clado_estim::{
-    assignment_regret, error_vs_exact, estimator_for, EstimatorKind, EstimatorOptions,
+    assignment_regret, error_vs_exact, estimate_sensitivities, EstimatorKind, EstimatorOptions,
 };
 use clado_models::{build_resnet, DataSplit, ResNetConfig, SynthVision, SynthVisionConfig};
 use clado_nn::Network;
@@ -147,11 +148,8 @@ fn measure_distributed(workers: usize) -> (SensitivityMatrix, f64, f64, f64) {
         bits: bits.iter().map(|b| b.bits()).collect(),
         scheme: scheme_to_u8(scheme),
         use_prefix_cache: true,
-        fingerprint: 0, // filled in by `run_sweep`
+        fingerprint: ctx.fingerprint(),
         trace_id: 0,
-        estimator: 0,
-        probe_budget: 0,
-        estimator_seed: 0,
     };
     let pool = WorkerPool::bind("127.0.0.1:0", PoolOptions::default()).expect("bind worker pool");
     let addr = pool.worker_addr().to_string();
@@ -170,7 +168,7 @@ fn measure_distributed(workers: usize) -> (SensitivityMatrix, f64, f64, f64) {
         job,
         None,
         false,
-        Some(std::time::Duration::from_secs(120)),
+        &mut JobControl::wait(Some(std::time::Duration::from_secs(120))),
     )
     .expect("distributed sweep");
     let secs = start.elapsed().as_secs_f64();
@@ -411,17 +409,16 @@ fn estimator_frontier(exact: &SensitivityMatrix, registry: &Telemetry) {
     );
     for kind in EstimatorKind::ALL {
         for pct in [10usize, 25, 50] {
-            let est = estimator_for(kind)
-                .estimate(
-                    &mut network,
-                    &set,
-                    &bits,
-                    &EstimatorOptions {
-                        probe_budget: full_sweep * pct / 100,
-                        ..EstimatorOptions::new(kind)
-                    },
-                )
-                .expect("estimation");
+            let est = estimate_sensitivities(
+                &mut network,
+                &set,
+                &bits,
+                &EstimatorOptions {
+                    probe_budget: full_sweep * pct / 100,
+                    ..EstimatorOptions::new(kind)
+                },
+            )
+            .expect("estimation");
             let error = error_vs_exact(est.matrix.matrix(), exact.matrix(), &est.observed);
             let regret = assignment_regret(
                 &mut network,

@@ -7,17 +7,18 @@
 use crate::args::{Args, ArgsError};
 use clado_core::{
     assign_bits, load_sensitivities, measure_sensitivities, quantized_accuracy, save_sensitivities,
-    Algorithm, AssignOptions, CladoVariant, ExperimentContext, SensitivityOptions, ShardContext,
+    Algorithm, AssignOptions, CladoVariant, ExperimentContext, OmegaPlan, SensitivityOptions,
+    ShardContext,
 };
 use clado_dist::{
-    run_sweep, run_worker, scheme_to_u8, DistOutcome, JobSpec, PoolOptions, WorkerOptions,
-    WorkerPool,
+    run_sweep, run_worker, scheme_to_u8, DistOutcome, JobControl, JobSpec, PoolOptions,
+    WorkerOptions, WorkerPool,
 };
 use clado_estim::{
-    assignment_regret, build_report, estimate_sensitivities, estimator_for, EstimatorKind,
+    assignment_regret, build_report, estimate_sensitivities, EstimationPlan, EstimatorKind,
     EstimatorOptions, DEFAULT_ESTIMATOR_SEED,
 };
-use clado_models::{pretrained, ModelKind};
+use clado_models::{pretrained, DataSplit, ModelKind, Pretrained};
 use clado_quant::{bits_to_mb, BitWidth, BitWidthSet, LayerSizes, QuantScheme};
 use clado_serve::{
     submit_with_retries, AssignRow, MeasureSpec, Op, ServeMessage, ServeOptions, Server,
@@ -383,7 +384,34 @@ pub fn cmd_train(args: &Args) -> Result<(), Box<dyn Error>> {
     run.finish("train", &[("model", kind.id().into())])
 }
 
+/// The pretrained `kind` and its sensitivity set: `set_size` training
+/// samples (clamped to the split) drawn with `set_seed`. Pool workers
+/// and the serve daemon reconstruct jobs through this too, so every
+/// node samples the same set.
+fn pretrained_with_set(kind: ModelKind, set_size: usize, set_seed: u64) -> (Pretrained, DataSplit) {
+    let p = pretrained(kind);
+    let set = p
+        .data
+        .train
+        .sample_subset(set_size.min(p.data.train.len()), set_seed);
+    (p, set)
+}
+
+/// [`pretrained_with_set`] under the run's `load` span.
+fn load_with_set(
+    run: &RunContext,
+    kind: ModelKind,
+    set_size: usize,
+    set_seed: u64,
+) -> (Pretrained, DataSplit) {
+    let _s = run.telemetry.span("load");
+    pretrained_with_set(kind, set_size, set_seed)
+}
+
 /// `clado sensitivity --model <id> --out <file>` (alias: `measure`)
+///
+/// Measures (or, with `--estimator`, estimates) Ĝ in process, or with
+/// `--workers N` / `--listen` sweeps the same plan on a worker pool.
 pub fn cmd_sensitivity(args: &Args) -> Result<(), Box<dyn Error>> {
     let run = RunContext::from_args(args)?;
     let kind = model_kind(args.require::<String>("model")?.as_str())?;
@@ -399,43 +427,20 @@ pub fn cmd_sensitivity(args: &Args) -> Result<(), Box<dyn Error>> {
             "--resume requires --checkpoint-dir".into(),
         )));
     }
-
     let estimator = estimator_of(args)?;
-    let workers: usize = args.get_or("workers", 0)?;
-    if workers > 0 || args.get("listen").is_some() {
-        if estimator == Some(EstimatorKind::Hutchinson) {
-            return Err(Box::new(ArgsError(
-                "--estimator hutchinson is diagonal-only and not grid-shardable; \
-                 drop --workers/--listen to run it single-process"
-                    .into(),
-            )));
-        }
-        return cmd_sensitivity_distributed(
-            args,
-            &run,
-            kind,
-            &out,
-            set_size,
-            set_seed,
-            &bits,
-            scheme,
-            checkpoint_dir,
-            resume,
-            workers,
-            estimator,
-        );
+    let probe_budget: usize = args.get_or("probe-budget", 0)?;
+    let estimator_seed: u64 = args.get_or("estimator-seed", DEFAULT_ESTIMATOR_SEED)?;
+    let distributed = args.get_or::<usize>("workers", 0)? > 0 || args.get("listen").is_some();
+    if distributed && estimator == Some(EstimatorKind::Hutchinson) {
+        return Err(Box::new(ArgsError(
+            "--estimator hutchinson is diagonal-only and not grid-shardable; \
+             drop --workers/--listen to run it single-process"
+                .into(),
+        )));
     }
 
-    let (mut p, sens_set) = {
-        let _s = run.telemetry.span("load");
-        let p = pretrained(kind);
-        let sens_set = p
-            .data
-            .train
-            .sample_subset(set_size.min(p.data.train.len()), set_seed);
-        (p, sens_set)
-    };
-    let measure_options = SensitivityOptions {
+    let (mut p, sens_set) = load_with_set(&run, kind, set_size, set_seed);
+    let options = SensitivityOptions {
         scheme,
         verbose: args.switch("verbose"),
         threads: args.get_or("threads", 0)?,
@@ -446,33 +451,86 @@ pub fn cmd_sensitivity(args: &Args) -> Result<(), Box<dyn Error>> {
         retries: args.get_or("retries", 1)?,
         ..Default::default()
     };
-    let (sm, budget_line) = match estimator {
-        Some(est_kind) => {
-            let est = estimate_sensitivities(
-                &mut p.network,
-                &sens_set,
-                &bits,
-                &EstimatorOptions {
-                    probe_budget: args.get_or("probe-budget", 0)?,
-                    seed: args.get_or("estimator-seed", DEFAULT_ESTIMATOR_SEED)?,
-                    measure: measure_options,
-                    ..EstimatorOptions::new(est_kind)
-                },
-            )?;
-            let line = format!(
-                "estimated via {est_kind}: {} / {} probes ({:.1}% of the full sweep), \
-                 {:.1}% of Ω entries observed",
-                est.probes_spent,
-                est.full_sweep_probes,
-                est.probe_fraction() * 100.0,
-                est.observed.fraction() * 100.0
-            );
-            (est.matrix, Some(line))
+    let mut config: Vec<(&str, ManifestValue)> = vec![
+        ("model", kind.id().into()),
+        ("bits", bits.to_string().into()),
+        ("scheme", format!("{scheme:?}").into()),
+        ("set_size", set_size.into()),
+        ("seed", set_seed.into()),
+        ("resume", resume.into()),
+    ];
+    let mut notes = Vec::new();
+    let sm = if distributed {
+        let ctx = ShardContext::new(
+            &p.network,
+            sens_set.len(),
+            &bits,
+            scheme,
+            options.batch_size,
+            options.use_prefix_cache,
+        );
+        let estimation =
+            estimator.map(|k| EstimationPlan::new(&ctx, k, probe_budget, estimator_seed));
+        let plan: &dyn OmegaPlan = match &estimation {
+            Some(plan) => plan,
+            None => &ctx,
+        };
+        let job = JobSpec {
+            model: kind.id().to_string(),
+            set_size: set_size as u64,
+            set_seed,
+            batch_size: options.batch_size as u64,
+            bits: bits.iter().map(|b| b.bits()).collect(),
+            scheme: scheme_to_u8(scheme),
+            use_prefix_cache: options.use_prefix_cache,
+            fingerprint: ctx.fingerprint(),
+            trace_id: run.telemetry.trace_id(),
+        };
+        let outcome = sweep_on_pool(args, &run, plan, job, &options)?;
+        record_dist_outcome(&run.telemetry, &outcome);
+        notes.push(format!(
+            "distributed: {} worker(s), {} eviction(s), {} rejected, straggler {:.1}s",
+            outcome.workers.len(),
+            outcome.evictions,
+            outcome.rejected,
+            outcome.straggler_seconds
+        ));
+        for w in &outcome.workers {
+            notes.push(format!(
+                "  worker {} (pid {}): {} shards, {} probes, {:.1}s busy",
+                w.id, w.pid, w.shards, w.probes, w.seconds
+            ));
         }
-        None => (
-            measure_sensitivities(&mut p.network, &sens_set, &bits, &measure_options)?,
-            None,
-        ),
+        config.extend([
+            ("workers", outcome.workers.len().into()),
+            ("evictions", outcome.evictions.into()),
+            ("rejected_workers", outcome.rejected.into()),
+            ("straggler_seconds", outcome.straggler_seconds.into()),
+        ]);
+        outcome.matrix
+    } else if let Some(est_kind) = estimator {
+        let est = estimate_sensitivities(
+            &mut p.network,
+            &sens_set,
+            &bits,
+            &EstimatorOptions {
+                probe_budget,
+                seed: estimator_seed,
+                measure: options,
+                ..EstimatorOptions::new(est_kind)
+            },
+        )?;
+        notes.push(format!(
+            "estimated via {est_kind}: {} / {} probes ({:.1}% of the full sweep), \
+             {:.1}% of Ω entries observed",
+            est.probes_spent,
+            est.full_sweep_probes,
+            est.probe_fraction() * 100.0,
+            est.observed.fraction() * 100.0
+        ));
+        est.matrix
+    } else {
+        measure_sensitivities(&mut p.network, &sens_set, &bits, &options)?
     };
     {
         let _s = run.telemetry.span("save");
@@ -486,8 +544,11 @@ pub fn cmd_sensitivity(args: &Args) -> Result<(), Box<dyn Error>> {
         sm.stats.seconds,
         out.display()
     );
-    if let Some(line) = budget_line {
-        run.info(&line);
+    if !sm.stats.provenance.is_exact() {
+        run.info(&format!("Ω provenance: {}", sm.stats.provenance));
+    }
+    for note in &notes {
+        run.info(note);
     }
     if sm.stats.resumed + sm.stats.retried + sm.stats.quarantined > 0 {
         run.info(&format!(
@@ -495,91 +556,34 @@ pub fn cmd_sensitivity(args: &Args) -> Result<(), Box<dyn Error>> {
             sm.stats.resumed, sm.stats.retried, sm.stats.quarantined
         ));
     }
-    run.finish(
-        "sensitivity",
-        &[
-            ("model", kind.id().into()),
-            ("threads", sm.stats.threads_used.into()),
-            ("bits", bits.to_string().into()),
-            ("scheme", format!("{scheme:?}").into()),
-            ("set_size", set_size.into()),
-            ("seed", set_seed.into()),
-            ("resume", resume.into()),
-            ("resumed", sm.stats.resumed.into()),
-            ("retried", sm.stats.retried.into()),
-            ("quarantined", sm.stats.quarantined.into()),
-            ("omega_provenance", sm.stats.provenance.to_string().into()),
-        ],
-    )
+    config.extend([
+        ("threads", sm.stats.threads_used.into()),
+        ("resumed", sm.stats.resumed.into()),
+        ("retried", sm.stats.retried.into()),
+        ("quarantined", sm.stats.quarantined.into()),
+        ("omega_provenance", sm.stats.provenance.to_string().into()),
+    ]);
+    run.finish("sensitivity", &config)
 }
 
 /// The distributed arm of `clado sensitivity`: bind a worker pool,
-/// optionally spawn `--workers` local worker subprocesses, run one sweep
-/// on the pool (loading or resuming the journal), then shut the pool
-/// down and persist the (bitwise-identical) Ĝ.
-#[allow(clippy::too_many_arguments)]
-fn cmd_sensitivity_distributed(
+/// optionally spawn `--workers` local worker subprocesses, sweep `plan`
+/// on the pool (loading or resuming the journal), then reap the fleet
+/// and shut the pool down.
+fn sweep_on_pool(
     args: &Args,
     run: &RunContext,
-    kind: ModelKind,
-    out: &std::path::Path,
-    set_size: usize,
-    set_seed: u64,
-    bits: &BitWidthSet,
-    scheme: QuantScheme,
-    checkpoint_dir: Option<PathBuf>,
-    resume: bool,
-    workers: usize,
-    estimator: Option<EstimatorKind>,
-) -> Result<(), Box<dyn Error>> {
-    let verbose = args.switch("verbose");
-    let use_prefix_cache = !args.switch("no-prefix-cache");
-    let batch_size = SensitivityOptions::default().batch_size;
-    let (p, sens_set) = {
-        let _s = run.telemetry.span("load");
-        let p = pretrained(kind);
-        let sens_set = p
-            .data
-            .train
-            .sample_subset(set_size.min(p.data.train.len()), set_seed);
-        (p, sens_set)
-    };
-    let ctx = ShardContext::new(
-        &p.network,
-        sens_set.len(),
-        bits,
-        scheme,
-        batch_size,
-        use_prefix_cache,
-    );
-    let (probe_budget, estimator_seed) = match estimator {
-        Some(_) => (
-            args.get_or::<u64>("probe-budget", 0)?,
-            args.get_or("estimator-seed", DEFAULT_ESTIMATOR_SEED)?,
-        ),
-        None => (0, 0),
-    };
-    let job = JobSpec {
-        model: kind.id().to_string(),
-        set_size: set_size as u64,
-        set_seed,
-        batch_size: batch_size as u64,
-        bits: bits.iter().map(|b| b.bits()).collect(),
-        scheme: scheme_to_u8(scheme),
-        use_prefix_cache,
-        fingerprint: 0, // filled in by `run_sweep`
-        trace_id: run.telemetry.trace_id(),
-        estimator: estimator.map_or(0, |k| k.tag()),
-        probe_budget,
-        estimator_seed,
-    };
+    plan: &dyn OmegaPlan,
+    job: JobSpec,
+    options: &SensitivityOptions,
+) -> Result<DistOutcome, Box<dyn Error>> {
     let idle_secs: u64 = args.get_or("idle-timeout-secs", 180)?;
     let pool = WorkerPool::bind(
         args.get("listen").unwrap_or("127.0.0.1:0"),
         PoolOptions {
             heartbeat_timeout: Duration::from_millis(args.get_or("heartbeat-timeout-ms", 3000)?),
             telemetry: run.telemetry.clone(),
-            verbose,
+            verbose: options.verbose,
             ..PoolOptions::default()
         },
     )?;
@@ -591,7 +595,7 @@ fn cmd_sensitivity_distributed(
     std::io::stdout().flush()?;
 
     let mut children = Vec::new();
-    for _ in 0..workers {
+    for _ in 0..args.get_or::<usize>("workers", 0)? {
         let mut cmd = std::process::Command::new(std::env::current_exe()?);
         cmd.arg("worker")
             .arg("--connect")
@@ -599,18 +603,18 @@ fn cmd_sensitivity_distributed(
             .arg("--quiet")
             .stdin(std::process::Stdio::null())
             .stdout(std::process::Stdio::null());
-        if verbose {
+        if options.verbose {
             cmd.arg("--verbose");
         }
         children.push(cmd.spawn()?);
     }
     let outcome = run_sweep(
         &pool,
-        &ctx,
+        plan,
         job,
-        checkpoint_dir.as_deref(),
-        resume,
-        (idle_secs > 0).then(|| Duration::from_secs(idle_secs)),
+        options.checkpoint_dir.as_deref(),
+        options.resume,
+        &mut JobControl::wait((idle_secs > 0).then(|| Duration::from_secs(idle_secs))),
     );
     // Reap the subprocess fleet whether the sweep succeeded or not, then
     // shut the pool down (remote workers get a graceful Shutdown).
@@ -619,62 +623,7 @@ fn cmd_sensitivity_distributed(
         let _ = child.wait();
     }
     pool.shutdown();
-    let outcome = outcome?;
-    record_dist_outcome(&run.telemetry, &outcome);
-    let sm = outcome.matrix;
-    {
-        let _s = run.telemetry.span("save");
-        save_sensitivities(&sm, out)?;
-    }
-    println!(
-        "measured Ĝ for {} (𝔹 = {bits}, {} samples): {} evaluations in {:.1}s → {}",
-        kind.display_name(),
-        set_size,
-        sm.stats.evaluations,
-        sm.stats.seconds,
-        out.display()
-    );
-    if !sm.stats.provenance.is_exact() {
-        run.info(&format!("Ω provenance: {}", sm.stats.provenance));
-    }
-    run.info(&format!(
-        "distributed: {} worker(s), {} eviction(s), {} rejected, straggler {:.1}s",
-        outcome.workers.len(),
-        outcome.evictions,
-        outcome.rejected,
-        outcome.straggler_seconds
-    ));
-    for w in &outcome.workers {
-        run.info(&format!(
-            "  worker {} (pid {}): {} shards, {} probes, {:.1}s busy",
-            w.id, w.pid, w.shards, w.probes, w.seconds
-        ));
-    }
-    if sm.stats.resumed + sm.stats.retried + sm.stats.quarantined > 0 {
-        run.info(&format!(
-            "fault recovery: {} probes resumed from journal, {} retried, {} quarantined",
-            sm.stats.resumed, sm.stats.retried, sm.stats.quarantined
-        ));
-    }
-    run.finish(
-        "sensitivity",
-        &[
-            ("model", kind.id().into()),
-            ("bits", bits.to_string().into()),
-            ("scheme", format!("{scheme:?}").into()),
-            ("set_size", set_size.into()),
-            ("seed", set_seed.into()),
-            ("resume", resume.into()),
-            ("resumed", sm.stats.resumed.into()),
-            ("retried", sm.stats.retried.into()),
-            ("quarantined", sm.stats.quarantined.into()),
-            ("workers", outcome.workers.len().into()),
-            ("evictions", outcome.evictions.into()),
-            ("rejected_workers", outcome.rejected.into()),
-            ("straggler_seconds", outcome.straggler_seconds.into()),
-            ("omega_provenance", sm.stats.provenance.to_string().into()),
-        ],
-    )
+    Ok(outcome?)
 }
 
 /// Records a distributed sweep's accounting in the `measure` manifest:
@@ -726,15 +675,7 @@ pub fn cmd_estimate(args: &Args) -> Result<(), Box<dyn Error>> {
         )));
     }
 
-    let (mut p, sens_set) = {
-        let _s = run.telemetry.span("load");
-        let p = pretrained(kind);
-        let sens_set = p
-            .data
-            .train
-            .sample_subset(set_size.min(p.data.train.len()), set_seed);
-        (p, sens_set)
-    };
+    let (mut p, sens_set) = load_with_set(&run, kind, set_size, set_seed);
     let measure = SensitivityOptions {
         scheme,
         verbose: args.switch("verbose"),
@@ -766,7 +707,7 @@ pub fn cmd_estimate(args: &Args) -> Result<(), Box<dyn Error>> {
         ("probe_budget", probe_budget.into()),
     ];
     for est_kind in selected {
-        let est = estimator_for(est_kind).estimate(
+        let est = estimate_sensitivities(
             &mut p.network,
             &sens_set,
             &bits,
@@ -827,9 +768,8 @@ pub fn cmd_worker(args: &Args) -> Result<(), Box<dyn Error>> {
     // mismatch and the pool rejects us.
     let provider = |job: &JobSpec| {
         let kind = model_kind(&job.model).map_err(|e| e.to_string())?;
-        let p = pretrained(kind);
-        let n = (job.set_size as usize).min(p.data.train.len());
-        Ok((p.network, p.data.train.sample_subset(n, job.set_seed)))
+        let (p, set) = pretrained_with_set(kind, job.set_size as usize, job.set_seed);
+        Ok((p.network, set))
     };
     let opts = WorkerOptions {
         heartbeat_interval: Duration::from_millis(args.get_or("heartbeat-ms", 500)?),
@@ -878,9 +818,8 @@ pub fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
     };
     let provider: clado_serve::ModelProvider = Arc::new(|spec: &MeasureSpec| {
         let kind = model_kind(&spec.model).map_err(|e| e.to_string())?;
-        let p = pretrained(kind);
-        let n = (spec.set_size as usize).min(p.data.train.len());
-        Ok((p.network, p.data.train.sample_subset(n, spec.set_seed)))
+        let (p, set) = pretrained_with_set(kind, spec.set_size as usize, spec.set_seed);
+        Ok((p.network, set))
     });
     let server = Server::bind(
         args.get("listen").unwrap_or("127.0.0.1:4750"),

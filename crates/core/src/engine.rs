@@ -3,15 +3,20 @@
 //! The sensitivity measurement, Hutchinson probing, and random search all
 //! reduce to the same shape: a list of independent work items, each needing
 //! a network it can perturb freely. [`replica_map`] shards the items
-//! round-robin across worker threads, hands every worker its own clone of
-//! the template network, and merges the per-item results back in item
-//! order. Because each item's computation depends only on the item and on
-//! shared read-only state — workers restore their replica to the template's
-//! exact weights between items — the output is bitwise identical regardless
-//! of thread count.
+//! round-robin across worker threads, runs the first worker on the
+//! caller's network and hands every other worker its own clone of it, and
+//! merges the per-item results back in item order. Because each item's
+//! computation depends only on the item and on shared read-only state —
+//! workers restore their replica to the original weights between items —
+//! the output is bitwise identical regardless of thread count.
+//!
+//! The first worker runs on the caller's network rather than a clone
+//! because a clone also copies the activations every layer caches from
+//! its last forward pass: a network just evaluated on a large batch would
+//! hand each replica a copy of them.
 //!
 //! [`replica_map_checked`] is the fault-tolerant core: per-item panics are
-//! caught, the replica is restored from the template snapshot, the item is
+//! caught, the replica is restored from the weight snapshot, the item is
 //! retried up to a bounded budget, and only then is the failure surfaced
 //! as a typed [`MeasureError`] — after every already-completed result has
 //! been streamed through the caller's `sink` (which the sensitivity layer
@@ -40,9 +45,11 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// Per-item outcome streamed out of the workers.
 type ItemResult<R> = (usize, Result<(usize, R), (usize, String)>);
 
-/// Maps `f` over `items` on up to `threads` worker threads, each owning a
-/// private clone of `template`. Results are returned in item order,
-/// together with the total number of per-item retries that were needed.
+/// Maps `f` over `items` on up to `threads` worker threads: the first
+/// runs on `network` itself, every other on a private clone of it.
+/// Results are returned in item order, together with the total number of
+/// per-item retries that were needed. `network`'s weights end as they
+/// started; its forward caches and gradients do not.
 ///
 /// `f` must leave the replica's weights exactly as it found them (restore
 /// from a shared snapshot, not by subtracting deltas), so that an item's
@@ -50,7 +57,7 @@ type ItemResult<R> = (usize, Result<(usize, R), (usize, String)>);
 /// replica. Under that contract the result is independent of `threads`.
 ///
 /// A panic inside `f` is caught per item; the replica is restored to the
-/// template's weights and the item retried up to `retry_budget` times
+/// original weights and the item retried up to `retry_budget` times
 /// before the failure is recorded. Failed items do not stop the sweep —
 /// the remaining items still run (and still reach `sink`), so a journaling
 /// caller salvages every completed probe before the error is returned.
@@ -68,7 +75,7 @@ type ItemResult<R> = (usize, Result<(usize, R), (usize, String)>);
 /// - [`MeasureError::WorkerLost`] if a worker thread died without
 ///   reporting a result.
 pub fn replica_map_checked<T, R, F, S>(
-    template: &Network,
+    network: &mut Network,
     threads: usize,
     items: &[T],
     retry_budget: usize,
@@ -81,7 +88,7 @@ where
     F: Fn(&mut Network, &T) -> R + Sync,
     S: FnMut(usize, &R) -> Result<(), MeasureError>,
 {
-    let pristine = template.snapshot_weights();
+    let pristine = network.snapshot_weights();
     let run_item = |replica: &mut Network, i: usize| -> Result<(usize, R), (usize, String)> {
         let mut attempt = 0usize;
         loop {
@@ -132,14 +139,13 @@ where
 
     let mut lost: Vec<usize> = Vec::new();
     if workers <= 1 {
-        let mut replica = template.clone();
         for i in 0..items.len() {
             // Fail point: simulate the worker thread being killed between
             // items (outside the per-item panic guard). In the serial
             // path this unwinds the caller directly, which is exactly a
             // "lost worker" for a one-thread sweep.
             faultpoint!("engine.worker_kill");
-            let outcome = run_item(&mut replica, i);
+            let outcome = run_item(network, i);
             apply(
                 i,
                 outcome,
@@ -150,11 +156,12 @@ where
             );
         }
     } else {
-        let mut replicas: Vec<Network> = (0..workers).map(|_| template.clone()).collect();
+        let mut clones: Vec<Network> = (1..workers).map(|_| network.clone()).collect();
+        let replicas = std::iter::once(network).chain(clones.iter_mut());
         let (tx, rx) = mpsc::channel::<ItemResult<R>>();
         std::thread::scope(|s| {
             let mut handles = Vec::with_capacity(workers);
-            for (w, replica) in replicas.iter_mut().enumerate() {
+            for (w, replica) in replicas.enumerate() {
                 let run_item = &run_item;
                 let tx = tx.clone();
                 handles.push(s.spawn(move || {
@@ -235,13 +242,18 @@ where
 /// index of the item whose closure panicked (so a failing probe can be
 /// reproduced directly). When several workers panic, the lowest item
 /// index is reported.
-pub(crate) fn replica_map<T, R, F>(template: &Network, threads: usize, items: &[T], f: F) -> Vec<R>
+pub(crate) fn replica_map<T, R, F>(
+    network: &mut Network,
+    threads: usize,
+    items: &[T],
+    f: F,
+) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&mut Network, &T) -> R + Sync,
 {
-    match replica_map_checked(template, threads, items, 0, f, |_, _| Ok(())) {
+    match replica_map_checked(network, threads, items, 0, f, |_, _| Ok(())) {
         Ok((results, _)) => results,
         Err(MeasureError::WorkerPanic { item, message, .. }) => {
             panic!("measurement worker panicked on item {item}: {message}")
@@ -271,23 +283,23 @@ mod tests {
 
     #[test]
     fn results_preserve_item_order_across_thread_counts() {
-        let net = tiny();
+        let mut net = tiny();
         let items: Vec<usize> = (0..17).collect();
-        let serial = replica_map(&net, 1, &items, |_, &i| i * i);
+        let serial = replica_map(&mut net, 1, &items, |_, &i| i * i);
         for threads in [2, 3, 8, 32] {
-            let parallel = replica_map(&net, threads, &items, |_, &i| i * i);
+            let parallel = replica_map(&mut net, threads, &items, |_, &i| i * i);
             assert_eq!(parallel, serial, "{threads} threads");
         }
     }
 
     #[test]
     fn workers_own_independent_replicas() {
-        let net = tiny();
+        let mut net = tiny();
         let items: Vec<usize> = (0..8).collect();
         // Each item perturbs its replica and reports the weight it read
         // back; with per-item restore the reads are identical everywhere.
         let originals = net.snapshot_weights();
-        let reads = replica_map(&net, 4, &items, |replica, _| {
+        let reads = replica_map(&mut net, 4, &items, |replica, _| {
             let delta = clado_tensor::Tensor::full(originals[0].shape(), 1.0);
             replica.perturb_weight(0, &delta);
             let seen = replica.weight(0).data()[0];
@@ -302,11 +314,11 @@ mod tests {
 
     #[test]
     fn worker_panics_are_tagged_with_the_item_index() {
-        let net = tiny();
+        let mut net = tiny();
         let items: Vec<usize> = (0..9).collect();
         for threads in [1, 3] {
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                replica_map(&net, threads, &items, |_, &i| {
+                replica_map(&mut net, threads, &items, |_, &i| {
                     assert_ne!(i, 5, "bad probe");
                     i
                 })
@@ -319,21 +331,21 @@ mod tests {
 
     #[test]
     fn empty_items_yield_empty_results() {
-        let net = tiny();
+        let mut net = tiny();
         let items: Vec<usize> = Vec::new();
-        let out = replica_map(&net, 4, &items, |_, &i| i);
+        let out = replica_map(&mut net, 4, &items, |_, &i| i);
         assert!(out.is_empty());
     }
 
     #[test]
     fn checked_map_retries_flaky_items_and_counts_them() {
-        let net = tiny();
+        let mut net = tiny();
         let items: Vec<usize> = (0..6).collect();
         let attempts = AtomicUsize::new(0);
         for threads in [1, 3] {
             attempts.store(0, Ordering::SeqCst);
             let (out, retries) = replica_map_checked(
-                &net,
+                &mut net,
                 threads,
                 &items,
                 2,
@@ -354,11 +366,11 @@ mod tests {
 
     #[test]
     fn exhausted_retries_surface_the_lowest_failing_item() {
-        let net = tiny();
+        let mut net = tiny();
         let items: Vec<usize> = (0..9).collect();
         for threads in [1, 4] {
             let err = replica_map_checked(
-                &net,
+                &mut net,
                 threads,
                 &items,
                 1,
@@ -386,11 +398,11 @@ mod tests {
 
     #[test]
     fn sink_sees_completed_items_even_when_some_fail() {
-        let net = tiny();
+        let mut net = tiny();
         let items: Vec<usize> = (0..8).collect();
         let mut seen: Vec<usize> = Vec::new();
         let err = replica_map_checked(
-            &net,
+            &mut net,
             1,
             &items,
             0,
@@ -412,11 +424,11 @@ mod tests {
 
     #[test]
     fn panicking_item_leaves_replica_pristine_for_later_items() {
-        let net = tiny();
+        let mut net = tiny();
         let originals = net.snapshot_weights();
         let items: Vec<usize> = (0..4).collect();
         let (reads, _) = replica_map_checked(
-            &net,
+            &mut net,
             1,
             &items,
             1,
@@ -443,11 +455,11 @@ mod tests {
 
     #[test]
     fn sink_errors_take_precedence_and_stop_sink_calls() {
-        let net = tiny();
+        let mut net = tiny();
         let items: Vec<usize> = (0..5).collect();
         let mut calls = 0usize;
         let err = replica_map_checked(
-            &net,
+            &mut net,
             1,
             &items,
             0,

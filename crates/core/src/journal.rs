@@ -135,25 +135,19 @@ fn io_at(path: &Path, e: io::Error) -> JournalError {
     JournalError::Io(io::Error::new(e.kind(), format!("{}: {e}", path.display())))
 }
 
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+/// 64-bit FNV-1a over raw bytes: the CLSJ checksum and fingerprint, the
+/// wire frame checksum, the CLSO checksum and the Ω-cache key.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }
 
-/// FNV-1a offset basis — the seed for [`fingerprint`] and checksums.
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-
-/// Hashes a measurement configuration into the journal fingerprint.
+/// Hashes a measurement configuration into the journal fingerprint:
+/// [`fnv1a`] over the fields' little-endian bytes.
 pub fn fingerprint(fields: &[u64]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for f in fields {
-        h = fnv1a(h, &f.to_le_bytes());
-    }
-    h
+    let bytes: Vec<u8> = fields.iter().flat_map(|f| f.to_le_bytes()).collect();
+    fnv1a(&bytes)
 }
 
 fn encode_record(rec: &ProbeRecord, out: &mut Vec<u8>) {
@@ -293,7 +287,7 @@ fn parse_shard(bytes: &[u8], expected_fingerprint: u64) -> Result<Vec<ProbeRecor
         return Err(ShardDefect::Corrupt);
     }
     let stored = u64::from_le_bytes(bytes[body_end..].try_into().expect("8 bytes"));
-    if fnv1a(FNV_OFFSET, &bytes[..body_end]) != stored {
+    if fnv1a(&bytes[..body_end]) != stored {
         return Err(ShardDefect::Corrupt);
     }
     // Only a checksum-valid shard may veto the fingerprint: a shard whose
@@ -381,7 +375,7 @@ impl JournalWriter {
         for rec in &self.pending {
             encode_record(rec, &mut buf);
         }
-        let checksum = fnv1a(FNV_OFFSET, &buf);
+        let checksum = fnv1a(&buf);
         buf.extend_from_slice(&checksum.to_le_bytes());
 
         let final_path = self.dir.join(format!("journal-{:06}.clsj", self.next_seq));

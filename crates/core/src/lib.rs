@@ -8,7 +8,8 @@
 //!
 //! * **Algorithm 1**: backpropagation-free measurement of the full
 //!   sensitivity matrix Ĝ, including all cross-layer terms
-//!   ([`measure_sensitivities`]);
+//!   ([`measure_sensitivities`]), as one [`OmegaPlan`] sweep
+//!   ([`run_plan`]) that estimated and distributed sweeps share;
 //! * the **PSD approximation** and the **IQP formulation** of eq. (11)
 //!   ([`assign_bits`]);
 //! * the **baselines** the paper compares against: HAWQ-style Hessian-trace
@@ -56,6 +57,7 @@ mod search;
 mod sensitivity;
 mod sensitivity_io;
 mod shard;
+mod sweep;
 
 pub use assign::{assign_bits, solve_with_matrix, AssignOptions, BitAssignment, CladoVariant};
 pub use baselines::{
@@ -65,7 +67,7 @@ pub use engine::{replica_map_checked, resolve_threads};
 pub use errors::MeasureError;
 pub use experiments::{quartiles, Algorithm, ExperimentContext, Quartiles};
 pub use hessian::{exact_cross_vhv, exact_vhv, exact_vhv_direction, fast_cross_vhv, fast_vhv};
-pub use journal::{JournalError, JournalState, JournalWriter, ProbeId, ProbeRecord};
+pub use journal::{fnv1a, JournalError, JournalState, JournalWriter, ProbeId, ProbeRecord};
 pub use probe::{
     advance_prefix_cache, apply_quantization, build_prefix_cache, eval_loss, eval_loss_from,
     quant_error_table, quantizable_gradients, quantized_accuracy, train_mode_loss, PrefixCache,
@@ -83,4 +85,7 @@ pub use sensitivity_io::{
 pub use shard::{
     config_fingerprint, estimator_config_fingerprint, PartialAssembly, ShardContext, ShardRunStats,
     ShardSpec,
+};
+pub use sweep::{
+    run_plan, run_plan_in_process, OmegaPlan, Records, Round, SweepOutcome, SweepState,
 };

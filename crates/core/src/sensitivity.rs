@@ -28,20 +28,18 @@
 //! affected cross-term degrades to the diagonal-only estimate, i.e. the
 //! Ω entry is zeroed) instead of poisoning the IQP objective.
 
-use crate::engine::{replica_map_checked, resolve_threads};
+use crate::engine::resolve_threads;
 use crate::errors::MeasureError;
-use crate::journal::{self, ProbeId};
 use crate::probe::PROBE_BATCH;
-use crate::shard::{ShardContext, ShardRunStats, ShardSpec};
+use crate::shard::ShardContext;
+use crate::sweep::run_plan_in_process;
 use clado_models::DataSplit;
 use clado_nn::Network;
 use clado_quant::{BitWidthSet, QuantScheme};
 use clado_solver::SymMatrix;
 use clado_telemetry::Telemetry;
-use std::collections::hash_map::Entry;
 use std::fmt;
 use std::path::PathBuf;
-use std::time::Instant;
 
 /// Options controlling sensitivity measurement.
 #[derive(Debug, Clone)]
@@ -328,16 +326,15 @@ impl SensitivityMatrix {
 
 /// Runs Algorithm 1 on `network` over the sensitivity set.
 ///
-/// The grid is split into [`ShardContext`]'s canonical shards and every
-/// probe runs through [`ShardContext::run_probes`] on a per-worker
-/// replica, so the caller's network is never modified. The base probe
-/// runs first, then the diagonal shards and then the pair shards are
-/// fanned out over [`SensitivityOptions::threads`] workers; with
+/// The grid is the exact [`crate::OmegaPlan`] of a [`ShardContext`]: one round
+/// holding every shard, run by [`run_plan_in_process`] on
+/// [`SensitivityOptions::threads`] workers (`network` and clones of it),
+/// which restore every perturbation they apply. With
 /// [`SensitivityOptions::use_prefix_cache`] each probe re-runs only the
-/// suffix from its layer's stage (for pair probes, from the inner
-/// layer's stage on a cache advanced past the outer perturbation).
+/// suffix from its layer's stage (for pair probes, from the inner layer's
+/// stage on a cache advanced past the outer perturbation).
 /// Evaluation-mode forward is pure and the cached paths are bitwise equal
-/// to a full forward, and assembly is keyed by [`ProbeId`], so the result
+/// to a full forward, and assembly is keyed by [`crate::ProbeId`], so the result
 /// is bitwise identical for any thread count, with or without the cache —
 /// and, because the journal stores losses bit-exactly, identical whether
 /// the run completed in one pass or was resumed any number of times.
@@ -361,9 +358,7 @@ pub fn measure_sensitivities(
     bits: &BitWidthSet,
     options: &SensitivityOptions,
 ) -> Result<SensitivityMatrix, MeasureError> {
-    let start = Instant::now();
-    let telemetry = &options.telemetry;
-    let _span_measure = telemetry.span("measure");
+    let _span_measure = options.telemetry.span("measure");
     let ctx = ShardContext::new(
         network,
         sens_set.len(),
@@ -372,140 +367,23 @@ pub fn measure_sensitivities(
         options.batch_size,
         options.use_prefix_cache,
     );
-    let num_layers = ctx.num_layers();
-    let threads = resolve_threads(options.threads);
-
-    // The journal fingerprint binds a checkpoint directory to one
-    // measurement configuration; resuming under different bits, scheme,
-    // data, or batch size is a hard error rather than a silent mix. The
-    // distributed sweep stamps the same fingerprint, so a journal written
-    // here is resumable there and vice versa.
-    let (state, mut writer) = journal::open_checkpoint(
-        options.checkpoint_dir.as_deref(),
-        ctx.fingerprint(),
-        options.resume,
-    )?;
-    if options.verbose && options.resume && options.checkpoint_dir.is_some() {
-        eprintln!(
-            "sensitivity: resuming from {} journaled probes ({} shards, {} corrupt)",
-            state.records.len(),
-            state.shards,
-            state.corrupt_shards
-        );
-    }
-    let mut records = state.records;
-    let mut run = ShardRunStats::default();
-    let mut resumed = 0usize;
-    let mut panic_retries = 0u64;
-
-    match records.entry(ProbeId::Base) {
-        Entry::Occupied(_) => resumed += 1,
-        Entry::Vacant(slot) => {
-            let _s = telemetry.span("measure.base");
-            let (recs, stats) = ctx.run_shard(network, sens_set, ShardSpec::Base, telemetry);
-            run += stats;
-            if recs[0].quarantined {
-                return Err(MeasureError::NonFiniteBaseLoss { loss: recs[0].loss });
-            }
-            if let Some(w) = writer.as_mut() {
-                w.commit_records(&recs)?;
-            }
-            slot.insert(recs[0]);
-        }
-    }
     if options.verbose {
         eprintln!(
-            "sensitivity: {num_layers} layers × {} bit-widths on {threads} threads",
-            bits.len()
+            "sensitivity: {} layers × {} bit-widths on {} threads",
+            ctx.num_layers(),
+            bits.len(),
+            resolve_threads(options.threads)
         );
     }
-
-    // Layer-specific sensitivities (eq. 12), then cross-layer ones
-    // (eq. 13): one work item per shard with probes left to measure,
-    // each evaluated on its worker's replica and journaled as one CLSJ
-    // shard as soon as it completes.
-    let (diag, pair): (Vec<ShardSpec>, Vec<ShardSpec>) = ctx
-        .shards()
-        .into_iter()
-        .filter(|&s| s != ShardSpec::Base)
-        .partition(|s| matches!(s, ShardSpec::Diag { .. }));
-    for (pass, shards) in [("diagonal", diag), ("pairwise", pair)] {
-        let _span = telemetry.span(&format!("measure.{pass}"));
-        let total: usize = shards.iter().map(|&s| ctx.shard_probes(s).len()).sum();
-        let pending: Vec<Vec<ProbeId>> = shards
-            .iter()
-            .map(|&s| {
-                let mut ids = ctx.shard_probes(s);
-                ids.retain(|id| !records.contains_key(id));
-                ids
-            })
-            .filter(|ids| !ids.is_empty())
-            .collect();
-        let fresh: usize = pending.iter().map(Vec::len).sum();
-        resumed += total - fresh;
-        // Only the quadratic pass reports progress, as it always has.
-        let progress = (pass == "pairwise" && total > 0)
-            .then(|| telemetry.progress("sensitivity pairwise probes", total as u64));
-        if let Some(p) = &progress {
-            p.add((total - fresh) as u64);
-        }
-        let (outs, retries) = replica_map_checked(
-            network,
-            threads,
-            &pending,
-            options.retries,
-            |net, ids| ctx.run_probes(net, sens_set, ids, telemetry),
-            |_, (recs, _)| {
-                if let Some(p) = &progress {
-                    p.add(recs.len() as u64);
-                }
-                match writer.as_mut() {
-                    Some(w) => w.commit_records(recs).map_err(MeasureError::from),
-                    None => Ok(()),
-                }
-            },
-        )?;
-        if let Some(p) = &progress {
-            p.finish();
-        }
-        panic_retries += retries;
-        for (recs, stats) in outs {
-            run += stats;
-            records.extend(recs.into_iter().map(|r| (r.id, r)));
-        }
-        if options.verbose {
-            eprintln!("sensitivity: {pass} pass done");
-        }
-    }
-    telemetry.counter("measure.resumed").add(resumed as u64);
-    telemetry.counter("measure.retries").add(panic_retries);
-
-    let (g, base_loss, _) = ctx.assemble(&records)?;
-    let quarantined = run.quarantined as usize;
+    let sm = run_plan_in_process(network, sens_set, &ctx, &ctx, options)?.matrix;
+    let quarantined = sm.stats.quarantined;
     if options.verbose && quarantined > 0 {
         eprintln!(
             "sensitivity: WARNING {quarantined} probe(s) quarantined (non-finite loss); \
              affected Ω entries degraded to the diagonal-only estimate"
         );
     }
-    Ok(SensitivityMatrix {
-        g,
-        num_layers,
-        bits: bits.clone(),
-        base_loss,
-        stats: SensitivityStats {
-            evaluations: (run.full_evals + run.cache_hits) as usize,
-            seconds: start.elapsed().as_secs_f64(),
-            threads_used: threads,
-            prefix_cache_builds: run.cache_builds as usize,
-            prefix_cache_hits: run.cache_hits as usize,
-            full_evals: run.full_evals as usize,
-            resumed,
-            retried: (run.retried + panic_retries) as usize,
-            quarantined,
-            provenance: OmegaProvenance::exact(),
-        },
-    })
+    Ok(sm)
 }
 
 #[cfg(test)]
@@ -744,21 +622,19 @@ mod tests {
             assert_eq!(telemetry.counter_value("measure.resumed"), 0);
             assert_eq!(telemetry.counter_value("measure.retries"), 0);
             assert_eq!(telemetry.counter_value("measure.quarantined"), 0);
-            // The span tree covers every phase of the measurement.
+            // The span tree covers the measurement and every probe kind.
             for path in [
                 "measure",
-                "measure.base",
-                "measure.diagonal",
-                "measure.pairwise",
+                "measure.base.full_eval",
+                "measure.diagonal.full_eval",
+                "measure.diagonal.suffix_eval",
+                "measure.pairwise.suffix_eval",
             ] {
                 assert!(
                     telemetry.span_stats(path).is_some(),
                     "{threads} threads: span {path} missing"
                 );
             }
-            assert!(telemetry
-                .span_stats("measure.pairwise.suffix_eval")
-                .is_some());
         }
     }
 

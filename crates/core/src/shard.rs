@@ -1,8 +1,8 @@
 //! Canonical shard decomposition of the sensitivity probe grid, and the
 //! one probe executor that evaluates it.
 //!
-//! [`crate::measure_sensitivities`] fans the grid out over threads;
-//! `clado-dist` fans it out across worker processes. Both agree on one
+//! [`crate::run_plan`] sweeps the grid on threads or, through
+//! `clado-dist`, across worker processes. Every path agrees on one
 //! canonical decomposition into *shards* — the unit of leasing,
 //! journaling, and reassignment:
 //!
@@ -12,10 +12,11 @@
 //! * [`ShardSpec::Pair`]`{ outer: i }` — all `|𝔹|²(I−1−i)` cross-layer
 //!   probes whose outer layer is `i` (eq. 13).
 //!
-//! Both run every probe through [`ShardContext::run_probes`], so CLSJ
-//! journals written by either path resume interchangeably: a sweep
-//! checkpointed by a single process can be finished by a distributed
-//! sweep and vice versa, bit for bit.
+//! A plan may sweep a subset of a shard's probes; every path runs them
+//! through [`ShardContext::run_probes`], so CLSJ journals written by any
+//! path resume interchangeably: a sweep checkpointed by a single process
+//! can be finished by a distributed sweep and vice versa, bit for bit.
+//! `ShardContext` is itself the exact sweep's [`OmegaPlan`].
 //!
 //! # Determinism
 //!
@@ -23,7 +24,7 @@
 //! and restores every perturbation it applies, the evaluation-mode
 //! forward is pure, and the prefix-cached and advanced-cache paths are
 //! bitwise equal to a full forward (all test-enforced). Because every
-//! probe is keyed by its [`ProbeId`], [`ShardContext::assemble`] rebuilds
+//! probe is keyed by its [`ProbeId`], [`OmegaPlan::assemble`] rebuilds
 //! Ω from any execution order — whichever thread or worker evaluated
 //! whichever shard, however many times leases were evicted and
 //! reassigned — and the result is bitwise identical.
@@ -34,6 +35,8 @@ use crate::probe::{
     advance_prefix_cache, build_prefix_cache, eval_loss, eval_loss_from, quant_error_table,
     PrefixCache,
 };
+use crate::sensitivity::{SensitivityMatrix, SensitivityStats};
+use crate::sweep::{OmegaPlan, Records, Round};
 use clado_models::DataSplit;
 use clado_nn::Network;
 use clado_quant::{BitWidthSet, QuantScheme};
@@ -496,36 +499,6 @@ impl ShardContext {
         self.run_probes(net, set, &self.shard_probes(spec), telemetry)
     }
 
-    /// Assembles the Ω matrix from a complete probe-record map with
-    /// [`ShardContext::assemble_partial`]'s arithmetic (and quarantine
-    /// degradation). Returns the matrix, the base loss `L(w)`, and the
-    /// number of quarantined records.
-    ///
-    /// # Errors
-    ///
-    /// [`MeasureError::MissingProbes`] when any probe of the grid has no
-    /// record; [`MeasureError::NonFiniteBaseLoss`] when the base record
-    /// is quarantined.
-    pub fn assemble(
-        &self,
-        records: &HashMap<ProbeId, ProbeRecord>,
-    ) -> Result<(SymMatrix, f64, usize), MeasureError> {
-        let missing = self
-            .shards()
-            .into_iter()
-            .flat_map(|shard| self.shard_probes(shard))
-            .filter(|id| !records.contains_key(id))
-            .count();
-        if missing > 0 {
-            return Err(MeasureError::MissingProbes {
-                missing,
-                total: self.total_probes(),
-            });
-        }
-        let p = self.assemble_partial(records)?;
-        Ok((p.g, p.base_loss, p.quarantined))
-    }
-
     /// Assembles a partially-observed Ω from an estimator's probe subset.
     ///
     /// The base probe and every diagonal probe are mandatory — a
@@ -648,6 +621,55 @@ impl ShardContext {
     }
 }
 
+/// The exact sweep: one round holding the whole grid, assembled with
+/// [`ShardContext::assemble_partial`]'s arithmetic once every probe has a
+/// record.
+impl OmegaPlan for ShardContext {
+    fn fingerprint(&self) -> u64 {
+        ShardContext::fingerprint(self)
+    }
+
+    fn round(&self, index: usize, _records: &Records) -> Result<Round, MeasureError> {
+        let grid = self.shards().into_iter().map(|s| (s, self.shard_probes(s)));
+        Ok(if index == 0 {
+            grid.collect()
+        } else {
+            Vec::new()
+        })
+    }
+
+    fn assemble(
+        &self,
+        records: &Records,
+    ) -> Result<(SensitivityMatrix, ObservedMask), MeasureError> {
+        let missing = self
+            .shards()
+            .into_iter()
+            .flat_map(|shard| self.shard_probes(shard))
+            .filter(|id| !records.contains_key(id))
+            .count();
+        if missing > 0 {
+            return Err(MeasureError::MissingProbes {
+                missing,
+                total: self.total_probes(),
+            });
+        }
+        let p = self.assemble_partial(records)?;
+        let stats = SensitivityStats {
+            quarantined: p.quarantined,
+            ..SensitivityStats::default()
+        };
+        let matrix = SensitivityMatrix::from_parts(
+            p.g,
+            self.num_layers(),
+            self.bits.clone(),
+            p.base_loss,
+            stats,
+        );
+        Ok((matrix, p.observed))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -755,14 +777,14 @@ mod tests {
                     records.insert(r.id, r);
                 }
             }
-            let (g, base_loss, quarantined) = ctx.assemble(&records).expect("assembly");
+            let (sm, _) = ctx.assemble(&records).expect("assembly");
             assert_eq!(
-                base_loss.to_bits(),
+                sm.base_loss.to_bits(),
                 reference.base_loss.to_bits(),
                 "cache={use_cache}: base loss"
             );
-            assert_eq!(quarantined, 0);
-            assert_matrix_bitwise(&g, reference.matrix(), "shard-evaluated grid");
+            assert_eq!(sm.stats.quarantined, 0);
+            assert_matrix_bitwise(sm.matrix(), reference.matrix(), "shard-evaluated grid");
             // The replica's weights were restored after every shard.
             for (a, b) in replica
                 .snapshot_weights()
@@ -798,9 +820,9 @@ mod tests {
         let ctx = ShardContext::new(&net, set.len(), &bits, opts.scheme, opts.batch_size, true);
         let state = load_journal(&dir, ctx.fingerprint()).expect("journal opens under shard fp");
         assert_eq!(state.records.len(), ctx.total_probes());
-        let (g, base_loss, _q) = ctx.assemble(&state.records).expect("assembly from journal");
-        assert_eq!(base_loss.to_bits(), reference.base_loss.to_bits());
-        assert_matrix_bitwise(&g, reference.matrix(), "journal-assembled grid");
+        let (sm, _) = ctx.assemble(&state.records).expect("assembly from journal");
+        assert_eq!(sm.base_loss.to_bits(), reference.base_loss.to_bits());
+        assert_matrix_bitwise(sm.matrix(), reference.matrix(), "journal-assembled grid");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -903,10 +925,10 @@ mod tests {
                 records.insert(r.id, r);
             }
         }
-        let (g, base_loss, _q) = ctx.assemble(&records).expect("full assembly");
+        let (sm, _) = ctx.assemble(&records).expect("full assembly");
         let partial = ctx.assemble_partial(&records).expect("partial assembly");
-        assert_eq!(partial.base_loss.to_bits(), base_loss.to_bits());
-        assert_matrix_bitwise(&partial.g, &g, "fully-observed partial assembly");
+        assert_eq!(partial.base_loss.to_bits(), sm.base_loss.to_bits());
+        assert_matrix_bitwise(&partial.g, sm.matrix(), "fully-observed partial assembly");
         assert_eq!(partial.observed.observed(), partial.observed.total());
 
         // Dropping pair records leaves those entries unobserved (and the

@@ -12,7 +12,7 @@
 #![cfg(debug_assertions)]
 
 use clado_core::{
-    measure_sensitivities, MeasureError, ProbeId, SensitivityMatrix, SensitivityOptions,
+    measure_sensitivities, MeasureError, OmegaPlan, ProbeId, SensitivityMatrix, SensitivityOptions,
     ShardContext, ShardSpec, PROBE_BATCH,
 };
 use clado_models::{DataSplit, SynthVision, SynthVisionConfig};
@@ -357,8 +357,9 @@ fn shard_path_quarantines_a_persistent_non_finite_probe() {
         records.extend(recs.into_iter().map(|r| (r.id, r)));
     }
 
-    let (g, _, quarantined) = ctx.assemble(&records).expect("assembly");
-    assert_eq!(quarantined, 1);
+    let (sm, _) = ctx.assemble(&records).expect("assembly");
+    assert_eq!(sm.stats.quarantined, 1);
+    let g = sm.matrix();
     let Some(ProbeId::Pair {
         layer_i,
         bit_m,

@@ -23,9 +23,6 @@ pub enum DistError {
     Rejected(String),
     /// The worker's model provider could not reconstruct the job.
     Provider(String),
-    /// The job specification is invalid (unknown estimator tag, or an
-    /// estimator that cannot be grid-sharded).
-    BadJob(String),
     /// Work remained but no worker was connected for the configured
     /// idle window.
     NoWorkers {
@@ -50,7 +47,6 @@ impl fmt::Display for DistError {
             Self::Measure(e) => write!(f, "{e}"),
             Self::Rejected(reason) => write!(f, "coordinator rejected this worker: {reason}"),
             Self::Provider(why) => write!(f, "worker could not reconstruct the job: {why}"),
-            Self::BadJob(why) => write!(f, "invalid job specification: {why}"),
             Self::NoWorkers { waited } => write!(
                 f,
                 "work remained but no worker connected for {:.0?}",
@@ -89,6 +85,9 @@ impl From<JournalError> for DistError {
 
 impl From<MeasureError> for DistError {
     fn from(e: MeasureError) -> Self {
-        Self::Measure(e)
+        match e {
+            MeasureError::Journal(e) => Self::Journal(e),
+            e => Self::Measure(e),
+        }
     }
 }

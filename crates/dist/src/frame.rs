@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! magic "CLDP" (4) | version u16 LE | kind u16 LE | payload_len u32 LE
-//! | payload (payload_len bytes) | FNV-1a checksum u64 LE
+//! | payload (payload_len bytes) | FNV-1a checksum u64 LE (clado_core::fnv1a)
 //! ```
 //!
 //! The checksum covers the header and payload, so a flipped bit anywhere
@@ -13,6 +13,7 @@
 //! length, truncation mid-frame, checksum mismatch — maps to a typed
 //! [`FrameError`]; nothing in this module panics on untrusted bytes.
 
+use clado_core::fnv1a;
 use clado_telemetry::faultinject;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -31,9 +32,13 @@ use std::io::{self, Read, Write};
 ///
 /// v4: budgeted estimation — `Job.{estimator, probe_budget,
 /// estimator_seed}` let a coordinator shard a sub-quadratic Ω estimation
-/// sweep; workers rebuild the probe plan locally from those three
+/// sweep; workers rebuilt the probe plan locally from those three
 /// fields.
-pub const PROTOCOL_VERSION: u16 = 4;
+///
+/// v5: leases carry their probe ids — the coordinator's plan picks the
+/// probes and workers evaluate exactly what they are handed — and `Job`
+/// drops the estimator fields.
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Upper bound on a frame payload. The largest legitimate message is a
 /// `ShardDone` for one pairwise shard (26 bytes per probe); 4 MiB leaves
@@ -158,17 +163,6 @@ impl FrameError {
             self
         }
     }
-}
-
-/// FNV-1a over raw bytes (the frame checksum; the journal fingerprint
-/// uses the same function over u64 fields).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Writes one frame and flushes the stream.

@@ -1,7 +1,7 @@
 //! The shard scheduler: a pool of warm worker connections that runs
-//! measurement jobs — one job for `clado measure --workers/--listen`
-//! ([`crate::run_sweep`]), a stream of them for the `clado serve`
-//! daemon.
+//! measurement jobs — one per sweep round ([`crate::run_sweep`]), for
+//! `clado measure --workers/--listen` and for every `clado serve` cache
+//! miss alike.
 //!
 //! # Lease/heartbeat state machine
 //!
@@ -33,7 +33,7 @@
 use crate::error::DistError;
 use crate::frame::{FrameError, PROTOCOL_VERSION};
 use crate::protocol::{self, JobSpec, Message};
-use clado_core::{JournalWriter, ProbeId, ProbeRecord, ShardRunStats, ShardSpec};
+use clado_core::{JournalWriter, ProbeId, ProbeRecord, Records, Round, ShardRunStats, ShardSpec};
 use clado_telemetry::{ManifestValue, Telemetry, TraceEvent};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -83,25 +83,61 @@ pub struct Job {
     /// A nonzero `trace_id` makes the pool hand out lease span ids and
     /// merge the trace events workers ship.
     pub spec: JobSpec,
-    /// The shards to evaluate.
-    pub shards: Vec<ShardSpec>,
-    /// Records known before the job starts (resumed from a journal);
-    /// they are neither journaled again nor counted as evaluated.
-    pub records: HashMap<ProbeId, ProbeRecord>,
+    /// The shards to evaluate, each with the probe ids its lease
+    /// carries.
+    pub shards: Round,
+    /// Records known before the job starts (earlier rounds, or resumed
+    /// from a journal); they are neither journaled again nor counted as
+    /// evaluated.
+    pub records: Records,
     /// When set, each completed shard's fresh records are committed to
     /// this CLSJ journal under the scheduler lock; a failed commit fails
     /// the job with [`DistError::Journal`].
     pub journal: Option<JournalWriter>,
 }
 
+/// Evaluates probe ids in-process: `ShardContext::run_probes` on a
+/// local replica.
+pub type LocalProbes<'a> = dyn FnMut(&[ProbeId]) -> (Vec<ProbeRecord>, ShardRunStats) + 'a;
+
 /// What a job does while no worker is live.
 pub enum Fallback<'a> {
-    /// Evaluate pending shards in-process, so a pool without a fleet
-    /// still answers (slowly) instead of hanging.
-    Local(&'a mut dyn FnMut(ShardSpec) -> (Vec<ProbeRecord>, ShardRunStats)),
+    /// Evaluate pending shards' probes in-process, so a pool without a
+    /// fleet still answers (slowly) instead of hanging.
+    Local(&'a mut LocalProbes<'a>),
     /// Wait for workers; fail with [`DistError::NoWorkers`] once none has
     /// been live for this long (`None` waits forever).
     Wait(Option<Duration>),
+}
+
+/// How a job runs besides its shards: when it gives up, what runs while
+/// no worker is live, and who hears of its progress.
+pub struct JobControl<'a> {
+    /// Raising this fails the job with [`DistError::Canceled`].
+    pub cancel: &'a AtomicBool,
+    /// Past this instant the job fails with
+    /// [`DistError::DeadlineExceeded`].
+    pub deadline: Option<Instant>,
+    /// What the job does while no worker is live.
+    pub fallback: Fallback<'a>,
+    /// Called (outside the pool lock) with the cumulative probe-record
+    /// count each time it grows.
+    pub progress: Box<dyn FnMut(u64) + 'a>,
+}
+
+impl JobControl<'_> {
+    /// Waits for workers — failing with [`DistError::NoWorkers`] once
+    /// none has been live for `idle_timeout` — with no cancel flag,
+    /// deadline or progress reports.
+    pub fn wait(idle_timeout: Option<Duration>) -> JobControl<'static> {
+        static NEVER: AtomicBool = AtomicBool::new(false);
+        JobControl {
+            cancel: &NEVER,
+            deadline: None,
+            fallback: Fallback::Wait(idle_timeout),
+            progress: Box::new(|_| {}),
+        }
+    }
 }
 
 /// Per-worker accounting for one job.
@@ -121,9 +157,10 @@ pub struct WorkerSummary {
 
 /// What one completed job produced.
 pub struct JobOutcome {
-    /// Every probe record of the grid: the job's initial records plus
-    /// each completed shard's.
-    pub records: HashMap<ProbeId, ProbeRecord>,
+    /// The job's initial records plus each completed shard's.
+    pub records: Records,
+    /// The job's journal, handed back for the next round.
+    pub journal: Option<JournalWriter>,
     /// Summed run stats of the shards evaluated for this job.
     pub totals: ShardRunStats,
     /// Service time of each shard evaluated for this job, in completion
@@ -140,6 +177,8 @@ pub struct JobOutcome {
 
 struct JobState {
     spec: JobSpec,
+    /// The probe ids each shard's lease carries.
+    probes: HashMap<ShardSpec, Vec<ProbeId>>,
     pending: VecDeque<ShardSpec>,
     /// Earliest re-lease instant for shards requeued by an eviction.
     not_before: HashMap<ShardSpec, Instant>,
@@ -290,9 +329,7 @@ impl WorkerPool {
 
     /// Runs one job to completion: registers its shards, lets live
     /// workers lease them, and blocks until every shard is done or the
-    /// job fails. `fallback` says what to do while no worker is live.
-    /// `progress` is called (outside the pool lock) with the cumulative
-    /// probe-record count each time it grows.
+    /// job fails under `control`.
     ///
     /// # Errors
     ///
@@ -302,14 +339,7 @@ impl WorkerPool {
     /// retry cap, [`DistError::Journal`] when a shard commit fails, and
     /// [`DistError::NoWorkers`] when [`Fallback::Wait`] runs out. Failures
     /// never tear down the pool.
-    pub fn run_job(
-        &self,
-        job: Job,
-        cancel: &AtomicBool,
-        deadline: Option<Instant>,
-        mut fallback: Fallback<'_>,
-        mut progress: impl FnMut(u64),
-    ) -> Result<JobOutcome, DistError> {
+    pub fn run_job(&self, job: Job, control: &mut JobControl<'_>) -> Result<JobOutcome, DistError> {
         let _span = self.shared.telemetry.span("dist.pool.job");
         let mut reported = job.records.len() as u64;
         let job_id = {
@@ -321,7 +351,8 @@ impl WorkerPool {
                 JobState {
                     spec: job.spec,
                     total: job.shards.len(),
-                    pending: job.shards.into(),
+                    pending: job.shards.iter().map(|&(shard, _)| shard).collect(),
+                    probes: job.shards.into_iter().collect(),
                     not_before: HashMap::new(),
                     attempts: HashMap::new(),
                     leases: HashMap::new(),
@@ -354,7 +385,7 @@ impl WorkerPool {
             if integrated > reported && job.open() {
                 reported = integrated;
                 drop(g);
-                progress(reported);
+                (control.progress)(reported);
                 g = self.shared.lock();
                 continue;
             }
@@ -373,18 +404,19 @@ impl WorkerPool {
                 self.shared.cv.notify_all();
                 return Ok(JobOutcome {
                     records: job.records,
+                    journal: job.journal,
                     totals: job.totals,
                     shard_seconds: job.shard_seconds,
                     workers: job.workers.into_values().collect(),
                     evictions: job.evictions,
                     first_lease: job.first_lease,
                 });
-            } else if cancel.load(Ordering::Relaxed) {
+            } else if control.cancel.load(Ordering::Relaxed) {
                 Some(DistError::Canceled)
-            } else if deadline.is_some_and(|d| Instant::now() >= d) {
+            } else if control.deadline.is_some_and(|d| Instant::now() >= d) {
                 Some(DistError::DeadlineExceeded)
             } else {
-                match &fallback {
+                match &control.fallback {
                     Fallback::Wait(Some(limit)) if idle_since.elapsed() > *limit => {
                         Some(DistError::NoWorkers { waited: *limit })
                     }
@@ -400,12 +432,13 @@ impl WorkerPool {
             // Local takeover: with no live workers, the waiter evaluates
             // pending shards itself (backoff ignored — there is no other
             // worker to wait for).
-            if let Fallback::Local(local) = &mut fallback {
+            if let Fallback::Local(local) = &mut control.fallback {
                 if g.live_workers.is_empty() {
                     let job = g.jobs.get_mut(&job_id).expect("job present");
                     if let Some(shard) = job.pending.pop_front() {
+                        let ids = job.probes[&shard].clone();
                         drop(g);
-                        let (records, stats) = local(shard);
+                        let (records, stats) = local(&ids);
                         self.shared
                             .telemetry
                             .counter("dist.pool.local_shards")
@@ -581,6 +614,7 @@ fn grant_lease(shared: &Shared, job_id: u64, worker: u64, traced: bool) -> Messa
         lease,
         span_id,
         shard,
+        probes: job.probes[&shard].clone(),
     }
 }
 
@@ -781,6 +815,7 @@ fn drive_worker(stream: &TcpStream, id: u64, pid: u32, shared: &Shared) -> ConnE
                         lease,
                         span_id,
                         shard,
+                        ..
                     } = &reply
                     {
                         telemetry.instant(
@@ -892,9 +927,6 @@ mod tests {
             use_prefix_cache: false,
             fingerprint: 1,
             trace_id: 0,
-            estimator: 0,
-            probe_budget: 0,
-            estimator_seed: 0,
         };
         let mut g = PoolState {
             jobs: BTreeMap::new(),
@@ -909,6 +941,7 @@ mod tests {
             1,
             JobState {
                 spec,
+                probes: HashMap::from([(shard, vec![ProbeId::Base])]),
                 pending: VecDeque::new(),
                 not_before: HashMap::new(),
                 attempts: HashMap::new(),

@@ -9,7 +9,7 @@
 //! coord  →                             (Reject + close on fingerprint mismatch)
 //! loop:
 //!   worker → LeaseRequest
-//!   coord  → Lease { lease, span_id, shard } | Idle { retry_ms } | Shutdown
+//!   coord  → Lease { lease, span_id, shard, probes } | Idle { retry_ms } | Shutdown
 //!   worker → Heartbeat { lease }        (from a side thread, any time)
 //!   worker → ShardDone { lease, shard, records, stats, events }
 //! ```
@@ -25,6 +25,11 @@
 //! the connection — the worker returns to awaiting the next `Job`
 //! instead of exiting. `Shutdown` still means "disconnect and exit".
 //!
+//! Protocol v5 puts the probe ids in each `Lease`: the coordinator's
+//! plan decides which probes of a shard run, so a worker evaluates
+//! exactly what it is handed and never plans. `JobSpec` no longer
+//! carries estimator fields.
+//!
 //! Every decode failure is a typed [`FrameError`]; unknown kinds, short
 //! payloads, trailing bytes, and out-of-range enum tags are all rejected
 //! without panicking.
@@ -38,7 +43,7 @@ use std::io::{Read, Write};
 
 /// The measurement job a coordinator hands each worker: everything a
 /// worker needs to reconstruct the coordinator's model, sensitivity set,
-/// and probe grid locally.
+/// and probe perturbations locally.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Model identifier (a `clado` model kind, e.g. `resnet20`).
@@ -55,24 +60,13 @@ pub struct JobSpec {
     pub scheme: u8,
     /// Whether workers reuse cached prefix activations.
     pub use_prefix_cache: bool,
-    /// The coordinator's config fingerprint; workers echo their own in
-    /// `Ready` and mismatches are rejected.
+    /// The coordinator's measurement configuration fingerprint
+    /// (`ShardContext::fingerprint`); workers echo their own in `Ready`
+    /// and mismatches are rejected.
     pub fingerprint: u64,
     /// Trace correlation id minted by the coordinator (0 = tracing
     /// off). Workers tag their local trace events with it.
     pub trace_id: u64,
-    /// Estimator tag for a budgeted sweep (`0` = exact measurement; see
-    /// `clado_core::OmegaProvenance` for the tag space). Workers rebuild
-    /// the same probe plan locally from this tag plus the budget and
-    /// seed below.
-    pub estimator: u8,
-    /// Requested probe budget for an estimation job (`0` with a nonzero
-    /// estimator means the default 25% of the full sweep; must be `0`
-    /// for exact jobs).
-    pub probe_budget: u64,
-    /// Probe-selection seed for an estimation job (ignored for exact
-    /// jobs).
-    pub estimator_seed: u64,
 }
 
 /// One message of the protocol. See the module docs for the exchange.
@@ -110,8 +104,10 @@ pub enum Message {
         /// Trace span id for this shard's execution (0 = tracing off);
         /// the worker tags its shard span with it.
         span_id: u64,
-        /// The shard to evaluate.
+        /// The shard the probes belong to.
         shard: ShardSpec,
+        /// The probes to evaluate, in evaluation order.
+        probes: Vec<ProbeId>,
     },
     /// Nothing to lease right now; ask again after `retry_ms`.
     Idle {
@@ -206,9 +202,9 @@ fn put_shard(out: &mut Vec<u8>, s: ShardSpec) {
     }
 }
 
-/// 26-byte probe-record layout, identical to the CLSJ on-disk record.
-fn put_record(out: &mut Vec<u8>, rec: &ProbeRecord) {
-    let (kind, a, b, c, d) = match rec.id {
+/// 17-byte probe-id layout: kind, then four u32 fields.
+fn put_probe(out: &mut Vec<u8>, id: ProbeId) {
+    let (kind, a, b, c, d) = match id {
         ProbeId::Base => (0u8, 0u32, 0u32, 0u32, 0u32),
         ProbeId::Diag { layer, bit } => (1, layer, bit, 0, 0),
         ProbeId::Pair {
@@ -222,6 +218,11 @@ fn put_record(out: &mut Vec<u8>, rec: &ProbeRecord) {
     for v in [a, b, c, d] {
         put_u32(out, v);
     }
+}
+
+/// 26-byte probe-record layout, identical to the CLSJ on-disk record.
+fn put_record(out: &mut Vec<u8>, rec: &ProbeRecord) {
+    put_probe(out, rec.id);
     put_u64(out, rec.loss.to_bits());
     out.push(u8::from(rec.quarantined));
 }
@@ -291,13 +292,13 @@ fn read_shard(c: &mut Reader<'_>, what: &str) -> Result<ShardSpec, FrameError> {
     }
 }
 
-fn read_record(c: &mut Reader<'_>) -> Result<ProbeRecord, FrameError> {
-    let kind = c.u8("record kind")?;
-    let a = c.u32("record field")?;
-    let b = c.u32("record field")?;
-    let cc = c.u32("record field")?;
-    let d = c.u32("record field")?;
-    let id = match kind {
+fn read_probe(c: &mut Reader<'_>) -> Result<ProbeId, FrameError> {
+    let kind = c.u8("probe kind")?;
+    let a = c.u32("probe field")?;
+    let b = c.u32("probe field")?;
+    let cc = c.u32("probe field")?;
+    let d = c.u32("probe field")?;
+    Ok(match kind {
         0 => ProbeId::Base,
         1 => ProbeId::Diag { layer: a, bit: b },
         2 => ProbeId::Pair {
@@ -308,10 +309,26 @@ fn read_record(c: &mut Reader<'_>) -> Result<ProbeRecord, FrameError> {
         },
         other => {
             return Err(FrameError::Malformed(format!(
-                "record kind {other} out of range"
+                "probe kind {other} out of range"
             )))
         }
-    };
+    })
+}
+
+/// Reads a `u32` element count, rejecting counts the payload cannot hold
+/// before anything is allocated.
+fn read_count(c: &mut Reader<'_>, what: &str, payload: &[u8]) -> Result<usize, FrameError> {
+    let count = c.u32(what)? as usize;
+    if count > payload.len() {
+        return Err(FrameError::Malformed(format!(
+            "{what} {count} exceeds payload size"
+        )));
+    }
+    Ok(count)
+}
+
+fn read_record(c: &mut Reader<'_>) -> Result<ProbeRecord, FrameError> {
+    let id = read_probe(c)?;
     let loss = f64::from_bits(c.u64("record loss")?);
     let quarantined = c.bool("record quarantine flag")?;
     Ok(ProbeRecord {
@@ -405,9 +422,6 @@ impl Message {
                 out.push(u8::from(job.use_prefix_cache));
                 put_u64(&mut out, job.fingerprint);
                 put_u64(&mut out, job.trace_id);
-                out.push(job.estimator);
-                put_u64(&mut out, job.probe_budget);
-                put_u64(&mut out, job.estimator_seed);
             }
             Self::Ready {
                 fingerprint,
@@ -422,10 +436,15 @@ impl Message {
                 lease,
                 span_id,
                 shard,
+                probes,
             } => {
                 put_u64(&mut out, *lease);
                 put_u64(&mut out, *span_id);
                 put_shard(&mut out, *shard);
+                put_u32(&mut out, probes.len() as u32);
+                for &id in probes {
+                    put_probe(&mut out, id);
+                }
             }
             Self::Idle { retry_ms } => put_u32(&mut out, *retry_ms),
             Self::Heartbeat { lease } => put_u64(&mut out, *lease),
@@ -476,9 +495,6 @@ impl Message {
                 use_prefix_cache: c.bool("job.use_prefix_cache")?,
                 fingerprint: c.u64("job.fingerprint")?,
                 trace_id: c.u64("job.trace_id")?,
-                estimator: c.u8("job.estimator")?,
-                probe_budget: c.u64("job.probe_budget")?,
-                estimator_seed: c.u64("job.estimator_seed")?,
             }),
             KIND_READY => Self::Ready {
                 fingerprint: c.u64("ready.fingerprint")?,
@@ -492,6 +508,13 @@ impl Message {
                 lease: c.u64("lease.id")?,
                 span_id: c.u64("lease.span_id")?,
                 shard: read_shard(&mut c, "lease.shard")?,
+                probes: {
+                    // 17 bytes per id.
+                    let count = read_count(&mut c, "lease.probe_count", payload)?;
+                    (0..count)
+                        .map(|_| read_probe(&mut c))
+                        .collect::<Result<_, _>>()?
+                },
             },
             KIND_IDLE => Self::Idle {
                 retry_ms: c.u32("idle.retry_ms")?,
@@ -503,27 +526,15 @@ impl Message {
             KIND_SHARD_DONE => {
                 let lease = c.u64("done.lease")?;
                 let shard = read_shard(&mut c, "done.shard")?;
-                let count = c.u32("done.record_count")? as usize;
-                // 26 bytes per record: an absurd count is caught here
-                // rather than via a giant allocation.
-                if count > payload.len() {
-                    return Err(FrameError::Malformed(format!(
-                        "done.record_count {count} exceeds payload size"
-                    )));
-                }
+                // 26 bytes per record.
+                let count = read_count(&mut c, "done.record_count", payload)?;
                 let mut records = Vec::with_capacity(count);
                 for _ in 0..count {
                     records.push(read_record(&mut c)?);
                 }
                 let stats = read_stats(&mut c)?;
-                let event_count = c.u32("done.event_count")? as usize;
-                // Each event is at least ~30 bytes; reject absurd
-                // counts before allocating.
-                if event_count > payload.len() {
-                    return Err(FrameError::Malformed(format!(
-                        "done.event_count {event_count} exceeds payload size"
-                    )));
-                }
+                // Each event is at least ~30 bytes.
+                let event_count = read_count(&mut c, "done.event_count", payload)?;
                 let mut events = Vec::with_capacity(event_count);
                 for _ in 0..event_count {
                     events.push(read_event(&mut c)?);
@@ -580,9 +591,6 @@ mod tests {
                 use_prefix_cache: true,
                 fingerprint: 0xDEAD_BEEF_CAFE_F00D,
                 trace_id: 0x1234_5678_9ABC_DEF0,
-                estimator: 3,
-                probe_budget: 250,
-                estimator_seed: 0xE571,
             }),
             Message::Ready {
                 fingerprint: u64::MAX,
@@ -596,6 +604,20 @@ mod tests {
                 lease: 3,
                 span_id: 77,
                 shard: ShardSpec::Pair { outer: 11 },
+                probes: vec![
+                    ProbeId::Pair {
+                        layer_i: 11,
+                        bit_m: 0,
+                        layer_j: 12,
+                        bit_n: 2,
+                    },
+                    ProbeId::Pair {
+                        layer_i: 11,
+                        bit_m: 1,
+                        layer_j: 14,
+                        bit_n: 0,
+                    },
+                ],
             },
             Message::Idle { retry_ms: 50 },
             Message::Shutdown,
@@ -697,14 +719,10 @@ mod tests {
             use_prefix_cache: false,
             fingerprint: 0,
             trace_id: 0,
-            estimator: 0,
-            probe_budget: 0,
-            estimator_seed: 0,
         })
         .encode();
-        // The flag sits before fingerprint (8), trace_id (8), estimator
-        // (1), probe_budget (8), and estimator_seed (8).
-        let flag_at = job.len() - 34;
+        // The flag sits before fingerprint (8) and trace_id (8).
+        let flag_at = job.len() - 17;
         job[flag_at] = 2;
         let err = Message::decode(KIND_JOB, &job).unwrap_err();
         assert!(matches!(err, FrameError::Malformed(_)), "{err}");

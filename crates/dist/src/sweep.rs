@@ -1,5 +1,9 @@
-//! A one-shot distributed sweep on the worker pool — what `clado measure
-//! --workers N` / `--listen` runs.
+//! An Ω sweep on the worker pool — what `clado measure --workers N` /
+//! `--listen` and every `clado serve` cache miss run.
+//!
+//! [`run_sweep`] is [`clado_core::run_plan`] with the pool as executor:
+//! each round of the plan is one [`WorkerPool::run_job`], whose leases
+//! carry the round's probe ids.
 //!
 //! # Crash safety
 //!
@@ -10,25 +14,20 @@
 //! distributed again or a plain single-process `measure_sensitivities`.
 
 use crate::error::DistError;
-use crate::pool::{Fallback, Job, WorkerPool, WorkerSummary};
+use crate::pool::{Job, JobControl, WorkerPool, WorkerSummary};
 use crate::protocol::JobSpec;
-use clado_core::journal::open_checkpoint;
-use clado_core::{ProbeId, SensitivityMatrix, ShardContext, ShardSpec};
-use clado_estim::{assemble_omega, job_fingerprint, GridEstimation};
+use clado_core::{run_plan, OmegaPlan, SensitivityMatrix};
+use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::atomic::AtomicBool;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The result of a completed distributed sweep.
 #[derive(Debug, Clone)]
 pub struct DistOutcome {
-    /// The assembled sensitivity matrix — bitwise identical to a
-    /// single-process [`clado_core::measure_sensitivities`] run of the
-    /// same configuration (or, for an estimation job, to
-    /// `clado_estim::estimate_sensitivities` under the same estimator,
-    /// budget, and seed).
+    /// The assembled sensitivity matrix — bitwise identical to the same
+    /// plan swept in a single process.
     pub matrix: SensitivityMatrix,
-    /// Per-worker accounting, ordered by worker id.
+    /// Per-worker accounting over every round, ordered by worker id.
     pub workers: Vec<WorkerSummary>,
     /// Service time of each shard evaluated in this run.
     pub shard_seconds: Vec<f64>,
@@ -48,94 +47,70 @@ pub struct DistOutcome {
     pub steady_seconds: f64,
 }
 
-/// Runs one sweep of `ctx`'s grid on `pool`: loads (or, with `resume`,
-/// restores) the CLSJ journal in `checkpoint_dir`, runs one job over the
-/// shards not yet journaled, and assembles Ω. `job.fingerprint` is
-/// filled in from `ctx` and the job's estimator fields. The sweep does
-/// no local takeover: it waits for workers and fails with
-/// [`DistError::NoWorkers`] once none has been live for `idle_timeout`.
+/// Sweeps `plan` on `pool`: loads (or, with `resume`, restores) the CLSJ
+/// journal in `checkpoint_dir`, runs each round of the plan as one job of
+/// `spec` under `control` — leases carry the round's unjournaled probe
+/// ids — and assembles Ω. `spec.fingerprint` must be the measurement
+/// configuration's (`ShardContext::fingerprint`), which every worker's
+/// `Ready` echoes.
 ///
 /// # Errors
 ///
-/// [`DistError::BadJob`] for an estimator tag that cannot be sharded,
 /// [`DistError::Journal`] for checkpoint failures (completed shards stay
-/// on disk), [`DistError::Measure`] for assembly failures, and the
-/// failures of [`WorkerPool::run_job`].
+/// on disk), [`DistError::Measure`] for planning and assembly failures,
+/// and the failures of [`WorkerPool::run_job`].
 pub fn run_sweep(
     pool: &WorkerPool,
-    ctx: &ShardContext,
-    job: JobSpec,
+    plan: &dyn OmegaPlan,
+    spec: JobSpec,
     checkpoint_dir: Option<&Path>,
     resume: bool,
-    idle_timeout: Option<Duration>,
+    control: &mut JobControl<'_>,
 ) -> Result<DistOutcome, DistError> {
     let started = Instant::now();
-    let est = GridEstimation::from_job(job.estimator, job.probe_budget, job.estimator_seed)
-        .map_err(DistError::BadJob)?;
-    let fingerprint = job_fingerprint(ctx, est.as_ref());
-
-    // Load (or refuse) the checkpoint journal exactly like the in-process
-    // engine: same fingerprint, same not-empty guard.
-    let (state, journal) = open_checkpoint(checkpoint_dir, fingerprint, resume)?;
-    let records = state.records;
-    let resumed = records.len();
-    // In estimation mode a pair shard only carries its selected probes,
-    // so resume completeness is "any record present": CLSJ shard commits
-    // are atomic and workers ship each shard's whole selection in one
-    // ShardDone. A pair shard whose selection was empty is simply
-    // re-leased — workers return it instantly.
-    let journaled = |shard: ShardSpec| match (est, shard) {
-        (Some(_), ShardSpec::Pair { outer }) => records
-            .keys()
-            .any(|id| matches!(id, ProbeId::Pair { layer_i, .. } if *layer_i == outer)),
-        _ => ctx
-            .shard_probes(shard)
-            .iter()
-            .all(|id| records.contains_key(id)),
-    };
-    let shards: Vec<ShardSpec> = ctx
-        .shards()
-        .into_iter()
-        .filter(|&s| !journaled(s))
-        .collect();
-
-    let outcome = pool.run_job(
-        Job {
-            spec: JobSpec { fingerprint, ..job },
-            shards,
-            records,
-            journal,
-        },
-        &AtomicBool::new(false),
-        None,
-        Fallback::Wait(idle_timeout),
-        |_| {},
-    )?;
-    let matrix = assemble_omega(
-        ctx,
-        &outcome.records,
-        est.as_ref(),
-        &outcome.totals,
-        outcome.workers.len(),
-        resumed,
-        started,
-    )?;
+    let mut workers: BTreeMap<u64, WorkerSummary> = BTreeMap::new();
+    let (mut shard_seconds, mut evictions, mut first_lease) = (Vec::new(), 0, None);
+    let swept = run_plan(plan, checkpoint_dir, resume, |round, _, state| {
+        let job = Job {
+            spec: spec.clone(),
+            shards: round.clone(),
+            records: std::mem::take(&mut state.records),
+            journal: state.journal.take(),
+        };
+        let outcome = pool.run_job(job, control)?;
+        state.records = outcome.records;
+        state.journal = outcome.journal;
+        for w in outcome.workers {
+            let total = workers.entry(w.id).or_insert(WorkerSummary {
+                shards: 0,
+                probes: 0,
+                seconds: 0.0,
+                ..w
+            });
+            total.shards += w.shards;
+            total.probes += w.probes;
+            total.seconds += w.seconds;
+        }
+        shard_seconds.extend(outcome.shard_seconds);
+        evictions += outcome.evictions;
+        first_lease = first_lease.or(outcome.first_lease);
+        Ok::<_, DistError>(outcome.totals)
+    })?;
+    let workers: Vec<WorkerSummary> = workers.into_values().collect();
+    let mut matrix = swept.matrix;
+    matrix.stats.threads_used = workers.iter().filter(|w| w.shards > 0).count().max(1);
     let total_seconds = matrix.stats.seconds;
-    let startup_seconds = outcome
-        .first_lease
-        .map_or(total_seconds, |t| t.duration_since(started).as_secs_f64());
+    let startup_seconds = first_lease.map_or(total_seconds, |t: Instant| {
+        t.duration_since(started).as_secs_f64()
+    });
     Ok(DistOutcome {
-        straggler_seconds: outcome
-            .workers
-            .iter()
-            .map(|w| w.seconds)
-            .fold(0.0, f64::max),
+        straggler_seconds: workers.iter().map(|w| w.seconds).fold(0.0, f64::max),
+        resumed: matrix.stats.resumed,
         matrix,
-        workers: outcome.workers,
-        shard_seconds: outcome.shard_seconds,
-        evictions: outcome.evictions,
+        workers,
+        shard_seconds,
+        evictions,
         rejected: pool.rejected_workers(),
-        resumed,
         startup_seconds,
         steady_seconds: (total_seconds - startup_seconds).max(0.0),
     })

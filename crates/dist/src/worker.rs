@@ -1,5 +1,6 @@
 //! The sweep worker: connects to a worker pool, reconstructs each job
-//! locally, and evaluates leased shards until told to shut down.
+//! locally, and evaluates the probes each lease carries until told to
+//! shut down. It never plans: which probes run is the coordinator's call.
 //!
 //! The worker's main thread is synchronous — request a lease, evaluate
 //! it, report it — while a side thread sends `Heartbeat` frames every
@@ -10,13 +11,12 @@
 use crate::error::DistError;
 use crate::frame::{FrameError, PROTOCOL_VERSION};
 use crate::protocol::{self, scheme_from_u8, JobSpec, Message};
-use clado_core::ShardContext;
-use clado_estim::{job_fingerprint, GridEstimation, ProbePlanner};
+use clado_core::{fnv1a, ShardContext};
 use clado_models::DataSplit;
 use clado_nn::Network;
 use clado_quant::BitWidthSet;
 use clado_telemetry::{faultpoint, Telemetry};
-use std::io::Write;
+use std::io::{self, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -122,27 +122,42 @@ fn backoff_delay(attempt: u32) -> Duration {
     seed[..4].copy_from_slice(&std::process::id().to_le_bytes());
     seed[4..].copy_from_slice(&attempt.to_le_bytes());
     let jitter_span = nominal / 2; // ±25% around the nominal delay
-    let jitter = crate::frame::fnv1a(&seed) % (jitter_span + 1);
+    let jitter = fnv1a(&seed) % (jitter_span + 1);
     Duration::from_millis(nominal - jitter_span / 2 + jitter)
 }
 
-fn connect_with_retry(addr: &str, window: Duration, retries: u32) -> Result<TcpStream, DistError> {
-    let deadline = Instant::now() + window;
+/// Connects to `addr`, retrying a failed connect up to `retries` times
+/// under capped exponential backoff (100 ms doubling to 1.6 s, ±25%
+/// jitter from pid ‖ attempt, so a fleet restarting against one endpoint
+/// doesn't reconnect in lockstep). With a `window`, retries also stop
+/// once it has elapsed. Pool workers and serve clients both connect
+/// through it.
+///
+/// # Errors
+///
+/// The last connect error once the retries or the window run out.
+pub fn connect_with_retry(
+    addr: &str,
+    window: Option<Duration>,
+    retries: u32,
+) -> io::Result<TcpStream> {
+    let deadline = window.map(|w| Instant::now() + w);
     let mut attempt = 0u32;
     loop {
         match TcpStream::connect(addr) {
             Ok(stream) => return Ok(stream),
+            Err(e) if attempt >= retries => return Err(e),
             Err(e) => {
-                if attempt >= retries {
-                    return Err(DistError::Io(e));
-                }
-                let delay = backoff_delay(attempt);
+                let mut delay = backoff_delay(attempt);
                 attempt += 1;
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(DistError::Io(e));
+                if let Some(deadline) = deadline {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return Err(e);
+                    }
+                    delay = delay.min(deadline - now);
                 }
-                std::thread::sleep(delay.min(deadline - now));
+                std::thread::sleep(delay);
             }
         }
     }
@@ -157,18 +172,16 @@ enum JobEnd {
 }
 
 /// The worker-driven lease/evaluate/report cycle for one job.
-#[allow(clippy::too_many_arguments)]
 fn lease_loop(
     conn: &Conn,
     ctx: &ShardContext,
-    planner: Option<&ProbePlanner>,
     network: &mut Network,
     set: &DataSplit,
-    telemetry: &Telemetry,
+    opts: &WorkerOptions,
     current_lease: &AtomicU64,
     report: &mut WorkerReport,
-    verbose: bool,
 ) -> Result<JobEnd, DistError> {
+    let telemetry = &opts.telemetry;
     let roundtrip = telemetry.histogram("dist.roundtrip");
     loop {
         let rt_start = Instant::now();
@@ -180,6 +193,7 @@ fn lease_loop(
                 lease,
                 span_id,
                 shard,
+                probes,
             } => {
                 current_lease.store(lease, Ordering::Relaxed);
                 // Debug-build fail point: a worker process armed with
@@ -195,21 +209,14 @@ fn lease_loop(
                             ("shard".to_string(), shard.to_string().into()),
                         ],
                     );
-                    // Estimation jobs route every shard through the
-                    // probe plan: base/diag shards replay the records
-                    // the planner already measured, pair shards run
-                    // only their selected probes.
-                    match planner {
-                        Some(p) => p.run_shard(ctx, network, set, shard, telemetry),
-                        None => ctx.run_shard(network, set, shard, telemetry),
-                    }
+                    ctx.run_probes(network, set, &probes, telemetry)
                 };
                 current_lease.store(0, Ordering::Relaxed);
                 report.shards += 1;
                 report.probes += records.len() as u64;
                 report.seconds += stats.seconds;
                 telemetry.counter("dist.shards_evaluated").incr();
-                if verbose {
+                if opts.verbose {
                     eprintln!(
                         "dist: evaluated {shard} ({} probes, {:.2}s)",
                         records.len(),
@@ -260,8 +267,7 @@ fn lease_loop(
 /// # Errors
 ///
 /// [`DistError::Rejected`] when the pool refuses the worker (version or
-/// fingerprint mismatch), [`DistError::BadJob`] for a job this worker
-/// cannot shard, [`DistError::Provider`] when the job cannot be
+/// fingerprint mismatch), [`DistError::Provider`] when the job cannot be
 /// reconstructed, and [`DistError::Frame`]/[`DistError::Io`] when the
 /// link drops mid-job. A disconnect between jobs is a clean exit.
 pub fn run_worker<F>(
@@ -274,7 +280,8 @@ where
 {
     let telemetry = opts.telemetry.clone();
     let _root = telemetry.span("dist.work");
-    let stream = connect_with_retry(addr, opts.connect_timeout, opts.connect_retries)?;
+    let stream = connect_with_retry(addr, Some(opts.connect_timeout), opts.connect_retries)
+        .map_err(DistError::Io)?;
     stream.set_nodelay(true).map_err(DistError::Io)?;
     stream
         .set_read_timeout(Some(REPLY_TIMEOUT))
@@ -318,7 +325,8 @@ where
         }
     };
 
-    let mut cached: Option<(JobSpec, Network, DataSplit)> = None;
+    // The last job's reconstruction; a sweep's rounds share one spec.
+    let mut cached: Option<(JobSpec, Network, DataSplit, ShardContext)> = None;
     let mut report = WorkerReport::default();
     loop {
         // Await the next job. Read timeouts are routine here — the pool
@@ -352,29 +360,26 @@ where
             trace_id: 0,
             ..job.clone()
         };
-        let fresh = !matches!(&cached, Some((k, _, _)) if *k == key);
+        let fresh = !matches!(&cached, Some((k, ..)) if *k == key);
         if fresh {
             let _s = telemetry.span("dist.work.load");
             let (network, set) = provider(&job).map_err(DistError::Provider)?;
-            cached = Some((key, network, set));
+            let ctx = ShardContext::new(
+                &network,
+                set.len(),
+                &BitWidthSet::new(&job.bits),
+                scheme,
+                job.batch_size as usize,
+                job.use_prefix_cache,
+            );
+            cached = Some((key, network, set, ctx));
         } else {
             telemetry.counter("dist.pool.model_reuse").incr();
         }
-        let Some((_, network, set)) = cached.as_mut() else {
+        let Some((_, network, set, ctx)) = cached.as_mut() else {
             unreachable!("cache populated above");
         };
-        let bits = BitWidthSet::new(&job.bits);
-        let ctx = ShardContext::new(
-            network,
-            set.len(),
-            &bits,
-            scheme,
-            job.batch_size as usize,
-            job.use_prefix_cache,
-        );
-        let est = GridEstimation::from_job(job.estimator, job.probe_budget, job.estimator_seed)
-            .map_err(DistError::BadJob)?;
-        let fingerprint = job_fingerprint(&ctx, est.as_ref());
+        let fingerprint = ctx.fingerprint();
         if opts.verbose && fingerprint != job.fingerprint {
             eprintln!(
                 "dist: local fingerprint {fingerprint:#018x} differs from job \
@@ -382,33 +387,51 @@ where
                 job.fingerprint
             );
         }
-        // Estimation jobs rebuild the deterministic probe plan locally:
-        // the base and diagonal probes it measures are bitwise identical
-        // on every node, so every worker derives the same plan from the
-        // job's tag, budget, and seed.
-        let planner = match est {
-            Some(e) => Some(e.plan(&ctx, network, set, &telemetry)?.0),
-            None => None,
-        };
         conn.send(&Message::Ready {
             fingerprint,
             clock_us: telemetry.now_us(),
         })?;
-        match lease_loop(
-            &conn,
-            &ctx,
-            planner.as_ref(),
-            network,
-            set,
-            &telemetry,
-            &current_lease,
-            &mut report,
-            opts.verbose,
-        )? {
+        match lease_loop(&conn, ctx, network, set, opts, &current_lease, &mut report)? {
             JobEnd::JobOver => {
                 telemetry.counter("dist.pool.jobs_completed").incr();
             }
             JobEnd::Shutdown => return Ok(report),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn backoff_doubles_with_bounded_jitter() {
+        for attempt in 0..12 {
+            let nominal = (100u64 << attempt.min(10)).min(1_600);
+            let d = backoff_delay(attempt).as_millis() as u64;
+            assert!(
+                d >= nominal - nominal / 2 / 2 && d <= nominal + nominal / 2 / 2 + 1,
+                "attempt {attempt}: delay {d} ms outside ±25% of {nominal} ms"
+            );
+        }
+        // Deterministic within a process.
+        assert_eq!(backoff_delay(3), backoff_delay(3));
+    }
+
+    #[test]
+    fn connect_retries_eventually_surface_the_io_error() {
+        // Nothing listens on a reserved-but-closed port: the connect
+        // fails after its retries instead of hanging.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        drop(listener);
+        let started = Instant::now();
+        assert!(connect_with_retry(&addr, None, 2).is_err());
+        // Two backoffs (≥ ~75 ms + ~150 ms nominal-with-jitter) elapsed.
+        assert!(started.elapsed() >= Duration::from_millis(150));
+        // A spent window stops the retries early.
+        let started = Instant::now();
+        assert!(connect_with_retry(&addr, Some(Duration::ZERO), 5).is_err());
+        assert!(started.elapsed() < Duration::from_millis(150));
     }
 }

@@ -10,12 +10,12 @@
 //! for one test must never fire inside another's workers.
 
 use clado_core::{
-    load_sensitivities, measure_sensitivities, save_sensitivities, MeasureError, SensitivityMatrix,
-    SensitivityOptions, ShardContext,
+    load_sensitivities, measure_sensitivities, save_sensitivities, MeasureError, OmegaPlan,
+    SensitivityMatrix, SensitivityOptions, ShardContext,
 };
 use clado_dist::{
-    protocol, run_sweep, run_worker, DistError, DistOutcome, JobSpec, Message, PoolOptions,
-    WorkerOptions, WorkerPool,
+    protocol, run_sweep, run_worker, DistError, DistOutcome, JobControl, JobSpec, Message,
+    PoolOptions, WorkerOptions, WorkerPool,
 };
 use clado_models::{DataSplit, SynthVision, SynthVisionConfig};
 use clado_nn::Network;
@@ -85,9 +85,6 @@ fn job(fingerprint: u64) -> JobSpec {
         use_prefix_cache: true,
         fingerprint,
         trace_id: 0,
-        estimator: 0,
-        probe_budget: 0,
-        estimator_seed: 0,
     }
 }
 
@@ -95,21 +92,21 @@ fn bind(opts: PoolOptions) -> WorkerPool {
     WorkerPool::bind("127.0.0.1:0", opts).expect("bind worker pool")
 }
 
-/// One sweep on `pool` with the suite's idle timeout.
+/// One sweep of `plan` on `pool` with the suite's idle timeout.
 fn sweep(
     pool: &WorkerPool,
-    ctx: &ShardContext,
+    plan: &dyn OmegaPlan,
     job: JobSpec,
     checkpoint_dir: Option<&std::path::Path>,
     resume: bool,
 ) -> Result<DistOutcome, DistError> {
     run_sweep(
         pool,
-        ctx,
+        plan,
         job,
         checkpoint_dir,
         resume,
-        Some(Duration::from_secs(60)),
+        &mut JobControl::wait(Some(Duration::from_secs(60))),
     )
 }
 
@@ -205,13 +202,13 @@ fn distributed_sweep_matches_single_process_bitwise() {
 /// Same seed + budget ⇒ a 2-worker distributed estimation sweep is
 /// bitwise identical to the single-process estimator, for both a
 /// completion-based estimator (sketched: the sweep runs the same ALS
-/// the single-process path does) and the adaptive two-round one (each
-/// pair shard's refinement is self-contained, so sharding cannot change
+/// the single-process path does) and the adaptive one (its refinement
+/// round reads each pair shard's own records, so sharding cannot change
 /// it).
 #[test]
 fn distributed_estimation_matches_single_process_bitwise() {
     use clado_estim::{
-        estimate_sensitivities, estimation_fingerprint, EstimatorKind, EstimatorOptions,
+        estimate_sensitivities, EstimationPlan, EstimatorKind, EstimatorOptions,
         DEFAULT_ESTIMATOR_SEED,
     };
     let _guard = test_guard();
@@ -231,54 +228,76 @@ fn distributed_estimation_matches_single_process_bitwise() {
         )
         .expect("single-process estimate");
         let ctx = context(&net, &set);
-        let mut job = job(estimation_fingerprint(
-            &ctx,
-            kind,
-            budget,
-            DEFAULT_ESTIMATOR_SEED,
-        ));
-        job.estimator = kind.tag();
-        job.probe_budget = budget as u64;
-        job.estimator_seed = DEFAULT_ESTIMATOR_SEED;
+        let plan = EstimationPlan::new(&ctx, kind, budget, DEFAULT_ESTIMATOR_SEED);
         let pool = bind(PoolOptions::default());
         let addr = pool.worker_addr().to_string();
         let workers = spawn_workers(&addr, 2, &net, &set, &WorkerOptions::default());
-        let outcome = sweep(&pool, &ctx, job, None, false).expect("distributed estimation");
+        let outcome = sweep(&pool, &plan, job(ctx.fingerprint()), None, false)
+            .expect("distributed estimation");
         finish(pool, workers);
         assert_bitwise_equal(&outcome.matrix, &single.matrix, kind.name());
         assert_eq!(
             outcome.matrix.stats.provenance, single.matrix.stats.provenance,
             "{kind}: distributed provenance matches single-process"
         );
+        assert_eq!(
+            outcome.matrix.stats.evaluations, single.probes_spent,
+            "{kind}: every planned probe measured once"
+        );
         assert_eq!(outcome.evictions, 0, "{kind}");
         assert_eq!(outcome.rejected, 0, "{kind}");
     }
 }
 
-/// Hutchinson estimation is diagonal-only and cannot be grid-sharded:
-/// the sweep refuses the job up front instead of producing a
-/// half-meaningful sweep.
+/// Pool workers evaluate exactly the probe ids their leases carry: in a
+/// 2-worker blocktopk sweep the workers' summed `measure.evaluations`
+/// is the plan's probe count — the base and diagonal probes are measured
+/// once, not once more per worker to rebuild the plan.
 #[test]
-fn sweep_rejects_hutchinson_and_unknown_estimators() {
-    use clado_estim::EstimatorKind;
+fn estimated_pool_sweep_measures_each_planned_probe_once() {
+    use clado_estim::{
+        estimate_sensitivities, EstimationPlan, EstimatorKind, EstimatorOptions,
+        DEFAULT_ESTIMATOR_SEED,
+    };
     let _guard = test_guard();
     let (net, set) = setup();
+    let budget = 13usize;
+    let planned = estimate_sensitivities(
+        &mut net.clone(),
+        &set,
+        &bits(),
+        &EstimatorOptions {
+            probe_budget: budget,
+            ..EstimatorOptions::new(EstimatorKind::BlockTopK)
+        },
+    )
+    .expect("single-process estimate")
+    .probes_spent;
+    let ctx = context(&net, &set);
+    let plan = EstimationPlan::new(
+        &ctx,
+        EstimatorKind::BlockTopK,
+        budget,
+        DEFAULT_ESTIMATOR_SEED,
+    );
+    let telemetry = Telemetry::new();
     let pool = bind(PoolOptions::default());
-    for tag in [EstimatorKind::Hutchinson.tag(), 200u8] {
-        let ctx = context(&net, &set);
-        let mut bad = job(ctx.fingerprint());
-        bad.estimator = tag;
-        match sweep(&pool, &ctx, bad, None, false) {
-            Err(DistError::BadJob(why)) => {
-                assert!(
-                    why.contains("hutchinson") || why.contains("unknown estimator"),
-                    "unexpected reason: {why}"
-                );
-            }
-            other => panic!("expected BadJob, got {other:?}"),
-        }
-    }
-    pool.shutdown();
+    let addr = pool.worker_addr().to_string();
+    let opts = WorkerOptions {
+        telemetry: telemetry.clone(),
+        ..WorkerOptions::default()
+    };
+    let workers = spawn_workers(&addr, 2, &net, &set, &opts);
+    let outcome =
+        sweep(&pool, &plan, job(ctx.fingerprint()), None, false).expect("distributed estimation");
+    finish(pool, workers);
+    assert_eq!(outcome.evictions, 0);
+    assert_eq!(
+        telemetry.counter_value("measure.evaluations") as usize,
+        planned,
+        "workers measured {} probes for a {planned}-probe plan",
+        telemetry.counter_value("measure.evaluations")
+    );
 }
 
 #[cfg(debug_assertions)]

@@ -119,9 +119,6 @@ proptest! {
         cache_flag in 0u8..=1,
         model_byte in 0u8..=255,
         trace_id in 0u64..u64::MAX,
-        estimator in 0u8..=4,
-        probe_budget in 0u64..u64::MAX,
-        estimator_seed in 0u64..u64::MAX,
     ) {
         // Model names exercise multi-byte UTF-8, not just ASCII.
         let model: String = std::iter::repeat_n('λ', model_len % 8)
@@ -137,9 +134,6 @@ proptest! {
             use_prefix_cache: cache_flag == 1,
             fingerprint,
             trace_id,
-            estimator,
-            probe_budget,
-            estimator_seed,
         }))?;
     }
 
@@ -171,8 +165,16 @@ proptest! {
         span_id in 0u64..u64::MAX,
         tag in 0u8..=2,
         index in 0u32..=u32::MAX,
+        probes in prop::collection::vec(
+            (0u8..=2, (0u32..=1024, 0u32..=7), (0u32..=1024, 0u32..=7)),
+            0..=32,
+        ),
     ) {
-        round_trip(&Message::Lease { lease, span_id, shard: shard_spec(tag, index) })?;
+        let probes = probes
+            .into_iter()
+            .map(|(kind, (a, b), (c, d))| probe_id(kind, a, b, c, d))
+            .collect();
+        round_trip(&Message::Lease { lease, span_id, shard: shard_spec(tag, index), probes })?;
     }
 
     #[test]

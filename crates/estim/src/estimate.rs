@@ -1,21 +1,19 @@
-//! The estimation entry point: budgeted Ω measurement behind the
-//! [`OmegaEstimator`] trait, with CLSJ journaling, resume, and the same
-//! threaded fan-out as the exact sweep.
+//! The estimation entry point: budgeted Ω measurement for every
+//! [`EstimatorKind`], with CLSJ journaling, resume, and the same threaded
+//! fan-out as the exact sweep.
 
-use crate::complete::complete_partial;
-use crate::planner::{mandatory_probes, resolve_budget, ProbePlanner};
+use crate::planner::EstimationPlan;
 use crate::EstimatorKind;
-use clado_core::journal::{self, ProbeId, ProbeRecord};
 use clado_core::{
-    estimator_config_fingerprint, eval_loss, hawq_sensitivities, replica_map_checked,
-    resolve_threads, BaselineOptions, MeasureError, OmegaProvenance, SensitivityMatrix,
-    SensitivityOptions, SensitivityStats, ShardContext, ShardRunStats, ShardSpec,
+    eval_loss, hawq_sensitivities, resolve_threads, run_plan_in_process, BaselineOptions,
+    MeasureError, OmegaProvenance, SensitivityMatrix, SensitivityOptions, SensitivityStats,
+    ShardContext,
 };
 use clado_models::DataSplit;
 use clado_nn::Network;
 use clado_quant::BitWidthSet;
 use clado_solver::ObservedMask;
-use std::collections::HashMap;
+use clado_telemetry::Telemetry;
 use std::time::Instant;
 
 /// Default estimator RNG seed (distinct from the measurement and
@@ -94,117 +92,17 @@ impl EstimatedOmega {
     }
 }
 
-/// A sub-quadratic Ω estimator.
-///
-/// The four implementations are stateless unit structs; all run
-/// configuration lives in [`EstimatorOptions`] (whose `kind` field is
-/// overridden by the implementation, so a `Box<dyn OmegaEstimator>` from
-/// [`estimator_for`] always runs its own algorithm).
-pub trait OmegaEstimator {
-    /// The kind this estimator implements.
-    fn kind(&self) -> EstimatorKind;
-
-    /// Runs the estimation on `network` against `set`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MeasureError`] from the underlying probe engine and
-    /// journal (see [`estimate_sensitivities`]).
-    fn estimate(
-        &self,
-        network: &mut Network,
-        set: &DataSplit,
-        bits: &BitWidthSet,
-        options: &EstimatorOptions,
-    ) -> Result<EstimatedOmega, MeasureError> {
-        let mut options = options.clone();
-        options.kind = self.kind();
-        estimate_sensitivities(network, set, bits, &options)
-    }
-}
-
-/// Sketched low-rank recovery (see [`EstimatorKind::Sketched`]).
-pub struct SketchedEstimator;
-/// Adaptive confidence-interval sampling (see [`EstimatorKind::Adaptive`]).
-pub struct AdaptiveEstimator;
-/// Block-diagonal + top-k cross terms (see [`EstimatorKind::BlockTopK`]).
-pub struct BlockTopKEstimator;
-/// Hutchinson diagonal-only estimation (see
-/// [`EstimatorKind::Hutchinson`]).
-pub struct HutchinsonEstimator;
-
-impl OmegaEstimator for SketchedEstimator {
-    fn kind(&self) -> EstimatorKind {
-        EstimatorKind::Sketched
-    }
-}
-impl OmegaEstimator for AdaptiveEstimator {
-    fn kind(&self) -> EstimatorKind {
-        EstimatorKind::Adaptive
-    }
-}
-impl OmegaEstimator for BlockTopKEstimator {
-    fn kind(&self) -> EstimatorKind {
-        EstimatorKind::BlockTopK
-    }
-}
-impl OmegaEstimator for HutchinsonEstimator {
-    fn kind(&self) -> EstimatorKind {
-        EstimatorKind::Hutchinson
-    }
-}
-
-/// The probe budget a grid estimation run actually spends for a
-/// `requested` budget under `ctx`'s grid: `0` resolves to 25% of the
-/// full sweep, and any request is floored at the mandatory
-/// base+diagonal probes and capped at the full sweep.
-pub fn resolved_probe_budget(ctx: &ShardContext, requested: usize) -> usize {
-    let mandatory = mandatory_probes(ctx.num_layers(), ctx.bits().len());
-    resolve_budget(requested, ctx.total_probes(), mandatory)
-}
-
-/// The journal/handshake fingerprint of a grid estimation run: the
-/// measurement configuration fingerprint folded with the estimator tag,
-/// the **resolved** probe budget, and the selection seed. Distributed
-/// coordinators and workers must agree on this exact value for an
-/// estimation sweep to hand out leases — and it is what
-/// [`estimate_sensitivities`] stamps on the CLSJ journal, so a
-/// single-process checkpoint can be finished by a cluster and vice
-/// versa.
-pub fn estimation_fingerprint(
-    ctx: &ShardContext,
-    kind: EstimatorKind,
-    requested_budget: usize,
-    seed: u64,
-) -> u64 {
-    estimator_config_fingerprint(
-        ctx.fingerprint(),
-        kind.tag(),
-        resolved_probe_budget(ctx, requested_budget) as u64,
-        seed,
-    )
-}
-
-/// The estimator implementing `kind`.
-pub fn estimator_for(kind: EstimatorKind) -> Box<dyn OmegaEstimator> {
-    match kind {
-        EstimatorKind::Sketched => Box::new(SketchedEstimator),
-        EstimatorKind::Adaptive => Box::new(AdaptiveEstimator),
-        EstimatorKind::BlockTopK => Box::new(BlockTopKEstimator),
-        EstimatorKind::Hutchinson => Box::new(HutchinsonEstimator),
-    }
-}
-
 /// Estimates Ω under a probe budget — the budgeted analogue of
 /// [`clado_core::measure_sensitivities`].
 ///
-/// Grid estimators (sketched, adaptive, blocktopk) measure the base and
-/// diagonal probes exactly, select pair probes deterministically from
-/// the seed/budget/diagonal values ([`ProbePlanner`]), fan the pair
-/// shards out over [`SensitivityOptions::threads`] worker replicas, and
-/// complete the partial matrix. The result is bitwise identical for any
+/// Grid estimators (sketched, adaptive, blocktopk) sweep their
+/// [`EstimationPlan`] in process ([`run_plan_in_process`]): the base and
+/// diagonal probes, then the pair probes they select deterministically
+/// from the seed and budget (and, for adaptive, a refinement round), each
+/// round on [`SensitivityOptions::threads`] worker replicas; then the
+/// partial matrix is completed. The result is bitwise identical for any
 /// thread count and across resumes, and the CLSJ journal (stamped with
-/// [`estimator_config_fingerprint`]) makes the sweep crash-safe exactly
+/// the plan's estimator fingerprint) makes the sweep crash-safe exactly
 /// like exact measurement. The Hutchinson kind instead estimates a
 /// diagonal-only Ω from Hessian-trace probes; it never touches the grid
 /// journal.
@@ -227,149 +125,36 @@ pub fn estimate_sensitivities(
     if options.kind == EstimatorKind::Hutchinson {
         return estimate_hutchinson(network, set, bits, options);
     }
-    let start = Instant::now();
-    let telemetry = options.measure.telemetry.clone();
-    let _span = telemetry.span("estim.measure");
+    let measure = &options.measure;
+    let _span = measure.telemetry.span("estim.measure");
     let ctx = ShardContext::new(
         network,
         set.len(),
         bits,
-        options.measure.scheme,
-        options.measure.batch_size,
-        options.measure.use_prefix_cache,
+        measure.scheme,
+        measure.batch_size,
+        measure.use_prefix_cache,
     );
-    let num_layers = ctx.num_layers();
-    let k = bits.len();
-    let full_sweep = ctx.total_probes();
-    let mandatory = mandatory_probes(num_layers, k);
-    let budget = resolve_budget(options.probe_budget, full_sweep, mandatory);
+    let plan = EstimationPlan::new(&ctx, options.kind, options.probe_budget, options.seed)
+        .with_als(options.rank, options.als_iters);
+    let swept = run_plan_in_process(network, set, &ctx, &plan, measure)?;
+    let estimated = EstimatedOmega {
+        matrix: swept.matrix,
+        observed: swept.observed,
+        probes_spent: swept.planned,
+        full_sweep_probes: ctx.total_probes(),
+    };
+    record_spend(&measure.telemetry, &estimated);
+    Ok(estimated)
+}
 
-    // The estimator fingerprint binds the journal to the estimator kind,
-    // budget, and seed on top of the measurement configuration — a
-    // sketched checkpoint can never resume an exact sweep's journal, or
-    // another estimator's, or its own under a different budget.
-    let fp = estimator_config_fingerprint(
-        ctx.fingerprint(),
-        options.kind.tag(),
-        budget as u64,
-        options.seed,
-    );
-    let (state, mut writer) = journal::open_checkpoint(
-        options.measure.checkpoint_dir.as_deref(),
-        fp,
-        options.measure.resume,
-    )?;
-    let resume_records = state.records;
-
-    // Base + diagonal pass (serial — O(|𝔹|I) and needed before any pair
-    // probe can be planned) and the deterministic pair selection.
-    let (planner, fresh_mandatory, mut run_stats) = ProbePlanner::build(
-        &ctx,
-        network,
-        set,
-        &telemetry,
-        options.kind,
-        budget,
-        options.seed,
-        &resume_records,
-    )?;
-    if let Some(w) = writer.as_mut() {
-        for shard in &fresh_mandatory {
-            w.commit_records(shard)?;
-        }
-    }
-    let fresh_count: usize = fresh_mandatory.iter().map(Vec::len).sum();
-    let mut resumed = mandatory - fresh_count;
-
-    let mut records: HashMap<ProbeId, ProbeRecord> = HashMap::new();
-    for rec in planner.mandatory_records() {
-        records.insert(rec.id, rec);
-    }
-
-    // A pair shard is complete iff any of its records is journaled: CLSJ
-    // shard commits are atomic (corrupt shards are dropped wholly), and
-    // the planner journals each shard's selection in one commit.
-    let mut pending: Vec<ShardSpec> = Vec::new();
-    for outer in 0..num_layers.saturating_sub(1) as u32 {
-        let done = resume_records
-            .keys()
-            .any(|id| matches!(id, ProbeId::Pair { layer_i, .. } if *layer_i == outer));
-        if done {
-            for (id, rec) in &resume_records {
-                if matches!(id, ProbeId::Pair { layer_i, .. } if *layer_i == outer) {
-                    records.insert(*id, *rec);
-                    resumed += 1;
-                }
-            }
-        } else {
-            pending.push(ShardSpec::Pair { outer });
-        }
-    }
-
-    let threads = resolve_threads(options.measure.threads);
-    let planner_ref = &planner;
-    let ctx_ref = &ctx;
-    let telemetry_ref = &telemetry;
-    let (outs, panic_retries): (Vec<(Vec<ProbeRecord>, ShardRunStats)>, u64) = replica_map_checked(
-        network,
-        threads,
-        &pending,
-        options.measure.retries,
-        |net, &spec| planner_ref.run_shard(ctx_ref, net, set, spec, telemetry_ref),
-        |_, (recs, _)| match writer.as_mut() {
-            Some(w) => w.commit_records(recs).map_err(MeasureError::from),
-            None => Ok(()),
-        },
-    )?;
-    for (recs, s) in &outs {
-        run_stats += *s;
-        for rec in recs {
-            records.insert(rec.id, *rec);
-        }
-    }
-
-    let assembly = ctx.assemble_partial(&records)?;
-    let completed = complete_partial(
-        options.kind,
-        &assembly.g,
-        &assembly.observed,
-        options.rank,
-        options.als_iters,
-        options.seed,
-    );
-    let probes_spent = planner.planned_probes();
+/// Counts an estimate's spend in `estim.probes_spent` and
+/// `estim.probe_fraction`.
+fn record_spend(telemetry: &Telemetry, est: &EstimatedOmega) {
     telemetry
         .counter("estim.probes_spent")
-        .add(probes_spent as u64);
-    telemetry.set_gauge(
-        "estim.probe_fraction",
-        probes_spent as f64 / full_sweep as f64,
-    );
-    let stats = SensitivityStats {
-        evaluations: (run_stats.full_evals + run_stats.cache_hits) as usize,
-        seconds: start.elapsed().as_secs_f64(),
-        threads_used: threads,
-        prefix_cache_builds: run_stats.cache_builds as usize,
-        prefix_cache_hits: run_stats.cache_hits as usize,
-        full_evals: run_stats.full_evals as usize,
-        resumed,
-        retried: run_stats.retried as usize + panic_retries as usize,
-        quarantined: assembly.quarantined,
-        provenance: OmegaProvenance::estimated(options.kind.tag(), budget as u64, options.seed),
-    };
-    let matrix = SensitivityMatrix::from_parts(
-        completed,
-        num_layers,
-        bits.clone(),
-        assembly.base_loss,
-        stats,
-    );
-    Ok(EstimatedOmega {
-        matrix,
-        observed: assembly.observed,
-        probes_spent,
-        full_sweep_probes: full_sweep,
-    })
+        .add(est.probes_spent as u64);
+    telemetry.set_gauge("estim.probe_fraction", est.probe_fraction());
 }
 
 /// Diagonal-only estimation from Hutchinson Hessian-trace probes. Each
@@ -427,13 +212,6 @@ fn estimate_hutchinson(
     }
     let completed = g.psd_project();
     let probes_spent = 1 + 2 * probes;
-    telemetry
-        .counter("estim.probes_spent")
-        .add(probes_spent as u64);
-    telemetry.set_gauge(
-        "estim.probe_fraction",
-        probes_spent as f64 / full_sweep as f64,
-    );
     let stats = SensitivityStats {
         // One loss eval plus two gradient passes per probe.
         evaluations: probes_spent,
@@ -447,12 +225,18 @@ fn estimate_hutchinson(
         ),
         ..SensitivityStats::default()
     };
-    let matrix =
-        SensitivityMatrix::from_parts(completed, num_layers, bits.clone(), base_loss, stats);
-    Ok(EstimatedOmega {
-        matrix,
+    let estimated = EstimatedOmega {
+        matrix: SensitivityMatrix::from_parts(
+            completed,
+            num_layers,
+            bits.clone(),
+            base_loss,
+            stats,
+        ),
         observed,
         probes_spent,
         full_sweep_probes: full_sweep,
-    })
+    };
+    record_spend(&telemetry, &estimated);
+    Ok(estimated)
 }

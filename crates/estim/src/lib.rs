@@ -5,25 +5,30 @@
 //! The exact sweep costs `1 + |𝔹|I + ½|𝔹|²I(I−1)` forward evaluations —
 //! quadratic in the layer count — and is the scaling wall for anything
 //! beyond toy models. This crate trades a probe *budget* for an
-//! approximate Ω behind one [`OmegaEstimator`] trait with four
-//! implementations:
+//! approximate Ω with four estimators ([`EstimatorKind`], run by
+//! [`estimate_sensitivities`]):
 //!
-//! * [`SketchedEstimator`] — measures a seeded uniform subset of the
-//!   cross-term probes and completes the matrix by symmetric low-rank
-//!   alternating least squares on the observed entries, PSD-projected
-//!   through the solver's existing projection path.
-//! * [`AdaptiveEstimator`] — initializes a per-entry uncertainty width
-//!   from the diagonal-product prior, spends half of each shard's budget
-//!   on the widest entries, rescales the widths of unobserved entries
-//!   from the observed `|Ω|`/prior ratios, and spends the rest where the
-//!   refreshed widths are largest.
-//! * [`BlockTopKEstimator`] — a BRECQ-style locality prior: every
+//! * [`EstimatorKind::Sketched`] — measures a seeded uniform subset of
+//!   the cross-term probes and completes the matrix by symmetric
+//!   low-rank alternating least squares on the observed entries,
+//!   PSD-projected through the solver's existing projection path.
+//! * [`EstimatorKind::Adaptive`] — initializes a per-entry uncertainty
+//!   width from the diagonal-product prior, spends half of each shard's
+//!   budget on the widest entries, rescales the widths of unobserved
+//!   entries from the observed `|Ω|`/prior ratios, and spends the rest
+//!   where the refreshed widths are largest.
+//! * [`EstimatorKind::BlockTopK`] — a BRECQ-style locality prior: every
 //!   within-block cross term is probed, and the remaining budget goes to
 //!   the `k` cross-block entries with the highest `|Ω_ii·Ω_jj|`
 //!   diagonal product.
-//! * [`HutchinsonEstimator`] — promotes the HAWQ-style Hutchinson
+//! * [`EstimatorKind::Hutchinson`] — promotes the HAWQ-style Hutchinson
 //!   trace baseline into an estimator mode: a diagonal-only Ω from
 //!   central-difference Hessian-vector products, no pair probes at all.
+//!
+//! The three grid estimators are [`EstimationPlan`]s: a
+//! [`clado_core::OmegaPlan`] whose rounds the one Ω sweep
+//! ([`clado_core::run_plan`]) runs in process, on threads, or on a worker
+//! pool alike.
 //!
 //! Every estimator spends budget on the base probe and the full diagonal
 //! (a variable's own sensitivity cannot be defaulted — the solver's
@@ -33,11 +38,11 @@
 //! # Determinism and fault tolerance
 //!
 //! Probe selection is a pure function of the seed, the budget, and the
-//! bitwise-deterministic diagonal measurements, and each pair shard's
-//! selection (including the adaptive refinement rounds) is self-contained
-//! — so the estimated Ω is bitwise identical serially, across `--threads
-//! N`, and across distributed workers, and the CLSJ journal makes
-//! estimation crash-safe and resumable exactly like exact measurement.
+//! bitwise-deterministic diagonal records, and each pair shard's
+//! refinement reads only that shard's records — so the estimated Ω is
+//! bitwise identical serially, across `--threads N`, and across
+//! distributed workers, and the CLSJ journal makes estimation
+//! crash-safe and resumable exactly like exact measurement.
 //! The journal fingerprint folds in the estimator kind, budget, and seed
 //! ([`clado_core::estimator_config_fingerprint`]), so an estimation
 //! checkpoint can never resume an exact sweep's journal or another
@@ -57,19 +62,16 @@ mod complete;
 mod estimate;
 mod planner;
 mod report;
-mod sharded;
 
 pub use complete::{als_complete, complete_partial};
 pub use estimate::{
-    estimate_sensitivities, estimation_fingerprint, estimator_for, resolved_probe_budget,
-    AdaptiveEstimator, BlockTopKEstimator, EstimatedOmega, EstimatorOptions, HutchinsonEstimator,
-    OmegaEstimator, SketchedEstimator, DEFAULT_ALS_ITERS, DEFAULT_ALS_RANK, DEFAULT_ESTIMATOR_SEED,
+    estimate_sensitivities, EstimatedOmega, EstimatorOptions, DEFAULT_ALS_ITERS, DEFAULT_ALS_RANK,
+    DEFAULT_ESTIMATOR_SEED,
 };
-pub use planner::ProbePlanner;
+pub use planner::{EstimationPlan, GridEstimation};
 pub use report::{
     assignment_regret, build_report, error_vs_exact, EstimatorReport, OmegaError, RegretReport,
 };
-pub use sharded::{assemble_omega, job_fingerprint, GridEstimation};
 
 use std::fmt;
 use std::str::FromStr;

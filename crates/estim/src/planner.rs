@@ -1,26 +1,26 @@
-//! Deterministic probe selection under a budget.
+//! Deterministic probe selection under a budget, and the estimation
+//! plan built on it.
 //!
 //! The planner owns the part of estimation that must agree bitwise across
 //! every execution mode: which pair probes get measured. Its inputs are
 //! the estimator kind, the seed, the budget, and the diagonal
 //! measurements — all of which are themselves bitwise deterministic — so
-//! a single-process run, a threaded run, and every distributed worker
-//! (each building its own planner from its own copy of the model) arrive
-//! at the identical probe set. The adaptive kind refines its selection
-//! from measured pair values, but only *within* one shard, so a shard
-//! remains a self-contained, relocatable unit of work.
+//! every sweep, however its rounds are executed or resumed, arrives at
+//! the identical probe set. The adaptive kind refines its selection from
+//! measured pair values, but only *within* one shard, so a shard remains
+//! a self-contained, relocatable unit of work.
 
 // Index-based loops are kept where they mirror the probe-grid layout.
 #![allow(clippy::needless_range_loop)]
-use crate::EstimatorKind;
-use clado_core::journal::{ProbeId, ProbeRecord};
-use clado_core::{MeasureError, ShardContext, ShardRunStats, ShardSpec};
-use clado_models::DataSplit;
-use clado_nn::Network;
-use clado_telemetry::Telemetry;
+use crate::{complete_partial, EstimatorKind, DEFAULT_ALS_ITERS, DEFAULT_ALS_RANK};
+use clado_core::journal::ProbeId;
+use clado_core::{
+    estimator_config_fingerprint, MeasureError, OmegaPlan, OmegaProvenance, Records, Round,
+    SensitivityMatrix, SensitivityStats, ShardContext, ShardSpec,
+};
+use clado_solver::ObservedMask;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// Floor of any grid estimator's budget: the base probe plus the full
 /// diagonal, which [`clado_solver::harden_partial`] requires.
@@ -40,6 +40,180 @@ pub(crate) fn resolve_budget(requested: usize, full_sweep: usize, mandatory: usi
     want.clamp(mandatory, full_sweep)
 }
 
+/// The estimator settings of a grid-sharded job, as the serve protocol
+/// carries them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GridEstimation {
+    /// The estimator; never [`EstimatorKind::Hutchinson`].
+    pub kind: EstimatorKind,
+    /// The requested probe budget (`0` = 25% of the full sweep).
+    pub probe_budget: usize,
+    /// Probe-selection and ALS seed.
+    pub seed: u64,
+}
+
+impl GridEstimation {
+    /// Reads a job's estimator fields. Tag `0` is an exact sweep
+    /// (`Ok(None)`); hutchinson (diagonal-only) and unknown tags are
+    /// refused with the reason every caller reports.
+    ///
+    /// # Errors
+    ///
+    /// The refusal reason for a tag that cannot be grid-sharded.
+    pub fn from_job(tag: u8, probe_budget: u64, seed: u64) -> Result<Option<Self>, String> {
+        if tag == 0 {
+            return Ok(None);
+        }
+        match EstimatorKind::from_tag(tag) {
+            Some(EstimatorKind::Hutchinson) => Err(
+                "hutchinson estimation is diagonal-only and not grid-shardable; \
+                 run it single-process"
+                    .into(),
+            ),
+            Some(kind) => Ok(Some(Self {
+                kind,
+                probe_budget: probe_budget as usize,
+                seed,
+            })),
+            None => Err(format!("unknown estimator tag {tag}")),
+        }
+    }
+}
+
+/// The [`OmegaPlan`] of a grid estimation run (sketched, adaptive,
+/// blocktopk): round 0 measures the base and diagonal probes, round 1
+/// the pair probes they select, and — adaptive only — round 2 refines
+/// each pair shard from its own round-1 records. Assembly completes the
+/// partially observed Ω.
+pub struct EstimationPlan<'a> {
+    ctx: &'a ShardContext,
+    kind: EstimatorKind,
+    budget: usize,
+    seed: u64,
+    rank: usize,
+    als_iters: usize,
+}
+
+impl<'a> EstimationPlan<'a> {
+    /// The plan for `kind` under `requested_budget` and `seed`,
+    /// completing Ω with the default ALS rank and sweep count. A budget
+    /// of `0` resolves to 25% of the full sweep, and any request is
+    /// floored at the mandatory base+diagonal probes and capped at the
+    /// full sweep.
+    ///
+    /// # Panics
+    ///
+    /// Panics for [`EstimatorKind::Hutchinson`], which measures no grid.
+    pub fn new(
+        ctx: &'a ShardContext,
+        kind: EstimatorKind,
+        requested_budget: usize,
+        seed: u64,
+    ) -> Self {
+        assert!(
+            kind != EstimatorKind::Hutchinson,
+            "hutchinson has no probe plan"
+        );
+        let budget = resolve_budget(
+            requested_budget,
+            ctx.total_probes(),
+            mandatory_probes(ctx.num_layers(), ctx.bits().len()),
+        );
+        Self {
+            ctx,
+            kind,
+            budget,
+            seed,
+            rank: DEFAULT_ALS_RANK,
+            als_iters: DEFAULT_ALS_ITERS,
+        }
+    }
+
+    /// Overrides the ALS factor rank and sweep count of sketched
+    /// completion.
+    pub fn with_als(self, rank: usize, als_iters: usize) -> Self {
+        Self {
+            rank,
+            als_iters,
+            ..self
+        }
+    }
+
+    /// The resolved probe budget — also the number of probes the plan
+    /// spends.
+    pub fn budget(&self) -> usize {
+        self.budget
+    }
+
+    fn planner(&self, records: &Records) -> Result<ProbePlanner, MeasureError> {
+        ProbePlanner::from_records(
+            self.kind,
+            self.ctx.num_layers(),
+            self.ctx.bits().len(),
+            self.budget,
+            self.seed,
+            records,
+        )
+    }
+}
+
+impl OmegaPlan for EstimationPlan<'_> {
+    /// The measurement configuration fingerprint folded with the
+    /// estimator tag, the resolved budget and the seed, so an estimation
+    /// journal never mixes with an exact sweep's or another estimator's.
+    fn fingerprint(&self) -> u64 {
+        estimator_config_fingerprint(
+            self.ctx.fingerprint(),
+            self.kind.tag(),
+            self.budget as u64,
+            self.seed,
+        )
+    }
+
+    fn round(&self, index: usize, records: &Records) -> Result<Round, MeasureError> {
+        Ok(match index {
+            0 => self
+                .ctx
+                .shards()
+                .into_iter()
+                .filter(|s| !matches!(s, ShardSpec::Pair { .. }))
+                .map(|s| (s, self.ctx.shard_probes(s)))
+                .collect(),
+            1 => self.planner(records)?.pair_round(),
+            2 => self.planner(records)?.refine_round(records),
+            _ => Vec::new(),
+        })
+    }
+
+    fn assemble(
+        &self,
+        records: &Records,
+    ) -> Result<(SensitivityMatrix, ObservedMask), MeasureError> {
+        let assembly = self.ctx.assemble_partial(records)?;
+        let completed = complete_partial(
+            self.kind,
+            &assembly.g,
+            &assembly.observed,
+            self.rank,
+            self.als_iters,
+            self.seed,
+        );
+        let stats = SensitivityStats {
+            quarantined: assembly.quarantined,
+            provenance: OmegaProvenance::estimated(self.kind.tag(), self.budget as u64, self.seed),
+            ..Default::default()
+        };
+        let matrix = SensitivityMatrix::from_parts(
+            completed,
+            self.ctx.num_layers(),
+            self.ctx.bits().clone(),
+            assembly.base_loss,
+            stats,
+        );
+        Ok((matrix, assembly.observed))
+    }
+}
+
 /// One candidate pair probe of an outer shard, with its selection prior.
 #[derive(Debug, Clone, Copy)]
 struct PairCandidate {
@@ -53,12 +227,9 @@ struct PairCandidate {
     score: f64,
 }
 
-/// Deterministic probe plan for one estimation configuration.
-///
-/// Built from locally-measured base and diagonal probes (memoized, so
-/// [`ProbePlanner::run_shard`] serves the `Base`/`Diag` shards without
-/// re-evaluating them); `Pair` shards evaluate only the planned subset.
-pub struct ProbePlanner {
+/// Deterministic pair selection for one estimation configuration, built
+/// from the base and diagonal records.
+struct ProbePlanner {
     kind: EstimatorKind,
     seed: u64,
     num_layers: usize,
@@ -70,88 +241,53 @@ pub struct ProbePlanner {
     /// Diagonal Ω values `|2(L−base)|` used as selection priors
     /// (quarantined probes contribute 0, consistently everywhere).
     diag_omega: Vec<Vec<f64>>,
-    /// Memoized base+diagonal records, grouped by shard in canonical
-    /// shard order (`base, diag(0..I)`).
-    mandatory: Vec<Vec<ProbeRecord>>,
     /// For sketched/blocktopk: the exact pair selection per outer shard,
     /// in canonical probe order. `None` for adaptive (two-round,
     /// value-dependent within the shard).
     fixed: Option<Vec<Vec<ProbeId>>>,
     /// Pair-probe budget per outer shard (adaptive; also recorded for
-    /// fixed kinds so `planned_probes` is uniform).
+    /// fixed kinds so every kind reads its budgets the same way).
     shard_budgets: Vec<usize>,
 }
 
 impl ProbePlanner {
-    /// Builds a plan by measuring (or resuming) the base and diagonal
-    /// probes on `net`, then selecting pair probes for `budget`.
-    ///
-    /// `resume` supplies already-journaled records; present base/diag
-    /// records are reused instead of re-measured (they are bitwise
-    /// identical either way). Returns the planner plus the freshly
-    /// measured record groups (one per shard, for journaling) and their
-    /// accumulated run stats.
+    /// Builds the plan from the base and diagonal records and selects
+    /// pair probes for `budget`.
     ///
     /// # Errors
     ///
-    /// [`MeasureError::NonFiniteBaseLoss`] when the base loss stays
-    /// non-finite after the quarantine retry.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build(
-        ctx: &ShardContext,
-        net: &mut Network,
-        set: &DataSplit,
-        telemetry: &Telemetry,
+    /// [`MeasureError::NonFiniteBaseLoss`] when the base record is
+    /// quarantined or non-finite; [`MeasureError::MissingProbes`] when it
+    /// is absent.
+    fn from_records(
         kind: EstimatorKind,
+        num_layers: usize,
+        k: usize,
         budget: usize,
         seed: u64,
-        resume: &HashMap<ProbeId, ProbeRecord>,
-    ) -> Result<(Self, Vec<Vec<ProbeRecord>>, ShardRunStats), MeasureError> {
-        let _span = telemetry.span("estim.plan");
-        let num_layers = ctx.num_layers();
-        let k = ctx.bits().len();
-        let mut stats = ShardRunStats::default();
-        let mut fresh: Vec<Vec<ProbeRecord>> = Vec::new();
-        let mut mandatory: Vec<Vec<ProbeRecord>> = Vec::new();
-
-        let mut run_mandatory_shard = |spec: ShardSpec, net: &mut Network| -> Vec<ProbeRecord> {
-            let ids = ctx.shard_probes(spec);
-            if let Some(recs) = ids
-                .iter()
-                .map(|id| resume.get(id).copied())
-                .collect::<Option<Vec<_>>>()
-            {
-                return recs;
-            }
-            let (recs, s) = ctx.run_shard(net, set, spec, telemetry);
-            stats += s;
-            fresh.push(recs.clone());
-            recs
-        };
-
-        let base_recs = run_mandatory_shard(ShardSpec::Base, net);
-        let base = base_recs[0];
+        records: &Records,
+    ) -> Result<Self, MeasureError> {
+        let base = records
+            .get(&ProbeId::Base)
+            .ok_or(MeasureError::MissingProbes {
+                missing: 1,
+                total: mandatory_probes(num_layers, k),
+            })?;
         if base.quarantined || !base.loss.is_finite() {
             return Err(MeasureError::NonFiniteBaseLoss { loss: base.loss });
         }
         let base_loss = base.loss;
-        mandatory.push(base_recs);
-
-        let mut diag_loss = vec![vec![f64::NAN; k]; num_layers];
-        for layer in 0..num_layers {
-            let recs = run_mandatory_shard(
-                ShardSpec::Diag {
-                    layer: layer as u32,
-                },
-                net,
-            );
-            for r in &recs {
-                if let ProbeId::Diag { bit, .. } = r.id {
-                    diag_loss[layer][bit as usize] = r.loss;
-                }
-            }
-            mandatory.push(recs);
-        }
+        let diag_loss: Vec<Vec<f64>> = (0..num_layers as u32)
+            .map(|layer| {
+                (0..k as u32)
+                    .map(|bit| {
+                        records
+                            .get(&ProbeId::Diag { layer, bit })
+                            .map_or(f64::NAN, |r| r.loss)
+                    })
+                    .collect()
+            })
+            .collect();
         let diag_omega: Vec<Vec<f64>> = diag_loss
             .iter()
             .map(|row| {
@@ -175,13 +311,11 @@ impl ProbePlanner {
             base_loss,
             diag_loss,
             diag_omega,
-            mandatory,
             fixed: None,
             shard_budgets: vec![0; num_layers.saturating_sub(1)],
         };
-        let pair_budget = budget.saturating_sub(mandatory_probes(num_layers, k));
-        planner.select_pairs(pair_budget);
-        Ok((planner, fresh, stats))
+        planner.select_pairs(budget.saturating_sub(mandatory_probes(num_layers, k)));
+        Ok(planner)
     }
 
     /// Candidate pair probes of one outer shard with their priors, in
@@ -310,93 +444,71 @@ impl ProbePlanner {
         }
     }
 
-    /// Total probes this plan spends: base, diagonal, and every planned
-    /// pair probe. Deterministic for a fixed (kind, seed, budget,
-    /// configuration) — resume does not change what counts as spent.
-    pub fn planned_probes(&self) -> usize {
-        mandatory_probes(self.num_layers, self.k) + self.shard_budgets.iter().sum::<usize>()
+    /// The pair round: each outer shard's fixed selection, or its
+    /// adaptive first half — the widest prior intervals (every candidate
+    /// when the shard's budget covers them all).
+    fn pair_round(&self) -> Round {
+        (0..self.shard_budgets.len())
+            .filter(|&outer| self.shard_budgets[outer] > 0)
+            .map(|outer| {
+                let ids = match &self.fixed {
+                    Some(fixed) => fixed[outer].clone(),
+                    None => {
+                        let cands = self.candidates(outer);
+                        let sel = self.adaptive_first(&cands, self.shard_budgets[outer]);
+                        sel.iter().map(|&s| cands[s].id).collect()
+                    }
+                };
+                (
+                    ShardSpec::Pair {
+                        outer: outer as u32,
+                    },
+                    ids,
+                )
+            })
+            .filter(|(_, ids)| !ids.is_empty())
+            .collect()
     }
 
-    /// The memoized base+diagonal records (flattened).
-    pub fn mandatory_records(&self) -> Vec<ProbeRecord> {
-        self.mandatory.iter().flatten().copied().collect()
-    }
-
-    /// Evaluates one shard under the plan. `Base`/`Diag` shards return
-    /// the memoized records with zero cost; `Pair` shards evaluate the
-    /// planned subset (two prior-refined rounds for the adaptive kind).
-    pub fn run_shard(
-        &self,
-        ctx: &ShardContext,
-        net: &mut Network,
-        set: &DataSplit,
-        spec: ShardSpec,
-        telemetry: &Telemetry,
-    ) -> (Vec<ProbeRecord>, ShardRunStats) {
-        match spec {
-            ShardSpec::Base => (self.mandatory[0].clone(), ShardRunStats::default()),
-            ShardSpec::Diag { layer } => (
-                self.mandatory[1 + layer as usize].clone(),
-                ShardRunStats::default(),
-            ),
-            ShardSpec::Pair { outer } => {
-                let budget = self.shard_budgets[outer as usize];
-                if budget == 0 {
-                    return (Vec::new(), ShardRunStats::default());
-                }
-                if let Some(fixed) = &self.fixed {
-                    return ctx.run_probes(net, set, &fixed[outer as usize], telemetry);
-                }
-                self.run_adaptive_shard(ctx, net, set, outer as usize, budget, telemetry)
-            }
-        }
-    }
-
-    /// Two-round adaptive evaluation of one outer shard: round one takes
-    /// the widest prior intervals; observed values then rescale the
-    /// widths of unobserved entries sharing the inner layer, and round
-    /// two takes the widest refreshed intervals. Self-contained, so the
-    /// result is identical wherever the shard runs.
-    fn run_adaptive_shard(
-        &self,
-        ctx: &ShardContext,
-        net: &mut Network,
-        set: &DataSplit,
-        outer: usize,
-        budget: usize,
-        telemetry: &Telemetry,
-    ) -> (Vec<ProbeRecord>, ShardRunStats) {
-        let cands = self.candidates(outer);
+    /// Slots of an adaptive shard's first round, ascending: the widest
+    /// `⌈budget/2⌉` prior intervals, or every candidate when `budget`
+    /// covers them all.
+    fn adaptive_first(&self, cands: &[PairCandidate], budget: usize) -> Vec<usize> {
         if budget >= cands.len() {
-            let ids: Vec<ProbeId> = cands.iter().map(|c| c.id).collect();
-            return ctx.run_probes(net, set, &ids, telemetry);
+            return (0..cands.len()).collect();
         }
-        let by_width = |w: &[f64]| {
-            let mut order: Vec<usize> = (0..cands.len()).collect();
-            order.sort_by(|&a, &b| {
-                w[b].partial_cmp(&w[a])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
-            order
-        };
-
-        let round1 = budget.div_ceil(2);
         let widths: Vec<f64> = cands.iter().map(|c| c.score).collect();
-        let order = by_width(&widths);
-        let mut sel1: Vec<usize> = order[..round1].to_vec();
-        sel1.sort_unstable();
-        let ids1: Vec<ProbeId> = sel1.iter().map(|&s| cands[s].id).collect();
-        let (mut recs, mut stats) = ctx.run_probes(net, set, &ids1, telemetry);
+        let mut sel = by_width(&widths)[..budget.div_ceil(2)].to_vec();
+        sel.sort_unstable();
+        sel
+    }
 
-        let round2 = budget - round1;
-        if round2 > 0 {
+    /// The adaptive refinement round: per outer shard, the observed
+    /// `|Ω|`/prior ratios of its first-round records rescale the widths
+    /// of unobserved entries sharing the inner layer, and the rest of the
+    /// shard's budget takes the widest refreshed intervals. Empty for the
+    /// fixed kinds.
+    fn refine_round(&self, records: &Records) -> Round {
+        if self.fixed.is_some() {
+            return Vec::new();
+        }
+        let mut round = Vec::new();
+        for (outer, &budget) in self.shard_budgets.iter().enumerate() {
+            let cands = self.candidates(outer);
+            let sel1 = self.adaptive_first(&cands, budget);
+            let round2 = budget.min(cands.len()) - sel1.len();
+            if round2 == 0 {
+                continue;
+            }
             // Observed |Ω| over prior, averaged per inner layer; inner
             // layers with no observation keep ratio 1.
             let mut sums = vec![0.0f64; self.num_layers];
             let mut counts = vec![0usize; self.num_layers];
-            for (&slot, rec) in sel1.iter().zip(&recs) {
+            for &slot in &sel1 {
                 let c = &cands[slot];
+                let Some(rec) = records.get(&c.id) else {
+                    continue;
+                };
                 if rec.quarantined {
                     continue;
                 }
@@ -430,16 +542,29 @@ impl ProbePlanner {
                     }
                 })
                 .collect();
-            let order = by_width(&refreshed);
-            let mut sel2: Vec<usize> = order[..round2].to_vec();
+            let mut sel2 = by_width(&refreshed)[..round2].to_vec();
             sel2.sort_unstable();
-            let ids2: Vec<ProbeId> = sel2.iter().map(|&s| cands[s].id).collect();
-            let (recs2, stats2) = ctx.run_probes(net, set, &ids2, telemetry);
-            recs.extend(recs2);
-            stats += stats2;
+            let ids = sel2.iter().map(|&s| cands[s].id).collect();
+            round.push((
+                ShardSpec::Pair {
+                    outer: outer as u32,
+                },
+                ids,
+            ));
         }
-        (recs, stats)
+        round
     }
+}
+
+/// Candidate slots ordered by descending width, ascending slot on ties.
+fn by_width(w: &[f64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..w.len()).collect();
+    order.sort_by(|&a, &b| {
+        w[b].partial_cmp(&w[a])
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.cmp(&b))
+    });
+    order
 }
 
 /// Largest-remainder apportionment of `total` units over `weights`,

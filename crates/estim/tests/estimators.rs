@@ -2,13 +2,14 @@
 //! journal resume, budget accounting, CLSM v4 provenance, and the
 //! assignment-regret gate the CI `estimators` job enforces.
 
+use clado_core::journal::{load_journal, JournalWriter};
 use clado_core::{
     eval_loss, measure_sensitivities, sensitivities_from_bytes, sensitivities_to_bytes,
-    AssignOptions, MeasureError, OmegaProvenance, SensitivityOptions,
+    AssignOptions, MeasureError, OmegaPlan, OmegaProvenance, SensitivityOptions, ShardContext,
 };
 use clado_estim::{
-    assignment_regret, estimate_sensitivities, estimator_for, EstimatedOmega, EstimatorKind,
-    EstimatorOptions,
+    assignment_regret, estimate_sensitivities, EstimatedOmega, EstimationPlan, EstimatorKind,
+    EstimatorOptions, GridEstimation,
 };
 use clado_models::{DataSplit, SynthVision, SynthVisionConfig};
 use clado_nn::{Conv2d, GlobalAvgPool, Linear, Network, Sequential};
@@ -145,6 +146,90 @@ fn estimation_resumes_bitwise_identically_from_a_partial_journal() {
     // `probes_spent` is the plan's cost, not this process's: unchanged.
     assert_eq!(resumed.probes_spent, reference.probes_spent);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An adaptive run that crashed after its base+diagonal and pair rounds
+/// but before its refinement round resumes to the bitwise-identical
+/// estimate, measuring only the refinement probes.
+#[test]
+fn adaptive_estimation_resumes_before_its_refinement_round() {
+    let bits = BitWidthSet::new(&[2, 8]);
+    let (mut net, data) = setup(4);
+    let set = sens_set(&data);
+    // 13 mandatory probes + 20 pair probes: ~4 per outer shard, so each
+    // shard splits its budget over the pair and refinement rounds.
+    let mut opts = EstimatorOptions::new(EstimatorKind::Adaptive);
+    opts.probe_budget = 33;
+    opts.measure.threads = 1;
+    let reference = estimate_sensitivities(&mut net, &set, &bits, &opts).expect("reference");
+
+    // Journal the uninterrupted run, then rebuild a journal holding only
+    // the records of the first two rounds.
+    let full_dir = temp_dir("adaptive-full");
+    opts.measure.checkpoint_dir = Some(full_dir.clone());
+    estimate_sensitivities(&mut net, &set, &bits, &opts).expect("journaled run");
+    let ctx = ShardContext::new(
+        &net,
+        set.len(),
+        &bits,
+        opts.measure.scheme,
+        opts.measure.batch_size,
+        true,
+    );
+    let plan = EstimationPlan::new(&ctx, EstimatorKind::Adaptive, 33, opts.seed);
+    let records = load_journal(&full_dir, plan.fingerprint())
+        .expect("journal")
+        .records;
+    let refinement: usize = plan
+        .round(2, &records)
+        .expect("refinement round")
+        .iter()
+        .map(|(_, ids)| ids.len())
+        .sum();
+    assert!(refinement > 0, "the plan must have a refinement round");
+    let dir = temp_dir("adaptive-partial");
+    let mut writer = JournalWriter::open(&dir, plan.fingerprint(), 0).expect("writer");
+    let mut journaled = 0;
+    for index in 0..2 {
+        for (_, ids) in plan.round(index, &records).expect("round") {
+            let shard: Vec<_> = ids.iter().map(|id| records[id]).collect();
+            writer.commit_records(&shard).expect("commit");
+            journaled += shard.len();
+        }
+    }
+
+    opts.measure.checkpoint_dir = Some(dir.clone());
+    opts.measure.resume = true;
+    let resumed = estimate_sensitivities(&mut net, &set, &bits, &opts).expect("resumed run");
+    assert_bitwise_equal(&reference, &resumed, "resumed before refinement");
+    assert_eq!(resumed.matrix.stats.resumed, journaled);
+    assert_eq!(resumed.matrix.stats.evaluations, refinement);
+    assert_eq!(journaled + refinement, reference.probes_spent);
+    let _ = std::fs::remove_dir_all(&full_dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Hutchinson estimation is diagonal-only and cannot be grid-sharded,
+/// and unknown tags name no estimator: both are refused up front with
+/// the reason every job-taking caller reports.
+#[test]
+fn grid_estimation_rejects_hutchinson_and_unknown_estimators() {
+    for tag in [EstimatorKind::Hutchinson.tag(), 200u8] {
+        let why = GridEstimation::from_job(tag, 0, 0).expect_err("refused");
+        assert!(
+            why.contains("hutchinson") || why.contains("unknown estimator"),
+            "unexpected reason: {why}"
+        );
+    }
+    assert_eq!(GridEstimation::from_job(0, 0, 0), Ok(None));
+    assert_eq!(
+        GridEstimation::from_job(EstimatorKind::Adaptive.tag(), 40, 7),
+        Ok(Some(GridEstimation {
+            kind: EstimatorKind::Adaptive,
+            probe_budget: 40,
+            seed: 7,
+        }))
+    );
 }
 
 #[test]
@@ -323,12 +408,11 @@ fn regret_gate_at_quarter_budget() {
     let full = exact.stats.evaluations;
 
     for kind in [EstimatorKind::BlockTopK, EstimatorKind::Adaptive] {
-        let estimator = estimator_for(kind);
-        let mut opts = EstimatorOptions::new(kind);
-        opts.probe_budget = full / 4;
-        let est = estimator
-            .estimate(&mut net, &set, &bits, &opts)
-            .expect("estimation");
+        let opts = EstimatorOptions {
+            probe_budget: full / 4,
+            ..EstimatorOptions::new(kind)
+        };
+        let est = estimate_sensitivities(&mut net, &set, &bits, &opts).expect("estimation");
         assert!(
             est.probes_spent <= full / 4,
             "{kind}: {} probes exceeds 25% of {full}",

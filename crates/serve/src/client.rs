@@ -2,7 +2,7 @@
 
 use crate::error::ServeError;
 use crate::protocol::{self, ServeMessage, SubmitRequest};
-use std::net::TcpStream;
+use clado_dist::connect_with_retry;
 use std::time::Duration;
 
 /// One accepted-and-answered submission.
@@ -18,47 +18,6 @@ pub struct SubmitOutcome {
     /// The last interim `Progress` frame observed (if any): cumulative
     /// probes done and the plan total.
     pub progress: Option<(u64, u64)>,
-}
-
-/// Nominal reconnect backoff before the `attempt`-th retry (0-based):
-/// 100 ms doubling to a 1.6 s cap, the same schedule pooled workers use.
-fn backoff_delay(attempt: u32) -> Duration {
-    const BASE_MS: u64 = 100;
-    const CAP_MS: u64 = 1_600;
-    let nominal = (BASE_MS << attempt.min(10)).min(CAP_MS);
-    // Deterministic-per-process jitter (FNV-1a over pid ‖ attempt)
-    // spread over ±25% of the nominal delay, so a fleet of clients
-    // hammering a restarting daemon doesn't reconnect in lockstep.
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in std::process::id()
-        .to_le_bytes()
-        .into_iter()
-        .chain(attempt.to_le_bytes())
-    {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    let span = nominal / 2;
-    let jitter = h % (span + 1);
-    Duration::from_millis(nominal - span / 2 + jitter)
-}
-
-/// Connects with up to `retries` additional capped-backoff attempts —
-/// the client-side mirror of the pooled worker's reconnect loop, so a
-/// daemon mid-restart costs a submitting client a short wait instead of
-/// an error.
-fn connect_with_retry(addr: &str, retries: u32) -> Result<TcpStream, ServeError> {
-    let mut attempt = 0u32;
-    loop {
-        match TcpStream::connect(addr) {
-            Ok(stream) => return Ok(stream),
-            Err(e) if attempt >= retries => return Err(ServeError::Io(e)),
-            Err(_) => {
-                std::thread::sleep(backoff_delay(attempt));
-                attempt += 1;
-            }
-        }
-    }
 }
 
 /// Submits one request to a daemon and blocks for the final response.
@@ -81,7 +40,9 @@ pub fn submit(
 }
 
 /// [`submit`] with up to `connect_retries` additional connect attempts
-/// under capped exponential backoff with jitter. Only the *connect* is
+/// under the pooled workers' capped, jittered backoff
+/// ([`clado_dist::connect_with_retry`]), so a daemon mid-restart costs a
+/// submitting client a short wait instead of an error. Only the *connect* is
 /// retried — once the request is on the wire it is never resent, so a
 /// daemon that dies mid-request surfaces a typed error instead of a
 /// silent duplicate submission.
@@ -95,7 +56,7 @@ pub fn submit_with_retries(
     response_timeout: Option<Duration>,
     connect_retries: u32,
 ) -> Result<SubmitOutcome, ServeError> {
-    let stream = connect_with_retry(addr, connect_retries)?;
+    let stream = connect_with_retry(addr, None, connect_retries)?;
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
     let mut s = &stream;
@@ -145,38 +106,4 @@ pub fn submit_with_retries(
         response,
         progress,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::time::Instant;
-
-    #[test]
-    fn backoff_doubles_with_bounded_jitter() {
-        for attempt in 0..12 {
-            let nominal = (100u64 << attempt.min(10)).min(1_600);
-            let d = backoff_delay(attempt).as_millis() as u64;
-            assert!(
-                d >= nominal - nominal / 2 / 2 && d <= nominal + nominal / 2 / 2 + 1,
-                "attempt {attempt}: delay {d} ms outside ±25% of {nominal} ms"
-            );
-        }
-        // Deterministic within a process.
-        assert_eq!(backoff_delay(3), backoff_delay(3));
-    }
-
-    #[test]
-    fn connect_retries_eventually_surface_the_io_error() {
-        // Nothing listens on a reserved-but-closed port; 0 retries must
-        // fail fast with the Io error, not hang.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        drop(listener);
-        let started = Instant::now();
-        let err = connect_with_retry(&addr, 2).unwrap_err();
-        assert!(matches!(err, ServeError::Io(_)));
-        // Two backoffs (≥ ~75 ms + ~150 ms nominal-with-jitter) elapsed.
-        assert!(started.elapsed() >= Duration::from_millis(150));
-    }
 }

@@ -26,6 +26,7 @@
 //! garbage. Eviction is LRU by on-disk byte budget.
 
 use crate::cache::CachedOmega;
+use clado_core::fnv1a;
 use clado_core::sensitivities_from_bytes;
 use clado_telemetry::{faultpoint, Telemetry};
 use std::collections::HashMap;
@@ -36,17 +37,6 @@ use std::sync::Mutex;
 
 const MAGIC: [u8; 4] = *b"CLSO";
 const VERSION: u32 = 1;
-
-/// FNV-1a over raw bytes (same function as the wire checksum and the
-/// journal fingerprint).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// The on-disk Ω spill store. All methods serialize on an internal
 /// mutex: entries are small (a CLSM image) and stores are rare (one per

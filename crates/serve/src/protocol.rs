@@ -81,19 +81,13 @@ impl MeasureSpec {
         out
     }
 
-    /// Content-addressed cache key: FNV-1a (the PR-3 journal fingerprint
-    /// function) over the canonical encoding. This extends the shard
-    /// fingerprint of [`clado_core::config_fingerprint`] with the
-    /// identity fields it deliberately omits (model name, set seed), so
-    /// two models with equal layer counts can never collide in the Ω
-    /// cache.
+    /// Content-addressed cache key: [`clado_core::fnv1a`] over the
+    /// canonical encoding. This extends the shard fingerprint of
+    /// [`clado_core::config_fingerprint`] with the identity fields it
+    /// deliberately omits (model name, set seed), so two models with
+    /// equal layer counts can never collide in the Ω cache.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xCBF2_9CE4_8422_2325u64;
-        for &b in &self.canonical_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        clado_core::fnv1a(&self.canonical_bytes())
     }
 }
 

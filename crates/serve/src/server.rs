@@ -14,10 +14,11 @@
 //!    measurement pool and [`clado_solver::SolverConfig::cancel`]).
 //! 3. An executor pops the request: an Ω-cache hit answers with zero
 //!    probe evaluations and a byte-identical CLSM image; a miss builds
-//!    the model, runs the shard grid on the worker pool (falling back to
-//!    in-process evaluation when no worker is live), assembles Ω, and
-//!    populates the cache. Budget solves inherit the request deadline,
-//!    so the anytime ladder degrades instead of blowing through it.
+//!    the model, sweeps the request's exact or estimation plan on the
+//!    worker pool one round per job (falling back to in-process
+//!    evaluation when no worker is live), and populates the cache.
+//!    Budget solves inherit the request deadline, so the anytime ladder
+//!    degrades instead of blowing through it.
 //! 4. Failures are *typed* per request ([`crate::protocol::FailKind`])
 //!    and never tear down the daemon.
 //!
@@ -34,15 +35,18 @@ use crate::error::ServeError;
 use crate::protocol::{
     self, AssignRow, FailKind, MeasureSpec, Op, RejectReason, ServeMessage, SubmitRequest,
 };
-use clado_core::{assign_bits, sensitivities_to_bytes, AssignOptions, ShardContext};
-use clado_dist::{scheme_from_u8, DistError, Fallback, Job, JobSpec, PoolOptions, WorkerPool};
-use clado_estim::{assemble_omega, job_fingerprint, GridEstimation};
+use clado_core::{
+    assign_bits, sensitivities_to_bytes, AssignOptions, OmegaPlan, ProbeId, ShardContext,
+};
+use clado_dist::{
+    run_sweep, scheme_from_u8, DistError, Fallback, JobControl, JobSpec, PoolOptions, WorkerPool,
+};
+use clado_estim::{EstimationPlan, GridEstimation};
 use clado_models::DataSplit;
 use clado_nn::Network;
 use clado_quant::{BitWidthSet, LayerSizes};
 use clado_solver::SolverConfig;
 use clado_telemetry::Telemetry;
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -750,9 +754,9 @@ fn process(inner: &Arc<Inner>, item: &Queued) -> ServeMessage {
     }
 }
 
-/// Measures Ω for a cache miss: model build, shard grid on the pool,
-/// assembly, cache population. Returns the cached entry plus the probe
-/// evaluations spent.
+/// Measures Ω for a cache miss: model build, the request's plan swept on
+/// the pool ([`run_sweep`]), cache population. Returns the cached entry
+/// plus the probe evaluations spent.
 // The Err is a ready-to-send `Failed` frame; this is a cold path, so
 // boxing it would only add noise at every `?` site.
 #[allow(clippy::result_large_err)]
@@ -776,22 +780,16 @@ fn measure(
         spec.batch_size as usize,
         spec.use_prefix_cache,
     );
-    let started = Instant::now();
     let telemetry = inner.telemetry.clone();
-    // Estimation requests (admission validated the tag) rebuild the same
-    // deterministic probe plan pooled workers derive from the job's
-    // estimator fields; the job fingerprint becomes the estimation
-    // fingerprint so only workers with the identical plan pass `Ready`.
+    // Estimation requests (admission validated the tag) sweep their
+    // estimation plan; pooled workers only ever see the probe ids their
+    // leases carry, so the job itself is the same as an exact one's.
     let est = GridEstimation::from_job(spec.estimator, spec.probe_budget, spec.estimator_seed)
         .expect("estimator validated at admission");
-    let (planner, plan_stats) = match &est {
-        Some(e) => {
-            let (planner, stats) = e
-                .plan(&ctx, &mut network, &set, &telemetry)
-                .map_err(|e| failed(id, FailKind::Internal, format!("probe planning: {e}")))?;
-            (Some(planner), stats)
-        }
-        None => (None, Default::default()),
+    let estimation = est.map(|e| EstimationPlan::new(&ctx, e.kind, e.probe_budget, e.seed));
+    let (plan, probes_total): (&dyn OmegaPlan, u64) = match &estimation {
+        Some(p) => (p, p.budget() as u64),
+        None => (&ctx, ctx.total_probes() as u64),
     };
     let job = JobSpec {
         model: spec.model.clone(),
@@ -801,57 +799,37 @@ fn measure(
         bits: spec.bits.clone(),
         scheme: spec.scheme,
         use_prefix_cache: spec.use_prefix_cache,
-        fingerprint: job_fingerprint(&ctx, est.as_ref()),
+        fingerprint: ctx.fingerprint(),
         // Pooled jobs do not ship worker trace events; request latency
         // is captured by the serve.request histogram instead.
         trace_id: 0,
-        estimator: spec.estimator,
-        probe_budget: spec.probe_budget,
-        estimator_seed: spec.estimator_seed,
-    };
-    // Interim progress: `planned_probes` already counts the memoized
-    // base+diagonal records an estimation plan replays, so both totals
-    // match what the pool integrates record by record.
-    let probes_total = match planner.as_ref() {
-        Some(p) => p.planned_probes() as u64,
-        None => ctx.total_probes() as u64,
     };
     let mut progress_writer = &item.stream;
     let accepted_sent = Arc::clone(&item.accepted_sent);
-    let mut local = |shard| match planner.as_ref() {
-        Some(p) => p.run_shard(&ctx, &mut network, &set, shard, &telemetry),
-        None => ctx.run_shard(&mut network, &set, shard, &telemetry),
+    let mut local = |ids: &[ProbeId]| ctx.run_probes(&mut network, &set, ids, &telemetry);
+    let mut control = JobControl {
+        cancel: &item.cancel,
+        deadline: item.deadline,
+        fallback: Fallback::Local(&mut local),
+        progress: Box::new(|probes_done| {
+            // Never write before the admission thread's `Accepted` frame
+            // is on the wire — and never fail the request over a
+            // progress frame (a vanished client raises the cancel flag
+            // through the disconnect watcher anyway).
+            if accepted_sent.load(Ordering::SeqCst) {
+                let _ = protocol::send(
+                    &mut progress_writer,
+                    &ServeMessage::Progress {
+                        request_id: id,
+                        probes_done: probes_done.min(probes_total),
+                        probes_total,
+                    },
+                );
+            }
+        }),
     };
-    let outcome = inner
-        .pool
-        .run_job(
-            Job {
-                spec: job,
-                shards: ctx.shards(),
-                records: HashMap::new(),
-                journal: None,
-            },
-            &item.cancel,
-            item.deadline,
-            Fallback::Local(&mut local),
-            |probes_done| {
-                // Never write before the admission thread's `Accepted`
-                // frame is on the wire — and never fail the request over
-                // a progress frame (a vanished client raises the cancel
-                // flag through the disconnect watcher anyway).
-                if accepted_sent.load(Ordering::SeqCst) {
-                    let _ = protocol::send(
-                        &mut progress_writer,
-                        &ServeMessage::Progress {
-                            request_id: id,
-                            probes_done: probes_done.min(probes_total),
-                            probes_total,
-                        },
-                    );
-                }
-            },
-        )
-        .map_err(|e| match e {
+    let outcome =
+        run_sweep(&inner.pool, plan, job, None, false, &mut control).map_err(|e| match e {
             DistError::DeadlineExceeded => failed(
                 id,
                 FailKind::DeadlineExceeded,
@@ -863,25 +841,12 @@ fn measure(
             }
             other => failed(id, FailKind::Internal, other.to_string()),
         })?;
+    drop(control);
     let shard_service = telemetry.histogram("serve.pool.shard_service");
     for &seconds in &outcome.shard_seconds {
         shard_service.record_us((seconds * 1e6) as u64);
     }
-    // The planner's local base+diagonal pass for an estimation request
-    // runs outside the pool, so its evaluations are added here.
-    let mut totals = outcome.totals;
-    totals += plan_stats;
-    let workers_used = outcome.workers.iter().filter(|w| w.shards > 0).count();
-    let matrix = assemble_omega(
-        &ctx,
-        &outcome.records,
-        est.as_ref(),
-        &totals,
-        workers_used,
-        0,
-        started,
-    )
-    .map_err(|e| failed(id, FailKind::Internal, format!("assembly: {e}")))?;
+    let matrix = outcome.matrix;
     let evaluations = matrix.stats.evaluations as u64;
     let entry = Arc::new(CachedOmega {
         clsm: sensitivities_to_bytes(&matrix),
