@@ -19,21 +19,15 @@
 //! deadline and records `solver.anytime_overhead_ratio` — the cost of the
 //! cooperative cancellation checks when nothing fires.
 //!
-//! Three kernel phases follow: sustained single-threaded GEMM throughput
-//! of the dispatched kernel (`bench.gemm_gflops`), the measured
-//! quantized-execution ratio curve — float forward time over integer
-//! forward time at uniform 8/4/2-bit assignments, against both the
-//! dispatched SIMD float baseline and a pinned scalar float baseline
-//! (`bench.int_speedup.b{8,4,2}.vs_simd_float` / `.vs_scalar_float`,
-//! with the 8-bit SIMD-relative point doubling as
-//! `bench.int8_speedup_ratio`; any ratio below 1 is called out as a
-//! slowdown in the summary) — and an eq. (11) IQP solve on the measured
-//! matrix whose bit choices land in the manifest (`bench.assignment_hash`
-//! and the `bit_assignment` config entry), so scalar and SIMD runs can be
-//! checked for identical assignments. The manifest `config` also records
-//! the dispatched kernel backend and detected CPU features. Every phase
-//! runs under a root telemetry span so the manifest's `span_coverage`
-//! reflects the whole benchmark wall time.
+//! Two more phases follow: sustained single-threaded GEMM throughput of
+//! the dispatched kernel (`bench.gemm_gflops`), and an eq. (11) IQP solve
+//! on the measured matrix whose bit choices land in the manifest
+//! (`bench.assignment_hash` and the `bit_assignment` config entry). That
+//! solve runs on the dispatched backend only; the scalar-versus-SIMD plan
+//! identity is checked by `crates/core/tests/backend_identity.rs`. The
+//! manifest `config` also records the dispatched kernel backend and
+//! detected CPU features. Every phase runs under a root telemetry span so
+//! the manifest's `span_coverage` reflects the whole benchmark wall time.
 //!
 //! The overhead ratios compare configurations whose true difference is a
 //! few percent, far below single-shot wall-time noise on a busy machine,
@@ -45,8 +39,8 @@
 //! ```
 
 use clado_core::{
-    assign_bits, eval_loss, measure_sensitivities, AssignOptions, SensitivityMatrix,
-    SensitivityOptions, ShardContext,
+    assign_bits, measure_sensitivities, AssignOptions, SensitivityMatrix, SensitivityOptions,
+    ShardContext,
 };
 use clado_dist::{
     run_sweep, run_worker, scheme_to_u8, JobControl, JobSpec, PoolOptions, WorkerOptions,
@@ -57,7 +51,7 @@ use clado_estim::{
 };
 use clado_models::{build_resnet, DataSplit, ResNetConfig, SynthVision, SynthVisionConfig};
 use clado_nn::Network;
-use clado_quant::{BitWidth, BitWidthSet, LayerSizes, QuantScheme};
+use clado_quant::{BitWidthSet, LayerSizes, QuantScheme};
 use clado_telemetry::Telemetry;
 use std::path::Path;
 
@@ -304,64 +298,8 @@ fn gemm_gflops() -> f64 {
     best
 }
 
-/// Times one evaluation-mode loss pass over the sensitivity set; returns
-/// the minimum wall time of `REPS` passes (the forward work of a probe).
-fn eval_pass_seconds(network: &mut Network, set: &DataSplit) -> f64 {
-    let mut best = f64::INFINITY;
-    let mut sink = 0.0f64;
-    for _ in 0..REPS {
-        let start = std::time::Instant::now();
-        sink += eval_loss(network, set, 64);
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    assert!(sink.is_finite());
-    best
-}
-
-/// Measured quantized-execution ratio curve for uniform 8/4/2-bit
-/// assignments, against *two* float baselines: the dispatched (usually
-/// SIMD) float forward, and the scalar float forward with the kernel
-/// backend pinned to the reference path. The integer kernels are scalar,
-/// so the SIMD-relative ratio is expected to be well below 1 on AVX2
-/// hosts — the scalar-relative ratio is the like-for-like comparison.
-/// Returns `(bits, vs_simd_float, vs_scalar_float)` triples, 8-bit first.
-fn integer_speedup_curve() -> Vec<(u8, f64, f64)> {
-    let (mut network, set) = bench_setup();
-    let layers = network.quantizable_layers().len();
-    let simd_float_secs = eval_pass_seconds(&mut network, &set);
-    clado_tensor::force_backend(Some(clado_tensor::Backend::Scalar));
-    let scalar_float_secs = eval_pass_seconds(&mut network, &set);
-    clado_tensor::force_backend(None);
-    println!(
-        "  {:<28} {simd_float_secs:>7.2}s   scalar float {scalar_float_secs:.2}s \
-         ({} kernel)",
-        "float forward, eval set",
-        clado_tensor::kernel_name()
-    );
-    let mut curve = Vec::new();
-    for bits in [8u8, 4, 2] {
-        let installed = network.set_integer_assignment(
-            &vec![BitWidth::of(bits); layers],
-            QuantScheme::PerTensorSymmetric,
-        );
-        assert_eq!(installed, layers, "uniform {bits}-bit assignment installs");
-        let int_secs = eval_pass_seconds(&mut network, &set);
-        let vs_simd = simd_float_secs / int_secs;
-        let vs_scalar = scalar_float_secs / int_secs;
-        println!(
-            "  {:<28} {int_secs:>7.2}s   {vs_simd:.2}× vs SIMD float, \
-             {vs_scalar:.2}× vs scalar float",
-            format!("int{bits} forward, eval set")
-        );
-        curve.push((bits, vs_simd, vs_scalar));
-    }
-    network.clear_integer_assignment();
-    curve
-}
-
 /// Solves the eq. (11) IQP on the measured matrix at a 4-bit average
-/// budget and returns the assignment (for the manifest's backend-identity
-/// check: scalar and SIMD runs must pick the same bits).
+/// budget and returns the assignment the manifest records.
 fn solve_assignment(sens: &SensitivityMatrix) -> clado_core::BitAssignment {
     let (network, _) = bench_setup();
     let sizes = LayerSizes::new(network.layer_param_counts());
@@ -537,10 +475,6 @@ fn main() {
         let _s = phase("gemm_throughput");
         gemm_gflops()
     };
-    let int_curve = {
-        let _s = phase("integer_forward");
-        integer_speedup_curve()
-    };
     let assignment = {
         let _s = phase("assignment");
         solve_assignment(&cached)
@@ -613,30 +547,6 @@ fn main() {
     registry.set_gauge("distributed.steady_seconds", dist_steady_secs);
     registry.set_gauge("solver.anytime_overhead_ratio", anytime_overhead);
     registry.set_gauge("bench.gemm_gflops", gflops);
-    for &(bits, vs_simd, vs_scalar) in &int_curve {
-        registry.set_gauge(&format!("bench.int_speedup.b{bits}.vs_simd_float"), vs_simd);
-        registry.set_gauge(
-            &format!("bench.int_speedup.b{bits}.vs_scalar_float"),
-            vs_scalar,
-        );
-        // A "speedup" below 1 is a slowdown — say so instead of letting
-        // the gauge name imply the integer path won.
-        for (ratio, baseline) in [(vs_simd, "SIMD"), (vs_scalar, "scalar")] {
-            if ratio < 1.0 {
-                println!(
-                    "  NOTE: int{bits} forward is {:.1}× SLOWER than the {baseline} \
-                     float forward ({ratio:.3}× ratio)",
-                    1.0 / ratio
-                );
-            }
-        }
-    }
-    let int8_speedup = int_curve
-        .iter()
-        .find(|&&(bits, _, _)| bits == 8)
-        .map(|&(_, vs_simd, _)| vs_simd)
-        .expect("curve includes 8 bits");
-    registry.set_gauge("bench.int8_speedup_ratio", int8_speedup);
     registry.set_gauge(
         "bench.assignment_hash",
         f64::from(assignment_hash(&assignment)),

@@ -130,8 +130,6 @@ COMMANDS:
   eval         --model <id> --map 8,4,4,2,...
                                   PTQ accuracy of an explicit bit map
                [--layer-times     record per-stage forward spans]
-               [--integer         also run the map on real int8/int4 kernels and
-                                  report the measured speedup over the float path]
   stress       solve a planted dense cross-term IQP (worst case for eq. (11))
                under the anytime flags; prints a deterministic result line
                [--layers 32] [--seed 7] [--avg-bits 4] [--bits 2,4,8]
@@ -1831,46 +1829,17 @@ pub fn cmd_eval(args: &Args) -> Result<(), Box<dyn Error>> {
         clado_quant::avg_bits(cost, sizes.total_params()),
         acc * 100.0
     );
-    let mut config: Vec<(&str, ManifestValue)> = vec![
-        ("model", kind.id().into()),
-        ("scheme", format!("{scheme:?}").into()),
-        (
-            "avg_bits",
-            clado_quant::avg_bits(cost, sizes.total_params()).into(),
-        ),
-    ];
-    if args.switch("integer") {
-        let _s = run.telemetry.span("integer_eval");
-        // Float baseline on the restored fp32 weights, then the same pass
-        // with real int8 / packed-int4 kernels installed. Best of two
-        // passes each, so one scheduler hiccup cannot invert the ratio.
-        let timed = |network: &mut clado_nn::Network, split| {
-            let mut acc = 0.0;
-            let mut best = f64::INFINITY;
-            for _ in 0..2 {
-                let start = std::time::Instant::now();
-                acc = clado_models::evaluate(network, split);
-                best = best.min(start.elapsed().as_secs_f64());
-            }
-            (acc, best)
-        };
-        let (_, float_secs) = timed(&mut p.network, &p.data.val);
-        let installed = p.network.set_integer_assignment(&assignment, scheme);
-        let (int_acc, int_secs) = timed(&mut p.network, &p.data.val);
-        p.network.clear_integer_assignment();
-        let speedup = float_secs / int_secs;
-        println!(
-            "integer execution: accuracy {:.2}% ({installed}/{layers} layers on int kernels), \
-             {:.1} ms vs float {:.1} ms → {speedup:.2}×",
-            int_acc * 100.0,
-            int_secs * 1e3,
-            float_secs * 1e3,
-        );
-        config.push(("int_accuracy", int_acc.into()));
-        config.push(("int_speedup", speedup.into()));
-        config.push(("int_layers", installed.into()));
-    }
-    run.finish("eval", &config)
+    run.finish(
+        "eval",
+        &[
+            ("model", kind.id().into()),
+            ("scheme", format!("{scheme:?}").into()),
+            (
+                "avg_bits",
+                clado_quant::avg_bits(cost, sizes.total_params()).into(),
+            ),
+        ],
+    )
 }
 
 /// `clado stress [--layers 32] [--seed 7] [--avg-bits 4]`

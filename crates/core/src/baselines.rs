@@ -220,11 +220,11 @@ pub fn empirical_fisher(
         let logits = network.forward(x, true);
         let (_, grad) = cross_entropy(&logits, &labels);
         network.backward(grad);
-        network.visit_quantizable_weights(&mut |i, p| {
-            for (f, &g) in fisher[i].data_mut().iter_mut().zip(p.grad.data()) {
+        for (f, g) in fisher.iter_mut().zip(network.quantizable_weight_grads()) {
+            for (f, &g) in f.data_mut().iter_mut().zip(g.data()) {
                 *f += g * g;
             }
-        });
+        }
         batches += 1;
     }
     network.zero_grad();

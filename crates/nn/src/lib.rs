@@ -37,7 +37,6 @@ mod attention;
 mod blocks;
 mod conv_layer;
 mod dense;
-mod int_exec;
 mod layer;
 mod loss;
 mod network;
@@ -50,7 +49,6 @@ pub use attention::{MultiHeadAttention, TransformerBlock};
 pub use blocks::{PatchEmbed, ResidualBlock, SqueezeExcite, TokenMeanPool};
 pub use conv_layer::Conv2d;
 pub use dense::Linear;
-pub use int_exec::{dynamic_act_scale, quantize_activations, IntExecWeight};
 pub use layer::{
     ActKind, Activation, AvgPool2d, Flatten, GlobalAvgPool, Layer, LayerClone, MaxPool2d,
     Sequential,

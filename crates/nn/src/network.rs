@@ -2,10 +2,8 @@
 //! the MPQ machinery needs (enumerate / read / substitute quantizable
 //! weights).
 
-use crate::int_exec::IntExecWeight;
 use crate::layer::{Layer, Sequential};
 use crate::param::{Param, ParamRole};
-use clado_quant::{BitWidth, QuantScheme};
 use clado_telemetry::Telemetry;
 use clado_tensor::Tensor;
 use std::fmt;
@@ -222,45 +220,6 @@ impl Network {
         acc
     }
 
-    /// Installs integer execution for every quantizable layer from a
-    /// per-layer bit assignment: weights are quantized once (same MSE
-    /// calibration as `clado_quant::quantize_weights`) and eval-mode
-    /// forwards of dense/conv layers switch to real int8 / packed-int4
-    /// GEMM. Layers whose configuration integer execution cannot represent
-    /// (bits > 8, affine schemes) keep float execution.
-    ///
-    /// Returns the number of layers now running integer kernels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assignment.len()` differs from the quantizable layer
-    /// count.
-    pub fn set_integer_assignment(
-        &mut self,
-        assignment: &[BitWidth],
-        scheme: QuantScheme,
-    ) -> usize {
-        assert_eq!(
-            assignment.len(),
-            self.quantizable.len(),
-            "assignment length mismatch"
-        );
-        let mut installed = 0usize;
-        self.visit_quantizable_weights(&mut |i, p| {
-            p.int_exec = IntExecWeight::prepare(&p.value, assignment[i], scheme);
-            if p.int_exec.is_some() {
-                installed += 1;
-            }
-        });
-        installed
-    }
-
-    /// Removes integer execution from every parameter; all layers run
-    /// float forwards again.
-    pub fn clear_integer_assignment(&mut self) {
-        self.root.visit_params_fast(&mut |p| p.int_exec = None);
-    }
-
     /// Backward pass from logit gradients (after a training forward).
     pub fn backward(&mut self, d_logits: Tensor) {
         let _ = self.root.backward(d_logits);
@@ -279,23 +238,6 @@ impl Network {
     /// Read-only walk over every parameter (inspection, snapshots).
     pub fn visit_params_ref(&self, f: &mut dyn FnMut(&str, &Param)) {
         self.root.visit_params_ref("", f);
-    }
-
-    /// Visits each quantizable layer's weight parameter as
-    /// `(layer_index, param)`, in layer order, without building any path
-    /// strings.
-    pub fn visit_quantizable_weights(&mut self, f: &mut dyn FnMut(usize, &mut Param)) {
-        let slots = std::mem::take(&mut self.slots);
-        let mut cursor = 0usize;
-        let mut qi = 0usize;
-        self.root.visit_params_fast(&mut |p| {
-            if qi < slots.len() && cursor == slots[qi] {
-                f(qi, p);
-                qi += 1;
-            }
-            cursor += 1;
-        });
-        self.slots = slots;
     }
 
     /// Returns a copy of the weight tensor of quantizable layer `index`.
@@ -574,19 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn visit_quantizable_weights_matches_layer_metadata() {
-        let mut net = tiny_net();
-        let mut seen = Vec::new();
-        net.visit_quantizable_weights(&mut |i, p| seen.push((i, p.numel())));
-        let expect: Vec<(usize, usize)> = net
-            .quantizable_layers()
-            .iter()
-            .map(|l| (l.index, l.numel))
-            .collect();
-        assert_eq!(seen, expect);
-    }
-
-    #[test]
     fn prefix_suffix_split_matches_full_forward() {
         let mut net = tiny_net();
         let x = Tensor::full([2, 1, 6, 6], 0.3);
@@ -627,45 +556,6 @@ mod tests {
         assert!(spans.iter().any(|(p, _)| p == "forward"));
         assert!(spans.iter().any(|(p, _)| p == "forward.layer1"));
         assert!(spans.iter().any(|(p, _)| p == "forward.fc"));
-    }
-
-    #[test]
-    fn integer_assignment_switches_eval_forward_and_clears_cleanly() {
-        let mut net = tiny_net();
-        let mut rng = StdRng::seed_from_u64(9);
-        let x = clado_tensor::init::normal([2, 1, 6, 6], 0.0, 1.0, &mut rng);
-        let float_y = net.forward(x.clone(), false);
-        let n = net.quantizable_layers().len();
-        let installed =
-            net.set_integer_assignment(&vec![BitWidth::of(8); n], QuantScheme::PerTensorSymmetric);
-        assert_eq!(installed, n, "all layers run integer kernels at 8 bits");
-        let int_y = net.forward(x.clone(), false);
-        // 8-bit weights + dynamic 8-bit activations track the float
-        // forward closely on this tiny net.
-        for (a, b) in int_y.data().iter().zip(float_y.data()) {
-            assert!((a - b).abs() < 0.1, "int {a} vs float {b}");
-        }
-        // Training forwards ignore integer execution entirely.
-        let train_y = net.forward(x.clone(), true);
-        assert_eq!(train_y.data(), float_y.data());
-        net.clear_integer_assignment();
-        let restored = net.forward(x, false);
-        assert_eq!(restored.data(), float_y.data(), "float path untouched");
-    }
-
-    #[test]
-    fn int4_assignment_installs_packed_weights() {
-        let mut net = tiny_net();
-        let n = net.quantizable_layers().len();
-        let installed =
-            net.set_integer_assignment(&vec![BitWidth::of(4); n], QuantScheme::PerChannelSymmetric);
-        assert_eq!(installed, n);
-        let y = net.forward(Tensor::full([1, 1, 6, 6], 0.3), false);
-        assert_eq!(y.shape().dims(), &[1, 3]);
-        // Bits above 8 cannot execute as integers: nothing installs.
-        let none =
-            net.set_integer_assignment(&vec![BitWidth::of(16); n], QuantScheme::PerTensorSymmetric);
-        assert_eq!(none, 0);
     }
 
     #[test]

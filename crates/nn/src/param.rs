@@ -1,6 +1,5 @@
 //! Trainable parameters.
 
-use crate::int_exec::IntExecWeight;
 use clado_tensor::Tensor;
 
 /// The role a parameter plays, which determines whether MPQ quantizes it.
@@ -33,10 +32,6 @@ pub struct Param {
     /// [`ParamRole::Weight`]; stem and classifier layers of some models are
     /// excluded to match the paper's layer lists).
     pub quantizable: bool,
-    /// Pre-quantized integer levels for real int8/int4 execution. When set
-    /// on a weight, dense/conv layers run their eval-mode forward through
-    /// the integer GEMM instead of float (see [`crate::IntExecWeight`]).
-    pub int_exec: Option<IntExecWeight>,
 }
 
 impl Param {
@@ -49,7 +44,6 @@ impl Param {
             grad,
             role,
             quantizable,
-            int_exec: None,
         }
     }
 

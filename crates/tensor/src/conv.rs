@@ -174,8 +174,8 @@ impl Conv2dSpec {
 
 /// Unfolds one sample's group-slice into a `[cg·k·k, ho·wo]` column matrix.
 ///
-/// Public so higher crates can build their own GEMM-form convolutions
-/// (the integer execution path quantizes this matrix and runs int8 GEMM).
+/// Public so higher crates and tests can build their own GEMM-form
+/// convolutions.
 #[allow(clippy::too_many_arguments)]
 pub fn im2col(
     input: &[f32],

@@ -1,6 +1,6 @@
 //! The dispatching compute-kernel layer behind every GEMM in the crate.
 //!
-//! One entry point — [`sgemm`] — backs [`crate::matmul`], the transposed
+//! One entry point — `sgemm` — backs [`crate::matmul`], the transposed
 //! variants, and the im2col convolution products. At process start the
 //! layer picks a backend once:
 //!
@@ -80,8 +80,8 @@ impl Backend {
 static BACKEND: OnceLock<Backend> = OnceLock::new();
 
 /// Process-wide backend override: 0 = none, otherwise `discriminant + 1`.
-/// Benchmarks pin the scalar path through this to time a scalar-float
-/// baseline in the same process as the SIMD run.
+/// Tests pin the scalar path through this to compare it with the SIMD
+/// path in one process.
 static OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
 fn detect_backend() -> Backend {
@@ -105,8 +105,8 @@ fn detect_backend() -> Backend {
 
 /// The backend every dispatched GEMM in this process uses, selected once
 /// on first use. `CLADO_FORCE_SCALAR=1` (read at selection time) pins the
-/// scalar reference path. A live [`force_backend`] override (bench-only)
-/// takes precedence over the cached selection.
+/// scalar reference path. A live [`force_backend`] override takes
+/// precedence over the cached selection.
 pub fn active_backend() -> Backend {
     match OVERRIDE.load(Ordering::Relaxed) {
         1 => Backend::Scalar,
@@ -117,8 +117,10 @@ pub fn active_backend() -> Backend {
 }
 
 /// Overrides the dispatched backend process-wide until called again with
-/// `None`. Bench-only: lets one process time both the SIMD and scalar
-/// float paths. Callers must not request a backend the host lacks.
+/// `None`, so one process can run both the SIMD and the scalar float
+/// paths (`crates/core/tests/backend_identity.rs` solves the same plan
+/// on each). The override is global: a test that sets it must be the only
+/// test in its binary. Callers must not request a backend the host lacks.
 #[doc(hidden)]
 pub fn force_backend(backend: Option<Backend>) {
     let code = match backend {

@@ -23,7 +23,6 @@
 
 mod conv;
 mod gemm;
-pub mod igemm;
 pub mod init;
 pub mod kernel;
 pub mod ops;

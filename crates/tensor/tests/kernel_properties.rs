@@ -1,11 +1,8 @@
 //! Property-based tests for the dispatching kernel layer: every SIMD
 //! backend must agree with the frozen scalar reference within a
-//! ULP-scaled tolerance on float GEMM and convolution, and exactly on the
-//! integer GEMMs (i32 accumulation never rounds).
+//! ULP-scaled tolerance on float GEMM and convolution, and `im2col` must
+//! match its definition bit for bit.
 
-use clado_tensor::igemm::{
-    igemm_i4_a_bt, igemm_i8_a_bt, pack_i4, quantize_i8, requantize, unpack_i4, Scales,
-};
 use clado_tensor::kernel::{sgemm_overwrite, sgemm_with, SIMD_FLOP_THRESHOLD};
 use clado_tensor::{conv2d_forward, im2col_ld, Backend, Conv2dSpec, Tensor};
 use proptest::prelude::*;
@@ -232,108 +229,6 @@ proptest! {
                     row += 1;
                 }
             }
-        }
-    }
-
-    /// The int8 GEMM (scalar or AVX2 `madd` path, whichever is active)
-    /// equals a plain i32 reference exactly, including k = 1 and k not a
-    /// multiple of the 16-lane step.
-    #[test]
-    fn igemm_i8_is_exact(
-        m in 1usize..6,
-        k in 1usize..40,
-        n in 1usize..6,
-        seed in 0u64..1_000,
-    ) {
-        let qa: Vec<i8> = fill(m * k, seed).iter().map(|v| (v * 127.0) as i8).collect();
-        let qb: Vec<i8> = fill(n * k, seed + 1).iter().map(|v| (v * 127.0) as i8).collect();
-        let mut c = vec![0i32; m * n];
-        igemm_i8_a_bt(&qa, &qb, &mut c, m, k, n);
-        for i in 0..m {
-            for j in 0..n {
-                let expect: i32 = (0..k)
-                    .map(|p| qa[i * k + p] as i32 * qb[j * k + p] as i32)
-                    .sum();
-                prop_assert_eq!(c[i * n + j], expect, "[{}, {}]", i, j);
-            }
-        }
-    }
-
-    /// Packed int4: pack/unpack round-trips and the packed GEMM equals the
-    /// int8 GEMM over the unpacked levels exactly.
-    #[test]
-    fn igemm_i4_matches_unpacked_i8(
-        m in 1usize..5,
-        k in 1usize..24,
-        n in 1usize..5,
-        seed in 0u64..1_000,
-    ) {
-        let levels = |len: usize, s: u64| -> Vec<i8> {
-            fill(len, s).iter().map(|v| (v * 7.99).clamp(-8.0, 7.0) as i8).collect()
-        };
-        let qa = levels(m * k, seed);
-        let qb = levels(n * k, seed + 1);
-        // Rows are packed independently: row `j` occupies `ceil(k/2)`
-        // bytes, so an odd `k` pads each row rather than straddling bytes.
-        let packed: Vec<u8> = qb.chunks(k).flat_map(pack_i4).collect();
-        let row_bytes = k.div_ceil(2);
-        for (j, row) in qb.chunks(k).enumerate() {
-            let unpacked = unpack_i4(&packed[j * row_bytes..(j + 1) * row_bytes], k);
-            prop_assert_eq!(&unpacked, &row.to_vec());
-        }
-        let mut via_i4 = vec![0i32; m * n];
-        igemm_i4_a_bt(&qa, &packed, &mut via_i4, m, k, n);
-        let mut via_i8 = vec![0i32; m * n];
-        igemm_i8_a_bt(&qa, &qb, &mut via_i8, m, k, n);
-        prop_assert_eq!(via_i4, via_i8);
-    }
-
-    /// Requantization applies `acc · (a_scale · w_scale(j))` per element
-    /// for both per-tensor and per-channel scales.
-    #[test]
-    fn requantize_matches_formula(
-        m in 1usize..4,
-        n in 1usize..6,
-        a_scale in 0.001f32..2.0,
-        seed in 0u64..1_000,
-    ) {
-        let acc: Vec<i32> = fill(m * n, seed).iter().map(|v| (v * 1e6) as i32).collect();
-        let w_scales: Vec<f32> = fill(n, seed + 1).iter().map(|v| v.abs() + 0.01).collect();
-        let mut out = vec![0.0f32; m * n];
-        requantize(&acc, n, a_scale, Scales::PerChannel(&w_scales), &mut out);
-        for i in 0..m {
-            for j in 0..n {
-                let expect = acc[i * n + j] as f32 * (a_scale * w_scales[j]);
-                prop_assert!(out[i * n + j].to_bits() == expect.to_bits());
-            }
-        }
-        requantize(&acc, n, a_scale, Scales::PerTensor(w_scales[0]), &mut out);
-        for (idx, &got) in out.iter().enumerate() {
-            let expect = acc[idx] as f32 * (a_scale * w_scales[0]);
-            prop_assert!(got.to_bits() == expect.to_bits());
-        }
-    }
-
-    /// `quantize_i8` levels dequantize bit-for-bit to the fake-quant
-    /// value: `round(x / s).clamp(..) · s` (modulo `-0.0` vs `+0.0`).
-    #[test]
-    fn quantize_i8_roundtrips_fake_quant_semantics(
-        len in 1usize..64,
-        scale in 0.001f32..1.5,
-        seed in 0u64..1_000,
-    ) {
-        let src = fill(len, seed);
-        let q = quantize_i8(&src, scale, -127, 127);
-        // Same op sequence as `fake_quant_symmetric_into`: multiply by the
-        // reciprocal (not a division) so the comparison is bit-exact.
-        let inv = 1.0 / scale;
-        for (i, (&qi, &x)) in q.iter().zip(&src).enumerate() {
-            let fake = (x * inv).round().clamp(-127.0, 127.0) * scale;
-            let deq = qi as f32 * scale;
-            prop_assert!(
-                deq.to_bits() == fake.to_bits() || (deq == 0.0 && fake == 0.0),
-                "idx {i}: {deq} vs {fake}"
-            );
         }
     }
 }
