@@ -7,8 +7,8 @@
 use crate::args::{Args, ArgsError};
 use clado_core::{
     assign_bits, load_sensitivities, measure_sensitivities, quantized_accuracy, save_sensitivities,
-    Algorithm, AssignOptions, CladoVariant, ExperimentContext, OmegaPlan, SensitivityOptions,
-    ShardContext,
+    Algorithm, AssignOptions, CladoVariant, ExperimentContext, OmegaPlan, SensitivityMatrix,
+    SensitivityOptions, ShardContext,
 };
 use clado_dist::{
     run_sweep, run_worker, scheme_to_u8, DistOutcome, JobControl, JobSpec, PoolOptions,
@@ -56,16 +56,18 @@ COMMANDS:
                                          (default 127.0.0.1:0; prints the bound address)]
                [--heartbeat-timeout-ms 3000   evict a silent worker after this long]
                [--idle-timeout-secs 180       fail if no worker connects (0 = wait forever)]
-               [--estimator sketched|adaptive|blocktopk|hutchinson
+               [--estimator adaptive|blocktopk
                                          estimate Ω under a probe budget instead of
                                          the full O(|𝔹|²I²) sweep (see `estimate`)]
                [--probe-budget N (0 = 25% of the full sweep)]
-               [--estimator-seed 0xE571  probe-selection / ALS seed]
   estimate     --model <id>       run the sub-quadratic Ω estimators against the
                                   exact sweep and report probes spent, entry-wise
-                                  error, and IQP assignment regret
+                                  error, and IQP assignment regret on the held-out
+                                  validation split, next to a noise floor: the
+                                  regret of the exact Ω of a second sensitivity
+                                  set (set seed + 1000)
                [--estimator <name>|all (default all)] [--probe-budget N]
-               [--estimator-seed 0xE571] [--avg-bits 4.0   regret budget]
+               [--avg-bits 4.0   regret budget]
                [--set-size 128] [--set-seed 0] [--bits 2,4,8]
                [--scheme symmetric|affine] [--threads N] [--no-prefix-cache]
                [--out <file.clsm>   persist the estimated Ω̂ (single estimator only)]
@@ -100,7 +102,7 @@ COMMANDS:
                [--deadline-ms N (0 = none; infeasible deadlines are refused)]
                [--set-size 128] [--set-seed 0] [--batch-size 64] [--bits 2,4,8]
                [--scheme symmetric|affine] [--no-prefix-cache]
-               [--estimator <name> --probe-budget N --estimator-seed S
+               [--estimator <name> --probe-budget N
                                     measure op: budgeted Ω estimation; the daemon's
                                     Ω cache keys on the estimator, so estimated and
                                     exact results never alias]
@@ -427,15 +429,7 @@ pub fn cmd_sensitivity(args: &Args) -> Result<(), Box<dyn Error>> {
     }
     let estimator = estimator_of(args)?;
     let probe_budget: usize = args.get_or("probe-budget", 0)?;
-    let estimator_seed: u64 = args.get_or("estimator-seed", DEFAULT_ESTIMATOR_SEED)?;
     let distributed = args.get_or::<usize>("workers", 0)? > 0 || args.get("listen").is_some();
-    if distributed && estimator == Some(EstimatorKind::Hutchinson) {
-        return Err(Box::new(ArgsError(
-            "--estimator hutchinson is diagonal-only and not grid-shardable; \
-             drop --workers/--listen to run it single-process"
-                .into(),
-        )));
-    }
 
     let (mut p, sens_set) = load_with_set(&run, kind, set_size, set_seed);
     let options = SensitivityOptions {
@@ -467,8 +461,7 @@ pub fn cmd_sensitivity(args: &Args) -> Result<(), Box<dyn Error>> {
             options.batch_size,
             options.use_prefix_cache,
         );
-        let estimation =
-            estimator.map(|k| EstimationPlan::new(&ctx, k, probe_budget, estimator_seed));
+        let estimation = estimator.map(|k| EstimationPlan::new(&ctx, k, probe_budget));
         let plan: &dyn OmegaPlan = match &estimation {
             Some(plan) => plan,
             None => &ctx,
@@ -513,7 +506,6 @@ pub fn cmd_sensitivity(args: &Args) -> Result<(), Box<dyn Error>> {
             &bits,
             &EstimatorOptions {
                 probe_budget,
-                seed: estimator_seed,
                 measure: options,
                 ..EstimatorOptions::new(est_kind)
             },
@@ -649,9 +641,12 @@ fn record_dist_outcome(t: &Telemetry, outcome: &DistOutcome) {
 ///
 /// Runs the sub-quadratic Ω estimators against the exact full sweep and
 /// reports, per estimator: probes spent vs. the full-sweep count,
-/// entry-wise error of the completed Ω̂, and the metric that matters —
-/// the task-loss regret of the IQP assignment solved under Ω̂ instead
-/// of Ω at the same bit budget.
+/// entry-wise error of the PSD-projected Ω̂, and the metric that matters
+/// — the held-out task-loss regret of the IQP assignment solved under Ω̂
+/// instead of Ω at the same bit budget, evaluated on the validation
+/// split. Next to it stands a noise floor (paper Fig. 4): the held-out
+/// regret of the exact Ω measured on a second sensitivity set of the
+/// same size (set seed + 1000).
 pub fn cmd_estimate(args: &Args) -> Result<(), Box<dyn Error>> {
     let run = RunContext::from_args(args)?;
     let kind = model_kind(args.require::<String>("model")?.as_str())?;
@@ -661,7 +656,6 @@ pub fn cmd_estimate(args: &Args) -> Result<(), Box<dyn Error>> {
     let scheme = scheme_of(args)?;
     let avg_bits: f64 = args.get_or("avg-bits", 4.0)?;
     let probe_budget: usize = args.get_or("probe-budget", 0)?;
-    let seed: u64 = args.get_or("estimator-seed", DEFAULT_ESTIMATOR_SEED)?;
     let selected: Vec<EstimatorKind> = match args.get("estimator").unwrap_or("all") {
         "all" => EstimatorKind::ALL.to_vec(),
         name => vec![name.parse().map_err(ArgsError)?],
@@ -674,6 +668,11 @@ pub fn cmd_estimate(args: &Args) -> Result<(), Box<dyn Error>> {
     }
 
     let (mut p, sens_set) = load_with_set(&run, kind, set_size, set_seed);
+    let floor_seed = set_seed.wrapping_add(1000);
+    let floor_set = p
+        .data
+        .train
+        .sample_subset(set_size.min(p.data.train.len()), floor_seed);
     let measure = SensitivityOptions {
         scheme,
         verbose: args.switch("verbose"),
@@ -686,23 +685,45 @@ pub fn cmd_estimate(args: &Args) -> Result<(), Box<dyn Error>> {
         let _s = run.telemetry.span("estimate.exact_reference");
         measure_sensitivities(&mut p.network, &sens_set, &bits, &measure)?
     };
+    let second_exact = {
+        let _s = run.telemetry.span("estimate.floor_reference");
+        measure_sensitivities(&mut p.network, &floor_set, &bits, &measure)?
+    };
     let sizes = LayerSizes::new(p.network.layer_param_counts());
     let budget_bits = sizes.budget_from_avg_bits(avg_bits);
     let assign_options = AssignOptions {
         telemetry: run.telemetry.clone(),
         ..Default::default()
     };
+    let held_out_regret = |network: &mut clado_nn::Network, omega: &SensitivityMatrix| {
+        assignment_regret(
+            network,
+            &p.data.val,
+            &exact,
+            omega,
+            &sizes,
+            budget_bits,
+            &assign_options,
+            scheme,
+            measure.batch_size,
+        )
+    };
 
     println!(
-        "exact sweep: {} probes ({} evaluations); regret measured at {avg_bits} avg bits",
+        "exact sweep: {} probes ({} evaluations); held-out regret ({} validation samples) \
+         measured at {avg_bits} avg bits",
         exact.stats.full_evals + exact.stats.prefix_cache_hits,
-        exact.stats.evaluations
+        exact.stats.evaluations,
+        p.data.val.len()
     );
+    let floor = held_out_regret(&mut p.network, &second_exact)?;
+    println!("noise floor (exact Ω of set seed {floor_seed}): regret: {floor}");
     let mut config: Vec<(&str, ManifestValue)> = vec![
         ("model", kind.id().into()),
         ("bits", bits.to_string().into()),
         ("avg_bits", avg_bits.into()),
         ("probe_budget", probe_budget.into()),
+        ("regret_floor", floor.relative.into()),
     ];
     for est_kind in selected {
         let est = estimate_sensitivities(
@@ -711,22 +732,11 @@ pub fn cmd_estimate(args: &Args) -> Result<(), Box<dyn Error>> {
             &bits,
             &EstimatorOptions {
                 probe_budget,
-                seed,
                 measure: measure.clone(),
                 ..EstimatorOptions::new(est_kind)
             },
         )?;
-        let regret = assignment_regret(
-            &mut p.network,
-            &sens_set,
-            &exact,
-            &est.matrix,
-            &sizes,
-            budget_bits,
-            &assign_options,
-            scheme,
-            measure.batch_size,
-        )?;
+        let regret = held_out_regret(&mut p.network, &est.matrix)?;
         let report = build_report(est_kind, &est, Some(&exact), Some(regret));
         println!("{report}");
         run.telemetry.set_gauge(
@@ -737,10 +747,8 @@ pub fn cmd_estimate(args: &Args) -> Result<(), Box<dyn Error>> {
             .set_gauge(&format!("estim.{est_kind}.regret"), regret.relative);
         config.push((
             match est_kind {
-                EstimatorKind::Sketched => "regret_sketched",
                 EstimatorKind::Adaptive => "regret_adaptive",
                 EstimatorKind::BlockTopK => "regret_blocktopk",
-                EstimatorKind::Hutchinson => "regret_hutchinson",
             },
             regret.relative.into(),
         ));
@@ -947,7 +955,7 @@ pub fn cmd_submit(args: &Args) -> Result<(), Box<dyn Error>> {
     let (probe_budget, estimator_seed) = match estimator {
         Some(_) => (
             args.get_or::<u64>("probe-budget", 0)?,
-            args.get_or("estimator-seed", DEFAULT_ESTIMATOR_SEED)?,
+            DEFAULT_ESTIMATOR_SEED,
         ),
         None => (0, 0),
     };

@@ -105,20 +105,25 @@ pub struct OmegaProvenance {
     pub estimator: u8,
     /// Probe budget the estimator was given (`0` for exact).
     pub probe_budget: u64,
-    /// Estimator RNG seed (`0` for exact).
+    /// Estimator seed (`0` for exact). Estimators no longer read a seed;
+    /// estimated Ω records `clado_estim::DEFAULT_ESTIMATOR_SEED`.
     pub seed: u64,
 }
 
 impl OmegaProvenance {
     /// Tag of the exact full sweep.
     pub const TAG_EXACT: u8 = 0;
-    /// Tag of the sketched low-rank recovery estimator.
+    /// Tag of the retired sketched low-rank recovery estimator. Nothing
+    /// writes it any more; it stays so older `.clsm` files still load
+    /// and name their provenance.
     pub const TAG_SKETCHED: u8 = 1;
     /// Tag of the adaptive-sampling estimator.
     pub const TAG_ADAPTIVE: u8 = 2;
     /// Tag of the block-diagonal + top-k cross-term estimator.
     pub const TAG_BLOCK_TOPK: u8 = 3;
-    /// Tag of the Hutchinson diagonal estimator.
+    /// Tag of the retired Hutchinson diagonal estimator. Nothing writes
+    /// it any more; it stays so older `.clsm` files still load and name
+    /// their provenance.
     pub const TAG_HUTCHINSON: u8 = 4;
 
     /// Provenance of an exact full sweep.

@@ -199,24 +199,20 @@ fn distributed_sweep_matches_single_process_bitwise() {
     assert!(outcome.straggler_seconds >= 0.0);
 }
 
-/// Same seed + budget ⇒ a 2-worker distributed estimation sweep is
-/// bitwise identical to the single-process estimator, for both a
-/// completion-based estimator (sketched: the sweep runs the same ALS
-/// the single-process path does) and the adaptive one (its refinement
-/// round reads each pair shard's own records, so sharding cannot change
-/// it).
+/// Same budget ⇒ a 2-worker distributed estimation sweep is bitwise
+/// identical to the single-process estimator, for both a fixed-selection
+/// estimator (blocktopk: the sweep runs the same PSD projection the
+/// single-process path does) and the adaptive one (its refinement round
+/// reads each pair shard's own records, so sharding cannot change it).
 #[test]
 fn distributed_estimation_matches_single_process_bitwise() {
-    use clado_estim::{
-        estimate_sensitivities, EstimationPlan, EstimatorKind, EstimatorOptions,
-        DEFAULT_ESTIMATOR_SEED,
-    };
+    use clado_estim::{estimate_sensitivities, EstimationPlan, EstimatorKind, EstimatorOptions};
     let _guard = test_guard();
     let (net, set) = setup();
     // Mandatory base+diagonal is 1 + |𝔹|I = 7 probes here; 13 leaves
     // six probes of pair headroom so selection genuinely happens.
     let budget = 13usize;
-    for kind in [EstimatorKind::Sketched, EstimatorKind::Adaptive] {
+    for kind in [EstimatorKind::BlockTopK, EstimatorKind::Adaptive] {
         let single = estimate_sensitivities(
             &mut net.clone(),
             &set,
@@ -228,7 +224,7 @@ fn distributed_estimation_matches_single_process_bitwise() {
         )
         .expect("single-process estimate");
         let ctx = context(&net, &set);
-        let plan = EstimationPlan::new(&ctx, kind, budget, DEFAULT_ESTIMATOR_SEED);
+        let plan = EstimationPlan::new(&ctx, kind, budget);
         let pool = bind(PoolOptions::default());
         let addr = pool.worker_addr().to_string();
         let workers = spawn_workers(&addr, 2, &net, &set, &WorkerOptions::default());
@@ -255,10 +251,7 @@ fn distributed_estimation_matches_single_process_bitwise() {
 /// once, not once more per worker to rebuild the plan.
 #[test]
 fn estimated_pool_sweep_measures_each_planned_probe_once() {
-    use clado_estim::{
-        estimate_sensitivities, EstimationPlan, EstimatorKind, EstimatorOptions,
-        DEFAULT_ESTIMATOR_SEED,
-    };
+    use clado_estim::{estimate_sensitivities, EstimationPlan, EstimatorKind, EstimatorOptions};
     let _guard = test_guard();
     let (net, set) = setup();
     let budget = 13usize;
@@ -274,12 +267,7 @@ fn estimated_pool_sweep_measures_each_planned_probe_once() {
     .expect("single-process estimate")
     .probes_spent;
     let ctx = context(&net, &set);
-    let plan = EstimationPlan::new(
-        &ctx,
-        EstimatorKind::BlockTopK,
-        budget,
-        DEFAULT_ESTIMATOR_SEED,
-    );
+    let plan = EstimationPlan::new(&ctx, EstimatorKind::BlockTopK, budget);
     let telemetry = Telemetry::new();
     let pool = bind(PoolOptions::default());
     let addr = pool.worker_addr().to_string();

@@ -5,13 +5,9 @@
 //! The exact sweep costs `1 + |𝔹|I + ½|𝔹|²I(I−1)` forward evaluations —
 //! quadratic in the layer count — and is the scaling wall for anything
 //! beyond toy models. This crate trades a probe *budget* for an
-//! approximate Ω with four estimators ([`EstimatorKind`], run by
+//! approximate Ω with two estimators ([`EstimatorKind`], run by
 //! [`estimate_sensitivities`]):
 //!
-//! * [`EstimatorKind::Sketched`] — measures a seeded uniform subset of
-//!   the cross-term probes and completes the matrix by symmetric
-//!   low-rank alternating least squares on the observed entries,
-//!   PSD-projected through the solver's existing projection path.
 //! * [`EstimatorKind::Adaptive`] — initializes a per-entry uncertainty
 //!   width from the diagonal-product prior, spends half of each shard's
 //!   budget on the widest entries, rescales the widths of unobserved
@@ -21,14 +17,13 @@
 //!   within-block cross term is probed, and the remaining budget goes to
 //!   the `k` cross-block entries with the highest `|Ω_ii·Ω_jj|`
 //!   diagonal product.
-//! * [`EstimatorKind::Hutchinson`] — promotes the HAWQ-style Hutchinson
-//!   trace baseline into an estimator mode: a diagonal-only Ω from
-//!   central-difference Hessian-vector products, no pair probes at all.
 //!
-//! The three grid estimators are [`EstimationPlan`]s: a
-//! [`clado_core::OmegaPlan`] whose rounds the one Ω sweep
+//! Both treat unobserved cross terms as zero and PSD-project the result
+//! through the solver's projection path. Each is an [`EstimationPlan`]:
+//! a [`clado_core::OmegaPlan`] whose rounds the one Ω sweep
 //! ([`clado_core::run_plan`]) runs in process, on threads, or on a worker
-//! pool alike.
+//! pool alike. (The HAWQ-style diagonal-only Hutchinson estimate is the
+//! `hawq` baseline, [`clado_core::hawq_sensitivities`].)
 //!
 //! Every estimator spends budget on the base probe and the full diagonal
 //! (a variable's own sensitivity cannot be defaulted — the solver's
@@ -37,13 +32,14 @@
 //!
 //! # Determinism and fault tolerance
 //!
-//! Probe selection is a pure function of the seed, the budget, and the
-//! bitwise-deterministic diagonal records, and each pair shard's
-//! refinement reads only that shard's records — so the estimated Ω is
-//! bitwise identical serially, across `--threads N`, and across
-//! distributed workers, and the CLSJ journal makes estimation
-//! crash-safe and resumable exactly like exact measurement.
-//! The journal fingerprint folds in the estimator kind, budget, and seed
+//! Probe selection is a pure function of the budget and the
+//! bitwise-deterministic diagonal records (no estimator draws random
+//! numbers), and each pair shard's refinement reads only that shard's
+//! records — so the estimated Ω is bitwise identical serially, across
+//! `--threads N`, and across distributed workers, and the CLSJ journal
+//! makes estimation crash-safe and resumable exactly like exact
+//! measurement.
+//! The journal fingerprint folds in the estimator kind and budget
 //! ([`clado_core::estimator_config_fingerprint`]), so an estimation
 //! checkpoint can never resume an exact sweep's journal or another
 //! estimator's.
@@ -58,15 +54,12 @@
 
 #![warn(missing_docs)]
 
-mod complete;
 mod estimate;
 mod planner;
 mod report;
 
-pub use complete::{als_complete, complete_partial};
 pub use estimate::{
-    estimate_sensitivities, EstimatedOmega, EstimatorOptions, DEFAULT_ALS_ITERS, DEFAULT_ALS_RANK,
-    DEFAULT_ESTIMATOR_SEED,
+    estimate_sensitivities, EstimatedOmega, EstimatorOptions, DEFAULT_ESTIMATOR_SEED,
 };
 pub use planner::{EstimationPlan, GridEstimation};
 pub use report::{
@@ -81,40 +74,29 @@ use clado_core::OmegaProvenance;
 /// Which sub-quadratic estimator to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EstimatorKind {
-    /// Seeded uniform probe subset + symmetric low-rank ALS completion.
-    Sketched,
     /// Prior-weighted two-round sampling of the widest uncertainty
     /// intervals.
     Adaptive,
     /// All within-block cross terms plus the top-k cross-block entries by
     /// diagonal product.
     BlockTopK,
-    /// Diagonal-only Ω from Hutchinson Hessian-trace estimates.
-    Hutchinson,
 }
 
 impl EstimatorKind {
     /// All estimator kinds, in tag order.
-    pub const ALL: [EstimatorKind; 4] = [
-        EstimatorKind::Sketched,
-        EstimatorKind::Adaptive,
-        EstimatorKind::BlockTopK,
-        EstimatorKind::Hutchinson,
-    ];
+    pub const ALL: [EstimatorKind; 2] = [EstimatorKind::Adaptive, EstimatorKind::BlockTopK];
 
     /// The wire/CLSM tag of this kind (see
     /// [`clado_core::OmegaProvenance`]; `0` is reserved for exact).
     pub fn tag(self) -> u8 {
         match self {
-            Self::Sketched => OmegaProvenance::TAG_SKETCHED,
             Self::Adaptive => OmegaProvenance::TAG_ADAPTIVE,
             Self::BlockTopK => OmegaProvenance::TAG_BLOCK_TOPK,
-            Self::Hutchinson => OmegaProvenance::TAG_HUTCHINSON,
         }
     }
 
     /// The kind for a wire/CLSM tag; `None` for `0` (exact) and unknown
-    /// tags.
+    /// tags, including the retired sketched (`1`) and hutchinson (`4`).
     pub fn from_tag(tag: u8) -> Option<Self> {
         Self::ALL.into_iter().find(|k| k.tag() == tag)
     }
@@ -122,10 +104,8 @@ impl EstimatorKind {
     /// The CLI spelling of this kind.
     pub fn name(self) -> &'static str {
         match self {
-            Self::Sketched => "sketched",
             Self::Adaptive => "adaptive",
             Self::BlockTopK => "blocktopk",
-            Self::Hutchinson => "hutchinson",
         }
     }
 }
@@ -141,13 +121,10 @@ impl FromStr for EstimatorKind {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "sketched" => Ok(Self::Sketched),
             "adaptive" => Ok(Self::Adaptive),
             "blocktopk" | "block-topk" | "block_topk" => Ok(Self::BlockTopK),
-            "hutchinson" => Ok(Self::Hutchinson),
             other => Err(format!(
-                "unknown estimator '{other}' (expected sketched, adaptive, blocktopk, \
-                 or hutchinson)"
+                "unknown estimator '{other}' (expected adaptive or blocktopk)"
             )),
         }
     }

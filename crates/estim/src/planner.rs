@@ -3,24 +3,22 @@
 //!
 //! The planner owns the part of estimation that must agree bitwise across
 //! every execution mode: which pair probes get measured. Its inputs are
-//! the estimator kind, the seed, the budget, and the diagonal
-//! measurements — all of which are themselves bitwise deterministic — so
-//! every sweep, however its rounds are executed or resumed, arrives at
-//! the identical probe set. The adaptive kind refines its selection from
+//! the estimator kind, the budget, and the diagonal measurements — all
+//! of which are themselves bitwise deterministic — so every sweep,
+//! however its rounds are executed or resumed, arrives at the identical
+//! probe set. The adaptive kind refines its selection from
 //! measured pair values, but only *within* one shard, so a shard remains
 //! a self-contained, relocatable unit of work.
 
 // Index-based loops are kept where they mirror the probe-grid layout.
 #![allow(clippy::needless_range_loop)]
-use crate::{complete_partial, EstimatorKind, DEFAULT_ALS_ITERS, DEFAULT_ALS_RANK};
+use crate::{EstimatorKind, DEFAULT_ESTIMATOR_SEED};
 use clado_core::journal::ProbeId;
 use clado_core::{
     estimator_config_fingerprint, MeasureError, OmegaPlan, OmegaProvenance, Records, Round,
     SensitivityMatrix, SensitivityStats, ShardContext, ShardSpec,
 };
 use clado_solver::ObservedMask;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Floor of any grid estimator's budget: the base probe plus the full
 /// diagonal, which [`clado_solver::harden_partial`] requires.
@@ -44,99 +42,57 @@ pub(crate) fn resolve_budget(requested: usize, full_sweep: usize, mandatory: usi
 /// carries them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GridEstimation {
-    /// The estimator; never [`EstimatorKind::Hutchinson`].
+    /// The estimator.
     pub kind: EstimatorKind,
     /// The requested probe budget (`0` = 25% of the full sweep).
     pub probe_budget: usize,
-    /// Probe-selection and ALS seed.
-    pub seed: u64,
 }
 
 impl GridEstimation {
     /// Reads a job's estimator fields. Tag `0` is an exact sweep
-    /// (`Ok(None)`); hutchinson (diagonal-only) and unknown tags are
-    /// refused with the reason every caller reports.
+    /// (`Ok(None)`); unknown tags — the retired sketched (`1`) and
+    /// hutchinson (`4`) included — are refused with the reason every
+    /// caller reports.
     ///
     /// # Errors
     ///
-    /// The refusal reason for a tag that cannot be grid-sharded.
-    pub fn from_job(tag: u8, probe_budget: u64, seed: u64) -> Result<Option<Self>, String> {
+    /// The refusal reason for a tag that names no estimator.
+    pub fn from_job(tag: u8, probe_budget: u64) -> Result<Option<Self>, String> {
         if tag == 0 {
             return Ok(None);
         }
         match EstimatorKind::from_tag(tag) {
-            Some(EstimatorKind::Hutchinson) => Err(
-                "hutchinson estimation is diagonal-only and not grid-shardable; \
-                 run it single-process"
-                    .into(),
-            ),
             Some(kind) => Ok(Some(Self {
                 kind,
                 probe_budget: probe_budget as usize,
-                seed,
             })),
             None => Err(format!("unknown estimator tag {tag}")),
         }
     }
 }
 
-/// The [`OmegaPlan`] of a grid estimation run (sketched, adaptive,
-/// blocktopk): round 0 measures the base and diagonal probes, round 1
-/// the pair probes they select, and — adaptive only — round 2 refines
-/// each pair shard from its own round-1 records. Assembly completes the
-/// partially observed Ω.
+/// The [`OmegaPlan`] of an estimation run: round 0 measures the base
+/// and diagonal probes, round 1 the pair probes they select, and —
+/// adaptive only — round 2 refines each pair shard from its own round-1
+/// records. Assembly PSD-projects the partially observed Ω, whose
+/// unobserved cross terms stay zero.
 pub struct EstimationPlan<'a> {
     ctx: &'a ShardContext,
     kind: EstimatorKind,
     budget: usize,
-    seed: u64,
-    rank: usize,
-    als_iters: usize,
 }
 
 impl<'a> EstimationPlan<'a> {
-    /// The plan for `kind` under `requested_budget` and `seed`,
-    /// completing Ω with the default ALS rank and sweep count. A budget
-    /// of `0` resolves to 25% of the full sweep, and any request is
-    /// floored at the mandatory base+diagonal probes and capped at the
-    /// full sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics for [`EstimatorKind::Hutchinson`], which measures no grid.
-    pub fn new(
-        ctx: &'a ShardContext,
-        kind: EstimatorKind,
-        requested_budget: usize,
-        seed: u64,
-    ) -> Self {
-        assert!(
-            kind != EstimatorKind::Hutchinson,
-            "hutchinson has no probe plan"
-        );
+    /// The plan for `kind` under `requested_budget`. A budget of `0`
+    /// resolves to 25% of the full sweep, and any request is floored at
+    /// the mandatory base+diagonal probes and capped at the full sweep.
+    pub fn new(ctx: &'a ShardContext, kind: EstimatorKind, requested_budget: usize) -> Self {
         let budget = resolve_budget(
             requested_budget,
             ctx.total_probes(),
             mandatory_probes(ctx.num_layers(), ctx.bits().len()),
         );
-        Self {
-            ctx,
-            kind,
-            budget,
-            seed,
-            rank: DEFAULT_ALS_RANK,
-            als_iters: DEFAULT_ALS_ITERS,
-        }
-    }
-
-    /// Overrides the ALS factor rank and sweep count of sketched
-    /// completion.
-    pub fn with_als(self, rank: usize, als_iters: usize) -> Self {
-        Self {
-            rank,
-            als_iters,
-            ..self
-        }
+        Self { ctx, kind, budget }
     }
 
     /// The resolved probe budget — also the number of probes the plan
@@ -151,7 +107,6 @@ impl<'a> EstimationPlan<'a> {
             self.ctx.num_layers(),
             self.ctx.bits().len(),
             self.budget,
-            self.seed,
             records,
         )
     }
@@ -159,14 +114,15 @@ impl<'a> EstimationPlan<'a> {
 
 impl OmegaPlan for EstimationPlan<'_> {
     /// The measurement configuration fingerprint folded with the
-    /// estimator tag, the resolved budget and the seed, so an estimation
-    /// journal never mixes with an exact sweep's or another estimator's.
+    /// estimator tag, the resolved budget and [`DEFAULT_ESTIMATOR_SEED`],
+    /// so an estimation journal never mixes with an exact sweep's or
+    /// another estimator's.
     fn fingerprint(&self) -> u64 {
         estimator_config_fingerprint(
             self.ctx.fingerprint(),
             self.kind.tag(),
             self.budget as u64,
-            self.seed,
+            DEFAULT_ESTIMATOR_SEED,
         )
     }
 
@@ -190,21 +146,17 @@ impl OmegaPlan for EstimationPlan<'_> {
         records: &Records,
     ) -> Result<(SensitivityMatrix, ObservedMask), MeasureError> {
         let assembly = self.ctx.assemble_partial(records)?;
-        let completed = complete_partial(
-            self.kind,
-            &assembly.g,
-            &assembly.observed,
-            self.rank,
-            self.als_iters,
-            self.seed,
-        );
         let stats = SensitivityStats {
             quarantined: assembly.quarantined,
-            provenance: OmegaProvenance::estimated(self.kind.tag(), self.budget as u64, self.seed),
+            provenance: OmegaProvenance::estimated(
+                self.kind.tag(),
+                self.budget as u64,
+                DEFAULT_ESTIMATOR_SEED,
+            ),
             ..Default::default()
         };
         let matrix = SensitivityMatrix::from_parts(
-            completed,
+            assembly.g.psd_project(),
             self.ctx.num_layers(),
             self.ctx.bits().clone(),
             assembly.base_loss,
@@ -231,7 +183,6 @@ struct PairCandidate {
 /// from the base and diagonal records.
 struct ProbePlanner {
     kind: EstimatorKind,
-    seed: u64,
     num_layers: usize,
     k: usize,
     base_loss: f64,
@@ -241,12 +192,12 @@ struct ProbePlanner {
     /// Diagonal Ω values `|2(L−base)|` used as selection priors
     /// (quarantined probes contribute 0, consistently everywhere).
     diag_omega: Vec<Vec<f64>>,
-    /// For sketched/blocktopk: the exact pair selection per outer shard,
-    /// in canonical probe order. `None` for adaptive (two-round,
+    /// For blocktopk: the exact pair selection per outer shard, in
+    /// canonical probe order. `None` for adaptive (two-round,
     /// value-dependent within the shard).
     fixed: Option<Vec<Vec<ProbeId>>>,
     /// Pair-probe budget per outer shard (adaptive; also recorded for
-    /// fixed kinds so every kind reads its budgets the same way).
+    /// blocktopk so both kinds read their budgets the same way).
     shard_budgets: Vec<usize>,
 }
 
@@ -264,7 +215,6 @@ impl ProbePlanner {
         num_layers: usize,
         k: usize,
         budget: usize,
-        seed: u64,
         records: &Records,
     ) -> Result<Self, MeasureError> {
         let base = records
@@ -305,7 +255,6 @@ impl ProbePlanner {
 
         let mut planner = Self {
             kind,
-            seed,
             num_layers,
             k,
             base_loss,
@@ -346,43 +295,13 @@ impl ProbePlanner {
     }
 
     /// Fills `fixed`/`shard_budgets` from the pair budget. Pure function
-    /// of (kind, seed, budget, diagonal values) — the determinism
-    /// linchpin.
+    /// of (kind, budget, diagonal values) — the determinism linchpin.
     fn select_pairs(&mut self, pair_budget: usize) {
         let outers = self.num_layers.saturating_sub(1);
         let per_outer: Vec<Vec<PairCandidate>> = (0..outers).map(|i| self.candidates(i)).collect();
         let total_pairs: usize = per_outer.iter().map(Vec::len).sum();
         let pair_budget = pair_budget.min(total_pairs);
         match self.kind {
-            EstimatorKind::Sketched => {
-                // Uniform subset without replacement over the global pair
-                // index space — the classic matrix-completion sampling —
-                // via a seeded partial Fisher–Yates.
-                let mut pool: Vec<usize> = (0..total_pairs).collect();
-                let mut rng = StdRng::seed_from_u64(self.seed);
-                for t in 0..pair_budget {
-                    let pick = rng.gen_range(t..total_pairs);
-                    pool.swap(t, pick);
-                }
-                let mut chosen = pool[..pair_budget].to_vec();
-                chosen.sort_unstable();
-                let mut fixed: Vec<Vec<ProbeId>> = vec![Vec::new(); outers];
-                let mut offsets = Vec::with_capacity(outers);
-                let mut acc = 0usize;
-                for cands in &per_outer {
-                    offsets.push(acc);
-                    acc += cands.len();
-                }
-                for g in chosen {
-                    let outer = match offsets.binary_search(&g) {
-                        Ok(i) => i,
-                        Err(i) => i - 1,
-                    };
-                    fixed[outer].push(per_outer[outer][g - offsets[outer]].id);
-                }
-                self.shard_budgets = fixed.iter().map(Vec::len).collect();
-                self.fixed = Some(fixed);
-            }
             EstimatorKind::BlockTopK => {
                 // BRECQ-style locality prior: all within-block pairs
                 // first, then the top-k cross-block pairs by diagonal
@@ -437,10 +356,6 @@ impl ProbePlanner {
                 let caps: Vec<usize> = per_outer.iter().map(Vec::len).collect();
                 self.shard_budgets = apportion(pair_budget, &weights, &caps);
             }
-            EstimatorKind::Hutchinson => {
-                // Diagonal-only: no pair probes (handled by the
-                // Hutchinson estimator, which never builds a planner).
-            }
         }
     }
 
@@ -486,8 +401,8 @@ impl ProbePlanner {
     /// The adaptive refinement round: per outer shard, the observed
     /// `|Ω|`/prior ratios of its first-round records rescale the widths
     /// of unobserved entries sharing the inner layer, and the rest of the
-    /// shard's budget takes the widest refreshed intervals. Empty for the
-    /// fixed kinds.
+    /// shard's budget takes the widest refreshed intervals. Empty for
+    /// blocktopk.
     fn refine_round(&self, records: &Records) -> Round {
         if self.fixed.is_some() {
             return Vec::new();

@@ -9,7 +9,7 @@ use clado_core::{
 };
 use clado_estim::{
     assignment_regret, estimate_sensitivities, EstimatedOmega, EstimationPlan, EstimatorKind,
-    EstimatorOptions, GridEstimation,
+    EstimatorOptions, GridEstimation, DEFAULT_ESTIMATOR_SEED,
 };
 use clado_models::{DataSplit, SynthVision, SynthVisionConfig};
 use clado_nn::{Conv2d, GlobalAvgPool, Linear, Network, Sequential};
@@ -95,15 +95,10 @@ fn assert_bitwise_equal(a: &EstimatedOmega, b: &EstimatedOmega, label: &str) {
 #[test]
 fn grid_estimators_are_bitwise_identical_across_thread_counts() {
     let bits = BitWidthSet::new(&[2, 8]);
-    for kind in [
-        EstimatorKind::Sketched,
-        EstimatorKind::Adaptive,
-        EstimatorKind::BlockTopK,
-    ] {
+    for kind in EstimatorKind::ALL {
         let (mut net, data) = setup(4);
         let set = sens_set(&data);
         let mut opts = EstimatorOptions::new(kind);
-        opts.seed = 0xD3;
         opts.measure.threads = 1;
         let serial = estimate_sensitivities(&mut net, &set, &bits, &opts).expect("serial run");
         opts.measure.threads = 4;
@@ -176,7 +171,7 @@ fn adaptive_estimation_resumes_before_its_refinement_round() {
         opts.measure.batch_size,
         true,
     );
-    let plan = EstimationPlan::new(&ctx, EstimatorKind::Adaptive, 33, opts.seed);
+    let plan = EstimationPlan::new(&ctx, EstimatorKind::Adaptive, 33);
     let records = load_journal(&full_dir, plan.fingerprint())
         .expect("journal")
         .records;
@@ -209,25 +204,28 @@ fn adaptive_estimation_resumes_before_its_refinement_round() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Hutchinson estimation is diagonal-only and cannot be grid-sharded,
-/// and unknown tags name no estimator: both are refused up front with
-/// the reason every job-taking caller reports.
+/// The retired sketched (1) and hutchinson (4) tags, like any other
+/// unknown tag, name no estimator: they are refused up front with the
+/// reason every job-taking caller reports.
 #[test]
 fn grid_estimation_rejects_hutchinson_and_unknown_estimators() {
-    for tag in [EstimatorKind::Hutchinson.tag(), 200u8] {
-        let why = GridEstimation::from_job(tag, 0, 0).expect_err("refused");
+    for tag in [
+        OmegaProvenance::TAG_SKETCHED,
+        OmegaProvenance::TAG_HUTCHINSON,
+        200u8,
+    ] {
+        let why = GridEstimation::from_job(tag, 0).expect_err("refused");
         assert!(
-            why.contains("hutchinson") || why.contains("unknown estimator"),
+            why.contains("unknown estimator"),
             "unexpected reason: {why}"
         );
     }
-    assert_eq!(GridEstimation::from_job(0, 0, 0), Ok(None));
+    assert_eq!(GridEstimation::from_job(0, 0), Ok(None));
     assert_eq!(
-        GridEstimation::from_job(EstimatorKind::Adaptive.tag(), 40, 7),
+        GridEstimation::from_job(EstimatorKind::Adaptive.tag(), 40),
         Ok(Some(GridEstimation {
             kind: EstimatorKind::Adaptive,
             probe_budget: 40,
-            seed: 7,
         }))
     );
 }
@@ -238,9 +236,9 @@ fn estimator_journals_are_isolated_by_fingerprint() {
     let (mut net, data) = setup(2);
     let set = sens_set(&data);
     let dir = temp_dir("fp-isolation");
-    let mut opts = EstimatorOptions::new(EstimatorKind::Sketched);
+    let mut opts = EstimatorOptions::new(EstimatorKind::BlockTopK);
     opts.measure.checkpoint_dir = Some(dir.clone());
-    estimate_sensitivities(&mut net, &set, &bits, &opts).expect("sketched run");
+    estimate_sensitivities(&mut net, &set, &bits, &opts).expect("blocktopk run");
 
     // Same directory, different estimator: the fingerprint must reject
     // the journal rather than silently mixing probe sets.
@@ -248,7 +246,7 @@ fn estimator_journals_are_isolated_by_fingerprint() {
     other.measure.checkpoint_dir = Some(dir.clone());
     other.measure.resume = true;
     let err = estimate_sensitivities(&mut net, &set, &bits, &other)
-        .expect_err("adaptive must not resume a sketched journal");
+        .expect_err("adaptive must not resume a blocktopk journal");
     assert!(
         matches!(err, MeasureError::Journal(_)),
         "expected a journal error, got {err:?}"
@@ -267,7 +265,7 @@ fn budget_accounting_floors_and_caps() {
     let mandatory = 1 + k * i;
 
     // A budget below the floor is raised to it (diagonal is mandatory).
-    let mut opts = EstimatorOptions::new(EstimatorKind::Sketched);
+    let mut opts = EstimatorOptions::new(EstimatorKind::Adaptive);
     opts.probe_budget = 2;
     let est = estimate_sensitivities(&mut net, &set, &bits, &opts).expect("floored run");
     assert_eq!(est.probes_spent, mandatory);
@@ -315,47 +313,15 @@ fn full_budget_estimation_matches_exact_measurement_bitwise() {
 }
 
 #[test]
-fn hutchinson_is_diagonal_only_and_cheap() {
-    let bits = BitWidthSet::new(&[2, 8]);
-    let (mut net, data) = setup(4);
-    let set = sens_set(&data);
-    let mut opts = EstimatorOptions::new(EstimatorKind::Hutchinson);
-    opts.probe_budget = 9; // 4 Hutchinson probes
-    let est = estimate_sensitivities(&mut net, &set, &bits, &opts).expect("hutchinson");
-    assert_eq!(est.probes_spent, 9);
-    assert!(est.probe_fraction() < 0.25);
-    let g = est.matrix.matrix();
-    let k = 2;
-    for i in 0..est.matrix.num_layers() {
-        for j in 0..est.matrix.num_layers() {
-            for m in 0..k {
-                for n in 0..k {
-                    let (u, v) = (i * k + m, j * k + n);
-                    if i != j {
-                        assert_eq!(g.get(u, v), 0.0, "cross term must vanish");
-                        assert!(!est.observed.get(u.min(v), u.max(v)));
-                    }
-                }
-            }
-        }
-    }
-    assert_eq!(
-        est.matrix.stats.provenance.estimator,
-        OmegaProvenance::TAG_HUTCHINSON
-    );
-}
-
-#[test]
 fn estimated_omega_roundtrips_clsm_v4_with_provenance() {
     let bits = BitWidthSet::new(&[2, 8]);
     let (mut net, data) = setup(2);
     let set = sens_set(&data);
-    let mut opts = EstimatorOptions::new(EstimatorKind::Sketched);
-    opts.seed = 77;
-    let est = estimate_sensitivities(&mut net, &set, &bits, &opts).expect("sketched");
+    let opts = EstimatorOptions::new(EstimatorKind::Adaptive);
+    let est = estimate_sensitivities(&mut net, &set, &bits, &opts).expect("adaptive");
     let prov = est.matrix.stats.provenance;
-    assert_eq!(prov.estimator, OmegaProvenance::TAG_SKETCHED);
-    assert_eq!(prov.seed, 77);
+    assert_eq!(prov.estimator, OmegaProvenance::TAG_ADAPTIVE);
+    assert_eq!(prov.seed, DEFAULT_ESTIMATOR_SEED);
     assert!(prov.probe_budget > 0);
 
     let bytes = sensitivities_to_bytes(&est.matrix);

@@ -49,8 +49,8 @@ pub struct MeasureSpec {
     pub scheme: u8,
     /// Whether prefix-activation caching is used during probes.
     pub use_prefix_cache: bool,
-    /// Estimator tag (`0` = exact measurement; 1–4 per
-    /// `clado_core::OmegaProvenance`). Part of the cache key: an
+    /// Estimator tag (`0` = exact measurement; `2` adaptive or `3`
+    /// blocktopk per `clado_core::OmegaProvenance`). Part of the cache key: an
     /// estimated Ω must never be served where an exact one was asked
     /// for, or vice versa.
     pub estimator: u8,
@@ -58,8 +58,10 @@ pub struct MeasureSpec {
     /// nonzero estimator means the default 25% of the full sweep; must
     /// be `0` for exact requests).
     pub probe_budget: u64,
-    /// Probe-selection seed for an estimation request (must be `0` for
-    /// exact requests, so equal exact specs keep equal fingerprints).
+    /// Estimator seed: `clado_estim::DEFAULT_ESTIMATOR_SEED` for an
+    /// estimation request (no estimator reads it; admission refuses any
+    /// other value) and `0` for exact requests, so equal specs keep
+    /// equal fingerprints.
     pub estimator_seed: u64,
 }
 

@@ -41,7 +41,7 @@ use clado_core::{
 use clado_dist::{
     run_sweep, scheme_from_u8, DistError, Fallback, JobControl, JobSpec, PoolOptions, WorkerPool,
 };
-use clado_estim::{EstimationPlan, GridEstimation};
+use clado_estim::{EstimationPlan, GridEstimation, DEFAULT_ESTIMATOR_SEED};
 use clado_models::DataSplit;
 use clado_nn::Network;
 use clado_quant::{BitWidthSet, LayerSizes};
@@ -387,8 +387,16 @@ fn validate(req: &SubmitRequest) -> Option<String> {
     if spec.batch_size == 0 {
         return Some("batch size must be positive".into());
     }
-    match GridEstimation::from_job(spec.estimator, spec.probe_budget, spec.estimator_seed) {
+    match GridEstimation::from_job(spec.estimator, spec.probe_budget) {
         Err(refusal) => return Some(refusal),
+        // No estimator reads a seed; every estimated Ω records the
+        // default, so any other value would name a result nobody makes.
+        Ok(Some(_)) if spec.estimator_seed != DEFAULT_ESTIMATOR_SEED => {
+            return Some(format!(
+                "estimator seed {:#x} is not the default {DEFAULT_ESTIMATOR_SEED:#x}",
+                spec.estimator_seed
+            ))
+        }
         // Exact specs must keep the estimation fields zeroed so equal
         // exact requests hash to equal cache keys.
         Ok(None) if spec.probe_budget != 0 => {
@@ -784,9 +792,9 @@ fn measure(
     // Estimation requests (admission validated the tag) sweep their
     // estimation plan; pooled workers only ever see the probe ids their
     // leases carry, so the job itself is the same as an exact one's.
-    let est = GridEstimation::from_job(spec.estimator, spec.probe_budget, spec.estimator_seed)
+    let est = GridEstimation::from_job(spec.estimator, spec.probe_budget)
         .expect("estimator validated at admission");
-    let estimation = est.map(|e| EstimationPlan::new(&ctx, e.kind, e.probe_budget, e.seed));
+    let estimation = est.map(|e| EstimationPlan::new(&ctx, e.kind, e.probe_budget));
     let (plan, probes_total): (&dyn OmegaPlan, u64) = match &estimation {
         Some(p) => (p, p.budget() as u64),
         None => (&ctx, ctx.total_probes() as u64),
@@ -911,4 +919,53 @@ fn solve_row(
         method: assignment.solution.method_used.label().to_string(),
         termination: assignment.solution.termination.label().to_string(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn request(estimator: u8, probe_budget: u64, estimator_seed: u64) -> SubmitRequest {
+        SubmitRequest {
+            spec: MeasureSpec {
+                model: "resnet20".into(),
+                set_size: 8,
+                set_seed: 0,
+                batch_size: 8,
+                bits: vec![4, 8],
+                scheme: 0,
+                use_prefix_cache: true,
+                estimator,
+                probe_budget,
+                estimator_seed,
+            },
+            op: Op::Measure,
+            deadline_ms: 0,
+        }
+    }
+
+    /// Estimators take no seed, so admission accepts an estimated spec
+    /// only with the seed every estimated Ω records — the same way it
+    /// accepts an exact spec only with a zero seed.
+    #[test]
+    fn admission_refuses_an_estimator_seed_other_than_the_default() {
+        assert_eq!(validate(&request(3, 40, DEFAULT_ESTIMATOR_SEED)), None);
+        assert_eq!(validate(&request(0, 0, 0)), None);
+        for seed in [0, 7, DEFAULT_ESTIMATOR_SEED + 1] {
+            let why = validate(&request(2, 0, seed)).expect("refused");
+            assert!(why.contains("estimator seed"), "unexpected reason: {why}");
+        }
+        let why = validate(&request(0, 0, DEFAULT_ESTIMATOR_SEED)).expect("refused");
+        assert!(
+            why.contains("requires an estimator"),
+            "unexpected reason: {why}"
+        );
+        for tag in [1, 4, 200] {
+            let why = validate(&request(tag, 0, DEFAULT_ESTIMATOR_SEED)).expect("refused");
+            assert!(
+                why.contains("unknown estimator"),
+                "unexpected reason: {why}"
+            );
+        }
+    }
 }

@@ -278,7 +278,7 @@ fn estimated_measure_misses_the_exact_cache_and_matches_single_process() {
     );
 
     // The daemon's local estimation path is bitwise identical to the
-    // single-process estimator under the same kind/budget/seed.
+    // single-process estimator under the same kind and budget.
     let single = clado_estim::estimate_sensitivities(
         &mut net.clone(),
         &set,
@@ -305,11 +305,11 @@ fn estimated_measure_misses_the_exact_cache_and_matches_single_process() {
     }
 
     // A different estimator for the same model misses again.
-    let sketched = MeasureSpec {
-        estimator: 1,
+    let adaptive = MeasureSpec {
+        estimator: 2,
         ..est_spec
     };
-    let third = submit(&addr, &measure_request(sketched), None).expect("sketched submit");
+    let third = submit(&addr, &measure_request(adaptive), None).expect("adaptive submit");
     match third.response {
         ServeMessage::MeasureDone { cache_hit, .. } => {
             assert!(!cache_hit, "a different estimator must miss");
