@@ -1,7 +1,7 @@
 //! Figure 7 — ablation on the PSD approximation of Ĝ: solution quality and
 //! consistency with vs without the projection, plus branch-and-bound node
 //! counts (the paper reports CVXPY+GUROBI fails to converge in >3 h without
-//! PSD; a combinatorial B&B is less convexity-dependent, see the footer).
+//! PSD; here the projection shows as fewer nodes, see the footer).
 //!
 //! ```text
 //! cargo bench -p clado-bench --bench fig7_psd_ablation
@@ -73,9 +73,9 @@ fn main() {
         );
     }
     println!("\n(expected shape: PSD improves solution quality/consistency at mid and");
-    println!(" loose budgets. The paper's solver-side blow-up — CVXPY+GUROBI failing to");
-    println!(" converge on the indefinite objective — is specific to convex-MIQP");
-    println!(" machinery; this repo's combinatorial branch-and-bound does not require");
-    println!(" convexity, so both variants solve in comparable node counts at mini");
-    println!(" scale. See EXPERIMENTS.md for the discussion.)");
+    println!(" loose budgets, and the PSD solves need fewer nodes: the branch and");
+    println!(" bound's convex bound shifts Ĝ by λ = min(λ_min(Ĝ), 0), which is ≈ 0");
+    println!(" after the projection and weakens the bound without it. Both variants");
+    println!(" still prove optimality at mini scale, unlike the paper's CVXPY+GUROBI");
+    println!(" on the indefinite objective. See EXPERIMENTS.md for the discussion.)");
 }

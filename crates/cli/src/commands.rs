@@ -129,6 +129,8 @@ COMMANDS:
                [--bits 2,4,8] [--scheme symmetric|affine] [--no-psd]
   sweep        --model <id>       tradeoff table over a budget range
                [--from 2.5] [--to 4.0] [--step 0.5] [--algorithm clado]
+               [--sens <file.clsm>  sweep a stored Ω instead of measuring one]
+               [--set-size 128] [--set-seed 0] [--bits 2,4,8] [--scheme symmetric|affine]
   eval         --model <id> --map 8,4,4,2,...
                                   PTQ accuracy of an explicit bit map
                [--layer-times     record per-stage forward spans]
@@ -1753,22 +1755,33 @@ pub fn cmd_sweep(args: &Args) -> Result<(), Box<dyn Error>> {
     let scheme = scheme_of(args)?;
     let bits = BitWidthSet::new(&args.u8_list_or("bits", &[2, 4, 8])?);
     let set_size: usize = args.get_or("set-size", 128)?;
-
-    let mut p = {
-        let _s = run.telemetry.span("load");
-        pretrained(kind)
+    let set_seed: u64 = args.get_or("set-seed", 0)?;
+    // A stored Ω replaces the measurement, so a solver change can be
+    // timed on a fixed Ω (CLADO variants only, as for `assign --sens`).
+    let stored = match args.get("sens") {
+        Some(_) if !algorithm.is_clado_variant() => {
+            return Err(Box::new(ArgsError(format!(
+                "--sens files apply to CLADO variants, not {algorithm:?}"
+            ))))
+        }
+        Some(path) => Some(load_sensitivities(std::path::Path::new(path))?),
+        None => None,
     };
+
+    let (mut p, sens_set) = load_with_set(&run, kind, set_size, set_seed);
     run.info(&format!(
         "{} (FP32 {:.2}%), {}",
         kind.display_name(),
         p.val_accuracy() * 100.0,
         algorithm.label()
     ));
-    let sens_set = p
-        .data
-        .train
-        .sample_subset(set_size.min(p.data.train.len()), 0);
     let mut ctx = ExperimentContext::new(p.network, sens_set, p.data.val.clone(), bits, scheme);
+    if let Some(sm) = stored {
+        if !sm.stats.provenance.is_exact() {
+            run.info(&format!("Ω provenance: {}", sm.stats.provenance));
+        }
+        ctx.use_clado_matrix(sm);
+    }
     ctx.telemetry = run.telemetry.clone();
     ctx.solver = solver_config_of(args, &run)?;
     ctx.solver_strict = args.switch("solver-strict");
@@ -1794,6 +1807,7 @@ pub fn cmd_sweep(args: &Args) -> Result<(), Box<dyn Error>> {
         &[
             ("model", kind.id().into()),
             ("algorithm", algorithm.label().into()),
+            ("set_seed", set_seed.into()),
             ("from", from.into()),
             ("to", to.into()),
             ("step", step.into()),

@@ -464,6 +464,81 @@ fn distributed_coordinator_abort_and_resume_is_bitwise_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The table rows `clado sweep` prints for `extra` on resnet20-mini
+/// (8-sample sets, 𝔹 = {4, 8}, budgets 4.5 and 5.5 bits).
+fn sweep_rows(extra: &[&str]) -> String {
+    let out = clado()
+        .args([
+            "sweep",
+            "--model",
+            "resnet20",
+            "--set-size",
+            "8",
+            "--bits",
+            "4,8",
+            "--from",
+            "4.5",
+            "--to",
+            "5.5",
+            "--step",
+            "1",
+            "--quiet",
+        ])
+        .args(extra)
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "sweep {extra:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+#[test]
+fn sweep_honours_set_seed_and_sweeps_a_stored_omega() {
+    let dir = std::env::temp_dir().join(format!("clado-cli-sweep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let clsm = dir.join("set3.clsm");
+    let mut args = measure_args(&clsm);
+    args.extend(["--set-seed".into(), "3".into()]);
+    let out = clado().args(&args).output().expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let set0 = sweep_rows(&[]);
+    let set3 = sweep_rows(&["--set-seed", "3"]);
+    let stored = sweep_rows(&["--sens", clsm.to_str().expect("utf8 path")]);
+    assert_eq!(set0.lines().count(), 2, "rows:\n{set0}");
+    // On this model the two sets plan differently, so a sweep that
+    // ignored --set-seed (and drew set 0) would fail here.
+    assert_ne!(set3, set0, "--set-seed 3 swept set 0");
+    // Sweeping the stored Ω of set 3 is sweeping set 3.
+    assert_eq!(stored, set3);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sweep_refuses_a_stored_omega_for_the_baselines() {
+    let out = clado()
+        .args([
+            "sweep",
+            "--model",
+            "resnet20",
+            "--algorithm",
+            "hawq",
+            "--sens",
+            "unused.clsm",
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("CLADO variants"));
+}
+
 #[test]
 fn worker_requires_connect() {
     let out = clado().arg("worker").output().expect("binary runs");

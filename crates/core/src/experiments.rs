@@ -35,6 +35,13 @@ impl Algorithm {
         [Self::Hawq, Self::Mpqco, Self::CladoStar, Self::Clado]
     }
 
+    /// `true` for the CLADO variants, which solve over the CLADO Ω (so a
+    /// stored one can stand in for the measurement); `false` for the
+    /// baselines, which measure their own matrices.
+    pub fn is_clado_variant(self) -> bool {
+        !matches!(self, Self::Hawq | Self::Mpqco)
+    }
+
     /// Short label used in printed tables.
     pub fn label(self) -> &'static str {
         match self {
@@ -109,6 +116,12 @@ impl ExperimentContext {
             batch_size: crate::probe::PROBE_BATCH,
             telemetry: Telemetry::disabled(),
         }
+    }
+
+    /// Uses `sens` as the CLADO sensitivity matrix instead of measuring
+    /// one (a stored Ω, as `clado sweep --sens` loads).
+    pub fn use_clado_matrix(&mut self, sens: SensitivityMatrix) {
+        self.clado = Some(sens);
     }
 
     /// The CLADO sensitivity matrix, measuring it on first call.

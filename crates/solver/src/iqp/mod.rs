@@ -11,9 +11,11 @@
 //! where group `i` holds the |𝔹| candidate bit-widths of layer `i` and
 //! `cost` is `|w⁽ⁱ⁾|·b_m` in bits. Several solvers are provided:
 //!
-//! * [`SolveMethod::BranchAndBound`] — exact (within a node budget), with an
-//!   admissible bound combining the quadratic structure and a Dantzig-style
-//!   LP relaxation of the multiple-choice knapsack;
+//! * [`SolveMethod::BranchAndBound`] — exact (within a node budget), with two
+//!   admissible node bounds that both end in a Dantzig-style LP relaxation
+//!   of the multiple-choice knapsack: a row-min linearization of the
+//!   quadratic terms, and Frank–Wolfe on a convexified objective, which
+//!   the PSD projection makes tight;
 //! * [`SolveMethod::LocalSearch`] — multi-start greedy descent, used
 //!   standalone for large instances and as the B&B incumbent;
 //! * [`SolveMethod::DynamicProgramming`] — exact multiple-choice knapsack
@@ -268,8 +270,8 @@ pub struct Solution {
     pub nodes_explored: u64,
     /// Upper bound on the suboptimality of `objective`: the true optimum is
     /// at least `objective - gap`. Zero when optimality was proved;
-    /// otherwise the distance to a root LP relaxation bound, so it is
-    /// finite but usually loose.
+    /// otherwise the distance to the larger of the branch-and-bound root
+    /// bounds (row-min and convex), so it is finite but can be loose.
     pub gap: f64,
     /// The method (ladder rung) that produced `choices`.
     pub method_used: MethodUsed,

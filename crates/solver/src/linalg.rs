@@ -253,6 +253,35 @@ impl SymMatrix {
         self.eigen().values[0]
     }
 
+    /// `true` when the LDLᵀ factorization of `A + shift·I` (no pivoting)
+    /// finds only positive pivots, i.e. `A + shift·I` is positive definite
+    /// up to rounding, so `λ_min(A) > −shift` up to rounding. `O(n³/6)`:
+    /// a cheap certificate before falling back to [`Self::min_eigenvalue`].
+    pub(crate) fn ldlt_is_positive(&self, shift: f64) -> bool {
+        let n = self.n;
+        // Row-major unit lower factor; only the strict lower triangle is used.
+        let mut l = vec![0.0; n * n];
+        let mut d = vec![0.0; n];
+        for j in 0..n {
+            let mut dj = self.data[j * n + j] + shift;
+            for k in 0..j {
+                dj -= l[j * n + k] * l[j * n + k] * d[k];
+            }
+            if dj.is_nan() || dj <= 0.0 {
+                return false;
+            }
+            d[j] = dj;
+            for i in (j + 1)..n {
+                let mut s = self.data[i * n + j];
+                for k in 0..j {
+                    s -= l[i * n + k] * l[j * n + k] * d[k];
+                }
+                l[i * n + j] = s / dj;
+            }
+        }
+        true
+    }
+
     /// The first non-finite entry `(i, j, value)` in row-major order, if
     /// any. Used as a pre-solve validation: a NaN/Inf that slips into the
     /// IQP objective would silently poison every node bound, so callers
