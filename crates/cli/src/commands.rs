@@ -2411,8 +2411,9 @@ mod tests {
 
     #[test]
     fn stress_is_deterministic_for_a_fixed_seed_under_a_zero_deadline() {
-        // `--solver-timeout 0s` expires immediately: the ladder must fall
-        // to its deterministic floor, and two runs must agree exactly.
+        // `--solver-timeout 0s` expires immediately: the solve must fall
+        // back to its deterministic greedy floor, and two runs must agree
+        // exactly.
         let a = args(&[
             "stress",
             "--layers",

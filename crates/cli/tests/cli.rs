@@ -540,6 +540,56 @@ fn sweep_refuses_a_stored_omega_for_the_baselines() {
 }
 
 #[test]
+fn stress_deadline_returns_the_warm_start_with_one_downgrade() {
+    // The planted instance outlives any node cap, so the 1 s deadline
+    // stops branch and bound and the completed local-search warm start is
+    // returned, with exactly one fallback in the trail.
+    let dir = std::env::temp_dir().join(format!("clado-cli-stress-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let manifest = dir.join("m.json");
+    let out = clado()
+        .args([
+            "stress",
+            "--solver-timeout",
+            "1s",
+            "--metrics-out",
+            manifest.to_str().expect("utf8 path"),
+            "--no-progress",
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("termination=deadline_exceeded method=local_search"),
+        "stdout:\n{stdout}"
+    );
+    let doc = std::fs::read_to_string(&manifest).expect("manifest written");
+    let j = parse_json(&doc).expect("manifest parses as JSON");
+    let config = |name: &str| j.get("config").and_then(|c| c.get(name));
+    assert_eq!(
+        config("solver_downgrades").and_then(Json::as_num),
+        Some(1.0)
+    );
+    assert_eq!(
+        config("solver_method").and_then(Json::as_str),
+        Some("local_search")
+    );
+    let counter = |name: &str| {
+        j.get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(Json::as_num)
+    };
+    assert_eq!(counter("solver.downgrades"), Some(1.0));
+    assert_eq!(counter("solver.downgrades.deadline_exceeded"), Some(1.0));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn worker_requires_connect() {
     let out = clado().arg("worker").output().expect("binary runs");
     assert!(!out.status.success());

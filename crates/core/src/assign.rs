@@ -174,9 +174,9 @@ pub fn solve_with_matrix(
         }
     }
     let problem = IqpProblem::new(matrix.clone(), &group_sizes, costs, budget_bits)?;
-    // `SolveMethod::Auto` already routes separable (diagonal) objectives —
-    // the HAWQ/MPQCO/CLADO* path — to the exact multiple-choice-knapsack
-    // DP, and everything else to the anytime degradation ladder.
+    // The solver routes separable (diagonal) objectives — the
+    // HAWQ/MPQCO/CLADO* path — to the exact multiple-choice-knapsack DP,
+    // and everything else to warm-started branch and bound.
     let solution = problem.solve(solver)?;
     let chosen: Vec<BitWidth> = solution.choices.iter().map(|&m| bits.get(m)).collect();
     Ok(BitAssignment {

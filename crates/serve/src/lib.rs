@@ -13,7 +13,7 @@
 //!   ([`RejectReason`]), never timeouts or crashes.
 //! * **Deadlines** ([`SubmitRequest::deadline_ms`]): threaded into the
 //!   measurement pool and [`clado_solver::SolverConfig`], so solves
-//!   degrade through the anytime ladder instead of overrunning.
+//!   fall back to their anytime warm start instead of overrunning.
 //! * **Ω cache** ([`OmegaCache`]): keyed by a fingerprint over every
 //!   field of the [`MeasureSpec`]; a hit re-serves the first response's
 //!   CLSM image byte for byte, with zero probe evaluations.

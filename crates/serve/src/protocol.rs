@@ -126,7 +126,7 @@ pub struct SubmitRequest {
     /// What to compute from Ω.
     pub op: Op,
     /// Deadline in milliseconds from submission; 0 means none. The
-    /// solver degrades through the anytime ladder as this approaches;
+    /// anytime solver falls back to its warm start as this approaches;
     /// measurement past the deadline fails with `DeadlineExceeded`.
     pub deadline_ms: u64,
 }
@@ -245,7 +245,7 @@ pub struct AssignRow {
     pub cost_bits: u64,
     /// Suboptimality bound (0 when proved optimal).
     pub gap: f64,
-    /// Ladder rung that produced the solution.
+    /// Solver method that produced the solution.
     pub method: String,
     /// How the solve terminated (proved / deadline / …).
     pub termination: String,

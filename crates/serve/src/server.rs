@@ -17,8 +17,8 @@
 //!    the model, sweeps the request's exact or estimation plan on the
 //!    worker pool one round per job (falling back to in-process
 //!    evaluation when no worker is live), and populates the cache.
-//!    Budget solves inherit the request deadline, so the anytime ladder
-//!    degrades instead of blowing through it.
+//!    Budget solves inherit the request deadline, so the anytime solver
+//!    falls back instead of blowing through it.
 //! 4. Failures are *typed* per request ([`crate::protocol::FailKind`])
 //!    and never tear down the daemon.
 //!
@@ -879,7 +879,7 @@ fn measure(
 }
 
 /// Solves one budget row, threading the request deadline and cancel
-/// flag into the solver so the anytime ladder degrades instead of
+/// flag into the solver so the anytime solve falls back instead of
 /// overrunning.
 #[allow(clippy::result_large_err)]
 fn solve_row(

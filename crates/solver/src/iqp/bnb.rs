@@ -344,7 +344,7 @@ pub(super) fn run(
 #[cfg(test)]
 mod tests {
     use super::super::tests::cross_term_instance;
-    use super::super::{SolveMethod, SolverConfig, Termination};
+    use super::super::{DowngradeReason, MethodUsed, SolverConfig, Termination};
     use super::*;
     use crate::SymMatrix;
     use rand::rngs::StdRng;
@@ -400,18 +400,9 @@ mod tests {
         for trial in 0..40 {
             let k = rng.gen_range(2..=6);
             let p = random_instance(&mut rng, k, trial >= 20);
-            let ex = p
-                .solve(&SolverConfig {
-                    method: SolveMethod::Exhaustive,
-                    ..Default::default()
-                })
-                .unwrap();
-            let bb = p
-                .solve(&SolverConfig {
-                    method: SolveMethod::BranchAndBound,
-                    ..Default::default()
-                })
-                .unwrap();
+            let ex = p.solve_exhaustive();
+            let bb = p.solve(&SolverConfig::default()).unwrap();
+            assert_eq!(bb.method_used, MethodUsed::BranchAndBound, "trial {trial}");
             assert!(bb.proved_optimal, "trial {trial} hit node cap");
             assert!(
                 (bb.objective - ex.objective).abs() < 1e-9,
@@ -491,10 +482,7 @@ mod tests {
     fn bnb_respects_node_cap() {
         let p = cross_term_instance();
         let ctl = unconstrained();
-        let warm = match super::super::local::run(&p, &SolverConfig::default(), &ctl) {
-            super::super::local::LocalRun::Done(c) => c,
-            other => panic!("unconstrained local search must complete: {other:?}"),
-        };
+        let warm = super::super::local::run(&p, &ctl).expect("unconstrained run completes");
         let bb = run(
             &p,
             &SolverConfig {
@@ -506,11 +494,11 @@ mod tests {
         );
         assert_eq!(bb.stop, Some(Stop::NodeCap));
         assert!(p.is_feasible(&bb.choices));
-        // Through the public API the node-cap stop degrades to the ladder
-        // and surfaces as a typed termination with a feasible solution.
+        // Through the public API the node-cap stop falls back to the
+        // diagonal DP and surfaces as a typed termination with a feasible
+        // solution.
         let sol = p
             .solve(&SolverConfig {
-                method: SolveMethod::BranchAndBound,
                 max_nodes: 0,
                 ..Default::default()
             })
@@ -518,7 +506,10 @@ mod tests {
         assert!(!sol.proved_optimal);
         assert_eq!(sol.termination, Termination::NodeCapExhausted);
         assert!(p.is_feasible(&sol.choices));
-        assert!(!sol.downgrades.is_empty());
+        assert_eq!(sol.downgrades.len(), 1);
+        assert_eq!(sol.downgrades[0].from, MethodUsed::BranchAndBound);
+        assert_eq!(sol.downgrades[0].to, MethodUsed::DiagonalDp);
+        assert_eq!(sol.downgrades[0].reason, DowngradeReason::NodeCapExhausted);
     }
 
     #[test]

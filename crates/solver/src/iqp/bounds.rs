@@ -793,13 +793,7 @@ mod tests {
             let row_min = row_min_root_bound(&p, &mut lp);
             let convex = convex_root_bound(&p, lp.argmin());
             let root = root_lower_bound(&p);
-            let optimum = p
-                .solve(&super::super::SolverConfig {
-                    method: super::super::SolveMethod::Exhaustive,
-                    ..Default::default()
-                })
-                .unwrap()
-                .objective;
+            let optimum = p.solve_exhaustive().objective;
             assert!(convex >= 0.0, "seed {seed}: convex root bound {convex}");
             assert!(
                 convex >= row_min,
@@ -810,13 +804,14 @@ mod tests {
                 "seed {seed}: {convex} > optimum {optimum}"
             );
             assert_eq!(root, convex, "seed {seed}");
-            // Heuristic stops report their gap against this root bound.
+            // Unproved stops report their gap against this root bound.
             let heuristic = p
                 .solve(&super::super::SolverConfig {
-                    method: super::super::SolveMethod::LocalSearch,
+                    max_nodes: 0,
                     ..Default::default()
                 })
                 .unwrap();
+            assert!(!heuristic.proved_optimal);
             assert_eq!(heuristic.gap, (heuristic.objective - root).max(0.0));
             let greedy = p.warm_start();
             assert_eq!(greedy.gap, (greedy.objective - root).max(0.0));

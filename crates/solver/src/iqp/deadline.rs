@@ -1,20 +1,20 @@
 //! Anytime-solve control: deadlines, cooperative cancellation, and the
-//! vocabulary of the degradation ladder.
+//! vocabulary of the solve path's fallbacks.
 //!
-//! Every IQP method checks an [`Anytime`] control block at deterministic
-//! points — every [`TICK_MASK`]+1 enumeration steps, every branch-and-bound
-//! node batch, every DP row, every local-search restart. The checks are
+//! Every step of the solve path checks an [`Anytime`] control block at
+//! deterministic points — at entry, every [`TICK_MASK`]+1 DP cells or
+//! branch-and-bound nodes, every local-search restart. The checks are
 //! *observers only*: they never influence pruning, ordering, or any other
-//! decision that shapes the search tree, so two runs with the same seed and
+//! decision that shapes the search tree, so two runs with the same
 //! configuration visit identical states until one of them is stopped.
 //!
 //! Determinism under wall-clock stops is preserved by a discard rule rather
 //! than by trying to stop at the same node twice: when a method is
 //! interrupted by a deadline or a cancel flag (events whose timing is not
-//! reproducible), its partial incumbent is thrown away and the ladder falls
-//! to the next rung, which either completes deterministically or is itself
-//! skipped. Only the node-cap stop — a pure function of the visit count —
-//! may keep its incumbent.
+//! reproducible), its partial incumbent is thrown away and the solve
+//! returns the last plan it completed: the local-search warm start if B&B
+//! was cut, else the greedy construction. Only the node-cap stop — a pure
+//! function of the visit count — may keep its incumbent.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -57,7 +57,7 @@ impl Anytime {
         Self { deadline, cancel }
     }
 
-    /// Immediate stop check (used at rung boundaries).
+    /// Immediate stop check (used at solve entry and between restarts).
     pub(crate) fn check_now(&self) -> Option<Stop> {
         if self.cancel.load(Ordering::Relaxed) {
             return Some(Stop::Cancelled);
@@ -96,12 +96,13 @@ impl<'a> Ticker<'a> {
 /// How a [`super::Solution`] terminated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Termination {
-    /// Optimality was proved (B&B or exhaustive completed, or the exact DP
-    /// applied to a separable instance).
+    /// Optimality was proved (B&B completed, or the exact DP applied to a
+    /// separable instance).
     #[default]
     Proved,
-    /// A heuristic method completed normally; the solution is feasible but
-    /// only bounded through [`super::Solution::gap`].
+    /// A heuristic construction, such as
+    /// [`super::IqpProblem::warm_start`]; the solution is feasible but only
+    /// bounded through [`super::Solution::gap`].
     Heuristic,
     /// The branch-and-bound node cap was exhausted; the best incumbent
     /// found within the cap is returned (deterministic).
@@ -127,12 +128,11 @@ impl Termination {
     }
 }
 
-/// The method that produced the returned assignment — a rung of the
-/// degradation ladder (exhaustive → B&B → DP-on-diagonal → local search →
-/// greedy), plus the exact-DP fast path for separable instances.
+/// The method that produced the returned assignment: a step of the solve
+/// path, or full enumeration for [`super::IqpProblem::solve_exhaustive`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MethodUsed {
-    /// Full enumeration.
+    /// Full enumeration (the test oracle).
     Exhaustive,
     /// Branch and bound (warm-started by local search).
     BranchAndBound,
@@ -142,10 +142,12 @@ pub enum MethodUsed {
     /// are dropped for the knapsack, then the returned choices are scored
     /// on the true quadratic objective. Heuristic.
     DiagonalDp,
-    /// Multi-start local search.
+    /// Multi-start local search: the B&B warm start, returned when a
+    /// wall-clock stop or cancel cuts B&B short.
     LocalSearch,
-    /// The greedy budget-filling construction — the ladder's floor, which
-    /// always completes, even with the cancel flag already raised.
+    /// The greedy budget-filling construction — the floor of the solve
+    /// path, which always completes, even with the cancel flag already
+    /// raised.
     Greedy,
 }
 
@@ -163,20 +165,15 @@ impl MethodUsed {
     }
 }
 
-/// Why the ladder stepped down from one rung to the next.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Why the solve path fell back from one method to another.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DowngradeReason {
-    /// The wall-clock deadline passed while (or before) the rung ran.
+    /// The wall-clock deadline passed while (or before) the method ran.
     DeadlineExceeded,
     /// The cancel flag was raised.
     Cancelled,
     /// The branch-and-bound node cap was exhausted.
     NodeCapExhausted,
-    /// The instance has cross-layer terms, so the exact DP does not apply.
-    NotSeparable {
-        /// Largest absolute off-diagonal-block entry.
-        defect: f64,
-    },
     /// The gcd-scaled budget exceeds the DP table limit.
     TableTooLarge,
 }
@@ -188,7 +185,6 @@ impl DowngradeReason {
             Self::DeadlineExceeded => "deadline_exceeded",
             Self::Cancelled => "cancelled",
             Self::NodeCapExhausted => "node_cap_exhausted",
-            Self::NotSeparable { .. } => "not_separable",
             Self::TableTooLarge => "table_too_large",
         }
     }
@@ -204,14 +200,14 @@ impl From<Stop> for DowngradeReason {
     }
 }
 
-/// One step down the degradation ladder, recorded in
+/// One fallback of the solve path, recorded in
 /// [`super::Solution::downgrades`] and surfaced as `solver.downgrades`
 /// telemetry counters.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Downgrade {
-    /// The rung that could not complete.
+    /// The method that could not complete.
     pub from: MethodUsed,
-    /// The rung the ladder fell to.
+    /// The method whose plan the solve fell back to.
     pub to: MethodUsed,
     /// Why.
     pub reason: DowngradeReason,

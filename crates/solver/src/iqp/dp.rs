@@ -6,11 +6,12 @@
 //! solves the problem exactly in `O(I · |𝔹| · C/gcd)` time.
 //!
 //! [`knapsack`] itself never inspects the off-diagonal blocks — it always
-//! optimizes the diagonal relaxation. The caller (the degradation ladder in
+//! optimizes the diagonal relaxation. The caller (the solve path in
 //! `mod.rs`) decides what that means: on a separable instance the result is
-//! the proved optimum ([`super::MethodUsed::DynamicProgramming`]); on a
-//! non-separable one it is a heuristic whose choices are re-scored on the
-//! true quadratic objective ([`super::MethodUsed::DiagonalDp`]).
+//! the proved optimum ([`super::MethodUsed::DynamicProgramming`]); after a
+//! node-capped B&B on a non-separable one it is a heuristic whose choices
+//! are re-scored on the true quadratic objective
+//! ([`super::MethodUsed::DiagonalDp`]).
 
 // Index loops mirror the DP recurrences directly.
 #![allow(clippy::needless_range_loop)]
@@ -19,7 +20,7 @@ use super::deadline::{Anytime, Stop, Ticker};
 use super::IqpProblem;
 
 /// Maximum DP table width (budget units after gcd scaling); larger
-/// instances fall through to local search.
+/// instances go to branch and bound.
 const MAX_CAPACITY: u64 = 4_000_000;
 
 fn gcd(a: u64, b: u64) -> u64 {
@@ -141,7 +142,7 @@ pub(super) fn knapsack(problem: &IqpProblem, ctl: &Anytime) -> DpOutcome {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{DowngradeReason, IqpProblem, MethodUsed, SolveMethod, SolverConfig};
+    use super::super::{IqpProblem, MethodUsed, SolverConfig};
     use super::*;
     use crate::SymMatrix;
     use rand::rngs::StdRng;
@@ -182,12 +183,7 @@ mod tests {
                 _ => panic!("seed {seed}: unconstrained DP must solve"),
             };
             let objective = p.assignment_objective(&choices);
-            let ex = p
-                .solve(&SolverConfig {
-                    method: SolveMethod::Exhaustive,
-                    ..Default::default()
-                })
-                .unwrap();
+            let ex = p.solve_exhaustive();
             assert!(
                 (objective - ex.objective).abs() < 1e-9,
                 "seed {seed}: dp {objective} vs exhaustive {}",
@@ -198,45 +194,31 @@ mod tests {
     }
 
     #[test]
-    fn dp_on_cross_terms_degrades_to_the_diagonal_relaxation() {
+    fn knapsack_optimizes_the_diagonal_only() {
         let mut g = SymMatrix::zeros(4);
         g.set(0, 0, 1.0);
         g.set(2, 2, 1.0);
-        g.set(0, 2, -0.5); // cross-layer entry
+        g.set(0, 2, -1.5); // cross-layer entry: both cheap is the optimum
         let p = IqpProblem::new(g, &[2, 2], vec![2, 4, 2, 4], 8).unwrap();
-        assert!((separability_defect(&p) - 0.5).abs() < 1e-12);
-        let sol = p
-            .solve(&SolverConfig {
-                method: SolveMethod::DynamicProgramming,
-                ..Default::default()
-            })
-            .unwrap();
-        assert_eq!(sol.method_used, MethodUsed::DiagonalDp);
-        assert!(!sol.proved_optimal);
-        assert!(matches!(
-            sol.downgrades[0].reason,
-            DowngradeReason::NotSeparable { defect } if (defect - 0.5).abs() < 1e-12
-        ));
+        assert!((separability_defect(&p) - 1.5).abs() < 1e-12);
+        let choices = match knapsack(&p, &unconstrained()) {
+            DpOutcome::Solved(c) => c,
+            _ => panic!("unconstrained DP must solve"),
+        };
+        // The diagonal alone prefers both expensive candidates (objective
+        // 0), although both cheap scores −1 on the true objective.
+        assert_eq!(choices, vec![1, 1]);
+        assert_eq!(p.solve_exhaustive().choices, vec![0, 0]);
     }
 
     #[test]
-    fn dp_via_public_method_selector() {
+    fn solve_takes_the_exact_dp_on_separable_instances() {
         let p = random_separable(99, 6);
-        let sol = p
-            .solve(&SolverConfig {
-                method: SolveMethod::DynamicProgramming,
-                ..Default::default()
-            })
-            .unwrap();
+        let sol = p.solve(&SolverConfig::default()).unwrap();
         assert!(sol.proved_optimal);
         assert_eq!(sol.method_used, MethodUsed::DynamicProgramming);
-        let bb = p
-            .solve(&SolverConfig {
-                method: SolveMethod::BranchAndBound,
-                ..Default::default()
-            })
-            .unwrap();
-        assert!((sol.objective - bb.objective).abs() < 1e-9);
+        assert!(sol.downgrades.is_empty());
+        assert!((sol.objective - p.solve_exhaustive().objective).abs() < 1e-9);
     }
 
     #[test]

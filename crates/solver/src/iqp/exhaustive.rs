@@ -1,22 +1,15 @@
-//! Brute-force enumeration, for small instances and as a test oracle.
+//! Brute-force enumeration: the test oracle behind
+//! [`IqpProblem::solve_exhaustive`].
 
-use super::deadline::{Anytime, Stop, Ticker};
 use super::{Candidate, IqpProblem, MethodUsed};
 
-/// Enumerates every feasible assignment under the anytime controls in
-/// `ctl`. Exponential: intended for `Π group_size ≲ 10⁶`.
-///
-/// On a stop the partial incumbent is discarded (the point reached depends
-/// on wall clock) and the caller degrades to the next ladder rung.
-pub(super) fn run(problem: &IqpProblem, ctl: &Anytime) -> Result<Candidate, Stop> {
+/// Enumerates every feasible assignment and returns the best. Exponential:
+/// intended for `Π group_size ≲ 10⁶`.
+pub(super) fn run(problem: &IqpProblem) -> Candidate {
     let k = problem.num_groups();
     let mut choices = vec![0usize; k];
-    let mut ticker = Ticker::new(ctl);
     let mut best: Option<(Vec<usize>, f64, u64)> = None;
     loop {
-        if let Some(stop) = ticker.tick() {
-            return Err(stop);
-        }
         if problem.is_feasible(&choices) {
             let obj = problem.assignment_objective(&choices);
             if best.as_ref().is_none_or(|(_, b, _)| obj < *b) {
@@ -31,13 +24,12 @@ pub(super) fn run(problem: &IqpProblem, ctl: &Anytime) -> Result<Candidate, Stop
                 // at least the all-cheapest assignment.
                 let (choices, objective, cost) =
                     best.expect("a feasible assignment exists after construction");
-                return Ok(Candidate {
+                return Candidate {
                     choices,
                     objective,
                     cost,
                     method: MethodUsed::Exhaustive,
-                    proved: true,
-                });
+                };
             }
             choices[pos] += 1;
             if choices[pos] < problem.group_size(pos) {
@@ -53,15 +45,11 @@ pub(super) fn run(problem: &IqpProblem, ctl: &Anytime) -> Result<Candidate, Stop
 mod tests {
     use super::super::tests::cross_term_instance;
     use super::*;
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
 
     #[test]
     fn exhaustive_finds_global_optimum() {
         let p = cross_term_instance();
-        let ctl = Anytime::resolve(None, None, Arc::new(AtomicBool::new(false)));
-        let sol = run(&p, &ctl).expect("unconstrained enumeration completes");
-        assert!(sol.proved);
+        let sol = run(&p);
         // Verify against a manual scan of all 8 assignments.
         let mut best = f64::INFINITY;
         for a in 0..2 {

@@ -1,4 +1,5 @@
-//! Multi-start local search: greedy construction plus coordinate descent.
+//! Multi-start local search: greedy construction plus coordinate descent,
+//! the warm start of branch and bound.
 //!
 //! Cost arithmetic note: construction guarantees the worst-case total cost
 //! fits in `u64` ([`super::IqpError::CostOverflow`] otherwise), so every
@@ -6,25 +7,15 @@
 //! (`cost − old + new`) — no signed casts, no wraparound near `u64::MAX`.
 
 use super::deadline::{Anytime, Stop};
-use super::{Candidate, IqpProblem, MethodUsed, SolverConfig};
+use super::{Candidate, IqpProblem, MethodUsed};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Outcome of a local-search run.
-#[derive(Debug)]
-pub(super) enum LocalRun {
-    /// All restarts completed; the best local minimum found.
-    Done(Candidate),
-    /// Stopped between restarts. The incumbent at that point depends on how
-    /// many restarts completed — a wall-clock artefact — so only the
-    /// deterministic greedy construction is surfaced.
-    Aborted {
-        /// Why the run stopped.
-        stop: Stop,
-        /// The greedy budget-filling construction (always feasible).
-        greedy: Candidate,
-    },
-}
+/// Perturbation restarts after the first descent.
+const RESTARTS: usize = 24;
+
+/// Seed of the perturbation RNG; fixed, so every solve is reproducible.
+const SEED: u64 = 0x51AD0;
 
 /// Incremental objective/cost state for a full assignment.
 struct State<'p> {
@@ -136,7 +127,6 @@ impl<'p> State<'p> {
             objective: self.objective,
             cost: self.cost,
             method,
-            proved: false,
         }
     }
 }
@@ -193,18 +183,17 @@ fn greedy_assignment(problem: &IqpProblem) -> Vec<usize> {
 }
 
 /// The deterministic greedy budget-filling construction as a [`Candidate`]
-/// — the ladder's floor and the warm start every heuristic begins from.
+/// — the floor of the solve path and the start of the local search.
 pub(super) fn greedy_candidate(problem: &IqpProblem) -> Candidate {
     State::new(problem, greedy_assignment(problem)).candidate(MethodUsed::Greedy)
 }
 
 /// Multi-start local search under the anytime controls in `ctl`; the stop
-/// check runs once per restart, so restarts are atomic.
-pub(super) fn run(problem: &IqpProblem, config: &SolverConfig, ctl: &Anytime) -> LocalRun {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let greedy_choices = greedy_assignment(problem);
-    let greedy = State::new(problem, greedy_choices.clone()).candidate(MethodUsed::Greedy);
-    let mut best_state = State::new(problem, greedy_choices);
+/// check runs once per restart, so restarts are atomic. A stop returns no
+/// incumbent: which restarts completed is a wall-clock artefact.
+pub(super) fn run(problem: &IqpProblem, ctl: &Anytime) -> Result<Candidate, Stop> {
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let mut best_state = State::new(problem, greedy_assignment(problem));
     best_state.descend();
     let mut best = (
         best_state.choices.clone(),
@@ -212,9 +201,9 @@ pub(super) fn run(problem: &IqpProblem, config: &SolverConfig, ctl: &Anytime) ->
         best_state.cost,
     );
 
-    for _ in 0..config.restarts {
+    for _ in 0..RESTARTS {
         if let Some(stop) = ctl.check_now() {
-            return LocalRun::Aborted { stop, greedy };
+            return Err(stop);
         }
         // Perturb the incumbent: re-randomize a handful of groups, repair
         // feasibility by downgrading to cheapest where needed, then descend.
@@ -240,12 +229,11 @@ pub(super) fn run(problem: &IqpProblem, config: &SolverConfig, ctl: &Anytime) ->
         }
     }
 
-    LocalRun::Done(Candidate {
+    Ok(Candidate {
         choices: best.0,
         objective: best.1,
         cost: best.2,
         method: MethodUsed::LocalSearch,
-        proved: false,
     })
 }
 
@@ -253,6 +241,8 @@ pub(super) fn run(problem: &IqpProblem, config: &SolverConfig, ctl: &Anytime) ->
 mod tests {
     use super::super::tests::cross_term_instance;
     use super::*;
+    use crate::SymMatrix;
+    use proptest::prelude::*;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
@@ -273,28 +263,19 @@ mod tests {
     #[test]
     fn local_search_finds_the_planted_optimum() {
         let p = cross_term_instance();
-        let sol = match run(&p, &SolverConfig::default(), &unconstrained()) {
-            LocalRun::Done(c) => c,
-            other => panic!("unconstrained run must complete: {other:?}"),
-        };
+        let sol = run(&p, &unconstrained()).expect("unconstrained run must complete");
         assert!(p.is_feasible(&sol.choices));
         // Known optimum: groups 0 and 2 cheap together (negative coupling).
+        assert!((sol.objective - p.solve_exhaustive().objective).abs() < 1e-12);
         assert!((sol.objective - p.assignment_objective(&sol.choices)).abs() < 1e-12);
     }
 
     #[test]
-    fn preset_cancel_aborts_with_the_greedy_milestone() {
+    fn preset_cancel_stops_before_the_first_restart() {
         let p = cross_term_instance();
         let cancel = Arc::new(AtomicBool::new(true));
         let ctl = Anytime::resolve(None, None, cancel);
-        match run(&p, &SolverConfig::default(), &ctl) {
-            LocalRun::Aborted { stop, greedy } => {
-                assert_eq!(stop, Stop::Cancelled);
-                assert_eq!(greedy.choices, greedy_candidate(&p).choices);
-                assert!(p.is_feasible(&greedy.choices));
-            }
-            other => panic!("expected abort, got {other:?}"),
-        }
+        assert_eq!(run(&p, &ctl).map(|c| c.choices), Err(Stop::Cancelled));
     }
 
     #[test]
@@ -307,5 +288,49 @@ mod tests {
         assert_eq!(st.cost, p.assignment_cost(&[0, 1, 0]));
         st.apply(0, 1);
         assert!((st.objective - p.assignment_objective(&[1, 1, 0])).abs() < 1e-12);
+    }
+
+    /// Random small instance: 2–5 groups of 3, cross terms at 0.3 of the
+    /// diagonal scale, budget halfway through the feasible cost range.
+    fn instance() -> impl Strategy<Value = IqpProblem> {
+        (2usize..=5).prop_flat_map(|k| {
+            let n = 3 * k;
+            (
+                prop::collection::vec(-0.5f64..0.5, n * (n + 1) / 2),
+                prop::collection::vec(1u64..50, n),
+            )
+                .prop_map(move |(upper, costs)| {
+                    let mut g = SymMatrix::zeros(n);
+                    let mut it = upper.into_iter();
+                    for i in 0..n {
+                        for j in i..n {
+                            let scale = if i == j { 1.0 } else { 0.3 };
+                            g.set(i, j, it.next().expect("sized") * scale);
+                        }
+                    }
+                    let group = |i: usize| &costs[3 * i..3 * i + 3];
+                    let min_cost: u64 = (0..k).map(|i| group(i).iter().min().unwrap()).sum();
+                    let max_cost: u64 = (0..k).map(|i| group(i).iter().max().unwrap()).sum();
+                    let budget = min_cost + (max_cost - min_cost) / 2;
+                    IqpProblem::new(g, &[3; 5][..k], costs, budget).expect("feasible")
+                })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Local search is feasible, no better than the proven optimum, and
+        /// reports the objective of the plan it returns.
+        #[test]
+        fn local_search_is_feasible_and_bounded(p in instance()) {
+            let optimum = p.solve_exhaustive();
+            let ls = run(&p, &unconstrained()).expect("unconstrained run completes");
+            prop_assert!(ls.cost <= p.budget());
+            prop_assert_eq!(ls.cost, p.assignment_cost(&ls.choices));
+            prop_assert!(ls.objective >= optimum.objective - 1e-9,
+                "local search {} beat the optimum {}", ls.objective, optimum.objective);
+            prop_assert!((ls.objective - p.assignment_objective(&ls.choices)).abs() < 1e-9);
+        }
     }
 }

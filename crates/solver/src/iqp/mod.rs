@@ -9,19 +9,21 @@
 //! ```
 //!
 //! where group `i` holds the |𝔹| candidate bit-widths of layer `i` and
-//! `cost` is `|w⁽ⁱ⁾|·b_m` in bits. Several solvers are provided:
+//! `cost` is `|w⁽ⁱ⁾|·b_m` in bits. [`IqpProblem::solve`] takes one fixed
+//! path:
 //!
-//! * [`SolveMethod::BranchAndBound`] — exact (within a node budget), with two
-//!   admissible node bounds that both end in a Dantzig-style LP relaxation
-//!   of the multiple-choice knapsack: a row-min linearization of the
-//!   quadratic terms, and Frank–Wolfe on a convexified objective, which
-//!   the PSD projection makes tight;
-//! * [`SolveMethod::LocalSearch`] — multi-start greedy descent, used
-//!   standalone for large instances and as the B&B incumbent;
-//! * [`SolveMethod::DynamicProgramming`] — exact multiple-choice knapsack
-//!   for separable (diagonal) objectives;
-//! * [`SolveMethod::Exhaustive`] — brute force, for small instances and
-//!   testing.
+//! * a separable (diagonal) instance — the HAWQ/MPQCO/CLADO\* baselines —
+//!   goes to the exact multiple-choice-knapsack DP;
+//! * everything else, and a separable instance whose DP table would be too
+//!   large, goes to branch and bound, warm-started by multi-start local
+//!   search. B&B is exact within its node cap, with two admissible node
+//!   bounds that both end in a Dantzig-style LP relaxation of the
+//!   multiple-choice knapsack: a row-min linearization of the quadratic
+//!   terms, and Frank–Wolfe on a convexified objective, which the PSD
+//!   projection makes tight.
+//!
+//! [`IqpProblem::solve_exhaustive`] enumerates every assignment; it is the
+//! oracle the exactness tests compare against.
 //!
 //! # Anytime solving
 //!
@@ -29,15 +31,21 @@
 //! a cooperative cancel flag ([`SolverConfig::deadline`],
 //! [`SolverConfig::max_wall`], [`SolverConfig::cancel`]) and always returns
 //! a feasible [`Solution`] carrying an optimality [`Solution::gap`], the
-//! [`MethodUsed`], and a [`Termination`] status. When a method cannot
-//! complete — timeout, cancellation, non-separable objective handed to the
-//! DP, or node-cap exhaustion — a degradation ladder
-//! (exhaustive → B&B → DP-on-diagonal → local search → greedy) steps down,
-//! recording a typed [`Downgrade`] per step. Determinism is preserved under
-//! deadlines: stop checks fire on node-count boundaries and never influence
-//! pruning, and incumbents from wall-clock-interrupted searches are
-//! discarded rather than returned (see [`deadline`](self) module docs), so
-//! identical seed + config yields bitwise-identical `choices`.
+//! [`MethodUsed`], and a [`Termination`] status. When the path cannot
+//! complete, it falls back and records one typed [`Downgrade`]:
+//!
+//! * stopped at entry, or while the DP or the warm start runs → the
+//!   greedy construction;
+//! * a wall-clock stop or cancel inside B&B → the completed warm start;
+//! * the B&B node cap → the B&B incumbent, unless the DP on the diagonal
+//!   of Ĝ scores better on the true objective;
+//! * a DP table too large → B&B.
+//!
+//! Determinism is preserved under deadlines: stop checks fire on
+//! node-count boundaries and never influence pruning, and incumbents from
+//! wall-clock-interrupted searches are discarded rather than returned (see
+//! [`deadline`](self) module docs), so identical config yields
+//! bitwise-identical `choices`.
 
 mod bnb;
 mod bounds;
@@ -91,14 +99,6 @@ pub enum IqpError {
     CostOverflow {
         /// Group at which the running worst-case sum overflowed.
         group: usize,
-    },
-    /// The dynamic-programming solver was asked to solve an instance with
-    /// cross-layer terms (or one whose scaled budget exceeds the DP table
-    /// limit, signalled by a negative `defect`).
-    NotSeparable {
-        /// Largest absolute off-diagonal-block entry; `-1.0` means the
-        /// instance is separable but too large for the DP table.
-        defect: f64,
     },
     /// The objective matrix contains a NaN or infinite entry; every solver
     /// would silently mis-rank assignments, so construction refuses it.
@@ -156,17 +156,6 @@ impl fmt::Display for IqpError {
                 "worst-case assignment cost overflows u64 at group {group}; \
                  rescale the per-candidate costs to a coarser unit"
             ),
-            Self::NotSeparable { defect } if *defect < 0.0 => {
-                write!(
-                    f,
-                    "instance too large for the DP table; use branch and bound"
-                )
-            }
-            Self::NotSeparable { defect } => write!(
-                f,
-                "instance has cross-layer terms (max |off-diagonal| = {defect:.3e}); \
-                 the DP solver handles separable objectives only"
-            ),
             Self::NonFiniteObjective { row, col, value } => write!(
                 f,
                 "objective matrix entry ({row}, {col}) is non-finite ({value}); \
@@ -194,37 +183,12 @@ impl fmt::Display for IqpError {
 
 impl std::error::Error for IqpError {}
 
-/// Solver strategy selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolveMethod {
-    /// Exact DP when the instance is separable, otherwise local-search warm
-    /// start followed by branch-and-bound within the node cap.
-    #[default]
-    Auto,
-    /// Branch and bound (warm-started by multi-start local search).
-    BranchAndBound,
-    /// Multi-start local search only.
-    LocalSearch,
-    /// Exact multiple-choice-knapsack dynamic programming; separable
-    /// (diagonal) objectives only — the classic HAWQ-style ILP path.
-    /// Non-separable instances degrade to [`MethodUsed::DiagonalDp`].
-    DynamicProgramming,
-    /// Full enumeration (exponential; small instances only).
-    Exhaustive,
-}
-
 /// Solver configuration.
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
-    /// Strategy to use.
-    pub method: SolveMethod,
-    /// Maximum number of branch-and-bound nodes before the ladder steps
-    /// down with the best incumbent (deterministic stop).
+    /// Maximum number of branch-and-bound nodes; at the cap the solve
+    /// keeps the best incumbent (deterministic stop).
     pub max_nodes: u64,
-    /// Number of local-search restarts.
-    pub restarts: usize,
-    /// RNG seed for local-search perturbations.
-    pub seed: u64,
     /// Absolute wall-clock deadline; the effective deadline is the earlier
     /// of this and `now + max_wall`, resolved once at `solve` entry.
     pub deadline: Option<Instant>,
@@ -241,10 +205,7 @@ pub struct SolverConfig {
 impl Default for SolverConfig {
     fn default() -> Self {
         Self {
-            method: SolveMethod::Auto,
             max_nodes: 2_000_000,
-            restarts: 24,
-            seed: 0x51AD0,
             deadline: None,
             max_wall: None,
             cancel: Arc::new(AtomicBool::new(false)),
@@ -262,8 +223,8 @@ pub struct Solution {
     pub objective: f64,
     /// Total cost (bits) of the assignment.
     pub cost: u64,
-    /// Whether optimality was proved (B&B / exhaustive completed, or exact
-    /// DP on a separable instance). Equivalent to
+    /// Whether optimality was proved (branch and bound completed, or the
+    /// exact DP on a separable instance). Equivalent to
     /// `termination == Termination::Proved`.
     pub proved_optimal: bool,
     /// Branch-and-bound nodes explored (0 for other methods).
@@ -273,24 +234,23 @@ pub struct Solution {
     /// otherwise the distance to the larger of the branch-and-bound root
     /// bounds (row-min and convex), so it is finite but can be loose.
     pub gap: f64,
-    /// The method (ladder rung) that produced `choices`.
+    /// The method that produced `choices`.
     pub method_used: MethodUsed,
     /// How the solve terminated.
     pub termination: Termination,
-    /// The degradation-ladder trail: one entry per rung that could not
-    /// complete. Empty when the requested method ran to completion.
+    /// The fallback trail: one entry per step of the solve path that could
+    /// not complete. Empty when the path ran to completion.
     pub downgrades: Vec<Downgrade>,
 }
 
-/// A feasible assignment produced by one ladder rung (internal currency of
-/// the degradation ladder; `solve` turns the winner into a [`Solution`]).
+/// A feasible assignment produced by one step of the solve path (internal
+/// currency; `solve` turns the one it keeps into a [`Solution`]).
 #[derive(Debug, Clone)]
 pub(crate) struct Candidate {
     pub(crate) choices: Vec<usize>,
     pub(crate) objective: f64,
     pub(crate) cost: u64,
     pub(crate) method: MethodUsed,
-    pub(crate) proved: bool,
 }
 
 impl Candidate {
@@ -302,18 +262,27 @@ impl Candidate {
             objective,
             cost,
             method,
-            proved: false,
         }
     }
-}
 
-/// Keeps `a` unless `b` is strictly better; ties favour the earlier rung,
-/// which is deterministic.
-fn better(a: Candidate, b: Candidate) -> Candidate {
-    if b.objective < a.objective {
-        b
-    } else {
-        a
+    fn into_solution(
+        self,
+        termination: Termination,
+        gap: f64,
+        nodes_explored: u64,
+        downgrades: Vec<Downgrade>,
+    ) -> Solution {
+        Solution {
+            choices: self.choices,
+            objective: self.objective,
+            cost: self.cost,
+            proved_optimal: termination == Termination::Proved,
+            nodes_explored,
+            gap,
+            method_used: self.method,
+            termination,
+            downgrades,
+        }
     }
 }
 
@@ -503,405 +472,183 @@ impl IqpProblem {
         self.assignment_cost(choices) <= self.budget
     }
 
-    /// The greedy budget-filling construction: the deterministic warm start
-    /// every heuristic begins from, and the floor of the degradation
-    /// ladder. Cheap (`O(k²·|𝔹|²)`), always feasible, never fails — this is
-    /// the assignment `solve` returns when the cancel flag is already
-    /// raised at entry.
+    /// The greedy budget-filling construction: the deterministic start of
+    /// the local search, and the floor of the solve path. Cheap
+    /// (`O(k²·|𝔹|²)`), always feasible, never fails — this is the
+    /// assignment `solve` returns when the cancel flag is already raised
+    /// at entry.
     pub fn warm_start(&self) -> Solution {
         let cand = local::greedy_candidate(self);
-        Solution {
-            choices: cand.choices,
-            objective: cand.objective,
-            cost: cand.cost,
-            proved_optimal: false,
-            nodes_explored: 0,
-            gap: (cand.objective - bounds::root_lower_bound(self)).max(0.0),
-            method_used: MethodUsed::Greedy,
-            termination: Termination::Heuristic,
-            downgrades: Vec::new(),
-        }
+        let gap = (cand.objective - bounds::root_lower_bound(self)).max(0.0);
+        cand.into_solution(Termination::Heuristic, gap, 0, Vec::new())
     }
 
-    /// Solves the program with the configured strategy, anytime-style: the
-    /// result is always a feasible assignment, with [`Solution::gap`],
-    /// [`Solution::termination`], and the [`Solution::downgrades`] trail
-    /// describing how close to optimal it is and which ladder rungs ran.
+    /// Enumerates every assignment and returns the proved optimum: the
+    /// oracle that the exactness tests compare [`IqpProblem::solve`]
+    /// against. Exponential (`Π group_size` evaluations) and without
+    /// anytime controls, so for small instances only.
+    pub fn solve_exhaustive(&self) -> Solution {
+        exhaustive::run(self).into_solution(Termination::Proved, 0.0, 0, Vec::new())
+    }
+
+    /// Solves the program, anytime-style: the result is always a feasible
+    /// assignment, with [`Solution::gap`], [`Solution::termination`], and
+    /// the [`Solution::downgrades`] trail describing how close to optimal it
+    /// is and which fallbacks ran (see the module docs for the path).
     ///
     /// # Errors
     ///
     /// None in practice: [`IqpProblem::new`] already validates dimensions,
     /// finiteness, feasibility, and cost overflow, and every runtime
-    /// failure mode (timeout, cancellation, non-separable DP input, node
-    /// caps) degrades to a feasible fallback instead of erroring. The
-    /// `Result` is kept so future validation can fail without an API break.
+    /// failure mode (timeout, cancellation, node cap, DP table size) falls
+    /// back to a feasible plan instead of erroring. The `Result` is kept so
+    /// future validation can fail without an API break.
     pub fn solve(&self, config: &SolverConfig) -> Result<Solution, IqpError> {
         let telemetry = &config.telemetry;
         let _span = telemetry.span("solver.iqp");
         let ctl = Anytime::resolve(config.deadline, config.max_wall, config.cancel.clone());
-        let mut trail: Vec<Downgrade> = Vec::new();
-        let (winner, nodes, first_stop) = self.run_ladder(config, &ctl, &mut trail);
-        for d in &trail {
-            telemetry.add("solver.downgrades", 1);
-            telemetry.add(&format!("solver.downgrades.{}", d.reason.slug()), 1);
-        }
-        let termination = if winner.proved {
-            Termination::Proved
-        } else {
-            match first_stop {
-                Some(Stop::Cancelled) => Termination::Cancelled,
-                Some(Stop::Deadline) => Termination::DeadlineExceeded,
-                Some(Stop::NodeCap) => Termination::NodeCapExhausted,
-                None => Termination::Heuristic,
-            }
+        let mut trail = Vec::new();
+        let (winner, nodes, stop) = self.solve_path(config, &ctl, &mut trail);
+        let termination = match stop {
+            None => Termination::Proved,
+            Some(Stop::Cancelled) => Termination::Cancelled,
+            Some(Stop::Deadline) => Termination::DeadlineExceeded,
+            Some(Stop::NodeCap) => Termination::NodeCapExhausted,
         };
-        let gap = if winner.proved {
-            0.0
-        } else {
-            (winner.objective - bounds::root_lower_bound(self)).max(0.0)
+        let gap = match stop {
+            None => 0.0,
+            Some(_) => (winner.objective - bounds::root_lower_bound(self)).max(0.0),
         };
         telemetry.set_gauge("solver.iqp.gap", gap);
-        Ok(Solution {
-            choices: winner.choices,
-            objective: winner.objective,
-            cost: winner.cost,
-            proved_optimal: winner.proved,
-            nodes_explored: nodes,
-            gap,
-            method_used: winner.method,
-            termination,
-            downgrades: trail,
-        })
+        Ok(winner.into_solution(termination, gap, nodes, trail))
     }
 
-    /// Walks the degradation ladder from the configured entry rung down to
-    /// the greedy floor, carrying the best deterministically obtained
-    /// incumbent. Returns the winning candidate, total B&B nodes explored,
-    /// and the first stop signal observed (if any).
-    fn run_ladder(
+    /// The solve path of the module docs. Returns the plan, the B&B nodes
+    /// explored, and the stop that cut the path short — `None` exactly
+    /// when the plan is proved optimal.
+    fn solve_path(
         &self,
         config: &SolverConfig,
         ctl: &Anytime,
         trail: &mut Vec<Downgrade>,
     ) -> (Candidate, u64, Option<Stop>) {
         let telemetry = &config.telemetry;
-        let mut rung = self.entry_rung(config.method);
-        let mut carried: Option<Candidate> = None;
-        let mut nodes = 0u64;
-        let mut first_stop: Option<Stop> = None;
-        let note = |slot: &mut Option<Stop>, stop: Stop| {
-            slot.get_or_insert(stop);
-        };
-        // Every ladder step lands both in the typed trail and, when tracing
-        // is on, as an instant on the trace timeline so downgrades line up
-        // with the incumbent curve.
-        let step = |trail: &mut Vec<Downgrade>, d: Downgrade| {
+        // Every fallback lands in the typed trail, in the downgrade
+        // counters, and, when tracing is on, as an instant on the trace
+        // timeline so it lines up with the incumbent curve.
+        let mut fall_back = |from: MethodUsed, to: MethodUsed, reason: DowngradeReason| {
+            telemetry.add("solver.downgrades", 1);
+            telemetry.add(&format!("solver.downgrades.{}", reason.slug()), 1);
             telemetry.instant(
                 "solver.downgrade",
                 &[
-                    ("from", d.from.label().into()),
-                    ("to", d.to.label().into()),
-                    ("reason", d.reason.slug().into()),
+                    ("from", from.label().into()),
+                    ("to", to.label().into()),
+                    ("reason", reason.slug().into()),
                 ],
             );
-            trail.push(d);
+            trail.push(Downgrade { from, to, reason });
         };
-        let finish = |carried: Option<Candidate>, last: Candidate| match carried {
-            Some(c) => better(c, last),
-            None => last,
+        // The floor: pure deterministic construction, runs even with the
+        // cancel flag raised.
+        let greedy = |stop: Stop| {
+            let cand = local::greedy_candidate(self);
+            telemetry.series_push("solver.incumbents", cand.objective, "greedy");
+            (cand, 0, Some(stop))
         };
-        loop {
-            // A rung reached after the stop signal is already raised is
-            // skipped outright — running it would waste the deadline, and
-            // for wall-clock stops its result would be nondeterministic.
-            if rung != MethodUsed::Greedy {
-                if let Some(stop) = ctl.check_now() {
-                    note(&mut first_stop, stop);
-                    let to = next_rung(rung);
-                    step(
-                        trail,
-                        Downgrade {
-                            from: rung,
-                            to,
-                            reason: stop.into(),
-                        },
-                    );
-                    rung = to;
-                    continue;
+
+        // Separable instances (the HAWQ/MPQCO/CLADO* baselines) take the
+        // exact DP; quadratic ones go to warm-started B&B.
+        let separable = dp::separability_defect(self) == 0.0;
+        let entry = if separable {
+            MethodUsed::DynamicProgramming
+        } else {
+            MethodUsed::BranchAndBound
+        };
+        if let Some(stop) = ctl.check_now() {
+            fall_back(entry, MethodUsed::Greedy, stop.into());
+            return greedy(stop);
+        }
+        if separable {
+            let _s = telemetry.span("solver.iqp.dp");
+            match dp::knapsack(self, ctl) {
+                dp::DpOutcome::Solved(choices) => {
+                    let cand = Candidate::evaluated(self, choices, MethodUsed::DynamicProgramming);
+                    telemetry.series_push("solver.incumbents", cand.objective, "dp");
+                    return (cand, 0, None);
                 }
-            }
-            match rung {
-                MethodUsed::Exhaustive => {
-                    let _s = telemetry.span("solver.iqp.exhaustive");
-                    match exhaustive::run(self, ctl) {
-                        Ok(cand) => {
-                            telemetry.series_push(
-                                "solver.incumbents",
-                                cand.objective,
-                                "exhaustive",
-                            );
-                            return (finish(carried, cand), nodes, first_stop);
-                        }
-                        Err(stop) => {
-                            note(&mut first_stop, stop);
-                            step(
-                                trail,
-                                Downgrade {
-                                    from: rung,
-                                    to: MethodUsed::BranchAndBound,
-                                    reason: stop.into(),
-                                },
-                            );
-                            rung = MethodUsed::BranchAndBound;
-                        }
-                    }
+                dp::DpOutcome::Stopped(stop) => {
+                    fall_back(entry, MethodUsed::Greedy, stop.into());
+                    return greedy(stop);
                 }
-                MethodUsed::DynamicProgramming => {
-                    let defect = dp::separability_defect(self);
-                    if defect > 0.0 {
-                        step(
-                            trail,
-                            Downgrade {
-                                from: rung,
-                                to: MethodUsed::DiagonalDp,
-                                reason: DowngradeReason::NotSeparable { defect },
-                            },
-                        );
-                        rung = MethodUsed::DiagonalDp;
-                        continue;
-                    }
-                    let _s = telemetry.span("solver.iqp.dp");
-                    match dp::knapsack(self, ctl) {
-                        dp::DpOutcome::Solved(choices) => {
-                            let mut cand = Candidate::evaluated(self, choices, rung);
-                            cand.proved = true;
-                            telemetry.series_push("solver.incumbents", cand.objective, "dp");
-                            return (finish(carried, cand), nodes, first_stop);
-                        }
-                        dp::DpOutcome::TooLarge => {
-                            // The diagonal rung would hit the same table
-                            // limit; skip straight to local search.
-                            step(
-                                trail,
-                                Downgrade {
-                                    from: rung,
-                                    to: MethodUsed::LocalSearch,
-                                    reason: DowngradeReason::TableTooLarge,
-                                },
-                            );
-                            rung = MethodUsed::LocalSearch;
-                        }
-                        dp::DpOutcome::Stopped(stop) => {
-                            note(&mut first_stop, stop);
-                            step(
-                                trail,
-                                Downgrade {
-                                    from: rung,
-                                    to: MethodUsed::LocalSearch,
-                                    reason: stop.into(),
-                                },
-                            );
-                            rung = MethodUsed::LocalSearch;
-                        }
-                    }
-                }
-                MethodUsed::BranchAndBound => {
-                    let warm = {
-                        let _s = telemetry.span("solver.iqp.local");
-                        local::run(self, config, ctl)
-                    };
-                    match warm {
-                        local::LocalRun::Done(warm) => {
-                            telemetry.series_push(
-                                "solver.incumbents",
-                                warm.objective,
-                                "warm_start",
-                            );
-                            let _s = telemetry.span("solver.iqp.branch");
-                            let bb = bnb::run(self, config, &warm, ctl);
-                            nodes += bb.nodes;
-                            match bb.stop {
-                                None => {
-                                    let cand = Candidate {
-                                        proved: true,
-                                        method: rung,
-                                        ..Candidate::evaluated(self, bb.choices, rung)
-                                    };
-                                    return (finish(carried, cand), nodes, first_stop);
-                                }
-                                Some(stop @ Stop::NodeCap) => {
-                                    // Node-cap stops are deterministic, so
-                                    // the incumbent (≥ warm) is kept.
-                                    note(&mut first_stop, stop);
-                                    let cand = Candidate::evaluated(self, bb.choices, rung);
-                                    carried = Some(match carried {
-                                        Some(c) => better(c, cand),
-                                        None => cand,
-                                    });
-                                    step(
-                                        trail,
-                                        Downgrade {
-                                            from: rung,
-                                            to: MethodUsed::DiagonalDp,
-                                            reason: stop.into(),
-                                        },
-                                    );
-                                    rung = MethodUsed::DiagonalDp;
-                                }
-                                Some(stop) => {
-                                    // Wall-clock stop: discard the partial
-                                    // incumbent (nondeterministic stopping
-                                    // point), keep the completed warm start.
-                                    note(&mut first_stop, stop);
-                                    carried = Some(match carried {
-                                        Some(c) => better(c, warm),
-                                        None => warm,
-                                    });
-                                    step(
-                                        trail,
-                                        Downgrade {
-                                            from: rung,
-                                            to: MethodUsed::DiagonalDp,
-                                            reason: stop.into(),
-                                        },
-                                    );
-                                    rung = MethodUsed::DiagonalDp;
-                                }
-                            }
-                        }
-                        local::LocalRun::Aborted { stop, greedy } => {
-                            note(&mut first_stop, stop);
-                            carried = Some(match carried {
-                                Some(c) => better(c, greedy),
-                                None => greedy,
-                            });
-                            step(
-                                trail,
-                                Downgrade {
-                                    from: rung,
-                                    to: MethodUsed::DiagonalDp,
-                                    reason: stop.into(),
-                                },
-                            );
-                            rung = MethodUsed::DiagonalDp;
-                        }
-                    }
-                }
-                MethodUsed::DiagonalDp => {
-                    let _s = telemetry.span("solver.iqp.dp");
-                    match dp::knapsack(self, ctl) {
-                        dp::DpOutcome::Solved(choices) => {
-                            let mut cand = Candidate::evaluated(self, choices, rung);
-                            // The diagonal relaxation is exact when the
-                            // instance happens to be separable.
-                            cand.proved = dp::separability_defect(self) == 0.0;
-                            if cand.proved {
-                                cand.method = MethodUsed::DynamicProgramming;
-                            }
-                            telemetry.series_push(
-                                "solver.incumbents",
-                                cand.objective,
-                                "diagonal_dp",
-                            );
-                            return (finish(carried, cand), nodes, first_stop);
-                        }
-                        dp::DpOutcome::TooLarge => {
-                            step(
-                                trail,
-                                Downgrade {
-                                    from: rung,
-                                    to: MethodUsed::LocalSearch,
-                                    reason: DowngradeReason::TableTooLarge,
-                                },
-                            );
-                            rung = MethodUsed::LocalSearch;
-                        }
-                        dp::DpOutcome::Stopped(stop) => {
-                            note(&mut first_stop, stop);
-                            step(
-                                trail,
-                                Downgrade {
-                                    from: rung,
-                                    to: MethodUsed::LocalSearch,
-                                    reason: stop.into(),
-                                },
-                            );
-                            rung = MethodUsed::LocalSearch;
-                        }
-                    }
-                }
-                MethodUsed::LocalSearch => {
-                    let _s = telemetry.span("solver.iqp.local");
-                    match local::run(self, config, ctl) {
-                        local::LocalRun::Done(cand) => {
-                            telemetry.series_push(
-                                "solver.incumbents",
-                                cand.objective,
-                                "local_search",
-                            );
-                            return (finish(carried, cand), nodes, first_stop);
-                        }
-                        local::LocalRun::Aborted { stop, greedy } => {
-                            note(&mut first_stop, stop);
-                            carried = Some(match carried {
-                                Some(c) => better(c, greedy),
-                                None => greedy,
-                            });
-                            step(
-                                trail,
-                                Downgrade {
-                                    from: rung,
-                                    to: MethodUsed::Greedy,
-                                    reason: stop.into(),
-                                },
-                            );
-                            rung = MethodUsed::Greedy;
-                        }
-                    }
-                }
-                MethodUsed::Greedy => {
-                    // The floor: pure deterministic construction, runs even
-                    // with the cancel flag raised.
-                    let cand = local::greedy_candidate(self);
-                    telemetry.series_push("solver.incumbents", cand.objective, "greedy");
-                    return (finish(carried, cand), nodes, first_stop);
-                }
+                dp::DpOutcome::TooLarge => fall_back(
+                    entry,
+                    MethodUsed::BranchAndBound,
+                    DowngradeReason::TableTooLarge,
+                ),
             }
         }
-    }
 
-    fn entry_rung(&self, method: SolveMethod) -> MethodUsed {
-        match method {
-            SolveMethod::Exhaustive => MethodUsed::Exhaustive,
-            SolveMethod::DynamicProgramming => MethodUsed::DynamicProgramming,
-            SolveMethod::BranchAndBound => MethodUsed::BranchAndBound,
-            SolveMethod::LocalSearch => MethodUsed::LocalSearch,
-            // Separable instances (the HAWQ/MPQCO/CLADO* baselines) get the
-            // exact DP fast path; quadratic ones go to warm-started B&B.
-            SolveMethod::Auto => {
-                if dp::separability_defect(self) == 0.0 {
-                    MethodUsed::DynamicProgramming
-                } else {
-                    MethodUsed::BranchAndBound
+        let warm = {
+            let _s = telemetry.span("solver.iqp.local");
+            local::run(self, ctl)
+        };
+        let warm = match warm {
+            Ok(warm) => warm,
+            Err(stop) => {
+                // Which restarts completed is a wall-clock artefact, so
+                // only the deterministic greedy construction is kept.
+                fall_back(MethodUsed::BranchAndBound, MethodUsed::Greedy, stop.into());
+                return greedy(stop);
+            }
+        };
+        telemetry.series_push("solver.incumbents", warm.objective, "warm_start");
+        let bb = {
+            let _s = telemetry.span("solver.iqp.branch");
+            bnb::run(self, config, &warm, ctl)
+        };
+        let incumbent = Candidate::evaluated(self, bb.choices, MethodUsed::BranchAndBound);
+        match bb.stop {
+            None => (incumbent, bb.nodes, None),
+            Some(stop @ Stop::NodeCap) => {
+                // Node-cap stops are deterministic, so the incumbent (no
+                // worse than the warm start) is kept, unless the DP on the
+                // diagonal scores strictly better on the true objective.
+                fall_back(
+                    MethodUsed::BranchAndBound,
+                    MethodUsed::DiagonalDp,
+                    stop.into(),
+                );
+                let _s = telemetry.span("solver.iqp.dp");
+                if let dp::DpOutcome::Solved(choices) = dp::knapsack(self, ctl) {
+                    let diag = Candidate::evaluated(self, choices, MethodUsed::DiagonalDp);
+                    telemetry.series_push("solver.incumbents", diag.objective, "diagonal_dp");
+                    if diag.objective < incumbent.objective {
+                        return (diag, bb.nodes, Some(stop));
+                    }
                 }
+                (incumbent, bb.nodes, Some(stop))
+            }
+            Some(stop) => {
+                // Wall-clock stop: the partial incumbent depends on where
+                // the clock cut the search, so the completed warm start is
+                // returned instead.
+                fall_back(
+                    MethodUsed::BranchAndBound,
+                    MethodUsed::LocalSearch,
+                    stop.into(),
+                );
+                (warm, bb.nodes, Some(stop))
             }
         }
-    }
-}
-
-/// The rung below `rung` on the degradation ladder.
-fn next_rung(rung: MethodUsed) -> MethodUsed {
-    match rung {
-        MethodUsed::Exhaustive => MethodUsed::BranchAndBound,
-        MethodUsed::BranchAndBound => MethodUsed::DiagonalDp,
-        MethodUsed::DynamicProgramming | MethodUsed::DiagonalDp => MethodUsed::LocalSearch,
-        MethodUsed::LocalSearch | MethodUsed::Greedy => MethodUsed::Greedy,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::sync::atomic::Ordering;
 
     /// 3 groups × 2 candidates with planted negative cross terms that make
@@ -973,6 +720,29 @@ mod tests {
         assert!(err.to_string().contains("overflows u64"));
     }
 
+    /// The configurations the solve-path tests sweep: the default, node
+    /// caps of 0 and 1, an expired deadline, and a preset cancel.
+    fn configs() -> Vec<SolverConfig> {
+        let cancelled = SolverConfig::default();
+        cancelled.cancel.store(true, Ordering::Relaxed);
+        vec![
+            SolverConfig::default(),
+            SolverConfig {
+                max_nodes: 0,
+                ..Default::default()
+            },
+            SolverConfig {
+                max_nodes: 1,
+                ..Default::default()
+            },
+            SolverConfig {
+                max_wall: Some(Duration::ZERO),
+                ..Default::default()
+            },
+            cancelled,
+        ]
+    }
+
     #[test]
     fn near_max_budgets_solve_without_overflow() {
         // Regression for the former `cost as i64` comparisons in local
@@ -988,21 +758,17 @@ mod tests {
         let costs = vec![big, big + 1000, big, big + 1000];
         // Budget fits exactly one upgraded group.
         let p = IqpProblem::new(g, &[2, 2], costs, 2 * big + 1000).expect("in-range costs");
-        for method in [
-            SolveMethod::Auto,
-            SolveMethod::LocalSearch,
-            SolveMethod::BranchAndBound,
-            SolveMethod::Exhaustive,
-        ] {
-            let sol = p
-                .solve(&SolverConfig {
-                    method,
-                    ..Default::default()
-                })
-                .unwrap();
-            assert!(sol.cost <= p.budget(), "{method:?} violated the budget");
-            assert_eq!(sol.choices, vec![1, 0], "{method:?} missed the optimum");
+        let ctl = Anytime::resolve(None, None, Arc::new(AtomicBool::new(false)));
+        let local = local::run(&p, &ctl).expect("unconstrained run completes");
+        let exhaustive = p.solve_exhaustive();
+        for (i, sol) in [p.solve(&SolverConfig::default()).unwrap(), exhaustive]
+            .iter()
+            .enumerate()
+        {
+            assert!(sol.cost <= p.budget(), "solve {i} violated the budget");
+            assert_eq!(sol.choices, vec![1, 0], "solve {i} missed the optimum");
         }
+        assert_eq!(local.choices, vec![1, 0]);
     }
 
     #[test]
@@ -1019,28 +785,23 @@ mod tests {
         ));
         assert!(err.to_string().contains("infeasible"));
         // budget == min_total_cost: exactly one feasible assignment — the
-        // all-cheapest one — and every method must return it.
-        let mut g = SymMatrix::zeros(4);
-        g.set(0, 0, 5.0);
-        g.set(1, 1, 0.0);
-        g.set(2, 2, 3.0);
-        g.set(3, 3, 0.0);
-        let p = IqpProblem::new(g, &[2, 2], vec![5, 9, 7, 9], 12).expect("tight but feasible");
-        for method in [
-            SolveMethod::Auto,
-            SolveMethod::BranchAndBound,
-            SolveMethod::LocalSearch,
-            SolveMethod::DynamicProgramming,
-            SolveMethod::Exhaustive,
-        ] {
-            let sol = p
-                .solve(&SolverConfig {
-                    method,
-                    ..Default::default()
-                })
-                .unwrap();
-            assert_eq!(sol.choices, vec![0, 0], "{method:?}");
-            assert_eq!(sol.cost, 12, "{method:?}");
+        // all-cheapest one — and every configuration must return it, on a
+        // separable instance and on one with a cross term.
+        for cross in [0.0, 0.7] {
+            let mut g = SymMatrix::zeros(4);
+            g.set(0, 0, 5.0);
+            g.set(1, 1, 0.0);
+            g.set(2, 2, 3.0);
+            g.set(3, 3, 0.0);
+            g.set(1, 3, cross);
+            let p = IqpProblem::new(g, &[2, 2], vec![5, 9, 7, 9], 12).expect("tight but feasible");
+            let exhaustive = p.solve_exhaustive();
+            assert_eq!(exhaustive.choices, vec![0, 0]);
+            for (i, config) in configs().iter().enumerate() {
+                let sol = p.solve(config).unwrap();
+                assert_eq!(sol.choices, vec![0, 0], "cross {cross}, config {i}");
+                assert_eq!(sol.cost, 12, "cross {cross}, config {i}");
+            }
         }
     }
 
@@ -1064,38 +825,15 @@ mod tests {
     }
 
     #[test]
-    fn all_methods_agree_on_small_instance() {
+    fn solve_matches_the_exhaustive_oracle_on_a_small_instance() {
         let p = cross_term_instance();
-        let exhaustive = p
-            .solve(&SolverConfig {
-                method: SolveMethod::Exhaustive,
-                ..Default::default()
-            })
-            .unwrap();
-        for method in [
-            SolveMethod::Auto,
-            SolveMethod::BranchAndBound,
-            SolveMethod::LocalSearch,
-        ] {
-            let sol = p
-                .solve(&SolverConfig {
-                    method,
-                    ..Default::default()
-                })
-                .unwrap();
-            assert!(
-                (sol.objective - exhaustive.objective).abs() < 1e-9,
-                "{method:?}: {} vs exhaustive {}",
-                sol.objective,
-                exhaustive.objective
-            );
-            assert!(sol.cost <= p.budget());
-            assert!(sol.gap >= 0.0 && sol.gap.is_finite(), "{method:?}");
-            assert!(
-                sol.objective - sol.gap <= exhaustive.objective + 1e-9,
-                "{method:?}: gap does not cover the optimum"
-            );
-        }
+        let exhaustive = p.solve_exhaustive();
+        let sol = p.solve(&SolverConfig::default()).unwrap();
+        assert!((sol.objective - exhaustive.objective).abs() < 1e-9);
+        assert!(sol.cost <= p.budget());
+        assert!(sol.proved_optimal && sol.gap == 0.0);
+        assert_eq!(sol.method_used, MethodUsed::BranchAndBound);
+        assert!(sol.downgrades.is_empty());
         assert!(exhaustive.proved_optimal);
         assert_eq!(exhaustive.termination, Termination::Proved);
         assert_eq!(exhaustive.method_used, MethodUsed::Exhaustive);
@@ -1109,7 +847,6 @@ mod tests {
         let telemetry = Telemetry::new();
         let sol = p
             .solve(&SolverConfig {
-                method: SolveMethod::BranchAndBound,
                 telemetry: telemetry.clone(),
                 ..Default::default()
             })
@@ -1135,7 +872,6 @@ mod tests {
         let telemetry = Telemetry::new();
         let sol = p
             .solve(&SolverConfig {
-                method: SolveMethod::BranchAndBound,
                 telemetry: telemetry.clone(),
                 ..Default::default()
             })
@@ -1171,11 +907,12 @@ mod tests {
         let telemetry = Telemetry::new();
         telemetry.set_trace_enabled(true);
         let config = SolverConfig {
-            method: SolveMethod::DynamicProgramming,
+            max_nodes: 0,
             telemetry: telemetry.clone(),
             ..Default::default()
         };
-        p.solve(&config).expect("DP degrades instead of erroring");
+        p.solve(&config)
+            .expect("a node cap falls back instead of erroring");
         clado_telemetry::flush_thread_local();
         let events = telemetry.take_trace_events();
         let downgrade = events
@@ -1190,7 +927,7 @@ mod tests {
         assert_eq!(
             reason,
             Some(clado_telemetry::ManifestValue::Str(
-                "not_separable".to_string()
+                "node_cap_exhausted".to_string()
             ))
         );
     }
@@ -1200,38 +937,48 @@ mod tests {
         // With the planted negative interaction, the optimum must pair
         // groups 0 and 2 at their cheap setting.
         let p = cross_term_instance();
-        let sol = p
-            .solve(&SolverConfig {
-                method: SolveMethod::Exhaustive,
-                ..Default::default()
-            })
-            .unwrap();
-        assert_eq!(sol.choices[0], 0);
-        assert_eq!(sol.choices[2], 0);
+        for sol in [
+            p.solve_exhaustive(),
+            p.solve(&SolverConfig::default()).unwrap(),
+        ] {
+            assert_eq!(sol.choices[0], 0);
+            assert_eq!(sol.choices[2], 0);
+        }
+    }
+
+    /// A separable instance: the diagonal of [`cross_term_instance`].
+    fn separable_instance() -> IqpProblem {
+        let mut g = SymMatrix::zeros(6);
+        for (i, d) in [0.115, 0.0, 0.140, 0.0, 0.246, 0.0].into_iter().enumerate() {
+            g.set(i, i, d);
+        }
+        IqpProblem::new(g, &[2, 2, 2], vec![200, 800, 200, 800, 200, 800], 1200).unwrap()
+    }
+
+    fn trail(sol: &Solution) -> Vec<String> {
+        sol.downgrades.iter().map(|d| d.to_string()).collect()
     }
 
     #[test]
-    fn preset_cancel_returns_the_warm_start_for_every_method() {
-        let p = cross_term_instance();
-        let reference = p.warm_start();
-        for method in [
-            SolveMethod::Auto,
-            SolveMethod::BranchAndBound,
-            SolveMethod::LocalSearch,
-            SolveMethod::DynamicProgramming,
-            SolveMethod::Exhaustive,
+    fn preset_cancel_returns_the_greedy_floor_with_one_downgrade() {
+        for (p, trail_entry) in [
+            (
+                cross_term_instance(),
+                "branch_and_bound->greedy (cancelled)",
+            ),
+            (
+                separable_instance(),
+                "dynamic_programming->greedy (cancelled)",
+            ),
         ] {
-            let config = SolverConfig {
-                method,
-                ..Default::default()
-            };
+            let config = SolverConfig::default();
             config.cancel.store(true, Ordering::Relaxed);
-            let sol = p.solve(&config).expect("cancel degrades, never errors");
-            assert_eq!(sol.choices, reference.choices, "{method:?}");
-            assert_eq!(sol.termination, Termination::Cancelled, "{method:?}");
-            assert_eq!(sol.method_used, MethodUsed::Greedy, "{method:?}");
-            assert!(!sol.downgrades.is_empty(), "{method:?}: no trail recorded");
-            assert!(sol.gap.is_finite() && sol.gap >= 0.0, "{method:?}");
+            let sol = p.solve(&config).expect("cancel falls back, never errors");
+            assert_eq!(sol.choices, p.warm_start().choices);
+            assert_eq!(sol.termination, Termination::Cancelled);
+            assert_eq!(sol.method_used, MethodUsed::Greedy);
+            assert_eq!(trail(&sol), vec![trail_entry]);
+            assert!(sol.gap.is_finite() && sol.gap >= 0.0);
         }
     }
 
@@ -1253,13 +1000,66 @@ mod tests {
         assert_eq!(a.termination, Termination::DeadlineExceeded);
         assert!(p.is_feasible(&a.choices));
         assert!(a.gap.is_finite() && a.gap >= 0.0);
-        assert!(!a.downgrades.is_empty());
-        assert!(telemetry.counter_value("solver.downgrades") > 0);
-        assert!(telemetry.counter_value("solver.downgrades.deadline_exceeded") > 0);
+        assert_eq!(
+            trail(&a),
+            vec!["branch_and_bound->greedy (deadline_exceeded)"]
+        );
+        assert_eq!(telemetry.counter_value("solver.downgrades"), 2);
+        assert_eq!(
+            telemetry.counter_value("solver.downgrades.deadline_exceeded"),
+            2
+        );
+    }
+
+    /// `layers` groups of 3 with dense cross terms at a quarter of the
+    /// diagonal scale — the `clado stress` shape, which branch and bound
+    /// cannot finish in seconds.
+    fn coupled_instance(layers: usize, seed: u64) -> IqpProblem {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = 3 * layers;
+        let mut g = SymMatrix::zeros(n);
+        for i in 0..n {
+            for j in i..n {
+                let v = rng.gen_range(-1.0f64..1.0);
+                g.set(i, j, if i == j { v.abs() } else { 0.25 * v });
+            }
+        }
+        let params: Vec<u64> = (0..layers).map(|_| 64 * rng.gen_range(1u64..=64)).collect();
+        let costs: Vec<u64> = params
+            .iter()
+            .flat_map(|&p| [2u64, 4, 8].map(|b| p * b))
+            .collect();
+        let budget = params.iter().sum::<u64>() * 4;
+        IqpProblem::new(g, &vec![3; layers], costs, budget).unwrap()
     }
 
     #[test]
-    fn auto_takes_the_exact_dp_path_on_separable_instances() {
+    fn deadline_inside_branch_and_bound_returns_the_warm_start() {
+        let p = coupled_instance(32, 7);
+        let ctl = Anytime::resolve(None, None, Arc::new(AtomicBool::new(false)));
+        let warm = local::run(&p, &ctl).expect("unconstrained run completes");
+        let telemetry = Telemetry::new();
+        let sol = p
+            .solve(&SolverConfig {
+                max_nodes: u64::MAX,
+                max_wall: Some(Duration::from_millis(300)),
+                telemetry: telemetry.clone(),
+                ..Default::default()
+            })
+            .unwrap();
+        assert_eq!(sol.termination, Termination::DeadlineExceeded);
+        assert_eq!(sol.method_used, MethodUsed::LocalSearch);
+        assert_eq!(sol.choices, warm.choices);
+        assert!(sol.nodes_explored > 0);
+        assert_eq!(
+            trail(&sol),
+            vec!["branch_and_bound->local_search (deadline_exceeded)"]
+        );
+        assert_eq!(telemetry.counter_value("solver.downgrades"), 1);
+    }
+
+    #[test]
+    fn solve_takes_the_exact_dp_path_on_separable_instances() {
         let mut g = SymMatrix::zeros(4);
         g.set(0, 0, 1.0);
         g.set(1, 1, 0.1);
@@ -1274,33 +1074,82 @@ mod tests {
     }
 
     #[test]
-    fn explicit_dp_on_cross_terms_degrades_to_diagonal() {
-        let p = cross_term_instance();
-        let telemetry = Telemetry::new();
+    fn a_too_large_dp_table_goes_to_branch_and_bound() {
+        // Coprime costs keep the gcd at 1, so the DP table would be
+        // 5,000,000 cells wide, past its 4,000,000 limit.
+        let mut g = SymMatrix::zeros(6);
+        for (i, d) in [1.0, 0.1, 0.5, 0.05, 0.8, 0.2].into_iter().enumerate() {
+            g.set(i, i, d);
+        }
+        let costs = vec![1, 2_000_003, 1, 2_000_003, 1, 2_000_003];
+        let p = IqpProblem::new(g, &[2, 2, 2], costs, 5_000_000).unwrap();
+        let sol = p.solve(&SolverConfig::default()).unwrap();
+        assert_eq!(sol.termination, Termination::Proved);
+        assert_eq!(sol.method_used, MethodUsed::BranchAndBound);
+        assert_eq!(
+            trail(&sol),
+            vec!["dynamic_programming->branch_and_bound (table_too_large)"]
+        );
+        let exhaustive = p.solve_exhaustive();
+        assert_eq!(sol.choices, exhaustive.choices);
+        assert_eq!(sol.objective, exhaustive.objective);
+    }
+
+    /// `layers` groups of 3 (2/4/8 bits) whose diagonal falls 16× per
+    /// bit-width step, with cross terms at 5% of the diagonal scale, after
+    /// the PSD projection: weakly coupled, like a measured Ω.
+    fn weakly_coupled_instance(layers: usize, seed: u64) -> IqpProblem {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = 3 * layers;
+        let diag: Vec<f64> = (0..n)
+            .map(|v| rng.gen_range(0.1..1.0) * [16.0, 1.0, 0.0625][v % 3])
+            .collect();
+        let mut g = SymMatrix::zeros(n);
+        for i in 0..n {
+            for j in i..n {
+                let v = if i == j {
+                    diag[i]
+                } else if i / 3 == j / 3 {
+                    0.0
+                } else {
+                    0.05 * (diag[i] * diag[j]).sqrt() * rng.gen_range(-1.0..1.0)
+                };
+                g.set(i, j, v);
+            }
+        }
+        let params: Vec<u64> = (0..layers).map(|_| 64 * rng.gen_range(1u64..=64)).collect();
+        let costs: Vec<u64> = params
+            .iter()
+            .flat_map(|&p| [2u64, 4, 8].map(|b| p * b))
+            .collect();
+        let budget = params.iter().sum::<u64>() * 7 / 2;
+        IqpProblem::new(g.psd_project(), &vec![3; layers], costs, budget).unwrap()
+    }
+
+    #[test]
+    fn the_diagonal_dp_can_beat_a_node_capped_incumbent() {
+        // Pinned by a seeded search: at a 10-node cap the B&B incumbent is
+        // still the warm start, and the DP on the diagonal scores better
+        // on the true objective.
+        let p = weakly_coupled_instance(6, 65);
+        let ctl = Anytime::resolve(None, None, Arc::new(AtomicBool::new(false)));
+        let warm = local::run(&p, &ctl).expect("unconstrained run completes");
         let sol = p
             .solve(&SolverConfig {
-                method: SolveMethod::DynamicProgramming,
-                telemetry: telemetry.clone(),
+                max_nodes: 10,
                 ..Default::default()
             })
-            .expect("DP degrades instead of erroring");
-        assert!(p.is_feasible(&sol.choices));
+            .unwrap();
         assert_eq!(sol.method_used, MethodUsed::DiagonalDp);
-        assert_eq!(sol.termination, Termination::Heuristic);
-        assert!(!sol.proved_optimal);
-        assert!(sol.gap.is_finite() && sol.gap >= 0.0);
-        assert_eq!(sol.downgrades.len(), 1);
-        assert!(matches!(
-            sol.downgrades[0].reason,
-            DowngradeReason::NotSeparable { defect } if defect > 0.0
-        ));
-        assert_eq!(telemetry.counter_value("solver.downgrades"), 1);
+        assert_eq!(sol.termination, Termination::NodeCapExhausted);
         assert_eq!(
-            telemetry.counter_value("solver.downgrades.not_separable"),
-            1
+            trail(&sol),
+            vec!["branch_and_bound->diagonal_dp (node_cap_exhausted)"]
         );
-        // The diagonal approximation scores its choices on the TRUE
-        // objective, cross terms included.
-        assert!((sol.objective - p.assignment_objective(&sol.choices)).abs() < 1e-12);
+        assert!(sol.objective < warm.objective, "{sol:?} vs {warm:?}");
+        assert_eq!(sol.objective, p.assignment_objective(&sol.choices));
+        let proved = p.solve(&SolverConfig::default()).unwrap();
+        assert!(proved.proved_optimal);
+        assert!(proved.objective <= sol.objective);
     }
 }

@@ -30,8 +30,8 @@ mod linalg;
 mod validate;
 
 pub use iqp::{
-    Downgrade, DowngradeReason, IqpError, IqpProblem, MethodUsed, Solution, SolveMethod,
-    SolverConfig, Termination,
+    Downgrade, DowngradeReason, IqpError, IqpProblem, MethodUsed, Solution, SolverConfig,
+    Termination,
 };
 pub use linalg::{EigenDecomposition, PsdProjection, SymMatrix};
 pub use validate::{

@@ -1,6 +1,6 @@
 //! Property-based tests for the eigen/PSD machinery and the IQP solvers.
 
-use clado_solver::{IqpProblem, SolveMethod, SolverConfig, SymMatrix};
+use clado_solver::{IqpProblem, SolverConfig, SymMatrix};
 use proptest::prelude::*;
 
 fn sym_matrix_strategy(n: usize) -> impl Strategy<Value = SymMatrix> {
@@ -115,32 +115,12 @@ proptest! {
     /// Branch-and-bound matches brute force and always fits the budget.
     #[test]
     fn bnb_is_exact_on_random_instances((p, _k) in iqp_strategy()) {
-        let ex = p
-            .solve(&SolverConfig { method: SolveMethod::Exhaustive, ..Default::default() })
-            .expect("feasible");
-        let bb = p
-            .solve(&SolverConfig { method: SolveMethod::BranchAndBound, ..Default::default() })
-            .expect("feasible");
+        let ex = p.solve_exhaustive();
+        let bb = p.solve(&SolverConfig::default()).expect("feasible");
         prop_assert!(bb.proved_optimal);
         prop_assert!((bb.objective - ex.objective).abs() < 1e-9,
             "bnb {} vs exhaustive {}", bb.objective, ex.objective);
         prop_assert!(bb.cost <= p.budget());
         prop_assert!(p.is_feasible(&bb.choices));
-    }
-
-    /// Local search is feasible and no better than the proven optimum.
-    #[test]
-    fn local_search_is_feasible_and_bounded((p, _k) in iqp_strategy()) {
-        let ex = p
-            .solve(&SolverConfig { method: SolveMethod::Exhaustive, ..Default::default() })
-            .expect("feasible");
-        let ls = p
-            .solve(&SolverConfig { method: SolveMethod::LocalSearch, ..Default::default() })
-            .expect("feasible");
-        prop_assert!(ls.cost <= p.budget());
-        prop_assert!(ls.objective >= ex.objective - 1e-9,
-            "local search {} beat the optimum {}", ls.objective, ex.objective);
-        // Reported objective matches a direct evaluation.
-        prop_assert!((ls.objective - p.assignment_objective(&ls.choices)).abs() < 1e-9);
     }
 }

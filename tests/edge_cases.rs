@@ -141,11 +141,6 @@ fn iqp_error_displays() {
         "{msg}"
     );
 
-    let not_sep = IqpError::NotSeparable { defect: 0.25 };
-    assert!(not_sep.to_string().contains("cross-layer"), "{not_sep}");
-    let too_big = IqpError::NotSeparable { defect: -1.0 };
-    assert!(too_big.to_string().contains("too large"), "{too_big}");
-
     let overflow = IqpError::CostOverflow { group: 3 };
     assert!(overflow.to_string().contains("overflow"), "{overflow}");
     let asym = IqpError::AsymmetricObjective { defect: 0.5 };
