@@ -15,12 +15,29 @@ impl fmt::Display for ArgsError {
 
 impl std::error::Error for ArgsError {}
 
+/// Flags every command accepts: the telemetry flags.
+pub const GLOBAL_FLAGS: &[&str] = &[
+    "metrics-out",
+    "trace-out",
+    "progress",
+    "no-progress",
+    "quiet",
+];
+
+/// Flags that were removed. Every command still accepts them, with a
+/// warning, and ignores them, so old command lines keep running.
+pub const REMOVED_FLAGS: &[&str] = &["estimator-seed", "integer", "no-batched-probes", "pool"];
+
 /// Parsed command line: one subcommand plus `--key value` options.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     subcommand: Option<String>,
     options: BTreeMap<String, String>,
     flags: Vec<String>,
+    /// The flags the subcommand declared ([`Args::accept`]),
+    /// space-separated; reading any other is a bug, caught in debug
+    /// builds.
+    accepted: Option<&'static str>,
 }
 
 impl Args {
@@ -69,13 +86,46 @@ impl Args {
         self.subcommand.as_deref()
     }
 
+    /// Checks the given flags against the ones the subcommand reads
+    /// (`accepted`, space-separated, plus [`GLOBAL_FLAGS`]). A removed flag
+    /// ([`REMOVED_FLAGS`]) is dropped, and a warning for it returned.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgsError`] naming the first flag that is neither
+    /// accepted nor removed.
+    pub fn accept(&mut self, accepted: &'static str) -> Result<Vec<String>, ArgsError> {
+        let given: Vec<String> = self.options.keys().chain(&self.flags).cloned().collect();
+        let mut warnings = Vec::new();
+        for key in given {
+            if REMOVED_FLAGS.contains(&key.as_str()) {
+                self.options.remove(&key);
+                self.flags.retain(|f| *f != key);
+                warnings.push(format!("--{key} was removed and is ignored"));
+            } else if !declared_in(accepted, &key) {
+                let command = self.subcommand.as_deref().unwrap_or("clado");
+                return Err(ArgsError(format!("unknown flag `--{key}` for `{command}`")));
+            }
+        }
+        self.accepted = Some(accepted);
+        Ok(warnings)
+    }
+
+    /// Whether `key` may be read: always before [`Args::accept`], and
+    /// afterwards only when declared.
+    fn declared(&self, key: &str) -> bool {
+        self.accepted.is_none_or(|a| declared_in(a, key))
+    }
+
     /// Raw string value of `--key`.
     pub fn get(&self, key: &str) -> Option<&str> {
+        debug_assert!(self.declared(key), "`--{key}` is read but not declared");
         self.options.get(key).map(String::as_str)
     }
 
     /// `true` if the boolean switch `--key` was given.
     pub fn switch(&self, key: &str) -> bool {
+        debug_assert!(self.declared(key), "`--{key}` is read but not declared");
         self.flags.iter().any(|f| f == key)
     }
 
@@ -142,6 +192,12 @@ impl Args {
                 .collect(),
         }
     }
+}
+
+/// Whether `key` is a global flag or one of the space-separated
+/// `accepted` flags.
+fn declared_in(accepted: &str, key: &str) -> bool {
+    GLOBAL_FLAGS.contains(&key) || accepted.split_whitespace().any(|f| f == key)
 }
 
 /// Parses a human-readable duration: `500ms`, `10s`, `2m`, `1h`, or a bare
@@ -233,6 +289,15 @@ mod tests {
         assert_eq!(a.duration("other").unwrap(), None);
         let bad = parse(&["x", "--solver-timeout", "soon"]).unwrap();
         assert!(bad.duration("solver-timeout").is_err());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "is read but not declared")]
+    fn reading_an_undeclared_flag_is_a_bug() {
+        let mut a = parse(&["assign"]).unwrap();
+        a.accept("model").unwrap();
+        let _ = a.get("algorithm");
     }
 
     #[test]

@@ -6,9 +6,9 @@
 
 use crate::args::{Args, ArgsError};
 use clado_core::{
-    assign_bits, load_sensitivities, measure_sensitivities, quantized_accuracy, save_sensitivities,
-    Algorithm, AssignOptions, CladoVariant, ExperimentContext, OmegaPlan, SensitivityMatrix,
-    SensitivityOptions, ShardContext,
+    load_sensitivities, measure_sensitivities, quantized_accuracy, save_sensitivities, Algorithm,
+    AssignOptions, ExperimentContext, OmegaPlan, SensitivityMatrix, SensitivityOptions,
+    ShardContext,
 };
 use clado_dist::{
     run_sweep, run_worker, scheme_to_u8, DistOutcome, JobControl, JobSpec, PoolOptions,
@@ -56,21 +56,21 @@ COMMANDS:
                                          (default 127.0.0.1:0; prints the bound address)]
                [--heartbeat-timeout-ms 3000   evict a silent worker after this long]
                [--idle-timeout-secs 180       fail if no worker connects (0 = wait forever)]
-               [--estimator adaptive|blocktopk
-                                         estimate Ω under a probe budget instead of
+               [--estimator blocktopk    estimate Ω under a probe budget instead of
                                          the full O(|𝔹|²I²) sweep (see `estimate`)]
                [--probe-budget N (0 = 25% of the full sweep)]
-  estimate     --model <id>       run the sub-quadratic Ω estimators against the
+  estimate     --model <id>       run the sub-quadratic Ω estimator against the
                                   exact sweep and report probes spent, entry-wise
                                   error, and IQP assignment regret on the held-out
                                   validation split, next to a noise floor: the
                                   regret of the exact Ω of a second sensitivity
                                   set (set seed + 1000)
-               [--estimator <name>|all (default all)] [--probe-budget N]
+               [--estimator blocktopk|all (default all, which is blocktopk)]
+               [--probe-budget N (0 = 25% of the full sweep)]
                [--avg-bits 4.0   regret budget]
                [--set-size 128] [--set-seed 0] [--bits 2,4,8]
                [--scheme symmetric|affine] [--threads N] [--no-prefix-cache]
-               [--out <file.clsm>   persist the estimated Ω̂ (single estimator only)]
+               [--out <file.clsm>   persist the estimated Ω̂]
   worker       --connect <addr>          join a worker pool (`measure --listen` or
                                          `serve`): it sends job specs and shards; the
                                          worker stays connected across jobs and
@@ -102,7 +102,7 @@ COMMANDS:
                [--deadline-ms N (0 = none; infeasible deadlines are refused)]
                [--set-size 128] [--set-seed 0] [--batch-size 64] [--bits 2,4,8]
                [--scheme symmetric|affine] [--no-prefix-cache]
-               [--estimator <name> --probe-budget N
+               [--estimator blocktopk --probe-budget N
                                     measure op: budgeted Ω estimation; the daemon's
                                     Ω cache keys on the estimator, so estimated and
                                     exact results never alias]
@@ -125,10 +125,13 @@ COMMANDS:
                                        requests re-resolve the daemon address]
   assign       --model <id> --avg-bits <f>
                                   solve eq. (11) and report the bit map + PTQ accuracy
-               [--sens <file.clsm>] [--algorithm clado|clado-star|block|hawq|mpqco]
-               [--bits 2,4,8] [--scheme symmetric|affine] [--no-psd]
+               [--sens <file.clsm>  solve a stored Ω instead of measuring one]
+               [--algorithm clado|clado-star|block|hawq|mpqco]
+               [--no-psd            clado without the PSD projection (CLADO-noPSD,
+                                    the Fig. 7 ablation)]
+               [--set-size 128] [--set-seed 0] [--bits 2,4,8] [--scheme symmetric|affine]
   sweep        --model <id>       tradeoff table over a budget range
-               [--from 2.5] [--to 4.0] [--step 0.5] [--algorithm clado]
+               [--from 2.5] [--to 4.0] [--step 0.5] [--algorithm clado] [--no-psd]
                [--sens <file.clsm>  sweep a stored Ω instead of measuring one]
                [--set-size 128] [--set-seed 0] [--bits 2,4,8] [--scheme symmetric|affine]
   eval         --model <id> --map 8,4,4,2,...
@@ -164,7 +167,105 @@ TELEMETRY (any command):
   --progress | --no-progress      rate-limited stderr progress lines (default: on)
   --quiet                         only the final result line; implies --no-progress
 
+Any other flag a command does not list fails with this usage. The removed
+flags --estimator-seed, --integer, --no-batched-probes and --pool are
+ignored with a warning.
+
 Set CLADO_CACHE_DIR to relocate the trained-weight cache.";
+
+/// A subcommand: its names, its entry point, and every flag it reads
+/// besides the telemetry flags ([`crate::args::GLOBAL_FLAGS`]). Any
+/// other flag is refused before the command runs.
+pub struct Command {
+    /// The name, then any aliases.
+    pub names: &'static [&'static str],
+    /// The entry point.
+    pub run: fn(&Args) -> Result<(), Box<dyn Error>>,
+    /// The flags the command reads, without their `--`, space-separated.
+    pub flags: &'static str,
+}
+
+/// Every subcommand, in usage order.
+pub const COMMANDS: &[Command] = &[
+    Command {
+        names: &["models"],
+        run: cmd_models,
+        flags: "",
+    },
+    Command {
+        names: &["train"],
+        run: cmd_train,
+        flags: "model",
+    },
+    Command {
+        names: &["sensitivity", "measure"],
+        run: cmd_sensitivity,
+        flags: "model out set-size set-seed bits scheme threads no-prefix-cache verbose \
+                checkpoint-dir resume retries workers listen heartbeat-timeout-ms \
+                idle-timeout-secs estimator probe-budget",
+    },
+    Command {
+        names: &["estimate"],
+        run: cmd_estimate,
+        flags: "model estimator probe-budget avg-bits set-size set-seed bits scheme threads \
+                no-prefix-cache verbose out",
+    },
+    Command {
+        names: &["worker"],
+        run: cmd_worker,
+        flags: "connect heartbeat-ms connect-timeout-secs connect-retries verbose",
+    },
+    Command {
+        names: &["serve"],
+        run: cmd_serve,
+        flags: "listen worker-listen workers queue-depth executors cache-capacity cache-bytes \
+                cache-dir cache-disk-bytes heartbeat-timeout-ms shard-retries verbose",
+    },
+    Command {
+        names: &["submit"],
+        run: cmd_submit,
+        flags: "connect model connect-retries op avg-bits from to step deadline-ms set-size \
+                set-seed batch-size bits scheme no-prefix-cache estimator probe-budget out",
+    },
+    Command {
+        names: &["chaos"],
+        run: cmd_chaos,
+        flags: "duration clients workers configs daemon-kills worker-churn-ms slo-p99-ms \
+                cache-dir seed model set-size batch-size bits connect-retries",
+    },
+    Command {
+        names: &["assign"],
+        run: cmd_assign,
+        flags: "model avg-bits sens algorithm no-psd set-size set-seed bits scheme \
+                solver-timeout solver-nodes solver-strict",
+    },
+    Command {
+        names: &["sweep"],
+        run: cmd_sweep,
+        flags: "model from to step algorithm no-psd sens set-size set-seed bits scheme \
+                solver-timeout solver-nodes solver-strict",
+    },
+    Command {
+        names: &["eval"],
+        run: cmd_eval,
+        flags: "model map scheme layer-times",
+    },
+    Command {
+        names: &["stress"],
+        run: cmd_stress,
+        flags: "layers seed avg-bits bits solver-timeout solver-nodes solver-strict",
+    },
+    Command {
+        names: &["trace"],
+        run: cmd_trace,
+        flags: "file top",
+    },
+];
+
+/// The subcommand called `name`, aliases included.
+pub fn command(name: &str) -> Option<&'static Command> {
+    COMMANDS.iter().find(|c| c.names.contains(&name))
+}
 
 /// Per-invocation telemetry wiring shared by every command: one enabled
 /// registry, the `--metrics-out` / `--progress` / `--quiet` flags, and the
@@ -338,8 +439,19 @@ fn scheme_of(args: &Args) -> Result<QuantScheme, ArgsError> {
     }
 }
 
+/// Parses `--algorithm`; `--no-psd` turns `clado` into
+/// [`Algorithm::CladoNoPsd`] and is refused with any other algorithm.
 fn algorithm_of(args: &Args) -> Result<Algorithm, ArgsError> {
-    match args.get("algorithm").unwrap_or("clado") {
+    let name = args.get("algorithm").unwrap_or("clado");
+    if args.switch("no-psd") {
+        return match name {
+            "clado" => Ok(Algorithm::CladoNoPsd),
+            other => Err(ArgsError(format!(
+                "--no-psd applies to --algorithm clado only, not `{other}`"
+            ))),
+        };
+    }
+    match name {
         "clado" => Ok(Algorithm::Clado),
         "clado-star" => Ok(Algorithm::CladoStar),
         "block" => Ok(Algorithm::BlockClado),
@@ -639,16 +751,16 @@ fn record_dist_outcome(t: &Telemetry, outcome: &DistOutcome) {
     }
 }
 
-/// `clado estimate --model <id> [--estimator <name>|all]`
+/// `clado estimate --model <id> [--estimator blocktopk|all]`
 ///
-/// Runs the sub-quadratic Ω estimators against the exact full sweep and
-/// reports, per estimator: probes spent vs. the full-sweep count,
-/// entry-wise error of the PSD-projected Ω̂, and the metric that matters
-/// — the held-out task-loss regret of the IQP assignment solved under Ω̂
-/// instead of Ω at the same bit budget, evaluated on the validation
-/// split. Next to it stands a noise floor (paper Fig. 4): the held-out
-/// regret of the exact Ω measured on a second sensitivity set of the
-/// same size (set seed + 1000).
+/// Runs the sub-quadratic Ω estimator (`all` is `blocktopk`, the only
+/// one) against the exact full sweep and reports probes spent vs. the
+/// full-sweep count, entry-wise error of the PSD-projected Ω̂, and the
+/// metric that matters — the held-out task-loss regret of the IQP
+/// assignment solved under Ω̂ instead of Ω at the same bit budget,
+/// evaluated on the validation split. Next to it stands a noise floor
+/// (paper Fig. 4): the held-out regret of the exact Ω measured on a
+/// second sensitivity set of the same size (set seed + 1000).
 pub fn cmd_estimate(args: &Args) -> Result<(), Box<dyn Error>> {
     let run = RunContext::from_args(args)?;
     let kind = model_kind(args.require::<String>("model")?.as_str())?;
@@ -663,11 +775,6 @@ pub fn cmd_estimate(args: &Args) -> Result<(), Box<dyn Error>> {
         name => vec![name.parse().map_err(ArgsError)?],
     };
     let out = args.get("out").map(PathBuf::from);
-    if out.is_some() && selected.len() > 1 {
-        return Err(Box::new(ArgsError(
-            "--out needs a single --estimator (which Ω̂ would it store?)".into(),
-        )));
-    }
 
     let (mut p, sens_set) = load_with_set(&run, kind, set_size, set_seed);
     let floor_seed = set_seed.wrapping_add(1000);
@@ -749,7 +856,6 @@ pub fn cmd_estimate(args: &Args) -> Result<(), Box<dyn Error>> {
             .set_gauge(&format!("estim.{est_kind}.regret"), regret.relative);
         config.push((
             match est_kind {
-                EstimatorKind::Adaptive => "regret_adaptive",
                 EstimatorKind::BlockTopK => "regret_blocktopk",
             },
             regret.relative.into(),
@@ -1652,85 +1758,25 @@ pub fn cmd_assign(args: &Args) -> Result<(), Box<dyn Error>> {
     let avg_bits: f64 = args.require("avg-bits")?;
     let scheme = scheme_of(args)?;
     let algorithm = algorithm_of(args)?;
-    let solver = solver_config_of(args, &run)?;
-    let strict = args.switch("solver-strict");
-    let mut config = vec![
-        ("model", ManifestValue::from(kind.id())),
-        ("algorithm", algorithm.label().into()),
-        ("avg_bits", avg_bits.into()),
-        ("scheme", format!("{scheme:?}").into()),
-    ];
+    let bits = BitWidthSet::new(&args.u8_list_or("bits", &[2, 4, 8])?);
+    let set_size: usize = args.get_or("set-size", 128)?;
+    let set_seed: u64 = args.get_or("set-seed", 0)?;
+    let stored = stored_omega(args, algorithm)?;
 
-    let mut p = {
-        let _s = run.telemetry.span("load");
-        pretrained(kind)
-    };
-    let sizes = LayerSizes::new(p.network.layer_param_counts());
-    let budget = sizes.budget_from_avg_bits(avg_bits);
-
-    let assignment = if let Some(sens_path) = args.get("sens") {
-        // Reuse persisted sensitivities (CLADO variants only).
-        let sm = load_sensitivities(std::path::Path::new(sens_path))?;
+    let (p, sens_set) = load_with_set(&run, kind, set_size, set_seed);
+    let mut ctx = ExperimentContext::new(p.network, sens_set, p.data.val.clone(), bits, scheme);
+    if let Some(sm) = stored {
         if !sm.stats.provenance.is_exact() {
             run.info(&format!("Ω provenance: {}", sm.stats.provenance));
         }
-        let variant = match algorithm {
-            Algorithm::CladoStar => CladoVariant::DiagonalOnly,
-            Algorithm::BlockClado => CladoVariant::BlockOnly(
-                p.network
-                    .quantizable_layers()
-                    .iter()
-                    .map(|l| l.block)
-                    .collect(),
-            ),
-            Algorithm::Clado | Algorithm::CladoNoPsd => CladoVariant::Full,
-            other => {
-                return Err(Box::new(ArgsError(format!(
-                    "--sens files apply to CLADO variants, not {other:?}"
-                ))))
-            }
-        };
-        assign_bits(
-            &sm,
-            &sizes,
-            budget,
-            &AssignOptions {
-                variant,
-                skip_psd: args.switch("no-psd"),
-                solver,
-                strict,
-                telemetry: run.telemetry.clone(),
-            },
-        )?
-    } else {
-        let bits = BitWidthSet::new(&args.u8_list_or("bits", &[2, 4, 8])?);
-        let set_size: usize = args.get_or("set-size", 128)?;
-        let sens_set = p
-            .data
-            .train
-            .sample_subset(set_size.min(p.data.train.len()), 0);
-        let mut ctx = ExperimentContext::new(p.network, sens_set, p.data.val.clone(), bits, scheme);
-        ctx.telemetry = run.telemetry.clone();
-        ctx.solver = solver;
-        ctx.solver_strict = strict;
-        let (assignment, acc) = ctx.run(algorithm, budget)?;
-        report_solver_outcome(&run, &assignment.solution);
-        println!(
-            "{:<10} {:>7.4} MB  acc {:>6.2}%  {}",
-            algorithm.label(),
-            bits_to_mb(assignment.cost_bits),
-            acc * 100.0,
-            assignment.bitmap()
-        );
-        config.extend(solver_manifest(&assignment.solution));
-        return run.finish("assign", &config);
-    };
+        ctx.use_clado_matrix(sm);
+    }
+    ctx.telemetry = run.telemetry.clone();
+    ctx.solver = solver_config_of(args, &run)?;
+    ctx.solver_strict = args.switch("solver-strict");
+    let budget = ctx.sizes.budget_from_avg_bits(avg_bits);
+    let (assignment, acc) = ctx.run(algorithm, budget)?;
     report_solver_outcome(&run, &assignment.solution);
-    config.extend(solver_manifest(&assignment.solution));
-    let acc = {
-        let _s = run.telemetry.span("eval");
-        quantized_accuracy(&mut p.network, &assignment.bits, scheme, &p.data.val)
-    };
     println!(
         "{:<10} {:>7.4} MB  acc {:>6.2}%  {}",
         algorithm.label(),
@@ -1738,7 +1784,31 @@ pub fn cmd_assign(args: &Args) -> Result<(), Box<dyn Error>> {
         acc * 100.0,
         assignment.bitmap()
     );
+    let mut config = vec![
+        ("model", ManifestValue::from(kind.id())),
+        ("algorithm", algorithm.label().into()),
+        ("avg_bits", avg_bits.into()),
+        ("scheme", format!("{scheme:?}").into()),
+        ("set_seed", set_seed.into()),
+    ];
+    config.extend(solver_manifest(&assignment.solution));
     run.finish("assign", &config)
+}
+
+/// The Ω stored at `--sens`, if given. A stored Ω stands in for the
+/// measurement, so `assign` and `sweep` can re-solve a fixed Ω (CLADO
+/// variants only; the baselines measure their own matrices).
+fn stored_omega(
+    args: &Args,
+    algorithm: Algorithm,
+) -> Result<Option<SensitivityMatrix>, Box<dyn Error>> {
+    match args.get("sens") {
+        Some(_) if !algorithm.is_clado_variant() => Err(Box::new(ArgsError(format!(
+            "--sens files apply to CLADO variants, not {algorithm:?}"
+        )))),
+        Some(path) => Ok(Some(load_sensitivities(std::path::Path::new(path))?)),
+        None => Ok(None),
+    }
 }
 
 /// `clado sweep --model <id> [--from --to --step]`
@@ -1756,17 +1826,7 @@ pub fn cmd_sweep(args: &Args) -> Result<(), Box<dyn Error>> {
     let bits = BitWidthSet::new(&args.u8_list_or("bits", &[2, 4, 8])?);
     let set_size: usize = args.get_or("set-size", 128)?;
     let set_seed: u64 = args.get_or("set-seed", 0)?;
-    // A stored Ω replaces the measurement, so a solver change can be
-    // timed on a fixed Ω (CLADO variants only, as for `assign --sens`).
-    let stored = match args.get("sens") {
-        Some(_) if !algorithm.is_clado_variant() => {
-            return Err(Box::new(ArgsError(format!(
-                "--sens files apply to CLADO variants, not {algorithm:?}"
-            ))))
-        }
-        Some(path) => Some(load_sensitivities(std::path::Path::new(path))?),
-        None => None,
-    };
+    let stored = stored_omega(args, algorithm)?;
 
     let (mut p, sens_set) = load_with_set(&run, kind, set_size, set_seed);
     run.info(&format!(
@@ -2270,8 +2330,14 @@ pub fn cmd_trace(args: &Args) -> Result<(), Box<dyn Error>> {
 mod tests {
     use super::*;
 
+    /// Parsed test arguments, checked against the subcommand's declared
+    /// flags when it names one (as `main` does).
     fn args(parts: &[&str]) -> Args {
-        Args::parse(parts.iter().map(|s| s.to_string())).expect("valid test args")
+        let mut a = Args::parse(parts.iter().map(|s| s.to_string())).expect("valid test args");
+        if let Some(cmd) = a.subcommand().and_then(command) {
+            a.accept(cmd.flags).expect("declared test flags");
+        }
+        a
     }
 
     #[test]
@@ -2298,6 +2364,14 @@ mod tests {
             Algorithm::Hawq
         );
         assert!(algorithm_of(&args(&["x", "--algorithm", "nas"])).is_err());
+        assert_eq!(
+            algorithm_of(&args(&["x", "--no-psd"])).unwrap(),
+            Algorithm::CladoNoPsd
+        );
+        for other in ["hawq", "mpqco", "clado-star", "block"] {
+            let err = algorithm_of(&args(&["x", "--algorithm", other, "--no-psd"])).unwrap_err();
+            assert!(err.0.contains("--no-psd applies to"), "{err}");
+        }
     }
 
     #[test]
@@ -2342,6 +2416,16 @@ mod tests {
             "--worker-churn-ms",
         ] {
             assert!(USAGE.contains(flag), "usage missing `{flag}`");
+        }
+        // Every flag a command accepts is documented.
+        for cmd in COMMANDS {
+            for flag in cmd.flags.split_whitespace() {
+                assert!(
+                    USAGE.contains(&format!("--{flag}")),
+                    "usage missing `--{flag}` of `{}`",
+                    cmd.names[0]
+                );
+            }
         }
     }
 

@@ -12,7 +12,7 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match Args::parse(raw) {
+    let mut parsed = match Args::parse(raw) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -23,26 +23,23 @@ fn main() -> ExitCode {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let result = match parsed.subcommand().expect("checked above") {
-        "models" => commands::cmd_models(&parsed),
-        "train" => commands::cmd_train(&parsed),
-        "sensitivity" | "measure" => commands::cmd_sensitivity(&parsed),
-        "estimate" => commands::cmd_estimate(&parsed),
-        "worker" => commands::cmd_worker(&parsed),
-        "serve" => commands::cmd_serve(&parsed),
-        "submit" => commands::cmd_submit(&parsed),
-        "chaos" => commands::cmd_chaos(&parsed),
-        "assign" => commands::cmd_assign(&parsed),
-        "sweep" => commands::cmd_sweep(&parsed),
-        "eval" => commands::cmd_eval(&parsed),
-        "stress" => commands::cmd_stress(&parsed),
-        "trace" => commands::cmd_trace(&parsed),
-        other => {
-            eprintln!("error: unknown command `{other}`\n\n{USAGE}");
+    let name = parsed.subcommand().expect("checked above");
+    let Some(command) = commands::command(name) else {
+        eprintln!("error: unknown command `{name}`\n\n{USAGE}");
+        return ExitCode::FAILURE;
+    };
+    match parsed.accept(command.flags) {
+        Ok(warnings) => {
+            for w in warnings {
+                eprintln!("warning: {w}");
+            }
+        }
+        Err(e) => {
+            eprintln!("error: {e}\n\n{USAGE}");
             return ExitCode::FAILURE;
         }
-    };
-    match result {
+    }
+    match (command.run)(&parsed) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

@@ -539,6 +539,137 @@ fn sweep_refuses_a_stored_omega_for_the_baselines() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("CLADO variants"));
 }
 
+/// The result line `clado assign` prints for `extra` on resnet20-mini
+/// (8-sample sets, 𝔹 = {4, 8}, 5 average bits).
+fn assign_line(extra: &[&str]) -> String {
+    let out = clado()
+        .args([
+            "assign",
+            "--model",
+            "resnet20",
+            "--avg-bits",
+            "5",
+            "--set-size",
+            "8",
+            "--bits",
+            "4,8",
+            "--quiet",
+        ])
+        .args(extra)
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "assign {extra:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+#[test]
+fn assign_no_psd_solves_clado_no_psd_with_and_without_a_stored_omega() {
+    let dir = std::env::temp_dir().join(format!("clado-cli-nopsd-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let clsm = dir.join("set0.clsm");
+    let out = clado()
+        .args(measure_args(&clsm))
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let measured = assign_line(&["--no-psd"]);
+    let stored = assign_line(&["--no-psd", "--sens", clsm.to_str().expect("utf8 path")]);
+    assert!(measured.starts_with("CLADO-noPSD"), "{measured}");
+    // The stored Ω of set 0 is the Ω assign measures for set 0.
+    assert_eq!(stored, measured);
+
+    let refused = clado()
+        .args(["assign", "--model", "resnet20", "--avg-bits", "5"])
+        .args(["--algorithm", "hawq", "--no-psd"])
+        .output()
+        .expect("binary runs");
+    assert!(!refused.status.success());
+    assert!(String::from_utf8_lossy(&refused.stderr).contains("--no-psd applies to"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn assign_honours_set_seed() {
+    let dir = std::env::temp_dir().join(format!("clado-cli-assign-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let clsm = dir.join("set3.clsm");
+    let mut args = measure_args(&clsm);
+    args.extend(["--set-seed".into(), "3".into()]);
+    let out = clado().args(&args).output().expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let set3 = assign_line(&["--set-seed", "3"]);
+    assert!(set3.starts_with("CLADO "), "{set3}");
+    // On this model the two sets plan differently, so an assign that
+    // ignored --set-seed (and drew set 0) would fail here.
+    assert_ne!(set3, assign_line(&[]), "--set-seed 3 assigned from set 0");
+    // Assigning from the stored Ω of set 3 is assigning from set 3.
+    assert_eq!(
+        assign_line(&["--sens", clsm.to_str().expect("utf8 path")]),
+        set3
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unknown_flags_fail_and_removed_flags_warn() {
+    let out = clado()
+        .args(["assign", "--model", "resnet20", "--avg-bits", "3"])
+        .args(["--algoritm", "hawq"])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag `--algoritm` for `assign`"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("USAGE"), "{stderr}");
+
+    let out = clado()
+        .args(["models", "--pool", "--integer", "--estimator-seed", "7"])
+        .args(["--no-batched-probes", "--quiet"])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for flag in ["pool", "integer", "estimator-seed", "no-batched-probes"] {
+        assert!(
+            stderr.contains(&format!("--{flag} was removed")),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
+fn the_removed_adaptive_estimator_is_refused_by_name() {
+    let out = clado()
+        .args(["estimate", "--model", "resnet20", "--estimator", "adaptive"])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("estimator 'adaptive' was removed"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn stress_deadline_returns_the_warm_start_with_one_downgrade() {
     // The planted instance outlives any node cap, so the 1 s deadline

@@ -117,7 +117,9 @@ impl OmegaProvenance {
     /// writes it any more; it stays so older `.clsm` files still load
     /// and name their provenance.
     pub const TAG_SKETCHED: u8 = 1;
-    /// Tag of the adaptive-sampling estimator.
+    /// Tag of the retired adaptive-sampling estimator. Nothing writes it
+    /// any more; it stays so older `.clsm` files still load and name
+    /// their provenance.
     pub const TAG_ADAPTIVE: u8 = 2;
     /// Tag of the block-diagonal + top-k cross-term estimator.
     pub const TAG_BLOCK_TOPK: u8 = 3;

@@ -200,10 +200,9 @@ fn distributed_sweep_matches_single_process_bitwise() {
 }
 
 /// Same budget ⇒ a 2-worker distributed estimation sweep is bitwise
-/// identical to the single-process estimator, for both a fixed-selection
-/// estimator (blocktopk: the sweep runs the same PSD projection the
-/// single-process path does) and the adaptive one (its refinement round
-/// reads each pair shard's own records, so sharding cannot change it).
+/// identical to the single-process estimator: its pair selection reads
+/// only the diagonal records, and the sweep runs the same PSD projection
+/// the single-process path does.
 #[test]
 fn distributed_estimation_matches_single_process_bitwise() {
     use clado_estim::{estimate_sensitivities, EstimationPlan, EstimatorKind, EstimatorOptions};
@@ -212,7 +211,7 @@ fn distributed_estimation_matches_single_process_bitwise() {
     // Mandatory base+diagonal is 1 + |𝔹|I = 7 probes here; 13 leaves
     // six probes of pair headroom so selection genuinely happens.
     let budget = 13usize;
-    for kind in [EstimatorKind::BlockTopK, EstimatorKind::Adaptive] {
+    for kind in EstimatorKind::ALL {
         let single = estimate_sensitivities(
             &mut net.clone(),
             &set,

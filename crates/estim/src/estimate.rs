@@ -1,6 +1,5 @@
-//! The estimation entry point: budgeted Ω measurement for every
-//! [`EstimatorKind`], with CLSJ journaling, resume, and the same threaded
-//! fan-out as the exact sweep.
+//! The estimation entry point: budgeted Ω measurement with CLSJ
+//! journaling, resume, and the same threaded fan-out as the exact sweep.
 
 use crate::planner::EstimationPlan;
 use crate::EstimatorKind;
@@ -72,10 +71,9 @@ impl EstimatedOmega {
 /// Estimates Ω under a probe budget — the budgeted analogue of
 /// [`clado_core::measure_sensitivities`].
 ///
-/// Sweeps the kind's [`EstimationPlan`] in process
-/// ([`run_plan_in_process`]): the base and diagonal probes, then the
-/// pair probes selected deterministically from the budget (and, for
-/// adaptive, a refinement round), each round on
+/// Sweeps the [`EstimationPlan`] in process ([`run_plan_in_process`]):
+/// the base and diagonal probes, then the pair probes selected
+/// deterministically from the budget, each round on
 /// [`SensitivityOptions::threads`] worker replicas; then the partial
 /// matrix is PSD-projected. The result is bitwise identical for any
 /// thread count and across resumes, and the CLSJ journal (stamped with

@@ -5,27 +5,19 @@
 //! The exact sweep costs `1 + |𝔹|I + ½|𝔹|²I(I−1)` forward evaluations —
 //! quadratic in the layer count — and is the scaling wall for anything
 //! beyond toy models. This crate trades a probe *budget* for an
-//! approximate Ω with two estimators ([`EstimatorKind`], run by
-//! [`estimate_sensitivities`]):
+//! approximate Ω with one estimator, [`EstimatorKind::BlockTopK`], run by
+//! [`estimate_sensitivities`]: a BRECQ-style locality prior under which
+//! every within-block cross term is probed, and the remaining budget goes
+//! to the `k` cross-block entries with the highest `|Ω_ii·Ω_jj|`
+//! diagonal product. Unobserved cross terms are zero, and the result is
+//! PSD-projected through the solver's projection path. The estimator is
+//! an [`EstimationPlan`]: a [`clado_core::OmegaPlan`] of two rounds that
+//! the one Ω sweep ([`clado_core::run_plan`]) runs in process, on
+//! threads, or on a worker pool alike. (The HAWQ-style diagonal-only
+//! Hutchinson estimate is the `hawq` baseline,
+//! [`clado_core::hawq_sensitivities`].)
 //!
-//! * [`EstimatorKind::Adaptive`] — initializes a per-entry uncertainty
-//!   width from the diagonal-product prior, spends half of each shard's
-//!   budget on the widest entries, rescales the widths of unobserved
-//!   entries from the observed `|Ω|`/prior ratios, and spends the rest
-//!   where the refreshed widths are largest.
-//! * [`EstimatorKind::BlockTopK`] — a BRECQ-style locality prior: every
-//!   within-block cross term is probed, and the remaining budget goes to
-//!   the `k` cross-block entries with the highest `|Ω_ii·Ω_jj|`
-//!   diagonal product.
-//!
-//! Both treat unobserved cross terms as zero and PSD-project the result
-//! through the solver's projection path. Each is an [`EstimationPlan`]:
-//! a [`clado_core::OmegaPlan`] whose rounds the one Ω sweep
-//! ([`clado_core::run_plan`]) runs in process, on threads, or on a worker
-//! pool alike. (The HAWQ-style diagonal-only Hutchinson estimate is the
-//! `hawq` baseline, [`clado_core::hawq_sensitivities`].)
-//!
-//! Every estimator spends budget on the base probe and the full diagonal
+//! The estimator spends budget on the base probe and the full diagonal
 //! (a variable's own sensitivity cannot be defaulted — the solver's
 //! `harden_partial` rejects Ω matrices that skip it), so the budget floor
 //! is `1 + |𝔹|I` probes.
@@ -34,15 +26,14 @@
 //!
 //! Probe selection is a pure function of the budget and the
 //! bitwise-deterministic diagonal records (no estimator draws random
-//! numbers), and each pair shard's refinement reads only that shard's
-//! records — so the estimated Ω is bitwise identical serially, across
+//! numbers) — so the estimated Ω is bitwise identical serially, across
 //! `--threads N`, and across distributed workers, and the CLSJ journal
 //! makes estimation crash-safe and resumable exactly like exact
 //! measurement.
 //! The journal fingerprint folds in the estimator kind and budget
 //! ([`clado_core::estimator_config_fingerprint`]), so an estimation
-//! checkpoint can never resume an exact sweep's journal or another
-//! estimator's.
+//! checkpoint can never resume an exact sweep's journal or one of
+//! another budget.
 //!
 //! # Reporting
 //!
@@ -71,12 +62,11 @@ use std::str::FromStr;
 
 use clado_core::OmegaProvenance;
 
-/// Which sub-quadratic estimator to run.
+/// Which sub-quadratic estimator to run. One remains; the tags of the
+/// retired sketched, adaptive and hutchinson estimators are refused
+/// wherever a tag is read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EstimatorKind {
-    /// Prior-weighted two-round sampling of the widest uncertainty
-    /// intervals.
-    Adaptive,
     /// All within-block cross terms plus the top-k cross-block entries by
     /// diagonal product.
     BlockTopK,
@@ -84,19 +74,19 @@ pub enum EstimatorKind {
 
 impl EstimatorKind {
     /// All estimator kinds, in tag order.
-    pub const ALL: [EstimatorKind; 2] = [EstimatorKind::Adaptive, EstimatorKind::BlockTopK];
+    pub const ALL: [EstimatorKind; 1] = [EstimatorKind::BlockTopK];
 
     /// The wire/CLSM tag of this kind (see
     /// [`clado_core::OmegaProvenance`]; `0` is reserved for exact).
     pub fn tag(self) -> u8 {
         match self {
-            Self::Adaptive => OmegaProvenance::TAG_ADAPTIVE,
             Self::BlockTopK => OmegaProvenance::TAG_BLOCK_TOPK,
         }
     }
 
     /// The kind for a wire/CLSM tag; `None` for `0` (exact) and unknown
-    /// tags, including the retired sketched (`1`) and hutchinson (`4`).
+    /// tags, including the retired sketched (`1`), adaptive (`2`) and
+    /// hutchinson (`4`).
     pub fn from_tag(tag: u8) -> Option<Self> {
         Self::ALL.into_iter().find(|k| k.tag() == tag)
     }
@@ -104,7 +94,6 @@ impl EstimatorKind {
     /// The CLI spelling of this kind.
     pub fn name(self) -> &'static str {
         match self {
-            Self::Adaptive => "adaptive",
             Self::BlockTopK => "blocktopk",
         }
     }
@@ -121,11 +110,12 @@ impl FromStr for EstimatorKind {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "adaptive" => Ok(Self::Adaptive),
             "blocktopk" | "block-topk" | "block_topk" => Ok(Self::BlockTopK),
-            other => Err(format!(
-                "unknown estimator '{other}' (expected adaptive or blocktopk)"
+            "adaptive" | "sketched" | "hutchinson" => Err(format!(
+                "estimator '{s}' was removed: blocktopk dominated it on the held-out \
+                 regret gate (use blocktopk)"
             )),
+            other => Err(format!("unknown estimator '{other}' (expected blocktopk)")),
         }
     }
 }

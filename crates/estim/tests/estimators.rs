@@ -2,7 +2,7 @@
 //! journal resume, budget accounting, CLSM v4 provenance, and the
 //! assignment-regret gate the CI `estimators` job enforces.
 
-use clado_core::journal::{load_journal, JournalWriter};
+use clado_core::journal::load_journal;
 use clado_core::{
     eval_loss, measure_sensitivities, sensitivities_from_bytes, sensitivities_to_bytes,
     AssignOptions, MeasureError, OmegaPlan, OmegaProvenance, SensitivityOptions, ShardContext,
@@ -143,26 +143,17 @@ fn estimation_resumes_bitwise_identically_from_a_partial_journal() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// An adaptive run that crashed after its base+diagonal and pair rounds
-/// but before its refinement round resumes to the bitwise-identical
-/// estimate, measuring only the refinement probes.
+/// The plan is two rounds long — base and diagonal, then the pairs they
+/// select — and those rounds hold every probe the estimate spends.
 #[test]
-fn adaptive_estimation_resumes_before_its_refinement_round() {
+fn estimation_plan_has_two_rounds() {
     let bits = BitWidthSet::new(&[2, 8]);
     let (mut net, data) = setup(4);
     let set = sens_set(&data);
-    // 13 mandatory probes + 20 pair probes: ~4 per outer shard, so each
-    // shard splits its budget over the pair and refinement rounds.
-    let mut opts = EstimatorOptions::new(EstimatorKind::Adaptive);
-    opts.probe_budget = 33;
-    opts.measure.threads = 1;
-    let reference = estimate_sensitivities(&mut net, &set, &bits, &opts).expect("reference");
-
-    // Journal the uninterrupted run, then rebuild a journal holding only
-    // the records of the first two rounds.
-    let full_dir = temp_dir("adaptive-full");
-    opts.measure.checkpoint_dir = Some(full_dir.clone());
-    estimate_sensitivities(&mut net, &set, &bits, &opts).expect("journaled run");
+    let dir = temp_dir("two-rounds");
+    let mut opts = EstimatorOptions::new(EstimatorKind::BlockTopK);
+    opts.measure.checkpoint_dir = Some(dir.clone());
+    let est = estimate_sensitivities(&mut net, &set, &bits, &opts).expect("journaled run");
     let ctx = ShardContext::new(
         &net,
         set.len(),
@@ -171,46 +162,73 @@ fn adaptive_estimation_resumes_before_its_refinement_round() {
         opts.measure.batch_size,
         true,
     );
-    let plan = EstimationPlan::new(&ctx, EstimatorKind::Adaptive, 33);
-    let records = load_journal(&full_dir, plan.fingerprint())
+    let plan = EstimationPlan::new(&ctx, EstimatorKind::BlockTopK, 0);
+    let records = load_journal(&dir, plan.fingerprint())
         .expect("journal")
         .records;
-    let refinement: usize = plan
-        .round(2, &records)
-        .expect("refinement round")
-        .iter()
-        .map(|(_, ids)| ids.len())
-        .sum();
-    assert!(refinement > 0, "the plan must have a refinement round");
-    let dir = temp_dir("adaptive-partial");
-    let mut writer = JournalWriter::open(&dir, plan.fingerprint(), 0).expect("writer");
-    let mut journaled = 0;
-    for index in 0..2 {
-        for (_, ids) in plan.round(index, &records).expect("round") {
-            let shard: Vec<_> = ids.iter().map(|id| records[id]).collect();
-            writer.commit_records(&shard).expect("commit");
-            journaled += shard.len();
-        }
-    }
-
-    opts.measure.checkpoint_dir = Some(dir.clone());
-    opts.measure.resume = true;
-    let resumed = estimate_sensitivities(&mut net, &set, &bits, &opts).expect("resumed run");
-    assert_bitwise_equal(&reference, &resumed, "resumed before refinement");
-    assert_eq!(resumed.matrix.stats.resumed, journaled);
-    assert_eq!(resumed.matrix.stats.evaluations, refinement);
-    assert_eq!(journaled + refinement, reference.probes_spent);
-    let _ = std::fs::remove_dir_all(&full_dir);
+    let probes = |index| -> usize {
+        plan.round(index, &records)
+            .expect("round")
+            .iter()
+            .map(|(_, ids)| ids.len())
+            .sum()
+    };
+    assert_eq!(probes(0), 1 + 2 * 6, "round 0 is the base and diagonal");
+    assert!(probes(1) > 0, "round 1 selects pair probes");
+    assert_eq!(probes(0) + probes(1), est.probes_spent);
+    assert_eq!(probes(0) + probes(1), records.len());
+    assert_eq!(probes(2), 0, "there is no third round");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The retired sketched (1) and hutchinson (4) tags, like any other
-/// unknown tag, name no estimator: they are refused up front with the
-/// reason every job-taking caller reports.
+/// The retired estimators are refused by name, with a message that says
+/// they were removed rather than that they never existed.
+#[test]
+fn removed_estimator_names_are_refused_as_removed() {
+    for name in ["adaptive", "sketched", "hutchinson"] {
+        let why = name.parse::<EstimatorKind>().expect_err("refused");
+        assert!(why.contains("removed"), "unexpected reason: {why}");
+    }
+    let why = "adaptiv".parse::<EstimatorKind>().expect_err("refused");
+    assert!(
+        why.contains("unknown estimator"),
+        "unexpected reason: {why}"
+    );
+    assert_eq!("blocktopk".parse(), Ok(EstimatorKind::BlockTopK));
+}
+
+/// A `.clsm` file an adaptive run wrote before the estimator was removed
+/// still loads, and still names its provenance.
+#[test]
+fn an_adaptive_clsm_file_still_loads() {
+    let bits = BitWidthSet::new(&[2, 8]);
+    let (mut net, data) = setup(2);
+    let set = sens_set(&data);
+    let opts = EstimatorOptions::new(EstimatorKind::BlockTopK);
+    let mut est = estimate_sensitivities(&mut net, &set, &bits, &opts).expect("blocktopk");
+    est.matrix.stats.provenance =
+        OmegaProvenance::estimated(OmegaProvenance::TAG_ADAPTIVE, 40, DEFAULT_ESTIMATOR_SEED);
+    let loaded =
+        sensitivities_from_bytes(&sensitivities_to_bytes(&est.matrix)).expect("old file loads");
+    assert_eq!(
+        loaded.stats.provenance.estimator,
+        OmegaProvenance::TAG_ADAPTIVE
+    );
+    assert!(
+        loaded.stats.provenance.to_string().contains("adaptive"),
+        "provenance: {}",
+        loaded.stats.provenance
+    );
+}
+
+/// The retired sketched (1), adaptive (2) and hutchinson (4) tags, like
+/// any other unknown tag, name no estimator: they are refused up front
+/// with the reason every job-taking caller reports.
 #[test]
 fn grid_estimation_rejects_hutchinson_and_unknown_estimators() {
     for tag in [
         OmegaProvenance::TAG_SKETCHED,
+        OmegaProvenance::TAG_ADAPTIVE,
         OmegaProvenance::TAG_HUTCHINSON,
         200u8,
     ] {
@@ -222,9 +240,9 @@ fn grid_estimation_rejects_hutchinson_and_unknown_estimators() {
     }
     assert_eq!(GridEstimation::from_job(0, 0), Ok(None));
     assert_eq!(
-        GridEstimation::from_job(EstimatorKind::Adaptive.tag(), 40),
+        GridEstimation::from_job(EstimatorKind::BlockTopK.tag(), 40),
         Ok(Some(GridEstimation {
-            kind: EstimatorKind::Adaptive,
+            kind: EstimatorKind::BlockTopK,
             probe_budget: 40,
         }))
     );
@@ -240,13 +258,26 @@ fn estimator_journals_are_isolated_by_fingerprint() {
     opts.measure.checkpoint_dir = Some(dir.clone());
     estimate_sensitivities(&mut net, &set, &bits, &opts).expect("blocktopk run");
 
-    // Same directory, different estimator: the fingerprint must reject
-    // the journal rather than silently mixing probe sets.
-    let mut other = EstimatorOptions::new(EstimatorKind::Adaptive);
+    // Same directory, different budget: the fingerprint must reject the
+    // journal rather than silently mixing probe sets.
+    let mut other = EstimatorOptions::new(EstimatorKind::BlockTopK);
+    other.probe_budget = usize::MAX;
     other.measure.checkpoint_dir = Some(dir.clone());
     other.measure.resume = true;
     let err = estimate_sensitivities(&mut net, &set, &bits, &other)
-        .expect_err("adaptive must not resume a blocktopk journal");
+        .expect_err("a full-budget run must not resume a default-budget journal");
+    assert!(
+        matches!(err, MeasureError::Journal(_)),
+        "expected a journal error, got {err:?}"
+    );
+    // Nor may an exact sweep resume it.
+    let exact = SensitivityOptions {
+        checkpoint_dir: Some(dir.clone()),
+        resume: true,
+        ..SensitivityOptions::default()
+    };
+    let err = measure_sensitivities(&mut net, &set, &bits, &exact)
+        .expect_err("an exact sweep must not resume an estimation journal");
     assert!(
         matches!(err, MeasureError::Journal(_)),
         "expected a journal error, got {err:?}"
@@ -265,7 +296,7 @@ fn budget_accounting_floors_and_caps() {
     let mandatory = 1 + k * i;
 
     // A budget below the floor is raised to it (diagonal is mandatory).
-    let mut opts = EstimatorOptions::new(EstimatorKind::Adaptive);
+    let mut opts = EstimatorOptions::new(EstimatorKind::BlockTopK);
     opts.probe_budget = 2;
     let est = estimate_sensitivities(&mut net, &set, &bits, &opts).expect("floored run");
     assert_eq!(est.probes_spent, mandatory);
@@ -291,7 +322,7 @@ fn full_budget_estimation_matches_exact_measurement_bitwise() {
     let set = sens_set(&data);
     let exact = measure_sensitivities(&mut net, &set, &bits, &SensitivityOptions::default())
         .expect("exact measurement");
-    for kind in [EstimatorKind::Adaptive, EstimatorKind::BlockTopK] {
+    for kind in EstimatorKind::ALL {
         let mut opts = EstimatorOptions::new(kind);
         opts.probe_budget = usize::MAX;
         let est = estimate_sensitivities(&mut net, &set, &bits, &opts).expect("full-budget run");
@@ -317,10 +348,10 @@ fn estimated_omega_roundtrips_clsm_v4_with_provenance() {
     let bits = BitWidthSet::new(&[2, 8]);
     let (mut net, data) = setup(2);
     let set = sens_set(&data);
-    let opts = EstimatorOptions::new(EstimatorKind::Adaptive);
-    let est = estimate_sensitivities(&mut net, &set, &bits, &opts).expect("adaptive");
+    let opts = EstimatorOptions::new(EstimatorKind::BlockTopK);
+    let est = estimate_sensitivities(&mut net, &set, &bits, &opts).expect("blocktopk");
     let prov = est.matrix.stats.provenance;
-    assert_eq!(prov.estimator, OmegaProvenance::TAG_ADAPTIVE);
+    assert_eq!(prov.estimator, OmegaProvenance::TAG_BLOCK_TOPK);
     assert_eq!(prov.seed, DEFAULT_ESTIMATOR_SEED);
     assert!(prov.probe_budget > 0);
 
@@ -358,8 +389,8 @@ fn estimated_omega_passes_partial_hardening() {
     });
 }
 
-/// The acceptance gate: at a 25% probe budget, the blocktopk and adaptive
-/// estimators must reach an IQP assignment whose task loss is within 1%
+/// The acceptance gate: at a 25% probe budget, the blocktopk estimator
+/// must reach an IQP assignment whose task loss is within 1%
 /// of the exact-Ω assignment's. The CI `estimators` job runs this test.
 #[test]
 fn regret_gate_at_quarter_budget() {
@@ -373,7 +404,7 @@ fn regret_gate_at_quarter_budget() {
     let budget_bits = sizes.budget_from_avg_bits(5.0);
     let full = exact.stats.evaluations;
 
-    for kind in [EstimatorKind::BlockTopK, EstimatorKind::Adaptive] {
+    for kind in EstimatorKind::ALL {
         let opts = EstimatorOptions {
             probe_budget: full / 4,
             ..EstimatorOptions::new(kind)

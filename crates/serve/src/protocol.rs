@@ -49,8 +49,9 @@ pub struct MeasureSpec {
     pub scheme: u8,
     /// Whether prefix-activation caching is used during probes.
     pub use_prefix_cache: bool,
-    /// Estimator tag (`0` = exact measurement; `2` adaptive or `3`
-    /// blocktopk per `clado_core::OmegaProvenance`). Part of the cache key: an
+    /// Estimator tag (`0` = exact measurement; `3` = blocktopk per
+    /// `clado_core::OmegaProvenance`; admission refuses any other tag).
+    /// Part of the cache key: an
     /// estimated Ω must never be served where an exact one was asked
     /// for, or vice versa.
     pub estimator: u8,

@@ -952,7 +952,7 @@ mod tests {
         assert_eq!(validate(&request(3, 40, DEFAULT_ESTIMATOR_SEED)), None);
         assert_eq!(validate(&request(0, 0, 0)), None);
         for seed in [0, 7, DEFAULT_ESTIMATOR_SEED + 1] {
-            let why = validate(&request(2, 0, seed)).expect("refused");
+            let why = validate(&request(3, 0, seed)).expect("refused");
             assert!(why.contains("estimator seed"), "unexpected reason: {why}");
         }
         let why = validate(&request(0, 0, DEFAULT_ESTIMATOR_SEED)).expect("refused");
@@ -960,7 +960,7 @@ mod tests {
             why.contains("requires an estimator"),
             "unexpected reason: {why}"
         );
-        for tag in [1, 4, 200] {
+        for tag in [1, 2, 4, 200] {
             let why = validate(&request(tag, 0, DEFAULT_ESTIMATOR_SEED)).expect("refused");
             assert!(
                 why.contains("unknown estimator"),

@@ -304,15 +304,15 @@ fn estimated_measure_misses_the_exact_cache_and_matches_single_process() {
         other => panic!("expected MeasureDone, got kind {}", other.kind()),
     }
 
-    // A different estimator for the same model misses again.
-    let adaptive = MeasureSpec {
-        estimator: 2,
+    // A different probe budget for the same model misses again.
+    let other_budget = MeasureSpec {
+        probe_budget: 40,
         ..est_spec
     };
-    let third = submit(&addr, &measure_request(adaptive), None).expect("adaptive submit");
+    let third = submit(&addr, &measure_request(other_budget), None).expect("budget submit");
     match third.response {
         ServeMessage::MeasureDone { cache_hit, .. } => {
-            assert!(!cache_hit, "a different estimator must miss");
+            assert!(!cache_hit, "a different probe budget must miss");
         }
         other => panic!("expected MeasureDone, got kind {}", other.kind()),
     }
@@ -322,6 +322,36 @@ fn estimated_measure_misses_the_exact_cache_and_matches_single_process() {
     assert_eq!(report.completed, 4);
     assert_eq!(report.cache_hits, 1);
     assert_eq!(report.cache_misses, 3);
+}
+
+/// The retired adaptive estimator's tag (2) names no estimator any
+/// more: an estimated spec that carries it is shed at admission as
+/// `Malformed`, like the other retired tags, and measures nothing.
+#[test]
+fn a_retired_estimator_tag_is_shed_as_malformed() {
+    let _guard = test_guard();
+    let (net, set) = setup();
+    let (addr, _w, drain, handle) = start(provider_of(&net, &set), ServeOptions::default());
+    let adaptive = MeasureSpec {
+        estimator: clado_core::OmegaProvenance::TAG_ADAPTIVE,
+        probe_budget: 0,
+        estimator_seed: clado_estim::DEFAULT_ESTIMATOR_SEED,
+        ..spec()
+    };
+    match submit(&addr, &measure_request(adaptive), None) {
+        Err(ServeError::Rejected { reason, detail }) => {
+            assert_eq!(reason, RejectReason::Malformed);
+            assert!(
+                detail.contains("unknown estimator tag 2"),
+                "unexpected detail: {detail}"
+            );
+        }
+        other => panic!("expected a Malformed rejection, got {other:?}"),
+    }
+    let report = drain_and_join(&drain, handle);
+    assert_eq!(report.shed_malformed, 1);
+    assert_eq!(report.completed, 0);
+    assert_eq!(report.cache_misses, 0);
 }
 
 #[test]

@@ -240,11 +240,13 @@ impl<'p> Search<'p> {
         if self.aborted.is_some() {
             return;
         }
-        self.nodes += 1;
-        if self.nodes > self.max_nodes {
+        // `nodes` counts visited nodes only, so a node-cap stop reports
+        // exactly the cap.
+        if self.nodes >= self.max_nodes {
             self.aborted = Some(Stop::NodeCap);
             return;
         }
+        self.nodes += 1;
         // Cooperative stop check on node-count boundaries only, so the set
         // of visited nodes up to any stop is identical across runs.
         if self.nodes & TICK_MASK == 0 {
@@ -510,6 +512,26 @@ mod tests {
         assert_eq!(sol.downgrades[0].from, MethodUsed::BranchAndBound);
         assert_eq!(sol.downgrades[0].to, MethodUsed::DiagonalDp);
         assert_eq!(sol.downgrades[0].reason, DowngradeReason::NodeCapExhausted);
+    }
+
+    /// A node-cap stop reports the nodes it visited, which is the cap —
+    /// not the node that tripped it.
+    #[test]
+    fn node_cap_stops_report_exactly_the_cap() {
+        let p = random_instance(&mut StdRng::seed_from_u64(3), 12, false);
+        for cap in [0, 1, 10] {
+            let telemetry = Telemetry::new();
+            let sol = p
+                .solve(&SolverConfig {
+                    max_nodes: cap,
+                    telemetry: telemetry.clone(),
+                    ..Default::default()
+                })
+                .unwrap();
+            assert_eq!(sol.termination, Termination::NodeCapExhausted, "cap {cap}");
+            assert_eq!(sol.nodes_explored, cap);
+            assert_eq!(telemetry.counter_value("solver.iqp.nodes"), cap);
+        }
     }
 
     #[test]
