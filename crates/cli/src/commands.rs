@@ -770,9 +770,9 @@ pub fn cmd_estimate(args: &Args) -> Result<(), Box<dyn Error>> {
     let scheme = scheme_of(args)?;
     let avg_bits: f64 = args.get_or("avg-bits", 4.0)?;
     let probe_budget: usize = args.get_or("probe-budget", 0)?;
-    let selected: Vec<EstimatorKind> = match args.get("estimator").unwrap_or("all") {
-        "all" => EstimatorKind::ALL.to_vec(),
-        name => vec![name.parse().map_err(ArgsError)?],
+    let est_kind: EstimatorKind = match args.get("estimator").unwrap_or("all") {
+        "all" => EstimatorKind::BlockTopK,
+        name => name.parse().map_err(ArgsError)?,
     };
     let out = args.get("out").map(PathBuf::from);
 
@@ -827,50 +827,45 @@ pub fn cmd_estimate(args: &Args) -> Result<(), Box<dyn Error>> {
     );
     let floor = held_out_regret(&mut p.network, &second_exact)?;
     println!("noise floor (exact Ω of set seed {floor_seed}): regret: {floor}");
-    let mut config: Vec<(&str, ManifestValue)> = vec![
-        ("model", kind.id().into()),
-        ("bits", bits.to_string().into()),
-        ("avg_bits", avg_bits.into()),
-        ("probe_budget", probe_budget.into()),
-        ("regret_floor", floor.relative.into()),
-    ];
-    for est_kind in selected {
-        let est = estimate_sensitivities(
-            &mut p.network,
-            &sens_set,
-            &bits,
-            &EstimatorOptions {
-                probe_budget,
-                measure: measure.clone(),
-                ..EstimatorOptions::new(est_kind)
-            },
-        )?;
-        let regret = held_out_regret(&mut p.network, &est.matrix)?;
-        let report = build_report(est_kind, &est, Some(&exact), Some(regret));
-        println!("{report}");
-        run.telemetry.set_gauge(
-            &format!("estim.{est_kind}.probe_fraction"),
-            report.probe_fraction,
-        );
-        run.telemetry
-            .set_gauge(&format!("estim.{est_kind}.regret"), regret.relative);
-        config.push((
-            match est_kind {
-                EstimatorKind::BlockTopK => "regret_blocktopk",
-            },
-            regret.relative.into(),
+    let est = estimate_sensitivities(
+        &mut p.network,
+        &sens_set,
+        &bits,
+        &EstimatorOptions {
+            probe_budget,
+            measure: measure.clone(),
+            ..EstimatorOptions::new(est_kind)
+        },
+    )?;
+    let regret = held_out_regret(&mut p.network, &est.matrix)?;
+    let report = build_report(est_kind, &est, Some(&exact), Some(regret));
+    println!("{report}");
+    run.telemetry.set_gauge(
+        &format!("estim.{est_kind}.probe_fraction"),
+        report.probe_fraction,
+    );
+    run.telemetry
+        .set_gauge(&format!("estim.{est_kind}.regret"), regret.relative);
+    if let Some(path) = &out {
+        let _s = run.telemetry.span("save");
+        save_sensitivities(&est.matrix, path)?;
+        run.info(&format!(
+            "wrote Ω̂ ({}) → {}",
+            est.matrix.stats.provenance,
+            path.display()
         ));
-        if let Some(path) = &out {
-            let _s = run.telemetry.span("save");
-            save_sensitivities(&est.matrix, path)?;
-            run.info(&format!(
-                "wrote Ω̂ ({}) → {}",
-                est.matrix.stats.provenance,
-                path.display()
-            ));
-        }
     }
-    run.finish("estimate", &config)
+    run.finish(
+        "estimate",
+        &[
+            ("model", kind.id().into()),
+            ("bits", bits.to_string().into()),
+            ("avg_bits", avg_bits.into()),
+            ("probe_budget", probe_budget.into()),
+            ("regret_floor", floor.relative.into()),
+            ("regret_blocktopk", regret.relative.into()),
+        ],
+    )
 }
 
 /// `clado worker --connect <addr>`
