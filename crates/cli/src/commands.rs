@@ -818,15 +818,17 @@ pub fn cmd_estimate(args: &Args) -> Result<(), Box<dyn Error>> {
         )
     };
 
-    println!(
+    run.info(&format!(
         "exact sweep: {} probes ({} evaluations); held-out regret ({} validation samples) \
          measured at {avg_bits} avg bits",
         exact.stats.full_evals + exact.stats.prefix_cache_hits,
         exact.stats.evaluations,
         p.data.val.len()
-    );
+    ));
     let floor = held_out_regret(&mut p.network, &second_exact)?;
-    println!("noise floor (exact Ω of set seed {floor_seed}): regret: {floor}");
+    run.info(&format!(
+        "noise floor (exact Ω of set seed {floor_seed}): regret: {floor}"
+    ));
     let est = estimate_sensitivities(
         &mut p.network,
         &sens_set,

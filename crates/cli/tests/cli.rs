@@ -671,6 +671,31 @@ fn the_removed_adaptive_estimator_is_refused_by_name() {
 }
 
 #[test]
+fn estimate_quiet_prints_only_the_report_line() {
+    let out = clado()
+        .args([
+            "estimate",
+            "--model",
+            "resnet20",
+            "--set-size",
+            "8",
+            "--bits",
+            "4,8",
+            "--quiet",
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(stdout.trim_end().lines().count(), 1, "stdout:\n{stdout}");
+    assert!(stdout.contains("blocktopk"), "stdout:\n{stdout}");
+}
+
+#[test]
 fn stress_deadline_returns_the_warm_start_with_one_downgrade() {
     // The planted instance outlives any node cap, so the 1 s deadline
     // stops branch and bound and the completed local-search warm start is

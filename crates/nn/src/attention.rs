@@ -4,8 +4,7 @@ use crate::dense::Linear;
 use crate::layer::{join, ActKind, Activation, Layer};
 use crate::norm::LayerNorm;
 use crate::param::{Param, ParamVisitor, ParamVisitorRef};
-use clado_tensor::kernel::sgemm_overwrite;
-use clado_tensor::{ops, Tensor};
+use clado_tensor::{active_backend, kernel, ops, Backend, Tensor};
 use rand::Rng;
 
 /// Multi-head self-attention over token tensors `[N, T, D]`.
@@ -57,22 +56,14 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Copies head `h` of sample `n` from `[N, T, D]` into the `[T, dh]`
-    /// tile `out`.
-    fn gather_head(&self, x: &Tensor, n: usize, h: usize, out: &mut [f32]) {
-        let dh = self.dim / self.heads;
-        let t = out.len() / dh;
-        for (tok, row) in out.chunks_exact_mut(dh).enumerate() {
-            let base = (n * t + tok) * self.dim + h * dh;
-            row.copy_from_slice(&x.data()[base..base + dh]);
-        }
-    }
-
     /// Extracts head `h` of sample `n` from `[N, T, D]` as a `[T, dh]` matrix.
     fn head(&self, x: &Tensor, n: usize, h: usize, t: usize) -> Tensor {
         let dh = self.dim / self.heads;
         let mut out = vec![0.0f32; t * dh];
-        self.gather_head(x, n, h, &mut out);
+        for (tok, row) in out.chunks_exact_mut(dh).enumerate() {
+            let base = (n * t + tok) * self.dim + h * dh;
+            row.copy_from_slice(&x.data()[base..base + dh]);
+        }
         Tensor::from_vec([t, dh], out).expect("sized correctly")
     }
 
@@ -92,30 +83,30 @@ impl Layer for MultiHeadAttention {
         let sh = x.shape();
         assert_eq!(sh.ndim(), 3, "attention expects [N, T, D] input, got {sh}");
         let (n, t) = (sh.dim(0), sh.dim(1));
-        let dh = self.dim / self.heads;
-        let scale = 1.0 / (dh as f32).sqrt();
-
         let q = self.wq.forward(x.clone(), training);
         let k = self.wk.forward(x.clone(), training);
         let v = self.wv.forward(x, training);
 
         // Every map lands in one `[N, H, T, T]` buffer (also the backward
-        // cache). Each head is gathered into three reused `[T, dh]` tiles;
-        // the Q tile takes the head's output once its scores are computed.
+        // cache). Training keeps the frozen scalar softmax.
+        let backend = if training {
+            Backend::Scalar
+        } else {
+            active_backend()
+        };
         let mut concat = Tensor::zeros([n, t, self.dim]);
         let mut attn = vec![0.0f32; n * self.heads * t * t];
-        let [mut qh, mut kh, mut vh] = [(); 3].map(|_| vec![0.0f32; t * dh]);
-        for (i, map) in attn.chunks_exact_mut((t * t).max(1)).enumerate() {
-            let (s, h) = (i / self.heads, i % self.heads);
-            self.gather_head(&q, s, h, &mut qh);
-            self.gather_head(&k, s, h, &mut kh);
-            self.gather_head(&v, s, h, &mut vh);
-            sgemm_overwrite(&qh, &kh, map, t, dh, t, false, true);
-            map.iter_mut().for_each(|x| *x *= scale);
-            ops::softmax_rows_in_place(map, t);
-            sgemm_overwrite(map, &vh, &mut qh, t, t, dh, false, false);
-            self.scatter_head(&mut concat, &qh, s, h);
-        }
+        kernel::attention(
+            backend,
+            q.data(),
+            k.data(),
+            v.data(),
+            concat.data_mut(),
+            &mut attn,
+            n,
+            t,
+            self.heads,
+        );
         let out = self.wo.forward(concat, training);
         self.cache = Some(AttnCache {
             q,
@@ -297,9 +288,11 @@ mod tests {
         assert_eq!(y.shape().dims(), &[2, 5, 8]);
     }
 
-    /// The tiled forward equals, bit for bit, the per-(sample, head)
+    /// The batched forward equals, bit for bit, the per-(sample, head)
     /// forward built from the tensor-level ops, in its output and in the
-    /// cached maps. The shapes cover the scalar tiles of vit-mini and the
+    /// cached maps. The reference's softmax is the one the forward
+    /// dispatches: the frozen scalar one in training, the active backend's
+    /// in evaluation. The shapes cover the scalar tiles of vit-mini and the
     /// skinny and blocked SIMD GEMM paths.
     #[test]
     fn forward_matches_per_head_reference_bitwise() {
@@ -324,7 +317,13 @@ mod tests {
                         let vh = attn.head(&v, s, h, t);
                         let mut scores = clado_tensor::matmul_a_bt(&qh, &kh);
                         scores.scale(1.0 / ((dim / heads) as f32).sqrt());
-                        let a = ops::softmax_rows(&scores);
+                        let mut a = scores;
+                        let backend = if training {
+                            Backend::Scalar
+                        } else {
+                            active_backend()
+                        };
+                        kernel::softmax_rows_with(backend, a.data_mut(), t);
                         let oh = clado_tensor::matmul(&a, &vh);
                         attn.scatter_head(&mut concat, oh.data(), s, h);
                         want_maps.extend_from_slice(a.data());

@@ -42,11 +42,11 @@ impl Layer for ResidualBlock {
         let sum = &main_out + &short_out;
         let out = match self.post_act {
             Some(ActKind::Relu) => ops::relu_forward(&sum),
-            Some(ActKind::Gelu) => ops::gelu_forward(&sum),
+            Some(ActKind::Gelu) if training => ops::gelu_forward(&sum),
+            Some(ActKind::Gelu) => ops::gelu_forward_eval(&sum),
             Some(ActKind::HardSwish) => ops::hardswish_forward(&sum),
             None => sum.clone(),
         };
-        let _ = training;
         self.cache = Some((sum, None));
         out
     }

@@ -49,7 +49,7 @@ impl Linear {
     }
 
     /// Flattens leading dimensions so the last dimension is `in_features`.
-    fn to_2d(&self, x: &Tensor) -> Tensor {
+    fn to_2d(&self, x: Tensor) -> Tensor {
         let shape = x.shape();
         let last = shape.dim(shape.ndim() - 1);
         assert_eq!(
@@ -58,20 +58,22 @@ impl Linear {
             self.in_features
         );
         let rows = shape.numel() / last;
-        x.reshape([rows, last]).expect("element count preserved")
+        x.into_shape([rows, last]).expect("element count preserved")
     }
 
     /// Restores the original leading dimensions with a new last dimension.
     fn restore_leading_dims(&self, y: Tensor, original: Shape, last: usize) -> Tensor {
         let mut dims: Vec<usize> = original.dims().to_vec();
         *dims.last_mut().expect("non-empty shape") = last;
-        y.reshape(dims.as_slice()).expect("element count preserved")
+        y.into_shape(dims.as_slice())
+            .expect("element count preserved")
     }
 }
 
 impl Layer for Linear {
     fn forward(&mut self, x: Tensor, _training: bool) -> Tensor {
-        let x2 = self.to_2d(&x);
+        let orig = x.shape();
+        let x2 = self.to_2d(x);
         let mut y = matmul_a_bt(&x2, &self.weight.value);
         let rows = y.shape().dim(0);
         let bd = self.bias.value.data();
@@ -81,7 +83,6 @@ impl Layer for Linear {
                 *v += b;
             }
         }
-        let orig = x.shape();
         self.cache = Some((x2, orig));
         self.restore_leading_dims(y, orig, self.out_features)
     }
@@ -93,7 +94,7 @@ impl Layer for Linear {
             .expect("backward requires a training forward");
         let rows = x2.shape().dim(0);
         let d2 = d_out
-            .reshape([rows, self.out_features])
+            .into_shape([rows, self.out_features])
             .expect("gradient shape matches forward output");
         // dW = d_outᵀ · x  → [out, in]
         self.weight.grad += &matmul_at_b(&d2, &x2);

@@ -105,10 +105,10 @@ impl Layer for Activation {
     fn forward(&mut self, x: Tensor, training: bool) -> Tensor {
         let y = match self.kind {
             ActKind::Relu => ops::relu_forward(&x),
-            ActKind::Gelu => ops::gelu_forward(&x),
+            ActKind::Gelu if training => ops::gelu_forward(&x),
+            ActKind::Gelu => ops::gelu_forward_eval(&x),
             ActKind::HardSwish => ops::hardswish_forward(&x),
         };
-        let _ = training;
         self.cached_input = Some(x);
         y
     }

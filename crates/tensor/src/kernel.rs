@@ -1,8 +1,10 @@
-//! The dispatching compute-kernel layer behind every GEMM in the crate.
+//! The dispatching compute-kernel layer behind every GEMM in the crate,
+//! and behind the evaluation-mode GELU, softmax and attention.
 //!
 //! One entry point — `sgemm` — backs [`crate::matmul`], the transposed
-//! variants, and the im2col convolution products. At process start the
-//! layer picks a backend once:
+//! variants, and the im2col convolution products; [`gelu_with`],
+//! [`softmax_rows_with`] and [`attention`] back the transformer block's
+//! evaluation forward. At process start the layer picks a backend once:
 //!
 //! * **AVX2+FMA** — cache-blocked (MC/KC/NC) GEMM with an 8×8
 //!   register-tiled microkernel over 256-bit lanes.
@@ -28,6 +30,17 @@
 //! Tiny products (`m·k·n` below [`SIMD_FLOP_THRESHOLD`]) stay on the
 //! scalar path even when SIMD is available: packing two operand panels
 //! costs more than the multiply saves.
+//!
+//! The contract extends to evaluation-mode activations. Training-mode
+//! forwards and the scalar backend run the frozen scalar GELU and softmax
+//! (the formulas GELU's backward differentiates), bit for bit. On the
+//! SIMD backends evaluation runs vector forms within a few ULP of the
+//! exact functions, and every GELU output is a pure function of its input
+//! element (every softmax row of its row): tails are padded through the
+//! same vector formula, so prefix/suffix evaluation and a full forward
+//! agree bitwise whatever the slice length or offset. The batched
+//! attention kernel's products keep the scalar GEMM's operation order, so
+//! only its softmax differs from the per-head scalar path.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -271,6 +284,224 @@ pub fn sgemm_with(
     }
 }
 
+/// Evaluation-mode GELU (tanh approximation) in place on `backend`.
+///
+/// `Scalar` runs the frozen formula `0.5·x·(1 + tanh(√(2/π)·(x +
+/// 0.044715·x³)))` bit for bit. The SIMD backends evaluate the same
+/// function as `x / (1 + exp(−2·√(2/π)·(x + 0.044715·x³)))` with a
+/// Cephes-style polynomial `exp`, within a few ULP of the exact value
+/// (the scalar form loses all relative accuracy for negative `x` where
+/// `1 + tanh` cancels; this one does not).
+/// Each output is a pure function of its input element: the tail past
+/// the last full lane is padded and goes through the same vector formula,
+/// so a value's result does not depend on the slice length or offset.
+#[doc(hidden)]
+pub fn gelu_with(backend: Backend, x: &mut [f32]) {
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Sse2 | Backend::Avx2Fma => x86::gelu(x, backend),
+        _ => x.iter_mut().for_each(|v| *v = crate::ops::gelu_scalar(*v)),
+    }
+}
+
+/// Evaluation-mode row-wise softmax in place over the consecutive
+/// `cols`-wide rows of `x`, on `backend`. `Scalar` is bitwise
+/// [`crate::ops::softmax_rows_in_place`]; the SIMD backends take the row
+/// max, exponentiate with the vector `exp` of [`gelu_with`] (padded tail,
+/// same formula) and reduce the sum in an order fixed by `cols` alone.
+#[doc(hidden)]
+pub fn softmax_rows_with(backend: Backend, x: &mut [f32], cols: usize) {
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Sse2 | Backend::Avx2Fma => x
+            .chunks_exact_mut(cols.max(1))
+            .for_each(|row| x86::softmax_row(row, backend)),
+        _ => crate::ops::softmax_rows_in_place(x, cols),
+    }
+}
+
+/// Scaled dot-product attention for every (sample, head) of `[N, T, D]`
+/// activations split into `heads` heads of width `dh = D / heads`:
+/// `out[s, :, head h] = softmax(Q_h·K_hᵀ / √dh) · V_h`, each map kept in
+/// `maps` as `[N, H, T, T]`. `backend` selects the softmax (see
+/// [`softmax_rows_with`]) and the product path.
+///
+/// On the SIMD backends, tiles below [`SIMD_FLOP_THRESHOLD`] take one
+/// batched pass: Q rows are read and head outputs written in place in the
+/// `[N, T, D]` buffers, and both products run in the scalar GEMM's
+/// operation order — one multiply then one add per term, ascending over
+/// the shared dimension — vectorised across output columns, with the
+/// `1/√dh` scale and the softmax applied to each score row as it is
+/// produced. Scores and head outputs are therefore bitwise those of
+/// [`sgemm_overwrite`]. The scalar backend and larger tiles gather each
+/// head into tiles and go through [`sgemm_overwrite`].
+///
+/// # Panics
+///
+/// Panics if the slice lengths disagree with `n`, `t` and `heads`, if
+/// `heads` does not divide `D`, or if this CPU lacks `backend`'s
+/// instructions.
+#[allow(clippy::too_many_arguments)]
+pub fn attention(
+    backend: Backend,
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    out: &mut [f32],
+    maps: &mut [f32],
+    n: usize,
+    t: usize,
+    heads: usize,
+) {
+    assert_eq!(maps.len(), n * heads * t * t, "maps length");
+    if maps.is_empty() {
+        return;
+    }
+    let dim = q.len() / (n * t);
+    assert!(
+        dim.is_multiple_of(heads),
+        "heads={heads} must divide dim={dim}"
+    );
+    for (name, len) in [
+        ("q", q.len()),
+        ("k", k.len()),
+        ("v", v.len()),
+        ("out", out.len()),
+    ] {
+        assert_eq!(len, n * t * dim, "{name} length");
+    }
+    let tiles = AttentionTiles {
+        q,
+        k,
+        v,
+        t,
+        dim,
+        dh: dim / heads,
+        heads,
+    };
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2Fma if t * tiles.dh * t < SIMD_FLOP_THRESHOLD => {
+            x86::assert_available(backend);
+            // SAFETY: the host has AVX2, checked just above.
+            unsafe { x86::attention_lanes_avx2(&tiles, out, maps, backend) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        Backend::Sse2 if t * tiles.dh * t < SIMD_FLOP_THRESHOLD => {
+            x86::attention_lanes_sse2(&tiles, out, maps, backend)
+        }
+        _ => tiles.gemm(out, maps, backend),
+    }
+}
+
+/// Lane group of the batched attention pass: one AVX register, or two
+/// SSE2 ones.
+const LANES: usize = 8;
+type Lanes = [f32; LANES];
+
+/// The operands of one [`attention`] call.
+struct AttentionTiles<'a> {
+    q: &'a [f32],
+    k: &'a [f32],
+    v: &'a [f32],
+    t: usize,
+    dim: usize,
+    dh: usize,
+    heads: usize,
+}
+
+impl AttentionTiles<'_> {
+    /// Start of token `r`'s head-`h` slice in sample `s`.
+    fn at(&self, s: usize, h: usize, r: usize) -> usize {
+        (s * self.t + r) * self.dim + h * self.dh
+    }
+
+    /// Per (sample, head): gather the head tiles, two [`sgemm_overwrite`]
+    /// products around the scale and softmax, scatter the output.
+    fn gemm(&self, out: &mut [f32], maps: &mut [f32], backend: Backend) {
+        let (t, dh) = (self.t, self.dh);
+        let scale = 1.0 / (dh as f32).sqrt();
+        let [mut qh, mut kh, mut vh] = [(); 3].map(|_| vec![0.0f32; t * dh]);
+        for (i, map) in maps.chunks_exact_mut(t * t).enumerate() {
+            let (s, h) = (i / self.heads, i % self.heads);
+            for r in 0..t {
+                let src = self.at(s, h, r)..self.at(s, h, r) + dh;
+                qh[r * dh..(r + 1) * dh].copy_from_slice(&self.q[src.clone()]);
+                kh[r * dh..(r + 1) * dh].copy_from_slice(&self.k[src.clone()]);
+                vh[r * dh..(r + 1) * dh].copy_from_slice(&self.v[src]);
+            }
+            sgemm_overwrite(&qh, &kh, map, t, dh, t, false, true);
+            map.iter_mut().for_each(|x| *x *= scale);
+            softmax_rows_with(backend, map, t);
+            sgemm_overwrite(map, &vh, &mut qh, t, t, dh, false, false);
+            for r in 0..t {
+                let dst = self.at(s, h, r)..self.at(s, h, r) + dh;
+                out[dst].copy_from_slice(&qh[r * dh..(r + 1) * dh]);
+            }
+        }
+    }
+
+    /// The batched pass. Per (sample, head), `K_hᵀ` (`[dh, T]`) and `V_h`
+    /// (`[T, dh]`) are staged as rows of zero-padded lane groups, so each
+    /// output row is a sum of whole-group multiply-adds.
+    /// `madd(acc, a, b)` is `acc[l] += a · b[l]` on every lane, one
+    /// multiply then one add; the backends pass it as vector instructions.
+    #[inline(always)]
+    fn lanes(
+        &self,
+        out: &mut [f32],
+        maps: &mut [f32],
+        backend: Backend,
+        madd: impl Fn(&mut Lanes, f32, &Lanes),
+    ) {
+        let (t, dh) = (self.t, self.dh);
+        let scale = 1.0 / (dh as f32).sqrt();
+        let (tl, dl) = (t.div_ceil(LANES), dh.div_ceil(LANES));
+        let mut kt = vec![[0.0f32; LANES]; dh * tl];
+        let mut vt = vec![[0.0f32; LANES]; t * dl];
+        let mut acc = vec![[0.0f32; LANES]; tl.max(dl)];
+        for (i, map) in maps.chunks_exact_mut(t * t).enumerate() {
+            let (s, h) = (i / self.heads, i % self.heads);
+            for r in 0..t {
+                let at = self.at(s, h, r);
+                for (p, (&kv, &vv)) in self.k[at..at + dh]
+                    .iter()
+                    .zip(&self.v[at..at + dh])
+                    .enumerate()
+                {
+                    kt[p * tl + r / LANES][r % LANES] = kv;
+                    vt[r * dl + p / LANES][p % LANES] = vv;
+                }
+            }
+            for (r, row) in map.chunks_exact_mut(t).enumerate() {
+                let acc = &mut acc[..tl];
+                acc.fill([0.0; LANES]);
+                let at = self.at(s, h, r);
+                for (&qv, kt_row) in self.q[at..at + dh].iter().zip(kt.chunks_exact(tl)) {
+                    for (a, kv) in acc.iter_mut().zip(kt_row) {
+                        madd(a, qv, kv);
+                    }
+                }
+                for (c, &a) in row.iter_mut().zip(acc.as_flattened()) {
+                    *c = a * scale;
+                }
+                softmax_rows_with(backend, row, t);
+            }
+            for (r, a_row) in map.chunks_exact(t).enumerate() {
+                let acc = &mut acc[..dl];
+                acc.fill([0.0; LANES]);
+                for (&a, vt_row) in a_row.iter().zip(vt.chunks_exact(dl)) {
+                    for (o, vv) in acc.iter_mut().zip(vt_row) {
+                        madd(o, a, vv);
+                    }
+                }
+                let at = self.at(s, h, r);
+                out[at..at + dh].copy_from_slice(&acc.as_flattened()[..dh]);
+            }
+        }
+    }
+}
+
 /// The frozen scalar reference: identical operation order to the original
 /// un-dispatched GEMM (sans the sparsity branches, which only skipped
 /// exact-zero multiplicands).
@@ -363,7 +594,7 @@ fn at_b(b: &[f32], p: usize, j: usize, k: usize, n: usize, tb: bool) -> f32 {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{at_a, at_b, Backend, KC, MC, MR, NC, NR};
+    use super::{at_a, at_b, AttentionTiles, Backend, KC, MC, MR, NC, NR};
     use std::arch::x86_64::*;
     use std::cell::RefCell;
 
@@ -851,6 +1082,317 @@ mod x86 {
             }
             _mm_storeu_ps(crow, acc);
         }
+    }
+
+    /// Panics unless this CPU has the instructions `backend` uses: the
+    /// element kernels take the backend from their caller, and running
+    /// AVX2 code on a host without it is undefined behaviour.
+    pub(super) fn assert_available(backend: Backend) {
+        if backend == Backend::Avx2Fma {
+            assert!(
+                is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
+                "the AVX2+FMA backend needs a CPU with AVX2 and FMA"
+            );
+        }
+    }
+
+    /// [`super::AttentionTiles::lanes`] on one 256-bit register per group.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn attention_lanes_avx2(
+        tiles: &AttentionTiles<'_>,
+        out: &mut [f32],
+        maps: &mut [f32],
+        backend: Backend,
+    ) {
+        tiles.lanes(out, maps, backend, |acc, a, b| {
+            let (pa, pb) = (acc.as_mut_ptr(), b.as_ptr());
+            // SAFETY: each group holds 8 floats; AVX2 is enabled here.
+            unsafe {
+                let prod = _mm256_mul_ps(_mm256_set1_ps(a), _mm256_loadu_ps(pb));
+                _mm256_storeu_ps(pa, _mm256_add_ps(_mm256_loadu_ps(pa), prod));
+            }
+        })
+    }
+
+    /// [`super::AttentionTiles::lanes`] on two 128-bit registers per group.
+    pub(super) fn attention_lanes_sse2(
+        tiles: &AttentionTiles<'_>,
+        out: &mut [f32],
+        maps: &mut [f32],
+        backend: Backend,
+    ) {
+        tiles.lanes(out, maps, backend, |acc, a, b| {
+            let (pa, pb) = (acc.as_mut_ptr(), b.as_ptr());
+            // SAFETY: each group holds 8 floats; SSE2 is the x86-64 baseline.
+            unsafe {
+                let av = _mm_set1_ps(a);
+                let lo = _mm_mul_ps(av, _mm_loadu_ps(pb));
+                let hi = _mm_mul_ps(av, _mm_loadu_ps(pb.add(4)));
+                _mm_storeu_ps(pa, _mm_add_ps(_mm_loadu_ps(pa), lo));
+                _mm_storeu_ps(pa.add(4), _mm_add_ps(_mm_loadu_ps(pa.add(4)), hi));
+            }
+        })
+    }
+
+    /// Cephes `expf`: clamp, split `x = n·ln2 + r`, a degree-5 polynomial
+    /// in `r`, then scale by `2ⁿ` through the exponent bits. Arguments
+    /// below the clamp give 0, above it +∞; NaN stays NaN (the clamps put
+    /// `x` second, where `min`/`max` return a NaN operand).
+    const EXP_HI: f32 = 88.376_26;
+    const EXP_LO: f32 = -88.376_26;
+    const LOG2E: f32 = std::f32::consts::LOG2_E;
+    const LN2_HI: f32 = 0.693_359_4;
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    const EXP_POLY: [f32; 6] = [
+        1.987_569_1e-4,
+        1.398_199_9e-3,
+        8.333_452e-3,
+        4.166_579_6e-2,
+        0.166_666_65,
+        0.5,
+    ];
+    /// GELU's `√(2/π)` and cubic coefficient, as in the scalar formula.
+    const GELU_C: f32 = 0.797_884_6;
+    const GELU_A: f32 = 0.044_715;
+
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn exp8(x: __m256) -> __m256 {
+        let x = _mm256_max_ps(
+            _mm256_set1_ps(EXP_LO),
+            _mm256_min_ps(_mm256_set1_ps(EXP_HI), x),
+        );
+        let fx = _mm256_floor_ps(_mm256_fmadd_ps(
+            x,
+            _mm256_set1_ps(LOG2E),
+            _mm256_set1_ps(0.5),
+        ));
+        let r = _mm256_fnmadd_ps(fx, _mm256_set1_ps(LN2_HI), x);
+        let r = _mm256_fnmadd_ps(fx, _mm256_set1_ps(LN2_LO), r);
+        let mut y = _mm256_set1_ps(EXP_POLY[0]);
+        for &c in &EXP_POLY[1..] {
+            y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(c));
+        }
+        let y = _mm256_add_ps(
+            _mm256_fmadd_ps(y, _mm256_mul_ps(r, r), r),
+            _mm256_set1_ps(1.0),
+        );
+        let pow2 = _mm256_slli_epi32::<23>(_mm256_add_epi32(
+            _mm256_cvttps_epi32(fx),
+            _mm256_set1_epi32(127),
+        ));
+        _mm256_mul_ps(y, _mm256_castsi256_ps(pow2))
+    }
+
+    /// # Safety
+    ///
+    /// Requires SSE2.
+    #[target_feature(enable = "sse2")]
+    unsafe fn exp4(x: __m128) -> __m128 {
+        let x = _mm_max_ps(_mm_set1_ps(EXP_LO), _mm_min_ps(_mm_set1_ps(EXP_HI), x));
+        let t = _mm_add_ps(_mm_mul_ps(x, _mm_set1_ps(LOG2E)), _mm_set1_ps(0.5));
+        // floor without SSE4.1: truncate, then step down where that
+        // rounded up (negative non-integers).
+        let tr = _mm_cvtepi32_ps(_mm_cvttps_epi32(t));
+        let fx = _mm_sub_ps(tr, _mm_and_ps(_mm_cmpgt_ps(tr, t), _mm_set1_ps(1.0)));
+        let r = _mm_sub_ps(x, _mm_mul_ps(fx, _mm_set1_ps(LN2_HI)));
+        let r = _mm_sub_ps(r, _mm_mul_ps(fx, _mm_set1_ps(LN2_LO)));
+        let mut y = _mm_set1_ps(EXP_POLY[0]);
+        for &c in &EXP_POLY[1..] {
+            y = _mm_add_ps(_mm_mul_ps(y, r), _mm_set1_ps(c));
+        }
+        let y = _mm_add_ps(
+            _mm_add_ps(_mm_mul_ps(y, _mm_mul_ps(r, r)), r),
+            _mm_set1_ps(1.0),
+        );
+        let pow2 = _mm_slli_epi32::<23>(_mm_add_epi32(_mm_cvttps_epi32(fx), _mm_set1_epi32(127)));
+        _mm_mul_ps(y, _mm_castsi128_ps(pow2))
+    }
+
+    /// `gelu(x) = x / (1 + exp(−2u))`, `u = √(2/π)·x·(1 + 0.044715·x²)`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn gelu8(x: __m256) -> __m256 {
+        let one = _mm256_set1_ps(1.0);
+        let u = _mm256_mul_ps(
+            x,
+            _mm256_fmadd_ps(_mm256_mul_ps(x, x), _mm256_set1_ps(GELU_A), one),
+        );
+        let e = exp8(_mm256_mul_ps(u, _mm256_set1_ps(-2.0 * GELU_C)));
+        _mm256_div_ps(x, _mm256_add_ps(one, e))
+    }
+
+    /// # Safety
+    ///
+    /// Requires SSE2.
+    #[target_feature(enable = "sse2")]
+    unsafe fn gelu4(x: __m128) -> __m128 {
+        let one = _mm_set1_ps(1.0);
+        let u = _mm_mul_ps(
+            x,
+            _mm_add_ps(_mm_mul_ps(_mm_mul_ps(x, x), _mm_set1_ps(GELU_A)), one),
+        );
+        let e = exp4(_mm_mul_ps(u, _mm_set1_ps(-2.0 * GELU_C)));
+        _mm_div_ps(x, _mm_add_ps(one, e))
+    }
+
+    /// Vector GELU over a slice; see [`super::gelu_with`].
+    pub(super) fn gelu(x: &mut [f32], backend: Backend) {
+        assert_available(backend);
+        // SAFETY: the host has the backend's features, checked just above.
+        unsafe {
+            match backend {
+                Backend::Avx2Fma => gelu_avx2(x),
+                _ => gelu_sse2(x),
+            }
+        }
+    }
+
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn gelu_avx2(x: &mut [f32]) {
+        let mut chunks = x.chunks_exact_mut(8);
+        for c in &mut chunks {
+            // SAFETY: `c` holds exactly 8 floats.
+            _mm256_storeu_ps(c.as_mut_ptr(), gelu8(_mm256_loadu_ps(c.as_ptr())));
+        }
+        let tail = chunks.into_remainder();
+        let mut lanes = [0.0f32; 8];
+        lanes[..tail.len()].copy_from_slice(tail);
+        _mm256_storeu_ps(lanes.as_mut_ptr(), gelu8(_mm256_loadu_ps(lanes.as_ptr())));
+        tail.copy_from_slice(&lanes[..tail.len()]);
+    }
+
+    /// # Safety
+    ///
+    /// Requires SSE2.
+    #[target_feature(enable = "sse2")]
+    unsafe fn gelu_sse2(x: &mut [f32]) {
+        let mut chunks = x.chunks_exact_mut(4);
+        for c in &mut chunks {
+            // SAFETY: `c` holds exactly 4 floats.
+            _mm_storeu_ps(c.as_mut_ptr(), gelu4(_mm_loadu_ps(c.as_ptr())));
+        }
+        let tail = chunks.into_remainder();
+        let mut lanes = [0.0f32; 4];
+        lanes[..tail.len()].copy_from_slice(tail);
+        _mm_storeu_ps(lanes.as_mut_ptr(), gelu4(_mm_loadu_ps(lanes.as_ptr())));
+        tail.copy_from_slice(&lanes[..tail.len()]);
+    }
+
+    /// Vector softmax of one row; see [`super::softmax_rows_with`].
+    pub(super) fn softmax_row(row: &mut [f32], backend: Backend) {
+        assert_available(backend);
+        // SAFETY: the host has the backend's features, checked just above.
+        let sum = unsafe {
+            match backend {
+                Backend::Avx2Fma => exp_shifted_avx2(row),
+                _ => exp_shifted_sse2(row),
+            }
+        };
+        let inv = 1.0 / sum;
+        row.iter_mut().for_each(|v| *v *= inv);
+    }
+
+    /// Replaces `row` by `exp(row − max(row))` and returns its sum: the
+    /// lane partial sums reduced in a fixed tree, then the tail in order.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn exp_shifted_avx2(row: &mut [f32]) -> f32 {
+        // Folds the 8 lanes of `v` pairwise with `op`; lane 0 holds the result.
+        #[target_feature(enable = "avx2,fma")]
+        fn fold8(v: __m256, op: impl Fn(__m256, __m256) -> __m256) -> f32 {
+            let v = op(v, _mm256_permute2f128_ps::<1>(v, v));
+            let v = op(v, _mm256_permute_ps::<0b01_00_11_10>(v));
+            _mm256_cvtss_f32(op(v, _mm256_permute_ps::<0b10_11_00_01>(v)))
+        }
+        let mut chunks = row.chunks_exact_mut(8);
+        let mut acc = _mm256_set1_ps(f32::NEG_INFINITY);
+        for c in &mut chunks {
+            acc = _mm256_max_ps(acc, _mm256_loadu_ps(c.as_ptr()));
+        }
+        let tail = chunks.into_remainder();
+        let max = tail
+            .iter()
+            .fold(fold8(acc, |a, b| _mm256_max_ps(a, b)), |m, &v| m.max(v));
+        let m = _mm256_set1_ps(max);
+        let mut sum = _mm256_setzero_ps();
+        let mut chunks = row.chunks_exact_mut(8);
+        for c in &mut chunks {
+            let e = exp8(_mm256_sub_ps(_mm256_loadu_ps(c.as_ptr()), m));
+            _mm256_storeu_ps(c.as_mut_ptr(), e);
+            sum = _mm256_add_ps(sum, e);
+        }
+        let mut total = fold8(sum, |a, b| _mm256_add_ps(a, b));
+        let tail = chunks.into_remainder();
+        if !tail.is_empty() {
+            let mut lanes = [max; 8];
+            lanes[..tail.len()].copy_from_slice(tail);
+            let e = exp8(_mm256_sub_ps(_mm256_loadu_ps(lanes.as_ptr()), m));
+            _mm256_storeu_ps(lanes.as_mut_ptr(), e);
+            for (v, &e) in tail.iter_mut().zip(&lanes) {
+                *v = e;
+                total += e;
+            }
+        }
+        total
+    }
+
+    /// # Safety
+    ///
+    /// Requires SSE2.
+    #[target_feature(enable = "sse2")]
+    unsafe fn exp_shifted_sse2(row: &mut [f32]) -> f32 {
+        // Folds the 4 lanes of `v` pairwise with `op`; lane 0 holds the result.
+        #[target_feature(enable = "sse2")]
+        fn fold4(v: __m128, op: impl Fn(__m128, __m128) -> __m128) -> f32 {
+            let v = op(v, _mm_shuffle_ps::<0b01_00_11_10>(v, v));
+            _mm_cvtss_f32(op(v, _mm_shuffle_ps::<0b10_11_00_01>(v, v)))
+        }
+        let mut chunks = row.chunks_exact_mut(4);
+        let mut acc = _mm_set1_ps(f32::NEG_INFINITY);
+        for c in &mut chunks {
+            acc = _mm_max_ps(acc, _mm_loadu_ps(c.as_ptr()));
+        }
+        let tail = chunks.into_remainder();
+        let max = tail
+            .iter()
+            .fold(fold4(acc, |a, b| _mm_max_ps(a, b)), |m, &v| m.max(v));
+        let m = _mm_set1_ps(max);
+        let mut sum = _mm_setzero_ps();
+        let mut chunks = row.chunks_exact_mut(4);
+        for c in &mut chunks {
+            let e = exp4(_mm_sub_ps(_mm_loadu_ps(c.as_ptr()), m));
+            _mm_storeu_ps(c.as_mut_ptr(), e);
+            sum = _mm_add_ps(sum, e);
+        }
+        let mut total = fold4(sum, |a, b| _mm_add_ps(a, b));
+        let tail = chunks.into_remainder();
+        if !tail.is_empty() {
+            let mut lanes = [max; 4];
+            lanes[..tail.len()].copy_from_slice(tail);
+            let e = exp4(_mm_sub_ps(_mm_loadu_ps(lanes.as_ptr()), m));
+            _mm_storeu_ps(lanes.as_mut_ptr(), e);
+            for (v, &e) in tail.iter_mut().zip(&lanes) {
+                *v = e;
+                total += e;
+            }
+        }
+        total
     }
 
     /// Cache-blocked GEMM driver shared by the SSE2 and AVX2 backends:

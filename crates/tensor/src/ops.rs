@@ -3,7 +3,7 @@
 //! Activations come in forward/backward pairs; softmax variants operate on
 //! the last dimension of a 2-D tensor (one row per sample/token).
 
-use crate::Tensor;
+use crate::{kernel, Tensor};
 
 /// ReLU forward: `max(x, 0)`.
 pub fn relu_forward(x: &Tensor) -> Tensor {
@@ -15,9 +15,19 @@ pub fn relu_backward(x: &Tensor, d_out: &Tensor) -> Tensor {
     x.zip(d_out, |xi, g| if xi > 0.0 { g } else { 0.0 })
 }
 
-/// GELU forward (tanh approximation, as used by ViT).
+/// GELU forward (tanh approximation, as used by ViT). This is the frozen
+/// scalar formula that training runs and [`gelu_backward`] differentiates.
 pub fn gelu_forward(x: &Tensor) -> Tensor {
     x.map(gelu_scalar)
+}
+
+/// Evaluation-mode GELU on the active kernel backend: bitwise
+/// [`gelu_forward`] on the scalar backend, the vector kernel
+/// ([`crate::kernel::gelu_with`]) on the SIMD ones.
+pub fn gelu_forward_eval(x: &Tensor) -> Tensor {
+    let mut y = x.clone();
+    kernel::gelu_with(kernel::active_backend(), y.data_mut());
+    y
 }
 
 /// GELU backward via the analytic derivative of the tanh approximation.
@@ -54,7 +64,7 @@ pub fn sigmoid_backward_from_output(y: &Tensor, d_out: &Tensor) -> Tensor {
     y.zip(d_out, |yi, g| g * yi * (1.0 - yi))
 }
 
-fn gelu_scalar(x: f32) -> f32 {
+pub(crate) fn gelu_scalar(x: f32) -> f32 {
     const C: f32 = 0.797_884_6; // sqrt(2/π)
     0.5 * x * (1.0 + (C * (x + 0.044_715 * x * x * x)).tanh())
 }

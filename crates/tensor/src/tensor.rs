@@ -114,6 +114,15 @@ impl Tensor {
     ///
     /// Returns [`ShapeMismatchError`] if the element counts differ.
     pub fn reshape(&self, shape: impl Into<Shape>) -> Result<Self, ShapeMismatchError> {
+        self.clone().into_shape(shape)
+    }
+
+    /// [`Tensor::reshape`] by value: keeps the buffer instead of copying it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeMismatchError`] if the element counts differ.
+    pub fn into_shape(self, shape: impl Into<Shape>) -> Result<Self, ShapeMismatchError> {
         let shape = shape.into();
         if shape.numel() != self.numel() {
             return Err(ShapeMismatchError {
@@ -123,7 +132,7 @@ impl Tensor {
         }
         Ok(Self {
             shape,
-            data: self.data.clone(),
+            data: self.data,
         })
     }
 
@@ -303,6 +312,9 @@ mod tests {
         let r = t.reshape([2, 2]).unwrap();
         assert_eq!(r.data(), t.data());
         assert!(t.reshape([3]).is_err());
+        let moved = r.into_shape([4]).unwrap();
+        assert_eq!((moved.shape(), moved.data()), (t.shape(), t.data()));
+        assert!(moved.into_shape([3]).is_err());
     }
 
     #[test]

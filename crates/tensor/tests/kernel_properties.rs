@@ -1,9 +1,13 @@
 //! Property-based tests for the dispatching kernel layer: every SIMD
 //! backend must agree with the frozen scalar reference within a
 //! ULP-scaled tolerance on float GEMM and convolution, and `im2col` must
-//! match its definition bit for bit.
+//! match its definition bit for bit. The evaluation-mode GELU and softmax
+//! must match an f64 reference on every backend, keep each output a pure
+//! function of its input, and stay bitwise frozen on the scalar backend.
 
-use clado_tensor::kernel::{sgemm_overwrite, sgemm_with, SIMD_FLOP_THRESHOLD};
+use clado_tensor::kernel::{
+    attention, gelu_with, sgemm_overwrite, sgemm_with, softmax_rows_with, SIMD_FLOP_THRESHOLD,
+};
 use clado_tensor::{conv2d_forward, im2col_ld, Backend, Conv2dSpec, Tensor};
 use proptest::prelude::*;
 
@@ -229,6 +233,192 @@ proptest! {
                     row += 1;
                 }
             }
+        }
+    }
+}
+
+/// FNV-1a over the bit patterns, for golden values.
+fn fnv(v: &[f32]) -> u64 {
+    v.iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+        (h ^ u64::from(x.to_bits())).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The special inputs every element kernel is checked on.
+const SPECIALS: [f32; 10] = [
+    0.0, -0.0, 1e-30, -1e-30, 1.0, -1.0, 10.0, -10.0, 100.0, -100.0,
+];
+
+/// GELU (tanh approximation) in f64, as `x / (1 + exp(−2u))`, which does
+/// not cancel for negative `x` as `1 + tanh(u)` does.
+fn gelu_f64(x: f32) -> f64 {
+    let x = f64::from(x);
+    let u = f64::from(0.797_884_6f32) * (x + f64::from(0.044_715f32) * x * x * x);
+    x / (1.0 + (-2.0 * u).exp())
+}
+
+/// Eval GELU on every backend is within a few ULP of the f64 reference
+/// (the scalar `tanh` form, within `ε·|x|` where `1 + tanh(u)` cancels),
+/// keeps the sign of zero, and propagates NaN.
+#[test]
+fn eval_gelu_matches_f64_reference_on_every_backend() {
+    let sweep = (-1200..=1200).map(|i| i as f32 / 100.0);
+    let xs: Vec<f32> = SPECIALS.iter().copied().chain(sweep).collect();
+    for backend in backends() {
+        let mut y = xs.clone();
+        gelu_with(backend, &mut y);
+        for (&x, &got) in xs.iter().zip(&y) {
+            let want = gelu_f64(x);
+            let tol = 4.0 * f64::from(f32::EPSILON) * (want.abs() + f64::from(x.abs()) / 4.0);
+            assert!(
+                (f64::from(got) - want).abs() <= tol,
+                "{backend:?} gelu({x:e}) = {got:e}, want {want:e}"
+            );
+            if x == 0.0 {
+                assert_eq!(got.to_bits(), x.to_bits(), "{backend:?} gelu({x:?})");
+            }
+        }
+        let mut nan = [1.0, f32::NAN, -2.0];
+        gelu_with(backend, &mut nan);
+        assert!(nan[1].is_nan() && nan[0].is_finite() && nan[2].is_finite());
+    }
+}
+
+/// Eval softmax on every backend matches the f64 softmax of each row,
+/// including rows of the special values, and a NaN poisons only its row.
+#[test]
+fn eval_softmax_matches_f64_reference_on_every_backend() {
+    let mut rows: Vec<Vec<f32>> = vec![SPECIALS.to_vec(), SPECIALS[..7].to_vec()];
+    for cols in 1..=17 {
+        rows.push(fill(cols, cols as u64).iter().map(|v| v * 12.0).collect());
+    }
+    for backend in backends() {
+        for row in &rows {
+            let mut y = row.clone();
+            softmax_rows_with(backend, &mut y, row.len());
+            let max = row
+                .iter()
+                .fold(f64::NEG_INFINITY, |m, &v| m.max(f64::from(v)));
+            let sum: f64 = row.iter().map(|&v| (f64::from(v) - max).exp()).sum();
+            for (&x, &got) in row.iter().zip(&y) {
+                let want = (f64::from(x) - max).exp() / sum;
+                let tol = f64::from(f32::EPSILON) * (8.0 + row.len() as f64) * want + 1e-37;
+                assert!(
+                    (f64::from(got) - want).abs() <= tol,
+                    "{backend:?} cols {}: softmax at {x:e} = {got:e}, want {want:e}",
+                    row.len()
+                );
+            }
+        }
+        let mut two = vec![0.5, f32::NAN, 1.0, 2.0, 0.5, 1.0];
+        softmax_rows_with(backend, &mut two, 3);
+        assert!(two[..3].iter().all(|v| v.is_nan()), "{backend:?}: {two:?}");
+        assert!(
+            two[3..].iter().all(|v| v.is_finite()),
+            "{backend:?}: {two:?}"
+        );
+    }
+}
+
+/// Every eval GELU output is a pure function of its input element, and
+/// every softmax row a pure function of its row: lengths 1–17 at every
+/// offset give the element-wise (row-wise) results bit for bit, so tails
+/// take the same formula as full lanes.
+#[test]
+fn eval_activations_are_pure_in_length_and_offset() {
+    let xs: Vec<f32> = fill(40, 9).iter().map(|v| v * 6.0).collect();
+    for backend in backends() {
+        let single: Vec<u32> = xs
+            .iter()
+            .map(|&x| {
+                let mut one = [x];
+                gelu_with(backend, &mut one);
+                one[0].to_bits()
+            })
+            .collect();
+        for len in 1..=17 {
+            for off in 0..=xs.len() - len {
+                let mut y = xs[off..off + len].to_vec();
+                gelu_with(backend, &mut y);
+                let bits: Vec<u32> = y.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(
+                    bits,
+                    single[off..off + len],
+                    "{backend:?} len {len} off {off}"
+                );
+            }
+            let mut alone = xs[..len].to_vec();
+            softmax_rows_with(backend, &mut alone, len);
+            for off in 0..=xs.len() - len {
+                let mut buf = xs.clone();
+                buf[off..off + len].copy_from_slice(&xs[..len]);
+                softmax_rows_with(backend, &mut buf[off..off + len], len);
+                assert_eq!(
+                    fnv(&buf[off..off + len]),
+                    fnv(&alone),
+                    "{backend:?} softmax len {len} off {off}"
+                );
+            }
+        }
+    }
+}
+
+/// The scalar backend's eval GELU and softmax are the frozen training
+/// formulas: bit patterns captured before the vector kernels existed.
+#[test]
+fn scalar_eval_activations_keep_their_golden_bits() {
+    let mut x: Vec<f32> = fill(1000, 21).iter().map(|v| v * 8.0).collect();
+    gelu_with(Backend::Scalar, &mut x);
+    assert_eq!(fnv(&x), 0x9ab5_3eb3_e157_5c7c, "gelu");
+    let mut s: Vec<f32> = fill(40 * 17, 22).iter().map(|v| v * 10.0).collect();
+    softmax_rows_with(Backend::Scalar, &mut s, 17);
+    assert_eq!(fnv(&s), 0xb908_4dad_5d81_a7c4, "softmax");
+}
+
+/// The batched attention pass equals, bit for bit on every backend, the
+/// per-(sample, head) form: gathered head tiles, `sgemm_overwrite`
+/// scores, scale, the backend's softmax, `sgemm_overwrite` output. The
+/// shapes cover padded lane groups (T, dh not multiples of 8) and a tile
+/// above the SIMD threshold.
+#[test]
+fn batched_attention_matches_per_head_products_bitwise() {
+    for (n, t, dim, heads) in [(3, 16, 24, 4), (2, 5, 12, 1), (2, 9, 30, 3), (1, 20, 64, 2)] {
+        let dh = dim / heads;
+        let (q, k, v) = (
+            fill(n * t * dim, 1),
+            fill(n * t * dim, 2),
+            fill(n * t * dim, 3),
+        );
+        for backend in backends() {
+            let mut out = vec![f32::NAN; n * t * dim];
+            let mut maps = vec![f32::NAN; n * heads * t * t];
+            attention(backend, &q, &k, &v, &mut out, &mut maps, n, t, heads);
+            let mut want_out = vec![0.0f32; n * t * dim];
+            let mut want_maps = Vec::new();
+            for s in 0..n {
+                for h in 0..heads {
+                    let head = |x: &[f32]| -> Vec<f32> {
+                        (0..t)
+                            .flat_map(|r| x[(s * t + r) * dim + h * dh..][..dh].to_vec())
+                            .collect()
+                    };
+                    let (qh, kh, vh) = (head(&q), head(&k), head(&v));
+                    let mut map = vec![0.0f32; t * t];
+                    sgemm_overwrite(&qh, &kh, &mut map, t, dh, t, false, true);
+                    map.iter_mut().for_each(|x| *x *= 1.0 / (dh as f32).sqrt());
+                    softmax_rows_with(backend, &mut map, t);
+                    let mut oh = vec![0.0f32; t * dh];
+                    sgemm_overwrite(&map, &vh, &mut oh, t, t, dh, false, false);
+                    for r in 0..t {
+                        want_out[(s * t + r) * dim + h * dh..][..dh]
+                            .copy_from_slice(&oh[r * dh..(r + 1) * dh]);
+                    }
+                    want_maps.extend_from_slice(&map);
+                }
+            }
+            let case = format!("{backend:?} [{n}, {t}, {dim}] × {heads}");
+            assert_eq!(fnv(&maps), fnv(&want_maps), "{case}: maps");
+            assert_eq!(fnv(&out), fnv(&want_out), "{case}: output");
         }
     }
 }
