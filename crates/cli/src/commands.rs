@@ -30,6 +30,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::error::Error;
 use std::io::Write;
 use std::path::PathBuf;
+use std::process::{Child, Stdio};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -700,17 +701,11 @@ fn sweep_on_pool(
 
     let mut children = Vec::new();
     for _ in 0..args.get_or::<usize>("workers", 0)? {
-        let mut cmd = std::process::Command::new(std::env::current_exe()?);
-        cmd.arg("worker")
-            .arg("--connect")
-            .arg(addr.to_string())
-            .arg("--quiet")
-            .stdin(std::process::Stdio::null())
-            .stdout(std::process::Stdio::null());
-        if options.verbose {
-            cmd.arg("--verbose");
-        }
-        children.push(cmd.spawn()?);
+        children.push(spawn_worker(
+            &addr.to_string(),
+            options.verbose,
+            Stdio::inherit(),
+        )?);
     }
     let outcome = run_sweep(
         &pool,
@@ -722,10 +717,7 @@ fn sweep_on_pool(
     );
     // Reap the subprocess fleet whether the sweep succeeded or not, then
     // shut the pool down (remote workers get a graceful Shutdown).
-    for mut child in children {
-        let _ = child.kill();
-        let _ = child.wait();
-    }
+    reap(&mut children);
     pool.shutdown();
     Ok(outcome?)
 }
@@ -965,25 +957,16 @@ pub fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
 
     let mut children = Vec::new();
     for _ in 0..workers {
-        let mut cmd = std::process::Command::new(std::env::current_exe()?);
-        cmd.arg("worker")
-            .arg("--connect")
-            .arg(worker_addr.to_string())
-            .arg("--quiet")
-            .stdin(std::process::Stdio::null())
-            .stdout(std::process::Stdio::null());
-        if verbose {
-            cmd.arg("--verbose");
-        }
-        children.push(cmd.spawn()?);
+        children.push(spawn_worker(
+            &worker_addr.to_string(),
+            verbose,
+            Stdio::inherit(),
+        )?);
     }
 
     let outcome = server.run();
     // Reap the worker fleet whether the daemon drained cleanly or not.
-    for mut child in children {
-        let _ = child.kill();
-        let _ = child.wait();
-    }
+    reap(&mut children);
     let report = outcome?;
     let shed =
         report.shed_overload + report.shed_deadline + report.shed_draining + report.shed_malformed;
@@ -1166,7 +1149,7 @@ pub fn cmd_submit(args: &Args) -> Result<(), Box<dyn Error>> {
 /// A `clado serve` child process spawned by the chaos harness, with the
 /// addresses parsed from its startup lines.
 struct ChaosDaemon {
-    child: std::process::Child,
+    child: Child,
     client_addr: String,
     worker_addr: String,
     metrics_path: PathBuf,
@@ -1190,9 +1173,9 @@ fn spawn_chaos_daemon(
         .arg("--metrics-out")
         .arg(&metrics_path)
         .arg("--quiet")
-        .stdin(std::process::Stdio::null())
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
         .spawn()?;
     let stdout = child.stdout.take().expect("stdout piped above");
     let mut reader = std::io::BufReader::new(stdout);
@@ -1201,7 +1184,7 @@ fn spawn_chaos_daemon(
     while client_addr.is_none() || worker_addr.is_none() {
         line.clear();
         if reader.read_line(&mut line)? == 0 {
-            let _ = child.kill();
+            reap([&mut child]);
             return Err(Box::new(ArgsError(
                 "chaos daemon exited before printing its addresses".into(),
             )));
@@ -1225,17 +1208,26 @@ fn spawn_chaos_daemon(
     })
 }
 
-/// Spawns one pooled worker pointed at a daemon's worker port.
-fn spawn_chaos_worker(worker_addr: &str) -> Result<std::process::Child, Box<dyn Error>> {
-    Ok(std::process::Command::new(std::env::current_exe()?)
-        .arg("worker")
-        .arg("--connect")
-        .arg(worker_addr)
-        .arg("--quiet")
-        .stdin(std::process::Stdio::null())
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()?)
+/// Spawns `clado worker --connect <addr> --quiet` (plus `--verbose`) from
+/// this binary, with stdin and stdout closed and stderr as given.
+fn spawn_worker(addr: &str, verbose: bool, stderr: Stdio) -> std::io::Result<Child> {
+    let mut cmd = std::process::Command::new(std::env::current_exe()?);
+    cmd.args(["worker", "--connect", addr, "--quiet"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(stderr);
+    if verbose {
+        cmd.arg("--verbose");
+    }
+    cmd.spawn()
+}
+
+/// Kills and reaps each child; one that already exited is just reaped.
+fn reap<'a>(children: impl IntoIterator<Item = &'a mut Child>) {
+    for child in children {
+        let _ = child.kill();
+        let _ = child.wait();
+    }
 }
 
 /// Percentile (nearest-rank) of an unsorted latency sample, µs.
@@ -1247,19 +1239,13 @@ fn percentile_us(sorted: &[u64], q: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// Pulls one `"key": N` integer out of the daemon manifest's
-/// `serve.request` histogram block (the manifest is our own fixed
-/// format; a full JSON parser would be a dependency for nothing).
-fn manifest_hist_value(manifest: &str, key: &str) -> Option<u64> {
-    let hist = manifest.find("\"serve.request\"")?;
-    let tail = &manifest[hist..];
-    let at = tail.find(&format!("\"{key}\":"))? + key.len() + 3;
-    let digits: String = tail[at..]
-        .trim_start()
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
+/// The daemon manifest's `serve.request` histogram p50/p95/p99 (µs), or
+/// `None` when the manifest is missing, malformed or has no such histogram.
+fn serve_request_percentiles(manifest: &str) -> Option<[u64; 3]> {
+    let json = clado_telemetry::parse_json(manifest).ok()?;
+    let hist = json.get("histograms")?.get("serve.request")?;
+    let value = |key| hist.get(key)?.as_num().map(|v| v as u64);
+    Some([value("p50_us")?, value("p95_us")?, value("p99_us")?])
 }
 
 /// The response with identity fields (request id, cache provenance)
@@ -1390,7 +1376,7 @@ pub fn cmd_chaos(args: &Args) -> Result<(), Box<dyn Error>> {
     {
         let g = endpoints.lock().unwrap_or_else(|p| p.into_inner());
         for _ in 0..workers {
-            worker_children.push(spawn_chaos_worker(&g.1)?);
+            worker_children.push(spawn_worker(&g.1, false, Stdio::null())?);
         }
     }
     let worker_children = Arc::new(Mutex::new(worker_children));
@@ -1555,9 +1541,8 @@ pub fn cmd_chaos(args: &Args) -> Result<(), Box<dyn Error>> {
                     continue;
                 }
                 victim = (victim + 1) % kids.len();
-                let _ = kids[victim].kill();
-                let _ = kids[victim].wait();
-                if let Ok(fresh) = spawn_chaos_worker(&waddr) {
+                reap([&mut kids[victim]]);
+                if let Ok(fresh) = spawn_worker(&waddr, false, Stdio::null()) {
                     kids[victim] = fresh;
                     worker_restarts.fetch_add(1, Ordering::SeqCst);
                 }
@@ -1585,8 +1570,7 @@ pub fn cmd_chaos(args: &Args) -> Result<(), Box<dyn Error>> {
                     "chaos: SIGKILL daemon generation {kills_done} at {:.1}s",
                     soak_started.elapsed().as_secs_f64()
                 ));
-                let _ = daemon.child.kill();
-                let _ = daemon.child.wait();
+                reap([&mut daemon.child]);
                 kills_done += 1;
                 let fresh = spawn_chaos_daemon(
                     &cache_dir,
@@ -1601,13 +1585,10 @@ pub fn cmd_chaos(args: &Args) -> Result<(), Box<dyn Error>> {
                 // The old generation's workers die with their sockets;
                 // point a fresh fleet at the relaunched daemon.
                 let mut kids = worker_children.lock().unwrap_or_else(|p| p.into_inner());
-                for kid in kids.iter_mut() {
-                    let _ = kid.kill();
-                    let _ = kid.wait();
-                }
+                reap(kids.iter_mut());
                 kids.clear();
                 for _ in 0..workers {
-                    kids.push(spawn_chaos_worker(&daemon.worker_addr)?);
+                    kids.push(spawn_worker(&daemon.worker_addr, false, Stdio::null())?);
                 }
             }
             None => std::thread::sleep(
@@ -1639,21 +1620,18 @@ pub fn cmd_chaos(args: &Args) -> Result<(), Box<dyn Error>> {
         match daemon.child.try_wait()? {
             Some(status) => break status.success(),
             None if Instant::now() >= drain_deadline => {
-                let _ = daemon.child.kill();
-                let _ = daemon.child.wait();
+                reap([&mut daemon.child]);
                 break false;
             }
             None => std::thread::sleep(Duration::from_millis(50)),
         }
     };
-    for kid in worker_children
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .iter_mut()
-    {
-        let _ = kid.kill();
-        let _ = kid.wait();
-    }
+    reap(
+        worker_children
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .iter_mut(),
+    );
 
     // --- verdict --------------------------------------------------------
     let mut lat = latencies.lock().unwrap_or_else(|p| p.into_inner()).clone();
@@ -1664,9 +1642,7 @@ pub fn cmd_chaos(args: &Args) -> Result<(), Box<dyn Error>> {
         percentile_us(&lat, 0.99),
     );
     let daemon_manifest = std::fs::read_to_string(&daemon.metrics_path).unwrap_or_default();
-    let serve_p50 = manifest_hist_value(&daemon_manifest, "p50_us");
-    let serve_p95 = manifest_hist_value(&daemon_manifest, "p95_us");
-    let serve_p99 = manifest_hist_value(&daemon_manifest, "p99_us");
+    let serve_slo = serve_request_percentiles(&daemon_manifest);
     let completed = completed.load(Ordering::SeqCst);
     let failed = failed.load(Ordering::SeqCst);
     let rejected = rejected.load(Ordering::SeqCst);
@@ -1688,14 +1664,14 @@ pub fn cmd_chaos(args: &Args) -> Result<(), Box<dyn Error>> {
         p50 as f64 / 1_000.0,
         p95 as f64 / 1_000.0,
         p99 as f64 / 1_000.0,
-        match (serve_p50, serve_p95, serve_p99) {
-            (Some(a), Some(b), Some(c)) => format!(
+        match serve_slo {
+            Some([a, b, c]) => format!(
                 "; serve.request p50 {:.1} ms, p95 {:.1} ms, p99 {:.1} ms (final generation)",
                 a as f64 / 1_000.0,
                 b as f64 / 1_000.0,
                 c as f64 / 1_000.0
             ),
-            _ => String::new(),
+            None => String::new(),
         }
     );
 
@@ -1719,7 +1695,7 @@ pub fn cmd_chaos(args: &Args) -> Result<(), Box<dyn Error>> {
         ("client_p99_us", p99.into()),
         ("drained_clean", drained.into()),
     ];
-    if let (Some(a), Some(b), Some(c)) = (serve_p50, serve_p95, serve_p99) {
+    if let Some([a, b, c]) = serve_slo {
         config.push(("serve_p50_us", a.into()));
         config.push(("serve_p95_us", b.into()));
         config.push(("serve_p99_us", c.into()));
@@ -1738,7 +1714,7 @@ pub fn cmd_chaos(args: &Args) -> Result<(), Box<dyn Error>> {
     }
     // Gate on the daemon's own histogram when available (it excludes
     // client-side reconnect backoff), else the client-observed tail.
-    let gate_p99_us = serve_p99.unwrap_or(p99);
+    let gate_p99_us = serve_slo.map_or(p99, |[_, _, p99]| p99);
     if slo_p99_ms > 0 && gate_p99_us > slo_p99_ms * 1_000 {
         return Err(Box::new(ArgsError(format!(
             "p99 {:.1} ms breaches the {slo_p99_ms} ms SLO",
@@ -2335,6 +2311,29 @@ mod tests {
             a.accept(cmd.flags).expect("declared test flags");
         }
         a
+    }
+
+    #[test]
+    fn chaos_reads_serve_request_percentiles_from_the_manifest() {
+        let manifest = r#"{
+  "schema": "clado-telemetry-manifest/v1",
+  "spans": [{"name": "serve.request", "count": 3, "total_s": 0.5}],
+  "histograms": {
+    "dist.roundtrip": {"count": 9, "p50_us": 1, "p90_us": 2, "p95_us": 3, "p99_us": 4, "max_us": 5, "mean_us": 1.5},
+    "serve.request": {"count": 40, "p50_us": 1200, "p90_us": 3000, "p95_us": 4100, "p99_us": 9900, "max_us": 12000, "mean_us": 1800.25},
+    "serve.service": {"count": 40, "p50_us": 7, "p90_us": 8, "p95_us": 9, "p99_us": 10, "max_us": 11, "mean_us": 8.0}
+  }
+}"#;
+        assert_eq!(
+            serve_request_percentiles(manifest),
+            Some([1200, 4100, 9900])
+        );
+        let without = manifest.replace(
+            "\"serve.request\": {\"count\"",
+            "\"serve.other\": {\"count\"",
+        );
+        assert_eq!(serve_request_percentiles(&without), None);
+        assert_eq!(serve_request_percentiles(""), None);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! [`MeasureError`] covers the *measurement* stage only. Failures of the
 //! *solve* stage — damaged Ω matrices caught by hardening
-//! (`NonFiniteObjective`, `AsymmetricObjective`, `DegenerateObjective`),
+//! (`NonFiniteObjective`, `DegenerateObjective`),
 //! infeasible budgets, and cost overflow — are typed as
 //! [`clado_solver::IqpError`] and surface from [`crate::assign_bits`];
 //! deadline expiry and cancellation are *not* errors there, they degrade

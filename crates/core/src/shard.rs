@@ -297,18 +297,6 @@ impl ShardContext {
         1 + k * i_n + k * k * i_n * i_n.saturating_sub(1) / 2
     }
 
-    /// Squared norms `‖Δw_m⁽ⁱ⁾‖²` of the perturbation table, indexed
-    /// `[layer][bit]`. These are the locality prior the structured
-    /// estimators rank cross terms by (`|Ω_ii · Ω_jj|` scales with the
-    /// diagonal probes, which scale with these norms), and they are a
-    /// pure function of the pristine weights — identical on every worker.
-    pub fn delta_norms(&self) -> Vec<Vec<f64>> {
-        self.deltas
-            .iter()
-            .map(|row| row.iter().map(|d| d.norm_sq()).collect())
-            .collect()
-    }
-
     /// Evaluates an explicit probe subset on `net` (a replica at the
     /// pristine weights; restored before returning). This is the one
     /// probe executor: [`ShardContext::run_shard`], the in-process

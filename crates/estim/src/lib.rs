@@ -18,8 +18,8 @@
 //! [`clado_core::hawq_sensitivities`].)
 //!
 //! The estimator spends budget on the base probe and the full diagonal
-//! (a variable's own sensitivity cannot be defaulted — the solver's
-//! `harden_partial` rejects Ω matrices that skip it), so the budget floor
+//! (a variable's own sensitivity cannot be defaulted, and
+//! `ShardContext::assemble_partial` rejects a record set that skips it), so the budget floor
 //! is `1 + |𝔹|I` probes.
 //!
 //! # Determinism and fault tolerance

@@ -17,7 +17,7 @@ use clado_solver::ObservedMask;
 use std::cmp::Ordering;
 
 /// Floor of any grid estimator's budget: the base probe plus the full
-/// diagonal, which [`clado_solver::harden_partial`] requires.
+/// diagonal, which every estimate must observe.
 pub(crate) fn mandatory_probes(num_layers: usize, k: usize) -> usize {
     1 + num_layers * k
 }

@@ -123,14 +123,6 @@ impl Network {
         self.quantizable.iter().map(|l| l.numel).collect()
     }
 
-    /// Total number of trainable parameters.
-    pub fn num_params(&self) -> usize {
-        let mut total = 0;
-        self.root
-            .visit_params_ref("", &mut |_, p| total += p.numel());
-        total
-    }
-
     /// Number of stages (top-level children of the root stack).
     pub fn num_stages(&self) -> usize {
         self.root.len()

@@ -110,20 +110,6 @@ pub enum IqpError {
         /// The offending value (NaN or ±∞).
         value: f64,
     },
-    /// A partially-observed Ω (a `clado-estim` product) has a diagonal
-    /// entry without an observation; the objective cannot rank that
-    /// variable at all, so estimation must always spend budget on every
-    /// diagonal probe.
-    UnobservedDiagonal {
-        /// First diagonal index without an observation.
-        index: usize,
-    },
-    /// The raw Ω buffer is materially asymmetric (strict hardening only;
-    /// the lenient path symmetrizes instead).
-    AsymmetricObjective {
-        /// Largest absolute difference `|a_ij − a_ji|` found.
-        defect: f64,
-    },
     /// The PSD projection discarded most of the measured spectrum (strict
     /// hardening only): the clipped eigenvalue mass dominates the total, so
     /// the IQP objective would be mostly projection artefact.
@@ -160,16 +146,6 @@ impl fmt::Display for IqpError {
                 f,
                 "objective matrix entry ({row}, {col}) is non-finite ({value}); \
                  quarantine or re-measure the sensitivity before solving"
-            ),
-            Self::UnobservedDiagonal { index } => write!(
-                f,
-                "partially-observed objective has no observation for diagonal \
-                 entry {index}; the estimator budget must cover every diagonal probe"
-            ),
-            Self::AsymmetricObjective { defect } => write!(
-                f,
-                "objective matrix is asymmetric (max |a_ij − a_ji| = {defect:.3e}) \
-                 under strict hardening; re-measure or drop --solver-strict to symmetrize"
             ),
             Self::DegenerateObjective { clip_mass_ratio } => write!(
                 f,

@@ -34,7 +34,4 @@ pub use iqp::{
     Termination,
 };
 pub use linalg::{EigenDecomposition, PsdProjection, SymMatrix};
-pub use validate::{
-    diagnose, diagnose_raw, harden, harden_partial, harden_raw, ObservedMask, OmegaDiagnostics,
-    OmegaReport, PartialOmegaReport,
-};
+pub use validate::{harden, ObservedMask, OmegaReport};

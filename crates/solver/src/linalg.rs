@@ -53,23 +53,6 @@ impl SymMatrix {
         }
     }
 
-    /// Creates a matrix from a row-major buffer, symmetrizing it as
-    /// `(A + Aᵀ)/2` (useful when the two halves were measured separately).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != n*n`.
-    pub fn from_dense_symmetrized(n: usize, data: &[f64]) -> Self {
-        assert_eq!(data.len(), n * n, "buffer length must be n²");
-        let mut m = Self::zeros(n);
-        for i in 0..n {
-            for j in 0..n {
-                m.data[i * n + j] = 0.5 * (data[i * n + j] + data[j * n + i]);
-            }
-        }
-        m
-    }
-
     /// The identity matrix.
     pub fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n);
@@ -552,13 +535,6 @@ mod tests {
         let (i, j, v) = b.first_non_finite().expect("Inf present");
         assert_eq!((i, j), (1, 1));
         assert!(v.is_infinite());
-    }
-
-    #[test]
-    fn symmetrized_constructor() {
-        let m = SymMatrix::from_dense_symmetrized(2, &[1.0, 3.0, 1.0, 4.0]);
-        approx(m.get(0, 1), 2.0, 1e-12);
-        approx(m.get(1, 0), 2.0, 1e-12);
     }
 
     #[test]

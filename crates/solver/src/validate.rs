@@ -1,198 +1,67 @@
-//! Ω-matrix hardening: diagnose and repair (or reject) measured
-//! sensitivity matrices before they reach the IQP objective.
+//! Ω-matrix hardening: repair (or reject) measured sensitivity matrices
+//! before they reach the IQP objective.
 //!
-//! A Ĝ estimated on a small sensitivity set can arrive damaged in three
-//! ways: non-finite entries (a poisoned probe), material asymmetry (the two
-//! halves of a cross term measured inconsistently), and a spectrum the PSD
-//! projection would mostly discard (clip-mass ratio near 1 — the objective
-//! becomes projection artefact). The lenient path repairs what can be
-//! repaired conservatively — zero off-diagonal non-finite entries (dropping
-//! a cross term is safe; inventing one is not) and symmetrize — while a
-//! non-finite *diagonal* is always rejected, because a layer's own
-//! sensitivity cannot be conjured from nothing. Under strict hardening
-//! (`--solver-strict`) every defect is a typed rejection instead.
+//! Every Ω reaches the solver as a [`SymMatrix`], symmetric by
+//! construction, so the defects left to handle are non-finite entries (a
+//! poisoned probe) and a spectrum the PSD projection would mostly discard
+//! (clip-mass ratio near 1, checked by the caller). The lenient path zeroes
+//! off-diagonal non-finite entries (dropping a cross term is safe;
+//! inventing one is not), while a non-finite *diagonal* is always rejected,
+//! because a layer's own sensitivity cannot be conjured from nothing. Under
+//! strict hardening (`--solver-strict`) every non-finite entry is a typed
+//! rejection instead.
 
 use crate::iqp::IqpError;
 use crate::SymMatrix;
 
-/// Relative symmetry tolerance: defects up to `max|entry| ×` this are
-/// attributed to floating-point accumulation order, not measurement error.
-const SYMMETRY_TOL_REL: f64 = 1e-9;
-
-/// What [`diagnose_raw`] found in a measured Ω buffer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OmegaDiagnostics {
-    /// Matrix dimension `n`.
-    pub dim: usize,
-    /// Largest absolute difference `|a_ij − a_ji|` (0 for a symmetric
-    /// buffer; NaN-vs-number mismatches count via the finite side).
-    pub symmetry_defect: f64,
-    /// Non-finite entries on the diagonal.
-    pub diagonal_non_finite: usize,
-    /// Non-finite entries off the diagonal (counting both triangles).
-    pub off_diagonal_non_finite: usize,
-    /// Largest finite `|entry|` — the scale the symmetry tolerance is
-    /// relative to.
-    pub max_abs: f64,
-}
-
-impl OmegaDiagnostics {
-    /// `true` when the buffer needs no repair: every entry finite and the
-    /// symmetry defect within floating-point tolerance of the scale.
-    pub fn is_clean(&self) -> bool {
-        self.diagonal_non_finite == 0
-            && self.off_diagonal_non_finite == 0
-            && self.symmetry_defect <= SYMMETRY_TOL_REL * self.max_abs
-    }
-}
-
-/// Scans a row-major `n×n` buffer for the defects Ω hardening acts on.
-///
-/// # Panics
-///
-/// Panics if `data.len() != n * n`.
-pub fn diagnose_raw(n: usize, data: &[f64]) -> OmegaDiagnostics {
-    assert_eq!(data.len(), n * n, "buffer length must be n²");
-    let mut symmetry_defect = 0.0f64;
-    let mut diagonal_non_finite = 0usize;
-    let mut off_diagonal_non_finite = 0usize;
-    let mut max_abs = 0.0f64;
-    for i in 0..n {
-        for j in 0..n {
-            let v = data[i * n + j];
-            if v.is_finite() {
-                max_abs = max_abs.max(v.abs());
-            } else if i == j {
-                diagonal_non_finite += 1;
-            } else {
-                off_diagonal_non_finite += 1;
-            }
-            if i < j {
-                let u = data[j * n + i];
-                let d = (v - u).abs();
-                if d.is_finite() {
-                    symmetry_defect = symmetry_defect.max(d);
-                }
-            }
-        }
-    }
-    OmegaDiagnostics {
-        dim: n,
-        symmetry_defect,
-        diagonal_non_finite,
-        off_diagonal_non_finite,
-        max_abs,
-    }
-}
-
-/// Diagnoses an already-symmetric [`SymMatrix`] (the defect is structurally
-/// zero; non-finite counts still matter).
-pub fn diagnose(matrix: &SymMatrix) -> OmegaDiagnostics {
-    let n = matrix.dim();
-    let data: Vec<f64> = (0..n * n).map(|idx| matrix.get(idx / n, idx % n)).collect();
-    diagnose_raw(n, &data)
-}
-
-/// What [`harden_raw`] did to the buffer it accepted.
+/// What [`harden`] did to the matrix it accepted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OmegaReport {
-    /// The pre-repair diagnostics.
-    pub diagnostics: OmegaDiagnostics,
-    /// Whether symmetrization changed any entry beyond tolerance.
-    pub symmetrized: bool,
     /// Off-diagonal non-finite entries zeroed (counting both triangles).
     pub repaired_non_finite: usize,
 }
 
-impl OmegaReport {
-    /// `true` if hardening changed the matrix at all.
-    pub fn repaired(&self) -> bool {
-        self.symmetrized || self.repaired_non_finite > 0
-    }
-}
-
-/// Hardens a raw row-major Ω buffer into a solver-ready [`SymMatrix`].
+/// Hardens a measured Ω into a solver-ready [`SymMatrix`].
 ///
 /// Lenient (`strict == false`): off-diagonal non-finite entries are zeroed
-/// (both triangles), the buffer is symmetrized as `(A + Aᵀ)/2`, and the
-/// repairs are recorded in the [`OmegaReport`]. Strict: any defect is a
-/// typed rejection.
+/// (both triangles) and counted in the [`OmegaReport`]; every other entry
+/// is passed through bit for bit. Strict: any non-finite entry is a typed
+/// rejection.
 ///
 /// # Errors
 ///
 /// [`IqpError::NonFiniteObjective`] for a non-finite diagonal entry (always)
-/// or any non-finite entry (strict); [`IqpError::AsymmetricObjective`] for
-/// a beyond-tolerance symmetry defect (strict).
-///
-/// # Panics
-///
-/// Panics if `data.len() != n * n`.
-pub fn harden_raw(
-    n: usize,
-    data: &[f64],
-    strict: bool,
-) -> Result<(SymMatrix, OmegaReport), IqpError> {
-    let diagnostics = diagnose_raw(n, data);
-    // A layer's own sensitivity cannot be repaired: reject diagonal
-    // non-finite entries under either mode.
-    if diagnostics.diagonal_non_finite > 0 {
-        let (row, value) = (0..n)
-            .map(|i| (i, data[i * n + i]))
-            .find(|(_, v)| !v.is_finite())
-            .expect("diagnostics counted a non-finite diagonal entry");
+/// or, under `strict`, for the first non-finite entry in row-major order.
+pub fn harden(matrix: &SymMatrix, strict: bool) -> Result<(SymMatrix, OmegaReport), IqpError> {
+    let n = matrix.dim();
+    if let Some(row) = (0..n).find(|&i| !matrix.get(i, i).is_finite()) {
         return Err(IqpError::NonFiniteObjective {
             row,
             col: row,
-            value,
+            value: matrix.get(row, row),
         });
     }
     if strict {
-        if let Some((idx, &value)) = data.iter().enumerate().find(|(_, v)| !v.is_finite()) {
-            return Err(IqpError::NonFiniteObjective {
-                row: idx / n,
-                col: idx % n,
-                value,
-            });
-        }
-        if diagnostics.symmetry_defect > SYMMETRY_TOL_REL * diagnostics.max_abs {
-            return Err(IqpError::AsymmetricObjective {
-                defect: diagnostics.symmetry_defect,
-            });
+        if let Some((row, col, value)) = matrix.first_non_finite() {
+            return Err(IqpError::NonFiniteObjective { row, col, value });
         }
     }
-    // Lenient repair: zero unusable cross terms, then symmetrize.
-    let mut repaired = data.to_vec();
+    let mut repaired = matrix.clone();
     let mut repaired_non_finite = 0usize;
     for i in 0..n {
-        for j in 0..n {
-            if i != j && !repaired[i * n + j].is_finite() {
-                repaired[i * n + j] = 0.0;
-                repaired_non_finite += 1;
+        for j in i + 1..n {
+            if !repaired.get(i, j).is_finite() {
+                repaired.set(i, j, 0.0);
+                repaired_non_finite += 2;
             }
         }
     }
-    let matrix = SymMatrix::from_dense_symmetrized(n, &repaired);
-    let symmetrized = diagnostics.symmetry_defect > SYMMETRY_TOL_REL * diagnostics.max_abs;
     Ok((
-        matrix,
+        repaired,
         OmegaReport {
-            diagnostics,
-            symmetrized,
             repaired_non_finite,
         },
     ))
-}
-
-/// [`harden_raw`] for a matrix that is already a [`SymMatrix`] (symmetric
-/// by construction): only the non-finite checks and repairs apply.
-///
-/// # Errors
-///
-/// Same as [`harden_raw`], minus `AsymmetricObjective`.
-pub fn harden(matrix: &SymMatrix, strict: bool) -> Result<(SymMatrix, OmegaReport), IqpError> {
-    let n = matrix.dim();
-    let data: Vec<f64> = (0..n * n).map(|idx| matrix.get(idx / n, idx % n)).collect();
-    harden_raw(n, &data, strict)
 }
 
 /// Which entries of a partially-observed Ω were actually measured.
@@ -285,116 +154,41 @@ impl ObservedMask {
     }
 }
 
-/// What [`harden_partial`] found and did.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartialOmegaReport {
-    /// Observed upper-triangle entries (diagonal included).
-    pub observed: usize,
-    /// Total upper-triangle entries.
-    pub total: usize,
-    /// The ordinary hardening report over the observed buffer.
-    pub report: OmegaReport,
-}
-
-impl PartialOmegaReport {
-    /// Observed fraction of the upper triangle in `[0, 1]`.
-    pub fn fraction(&self) -> f64 {
-        self.observed as f64 / self.total as f64
-    }
-}
-
-/// Hardens a partially-observed Ω into a solver-ready matrix.
-///
-/// An unobserved *diagonal* entry is always rejected — estimation must
-/// spend budget on every diagonal probe, because a variable's own
-/// sensitivity cannot be defaulted. Unobserved off-diagonal entries are
-/// legitimate zeros of the estimate (the estimator's completion step has
-/// already filled in whatever it can infer), so the observed buffer then
-/// goes through the ordinary [`harden`] path.
-///
-/// # Errors
-///
-/// [`IqpError::UnobservedDiagonal`] for a diagonal entry without an
-/// observation; otherwise the same errors as [`harden`].
-///
-/// # Panics
-///
-/// Panics if the mask dimension differs from the matrix dimension.
-pub fn harden_partial(
-    matrix: &SymMatrix,
-    mask: &ObservedMask,
-    strict: bool,
-) -> Result<(SymMatrix, PartialOmegaReport), IqpError> {
-    assert_eq!(
-        matrix.dim(),
-        mask.dim(),
-        "mask dimension must match matrix dimension"
-    );
-    if let Some(index) = mask.first_unobserved_diagonal() {
-        return Err(IqpError::UnobservedDiagonal { index });
-    }
-    let (hardened, report) = harden(matrix, strict)?;
-    Ok((
-        hardened,
-        PartialOmegaReport {
-            observed: mask.observed(),
-            total: mask.total(),
-            report,
-        },
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> Vec<f64> {
-        vec![1.0, 0.5, 0.5, 2.0]
+    fn sample() -> SymMatrix {
+        let mut m = SymMatrix::zeros(2);
+        m.set(0, 0, 1.0);
+        m.set(0, 1, 0.5);
+        m.set(1, 1, 2.0);
+        m
+    }
+
+    fn bits(m: &SymMatrix) -> Vec<u64> {
+        let n = m.dim();
+        (0..n * n)
+            .map(|idx| m.get(idx / n, idx % n).to_bits())
+            .collect()
     }
 
     #[test]
-    fn clean_matrix_passes_through_unchanged() {
-        let (m, report) = harden_raw(2, &sample(), true).expect("clean input");
-        assert!(!report.repaired());
-        assert!(report.diagnostics.is_clean());
-        assert_eq!(m.get(0, 1), 0.5);
-        assert_eq!(m.get(1, 1), 2.0);
-    }
-
-    #[test]
-    fn lenient_zeroes_off_diagonal_non_finite_and_symmetrizes() {
-        let data = vec![1.0, f64::NAN, 0.4, 2.0];
-        let (m, report) = harden_raw(2, &data, false).expect("lenient repairs");
-        assert_eq!(report.repaired_non_finite, 1);
-        assert!(report.repaired());
-        // NaN zeroed, then averaged with the surviving 0.4.
-        assert!((m.get(0, 1) - 0.2).abs() < 1e-12);
-        assert_eq!(report.diagnostics.off_diagonal_non_finite, 1);
-    }
-
-    #[test]
-    fn lenient_symmetrizes_asymmetric_buffers() {
-        let data = vec![1.0, 0.8, 0.2, 2.0];
-        let diag = diagnose_raw(2, &data);
-        assert!((diag.symmetry_defect - 0.6).abs() < 1e-12);
-        assert!(!diag.is_clean());
-        let (m, report) = harden_raw(2, &data, false).expect("lenient symmetrizes");
-        assert!(report.symmetrized);
-        assert!((m.get(0, 1) - 0.5).abs() < 1e-12);
-        assert!((m.get(1, 0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn strict_rejects_asymmetry_and_non_finite() {
-        let asym = vec![1.0, 0.8, 0.2, 2.0];
-        match harden_raw(2, &asym, true) {
-            Err(IqpError::AsymmetricObjective { defect }) => {
-                assert!((defect - 0.6).abs() < 1e-12)
-            }
-            other => panic!("expected AsymmetricObjective, got {other:?}"),
+    fn clean_matrix_passes_through_bit_for_bit() {
+        let mut input = sample();
+        input.set(0, 1, -0.0);
+        for strict in [false, true] {
+            let (m, report) = harden(&input, strict).expect("clean input");
+            assert_eq!(report.repaired_non_finite, 0);
+            assert_eq!(bits(&m), bits(&input));
         }
-        let poisoned = vec![1.0, f64::INFINITY, 0.4, 2.0];
-        match harden_raw(2, &poisoned, true) {
+    }
+
+    #[test]
+    fn strict_rejects_off_diagonal_non_finite() {
+        let mut poisoned = sample();
+        poisoned.set(0, 1, f64::INFINITY);
+        match harden(&poisoned, true) {
             Err(IqpError::NonFiniteObjective { row, col, .. }) => assert_eq!((row, col), (0, 1)),
             other => panic!("expected NonFiniteObjective, got {other:?}"),
         }
@@ -402,9 +196,10 @@ mod tests {
 
     #[test]
     fn diagonal_non_finite_is_rejected_in_both_modes() {
-        let data = vec![f64::NAN, 0.5, 0.5, 2.0];
+        let mut m = sample();
+        m.set(0, 0, f64::NAN);
         for strict in [false, true] {
-            match harden_raw(2, &data, strict) {
+            match harden(&m, strict) {
                 Err(IqpError::NonFiniteObjective { row, col, value }) => {
                     assert_eq!((row, col), (0, 0));
                     assert!(value.is_nan());
@@ -430,44 +225,18 @@ mod tests {
     }
 
     #[test]
-    fn harden_partial_rejects_unobserved_diagonal() {
-        let m = SymMatrix::identity(3);
-        let mut mask = ObservedMask::new(3);
-        mask.set(0, 0);
-        mask.set(2, 2);
-        match harden_partial(&m, &mask, false) {
-            Err(IqpError::UnobservedDiagonal { index }) => assert_eq!(index, 1),
-            other => panic!("expected UnobservedDiagonal, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn harden_partial_passes_fully_diagonal_observed_matrices() {
-        let mut m = SymMatrix::identity(3);
-        m.set(0, 1, 0.25);
-        let mut mask = ObservedMask::new(3);
-        for i in 0..3 {
-            mask.set(i, i);
-        }
-        mask.set(0, 1);
-        let (hardened, report) = harden_partial(&m, &mask, true).expect("observed diagonal");
-        assert_eq!(hardened.get(0, 1), 0.25);
-        assert_eq!(report.observed, 4);
-        assert_eq!(report.total, 6);
-        assert!(!report.report.repaired());
-    }
-
-    #[test]
     fn sym_matrix_harden_repairs_mirrored_entries() {
         let mut m = SymMatrix::zeros(3);
         m.set(0, 0, 1.0);
         m.set(1, 1, 1.0);
         m.set(2, 2, 1.0);
+        m.set(0, 1, 0.25);
         m.set(0, 2, f64::NAN); // mirrored into both triangles
         let (repaired, report) = harden(&m, false).expect("lenient repairs");
         assert_eq!(report.repaired_non_finite, 2);
         assert_eq!(repaired.get(0, 2), 0.0);
         assert_eq!(repaired.get(2, 0), 0.0);
+        assert_eq!(repaired.get(0, 1), 0.25);
         assert!(harden(&m, true).is_err());
     }
 }

@@ -103,11 +103,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reinterprets the tensor with a new shape of identical element count.
     ///
     /// # Errors
@@ -141,13 +136,6 @@ impl Tensor {
         Self {
             shape: self.shape,
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 

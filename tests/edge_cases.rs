@@ -143,8 +143,6 @@ fn iqp_error_displays() {
 
     let overflow = IqpError::CostOverflow { group: 3 };
     assert!(overflow.to_string().contains("overflow"), "{overflow}");
-    let asym = IqpError::AsymmetricObjective { defect: 0.5 };
-    assert!(asym.to_string().contains("symmetr"), "{asym}");
     let degenerate = IqpError::DegenerateObjective {
         clip_mass_ratio: 0.9,
     };
@@ -156,16 +154,14 @@ fn iqp_error_displays() {
 /// coordinates) under strict mode; the hardened matrix still solves.
 #[test]
 fn omega_hardening_edge_cases() {
-    use clado_solver::{diagnose, harden, SolverConfig};
+    use clado_solver::{harden, SolverConfig};
 
     let mut g = SymMatrix::zeros(4);
     for i in 0..4 {
         g.set(i, i, 0.5 + i as f64 * 0.1);
     }
     g.set(0, 3, f64::NAN);
-    let diag = diagnose(&g);
-    assert_eq!(diag.off_diagonal_non_finite, 2); // both triangles
-    assert!(!diag.is_clean());
+    assert!(g.get(3, 0).is_nan()); // both triangles
 
     let (repaired, report) = harden(&g, false).expect("lenient repair");
     assert_eq!(report.repaired_non_finite, 2);
