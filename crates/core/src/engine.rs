@@ -2,8 +2,9 @@
 //!
 //! The sensitivity measurement, Hutchinson probing, and random search all
 //! reduce to the same shape: a list of independent work items, each needing
-//! a network it can perturb freely. [`replica_map`] shards the items
-//! round-robin across worker threads, runs the first worker on the
+//! a network it can perturb freely. [`replica_map`] hands the items out
+//! to worker threads in item order from a shared counter (a worker takes
+//! the next item as soon as it is free), runs the first worker on the
 //! caller's network and hands every other worker its own clone of it, and
 //! merges the per-item results back in item order. Because each item's
 //! computation depends only on the item and on shared read-only state —
@@ -29,6 +30,7 @@ use crate::errors::MeasureError;
 use clado_nn::Network;
 use clado_telemetry::{faultpoint, panic_message};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 /// Resolves a requested worker count: `0` means "all available cores".
@@ -138,6 +140,8 @@ where
     };
 
     let mut lost: Vec<usize> = Vec::new();
+    // The worker that took each item (the serial path is worker 0).
+    let taken_by: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
     if workers <= 1 {
         for i in 0..items.len() {
             // Fail point: simulate the worker thread being killed between
@@ -159,25 +163,32 @@ where
         let mut clones: Vec<Network> = (1..workers).map(|_| network.clone()).collect();
         let replicas = std::iter::once(network).chain(clones.iter_mut());
         let (tx, rx) = mpsc::channel::<ItemResult<R>>();
+        // Items go out in order to whichever worker is free, so a worker
+        // held up by an expensive item does not also own every
+        // `workers`-th item after it. `Relaxed` suffices: the counter
+        // publishes no data, and `taken_by` is read only after the scope
+        // has joined every worker.
+        let next = AtomicUsize::new(0);
         std::thread::scope(|s| {
             let mut handles = Vec::with_capacity(workers);
             for (w, replica) in replicas.enumerate() {
                 let run_item = &run_item;
+                let (next, taken_by) = (&next, &taken_by);
                 let tx = tx.clone();
-                handles.push(s.spawn(move || {
-                    let mut i = w;
-                    while i < items.len() {
-                        // Fail point: a panic here is OUTSIDE the per-item
-                        // guard, so the thread dies without reporting —
-                        // the join below sees `Err` and maps it to
-                        // `WorkerLost`.
-                        faultpoint!("engine.worker_kill");
-                        let outcome = run_item(&mut *replica, i);
-                        if tx.send((i, outcome)).is_err() {
-                            // Receiver is gone (sink failed hard); stop.
-                            return;
-                        }
-                        i += workers;
+                handles.push(s.spawn(move || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= items.len() {
+                        return;
+                    }
+                    taken_by[i].store(w, Ordering::Relaxed);
+                    // Fail point: a panic here is OUTSIDE the per-item
+                    // guard, so the thread dies without reporting — the
+                    // join below sees `Err` and maps it to `WorkerLost`.
+                    faultpoint!("engine.worker_kill");
+                    let outcome = run_item(&mut *replica, i);
+                    if tx.send((i, outcome)).is_err() {
+                        // Receiver is gone (sink failed hard); stop.
+                        return;
                     }
                 }));
             }
@@ -217,14 +228,16 @@ where
     }
     // A worker can also vanish without its join erroring (e.g. it
     // returned early because the channel closed); any hole in the
-    // results is still a lost item, never a silent zero.
+    // results is still a lost item, never a silent zero. It is charged to
+    // the worker that took the item (every item was taken: workers stop
+    // only when the counter runs out, the channel closes, or they die).
     let mut out = Vec::with_capacity(items.len());
     for (i, r) in results.into_iter().enumerate() {
         match r {
             Some(r) => out.push(r),
             None => {
                 return Err(MeasureError::WorkerLost {
-                    thread: i % workers,
+                    thread: taken_by[i].load(Ordering::Relaxed),
                 })
             }
         }
@@ -268,7 +281,6 @@ mod tests {
     use clado_nn::{Linear, Network, Sequential};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tiny() -> Network {
         let mut rng = StdRng::seed_from_u64(7);
@@ -290,6 +302,32 @@ mod tests {
             let parallel = replica_map(&mut net, threads, &items, |_, &i| i * i);
             assert_eq!(parallel, serial, "{threads} threads");
         }
+    }
+
+    #[test]
+    fn a_busy_worker_does_not_hold_back_later_items() {
+        // Item 0 waits for every other item to finish. With a static
+        // `i % workers` split its worker would own items 2, 4, … and the
+        // wait could only end at the deadline; with items handed out to
+        // whichever worker is free, the other worker runs them all.
+        let mut net = tiny();
+        let items: Vec<usize> = (0..9).collect();
+        let done = AtomicUsize::new(0);
+        let waits = replica_map(&mut net, 2, &items, |_, &i| {
+            if i > 0 {
+                done.fetch_add(1, Ordering::SeqCst);
+                return true;
+            }
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while done.load(Ordering::SeqCst) < items.len() - 1 {
+                if std::time::Instant::now() > deadline {
+                    return false;
+                }
+                std::thread::yield_now();
+            }
+            true
+        });
+        assert!(waits[0], "item 0 timed out: later items queued behind it");
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! 2-D convolution kernels (forward and backward) via im2col.
+//! 2-D convolution kernels (forward and backward) via im2col, with fused
+//! and direct forward kernels on the AVX2 backend ([`conv2d_path`]).
 //!
 //! Supports strides, symmetric zero padding, and grouped/depthwise
 //! convolution — everything the mini model zoo needs.
@@ -336,6 +337,34 @@ fn col2im(
     }
 }
 
+/// Copies `channels` planes of `h×w` from `src` into the interior of the
+/// zero-bordered image `padded` (`[channels, h+2·pad, w+2·pad]`). Only
+/// interior cells are written, so borders zeroed once stay zero for every
+/// later sample staged into the same buffer.
+#[cfg(target_arch = "x86_64")]
+fn stage_padded(src: &[f32], channels: usize, h: usize, w: usize, pad: usize, padded: &mut [f32]) {
+    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+    assert!(src.len() >= channels * h * w, "input slice too short");
+    assert!(
+        padded.len() >= channels * hp * wp,
+        "staging buffer too short"
+    );
+    for c in 0..channels {
+        for iy in 0..h {
+            // SAFETY: source row `(c, iy)` lies in the `channels·h·w`
+            // prefix of `src`; destination row `iy + pad` at column `pad`
+            // stays inside plane `c` and leaves `pad` zeros on each side.
+            unsafe {
+                copy_floats(
+                    src.as_ptr().add((c * h + iy) * w),
+                    padded.as_mut_ptr().add(c * hp * wp + (iy + pad) * wp + pad),
+                    w,
+                );
+            }
+        }
+    }
+}
+
 /// Fused implicit-im2col convolution for the AVX2 backend: stages each
 /// sample's group-slice into a small zero-padded image and runs the GEMM
 /// microkernel straight out of it through a precomputed offsets table —
@@ -344,7 +373,7 @@ fn col2im(
 /// (the same order as the scalar reference, with FMA rounding).
 #[cfg(target_arch = "x86_64")]
 mod fused {
-    use super::{copy_floats, Conv2dSpec, Tensor};
+    use super::{stage_padded, Conv2dSpec, Tensor};
     use std::arch::x86_64::*;
     use std::cell::RefCell;
 
@@ -401,22 +430,7 @@ mod fused {
             let od = out.data_mut();
             for s in 0..n {
                 for gi in 0..g {
-                    // Stage the group-slice; borders stay zero because
-                    // only interior rows are ever written.
-                    let src = &indat[(s * cin + gi * cg) * h * w..];
-                    for c in 0..cg {
-                        for iy in 0..h {
-                            // SAFETY: destination row `(iy+pad)` at column
-                            // `pad` leaves `pad` zeros on each side.
-                            unsafe {
-                                copy_floats(
-                                    src.as_ptr().add((c * h + iy) * w),
-                                    padded.as_mut_ptr().add(c * hp * wp + (iy + pad) * wp + pad),
-                                    w,
-                                );
-                            }
-                        }
-                    }
+                    stage_padded(&indat[(s * cin + gi * cg) * h * w..], cg, h, w, pad, padded);
                     let out_base = (s * spec.out_channels + gi * cg_out) * howo;
                     let mut oc = 0;
                     // SAFETY: AVX2+FMA availability is the caller's
@@ -590,20 +604,346 @@ mod fused {
     }
 }
 
-/// Convolution forward pass.
+/// Direct convolution for the AVX2 backend, for the dense convs the fused
+/// kernel rejects (strided, 1×1-downsample, and output widths other than
+/// 4/8/16). Each sample is staged once into a zero-padded image; the
+/// weights are transposed to `[cin·k·k][cout rounded up to 8]` so eight
+/// output channels share one register, and each pass advances 4 output
+/// pixels (8 when at most 8 channels remain), which keeps up to 8
+/// independent FMA chains in flight. No column matrix is built.
 ///
-/// `input` is `[N, Cin, H, W]`, `weight` is `[Cout, Cin/g, k, k]`, `bias` is
-/// `[Cout]` (optional). Returns `[N, Cout, Ho, Wo]`.
-///
-/// # Panics
-///
-/// Panics on any shape inconsistency with `spec`.
-pub fn conv2d_forward(
+/// Every output is the chain the im2col GEMM computes for it: `fma` over
+/// the `(c, ky, kx)` taps in ascending order from +0, padded taps
+/// included. [`supported`] admits only geometries where the GEMM runs
+/// that chain unsplit: on the blocked kernel (`cout ≥ SKINNY_M_MAX`) the
+/// depth must fit one `KC` block, whose sum the GEMM adds to a zeroed
+/// output (so a −0 chain lands as +0, and [`run`] adds +0 likewise); and
+/// the product must not fall below `SIMD_FLOP_THRESHOLD`, where the GEMM
+/// runs scalar multiply-then-add.
+#[cfg(target_arch = "x86_64")]
+mod direct {
+    use super::{im2col_chunk, stage_padded, Conv2dSpec, Tensor};
+    use crate::kernel::{KC, SIMD_FLOP_THRESHOLD, SKINNY_M_MAX};
+    use std::arch::x86_64::*;
+    use std::cell::RefCell;
+
+    /// Per-call buffers, reused across calls.
+    struct Stage {
+        /// The sample's zero-padded image `[cin][h+2·pad][w+2·pad]`.
+        padded: Vec<f32>,
+        /// Transposed weights `[cin·k·k][cout rounded up to 8]`.
+        wt: Vec<f32>,
+        /// Image offset of each tap `(c, ky, kx)`.
+        off: Vec<usize>,
+        /// Image offset of each output pixel's first tap.
+        pix: Vec<usize>,
+    }
+
+    thread_local! {
+        static STAGE: RefCell<Stage> = const {
+            RefCell::new(Stage {
+                padded: Vec::new(),
+                wt: Vec::new(),
+                off: Vec::new(),
+                pix: Vec::new(),
+            })
+        };
+    }
+
+    /// Whether [`run`] computes bitwise what the im2col path would for
+    /// this geometry at batch `n` (caller has already checked that the
+    /// AVX2 backend is active and the fused kernel declined).
+    pub(super) fn supported(spec: &Conv2dSpec, n: usize, howo: usize) -> bool {
+        let kk = spec.in_channels * spec.kernel * spec.kernel;
+        let m = spec.out_channels;
+        let (_, ld) = im2col_chunk(n, kk, howo);
+        spec.groups == 1 && (m < SKINNY_M_MAX || kk <= KC) && m * kk * ld >= SIMD_FLOP_THRESHOLD
+    }
+
+    /// Runs the direct convolution. Every output element is written
+    /// exactly once.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn run(
+        input: &Tensor,
+        weight: &Tensor,
+        out: &mut Tensor,
+        spec: &Conv2dSpec,
+        n: usize,
+        h: usize,
+        w: usize,
+        ho: usize,
+        wo: usize,
+    ) {
+        let (cin, cout, k, stride, pad) = (
+            spec.in_channels,
+            spec.out_channels,
+            spec.kernel,
+            spec.stride,
+            spec.padding,
+        );
+        // The tap bound in `sample`'s safety argument rests on this.
+        assert_eq!((ho, wo), (spec.out_size(h), spec.out_size(w)));
+        let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+        let kk = cin * k * k;
+        let howo = ho * wo;
+        let lanes = cout.next_multiple_of(8);
+        STAGE.with(|stage| {
+            let mut stage = stage.borrow_mut();
+            let Stage {
+                padded,
+                wt,
+                off,
+                pix,
+            } = &mut *stage;
+            padded.clear();
+            padded.resize(cin * hp * wp, 0.0);
+            // wt[p][oc] = weight[oc][p]; lanes past `cout` stay zero.
+            wt.clear();
+            wt.resize(kk * lanes, 0.0);
+            for (oc, row) in weight.data().chunks_exact(kk).enumerate() {
+                for (p, &v) in row.iter().enumerate() {
+                    wt[p * lanes + oc] = v;
+                }
+            }
+            off.clear();
+            for c in 0..cin {
+                for ky in 0..k {
+                    for kx in 0..k {
+                        off.push(c * hp * wp + ky * wp + kx);
+                    }
+                }
+            }
+            pix.clear();
+            for oy in 0..ho {
+                for ox in 0..wo {
+                    pix.push(oy * stride * wp + ox * stride);
+                }
+            }
+            let indat = input.data();
+            let od = out.data_mut();
+            for s in 0..n {
+                stage_padded(&indat[s * cin * h * w..], cin, h, w, pad, padded);
+                // SAFETY: AVX2+FMA availability is the caller's dispatch
+                // condition. `wt` holds `kk` rows of `lanes ≥ cout` floats;
+                // every tap `off[p] + pix[q]` stays inside the staged image
+                // (its largest value is that of the last output pixel's
+                // last tap, which the output-size formula keeps in
+                // bounds); the destination is this sample's `cout·ho·wo`
+                // block of `out`.
+                unsafe {
+                    sample(
+                        wt,
+                        lanes,
+                        padded,
+                        off,
+                        pix,
+                        cout,
+                        od[s * cout * howo..(s + 1) * cout * howo].as_mut_ptr(),
+                    );
+                }
+            }
+        });
+    }
+
+    /// One sample: output channels in groups of 16 (8 once at most 8
+    /// remain), pixels 4 at a time (8 for a group of 8, so it too keeps 8
+    /// chains), then one at a time.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA and the bounds [`run`] establishes.
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn sample(
+        wt: &[f32],
+        lanes: usize,
+        img: &[f32],
+        off: &[usize],
+        pix: &[usize],
+        cout: usize,
+        dst: *mut f32,
+    ) {
+        // The blocked GEMM adds its sum to a zeroed output; the skinny one
+        // stores it. Only the former turns a −0 sum into +0.
+        let plus_zero = cout >= SKINNY_M_MAX;
+        let howo = pix.len();
+        let mut oc = 0;
+        while oc < cout {
+            let live = (cout - oc).min(16);
+            let w0 = wt.as_ptr().add(oc);
+            let d0 = dst.add(oc * howo);
+            let mut q = 0;
+            if live <= 8 {
+                while q + 8 <= howo {
+                    let px = &pix[q..q + 8];
+                    tile::<8, 1>(w0, lanes, img, off, px, d0.add(q), howo, live, plus_zero);
+                    q += 8;
+                }
+            }
+            while q + 4 <= howo {
+                let px = &pix[q..q + 4];
+                if live > 8 {
+                    tile::<4, 2>(w0, lanes, img, off, px, d0.add(q), howo, live, plus_zero);
+                } else {
+                    tile::<4, 1>(w0, lanes, img, off, px, d0.add(q), howo, live, plus_zero);
+                }
+                q += 4;
+            }
+            while q < howo {
+                let px = &pix[q..q + 1];
+                if live > 8 {
+                    tile::<1, 2>(w0, lanes, img, off, px, d0.add(q), howo, live, plus_zero);
+                } else {
+                    tile::<1, 1>(w0, lanes, img, off, px, d0.add(q), howo, live, plus_zero);
+                }
+                q += 1;
+            }
+            oc += live;
+        }
+    }
+
+    /// `P` pixels × `B` groups of 8 output channels: `P·B` independent
+    /// FMA chains over all taps, then a scatter of the `live` real
+    /// channels into the `[cout][ho·wo]` output at row stride `howo`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA; `w` valid for `off.len()` rows of `8·B` floats
+    /// at stride `lanes`; every `off[p] + px[j]` inside `img`; `dst` valid
+    /// for `live` rows of `P` floats at stride `howo`.
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+    #[inline]
+    unsafe fn tile<const P: usize, const B: usize>(
+        w: *const f32,
+        lanes: usize,
+        img: &[f32],
+        off: &[usize],
+        px: &[usize],
+        dst: *mut f32,
+        howo: usize,
+        live: usize,
+        plus_zero: bool,
+    ) {
+        let mut base = [img.as_ptr(); P];
+        for (b, &q) in base.iter_mut().zip(px) {
+            *b = img.as_ptr().add(q);
+        }
+        let mut acc = [[_mm256_setzero_ps(); B]; P];
+        for (p, &o) in off.iter().enumerate() {
+            let wrow = w.add(p * lanes);
+            let mut wv = [_mm256_setzero_ps(); B];
+            for (b, v) in wv.iter_mut().enumerate() {
+                *v = _mm256_loadu_ps(wrow.add(8 * b));
+            }
+            for (row, &bp) in acc.iter_mut().zip(&base) {
+                let x = _mm256_broadcast_ss(&*bp.add(o));
+                for (a, &wb) in row.iter_mut().zip(&wv) {
+                    *a = _mm256_fmadd_ps(x, wb, *a);
+                }
+            }
+        }
+        if plus_zero {
+            for row in &mut acc {
+                for v in row {
+                    *v = _mm256_add_ps(_mm256_setzero_ps(), *v);
+                }
+            }
+        }
+        for b in 0..B {
+            let live = live.saturating_sub(8 * b).min(8);
+            let dst = dst.add(8 * b * howo);
+            if P.is_multiple_of(4) {
+                // 4 pixels × 8 channels → 8 channels × 4 pixels: each
+                // channel's pixels are one 128-bit store.
+                for g in (0..P).step_by(4) {
+                    let t0 = _mm256_unpacklo_ps(acc[g][b], acc[g + 1][b]);
+                    let t1 = _mm256_unpackhi_ps(acc[g][b], acc[g + 1][b]);
+                    let t2 = _mm256_unpacklo_ps(acc[g + 2][b], acc[g + 3][b]);
+                    let t3 = _mm256_unpackhi_ps(acc[g + 2][b], acc[g + 3][b]);
+                    let rows = [
+                        _mm256_shuffle_ps::<0x44>(t0, t2),
+                        _mm256_shuffle_ps::<0xEE>(t0, t2),
+                        _mm256_shuffle_ps::<0x44>(t1, t3),
+                        _mm256_shuffle_ps::<0xEE>(t1, t3),
+                    ];
+                    let d = dst.add(g);
+                    for (l, &r) in rows.iter().enumerate() {
+                        if l < live {
+                            _mm_storeu_ps(d.add(l * howo), _mm256_castps256_ps128(r));
+                        }
+                        if l + 4 < live {
+                            _mm_storeu_ps(d.add((l + 4) * howo), _mm256_extractf128_ps::<1>(r));
+                        }
+                    }
+                }
+            } else {
+                let mut lane = [0.0f32; 8];
+                for j in 0..P {
+                    _mm256_storeu_ps(lane.as_mut_ptr(), acc[j][b]);
+                    for (l, &x) in lane.iter().enumerate().take(live) {
+                        *dst.add(l * howo + j) = x;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The kernel [`conv2d_forward`] runs for one geometry.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConvPath {
+    /// AVX2 implicit im2col over a staged image (stride 1, output width
+    /// 4, 8 or 16).
+    Fused,
+    /// AVX2 direct convolution, output channels across the lanes (dense
+    /// convs the fused kernel rejects, where the result is bitwise the
+    /// GEMM's).
+    Direct,
+    /// Column matrix + [`kernel::sgemm_overwrite`]: every other conv, and
+    /// every conv on the scalar and SSE2 backends.
+    Im2col,
+}
+
+/// The path [`conv2d_forward`] takes for `spec` on an `[n, _, h, w]`
+/// input on the active backend. Public (hidden) so the property suite can
+/// check that the geometries it pins really reach each kernel.
+#[doc(hidden)]
+pub fn conv2d_path(spec: &Conv2dSpec, n: usize, h: usize, w: usize) -> ConvPath {
+    #[cfg(target_arch = "x86_64")]
+    if matches!(kernel::active_backend(), crate::Backend::Avx2Fma) {
+        let (ho, wo) = (spec.out_size(h), spec.out_size(w));
+        if fused::supported(spec, wo, ho) {
+            return ConvPath::Fused;
+        }
+        if direct::supported(spec, n, ho * wo) {
+            return ConvPath::Direct;
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (spec, n, h, w);
+    ConvPath::Im2col
+}
+
+/// Samples per im2col chunk and the row stride of the shared column
+/// matrix. Chunks are sized so the column matrix stays L2-resident
+/// (≈96 KiB): im2col writes it and the GEMM reads it straight back while
+/// hot. The direct path reads the stride too, because it fixes the size
+/// of the GEMM the im2col path would issue.
+fn im2col_chunk(n: usize, col_rows: usize, howo: usize) -> (usize, usize) {
+    let chunk = (96 * 1024 / (col_rows * howo * 4)).clamp(1, n.max(1));
+    (chunk, pad_stride(chunk * howo))
+}
+
+/// Checks `input`, `weight` and `bias` against `spec`; returns the input
+/// dims `(n, cin, h, w)` and the output size `(ho, wo)`.
+fn check_forward(
     input: &Tensor,
     weight: &Tensor,
     bias: Option<&Tensor>,
     spec: &Conv2dSpec,
-) -> Tensor {
+) -> ((usize, usize, usize, usize), (usize, usize)) {
     let (n, cin, h, w) = nchw(input);
     assert_eq!(
         cin, spec.in_channels,
@@ -618,32 +958,83 @@ pub fn conv2d_forward(
     if let Some(b) = bias {
         assert_eq!(b.numel(), spec.out_channels, "bias length mismatch");
     }
-    let (ho, wo) = (spec.out_size(h), spec.out_size(w));
+    ((n, cin, h, w), (spec.out_size(h), spec.out_size(w)))
+}
+
+/// Convolution forward pass.
+///
+/// `input` is `[N, Cin, H, W]`, `weight` is `[Cout, Cin/g, k, k]`, `bias` is
+/// `[Cout]` (optional). Returns `[N, Cout, Ho, Wo]`. The kernel is picked
+/// by [`conv2d_path`]; the direct path's output is bitwise that of
+/// [`conv2d_forward_im2col`].
+///
+/// # Panics
+///
+/// Panics on any shape inconsistency with `spec`.
+pub fn conv2d_forward(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    spec: &Conv2dSpec,
+) -> Tensor {
+    let ((n, cin, h, w), (ho, wo)) = check_forward(input, weight, bias, spec);
+    let mut out = Tensor::zeros([n, spec.out_channels, ho, wo]);
+    match conv2d_path(spec, n, h, w) {
+        #[cfg(target_arch = "x86_64")]
+        ConvPath::Fused => fused::run(input, weight, &mut out, spec, n, cin, h, w, ho, wo),
+        #[cfg(target_arch = "x86_64")]
+        ConvPath::Direct => direct::run(input, weight, &mut out, spec, n, h, w, ho, wo),
+        _ => im2col_gemm(input, weight, &mut out, spec, n, cin, h, w, ho, wo),
+    }
+    add_bias(&mut out, bias, spec, n, ho * wo);
+    out
+}
+
+/// [`conv2d_forward`] on the im2col + [`kernel::sgemm_overwrite`] path
+/// whatever the backend and geometry: the reference the direct path must
+/// match bit for bit. Public (hidden) so the property suite can pin that.
+///
+/// # Panics
+///
+/// Panics on any shape inconsistency with `spec`.
+#[doc(hidden)]
+pub fn conv2d_forward_im2col(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    spec: &Conv2dSpec,
+) -> Tensor {
+    let ((n, cin, h, w), (ho, wo)) = check_forward(input, weight, bias, spec);
+    let mut out = Tensor::zeros([n, spec.out_channels, ho, wo]);
+    im2col_gemm(input, weight, &mut out, spec, n, cin, h, w, ho, wo);
+    add_bias(&mut out, bias, spec, n, ho * wo);
+    out
+}
+
+/// The im2col convolution: samples are processed in chunks
+/// ([`im2col_chunk`]) that share one wide column matrix (`ld ≥
+/// chunk·ho·wo`), so each (group, chunk) runs a single wide GEMM instead
+/// of one skinny GEMM per sample. Every output element's reduction order
+/// over the column rows is that of the per-sample formulation.
+#[allow(clippy::too_many_arguments)]
+fn im2col_gemm(
+    input: &Tensor,
+    weight: &Tensor,
+    out: &mut Tensor,
+    spec: &Conv2dSpec,
+    n: usize,
+    cin: usize,
+    h: usize,
+    w: usize,
+    ho: usize,
+    wo: usize,
+) {
     let g = spec.groups;
     let (cg_in, cg_out) = (cin / g, spec.out_channels / g);
     let k = spec.kernel;
     let col_rows = cg_in * k * k;
     let howo = ho * wo;
-    // All samples share one wide column matrix (`ld = n·ho·wo`), so each
-    // group runs a single wide GEMM instead of one skinny GEMM per sample.
-    // Every output element's reduction order over `col_rows` is unchanged,
-    // so results are bitwise identical to the per-sample formulation on
-    // the scalar path.
-    #[cfg(target_arch = "x86_64")]
-    if matches!(kernel::active_backend(), crate::Backend::Avx2Fma) && fused::supported(spec, wo, ho)
-    {
-        let mut out = Tensor::zeros([n, spec.out_channels, ho, wo]);
-        fused::run(input, weight, &mut out, spec, n, cin, h, w, ho, wo);
-        add_bias(&mut out, bias, spec, n, ho * wo);
-        return out;
-    }
-    // Samples are processed in chunks sized so the shared column matrix
-    // stays L2-resident (≈96 KiB): im2col writes it and the GEMM reads it
-    // straight back while hot. One wide GEMM per (group, chunk) instead
-    // of one skinny GEMM per sample.
-    let chunk = (96 * 1024 / (col_rows * howo * 4)).clamp(1, n.max(1));
-    let ld = pad_stride(chunk * howo);
-    let mut out = Tensor::zeros([n, spec.out_channels, ho, wo]);
+    let (chunk, ld) = im2col_chunk(n, col_rows, howo);
     let wdat = weight.data();
     FWD_SCRATCH.with(|scratch| {
         let mut scratch = scratch.borrow_mut();
@@ -684,8 +1075,6 @@ pub fn conv2d_forward(
             s0 += sc;
         }
     });
-    add_bias(&mut out, bias, spec, n, ho * wo);
-    out
 }
 
 /// Adds the per-channel bias over all spatial positions.

@@ -50,7 +50,7 @@ use std::sync::OnceLock;
 const MC: usize = 64;
 /// Depth-block size: the shared dimension is consumed KC at a time so one
 /// packed A panel (MC×KC) fits comfortably in L2.
-const KC: usize = 256;
+pub(crate) const KC: usize = 256;
 /// Column-block size: packed B panel (KC×NC) sized for L3/L2 residency.
 const NC: usize = 1024;
 /// Microkernel register tile: 8 rows × 8 columns of C.
@@ -66,7 +66,7 @@ pub const SIMD_FLOP_THRESHOLD: usize = 4096;
 /// the packed B panel is used once or twice, so packing costs more than
 /// the multiply (im2col convolutions sit squarely in this regime).
 #[cfg(target_arch = "x86_64")]
-const SKINNY_M_MAX: usize = 16;
+pub(crate) const SKINNY_M_MAX: usize = 16;
 
 /// A compute backend for the f32 GEMM kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -30,7 +30,10 @@ mod pool;
 mod shape;
 mod tensor;
 
-pub use conv::{conv2d_backward, conv2d_forward, im2col, im2col_ld, Conv2dGrads, Conv2dSpec};
+pub use conv::{
+    conv2d_backward, conv2d_forward, conv2d_forward_im2col, conv2d_path, im2col, im2col_ld,
+    Conv2dGrads, Conv2dSpec, ConvPath,
+};
 pub use gemm::{matmul, matmul_a_bt, matmul_at_b, transpose};
 pub use kernel::{active_backend, cpu_features, force_backend, kernel_name, Backend};
 pub use pool::{

@@ -1,14 +1,18 @@
 //! Property-based tests for the dispatching kernel layer: every SIMD
 //! backend must agree with the frozen scalar reference within a
-//! ULP-scaled tolerance on float GEMM and convolution, and `im2col` must
-//! match its definition bit for bit. The evaluation-mode GELU and softmax
+//! ULP-scaled tolerance on float GEMM and convolution, `im2col` must
+//! match its definition bit for bit, and the dispatched dense convolution
+//! must equal the im2col + GEMM reference bit for bit. The evaluation-mode GELU and softmax
 //! must match an f64 reference on every backend, keep each output a pure
 //! function of its input, and stay bitwise frozen on the scalar backend.
 
 use clado_tensor::kernel::{
     attention, gelu_with, sgemm_overwrite, sgemm_with, softmax_rows_with, SIMD_FLOP_THRESHOLD,
 };
-use clado_tensor::{conv2d_forward, im2col_ld, Backend, Conv2dSpec, Tensor};
+use clado_tensor::{
+    active_backend, conv2d_forward, conv2d_forward_im2col, conv2d_path, im2col_ld, Backend,
+    Conv2dSpec, ConvPath, Tensor,
+};
 use proptest::prelude::*;
 
 /// Backends available on this host (scalar always included).
@@ -113,23 +117,25 @@ proptest! {
         }
     }
 
-    /// The dispatched convolution (fused, chunked-batch, or scalar im2col
-    /// path, depending on backend and geometry) matches a naive direct
-    /// convolution within a ULP-scaled tolerance. Shapes sweep padding,
-    /// stride, groups, k = 1, and the fused-path widths (wo ∈ {4, 8, 16}).
+    /// The dispatched convolution (fused, direct, chunked-batch, or scalar
+    /// im2col path, depending on backend and geometry) matches a naive
+    /// direct convolution within a ULP-scaled tolerance. Shapes sweep
+    /// padding, stride 1 and 2, groups, k = 1, output widths 1 and 2, the
+    /// fused-path widths (wo ∈ {4, 8, 16}), and dense output channel
+    /// counts on both sides of 8 and 16.
     #[test]
     fn conv_forward_matches_naive(
         n in 1usize..3,
-        hw_sel in 0usize..4,
+        hw_sel in 0usize..6,
         kernel_sel in 0usize..2,
         stride in 1usize..3,
         padding in 0usize..2,
         groups_sel in 0usize..3,
         cg in 1usize..4,
-        cout_mult in 1usize..6,
+        cout_mult in 1usize..18,
         seed in 0u64..1_000,
     ) {
-        let hw = [4usize, 7, 8, 16][hw_sel];
+        let hw = [1usize, 2, 4, 7, 8, 16][hw_sel];
         let kernel = [1usize, 3][kernel_sel];
         if hw + 2 * padding < kernel {
             return Ok(());
@@ -233,6 +239,229 @@ proptest! {
                     row += 1;
                 }
             }
+        }
+    }
+}
+
+/// Every dense (`groups == 1`) conv geometry of the six zoo models at the
+/// default 16×16 input: `(model, cin, cout, k, stride, padding, input
+/// side)`. The depthwise and grouped convs of mobilenet and regnet never
+/// reach the direct path.
+const ZOO_DENSE_CONVS: &[(&str, usize, usize, usize, usize, usize, usize)] = &[
+    ("resnet20", 3, 4, 3, 1, 1, 16),
+    ("resnet20", 4, 4, 3, 1, 1, 16),
+    ("resnet20", 4, 8, 3, 2, 1, 16),
+    ("resnet20", 4, 8, 1, 2, 0, 16),
+    ("resnet20", 8, 8, 3, 1, 1, 8),
+    ("resnet20", 8, 12, 3, 2, 1, 8),
+    ("resnet20", 8, 12, 1, 2, 0, 8),
+    ("resnet20", 12, 12, 3, 1, 1, 4),
+    ("resnet34", 3, 6, 3, 1, 1, 16),
+    ("resnet34", 6, 6, 3, 1, 1, 16),
+    ("resnet34", 6, 8, 3, 2, 1, 16),
+    ("resnet34", 6, 8, 1, 2, 0, 16),
+    ("resnet34", 8, 8, 3, 1, 1, 8),
+    ("resnet34", 8, 12, 3, 2, 1, 8),
+    ("resnet34", 8, 12, 1, 2, 0, 8),
+    ("resnet34", 12, 12, 3, 1, 1, 4),
+    ("resnet34", 12, 16, 3, 2, 1, 4),
+    ("resnet34", 12, 16, 1, 2, 0, 4),
+    ("resnet34", 16, 16, 3, 1, 1, 2),
+    ("resnet50", 3, 6, 3, 1, 1, 16),
+    ("resnet50", 6, 6, 1, 1, 0, 16),
+    ("resnet50", 6, 6, 3, 1, 1, 16),
+    ("resnet50", 6, 12, 1, 1, 0, 16),
+    ("resnet50", 12, 8, 1, 1, 0, 16),
+    ("resnet50", 8, 8, 3, 2, 1, 16),
+    ("resnet50", 12, 16, 1, 2, 0, 16),
+    ("resnet50", 16, 8, 1, 1, 0, 8),
+    ("resnet50", 8, 8, 3, 1, 1, 8),
+    ("resnet50", 8, 16, 1, 1, 0, 8),
+    ("resnet50", 16, 12, 1, 1, 0, 8),
+    ("resnet50", 12, 12, 3, 2, 1, 8),
+    ("resnet50", 16, 24, 1, 2, 0, 8),
+    ("resnet50", 24, 12, 1, 1, 0, 4),
+    ("resnet50", 12, 24, 1, 1, 0, 4),
+    ("resnet50", 24, 16, 1, 1, 0, 4),
+    ("resnet50", 16, 16, 3, 2, 1, 4),
+    ("resnet50", 24, 32, 1, 2, 0, 4),
+    ("resnet50", 16, 32, 1, 1, 0, 2),
+    ("mobilenet", 3, 8, 3, 1, 1, 16),
+    ("mobilenet", 8, 8, 1, 1, 0, 16),
+    ("mobilenet", 8, 24, 1, 1, 0, 16),
+    ("mobilenet", 8, 12, 1, 2, 0, 16),
+    ("mobilenet", 24, 12, 1, 1, 0, 8),
+    ("mobilenet", 12, 36, 1, 1, 0, 8),
+    ("mobilenet", 36, 12, 1, 1, 0, 8),
+    ("mobilenet", 12, 48, 1, 1, 0, 8),
+    ("mobilenet", 12, 16, 1, 2, 0, 8),
+    ("mobilenet", 48, 16, 1, 1, 0, 4),
+    ("mobilenet", 16, 64, 1, 1, 0, 4),
+    ("mobilenet", 16, 24, 1, 2, 0, 4),
+    ("mobilenet", 64, 24, 1, 1, 0, 2),
+    ("mobilenet", 24, 32, 1, 1, 0, 2),
+    ("regnet", 3, 8, 3, 1, 1, 16),
+    ("regnet", 8, 8, 1, 1, 0, 16),
+    ("regnet", 8, 16, 1, 1, 0, 16),
+    ("regnet", 8, 16, 1, 2, 0, 16),
+    ("regnet", 16, 16, 1, 1, 0, 8),
+    ("regnet", 16, 24, 1, 1, 0, 8),
+    ("regnet", 16, 24, 1, 2, 0, 8),
+    ("regnet", 24, 24, 1, 1, 0, 4),
+    ("vit", 3, 24, 4, 4, 0, 16),
+];
+
+/// Geometries at the edges of the direct path's eligibility and layout.
+const EDGE_CONVS: &[(&str, usize, usize, usize, usize, usize, usize)] = &[
+    // Depth 288 > KC: the blocked GEMM splits it, so cout = 16 must stay
+    // on im2col while cout = 8 (skinny GEMM, unsplit) may go direct.
+    ("k>256 cout16", 32, 16, 3, 1, 1, 2),
+    ("k>256 cout8", 32, 8, 3, 1, 1, 2),
+    // Output channels that fill neither 8 nor 16 lanes.
+    ("cout 20", 8, 20, 3, 1, 1, 2),
+    ("cout 3", 4, 3, 3, 2, 1, 8),
+    // Output width 1.
+    ("wo 1 stride 2", 16, 16, 3, 2, 1, 2),
+    ("wo 1 from 1x1", 8, 8, 1, 1, 0, 1),
+    // Stride 4 with padding, and 5×5 kernels.
+    ("stride 4", 3, 16, 4, 4, 1, 14),
+    ("k 5", 4, 8, 5, 1, 2, 5),
+    ("k 5 stride 2", 6, 16, 5, 2, 2, 9),
+];
+
+/// Runs one geometry at batch `n` both ways, requires equal bits (within
+/// rounding on the fused width-4 branch), and returns the path the
+/// dispatcher took with the reference output.
+fn dispatched_equals_im2col(
+    label: &str,
+    (cin, cout, k, stride, pad, hw): (usize, usize, usize, usize, usize, usize),
+    n: usize,
+    input_fill: &dyn Fn(usize) -> Vec<f32>,
+    weight_fill: &dyn Fn(usize) -> Vec<f32>,
+    bias: bool,
+) -> (ConvPath, Tensor) {
+    let spec = Conv2dSpec::new(cin, cout, k, stride, pad);
+    let input = Tensor::from_vec([n, cin, hw, hw], input_fill(n * cin * hw * hw)).unwrap();
+    let weight = Tensor::from_vec(spec.weight_shape(), weight_fill(spec.weight_numel())).unwrap();
+    let bias = bias.then(|| Tensor::from_vec([cout], fill(cout, 7)).unwrap());
+    let got = conv2d_forward(&input, &weight, bias.as_ref(), &spec);
+    let want = conv2d_forward_im2col(&input, &weight, bias.as_ref(), &spec);
+    let path = conv2d_path(&spec, n, hw, hw);
+    // The fused kernel's width-4 branch multiplies and adds instead of
+    // fusing them: the one AVX2 conv whose arithmetic is not the GEMM's.
+    let exact = !(path == ConvPath::Fused && spec.out_size(hw) == 4);
+    assert_eq!(got.shape(), want.shape());
+    for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+        assert!(
+            if exact {
+                g.to_bits() == w.to_bits()
+            } else {
+                (g - w).abs() <= 1e-5 * w.abs().max(1.0)
+            },
+            "{label} {spec:?} batch {n} on {path:?}: element {i} is {g:e}, im2col gives {w:e}"
+        );
+    }
+    (path, want)
+}
+
+/// `conv2d_forward` equals the im2col + `sgemm_overwrite` reference bit
+/// for bit on every dense zoo geometry and the edge geometries (except on
+/// the fused kernel's width-4 branch, which rounds differently), at batch
+/// sizes on both sides of the GEMM's scalar threshold. On AVX2 it also
+/// pins which geometries take the direct path; elsewhere the dispatcher
+/// has no direct path and the test says which fallback it compared.
+#[test]
+fn dense_conv_forward_equals_im2col_reference_bitwise() {
+    let backend = active_backend();
+    let mut census = [0usize; 3];
+    for (i, &(label, cin, cout, k, stride, pad, hw)) in
+        ZOO_DENSE_CONVS.iter().chain(EDGE_CONVS).enumerate()
+    {
+        let geometry = (cin, cout, k, stride, pad, hw);
+        for n in [1, 3, 8, 16, 64] {
+            let seed = (i * 100 + n) as u64;
+            let (path, _) = dispatched_equals_im2col(
+                label,
+                geometry,
+                n,
+                &|len| fill(len, seed),
+                &|len| fill(len, seed + 1),
+                true,
+            );
+            census[path as usize] += 1;
+        }
+    }
+    let path = |label: &str, n: usize| {
+        let &(_, cin, cout, k, stride, pad, hw) = ZOO_DENSE_CONVS
+            .iter()
+            .chain(EDGE_CONVS)
+            .find(|g| g.0 == label)
+            .unwrap();
+        conv2d_path(&Conv2dSpec::new(cin, cout, k, stride, pad), n, hw, hw)
+    };
+    if backend == Backend::Avx2Fma {
+        // resnet34-mini's layer4 conv and its downsample at probe batch.
+        let layer4 = ZOO_DENSE_CONVS[18];
+        let spec = Conv2dSpec::new(layer4.1, layer4.2, layer4.3, layer4.4, layer4.5);
+        assert_eq!(conv2d_path(&spec, 64, 2, 2), ConvPath::Direct);
+        assert_eq!(path("k>256 cout16", 64), ConvPath::Im2col);
+        assert_eq!(path("k>256 cout8", 64), ConvPath::Direct);
+        // 1×1 stride-2 12→16 on 4×4: below the GEMM's SIMD threshold at
+        // batch 1 and 3 (scalar multiply-then-add), above it at 8.
+        let downsample = Conv2dSpec::new(12, 16, 1, 2, 0);
+        assert_eq!(conv2d_path(&downsample, 1, 4, 4), ConvPath::Im2col);
+        assert_eq!(conv2d_path(&downsample, 3, 4, 4), ConvPath::Im2col);
+        assert_eq!(conv2d_path(&downsample, 8, 4, 4), ConvPath::Direct);
+        assert_eq!(path("stride 4", 64), ConvPath::Direct);
+        assert_eq!(path("k 5", 64), ConvPath::Direct);
+    } else {
+        assert_eq!(census[ConvPath::Direct as usize], 0);
+    }
+    let note = if backend == Backend::Avx2Fma {
+        ""
+    } else {
+        "; no direct path on this backend, so every run compared the fallback"
+    };
+    eprintln!(
+        "backend {}: fused {}, direct {}, im2col {} runs equal to the reference{note}",
+        backend.name(),
+        census[ConvPath::Fused as usize],
+        census[ConvPath::Direct as usize],
+        census[ConvPath::Im2col as usize]
+    );
+}
+
+/// The sign of a zero sum: products that all underflow to −0 leave the
+/// FMA chain at −0. The skinny GEMM (cout < 16) stores that; the blocked
+/// GEMM adds it to a zeroed output and lands on +0. The dispatched conv
+/// must reproduce both.
+#[test]
+fn dense_conv_forward_keeps_the_gemm_sign_of_zero() {
+    for (label, geometry, want_negative) in [
+        ("cout 8", (16, 8, 3, 1, 1, 2), true),
+        ("cout 16", (16, 16, 3, 1, 1, 2), false),
+    ] {
+        let (_, want) = dispatched_equals_im2col(
+            label,
+            geometry,
+            64,
+            &|len| vec![1e-30; len],
+            &|len| vec![-1e-30; len],
+            false,
+        );
+        let negative = want
+            .data()
+            .iter()
+            .all(|v| v.to_bits() == (-0.0f32).to_bits());
+        let positive = want.data().iter().all(|v| v.to_bits() == 0);
+        if active_backend() == Backend::Scalar {
+            // Scalar multiply-then-add from +0: +0 + −0 = +0.
+            assert!(positive, "{label}: scalar reference must read +0");
+        } else {
+            assert!(
+                if want_negative { negative } else { positive },
+                "{label}: reference zeros have the wrong sign"
+            );
         }
     }
 }
