@@ -174,19 +174,23 @@ impl Args {
             .transpose()
     }
 
-    /// Comma-separated `u8` list (e.g. `--bits 2,4,8`).
+    /// Comma-separated typed list (e.g. `--bits 2,4,8`).
     ///
     /// # Errors
     ///
     /// Returns [`ArgsError`] on parse failure.
-    pub fn u8_list_or(&self, key: &str, default: &[u8]) -> Result<Vec<u8>, ArgsError> {
+    pub fn list_or<T: std::str::FromStr + Clone>(
+        &self,
+        key: &str,
+        default: &[T],
+    ) -> Result<Vec<T>, ArgsError> {
         match self.get(key) {
             None => Ok(default.to_vec()),
             Some(v) => v
                 .split(',')
                 .map(|p| {
                     p.trim()
-                        .parse::<u8>()
+                        .parse::<T>()
                         .map_err(|_| ArgsError(format!("invalid entry `{p}` in --{key}")))
                 })
                 .collect(),
@@ -254,10 +258,10 @@ mod tests {
     #[test]
     fn bit_lists() {
         let a = parse(&["x", "--bits", "2,4,8"]).unwrap();
-        assert_eq!(a.u8_list_or("bits", &[8]).unwrap(), vec![2, 4, 8]);
-        assert_eq!(a.u8_list_or("other", &[8]).unwrap(), vec![8]);
+        assert_eq!(a.list_or("bits", &[8u8]).unwrap(), vec![2, 4, 8]);
+        assert_eq!(a.list_or("other", &[8u8]).unwrap(), vec![8]);
         let bad = parse(&["x", "--bits", "2,nope"]).unwrap();
-        assert!(bad.u8_list_or("bits", &[8]).is_err());
+        assert!(bad.list_or("bits", &[8u8]).is_err());
     }
 
     #[test]

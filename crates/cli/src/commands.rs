@@ -67,7 +67,10 @@ COMMANDS:
                                   regret of the exact Ω of a second sensitivity
                                   set (set seed + 1000)
                [--estimator blocktopk|all (default all, which is blocktopk)]
-               [--probe-budget N (0 = 25% of the full sweep)]
+               [--probe-budget N[,N…] (0 = 25% of the full sweep); a list
+                                  reuses one exact and one floor sweep and
+                                  keys the manifest's regret_blocktopk.N and
+                                  probe_fraction.N by budget]
                [--avg-bits 4.0   regret budget]
                [--set-size 128] [--set-seed 0] [--bits 2,4,8]
                [--scheme symmetric|affine] [--threads N] [--no-prefix-cache]
@@ -533,7 +536,7 @@ pub fn cmd_sensitivity(args: &Args) -> Result<(), Box<dyn Error>> {
     let out: PathBuf = PathBuf::from(args.require::<String>("out")?);
     let set_size: usize = args.get_or("set-size", 128)?;
     let set_seed: u64 = args.get_or("set-seed", 0)?;
-    let bits = BitWidthSet::new(&args.u8_list_or("bits", &[2, 4, 8])?);
+    let bits = BitWidthSet::new(&args.list_or("bits", &[2u8, 4, 8])?);
     let scheme = scheme_of(args)?;
     let checkpoint_dir = args.get("checkpoint-dir").map(PathBuf::from);
     let resume = args.switch("resume");
@@ -758,15 +761,18 @@ pub fn cmd_estimate(args: &Args) -> Result<(), Box<dyn Error>> {
     let kind = model_kind(args.require::<String>("model")?.as_str())?;
     let set_size: usize = args.get_or("set-size", 128)?;
     let set_seed: u64 = args.get_or("set-seed", 0)?;
-    let bits = BitWidthSet::new(&args.u8_list_or("bits", &[2, 4, 8])?);
+    let bits = BitWidthSet::new(&args.list_or("bits", &[2u8, 4, 8])?);
     let scheme = scheme_of(args)?;
     let avg_bits: f64 = args.get_or("avg-bits", 4.0)?;
-    let probe_budget: usize = args.get_or("probe-budget", 0)?;
+    let probe_budgets: Vec<usize> = args.list_or("probe-budget", &[0])?;
     let est_kind: EstimatorKind = match args.get("estimator").unwrap_or("all") {
         "all" => EstimatorKind::BlockTopK,
         name => name.parse().map_err(ArgsError)?,
     };
     let out = args.get("out").map(PathBuf::from);
+    if out.is_some() && probe_budgets.len() > 1 {
+        return Err(ArgsError("--out takes a single --probe-budget".into()).into());
+    }
 
     let (mut p, sens_set) = load_with_set(&run, kind, set_size, set_seed);
     let floor_seed = set_seed.wrapping_add(1000);
@@ -821,45 +827,68 @@ pub fn cmd_estimate(args: &Args) -> Result<(), Box<dyn Error>> {
     run.info(&format!(
         "noise floor (exact Ω of set seed {floor_seed}): regret: {floor}"
     ));
-    let est = estimate_sensitivities(
-        &mut p.network,
-        &sens_set,
-        &bits,
-        &EstimatorOptions {
-            probe_budget,
-            measure: measure.clone(),
-            ..EstimatorOptions::new(est_kind)
-        },
-    )?;
-    let regret = held_out_regret(&mut p.network, &est.matrix)?;
-    let report = build_report(est_kind, &est, Some(&exact), Some(regret));
-    println!("{report}");
-    run.telemetry.set_gauge(
-        &format!("estim.{est_kind}.probe_fraction"),
-        report.probe_fraction,
-    );
-    run.telemetry
-        .set_gauge(&format!("estim.{est_kind}.regret"), regret.relative);
-    if let Some(path) = &out {
-        let _s = run.telemetry.span("save");
-        save_sensitivities(&est.matrix, path)?;
-        run.info(&format!(
-            "wrote Ω̂ ({}) → {}",
-            est.matrix.stats.provenance,
-            path.display()
-        ));
+    // One estimate per budget against the one exact and floor sweep. A
+    // single budget keeps the plain manifest keys; a list keys each
+    // regret and probe fraction by its budget.
+    let mut config: Vec<(String, ManifestValue)> = vec![
+        ("model".into(), kind.id().into()),
+        ("bits".into(), bits.to_string().into()),
+        ("avg_bits".into(), avg_bits.into()),
+        ("regret_floor".into(), floor.relative.into()),
+    ];
+    let single = probe_budgets.len() == 1;
+    for &probe_budget in &probe_budgets {
+        let est = estimate_sensitivities(
+            &mut p.network,
+            &sens_set,
+            &bits,
+            &EstimatorOptions {
+                probe_budget,
+                measure: measure.clone(),
+                ..EstimatorOptions::new(est_kind)
+            },
+        )?;
+        let regret = held_out_regret(&mut p.network, &est.matrix)?;
+        let report = build_report(est_kind, &est, Some(&exact), Some(regret));
+        println!("{report}");
+        if single {
+            run.telemetry.set_gauge(
+                &format!("estim.{est_kind}.probe_fraction"),
+                report.probe_fraction,
+            );
+            run.telemetry
+                .set_gauge(&format!("estim.{est_kind}.regret"), regret.relative);
+            config.push(("probe_budget".into(), probe_budget.into()));
+            config.push(("regret_blocktopk".into(), regret.relative.into()));
+        } else {
+            config.push((
+                format!("probe_fraction.{probe_budget}"),
+                report.probe_fraction.into(),
+            ));
+            config.push((
+                format!("regret_blocktopk.{probe_budget}"),
+                regret.relative.into(),
+            ));
+        }
+        if let Some(path) = &out {
+            let _s = run.telemetry.span("save");
+            save_sensitivities(&est.matrix, path)?;
+            run.info(&format!(
+                "wrote Ω̂ ({}) → {}",
+                est.matrix.stats.provenance,
+                path.display()
+            ));
+        }
     }
-    run.finish(
-        "estimate",
-        &[
-            ("model", kind.id().into()),
-            ("bits", bits.to_string().into()),
-            ("avg_bits", avg_bits.into()),
-            ("probe_budget", probe_budget.into()),
-            ("regret_floor", floor.relative.into()),
-            ("regret_blocktopk", regret.relative.into()),
-        ],
-    )
+    if !single {
+        let list: Vec<String> = probe_budgets.iter().map(usize::to_string).collect();
+        config.push(("probe_budget".into(), list.join(",").into()));
+    }
+    let config: Vec<(&str, ManifestValue)> = config
+        .iter()
+        .map(|(k, v)| (k.as_str(), v.clone()))
+        .collect();
+    run.finish("estimate", &config)
 }
 
 /// `clado worker --connect <addr>`
@@ -1052,7 +1081,7 @@ pub fn cmd_submit(args: &Args) -> Result<(), Box<dyn Error>> {
         set_size: args.get_or("set-size", 128)?,
         set_seed: args.get_or("set-seed", 0)?,
         batch_size: args.get_or("batch-size", 64)?,
-        bits: args.u8_list_or("bits", &[2, 4, 8])?,
+        bits: args.list_or("bits", &[2u8, 4, 8])?,
         scheme: scheme_to_u8(scheme_of(args)?),
         use_prefix_cache: !args.switch("no-prefix-cache"),
         estimator: estimator.map_or(0, |k| k.tag()),
@@ -1335,7 +1364,7 @@ pub fn cmd_chaos(args: &Args) -> Result<(), Box<dyn Error>> {
     // relaunched) daemon address from the outer loop, so long backoff
     // against a dead endpoint would only stall the soak.
     let connect_retries: u32 = args.get_or("connect-retries", 2)?;
-    let bits = args.u8_list_or("bits", &[4, 8])?;
+    let bits = args.list_or("bits", &[4u8, 8])?;
     if configs == 0 || clients == 0 {
         return Err(Box::new(ArgsError(
             "--configs and --clients must be positive".into(),
@@ -1731,7 +1760,7 @@ pub fn cmd_assign(args: &Args) -> Result<(), Box<dyn Error>> {
     let avg_bits: f64 = args.require("avg-bits")?;
     let scheme = scheme_of(args)?;
     let algorithm = algorithm_of(args)?;
-    let bits = BitWidthSet::new(&args.u8_list_or("bits", &[2, 4, 8])?);
+    let bits = BitWidthSet::new(&args.list_or("bits", &[2u8, 4, 8])?);
     let set_size: usize = args.get_or("set-size", 128)?;
     let set_seed: u64 = args.get_or("set-seed", 0)?;
     let stored = stored_omega(args, algorithm)?;
@@ -1796,7 +1825,7 @@ pub fn cmd_sweep(args: &Args) -> Result<(), Box<dyn Error>> {
     }
     let algorithm = algorithm_of(args)?;
     let scheme = scheme_of(args)?;
-    let bits = BitWidthSet::new(&args.u8_list_or("bits", &[2, 4, 8])?);
+    let bits = BitWidthSet::new(&args.list_or("bits", &[2u8, 4, 8])?);
     let set_size: usize = args.get_or("set-size", 128)?;
     let set_seed: u64 = args.get_or("set-seed", 0)?;
     let stored = stored_omega(args, algorithm)?;
@@ -1852,7 +1881,7 @@ pub fn cmd_sweep(args: &Args) -> Result<(), Box<dyn Error>> {
 pub fn cmd_eval(args: &Args) -> Result<(), Box<dyn Error>> {
     let run = RunContext::from_args(args)?;
     let kind = model_kind(args.require::<String>("model")?.as_str())?;
-    let map = args.u8_list_or("map", &[])?;
+    let map = args.list_or::<u8>("map", &[])?;
     let scheme = scheme_of(args)?;
     let mut p = {
         let _s = run.telemetry.span("load");
@@ -1909,7 +1938,7 @@ pub fn cmd_stress(args: &Args) -> Result<(), Box<dyn Error>> {
     let layers: usize = args.get_or("layers", 32)?;
     let seed: u64 = args.get_or("seed", 7)?;
     let avg_bits: f64 = args.get_or("avg-bits", 4.0)?;
-    let bits = args.u8_list_or("bits", &[2, 4, 8])?;
+    let bits = args.list_or("bits", &[2u8, 4, 8])?;
     if layers == 0 || bits.is_empty() {
         return Err(Box::new(ArgsError(
             "stress needs at least one layer and one bit-width".into(),

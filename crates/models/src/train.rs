@@ -79,7 +79,8 @@ pub fn train(
     }
 }
 
-/// Top-1 accuracy of `network` on a split (evaluation mode), in `[0, 1]`.
+/// Top-1 accuracy of `network` on a split (evaluation mode, through
+/// [`Network::infer`]), in `[0, 1]`.
 pub fn evaluate(network: &mut Network, split: &DataSplit) -> f64 {
     evaluate_batched(network, split, 64)
 }
@@ -89,20 +90,21 @@ pub fn evaluate_batched(network: &mut Network, split: &DataSplit, batch_size: us
     let mut correct_weighted = 0.0f64;
     for (x, labels) in split.batches(batch_size) {
         let n = labels.len() as f64;
-        let logits = network.forward(x, false);
+        let logits = network.infer(x);
         correct_weighted += top1_accuracy(&logits, &labels) * n;
     }
     correct_weighted / split.len() as f64
 }
 
-/// Mean cross-entropy loss of `network` on a split (evaluation mode).
+/// Mean cross-entropy loss of `network` on a split (evaluation mode,
+/// through [`Network::infer`]).
 ///
 /// This is the `L(·)` that Algorithm 1 measures on the sensitivity set.
 pub fn mean_loss(network: &mut Network, split: &DataSplit, batch_size: usize) -> f64 {
     let mut loss_weighted = 0.0f64;
     for (x, labels) in split.batches(batch_size) {
         let n = labels.len() as f64;
-        let logits = network.forward(x, false);
+        let logits = network.infer(x);
         loss_weighted += clado_nn::cross_entropy_loss(&logits, &labels) * n;
     }
     loss_weighted / split.len() as f64

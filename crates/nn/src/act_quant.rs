@@ -57,6 +57,24 @@ impl ActQuant {
     fn qmax(&self) -> f32 {
         ((1i32 << (self.bits - 1)) - 1) as f32
     }
+
+    /// The quantization step, 0 before any calibration.
+    fn scale(&self) -> f32 {
+        self.absmax() / self.qmax()
+    }
+
+    /// Fake-quantizes `x` in place with the current estimate; the
+    /// identity while the estimate is 0.
+    fn quantize_in_place(&self, x: &mut Tensor) {
+        if self.absmax() == 0.0 {
+            return;
+        }
+        let (qmax, scale) = (self.qmax(), self.scale());
+        let inv = 1.0 / scale;
+        for v in x.data_mut() {
+            *v = (*v * inv).round().clamp(-qmax - 1.0, qmax) * scale;
+        }
+    }
 }
 
 impl Layer for ActQuant {
@@ -70,17 +88,16 @@ impl Layer for ActQuant {
                 (1.0 - CALIB_MOMENTUM) * *est + CALIB_MOMENTUM * batch_absmax
             };
         }
-        let absmax = self.absmax.value.data()[0];
-        if absmax == 0.0 {
-            self.cache = Some((x.clone(), 0.0));
-            return x;
-        }
-        let qmax = self.qmax();
-        let scale = absmax / qmax;
-        let inv = 1.0 / scale;
-        let out = x.map(|v| (v * inv).round().clamp(-qmax - 1.0, qmax) * scale);
+        let scale = self.scale();
+        let mut out = x.clone();
+        self.quantize_in_place(&mut out);
         self.cache = Some((x, scale));
         out
+    }
+
+    fn infer(&self, mut x: Tensor) -> Tensor {
+        self.quantize_in_place(&mut x);
+        x
     }
 
     fn backward(&mut self, d_out: Tensor) -> Tensor {

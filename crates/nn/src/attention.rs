@@ -119,6 +119,35 @@ impl Layer for MultiHeadAttention {
         out
     }
 
+    /// The three projections read one 2-D view of `x`; the maps are
+    /// scratch, dropped with the call.
+    fn infer(&self, x: Tensor) -> Tensor {
+        let sh = x.shape();
+        assert_eq!(sh.ndim(), 3, "attention expects [N, T, D] input, got {sh}");
+        let (n, t) = (sh.dim(0), sh.dim(1));
+        let x2 = self.wq.to_2d(x);
+        let (q, k, v) = (
+            self.wq.affine(&x2),
+            self.wk.affine(&x2),
+            self.wv.affine(&x2),
+        );
+        drop(x2);
+        let mut concat = Tensor::zeros([n, t, self.dim]);
+        let mut maps = vec![0.0f32; n * self.heads * t * t];
+        kernel::attention(
+            active_backend(),
+            q.data(),
+            k.data(),
+            v.data(),
+            concat.data_mut(),
+            &mut maps,
+            n,
+            t,
+            self.heads,
+        );
+        self.wo.infer(concat)
+    }
+
     fn backward(&mut self, d_out: Tensor) -> Tensor {
         let cache = self
             .cache
@@ -227,6 +256,17 @@ impl Layer for TransformerBlock {
         let m = self.act.forward(m, training);
         let m = self.fc2.forward(m, training);
         &y + &m
+    }
+
+    /// Both residual sums land in place in the block input's buffer.
+    fn infer(&self, x: Tensor) -> Tensor {
+        let a = self.attn.infer(self.ln1.infer(x.clone()));
+        let mut y = x;
+        y += &a;
+        let m = self.ln2.infer(y.clone());
+        let m = self.fc2.infer(self.act.infer(self.fc1.infer(m)));
+        y += &m;
+        y
     }
 
     fn backward(&mut self, d_out: Tensor) -> Tensor {

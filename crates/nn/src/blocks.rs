@@ -2,7 +2,7 @@
 
 use crate::conv_layer::Conv2d;
 use crate::dense::Linear;
-use crate::layer::{join, ActKind, Layer, Sequential};
+use crate::layer::{activate_in_place, join, ActKind, Layer, Sequential};
 use crate::param::{Param, ParamVisitor, ParamVisitorRef};
 use clado_tensor::{ops, Shape, Tensor};
 use rand::Rng;
@@ -48,6 +48,21 @@ impl Layer for ResidualBlock {
             None => sum.clone(),
         };
         self.cache = Some((sum, None));
+        out
+    }
+
+    /// The sum and the post-activation are done in place in the main
+    /// branch's output.
+    fn infer(&self, x: Tensor) -> Tensor {
+        let mut out = self.main.infer(x.clone());
+        let short = match &self.shortcut {
+            Some(s) => s.infer(x),
+            None => x,
+        };
+        out += &short;
+        if let Some(kind) = self.post_act {
+            activate_in_place(kind, &mut out);
+        }
         out
     }
 
@@ -137,24 +152,20 @@ impl Layer for SqueezeExcite {
         let h = ops::relu_forward(&h);
         let g = self.fc2.forward(h.clone(), training);
         let gates = ops::sigmoid_forward(&g);
-        // Scale channels.
-        let sh = x.shape();
-        let d = sh.dims();
-        let (n, c, hh, ww) = (d[0], d[1], d[2], d[3]);
         let mut out = x.clone();
-        for s in 0..n {
-            for ch in 0..c {
-                let gate = gates.data()[s * c + ch];
-                let base = (s * c + ch) * hh * ww;
-                for v in &mut out.data_mut()[base..base + hh * ww] {
-                    *v *= gate;
-                }
-            }
-        }
+        scale_channels(&mut out, &gates);
         let _ = training;
         self.cache = Some(SeCache { input: x, gates });
         self.relu_input = Some(h);
         out
+    }
+
+    fn infer(&self, mut x: Tensor) -> Tensor {
+        let mut h = self.fc1.infer(clado_tensor::global_avg_pool_forward(&x));
+        activate_in_place(ActKind::Relu, &mut h);
+        let gates = ops::sigmoid_forward(&self.fc2.infer(h));
+        scale_channels(&mut x, &gates);
+        x
     }
 
     fn backward(&mut self, d_out: Tensor) -> Tensor {
@@ -207,6 +218,15 @@ impl Layer for SqueezeExcite {
     }
 }
 
+/// Multiplies every `[H, W]` plane of `x` (`[N, C, H, W]`) by its gate
+/// (`[N, C]`).
+fn scale_channels(x: &mut Tensor, gates: &Tensor) {
+    let plane = x.shape().dims()[2..].iter().product::<usize>();
+    for (p, &gate) in x.data_mut().chunks_exact_mut(plane).zip(gates.data()) {
+        p.iter_mut().for_each(|v| *v *= gate);
+    }
+}
+
 /// Patch embedding: a stride-`p` convolution followed by flattening the
 /// spatial grid into tokens `[N, T, D]`, plus a learned positional
 /// embedding.
@@ -253,15 +273,12 @@ impl PatchEmbed {
     pub fn tokens(&self) -> usize {
         self.tokens
     }
-}
 
-impl Layer for PatchEmbed {
-    fn forward(&mut self, x: Tensor, training: bool) -> Tensor {
-        let y = self.conv.forward(x, training); // [N, D, g, g]
-        let sh = y.shape();
-        let d = sh.dims();
-        let (n, dim, g1, g2) = (d[0], d[1], d[2], d[3]);
-        let t = g1 * g2;
+    /// `[N, D, g, g]` conv output → `[N, T, D]` tokens plus the positional
+    /// embedding.
+    fn tokenize(&self, y: &Tensor) -> Tensor {
+        let d = y.shape().dims().to_vec();
+        let (n, dim, t) = (d[0], d[1], d[2] * d[3]);
         debug_assert_eq!(t, self.tokens);
         // [N, D, T] → [N, T, D] transpose.
         let mut out = Tensor::zeros([n, t, dim]);
@@ -282,9 +299,19 @@ impl Layer for PatchEmbed {
                 }
             }
         }
-        let _ = training;
-        self.cache_shape = Some(sh);
         out
+    }
+}
+
+impl Layer for PatchEmbed {
+    fn forward(&mut self, x: Tensor, training: bool) -> Tensor {
+        let y = self.conv.forward(x, training); // [N, D, g, g]
+        self.cache_shape = Some(y.shape());
+        self.tokenize(&y)
+    }
+
+    fn infer(&self, x: Tensor) -> Tensor {
+        self.tokenize(&self.conv.infer(x))
     }
 
     fn backward(&mut self, d_out: Tensor) -> Tensor {
@@ -349,6 +376,12 @@ impl TokenMeanPool {
 
 impl Layer for TokenMeanPool {
     fn forward(&mut self, x: Tensor, training: bool) -> Tensor {
+        let _ = training;
+        self.cache = Some(x.shape());
+        self.infer(x)
+    }
+
+    fn infer(&self, x: Tensor) -> Tensor {
         let sh = x.shape();
         assert_eq!(sh.ndim(), 3, "TokenMeanPool expects [N, T, D], got {sh}");
         let (n, t, d) = (sh.dim(0), sh.dim(1), sh.dim(2));
@@ -362,8 +395,6 @@ impl Layer for TokenMeanPool {
                 }
             }
         }
-        let _ = training;
-        self.cache = Some(sh);
         out
     }
 

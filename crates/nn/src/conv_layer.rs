@@ -40,18 +40,27 @@ impl Conv2d {
     pub fn spec(&self) -> &Conv2dSpec {
         &self.spec
     }
+
+    /// The convolution of `x`, read in place.
+    fn infer_ref(&self, x: &Tensor) -> Tensor {
+        conv2d_forward(
+            x,
+            &self.weight.value,
+            self.bias.as_ref().map(|b| &b.value),
+            &self.spec,
+        )
+    }
 }
 
 impl Layer for Conv2d {
     fn forward(&mut self, x: Tensor, _training: bool) -> Tensor {
-        let y = conv2d_forward(
-            &x,
-            &self.weight.value,
-            self.bias.as_ref().map(|b| &b.value),
-            &self.spec,
-        );
+        let y = self.infer_ref(&x);
         self.cache = Some(x);
         y
+    }
+
+    fn infer(&self, x: Tensor) -> Tensor {
+        self.infer_ref(&x)
     }
 
     fn backward(&mut self, d_out: Tensor) -> Tensor {

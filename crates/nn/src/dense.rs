@@ -49,7 +49,7 @@ impl Linear {
     }
 
     /// Flattens leading dimensions so the last dimension is `in_features`.
-    fn to_2d(&self, x: Tensor) -> Tensor {
+    pub(crate) fn to_2d(&self, x: Tensor) -> Tensor {
         let shape = x.shape();
         let last = shape.dim(shape.ndim() - 1);
         assert_eq!(
@@ -59,6 +59,18 @@ impl Linear {
         );
         let rows = shape.numel() / last;
         x.into_shape([rows, last]).expect("element count preserved")
+    }
+
+    /// `x2 Wᵀ + b` for a 2-D input `[rows, in_features]`.
+    pub(crate) fn affine(&self, x2: &Tensor) -> Tensor {
+        let mut y = matmul_a_bt(x2, &self.weight.value);
+        let bd = self.bias.value.data();
+        for row in y.data_mut().chunks_exact_mut(self.out_features) {
+            for (v, &b) in row.iter_mut().zip(bd) {
+                *v += b;
+            }
+        }
+        y
     }
 
     /// Restores the original leading dimensions with a new last dimension.
@@ -74,16 +86,14 @@ impl Layer for Linear {
     fn forward(&mut self, x: Tensor, _training: bool) -> Tensor {
         let orig = x.shape();
         let x2 = self.to_2d(x);
-        let mut y = matmul_a_bt(&x2, &self.weight.value);
-        let rows = y.shape().dim(0);
-        let bd = self.bias.value.data();
-        for r in 0..rows {
-            let row = &mut y.data_mut()[r * self.out_features..(r + 1) * self.out_features];
-            for (v, &b) in row.iter_mut().zip(bd) {
-                *v += b;
-            }
-        }
+        let y = self.affine(&x2);
         self.cache = Some((x2, orig));
+        self.restore_leading_dims(y, orig, self.out_features)
+    }
+
+    fn infer(&self, x: Tensor) -> Tensor {
+        let orig = x.shape();
+        let y = self.affine(&self.to_2d(x));
         self.restore_leading_dims(y, orig, self.out_features)
     }
 

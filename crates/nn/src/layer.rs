@@ -1,7 +1,7 @@
 //! The [`Layer`] trait, activation/structural layers, and [`Sequential`].
 
 use crate::param::{Param, ParamVisitor, ParamVisitorRef};
-use clado_tensor::{ops, Shape, Tensor};
+use clado_tensor::{kernel, ops, Shape, Tensor};
 
 /// Object-safe cloning for boxed layers.
 ///
@@ -32,13 +32,21 @@ impl Clone for Box<dyn Layer> {
 /// cache, accumulates parameter gradients internally, and returns the
 /// gradient with respect to its input. Layers are stateful and not
 /// re-entrant: call `forward` then `backward` in strict alternation.
+/// `infer` is the forward for calls that never run a backward.
 ///
 /// `Send` is a supertrait so replicated networks can move across the
 /// scoped worker threads of the sensitivity engine.
 pub trait Layer: LayerClone + Send {
-    /// Forward pass. `training` selects batch statistics (BatchNorm) and
-    /// enables gradient caching.
+    /// Forward pass. `training` selects batch statistics (BatchNorm);
+    /// both modes keep what `backward` needs, so evaluation-mode
+    /// gradients (`forward(x, false)` then `backward`) work too.
     fn forward(&mut self, x: Tensor, training: bool) -> Tensor;
+
+    /// Inference forward: bitwise equal to `forward(x, false)`, but it
+    /// keeps nothing for a backward and works in place on `x` where the
+    /// layer can. It takes `&self`, so it cannot disturb the cache of a
+    /// pending `backward`.
+    fn infer(&self, x: Tensor) -> Tensor;
 
     /// Backward pass: consumes the cached activations from the most recent
     /// `forward`, accumulates parameter gradients, returns `∂L/∂input`.
@@ -84,6 +92,17 @@ pub enum ActKind {
     HardSwish,
 }
 
+/// Evaluation-mode `kind` applied in place: per element the arithmetic
+/// of `forward(x, false)` (GELU on the active kernel backend).
+pub(crate) fn activate_in_place(kind: ActKind, x: &mut Tensor) {
+    let d = x.data_mut();
+    match kind {
+        ActKind::Relu => d.iter_mut().for_each(|v| *v = v.max(0.0)),
+        ActKind::Gelu => kernel::gelu_with(kernel::active_backend(), d),
+        ActKind::HardSwish => d.iter_mut().for_each(|v| *v = ops::hardswish_scalar(*v)),
+    }
+}
+
 /// A stateless activation layer.
 #[derive(Debug, Clone)]
 pub struct Activation {
@@ -111,6 +130,11 @@ impl Layer for Activation {
         };
         self.cached_input = Some(x);
         y
+    }
+
+    fn infer(&self, mut x: Tensor) -> Tensor {
+        activate_in_place(self.kind, &mut x);
+        x
     }
 
     fn backward(&mut self, d_out: Tensor) -> Tensor {
@@ -145,12 +169,15 @@ impl Flatten {
 
 impl Layer for Flatten {
     fn forward(&mut self, x: Tensor, training: bool) -> Tensor {
-        let shape = x.shape();
-        let n = shape.dim(0);
-        let rest = shape.numel() / n;
         let _ = training;
-        self.cached_shape = Some(shape);
-        x.reshape([n, rest]).expect("element count preserved")
+        self.cached_shape = Some(x.shape());
+        self.infer(x)
+    }
+
+    fn infer(&self, x: Tensor) -> Tensor {
+        let n = x.shape().dim(0);
+        let rest = x.numel() / n;
+        x.into_shape([n, rest]).expect("element count preserved")
     }
 
     fn backward(&mut self, d_out: Tensor) -> Tensor {
@@ -193,6 +220,10 @@ impl Layer for MaxPool2d {
         out.output
     }
 
+    fn infer(&self, x: Tensor) -> Tensor {
+        clado_tensor::max_pool2d_forward(&x, self.window, self.stride).output
+    }
+
     fn backward(&mut self, d_out: Tensor) -> Tensor {
         let (argmax, shape) = self
             .cache
@@ -227,10 +258,13 @@ impl AvgPool2d {
 
 impl Layer for AvgPool2d {
     fn forward(&mut self, x: Tensor, training: bool) -> Tensor {
-        let out = clado_tensor::avg_pool2d_forward(&x, self.window, self.stride);
         let _ = training;
         self.cached_shape = Some(x.shape());
-        out
+        self.infer(x)
+    }
+
+    fn infer(&self, x: Tensor) -> Tensor {
+        clado_tensor::avg_pool2d_forward(&x, self.window, self.stride)
     }
 
     fn backward(&mut self, d_out: Tensor) -> Tensor {
@@ -261,10 +295,13 @@ impl GlobalAvgPool {
 
 impl Layer for GlobalAvgPool {
     fn forward(&mut self, x: Tensor, training: bool) -> Tensor {
-        let out = clado_tensor::global_avg_pool_forward(&x);
         let _ = training;
         self.cached_shape = Some(x.shape());
-        out
+        self.infer(x)
+    }
+
+    fn infer(&self, x: Tensor) -> Tensor {
+        clado_tensor::global_avg_pool_forward(&x)
     }
 
     fn backward(&mut self, d_out: Tensor) -> Tensor {
@@ -283,8 +320,9 @@ impl Layer for GlobalAvgPool {
 /// An ordered container of named sub-layers executed front to back.
 ///
 /// The direct children are the network's *stages*: the sensitivity engine's
-/// prefix-activation cache splits execution at stage boundaries via
-/// [`Sequential::forward_prefix`] / [`Sequential::forward_from`]. The zoo
+/// prefix-activation cache splits execution at stage boundaries by running
+/// them one at a time ([`Sequential::forward_stage`] /
+/// [`Sequential::infer_stage`]). The zoo
 /// builders push every residual or encoder block straight onto the root
 /// under a dotted name (`layer1.0`, `layer.2`), so a probe re-runs only
 /// the blocks from its perturbed layer's block on; child names may contain
@@ -324,46 +362,6 @@ impl Sequential {
         self.children.is_empty()
     }
 
-    /// Runs only the children at positions `..stage` (prefix execution) and
-    /// returns the boundary activation that feeds stage `stage`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stage > self.len()`.
-    pub fn forward_prefix(&mut self, stage: usize, x: Tensor, training: bool) -> Tensor {
-        self.children[..stage]
-            .iter_mut()
-            .fold(x, |acc, (_, l)| l.forward(acc, training))
-    }
-
-    /// Resumes execution at stage `stage` (suffix execution). `x` must be
-    /// the boundary activation a prefix run produced at the same split; the
-    /// full pass `forward_prefix(s, ..)` + `forward_from(s, ..)` performs
-    /// exactly the same operation sequence as a plain `forward`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stage > self.len()`.
-    pub fn forward_from(&mut self, stage: usize, x: Tensor, training: bool) -> Tensor {
-        self.children[stage..]
-            .iter_mut()
-            .fold(x, |acc, (_, l)| l.forward(acc, training))
-    }
-
-    /// Runs the children at positions `from..to` (a contiguous slice of
-    /// the stage fold). `forward_range(0, s, ..)` equals
-    /// `forward_prefix(s, ..)`; chaining ranges that tile `0..len()`
-    /// performs exactly the same operation sequence as a plain `forward`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from > to` or `to > self.len()`.
-    pub fn forward_range(&mut self, from: usize, to: usize, x: Tensor, training: bool) -> Tensor {
-        self.children[from..to]
-            .iter_mut()
-            .fold(x, |acc, (_, l)| l.forward(acc, training))
-    }
-
     /// Name of the child at position `stage`.
     ///
     /// # Panics
@@ -382,6 +380,15 @@ impl Sequential {
     pub fn forward_stage(&mut self, stage: usize, x: Tensor, training: bool) -> Tensor {
         let (_, layer) = &mut self.children[stage];
         layer.forward(x, training)
+    }
+
+    /// [`Layer::infer`] of the single child at position `stage`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stage >= self.len()`.
+    pub fn infer_stage(&self, stage: usize, x: Tensor) -> Tensor {
+        self.children[stage].1.infer(x)
     }
 
     /// Visits the parameters of the single child at position `stage`,
@@ -407,6 +414,10 @@ impl Layer for Sequential {
         self.children
             .iter_mut()
             .fold(x, |acc, (_, l)| l.forward(acc, training))
+    }
+
+    fn infer(&self, x: Tensor) -> Tensor {
+        self.children.iter().fold(x, |acc, (_, l)| l.infer(acc))
     }
 
     fn backward(&mut self, d_out: Tensor) -> Tensor {
@@ -472,6 +483,9 @@ mod tests {
 
     impl Layer for Probe {
         fn forward(&mut self, x: Tensor, _t: bool) -> Tensor {
+            self.infer(x)
+        }
+        fn infer(&self, x: Tensor) -> Tensor {
             x.map(|v| v + 1.0)
         }
         fn backward(&mut self, d: Tensor) -> Tensor {
@@ -508,9 +522,9 @@ mod tests {
                 .push("a", Probe)
                 .push("b", Probe)
                 .push("c", Probe);
-            let boundary = seq.forward_prefix(stage, x.clone(), false);
+            let boundary = (0..stage).fold(x.clone(), |a, s| seq.forward_stage(s, a, false));
             assert_eq!(boundary.data()[0], stage as f32);
-            let y = seq.forward_from(stage, boundary, false);
+            let y = (stage..3).fold(boundary, |a, s| seq.infer_stage(s, a));
             assert_eq!(y.data(), &[3.0, 4.0], "split at stage {stage}");
         }
     }

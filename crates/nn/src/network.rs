@@ -43,10 +43,9 @@ pub struct Network {
     /// resolved once at [`Network::reindex`] so the hot accessors need no
     /// string formatting or name comparisons.
     slots: Vec<usize>,
-    /// Optional telemetry handle. When enabled, [`Network::forward`] records
+    /// Optional telemetry handle. When enabled, every stage fold records
     /// a per-stage span under `forward.<module>`; when disabled (the
-    /// default) the forward path is exactly the plain fold with no timing
-    /// code in the loop.
+    /// default) the fold reads no clock.
     telemetry: Telemetry,
     /// `forward.<module>` span paths, built once when telemetry
     /// attaches so the timed forward loops never format strings.
@@ -137,9 +136,9 @@ impl Network {
         self.quantizable[index].stage
     }
 
-    /// Attaches a telemetry handle. With an enabled handle every
-    /// [`Network::forward`] records one span per root stage, named after
-    /// the first component of the stage name: the stages `layer1.0` and
+    /// Attaches a telemetry handle. With an enabled handle every root
+    /// stage a forward, inference or range call runs records one span,
+    /// named after the first component of the stage name: the stages `layer1.0` and
     /// `layer1.1` both record under `forward.layer1`, so the span sums the
     /// module's blocks. Pass [`Telemetry::disabled`] to detach.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
@@ -159,55 +158,70 @@ impl Network {
         &self.telemetry
     }
 
-    /// Forward pass to logits `[N, num_classes]`.
+    /// Forward pass to logits `[N, num_classes]`. Both modes keep what
+    /// [`Network::backward`] needs; a pass that never runs a backward
+    /// should call [`Network::infer`].
     pub fn forward(&mut self, x: Tensor, training: bool) -> Tensor {
-        if !self.telemetry.is_enabled() {
-            return self.root.forward(x, training);
-        }
-        // Stage-by-stage execution performs the identical fold as
-        // `Sequential::forward`, so timed and untimed passes produce
-        // bitwise-equal activations.
         let _span = self.telemetry.span("forward");
-        self.forward_range_timed(0, self.root.len(), x, training)
+        self.run_stages(0, self.root.len(), x, Pass::Forward(training))
+    }
+
+    /// Inference pass to logits: bitwise equal to `forward(x, false)`, but
+    /// every layer runs [`Layer::infer`], so nothing is kept for a
+    /// backward and a pending backward's state stays as it was.
+    pub fn infer(&mut self, x: Tensor) -> Tensor {
+        let _span = self.telemetry.span("forward");
+        self.run_stages(0, self.root.len(), x, Pass::Infer)
     }
 
     /// Runs only the stages before `stage` and returns the boundary
-    /// activation (see [`Sequential::forward_prefix`]).
+    /// activation that feeds stage `stage`; see [`Network::forward_range`].
     pub fn forward_prefix(&mut self, stage: usize, x: Tensor, training: bool) -> Tensor {
-        if !self.telemetry.is_enabled() {
-            return self.root.forward_prefix(stage, x, training);
-        }
-        self.forward_range_timed(0, stage, x, training)
+        self.forward_range(0, stage, x, training)
     }
 
     /// Resumes a forward pass at `stage` from a boundary activation
-    /// produced by [`Network::forward_prefix`] at the same split (see
-    /// [`Sequential::forward_from`]).
+    /// produced by [`Network::forward_prefix`] at the same split; see
+    /// [`Network::forward_range`].
     pub fn forward_from(&mut self, stage: usize, x: Tensor, training: bool) -> Tensor {
-        if !self.telemetry.is_enabled() {
-            return self.root.forward_from(stage, x, training);
-        }
-        self.forward_range_timed(stage, self.root.len(), x, training)
+        self.forward_range(stage, self.root.len(), x, training)
     }
 
-    /// Runs the contiguous stage slice `from..to` (see
-    /// [`Sequential::forward_range`]). Ranges that tile `0..num_stages()`
-    /// compose bitwise-identically to one full forward; the batched probe
-    /// evaluator uses this to advance a prefix cache stage by stage.
+    /// Runs the contiguous stage slice `from..to`. Ranges that tile
+    /// `0..num_stages()` compose bitwise-identically to one full forward;
+    /// the batched probe evaluator uses this to advance a prefix cache
+    /// stage by stage. These are the probe path's calls, which never run
+    /// a backward: with `training == false` every stage runs
+    /// [`Layer::infer`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from > to` or `to > self.num_stages()`.
     pub fn forward_range(&mut self, from: usize, to: usize, x: Tensor, training: bool) -> Tensor {
-        if !self.telemetry.is_enabled() {
-            return self.root.forward_range(from, to, x, training);
-        }
-        self.forward_range_timed(from, to, x, training)
+        let pass = if training {
+            Pass::Forward(true)
+        } else {
+            Pass::Infer
+        };
+        self.run_stages(from, to, x, pass)
     }
 
-    /// Stage fold with one `forward.<stage>` span per stage. Performs the
-    /// identical operation sequence as the untimed fold.
-    fn forward_range_timed(&mut self, from: usize, to: usize, x: Tensor, training: bool) -> Tensor {
+    /// The stage fold over `from..to`, with one `forward.<stage>` span per
+    /// stage when telemetry is on. Timed and untimed folds perform the
+    /// identical operation sequence.
+    fn run_stages(&mut self, from: usize, to: usize, x: Tensor, pass: Pass) -> Tensor {
+        assert!(
+            from <= to && to <= self.root.len(),
+            "stage range {from}..{to}"
+        );
+        let timed = self.telemetry.is_enabled();
         let mut acc = x;
         for stage in from..to {
-            let _s = self.telemetry.span(&self.span_paths[stage]);
-            acc = self.root.forward_stage(stage, acc, training);
+            let _s = timed.then(|| self.telemetry.span(&self.span_paths[stage]));
+            acc = match pass {
+                Pass::Forward(training) => self.root.forward_stage(stage, acc, training),
+                Pass::Infer => self.root.infer_stage(stage, acc),
+            };
         }
         acc
     }
@@ -386,6 +400,15 @@ impl fmt::Debug for Network {
             self.num_classes
         )
     }
+}
+
+/// How [`Network::run_stages`] runs each stage.
+#[derive(Clone, Copy)]
+enum Pass {
+    /// [`Layer::forward`] in the given mode, keeping backward state.
+    Forward(bool),
+    /// [`Layer::infer`].
+    Infer,
 }
 
 /// Derives the BRECQ block key from a dotted layer path: the first two path

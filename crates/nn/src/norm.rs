@@ -105,7 +105,7 @@ impl Layer for BatchNorm2d {
             )
         };
 
-        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + BN_EPS).sqrt()).collect();
+        let inv_std: Vec<f32> = var.iter().map(|&v| bn_inv_std(v)).collect();
         let mut x_hat = Tensor::zeros(x.shape());
         let mut out = Tensor::zeros(x.shape());
         let gd = self.gamma.value.data();
@@ -143,6 +143,31 @@ impl Layer for BatchNorm2d {
             centered,
         });
         out
+    }
+
+    /// One in-place pass of the running-statistics map
+    /// `γ·((x − μ)·σ⁻¹) + β`, the arithmetic of `forward(x, false)`.
+    fn infer(&self, mut x: Tensor) -> Tensor {
+        let (n, h, w) = self.dims(&x);
+        let c = self.channels;
+        let plane = h * w;
+        let inv_std: Vec<f32> = self.running_var().iter().map(|&v| bn_inv_std(v)).collect();
+        let (md, gd, bd) = (
+            self.running_mean(),
+            self.gamma.value.data(),
+            self.beta.value.data(),
+        );
+        let xd = x.data_mut();
+        for s in 0..n {
+            for ch in 0..c {
+                let base = (s * c + ch) * plane;
+                let (m, is, g, b) = (md[ch], inv_std[ch], gd[ch], bd[ch]);
+                for v in &mut xd[base..base + plane] {
+                    *v = g * ((*v - m) * is) + b;
+                }
+            }
+        }
+        x
     }
 
     fn backward(&mut self, d_out: Tensor) -> Tensor {
@@ -239,6 +264,20 @@ impl Layer for BatchNorm2d {
     }
 }
 
+/// `1/√(var + ε)` of one BatchNorm channel.
+fn bn_inv_std(var: f32) -> f32 {
+    1.0 / (var + BN_EPS).sqrt()
+}
+
+/// Mean (rounded to `f32`) and `1/√(var + ε)` of one LayerNorm row, both
+/// accumulated in `f64`.
+fn ln_row_stats(row: &[f32]) -> (f32, f32) {
+    let dim = row.len() as f64;
+    let mean = row.iter().map(|&v| v as f64).sum::<f64>() / dim;
+    let var = row.iter().map(|&v| (v as f64 - mean).powi(2)).sum::<f64>() / dim;
+    (mean as f32, (1.0 / (var + LN_EPS as f64).sqrt()) as f32)
+}
+
 /// Layer normalization over the last dimension (ViT-style).
 #[derive(Clone)]
 pub struct LayerNorm {
@@ -260,8 +299,9 @@ impl LayerNorm {
     }
 }
 
-impl Layer for LayerNorm {
-    fn forward(&mut self, x: Tensor, training: bool) -> Tensor {
+impl LayerNorm {
+    /// The feature count of `x`'s last dimension, checked.
+    fn check(&self, x: &Tensor) -> usize {
         let shape = x.shape();
         let dim = shape.dim(shape.ndim() - 1);
         assert_eq!(
@@ -269,6 +309,14 @@ impl Layer for LayerNorm {
             "LayerNorm feature mismatch: {dim} vs {}",
             self.features
         );
+        dim
+    }
+}
+
+impl Layer for LayerNorm {
+    fn forward(&mut self, x: Tensor, training: bool) -> Tensor {
+        let dim = self.check(&x);
+        let shape = x.shape();
         let rows = shape.numel() / dim;
         let mut x_hat = Tensor::zeros(shape);
         let mut out = Tensor::zeros(shape);
@@ -277,14 +325,12 @@ impl Layer for LayerNorm {
         let bd = self.beta.value.data();
         for r in 0..rows {
             let row = &x.data()[r * dim..(r + 1) * dim];
-            let mean = row.iter().map(|&v| v as f64).sum::<f64>() / dim as f64;
-            let var = row.iter().map(|&v| (v as f64 - mean).powi(2)).sum::<f64>() / dim as f64;
-            let inv_std = (1.0 / (var + LN_EPS as f64).sqrt()) as f32;
+            let (mean, inv_std) = ln_row_stats(row);
             inv_stds[r] = inv_std;
             let xh = &mut x_hat.data_mut()[r * dim..(r + 1) * dim];
             let od = &mut out.data_mut()[r * dim..(r + 1) * dim];
             for j in 0..dim {
-                let v = (row[j] - mean as f32) * inv_std;
+                let v = (row[j] - mean) * inv_std;
                 xh[j] = v;
                 od[j] = gd[j] * v + bd[j];
             }
@@ -292,6 +338,18 @@ impl Layer for LayerNorm {
         let _ = training;
         self.cache = Some((x_hat, inv_stds));
         out
+    }
+
+    fn infer(&self, mut x: Tensor) -> Tensor {
+        let dim = self.check(&x);
+        let (gd, bd) = (self.gamma.value.data(), self.beta.value.data());
+        for row in x.data_mut().chunks_exact_mut(dim) {
+            let (mean, inv_std) = ln_row_stats(row);
+            for j in 0..dim {
+                row[j] = gd[j] * ((row[j] - mean) * inv_std) + bd[j];
+            }
+        }
+        x
     }
 
     fn backward(&mut self, d_out: Tensor) -> Tensor {

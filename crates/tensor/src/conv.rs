@@ -629,7 +629,8 @@ mod direct {
 
     /// Per-call buffers, reused across calls.
     struct Stage {
-        /// The sample's zero-padded image `[cin][h+2·pad][w+2·pad]`.
+        /// The sample's zero-padded image `[cin][h+2·pad][w+2·pad]`
+        /// (unused when `pad == 0`: the sample is read in place).
         padded: Vec<f32>,
         /// Transposed weights `[cin·k·k][cout rounded up to 8]`.
         wt: Vec<f32>,
@@ -696,7 +697,9 @@ mod direct {
                 pix,
             } = &mut *stage;
             padded.clear();
-            padded.resize(cin * hp * wp, 0.0);
+            if pad > 0 {
+                padded.resize(cin * hp * wp, 0.0);
+            }
             // wt[p][oc] = weight[oc][p]; lanes past `cout` stay zero.
             wt.clear();
             wt.resize(kk * lanes, 0.0);
@@ -722,19 +725,25 @@ mod direct {
             let indat = input.data();
             let od = out.data_mut();
             for s in 0..n {
-                stage_padded(&indat[s * cin * h * w..], cin, h, w, pad, padded);
+                let src = &indat[s * cin * h * w..(s + 1) * cin * h * w];
+                let img: &[f32] = if pad == 0 {
+                    src
+                } else {
+                    stage_padded(src, cin, h, w, pad, padded);
+                    padded
+                };
                 // SAFETY: AVX2+FMA availability is the caller's dispatch
                 // condition. `wt` holds `kk` rows of `lanes ≥ cout` floats;
-                // every tap `off[p] + pix[q]` stays inside the staged image
-                // (its largest value is that of the last output pixel's
-                // last tap, which the output-size formula keeps in
-                // bounds); the destination is this sample's `cout·ho·wo`
-                // block of `out`.
+                // every tap `off[p] + pix[q]` stays inside the image of
+                // `cin·hp·wp` floats, staged or read in place (its largest
+                // value is that of the last output pixel's last tap, which
+                // the output-size formula keeps in bounds); the destination
+                // is this sample's `cout·ho·wo` block of `out`.
                 unsafe {
                     sample(
                         wt,
                         lanes,
-                        padded,
+                        img,
                         off,
                         pix,
                         cout,

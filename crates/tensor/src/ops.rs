@@ -37,7 +37,12 @@ pub fn gelu_backward(x: &Tensor, d_out: &Tensor) -> Tensor {
 
 /// Hard-swish forward: `x · relu6(x + 3) / 6` (MobileNetV3 activation).
 pub fn hardswish_forward(x: &Tensor) -> Tensor {
-    x.map(|v| v * (v + 3.0).clamp(0.0, 6.0) / 6.0)
+    x.map(hardswish_scalar)
+}
+
+/// Hard-swish of one element, the formula [`hardswish_forward`] maps.
+pub fn hardswish_scalar(v: f32) -> f32 {
+    v * (v + 3.0).clamp(0.0, 6.0) / 6.0
 }
 
 /// Hard-swish backward.
