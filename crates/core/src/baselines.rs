@@ -202,7 +202,9 @@ pub fn mpqco_sensitivities(
 /// Per-element empirical Fisher of each quantizable layer: the mean of
 /// squared per-mini-batch gradients (a standard diagonal Gauss-Newton
 /// surrogate; small batches keep it close to the per-sample Fisher while
-/// remaining cheap).
+/// remaining cheap). The training-mode forwards move BatchNorm running
+/// statistics; every parameter and buffer is restored before returning,
+/// so later measurements see the network the caller passed in.
 pub fn empirical_fisher(
     network: &mut Network,
     sens_set: &DataSplit,
@@ -214,6 +216,7 @@ pub fn empirical_fisher(
         .collect();
     // Small batches approximate per-sample gradients at tolerable cost.
     let fisher_batch = batch_size.clamp(1, 8);
+    let snapshot = network.snapshot_all();
     let mut batches = 0usize;
     for (x, labels) in sens_set.batches(fisher_batch) {
         network.zero_grad();
@@ -227,6 +230,7 @@ pub fn empirical_fisher(
         }
         batches += 1;
     }
+    network.restore_all(&snapshot);
     network.zero_grad();
     for f in &mut fisher {
         f.scale(1.0 / batches.max(1) as f32);
@@ -237,7 +241,7 @@ pub fn empirical_fisher(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clado_models::{SynthVision, SynthVisionConfig};
+    use clado_models::{ModelKind, SynthVision, SynthVisionConfig};
     use clado_nn::{Conv2d, GlobalAvgPool, Linear, Network, Sequential};
     use clado_tensor::Conv2dSpec;
     use rand::rngs::StdRng;
@@ -299,6 +303,30 @@ mod tests {
         assert_eq!(fisher[0].shape(), net.weight(0).shape());
         assert!(fisher.iter().all(|f| f.data().iter().all(|&v| v >= 0.0)));
         assert!(fisher.iter().any(|f| f.norm() > 0.0));
+    }
+
+    #[test]
+    fn fisher_leaves_every_parameter_and_buffer_unchanged() {
+        let mut net = ModelKind::ResNet20.build(4, 5);
+        let data = SynthVision::generate(SynthVisionConfig {
+            classes: 4,
+            img: 16,
+            train: 16,
+            val: 8,
+            seed: 13,
+            noise: 0.2,
+            label_noise: 0.0,
+        });
+        let before = net.snapshot_all();
+        let _ = empirical_fisher(&mut net, &data.train, 8);
+        let after = net.snapshot_all();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let moved = before
+            .iter()
+            .zip(&after)
+            .filter(|(a, b)| bits(a) != bits(b))
+            .count();
+        assert_eq!(moved, 0, "{moved} of {} tensors moved", before.len());
     }
 
     #[test]

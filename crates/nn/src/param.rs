@@ -47,13 +47,6 @@ impl Param {
         }
     }
 
-    /// Creates a weight parameter explicitly excluded from quantization.
-    pub fn new_unquantized(value: Tensor, role: ParamRole) -> Self {
-        let mut p = Self::new(value, role);
-        p.quantizable = false;
-        p
-    }
-
     /// Zeroes the gradient accumulator.
     pub fn zero_grad(&mut self) {
         self.grad.data_mut().fill(0.0);
@@ -87,12 +80,6 @@ mod tests {
         assert!(p.quantizable);
         let b = Param::new(Tensor::zeros([2]), ParamRole::Bias);
         assert!(!b.quantizable);
-    }
-
-    #[test]
-    fn unquantized_weight() {
-        let p = Param::new_unquantized(Tensor::zeros([2]), ParamRole::Weight);
-        assert!(!p.quantizable);
     }
 
     #[test]

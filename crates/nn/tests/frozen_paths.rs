@@ -25,9 +25,6 @@ fn backends() -> Vec<Backend> {
     let mut v = vec![Backend::Scalar];
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("sse2") {
-            v.push(Backend::Sse2);
-        }
         if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
         {
             v.push(Backend::Avx2Fma);
@@ -38,8 +35,7 @@ fn backends() -> Vec<Backend> {
 
 /// `(training output, input gradient)` golden hashes per backend, for a
 /// vit-mini-shaped block (tiles below the SIMD threshold) and a wider one
-/// (tiles above it). SSE2's blocked GEMM accumulates in the scalar order,
-/// so its bits equal the scalar ones; FMA's do not.
+/// (tiles above it).
 fn golden(backend: Backend, case: usize) -> (u64, u64) {
     const SCALAR: [(u64, u64); 2] = [
         (0x173c_9217_84c2_a741, 0xdd70_a666_4b8a_1191),
@@ -50,7 +46,7 @@ fn golden(backend: Backend, case: usize) -> (u64, u64) {
         (0x5ecb_e179_1fe3_7e9d, 0xdcdb_6fea_4d0f_fc1b),
     ];
     match backend {
-        Backend::Scalar | Backend::Sse2 => SCALAR[case],
+        Backend::Scalar => SCALAR[case],
         Backend::Avx2Fma => AVX2_FMA[case],
     }
 }

@@ -90,32 +90,6 @@ impl LayerSizes {
             .sum()
     }
 
-    /// A budget equal to `frac · (uniform `bits` size)`. `frac = 1.0`
-    /// reproduces the "x-bit UPQ" reference budgets from the paper's
-    /// figures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frac` is non-positive or non-finite.
-    pub fn budget_from_uniform(&self, bits: BitWidth, frac: f64) -> u64 {
-        assert!(
-            frac > 0.0 && frac.is_finite(),
-            "budget fraction must be positive"
-        );
-        (self.uniform_bits(bits) as f64 * frac).round() as u64
-    }
-
-    /// A budget from a target model size in megabytes (paper-style
-    /// constraints like "10.13 MB").
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mb` is non-positive or non-finite.
-    pub fn budget_from_mb(&self, mb: f64) -> u64 {
-        assert!(mb > 0.0 && mb.is_finite(), "size budget must be positive");
-        (mb * BITS_PER_MB).round() as u64
-    }
-
     /// A budget corresponding to an *average* of `avg_bits` bits per weight
     /// (may be fractional, e.g. 3.0 for the "3-bit UPQ equivalent" sweeps).
     ///
@@ -161,8 +135,6 @@ mod tests {
     #[test]
     fn budgets() {
         let s = sizes();
-        assert_eq!(s.budget_from_uniform(BitWidth::of(4), 1.0), 4000);
-        assert_eq!(s.budget_from_uniform(BitWidth::of(4), 0.75), 3000);
         assert_eq!(s.budget_from_avg_bits(3.0), 3000);
         assert_eq!(s.budget_from_avg_bits(2.5), 2500);
     }
@@ -171,19 +143,6 @@ mod tests {
     fn mb_conversion() {
         // 8 Mi bits = 1 MB
         assert!((bits_to_mb(8 * 1024 * 1024) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mb_budget_roundtrips() {
-        let s = sizes();
-        let b = s.budget_from_mb(0.25);
-        assert!((bits_to_mb(b) - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_mb_budget_panics() {
-        sizes().budget_from_mb(0.0);
     }
 
     #[test]

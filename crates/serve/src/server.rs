@@ -640,14 +640,9 @@ fn executor_loop(inner: &Arc<Inner>) {
         while !item.accepted_sent.load(Ordering::SeqCst) {
             std::thread::sleep(Duration::from_millis(1));
         }
-        let mut w = &item.stream;
-        let _ = protocol::send(&mut w, &response);
-        item.finished.store(true, Ordering::SeqCst);
-        if ok {
-            inner.completed.fetch_add(1, Ordering::SeqCst);
-        } else {
-            inner.failed.fetch_add(1, Ordering::SeqCst);
-        }
+        // Fold the service time into the EWMA before replying: a client
+        // that submits again as soon as it reads the reply must be
+        // admitted against an estimate that includes this request.
         let service_us = started.elapsed().as_micros() as u64;
         inner
             .telemetry
@@ -660,6 +655,14 @@ fn executor_loop(inner: &Arc<Inner>) {
                 None => sample,
                 Some(prev) => 0.3 * sample + 0.7 * prev,
             });
+        }
+        let mut w = &item.stream;
+        let _ = protocol::send(&mut w, &response);
+        item.finished.store(true, Ordering::SeqCst);
+        if ok {
+            inner.completed.fetch_add(1, Ordering::SeqCst);
+        } else {
+            inner.failed.fetch_add(1, Ordering::SeqCst);
         }
         inner.busy.fetch_sub(1, Ordering::SeqCst);
         inner.cv.notify_all();

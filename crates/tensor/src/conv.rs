@@ -911,7 +911,7 @@ pub enum ConvPath {
     /// GEMM's).
     Direct,
     /// Column matrix + [`kernel::sgemm_overwrite`]: every other conv, and
-    /// every conv on the scalar and SSE2 backends.
+    /// every conv on the scalar backend.
     Im2col,
 }
 

@@ -51,22 +51,6 @@ pub fn kaiming_normal(shape: impl Into<Shape>, fan_in: usize, rng: &mut impl Rng
     normal(shape, 0.0, (2.0 / fan_in as f32).sqrt(), rng)
 }
 
-/// Xavier/Glorot uniform initialization: `U(±sqrt(6 / (fan_in + fan_out)))`.
-///
-/// # Panics
-///
-/// Panics if `fan_in + fan_out` is zero.
-pub fn xavier_uniform(
-    shape: impl Into<Shape>,
-    fan_in: usize,
-    fan_out: usize,
-    rng: &mut impl Rng,
-) -> Tensor {
-    assert!(fan_in + fan_out > 0, "fan_in + fan_out must be positive");
-    let bound = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    uniform(shape, -bound, bound, rng)
-}
-
 /// A standard-normal distribution implemented with the Box–Muller transform,
 /// avoiding a dependency on `rand_distr`.
 struct StandardNormal;
@@ -119,14 +103,6 @@ mod tests {
         let std = (t.norm_sq() / t.numel() as f64).sqrt();
         let expected = (2.0f64 / 50.0).sqrt();
         assert!((std - expected).abs() / expected < 0.1);
-    }
-
-    #[test]
-    fn xavier_bound() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let t = xavier_uniform([1000], 8, 8, &mut rng);
-        let bound = (6.0f32 / 16.0).sqrt();
-        assert!(t.abs_max() <= bound);
     }
 
     #[test]

@@ -7,19 +7,18 @@
 //! evaluation forward. At process start the layer picks a backend once:
 //!
 //! * **AVX2+FMA** — cache-blocked (MC/KC/NC) GEMM with an 8×8
-//!   register-tiled microkernel over 256-bit lanes.
-//! * **SSE2** — the same blocking with the microkernel split into two
-//!   128-bit half-lanes (x86-64 baseline, always present).
-//! * **Scalar** — the original `ikj`-ordered loops. This path is the
-//!   *bitwise reference*: its floating-point operation order is frozen, so
-//!   results under `CLADO_FORCE_SCALAR=1` are bit-for-bit identical to the
-//!   pre-kernel-layer implementation (and to any older journal/matrix
-//!   artifacts produced by it).
+//!   register-tiled microkernel over 256-bit lanes, on x86-64 hosts with
+//!   AVX2 and FMA.
+//! * **Scalar** — every other host: the original `ikj`-ordered loops.
+//!   This path is the *bitwise reference*: its floating-point operation
+//!   order is frozen, so results under `CLADO_FORCE_SCALAR=1` are
+//!   bit-for-bit identical to the pre-kernel-layer implementation (and to
+//!   any older journal/matrix artifacts produced by it).
 //!
 //! # Determinism contract
 //!
 //! Backend selection happens once per process ([`active_backend`]), so a
-//! run never mixes accumulation orders. The SIMD paths reassociate the
+//! run never mixes accumulation orders. The AVX2 paths reassociate the
 //! k-loop (8 partial sums per output element) and therefore differ from
 //! the scalar path by normal floating-point reassociation error — bounded
 //! in practice by a few ULP per accumulated term (the property suite
@@ -34,7 +33,7 @@
 //! The contract extends to evaluation-mode activations. Training-mode
 //! forwards and the scalar backend run the frozen scalar GELU and softmax
 //! (the formulas GELU's backward differentiates), bit for bit. On the
-//! SIMD backends evaluation runs vector forms within a few ULP of the
+//! AVX2 backend evaluation runs vector forms within a few ULP of the
 //! exact functions, and every GELU output is a pure function of its input
 //! element (every softmax row of its row): tails are padded through the
 //! same vector formula, so prefix/suffix evaluation and a full forward
@@ -73,8 +72,6 @@ pub(crate) const SKINNY_M_MAX: usize = 16;
 pub enum Backend {
     /// Reference `ikj` loops; bitwise-frozen operation order.
     Scalar,
-    /// 128-bit SSE2 microkernel (x86-64 baseline).
-    Sse2,
     /// 256-bit AVX2 microkernel with fused multiply-add.
     Avx2Fma,
 }
@@ -84,7 +81,6 @@ impl Backend {
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
-            Backend::Sse2 => "sse2-8x8",
             Backend::Avx2Fma => "avx2-fma-8x8",
         }
     }
@@ -107,11 +103,6 @@ fn detect_backend() -> Backend {
         {
             return Backend::Avx2Fma;
         }
-        // SSE2 is part of the x86-64 baseline; detection cannot fail, but
-        // keep the check so the dispatch logic reads uniformly.
-        if std::arch::is_x86_feature_detected!("sse2") {
-            return Backend::Sse2;
-        }
     }
     Backend::Scalar
 }
@@ -123,8 +114,7 @@ fn detect_backend() -> Backend {
 pub fn active_backend() -> Backend {
     match OVERRIDE.load(Ordering::Relaxed) {
         1 => Backend::Scalar,
-        2 => Backend::Sse2,
-        3 => Backend::Avx2Fma,
+        2 => Backend::Avx2Fma,
         _ => *BACKEND.get_or_init(detect_backend),
     }
 }
@@ -139,8 +129,7 @@ pub fn force_backend(backend: Option<Backend>) {
     let code = match backend {
         None => 0,
         Some(Backend::Scalar) => 1,
-        Some(Backend::Sse2) => 2,
-        Some(Backend::Avx2Fma) => 3,
+        Some(Backend::Avx2Fma) => 2,
     };
     OVERRIDE.store(code, Ordering::Relaxed);
 }
@@ -204,7 +193,7 @@ pub(crate) fn sgemm(
 }
 
 /// `C = op(A) · op(B)` (overwrite, no accumulation): zeroes `c` and runs
-/// [`sgemm`]. The skinny-M SIMD path skips the zero pass and writes its
+/// [`sgemm`]. The skinny-M AVX2 path skips the zero pass and writes its
 /// accumulators directly — bit-identical to zero-then-accumulate, one
 /// less sweep over `c`. Public (hidden) so the property suite can pin
 /// that equivalence.
@@ -233,8 +222,8 @@ pub fn sgemm_overwrite(
         active_backend()
     };
     #[cfg(target_arch = "x86_64")]
-    if matches!(backend, Backend::Sse2 | Backend::Avx2Fma) && !ta && !tb && m < SKINNY_M_MAX {
-        x86::sgemm_skinny_overwrite(a, b, c, m, k, n, backend);
+    if backend == Backend::Avx2Fma && !ta && !tb && m < SKINNY_M_MAX {
+        x86::sgemm_skinny_overwrite(a, b, c, m, k, n);
         return;
     }
     c.fill(0.0);
@@ -242,7 +231,7 @@ pub fn sgemm_overwrite(
 }
 
 /// [`sgemm`] with an explicit backend — the property suite uses this to
-/// compare SIMD output against the scalar reference on the same inputs.
+/// compare AVX2 output against the scalar reference on the same inputs.
 ///
 /// # Panics
 ///
@@ -267,19 +256,17 @@ pub fn sgemm_with(
         return;
     }
     match backend {
-        Backend::Scalar => sgemm_scalar(a, b, c, m, k, n, ta, tb),
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 | Backend::Avx2Fma => {
+        Backend::Avx2Fma => {
             // Skinny-M products (im2col convolutions have M = output
             // channels, often < 8) can't amortize panel packing: stream B
             // directly instead of going through the blocked path.
             if !ta && !tb && m < SKINNY_M_MAX {
-                x86::sgemm_skinny(a, b, c, m, k, n, backend);
+                x86::sgemm_skinny(a, b, c, m, k, n);
             } else {
-                sgemm_blocked(a, b, c, m, k, n, ta, tb, backend);
+                x86::sgemm_blocked(a, b, c, m, k, n, ta, tb);
             }
         }
-        #[cfg(not(target_arch = "x86_64"))]
         _ => sgemm_scalar(a, b, c, m, k, n, ta, tb),
     }
 }
@@ -287,7 +274,7 @@ pub fn sgemm_with(
 /// Evaluation-mode GELU (tanh approximation) in place on `backend`.
 ///
 /// `Scalar` runs the frozen formula `0.5·x·(1 + tanh(√(2/π)·(x +
-/// 0.044715·x³)))` bit for bit. The SIMD backends evaluate the same
+/// 0.044715·x³)))` bit for bit. The AVX2 backend evaluates the same
 /// function as `x / (1 + exp(−2·√(2/π)·(x + 0.044715·x³)))` with a
 /// Cephes-style polynomial `exp`, within a few ULP of the exact value
 /// (the scalar form loses all relative accuracy for negative `x` where
@@ -299,23 +286,21 @@ pub fn sgemm_with(
 pub fn gelu_with(backend: Backend, x: &mut [f32]) {
     match backend {
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 | Backend::Avx2Fma => x86::gelu(x, backend),
+        Backend::Avx2Fma => x86::gelu(x),
         _ => x.iter_mut().for_each(|v| *v = crate::ops::gelu_scalar(*v)),
     }
 }
 
 /// Evaluation-mode row-wise softmax in place over the consecutive
 /// `cols`-wide rows of `x`, on `backend`. `Scalar` is bitwise
-/// [`crate::ops::softmax_rows_in_place`]; the SIMD backends take the row
+/// [`crate::ops::softmax_rows_in_place`]; the AVX2 backend takes the row
 /// max, exponentiate with the vector `exp` of [`gelu_with`] (padded tail,
 /// same formula) and reduce the sum in an order fixed by `cols` alone.
 #[doc(hidden)]
 pub fn softmax_rows_with(backend: Backend, x: &mut [f32], cols: usize) {
     match backend {
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 | Backend::Avx2Fma => x
-            .chunks_exact_mut(cols.max(1))
-            .for_each(|row| x86::softmax_row(row, backend)),
+        Backend::Avx2Fma => x.chunks_exact_mut(cols.max(1)).for_each(x86::softmax_row),
         _ => crate::ops::softmax_rows_in_place(x, cols),
     }
 }
@@ -326,7 +311,7 @@ pub fn softmax_rows_with(backend: Backend, x: &mut [f32], cols: usize) {
 /// `maps` as `[N, H, T, T]`. `backend` selects the softmax (see
 /// [`softmax_rows_with`]) and the product path.
 ///
-/// On the SIMD backends, tiles below [`SIMD_FLOP_THRESHOLD`] take one
+/// On the AVX2 backend, tiles below [`SIMD_FLOP_THRESHOLD`] take one
 /// batched pass: Q rows are read and head outputs written in place in the
 /// `[N, T, D]` buffers, and both products run in the scalar GEMM's
 /// operation order — one multiply then one add per term, ascending over
@@ -382,22 +367,13 @@ pub fn attention(
     match backend {
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2Fma if t * tiles.dh * t < SIMD_FLOP_THRESHOLD => {
-            x86::assert_available(backend);
+            x86::assert_available();
             // SAFETY: the host has AVX2, checked just above.
-            unsafe { x86::attention_lanes_avx2(&tiles, out, maps, backend) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 if t * tiles.dh * t < SIMD_FLOP_THRESHOLD => {
-            x86::attention_lanes_sse2(&tiles, out, maps, backend)
+            unsafe { x86::attention_lanes_avx2(&tiles, out, maps) }
         }
         _ => tiles.gemm(out, maps, backend),
     }
 }
-
-/// Lane group of the batched attention pass: one AVX register, or two
-/// SSE2 ones.
-const LANES: usize = 8;
-type Lanes = [f32; LANES];
 
 /// The operands of one [`attention`] call.
 struct AttentionTiles<'a> {
@@ -437,66 +413,6 @@ impl AttentionTiles<'_> {
             for r in 0..t {
                 let dst = self.at(s, h, r)..self.at(s, h, r) + dh;
                 out[dst].copy_from_slice(&qh[r * dh..(r + 1) * dh]);
-            }
-        }
-    }
-
-    /// The batched pass. Per (sample, head), `K_hᵀ` (`[dh, T]`) and `V_h`
-    /// (`[T, dh]`) are staged as rows of zero-padded lane groups, so each
-    /// output row is a sum of whole-group multiply-adds.
-    /// `madd(acc, a, b)` is `acc[l] += a · b[l]` on every lane, one
-    /// multiply then one add; the backends pass it as vector instructions.
-    #[inline(always)]
-    fn lanes(
-        &self,
-        out: &mut [f32],
-        maps: &mut [f32],
-        backend: Backend,
-        madd: impl Fn(&mut Lanes, f32, &Lanes),
-    ) {
-        let (t, dh) = (self.t, self.dh);
-        let scale = 1.0 / (dh as f32).sqrt();
-        let (tl, dl) = (t.div_ceil(LANES), dh.div_ceil(LANES));
-        let mut kt = vec![[0.0f32; LANES]; dh * tl];
-        let mut vt = vec![[0.0f32; LANES]; t * dl];
-        let mut acc = vec![[0.0f32; LANES]; tl.max(dl)];
-        for (i, map) in maps.chunks_exact_mut(t * t).enumerate() {
-            let (s, h) = (i / self.heads, i % self.heads);
-            for r in 0..t {
-                let at = self.at(s, h, r);
-                for (p, (&kv, &vv)) in self.k[at..at + dh]
-                    .iter()
-                    .zip(&self.v[at..at + dh])
-                    .enumerate()
-                {
-                    kt[p * tl + r / LANES][r % LANES] = kv;
-                    vt[r * dl + p / LANES][p % LANES] = vv;
-                }
-            }
-            for (r, row) in map.chunks_exact_mut(t).enumerate() {
-                let acc = &mut acc[..tl];
-                acc.fill([0.0; LANES]);
-                let at = self.at(s, h, r);
-                for (&qv, kt_row) in self.q[at..at + dh].iter().zip(kt.chunks_exact(tl)) {
-                    for (a, kv) in acc.iter_mut().zip(kt_row) {
-                        madd(a, qv, kv);
-                    }
-                }
-                for (c, &a) in row.iter_mut().zip(acc.as_flattened()) {
-                    *c = a * scale;
-                }
-                softmax_rows_with(backend, row, t);
-            }
-            for (r, a_row) in map.chunks_exact(t).enumerate() {
-                let acc = &mut acc[..dl];
-                acc.fill([0.0; LANES]);
-                for (&a, vt_row) in a_row.iter().zip(vt.chunks_exact(dl)) {
-                    for (o, vv) in acc.iter_mut().zip(vt_row) {
-                        madd(o, a, vv);
-                    }
-                }
-                let at = self.at(s, h, r);
-                out[at..at + dh].copy_from_slice(&acc.as_flattened()[..dh]);
             }
         }
     }
@@ -594,7 +510,7 @@ fn at_b(b: &[f32], p: usize, j: usize, k: usize, n: usize, tb: bool) -> f32 {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{at_a, at_b, AttentionTiles, Backend, KC, MC, MR, NC, NR};
+    use super::{at_a, at_b, AttentionTiles, KC, MC, MR, NC, NR};
     use std::arch::x86_64::*;
     use std::cell::RefCell;
 
@@ -707,48 +623,13 @@ mod x86 {
         }
     }
 
-    /// 8×8 SSE2 microkernel: same tile as the AVX2 kernel with each row
-    /// held as two 128-bit half-lanes (multiply + add, no FMA).
-    ///
-    /// # Safety
-    ///
-    /// Requires SSE2; `c` must be valid for 8 rows of 8 f32 at `ldc`.
-    #[target_feature(enable = "sse2")]
-    unsafe fn mk8x8_sse2(a: *const f32, b: *const f32, c: *mut f32, ldc: usize, kc: usize) {
-        let mut lo = [_mm_setzero_ps(); MR];
-        let mut hi = [_mm_setzero_ps(); MR];
-        for p in 0..kc {
-            let bl = _mm_loadu_ps(b.add(p * NR));
-            let bh = _mm_loadu_ps(b.add(p * NR + 4));
-            let ap = a.add(p * MR);
-            for r in 0..MR {
-                let av = _mm_set1_ps(*ap.add(r));
-                lo[r] = _mm_add_ps(lo[r], _mm_mul_ps(av, bl));
-                hi[r] = _mm_add_ps(hi[r], _mm_mul_ps(av, bh));
-            }
-        }
-        for r in 0..MR {
-            let crow = c.add(r * ldc);
-            _mm_storeu_ps(crow, _mm_add_ps(_mm_loadu_ps(crow), lo[r]));
-            _mm_storeu_ps(crow.add(4), _mm_add_ps(_mm_loadu_ps(crow.add(4)), hi[r]));
-        }
-    }
-
     /// Skinny-M GEMM (`ta = tb = false`): `C[m×n] += A[m×k] · B[k×n]`
     /// without packing. Works in 32-column strips: the strip of B
     /// (`k × 32` floats) stays L1-resident while each of the few A rows
     /// broadcasts through it. Per output element the k-loop accumulates
     /// in ascending order, like every other backend.
-    pub(super) fn sgemm_skinny(
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-        backend: Backend,
-    ) {
-        sgemm_skinny_impl(a, b, c, m, k, n, backend, true);
+    pub(super) fn sgemm_skinny(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        sgemm_skinny_impl(a, b, c, m, k, n, true);
     }
 
     /// Skinny-M GEMM in overwrite mode: `C = A · B`. The accumulators
@@ -761,12 +642,10 @@ mod x86 {
         m: usize,
         k: usize,
         n: usize,
-        backend: Backend,
     ) {
-        sgemm_skinny_impl(a, b, c, m, k, n, backend, false);
+        sgemm_skinny_impl(a, b, c, m, k, n, false);
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn sgemm_skinny_impl(
         a: &[f32],
         b: &[f32],
@@ -774,45 +653,29 @@ mod x86 {
         m: usize,
         k: usize,
         n: usize,
-        backend: Backend,
         accumulate: bool,
     ) {
         let mut j = 0;
-        // SAFETY: strip bounds are checked before each call; the target
-        // features are implied by the selected backend.
+        // SAFETY: strip bounds are checked before each call; callers
+        // dispatch here only on the AVX2+FMA backend.
         unsafe {
-            match backend {
-                Backend::Avx2Fma => {
-                    while j + 32 <= n {
-                        // Row pairs share the B loads and double the
-                        // independent FMA chains (8 per pair) — with very
-                        // few rows a single row's 4 chains can't hide the
-                        // FMA latency.
-                        let mut i = 0;
-                        while i + 2 <= m {
-                            skinny_strip32x2_avx2(a, b, c, i, k, n, j, accumulate);
-                            i += 2;
-                        }
-                        if i < m {
-                            skinny_strip32_avx2(a, b, c, i, i + 1, k, n, j, accumulate);
-                        }
-                        j += 32;
-                    }
-                    while j + 8 <= n {
-                        skinny_strip8_avx2(a, b, c, 0, m, k, n, j, accumulate);
-                        j += 8;
-                    }
+            while j + 32 <= n {
+                // Row pairs share the B loads and double the independent
+                // FMA chains (8 per pair) — with very few rows a single
+                // row's 4 chains can't hide the FMA latency.
+                let mut i = 0;
+                while i + 2 <= m {
+                    skinny_strip32x2_avx2(a, b, c, i, k, n, j, accumulate);
+                    i += 2;
                 }
-                _ => {
-                    while j + 16 <= n {
-                        skinny_strip16_sse2(a, b, c, m, k, n, j, accumulate);
-                        j += 16;
-                    }
-                    while j + 4 <= n {
-                        skinny_strip4_sse2(a, b, c, m, k, n, j, accumulate);
-                        j += 4;
-                    }
+                if i < m {
+                    skinny_strip32_avx2(a, b, c, i, i + 1, k, n, j, accumulate);
                 }
+                j += 32;
+            }
+            while j + 8 <= n {
+                skinny_strip8_avx2(a, b, c, 0, m, k, n, j, accumulate);
+                j += 8;
             }
         }
         // Scalar tail for the last few columns.
@@ -1001,102 +864,26 @@ mod x86 {
         }
     }
 
-    /// One 16-column strip of the skinny kernel (4 × 128-bit lanes).
-    ///
-    /// # Safety
-    ///
-    /// Requires SSE2 and `j + 16 <= n`.
-    #[target_feature(enable = "sse2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn skinny_strip16_sse2(
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-        j: usize,
-        accumulate: bool,
-    ) {
-        for i in 0..m {
-            let crow = c.as_mut_ptr().add(i * n + j);
-            let z = _mm_setzero_ps();
-            let mut acc0 = if accumulate { _mm_loadu_ps(crow) } else { z };
-            let mut acc1 = if accumulate {
-                _mm_loadu_ps(crow.add(4))
-            } else {
-                z
-            };
-            let mut acc2 = if accumulate {
-                _mm_loadu_ps(crow.add(8))
-            } else {
-                z
-            };
-            let mut acc3 = if accumulate {
-                _mm_loadu_ps(crow.add(12))
-            } else {
-                z
-            };
-            for p in 0..k {
-                let av = _mm_set1_ps(*a.get_unchecked(i * k + p));
-                let bp = b.as_ptr().add(p * n + j);
-                acc0 = _mm_add_ps(acc0, _mm_mul_ps(av, _mm_loadu_ps(bp)));
-                acc1 = _mm_add_ps(acc1, _mm_mul_ps(av, _mm_loadu_ps(bp.add(4))));
-                acc2 = _mm_add_ps(acc2, _mm_mul_ps(av, _mm_loadu_ps(bp.add(8))));
-                acc3 = _mm_add_ps(acc3, _mm_mul_ps(av, _mm_loadu_ps(bp.add(12))));
-            }
-            _mm_storeu_ps(crow, acc0);
-            _mm_storeu_ps(crow.add(4), acc1);
-            _mm_storeu_ps(crow.add(8), acc2);
-            _mm_storeu_ps(crow.add(12), acc3);
-        }
+    /// Panics unless this CPU has AVX2 and FMA: [`super::gelu_with`],
+    /// [`super::softmax_rows_with`] and [`super::attention`] take the
+    /// backend from their caller, and running AVX2 code on a host without
+    /// it is undefined behaviour.
+    pub(super) fn assert_available() {
+        assert!(
+            is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
+            "the AVX2+FMA backend needs a CPU with AVX2 and FMA"
+        );
     }
 
-    /// One 4-column strip of the skinny kernel.
-    ///
-    /// # Safety
-    ///
-    /// Requires SSE2 and `j + 4 <= n`.
-    #[target_feature(enable = "sse2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn skinny_strip4_sse2(
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-        j: usize,
-        accumulate: bool,
-    ) {
-        for i in 0..m {
-            let crow = c.as_mut_ptr().add(i * n + j);
-            let mut acc = if accumulate {
-                _mm_loadu_ps(crow)
-            } else {
-                _mm_setzero_ps()
-            };
-            for p in 0..k {
-                let av = _mm_set1_ps(*a.get_unchecked(i * k + p));
-                acc = _mm_add_ps(acc, _mm_mul_ps(av, _mm_loadu_ps(b.as_ptr().add(p * n + j))));
-            }
-            _mm_storeu_ps(crow, acc);
-        }
-    }
+    /// Lane group of the batched attention pass: one 256-bit register.
+    const LANES: usize = 8;
+    type Lanes = [f32; LANES];
 
-    /// Panics unless this CPU has the instructions `backend` uses: the
-    /// element kernels take the backend from their caller, and running
-    /// AVX2 code on a host without it is undefined behaviour.
-    pub(super) fn assert_available(backend: Backend) {
-        if backend == Backend::Avx2Fma {
-            assert!(
-                is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
-                "the AVX2+FMA backend needs a CPU with AVX2 and FMA"
-            );
-        }
-    }
-
-    /// [`super::AttentionTiles::lanes`] on one 256-bit register per group.
+    /// The batched pass of [`super::attention`]. Per (sample, head),
+    /// `K_hᵀ` (`[dh, T]`) and `V_h` (`[T, dh]`) are staged as rows of
+    /// zero-padded lane groups, so each output row is a sum of whole-group
+    /// multiply-adds: `acc[l] += a · b[l]` on every lane, one multiply then
+    /// one add.
     ///
     /// # Safety
     ///
@@ -1106,36 +893,60 @@ mod x86 {
         tiles: &AttentionTiles<'_>,
         out: &mut [f32],
         maps: &mut [f32],
-        backend: Backend,
     ) {
-        tiles.lanes(out, maps, backend, |acc, a, b| {
+        let madd = |acc: &mut Lanes, a: f32, b: &Lanes| {
             let (pa, pb) = (acc.as_mut_ptr(), b.as_ptr());
             // SAFETY: each group holds 8 floats; AVX2 is enabled here.
             unsafe {
                 let prod = _mm256_mul_ps(_mm256_set1_ps(a), _mm256_loadu_ps(pb));
                 _mm256_storeu_ps(pa, _mm256_add_ps(_mm256_loadu_ps(pa), prod));
             }
-        })
-    }
-
-    /// [`super::AttentionTiles::lanes`] on two 128-bit registers per group.
-    pub(super) fn attention_lanes_sse2(
-        tiles: &AttentionTiles<'_>,
-        out: &mut [f32],
-        maps: &mut [f32],
-        backend: Backend,
-    ) {
-        tiles.lanes(out, maps, backend, |acc, a, b| {
-            let (pa, pb) = (acc.as_mut_ptr(), b.as_ptr());
-            // SAFETY: each group holds 8 floats; SSE2 is the x86-64 baseline.
-            unsafe {
-                let av = _mm_set1_ps(a);
-                let lo = _mm_mul_ps(av, _mm_loadu_ps(pb));
-                let hi = _mm_mul_ps(av, _mm_loadu_ps(pb.add(4)));
-                _mm_storeu_ps(pa, _mm_add_ps(_mm_loadu_ps(pa), lo));
-                _mm_storeu_ps(pa.add(4), _mm_add_ps(_mm_loadu_ps(pa.add(4)), hi));
+        };
+        let (t, dh) = (tiles.t, tiles.dh);
+        let scale = 1.0 / (dh as f32).sqrt();
+        let (tl, dl) = (t.div_ceil(LANES), dh.div_ceil(LANES));
+        let mut kt = vec![[0.0f32; LANES]; dh * tl];
+        let mut vt = vec![[0.0f32; LANES]; t * dl];
+        let mut acc = vec![[0.0f32; LANES]; tl.max(dl)];
+        for (i, map) in maps.chunks_exact_mut(t * t).enumerate() {
+            let (s, h) = (i / tiles.heads, i % tiles.heads);
+            for r in 0..t {
+                let at = tiles.at(s, h, r);
+                for (p, (&kv, &vv)) in tiles.k[at..at + dh]
+                    .iter()
+                    .zip(&tiles.v[at..at + dh])
+                    .enumerate()
+                {
+                    kt[p * tl + r / LANES][r % LANES] = kv;
+                    vt[r * dl + p / LANES][p % LANES] = vv;
+                }
             }
-        })
+            for (r, row) in map.chunks_exact_mut(t).enumerate() {
+                let acc = &mut acc[..tl];
+                acc.fill([0.0; LANES]);
+                let at = tiles.at(s, h, r);
+                for (&qv, kt_row) in tiles.q[at..at + dh].iter().zip(kt.chunks_exact(tl)) {
+                    for (a, kv) in acc.iter_mut().zip(kt_row) {
+                        madd(a, qv, kv);
+                    }
+                }
+                for (c, &a) in row.iter_mut().zip(acc.as_flattened()) {
+                    *c = a * scale;
+                }
+                softmax_row(row);
+            }
+            for (r, a_row) in map.chunks_exact(t).enumerate() {
+                let acc = &mut acc[..dl];
+                acc.fill([0.0; LANES]);
+                for (&a, vt_row) in a_row.iter().zip(vt.chunks_exact(dl)) {
+                    for (o, vv) in acc.iter_mut().zip(vt_row) {
+                        madd(o, a, vv);
+                    }
+                }
+                let at = tiles.at(s, h, r);
+                out[at..at + dh].copy_from_slice(&acc.as_flattened()[..dh]);
+            }
+        }
     }
 
     /// Cephes `expf`: clamp, split `x = n·ln2 + r`, a degree-5 polynomial
@@ -1190,31 +1001,6 @@ mod x86 {
         _mm256_mul_ps(y, _mm256_castsi256_ps(pow2))
     }
 
-    /// # Safety
-    ///
-    /// Requires SSE2.
-    #[target_feature(enable = "sse2")]
-    unsafe fn exp4(x: __m128) -> __m128 {
-        let x = _mm_max_ps(_mm_set1_ps(EXP_LO), _mm_min_ps(_mm_set1_ps(EXP_HI), x));
-        let t = _mm_add_ps(_mm_mul_ps(x, _mm_set1_ps(LOG2E)), _mm_set1_ps(0.5));
-        // floor without SSE4.1: truncate, then step down where that
-        // rounded up (negative non-integers).
-        let tr = _mm_cvtepi32_ps(_mm_cvttps_epi32(t));
-        let fx = _mm_sub_ps(tr, _mm_and_ps(_mm_cmpgt_ps(tr, t), _mm_set1_ps(1.0)));
-        let r = _mm_sub_ps(x, _mm_mul_ps(fx, _mm_set1_ps(LN2_HI)));
-        let r = _mm_sub_ps(r, _mm_mul_ps(fx, _mm_set1_ps(LN2_LO)));
-        let mut y = _mm_set1_ps(EXP_POLY[0]);
-        for &c in &EXP_POLY[1..] {
-            y = _mm_add_ps(_mm_mul_ps(y, r), _mm_set1_ps(c));
-        }
-        let y = _mm_add_ps(
-            _mm_add_ps(_mm_mul_ps(y, _mm_mul_ps(r, r)), r),
-            _mm_set1_ps(1.0),
-        );
-        let pow2 = _mm_slli_epi32::<23>(_mm_add_epi32(_mm_cvttps_epi32(fx), _mm_set1_epi32(127)));
-        _mm_mul_ps(y, _mm_castsi128_ps(pow2))
-    }
-
     /// `gelu(x) = x / (1 + exp(−2u))`, `u = √(2/π)·x·(1 + 0.044715·x²)`.
     ///
     /// # Safety
@@ -1231,30 +1017,11 @@ mod x86 {
         _mm256_div_ps(x, _mm256_add_ps(one, e))
     }
 
-    /// # Safety
-    ///
-    /// Requires SSE2.
-    #[target_feature(enable = "sse2")]
-    unsafe fn gelu4(x: __m128) -> __m128 {
-        let one = _mm_set1_ps(1.0);
-        let u = _mm_mul_ps(
-            x,
-            _mm_add_ps(_mm_mul_ps(_mm_mul_ps(x, x), _mm_set1_ps(GELU_A)), one),
-        );
-        let e = exp4(_mm_mul_ps(u, _mm_set1_ps(-2.0 * GELU_C)));
-        _mm_div_ps(x, _mm_add_ps(one, e))
-    }
-
     /// Vector GELU over a slice; see [`super::gelu_with`].
-    pub(super) fn gelu(x: &mut [f32], backend: Backend) {
-        assert_available(backend);
-        // SAFETY: the host has the backend's features, checked just above.
-        unsafe {
-            match backend {
-                Backend::Avx2Fma => gelu_avx2(x),
-                _ => gelu_sse2(x),
-            }
-        }
+    pub(super) fn gelu(x: &mut [f32]) {
+        assert_available();
+        // SAFETY: the host has AVX2 and FMA, checked just above.
+        unsafe { gelu_avx2(x) }
     }
 
     /// # Safety
@@ -1274,33 +1041,11 @@ mod x86 {
         tail.copy_from_slice(&lanes[..tail.len()]);
     }
 
-    /// # Safety
-    ///
-    /// Requires SSE2.
-    #[target_feature(enable = "sse2")]
-    unsafe fn gelu_sse2(x: &mut [f32]) {
-        let mut chunks = x.chunks_exact_mut(4);
-        for c in &mut chunks {
-            // SAFETY: `c` holds exactly 4 floats.
-            _mm_storeu_ps(c.as_mut_ptr(), gelu4(_mm_loadu_ps(c.as_ptr())));
-        }
-        let tail = chunks.into_remainder();
-        let mut lanes = [0.0f32; 4];
-        lanes[..tail.len()].copy_from_slice(tail);
-        _mm_storeu_ps(lanes.as_mut_ptr(), gelu4(_mm_loadu_ps(lanes.as_ptr())));
-        tail.copy_from_slice(&lanes[..tail.len()]);
-    }
-
     /// Vector softmax of one row; see [`super::softmax_rows_with`].
-    pub(super) fn softmax_row(row: &mut [f32], backend: Backend) {
-        assert_available(backend);
-        // SAFETY: the host has the backend's features, checked just above.
-        let sum = unsafe {
-            match backend {
-                Backend::Avx2Fma => exp_shifted_avx2(row),
-                _ => exp_shifted_sse2(row),
-            }
-        };
+    pub(super) fn softmax_row(row: &mut [f32]) {
+        assert_available();
+        // SAFETY: the host has AVX2 and FMA, checked just above.
+        let sum = unsafe { exp_shifted_avx2(row) };
         let inv = 1.0 / sum;
         row.iter_mut().for_each(|v| *v *= inv);
     }
@@ -1352,52 +1097,9 @@ mod x86 {
         total
     }
 
-    /// # Safety
-    ///
-    /// Requires SSE2.
-    #[target_feature(enable = "sse2")]
-    unsafe fn exp_shifted_sse2(row: &mut [f32]) -> f32 {
-        // Folds the 4 lanes of `v` pairwise with `op`; lane 0 holds the result.
-        #[target_feature(enable = "sse2")]
-        fn fold4(v: __m128, op: impl Fn(__m128, __m128) -> __m128) -> f32 {
-            let v = op(v, _mm_shuffle_ps::<0b01_00_11_10>(v, v));
-            _mm_cvtss_f32(op(v, _mm_shuffle_ps::<0b10_11_00_01>(v, v)))
-        }
-        let mut chunks = row.chunks_exact_mut(4);
-        let mut acc = _mm_set1_ps(f32::NEG_INFINITY);
-        for c in &mut chunks {
-            acc = _mm_max_ps(acc, _mm_loadu_ps(c.as_ptr()));
-        }
-        let tail = chunks.into_remainder();
-        let max = tail
-            .iter()
-            .fold(fold4(acc, |a, b| _mm_max_ps(a, b)), |m, &v| m.max(v));
-        let m = _mm_set1_ps(max);
-        let mut sum = _mm_setzero_ps();
-        let mut chunks = row.chunks_exact_mut(4);
-        for c in &mut chunks {
-            let e = exp4(_mm_sub_ps(_mm_loadu_ps(c.as_ptr()), m));
-            _mm_storeu_ps(c.as_mut_ptr(), e);
-            sum = _mm_add_ps(sum, e);
-        }
-        let mut total = fold4(sum, |a, b| _mm_add_ps(a, b));
-        let tail = chunks.into_remainder();
-        if !tail.is_empty() {
-            let mut lanes = [max; 4];
-            lanes[..tail.len()].copy_from_slice(tail);
-            let e = exp4(_mm_sub_ps(_mm_loadu_ps(lanes.as_ptr()), m));
-            _mm_storeu_ps(lanes.as_mut_ptr(), e);
-            for (v, &e) in tail.iter_mut().zip(&lanes) {
-                *v = e;
-                total += e;
-            }
-        }
-        total
-    }
-
-    /// Cache-blocked GEMM driver shared by the SSE2 and AVX2 backends:
-    /// GotoBLAS-style jc/pc/ic loops over packed panels, full 8×8
-    /// microkernel tiles, edge tiles routed through a zero-padded scratch.
+    /// Cache-blocked GEMM driver of the AVX2 backend: GotoBLAS-style
+    /// jc/pc/ic loops over packed panels, full 8×8 microkernel tiles, edge
+    /// tiles routed through a zero-padded scratch.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn sgemm_blocked(
         a: &[f32],
@@ -1408,7 +1110,6 @@ mod x86 {
         n: usize,
         ta: bool,
         tb: bool,
-        backend: Backend,
     ) {
         PACK.with(|pack| {
             let mut pack = pack.borrow_mut();
@@ -1434,33 +1135,22 @@ mod x86 {
                                 let bp = &pack_b_buf[jp * kc * NR..];
                                 let row0 = ic + ip * MR;
                                 let col0 = jc + jp * NR;
+                                // SAFETY: full tiles lie inside `c`, edge
+                                // tiles go through `tile`; callers dispatch
+                                // here only on the AVX2+FMA backend.
                                 unsafe {
                                     if rows == MR && cols == NR {
                                         let cp = c.as_mut_ptr().add(row0 * n + col0);
-                                        match backend {
-                                            Backend::Avx2Fma => {
-                                                mk8x8_avx2(ap.as_ptr(), bp.as_ptr(), cp, n, kc)
-                                            }
-                                            _ => mk8x8_sse2(ap.as_ptr(), bp.as_ptr(), cp, n, kc),
-                                        }
+                                        mk8x8_avx2(ap.as_ptr(), bp.as_ptr(), cp, n, kc);
                                     } else {
                                         let mut tile = [0.0f32; MR * NR];
-                                        match backend {
-                                            Backend::Avx2Fma => mk8x8_avx2(
-                                                ap.as_ptr(),
-                                                bp.as_ptr(),
-                                                tile.as_mut_ptr(),
-                                                NR,
-                                                kc,
-                                            ),
-                                            _ => mk8x8_sse2(
-                                                ap.as_ptr(),
-                                                bp.as_ptr(),
-                                                tile.as_mut_ptr(),
-                                                NR,
-                                                kc,
-                                            ),
-                                        }
+                                        mk8x8_avx2(
+                                            ap.as_ptr(),
+                                            bp.as_ptr(),
+                                            tile.as_mut_ptr(),
+                                            NR,
+                                            kc,
+                                        );
                                         for r in 0..rows {
                                             let crow = &mut c[(row0 + r) * n + col0
                                                 ..(row0 + r) * n + col0 + cols];
@@ -1483,9 +1173,6 @@ mod x86 {
         });
     }
 }
-
-#[cfg(target_arch = "x86_64")]
-use x86::sgemm_blocked;
 
 #[cfg(test)]
 mod tests {
@@ -1519,9 +1206,6 @@ mod tests {
         let mut v = vec![Backend::Scalar];
         #[cfg(target_arch = "x86_64")]
         {
-            if std::arch::is_x86_feature_detected!("sse2") {
-                v.push(Backend::Sse2);
-            }
             if std::arch::is_x86_feature_detected!("avx2")
                 && std::arch::is_x86_feature_detected!("fma")
             {

@@ -20,9 +20,6 @@ fn backends() -> Vec<Backend> {
     let mut v = vec![Backend::Scalar];
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("sse2") {
-            v.push(Backend::Sse2);
-        }
         if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
         {
             v.push(Backend::Avx2Fma);
