@@ -18,7 +18,11 @@ use clado_estim::{
     assignment_regret, build_report, estimate_sensitivities, EstimationPlan, EstimatorKind,
     EstimatorOptions, DEFAULT_ESTIMATOR_SEED,
 };
-use clado_models::{pretrained, DataSplit, ModelKind, Pretrained};
+use clado_models::{
+    evaluate, pretrained, pretrained_network, sample_indices, DataSplit, ModelKind, Split,
+    SynthVision, SynthVisionConfig,
+};
+use clado_nn::Network;
 use clado_quant::{bits_to_mb, BitWidth, BitWidthSet, LayerSizes, QuantScheme};
 use clado_serve::{
     submit_with_retries, AssignRow, MeasureSpec, Op, ServeMessage, ServeOptions, Server,
@@ -502,17 +506,31 @@ pub fn cmd_train(args: &Args) -> Result<(), Box<dyn Error>> {
     run.finish("train", &[("model", kind.id().into())])
 }
 
-/// The pretrained `kind` and its sensitivity set: `set_size` training
-/// samples (clamped to the split) drawn with `set_seed`. Pool workers
-/// and the serve daemon reconstruct jobs through this too, so every
-/// node samples the same set.
-fn pretrained_with_set(kind: ModelKind, set_size: usize, set_seed: u64) -> (Pretrained, DataSplit) {
-    let p = pretrained(kind);
-    let set = p
-        .data
-        .train
-        .sample_subset(set_size.min(p.data.train.len()), set_seed);
-    (p, set)
+/// The pretrained `kind`'s network and its sensitivity set: `set_size`
+/// training samples (clamped to the split) drawn with `set_seed`. Only
+/// the set's samples are rendered; the dataset is generated in full only
+/// when the weights cache misses and the model trains. Pool workers and
+/// the serve daemon reconstruct jobs through this too, so every node
+/// samples the same set.
+fn pretrained_with_set(kind: ModelKind, set_size: usize, set_seed: u64) -> (Network, DataSplit) {
+    (
+        pretrained_network(kind),
+        sensitivity_set(set_size, set_seed),
+    )
+}
+
+/// `size` training samples of the default dataset (clamped to the split)
+/// drawn with `seed`: bitwise `pretrained(kind).data.train.sample_subset`.
+fn sensitivity_set(size: usize, seed: u64) -> DataSplit {
+    let cfg = SynthVisionConfig::default();
+    let indices = sample_indices(cfg.train, size.min(cfg.train), seed);
+    SynthVision::render(cfg, Split::Train, &indices)
+}
+
+/// The validation split of the default dataset.
+fn val_split() -> DataSplit {
+    let cfg = SynthVisionConfig::default();
+    SynthVision::render(cfg, Split::Val, &(0..cfg.val).collect::<Vec<_>>())
 }
 
 /// [`pretrained_with_set`] under the run's `load` span.
@@ -521,9 +539,21 @@ fn load_with_set(
     kind: ModelKind,
     set_size: usize,
     set_seed: u64,
-) -> (Pretrained, DataSplit) {
+) -> (Network, DataSplit) {
     let _s = run.telemetry.span("load");
     pretrained_with_set(kind, set_size, set_seed)
+}
+
+/// [`load_with_set`] plus the validation split, in the same span.
+fn load_with_val(
+    run: &RunContext,
+    kind: ModelKind,
+    set_size: usize,
+    set_seed: u64,
+) -> (Network, DataSplit, DataSplit) {
+    let _s = run.telemetry.span("load");
+    let (network, set) = pretrained_with_set(kind, set_size, set_seed);
+    (network, set, val_split())
 }
 
 /// `clado sensitivity --model <id> --out <file>` (alias: `measure`)
@@ -549,7 +579,7 @@ pub fn cmd_sensitivity(args: &Args) -> Result<(), Box<dyn Error>> {
     let probe_budget: usize = args.get_or("probe-budget", 0)?;
     let distributed = args.get_or::<usize>("workers", 0)? > 0 || args.get("listen").is_some();
 
-    let (mut p, sens_set) = load_with_set(&run, kind, set_size, set_seed);
+    let (mut network, sens_set) = load_with_set(&run, kind, set_size, set_seed);
     let options = SensitivityOptions {
         scheme,
         verbose: args.switch("verbose"),
@@ -572,7 +602,7 @@ pub fn cmd_sensitivity(args: &Args) -> Result<(), Box<dyn Error>> {
     let mut notes = Vec::new();
     let sm = if distributed {
         let ctx = ShardContext::new(
-            &p.network,
+            &network,
             sens_set.len(),
             &bits,
             scheme,
@@ -619,7 +649,7 @@ pub fn cmd_sensitivity(args: &Args) -> Result<(), Box<dyn Error>> {
         outcome.matrix
     } else if let Some(est_kind) = estimator {
         let est = estimate_sensitivities(
-            &mut p.network,
+            &mut network,
             &sens_set,
             &bits,
             &EstimatorOptions {
@@ -638,7 +668,7 @@ pub fn cmd_sensitivity(args: &Args) -> Result<(), Box<dyn Error>> {
         ));
         est.matrix
     } else {
-        measure_sensitivities(&mut p.network, &sens_set, &bits, &options)?
+        measure_sensitivities(&mut network, &sens_set, &bits, &options)?
     };
     {
         let _s = run.telemetry.span("save");
@@ -774,12 +804,9 @@ pub fn cmd_estimate(args: &Args) -> Result<(), Box<dyn Error>> {
         return Err(ArgsError("--out takes a single --probe-budget".into()).into());
     }
 
-    let (mut p, sens_set) = load_with_set(&run, kind, set_size, set_seed);
+    let (mut network, sens_set, val) = load_with_val(&run, kind, set_size, set_seed);
     let floor_seed = set_seed.wrapping_add(1000);
-    let floor_set = p
-        .data
-        .train
-        .sample_subset(set_size.min(p.data.train.len()), floor_seed);
+    let floor_set = sensitivity_set(set_size, floor_seed);
     let measure = SensitivityOptions {
         scheme,
         verbose: args.switch("verbose"),
@@ -790,22 +817,22 @@ pub fn cmd_estimate(args: &Args) -> Result<(), Box<dyn Error>> {
     };
     let exact = {
         let _s = run.telemetry.span("estimate.exact_reference");
-        measure_sensitivities(&mut p.network, &sens_set, &bits, &measure)?
+        measure_sensitivities(&mut network, &sens_set, &bits, &measure)?
     };
     let second_exact = {
         let _s = run.telemetry.span("estimate.floor_reference");
-        measure_sensitivities(&mut p.network, &floor_set, &bits, &measure)?
+        measure_sensitivities(&mut network, &floor_set, &bits, &measure)?
     };
-    let sizes = LayerSizes::new(p.network.layer_param_counts());
+    let sizes = LayerSizes::new(network.layer_param_counts());
     let budget_bits = sizes.budget_from_avg_bits(avg_bits);
     let assign_options = AssignOptions {
         telemetry: run.telemetry.clone(),
         ..Default::default()
     };
-    let held_out_regret = |network: &mut clado_nn::Network, omega: &SensitivityMatrix| {
+    let held_out_regret = |network: &mut Network, omega: &SensitivityMatrix| {
         assignment_regret(
             network,
-            &p.data.val,
+            &val,
             &exact,
             omega,
             &sizes,
@@ -821,9 +848,9 @@ pub fn cmd_estimate(args: &Args) -> Result<(), Box<dyn Error>> {
          measured at {avg_bits} avg bits",
         exact.stats.full_evals + exact.stats.prefix_cache_hits,
         exact.stats.evaluations,
-        p.data.val.len()
+        val.len()
     ));
-    let floor = held_out_regret(&mut p.network, &second_exact)?;
+    let floor = held_out_regret(&mut network, &second_exact)?;
     run.info(&format!(
         "noise floor (exact Ω of set seed {floor_seed}): regret: {floor}"
     ));
@@ -839,7 +866,7 @@ pub fn cmd_estimate(args: &Args) -> Result<(), Box<dyn Error>> {
     let single = probe_budgets.len() == 1;
     for &probe_budget in &probe_budgets {
         let est = estimate_sensitivities(
-            &mut p.network,
+            &mut network,
             &sens_set,
             &bits,
             &EstimatorOptions {
@@ -848,7 +875,7 @@ pub fn cmd_estimate(args: &Args) -> Result<(), Box<dyn Error>> {
                 ..EstimatorOptions::new(est_kind)
             },
         )?;
-        let regret = held_out_regret(&mut p.network, &est.matrix)?;
+        let regret = held_out_regret(&mut network, &est.matrix)?;
         let report = build_report(est_kind, &est, Some(&exact), Some(regret));
         println!("{report}");
         if single {
@@ -900,8 +927,11 @@ pub fn cmd_worker(args: &Args) -> Result<(), Box<dyn Error>> {
     // mismatch and the pool rejects us.
     let provider = |job: &JobSpec| {
         let kind = model_kind(&job.model).map_err(|e| e.to_string())?;
-        let (p, set) = pretrained_with_set(kind, job.set_size as usize, job.set_seed);
-        Ok((p.network, set))
+        Ok(pretrained_with_set(
+            kind,
+            job.set_size as usize,
+            job.set_seed,
+        ))
     };
     let opts = WorkerOptions {
         heartbeat_interval: Duration::from_millis(args.get_or("heartbeat-ms", 500)?),
@@ -950,8 +980,11 @@ pub fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
     };
     let provider: clado_serve::ModelProvider = Arc::new(|spec: &MeasureSpec| {
         let kind = model_kind(&spec.model).map_err(|e| e.to_string())?;
-        let (p, set) = pretrained_with_set(kind, spec.set_size as usize, spec.set_seed);
-        Ok((p.network, set))
+        Ok(pretrained_with_set(
+            kind,
+            spec.set_size as usize,
+            spec.set_seed,
+        ))
     });
     let server = Server::bind(
         args.get("listen").unwrap_or("127.0.0.1:4750"),
@@ -1765,8 +1798,8 @@ pub fn cmd_assign(args: &Args) -> Result<(), Box<dyn Error>> {
     let set_seed: u64 = args.get_or("set-seed", 0)?;
     let stored = stored_omega(args, algorithm)?;
 
-    let (p, sens_set) = load_with_set(&run, kind, set_size, set_seed);
-    let mut ctx = ExperimentContext::new(p.network, sens_set, p.data.val.clone(), bits, scheme);
+    let (network, sens_set, val) = load_with_val(&run, kind, set_size, set_seed);
+    let mut ctx = ExperimentContext::new(network, sens_set, val, bits, scheme);
     if let Some(sm) = stored {
         if !sm.stats.provenance.is_exact() {
             run.info(&format!("Ω provenance: {}", sm.stats.provenance));
@@ -1830,14 +1863,14 @@ pub fn cmd_sweep(args: &Args) -> Result<(), Box<dyn Error>> {
     let set_seed: u64 = args.get_or("set-seed", 0)?;
     let stored = stored_omega(args, algorithm)?;
 
-    let (mut p, sens_set) = load_with_set(&run, kind, set_size, set_seed);
+    let (mut network, sens_set, val) = load_with_val(&run, kind, set_size, set_seed);
     run.info(&format!(
         "{} (FP32 {:.2}%), {}",
         kind.display_name(),
-        p.val_accuracy() * 100.0,
+        evaluate(&mut network, &val) * 100.0,
         algorithm.label()
     ));
-    let mut ctx = ExperimentContext::new(p.network, sens_set, p.data.val.clone(), bits, scheme);
+    let mut ctx = ExperimentContext::new(network, sens_set, val, bits, scheme);
     if let Some(sm) = stored {
         if !sm.stats.provenance.is_exact() {
             run.info(&format!("Ω provenance: {}", sm.stats.provenance));
@@ -1883,11 +1916,11 @@ pub fn cmd_eval(args: &Args) -> Result<(), Box<dyn Error>> {
     let kind = model_kind(args.require::<String>("model")?.as_str())?;
     let map = args.list_or::<u8>("map", &[])?;
     let scheme = scheme_of(args)?;
-    let mut p = {
+    let (mut network, val) = {
         let _s = run.telemetry.span("load");
-        pretrained(kind)
+        (pretrained_network(kind), val_split())
     };
-    let layers = p.network.quantizable_layers().len();
+    let layers = network.quantizable_layers().len();
     if map.len() != layers {
         return Err(Box::new(ArgsError(format!(
             "--map has {} entries but {} has {layers} quantizable layers",
@@ -1897,14 +1930,14 @@ pub fn cmd_eval(args: &Args) -> Result<(), Box<dyn Error>> {
     }
     if args.switch("layer-times") {
         // Per-stage `forward.<stage>` spans land in the same manifest.
-        p.network.set_telemetry(run.telemetry.clone());
+        network.set_telemetry(run.telemetry.clone());
     }
     let assignment: Vec<BitWidth> = map.iter().map(|&b| BitWidth::of(b)).collect();
-    let sizes = LayerSizes::new(p.network.layer_param_counts());
+    let sizes = LayerSizes::new(network.layer_param_counts());
     let cost = sizes.assignment_bits(&assignment);
     let acc = {
         let _s = run.telemetry.span("eval");
-        quantized_accuracy(&mut p.network, &assignment, scheme, &p.data.val)
+        quantized_accuracy(&mut network, &assignment, scheme, &val)
     };
     println!(
         "{}: {:.4} MB ({:.2} bits/weight avg), PTQ accuracy {:.2}%",

@@ -278,6 +278,49 @@ fn assert_clsm_bitwise_equal(reference: &std::path::Path, candidate: &std::path:
     }
 }
 
+/// `measure` renders only its sensitivity set's samples. Its Ω must be
+/// bitwise the Ω measured in process on the same set drawn from the
+/// fully generated dataset.
+#[test]
+fn measure_on_a_rendered_set_matches_the_generated_dataset() {
+    use clado_core::{measure_sensitivities, save_sensitivities, SensitivityOptions};
+    use clado_models::{pretrained, ModelKind};
+    use clado_quant::BitWidthSet;
+    let dir = std::env::temp_dir().join(format!("clado-cli-render-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (subset, full) = (dir.join("subset.clsm"), dir.join("full.clsm"));
+    let out = clado()
+        .args([
+            "measure",
+            "--model",
+            "resnet20",
+            "--set-size",
+            "8",
+            "--set-seed",
+            "3",
+            "--bits",
+            "4,8",
+            "--out",
+            subset.to_str().expect("utf8 path"),
+            "--quiet",
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut p = pretrained(ModelKind::ResNet20);
+    let set = p.data.train.sample_subset(8, 3);
+    let bits = BitWidthSet::new(&[4, 8]);
+    let sm = measure_sensitivities(&mut p.network, &set, &bits, &SensitivityOptions::default())
+        .expect("in-process measure");
+    save_sensitivities(&sm, &full).expect("save");
+    assert_clsm_bitwise_equal(&full, &subset);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn measure_args(out: &std::path::Path) -> Vec<String> {
     vec![
         "measure".to_string(),

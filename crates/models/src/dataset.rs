@@ -9,7 +9,7 @@
 
 use clado_tensor::Tensor;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Configuration of a [`SynthVision`] dataset.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -124,25 +124,13 @@ impl DataSplit {
     }
 
     /// A random subset of `size` samples drawn without replacement — the
-    /// paper's *sensitivity set* construction.
+    /// paper's *sensitivity set* construction ([`sample_indices`]).
     ///
     /// # Panics
     ///
     /// Panics if `size > self.len()`.
     pub fn sample_subset(&self, size: usize, seed: u64) -> DataSplit {
-        assert!(
-            size <= self.len(),
-            "subset size {size} exceeds split size {}",
-            self.len()
-        );
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Partial Fisher-Yates.
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        for i in 0..size {
-            let j = rng.gen_range(i..idx.len());
-            idx.swap(i, j);
-        }
-        self.subset(&idx[..size])
+        self.subset(&sample_indices(self.len(), size, seed))
     }
 
     /// Iterates over `(batch, labels)` chunks of at most `batch_size`.
@@ -154,6 +142,34 @@ impl DataSplit {
             self.batch(start, len)
         })
     }
+}
+
+/// The first `size` positions of a partial Fisher–Yates shuffle of
+/// `0..len` seeded with `seed`: the sample indices of a sensitivity set,
+/// for [`DataSplit::sample_subset`] and [`SynthVision::render`] alike.
+///
+/// # Panics
+///
+/// Panics if `size > len`.
+pub fn sample_indices(len: usize, size: usize, seed: u64) -> Vec<usize> {
+    assert!(size <= len, "subset size {size} exceeds split size {len}");
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut idx: Vec<usize> = (0..len).collect();
+    for i in 0..size {
+        let j = rng.gen_range(i..idx.len());
+        idx.swap(i, j);
+    }
+    idx.truncate(size);
+    idx
+}
+
+/// One of the two splits of a [`SynthVision`] dataset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Split {
+    /// The training split; sensitivity sets are drawn from it.
+    Train,
+    /// The validation split.
+    Val,
 }
 
 /// The full dataset: train and validation splits plus the class templates.
@@ -173,21 +189,40 @@ impl SynthVision {
     ///
     /// Panics if `classes` or `img` is zero.
     pub fn generate(config: SynthVisionConfig) -> Self {
-        assert!(
-            config.classes > 0 && config.img > 0,
-            "degenerate dataset config"
-        );
         let templates = class_templates(&config);
-        let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(1));
-        let train = render_split(&templates, &config, config.train, &mut rng);
-        let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(2));
-        let val = render_split(&templates, &config, config.val, &mut rng);
+        let [train, val] = [Split::Train, Split::Val].map(|split| {
+            let all: Vec<usize> = (0..split_len(&config, split)).collect();
+            render_with(&templates, &config, split, &all)
+        });
         Self { train, val, config }
+    }
+
+    /// Samples `indices` of `split`, in that order, bitwise the samples
+    /// [`generate`](Self::generate) puts at those positions, without
+    /// rendering the rest of the split: a sample before the largest index
+    /// that is not asked for consumes its random draws but computes no
+    /// pixels. A sensitivity set is
+    /// `render(config, Split::Train, &sample_indices(config.train, size, seed))`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `classes` or `img` is zero, or if an index is out of
+    /// bounds.
+    pub fn render(config: SynthVisionConfig, split: Split, indices: &[usize]) -> DataSplit {
+        render_with(&class_templates(&config), &config, split, indices)
     }
 
     /// The generating configuration.
     pub fn config(&self) -> &SynthVisionConfig {
         &self.config
+    }
+}
+
+/// Number of samples in `split`.
+fn split_len(config: &SynthVisionConfig, split: Split) -> usize {
+    match split {
+        Split::Train => config.train,
+        Split::Val => config.val,
     }
 }
 
@@ -220,26 +255,86 @@ fn class_templates(config: &SynthVisionConfig) -> Vec<Vec<f32>> {
         .collect()
 }
 
-fn render_split(
+/// Walks `split`'s sample stream up to the largest of `indices`, renders
+/// the samples asked for and returns them in the order asked for.
+fn render_with(
     templates: &[Vec<f32>],
     config: &SynthVisionConfig,
-    count: usize,
-    rng: &mut StdRng,
+    split: Split,
+    indices: &[usize],
 ) -> DataSplit {
+    assert!(
+        config.classes > 0 && config.img > 0,
+        "degenerate dataset config"
+    );
+    let count = split_len(config, split);
+    // `slot[i]`: where stream sample `i` lands among the rendered ones.
+    let mut slot = vec![None; count];
+    for &i in indices {
+        assert!(
+            i < count,
+            "sample index {i} out of bounds ({count} samples)"
+        );
+        slot[i] = Some(0);
+    }
+    let seed = match split {
+        Split::Train => config.seed.wrapping_add(1),
+        Split::Val => config.seed.wrapping_add(2),
+    };
+    let mut rng = StdRng::seed_from_u64(seed);
+    let stride = CHANNELS * config.img * config.img;
+    let mut images = Vec::with_capacity(indices.len() * stride);
+    let mut labels = Vec::with_capacity(indices.len());
+    let end = indices.iter().max().map_or(0, |&i| i + 1);
+    for s in &mut slot[..end] {
+        if s.is_some() {
+            *s = Some(labels.len());
+            labels.push(draw_sample(templates, config, &mut rng, Some(&mut images)));
+        } else {
+            draw_sample(templates, config, &mut rng, None);
+        }
+    }
+    let rendered = DataSplit {
+        images,
+        labels,
+        img: config.img,
+    };
+    if indices.windows(2).all(|w| w[0] < w[1]) {
+        return rendered;
+    }
+    let order: Vec<usize> = indices
+        .iter()
+        .map(|&i| slot[i].expect("rendered"))
+        .collect();
+    rendered.subset(&order)
+}
+
+/// Draws the next sample of a split's stream and returns its label. With
+/// `images`, its pixels are rendered onto the end of `images`. Without,
+/// the sample is skipped: it consumes exactly the draws rendering would,
+/// two per pixel, but runs no Box–Muller transform. This relies on every
+/// `gen_range` of the vendored `rand` taking one `next_u64`.
+fn draw_sample(
+    templates: &[Vec<f32>],
+    config: &SynthVisionConfig,
+    rng: &mut StdRng,
+    images: Option<&mut Vec<f32>>,
+) -> usize {
     let s = config.img;
-    let stride = CHANNELS * s * s;
-    let mut images = Vec::with_capacity(count * stride);
-    let mut labels = Vec::with_capacity(count);
-    for _ in 0..count {
-        let k = rng.gen_range(0..config.classes);
-        let dx = rng.gen_range(-MAX_SHIFT..=MAX_SHIFT);
-        let dy = rng.gen_range(-MAX_SHIFT..=MAX_SHIFT);
-        let gain: f32 = rng.gen_range(0.8..1.2);
-        let t = &templates[k];
-        for c in 0..CHANNELS {
-            for y in 0..s {
-                for x in 0..s {
-                    let sy = (y as i32 + dy).rem_euclid(s as i32) as usize;
+    let k = rng.gen_range(0..config.classes);
+    let dx = rng.gen_range(-MAX_SHIFT..=MAX_SHIFT);
+    let dy = rng.gen_range(-MAX_SHIFT..=MAX_SHIFT);
+    let gain: f32 = rng.gen_range(0.8..1.2);
+    match images {
+        Some(images) => {
+            let t = &templates[k];
+            let start = images.len();
+            images.resize(start + CHANNELS * s * s, 0.0);
+            // One row per (channel, y), in NCHW order.
+            for (r, row) in images[start..].chunks_exact_mut(s).enumerate() {
+                let (c, y) = (r / s, r % s);
+                let sy = (y as i32 + dy).rem_euclid(s as i32) as usize;
+                for (x, px) in row.iter_mut().enumerate() {
                     let sx = (x as i32 + dx).rem_euclid(s as i32) as usize;
                     let noise: f32 = {
                         // Box–Muller on two uniforms.
@@ -247,21 +342,21 @@ fn render_split(
                         let u2: f64 = rng.gen_range(0.0..1.0);
                         ((-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()) as f32
                     };
-                    images.push(gain * t[(c * s + sy) * s + sx] + config.noise * noise);
+                    *px = gain * t[(c * s + sy) * s + sx] + config.noise * noise;
                 }
             }
         }
-        // Label noise: replace with a uniformly random class.
-        if config.label_noise > 0.0 && rng.gen_range(0.0..1.0f32) < config.label_noise {
-            labels.push(rng.gen_range(0..config.classes));
-        } else {
-            labels.push(k);
+        None => {
+            for _ in 0..2 * CHANNELS * s * s {
+                rng.next_u64();
+            }
         }
     }
-    DataSplit {
-        images,
-        labels,
-        img: s,
+    // Label noise: replace with a uniformly random class.
+    if config.label_noise > 0.0 && rng.gen_range(0.0..1.0f32) < config.label_noise {
+        rng.gen_range(0..config.classes)
+    } else {
+        k
     }
 }
 

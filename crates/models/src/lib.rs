@@ -28,9 +28,12 @@ mod train;
 mod vit;
 mod weights_io;
 
-pub use dataset::{DataSplit, SynthVision, SynthVisionConfig, CHANNELS};
+pub use dataset::{sample_indices, DataSplit, Split, SynthVision, SynthVisionConfig, CHANNELS};
 pub use mobilenet::{build_mobilenet, InvertedResidualSpec, MobileNetConfig};
-pub use pretrained::{cache_dir, pretrained, pretrained_with, ModelKind, Pretrained};
+pub use pretrained::{
+    cache_dir, pretrained, pretrained_network, pretrained_with, weights_cache_path, ModelKind,
+    Pretrained,
+};
 pub use regnet::{build_regnet, RegNetConfig};
 pub use resnet::{build_resnet, ResNetConfig};
 pub use train::{evaluate, evaluate_batched, mean_loss, train, TrainConfig, TrainReport};

@@ -134,17 +134,32 @@ pub fn cache_dir() -> PathBuf {
         .join("clado-cache")
 }
 
+/// Weight seed of the zoo models [`pretrained`] returns.
+const ZOO_SEED: u64 = 0xCAFE;
+
 /// Returns the trained model for `kind` on the default dataset, training
 /// and caching it on first use.
 pub fn pretrained(kind: ModelKind) -> Pretrained {
-    pretrained_with(kind, SynthVisionConfig::default(), 0xCAFE)
+    pretrained_with(kind, SynthVisionConfig::default(), ZOO_SEED)
 }
 
-/// [`pretrained`] with explicit dataset configuration and weight seed.
-pub fn pretrained_with(kind: ModelKind, data_cfg: SynthVisionConfig, seed: u64) -> Pretrained {
-    let data = SynthVision::generate(data_cfg);
-    let mut network = kind.build(data_cfg.classes, seed);
-    let cache = cache_dir().join(format!(
+/// The network of [`pretrained`]`(kind)` without the dataset: loaded from
+/// the weights cache, which renders no image, or, when the cache has no
+/// usable file, trained and cached through [`pretrained`].
+pub fn pretrained_network(kind: ModelKind) -> Network {
+    let data_cfg = SynthVisionConfig::default();
+    let mut network = kind.build(data_cfg.classes, ZOO_SEED);
+    let cache = weights_cache_path(kind, &data_cfg, ZOO_SEED);
+    if cache.exists() && load_weights(&mut network, &cache).is_ok() {
+        return network;
+    }
+    pretrained(kind).network
+}
+
+/// The weights-cache file of `kind` trained from weight seed `seed` on
+/// the dataset `data_cfg` describes.
+pub fn weights_cache_path(kind: ModelKind, data_cfg: &SynthVisionConfig, seed: u64) -> PathBuf {
+    cache_dir().join(format!(
         "{}-s{}-d{}-n{}-i{}-c{}-x{}-l{}.cldw",
         kind.id(),
         seed,
@@ -154,7 +169,14 @@ pub fn pretrained_with(kind: ModelKind, data_cfg: SynthVisionConfig, seed: u64) 
         data_cfg.classes,
         (data_cfg.noise * 1000.0) as u32,
         (data_cfg.label_noise * 1000.0) as u32
-    ));
+    ))
+}
+
+/// [`pretrained`] with explicit dataset configuration and weight seed.
+pub fn pretrained_with(kind: ModelKind, data_cfg: SynthVisionConfig, seed: u64) -> Pretrained {
+    let data = SynthVision::generate(data_cfg);
+    let mut network = kind.build(data_cfg.classes, seed);
+    let cache = weights_cache_path(kind, &data_cfg, seed);
     if cache.exists() && load_weights(&mut network, &cache).is_ok() {
         return Pretrained { network, data };
     }
@@ -186,6 +208,25 @@ mod tests {
         ids.sort();
         ids.dedup();
         assert_eq!(ids.len(), all.len());
+    }
+
+    #[test]
+    fn weights_cache_names_are_unchanged() {
+        let name = |kind| {
+            let path = weights_cache_path(kind, &SynthVisionConfig::default(), ZOO_SEED);
+            path.file_name()
+                .expect("file name")
+                .to_string_lossy()
+                .into_owned()
+        };
+        assert_eq!(
+            name(ModelKind::ResNet34),
+            "resnet34-s51966-d793296-n1536-i16-c10-x450-l80.cldw"
+        );
+        assert_eq!(
+            name(ModelKind::ViT),
+            "vit-s51966-d793296-n1536-i16-c10-x450-l80.cldw"
+        );
     }
 
     #[test]

@@ -123,15 +123,32 @@ pub fn active_backend() -> Backend {
 /// `None`, so one process can run both the SIMD and the scalar float
 /// paths (`crates/core/tests/backend_identity.rs` solves the same plan
 /// on each). The override is global: a test that sets it must be the only
-/// test in its binary. Callers must not request a backend the host lacks.
+/// test in its binary.
+///
+/// # Panics
+///
+/// Panics if this CPU lacks `backend`'s instructions: the override also
+/// steers every dispatched GEMM and convolution, which check nothing.
 #[doc(hidden)]
 pub fn force_backend(backend: Option<Backend>) {
     let code = match backend {
         None => 0,
         Some(Backend::Scalar) => 1,
-        Some(Backend::Avx2Fma) => 2,
+        Some(b @ Backend::Avx2Fma) => {
+            assert_available(b);
+            2
+        }
     };
     OVERRIDE.store(code, Ordering::Relaxed);
+}
+
+/// Panics unless this CPU can run `backend`, for the entry points that
+/// take the backend from their caller instead of [`active_backend`].
+fn assert_available(backend: Backend) {
+    #[cfg(target_arch = "x86_64")]
+    if backend == Backend::Avx2Fma {
+        x86::assert_available();
+    }
 }
 
 /// The active kernel's stable name (for run manifests and bench configs).
@@ -189,7 +206,7 @@ pub(crate) fn sgemm(
     } else {
         active_backend()
     };
-    sgemm_with(backend, a, b, c, m, k, n, ta, tb);
+    sgemm_on(backend, a, b, c, m, k, n, ta, tb);
 }
 
 /// `C = op(A) · op(B)` (overwrite, no accumulation): zeroes `c` and runs
@@ -227,7 +244,7 @@ pub fn sgemm_overwrite(
         return;
     }
     c.fill(0.0);
-    sgemm_with(backend, a, b, c, m, k, n, ta, tb);
+    sgemm_on(backend, a, b, c, m, k, n, ta, tb);
 }
 
 /// [`sgemm`] with an explicit backend — the property suite uses this to
@@ -235,10 +252,29 @@ pub fn sgemm_overwrite(
 ///
 /// # Panics
 ///
-/// Panics if slice lengths disagree with the dimensions.
+/// Panics if slice lengths disagree with the dimensions, or if this CPU
+/// lacks `backend`'s instructions.
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn sgemm_with(
+    backend: Backend,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    ta: bool,
+    tb: bool,
+) {
+    assert_available(backend);
+    sgemm_on(backend, a, b, c, m, k, n, ta, tb);
+}
+
+/// [`sgemm_with`] for the dispatched callers, whose backend comes from
+/// [`active_backend`] and so runs on this CPU: no availability check.
+#[allow(clippy::too_many_arguments)]
+fn sgemm_on(
     backend: Backend,
     a: &[f32],
     b: &[f32],
