@@ -13,8 +13,9 @@
 //! quantized counterparts.
 
 use crate::BitWidth;
+use clado_tensor::kernel::symmetric_mse_grid;
 
-/// Number of candidate clipping ratios scanned during MSE calibration.
+/// Intervals of the clip-ratio grid: MSE calibration scans its 81 points.
 const CALIBRATION_GRID: usize = 80;
 /// Smallest clipping ratio scanned (as a fraction of the max-range scale).
 const CALIBRATION_MIN_RATIO: f64 = 0.2;
@@ -71,28 +72,15 @@ pub fn fake_quant_symmetric_into(
 
 /// Fused quantize→dequantize→MSE: bitwise-identical to
 /// `mse(w, &fake_quant_symmetric(w, bits, params))` without materializing
-/// the dequantized vector. This is the calibration-grid hot path.
+/// the dequantized vector. One candidate of the calibration grid.
 pub fn fake_quant_symmetric_mse(w: &[f32], bits: BitWidth, params: SymmetricParams) -> f64 {
     if w.is_empty() {
         return 0.0;
     }
     let (qmin, qmax) = bits.signed_levels();
-    let s = params.scale;
-    let mut sum = 0.0f64;
-    if s == 0.0 {
-        for &x in w {
-            let d = x as f64;
-            sum += d * d;
-        }
-        return sum / w.len() as f64;
-    }
-    let inv = 1.0 / s;
-    for &x in w {
-        let q = (x * inv).round().clamp(qmin as f32, qmax as f32);
-        let d = (x - q * s) as f64;
-        sum += d * d;
-    }
-    sum / w.len() as f64
+    let mut sum = [0.0f64];
+    symmetric_mse_grid(w, &[params.scale], qmin as f32, qmax as f32, &mut sum);
+    sum[0] / w.len() as f64
 }
 
 /// Quantizes `w` with an affine quantizer, returning dequantized values.
@@ -176,24 +164,32 @@ pub fn mse(a: &[f32], b: &[f32]) -> f64 {
 /// but it is *not* guaranteed monotone across bit-widths on adversarial
 /// few-point inputs (a coarser width's grid reaches larger scales that may
 /// align better with isolated values).
+///
+/// All 81 candidates are evaluated by one call of
+/// [`clado_tensor::kernel::symmetric_mse_grid`], whose sums are bitwise
+/// equal on every backend, so the chosen scale is too: the first strict
+/// minimum of `sum / len`.
 pub fn calibrate_symmetric(w: &[f32], bits: BitWidth) -> SymmetricParams {
     let absmax = w.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
     if absmax == 0.0 {
         return SymmetricParams { scale: 0.0 };
     }
-    let (_, qmax) = bits.signed_levels();
+    let (qmin, qmax) = bits.signed_levels();
     let full = absmax as f64 / qmax as f64;
-    let mut best = SymmetricParams { scale: full as f32 };
-    let mut best_err = f64::INFINITY;
-    for k in 0..=CALIBRATION_GRID {
+    let scales: [f32; CALIBRATION_GRID + 1] = std::array::from_fn(|k| {
         let ratio = CALIBRATION_MIN_RATIO
             + (1.0 - CALIBRATION_MIN_RATIO) * (k as f64 / CALIBRATION_GRID as f64);
-        let s = (full * ratio) as f32;
-        let params = SymmetricParams { scale: s };
-        let err = fake_quant_symmetric_mse(w, bits, params);
+        (full * ratio) as f32
+    });
+    let mut sums = [0.0f64; CALIBRATION_GRID + 1];
+    symmetric_mse_grid(w, &scales, qmin as f32, qmax as f32, &mut sums);
+    let mut best = SymmetricParams { scale: full as f32 };
+    let mut best_err = f64::INFINITY;
+    for (&scale, &sum) in scales.iter().zip(&sums) {
+        let err = sum / w.len() as f64;
         if err < best_err {
             best_err = err;
-            best = params;
+            best = SymmetricParams { scale };
         }
     }
     best

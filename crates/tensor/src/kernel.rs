@@ -1,10 +1,13 @@
 //! The dispatching compute-kernel layer behind every GEMM in the crate,
-//! and behind the evaluation-mode GELU, softmax and attention.
+//! the evaluation-mode GELU, softmax and attention, and the MSE
+//! calibration grid.
 //!
 //! One entry point — `sgemm` — backs [`crate::matmul`], the transposed
 //! variants, and the im2col convolution products; [`gelu_with`],
 //! [`softmax_rows_with`] and [`attention`] back the transformer block's
-//! evaluation forward. At process start the layer picks a backend once:
+//! evaluation forward; [`symmetric_mse_grid`] backs MSE scale
+//! calibration in `clado-quant`. At process start the layer picks a
+//! backend once:
 //!
 //! * **AVX2+FMA** — cache-blocked (MC/KC/NC) GEMM with an 8×8
 //!   register-tiled microkernel over 256-bit lanes, on x86-64 hosts with
@@ -22,9 +25,11 @@
 //! k-loop (8 partial sums per output element) and therefore differ from
 //! the scalar path by normal floating-point reassociation error — bounded
 //! in practice by a few ULP per accumulated term (the property suite
-//! asserts a ULP-scaled tolerance across shapes). Quantization kernels in
-//! `clado-quant` stay scalar on purpose, so Δw probes and fake-quant
-//! semantics are backend-independent.
+//! asserts a ULP-scaled tolerance across shapes). The MSE calibration
+//! grid ([`symmetric_mse_grid`]) is vectorised but keeps the scalar
+//! operation order per candidate, so its sums — and the calibrated
+//! scales, Δw probes and fake-quant results built on them — are bitwise
+//! equal on every backend.
 //!
 //! Tiny products (`m·k·n` below [`SIMD_FLOP_THRESHOLD`]) stay on the
 //! scalar path even when SIMD is available: packing two operand panels
@@ -409,6 +414,77 @@ pub fn attention(
         }
         _ => tiles.gemm(out, maps, backend),
     }
+}
+
+/// Symmetric fake-quantization error sums over a grid of candidate
+/// scales: `out[j] = Σᵢ (wᵢ − clamp(round(wᵢ/sⱼ), qmin, qmax)·sⱼ)²`,
+/// computed on the active backend. MSE calibration scans its clip ratios
+/// through this; see [`symmetric_mse_grid_with`] for the operation order
+/// that makes every backend bitwise equal.
+///
+/// # Panics
+///
+/// Panics if `out.len() != scales.len()`.
+pub fn symmetric_mse_grid(w: &[f32], scales: &[f32], qmin: f32, qmax: f32, out: &mut [f64]) {
+    symmetric_mse_grid_with(active_backend(), w, scales, qmin, qmax, out);
+}
+
+/// [`symmetric_mse_grid`] on `backend`. `qmin ≤ qmax` must be integers.
+///
+/// `Scalar` runs the frozen loop: per candidate `s`, `inv = 1/s`, then per
+/// element in order `q = round(x·inv).clamp(qmin, qmax)` (round half away
+/// from zero), `d = x − q·s` in f32 and `sum += (d as f64)²`; a zero scale
+/// sums `(x as f64)²`. The AVX2 backend evaluates up to 32 candidates per
+/// pass over `w`, one per f32 lane with an f64 accumulator each, and
+/// applies the same operations to every lane: it clamps `x·inv` before
+/// rounding (equal to round-then-clamp for integer bounds, and NaN passes
+/// through both), rounds by truncation plus `frac ≥ ½` on the magnitude,
+/// and multiplies and subtracts without fusing. Every sum is therefore
+/// bitwise the scalar one, NaN and ±∞ included.
+///
+/// # Panics
+///
+/// Panics if `out.len() != scales.len()`, or if this CPU lacks
+/// `backend`'s instructions.
+#[doc(hidden)]
+pub fn symmetric_mse_grid_with(
+    backend: Backend,
+    w: &[f32],
+    scales: &[f32],
+    qmin: f32,
+    qmax: f32,
+    out: &mut [f64],
+) {
+    assert_eq!(out.len(), scales.len(), "one sum per candidate scale");
+    debug_assert!(qmin.fract() == 0.0 && qmax.fract() == 0.0 && qmin <= qmax);
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2Fma => x86::symmetric_mse_grid(w, scales, qmin, qmax, out),
+        _ => {
+            for (o, &s) in out.iter_mut().zip(scales) {
+                *o = symmetric_mse_scalar(w, s, qmin, qmax);
+            }
+        }
+    }
+}
+
+/// One candidate of the frozen scalar calibration loop.
+fn symmetric_mse_scalar(w: &[f32], s: f32, qmin: f32, qmax: f32) -> f64 {
+    let mut sum = 0.0f64;
+    if s == 0.0 {
+        for &x in w {
+            let d = x as f64;
+            sum += d * d;
+        }
+        return sum;
+    }
+    let inv = 1.0 / s;
+    for &x in w {
+        let q = (x * inv).round().clamp(qmin, qmax);
+        let d = (x - q * s) as f64;
+        sum += d * d;
+    }
+    sum
 }
 
 /// The operands of one [`attention`] call.
@@ -1131,6 +1207,102 @@ mod x86 {
             }
         }
         total
+    }
+
+    /// Candidate scales evaluated per pass over the weights: four groups
+    /// of eight lanes.
+    const GRID_PASS: usize = 4 * 8;
+
+    /// Vector calibration grid; see [`super::symmetric_mse_grid_with`].
+    /// Zero scales take the scalar `s == 0` branch (one shared sum of
+    /// squares); their lanes run a placeholder scale whose sums are
+    /// discarded.
+    pub(super) fn symmetric_mse_grid(
+        w: &[f32],
+        scales: &[f32],
+        qmin: f32,
+        qmax: f32,
+        out: &mut [f64],
+    ) {
+        assert_available();
+        let mut zero_sum = None;
+        for (cands, out) in scales.chunks(GRID_PASS).zip(out.chunks_mut(GRID_PASS)) {
+            let mut pass = [1.0f32; GRID_PASS];
+            for (p, &s) in pass.iter_mut().zip(cands) {
+                if s != 0.0 {
+                    *p = s;
+                }
+            }
+            let mut sums = [0.0f64; GRID_PASS];
+            // SAFETY: the host has AVX2, checked above.
+            unsafe {
+                match cands.len().div_ceil(8) {
+                    1 => mse_grid_pass_avx2::<1>(w, &pass, qmin, qmax, &mut sums),
+                    2 => mse_grid_pass_avx2::<2>(w, &pass, qmin, qmax, &mut sums),
+                    3 => mse_grid_pass_avx2::<3>(w, &pass, qmin, qmax, &mut sums),
+                    _ => mse_grid_pass_avx2::<4>(w, &pass, qmin, qmax, &mut sums),
+                }
+            }
+            for ((o, &s), &sum) in out.iter_mut().zip(cands).zip(&sums) {
+                *o = if s == 0.0 {
+                    *zero_sum.get_or_insert_with(|| super::symmetric_mse_scalar(w, 0.0, qmin, qmax))
+                } else {
+                    sum
+                };
+            }
+        }
+    }
+
+    /// One pass over `w` for the first `8·G` scales of `scales`, writing
+    /// their sums to the front of `sums`. Each lane mirrors the scalar
+    /// loop's operations on its candidate; the clamp puts `y` second so
+    /// `max`/`min` return it when it is NaN, as `f32::clamp` does.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn mse_grid_pass_avx2<const G: usize>(
+        w: &[f32],
+        scales: &[f32; GRID_PASS],
+        qmin: f32,
+        qmax: f32,
+        sums: &mut [f64; GRID_PASS],
+    ) {
+        const { assert!(8 * G <= GRID_PASS) };
+        // SAFETY (loads and stores below): with 8·G ≤ GRID_PASS, group
+        // `g`'s 8 lanes lie inside `scales` and `sums`.
+        let s: [__m256; G] = std::array::from_fn(|g| _mm256_loadu_ps(scales[8 * g..].as_ptr()));
+        let inv = s.map(|s| _mm256_div_ps(_mm256_set1_ps(1.0), s));
+        let (lo, hi) = (_mm256_set1_ps(qmin), _mm256_set1_ps(qmax));
+        let (sign, half, one) = (
+            _mm256_set1_ps(-0.0),
+            _mm256_set1_ps(0.5),
+            _mm256_set1_ps(1.0),
+        );
+        let mut acc = [[_mm256_setzero_pd(); 2]; G];
+        for &x in w {
+            let xv = _mm256_set1_ps(x);
+            for g in 0..G {
+                let c = _mm256_min_ps(hi, _mm256_max_ps(lo, _mm256_mul_ps(xv, inv[g])));
+                let mag = _mm256_andnot_ps(sign, c);
+                let t = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(mag);
+                let up = _mm256_and_ps(
+                    _mm256_cmp_ps::<_CMP_GE_OQ>(_mm256_sub_ps(mag, t), half),
+                    one,
+                );
+                let q = _mm256_or_ps(_mm256_add_ps(t, up), _mm256_and_ps(sign, c));
+                let d = _mm256_sub_ps(xv, _mm256_mul_ps(q, s[g]));
+                let d_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(d));
+                let d_hi = _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(d));
+                acc[g][0] = _mm256_add_pd(acc[g][0], _mm256_mul_pd(d_lo, d_lo));
+                acc[g][1] = _mm256_add_pd(acc[g][1], _mm256_mul_pd(d_hi, d_hi));
+            }
+        }
+        for (g, [a_lo, a_hi]) in acc.into_iter().enumerate() {
+            _mm256_storeu_pd(sums[8 * g..].as_mut_ptr(), a_lo);
+            _mm256_storeu_pd(sums[8 * g + 4..].as_mut_ptr(), a_hi);
+        }
     }
 
     /// Cache-blocked GEMM driver of the AVX2 backend: GotoBLAS-style

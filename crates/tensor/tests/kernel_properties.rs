@@ -5,9 +5,12 @@
 //! must equal the im2col + GEMM reference bit for bit. The evaluation-mode GELU and softmax
 //! must match an f64 reference on every backend, keep each output a pure
 //! function of its input, and stay bitwise frozen on the scalar backend.
+//! The MSE calibration grid must give bitwise the scalar sums on every
+//! backend, special values included.
 
 use clado_tensor::kernel::{
-    attention, gelu_with, sgemm_overwrite, sgemm_with, softmax_rows_with, SIMD_FLOP_THRESHOLD,
+    attention, gelu_with, sgemm_overwrite, sgemm_with, softmax_rows_with, symmetric_mse_grid,
+    symmetric_mse_grid_with, SIMD_FLOP_THRESHOLD,
 };
 use clado_tensor::{
     active_backend, conv2d_forward, conv2d_forward_im2col, conv2d_path, im2col_ld, Backend,
@@ -647,4 +650,183 @@ fn batched_attention_matches_per_head_products_bitwise() {
             assert_eq!(fnv(&out), fnv(&want_out), "{case}: output");
         }
     }
+}
+
+/// `symmetric_mse_grid_with` sums at `bits`' signed levels, as bit patterns.
+fn grid_bits(backend: Backend, w: &[f32], scales: &[f32], bits: u32) -> Vec<u64> {
+    let half = (1i32 << (bits - 1)) as f32;
+    let mut out = vec![f64::NAN; scales.len()];
+    symmetric_mse_grid_with(backend, w, scales, -half, half - 1.0, &mut out);
+    out.iter().map(|v| v.to_bits()).collect()
+}
+
+/// A calibration-style grid of 81 scales (clip ratios 0.2–1.0 of
+/// `absmax / qmax`) with power-of-two scales, under which `x = (k + ½)·s`
+/// is an exact rounding tie, a zero scale (a subnormal `absmax` that
+/// underflows `full·ratio`) and a subnormal scale whose inverse overflows.
+fn calibration_scales() -> Vec<f32> {
+    let full = 1.7f64 / 7.0;
+    let mut scales: Vec<f32> = (0..=80)
+        .map(|k| (full * (0.2 + 0.8 * (k as f64 / 80.0))) as f32)
+        .collect();
+    scales[3] = 0.125;
+    scales[10] = 0.25;
+    scales[37] = (f64::from(f32::from_bits(3)) / 127.0 * 0.5) as f32;
+    scales[40] = 1.0;
+    scales[64] = f32::from_bits(2);
+    assert_eq!(scales[37], 0.0);
+    scales
+}
+
+/// Weights `x` with `x·(1/s)` exactly `k + ½` for a scale `s` that is not
+/// a power of two, chosen so that rounding the tie up or down gives
+/// different squared errors (for a power-of-two scale both errors are
+/// `(s/2)²`, which hides the rounding rule).
+fn exact_ties(s: f32) -> Vec<f32> {
+    let inv = 1.0 / s;
+    let ties: Vec<f32> = (-6..6)
+        .filter_map(|k| {
+            let tie = k as f32 + 0.5;
+            let x0 = tie * s;
+            (-4..=4)
+                .map(|ulp: i32| f32::from_bits(x0.to_bits().wrapping_add_signed(ulp)))
+                .find(|&x| {
+                    let err = |q: f32| ((x - q * s) as f64).powi(2);
+                    x * inv == tie && err(tie.floor()) != err(tie.ceil())
+                })
+        })
+        .collect();
+    assert!(ties.len() >= 6, "only {} discriminating ties", ties.len());
+    ties
+}
+
+/// Weights with every special the grid must carry through: ±0,
+/// subnormals, exact and near half-steps, values past the clamp, then NaN
+/// and ±∞ near the end so that only some windows contain them.
+fn calibration_weights() -> Vec<f32> {
+    let mut w: Vec<f32> = fill(24, 31).iter().map(|v| v * 1.7).collect();
+    for (i, x) in exact_ties(calibration_scales()[20]).into_iter().enumerate() {
+        w.insert(3 * i + 1, x);
+    }
+    let specials = [
+        0.0,
+        -0.0,
+        f32::from_bits(1),
+        -f32::from_bits(5),
+        1e-40,
+        (3.0 + 0.5) * 0.125,
+        -(2.0 + 0.5) * 0.125,
+        (0.5) * 0.25,
+        -(1.0 + 0.5) * 0.25,
+        f32::from_bits((0.5f32 * 0.125).to_bits() - 1),
+        f32::from_bits((1.5f32 * 0.25).to_bits() + 1),
+        (6.0 + 0.5) * 1.0,
+        -(7.0 + 0.5) * 1.0,
+        40.0,
+        -1000.0,
+    ];
+    for (i, s) in specials.into_iter().enumerate() {
+        w.insert(2 * i, s);
+    }
+    w.extend([
+        0.3,
+        f32::NAN,
+        -0.6,
+        f32::INFINITY,
+        0.9,
+        f32::NEG_INFINITY,
+        0.1,
+    ]);
+    w
+}
+
+/// The calibration grid's sums are bitwise the scalar loop's on every
+/// backend: lengths 0–33 at every offset, widths 1–8 (whose clamps the
+/// specials pass), and a grid of 81 scales, so the last pass holds fewer
+/// than 32 candidates.
+#[test]
+fn calibration_grid_matches_scalar_bitwise_in_length_and_offset() {
+    let (w, scales) = (calibration_weights(), calibration_scales());
+    for backend in backends() {
+        for bits in 1..=8 {
+            for len in 0..=33 {
+                for off in 0..=w.len() - len {
+                    let win = &w[off..off + len];
+                    assert_eq!(
+                        grid_bits(backend, win, &scales, bits),
+                        grid_bits(Backend::Scalar, win, &scales, bits),
+                        "{backend:?} {bits} bits, len {len} off {off}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Candidate counts 1–81, including counts that are not multiples of 8
+/// or 32, at every window of the grid: each candidate's sum does not
+/// depend on which pass or lane it lands in.
+#[test]
+fn calibration_grid_matches_scalar_bitwise_for_every_candidate_count() {
+    let (w, scales) = (calibration_weights(), calibration_scales());
+    let finite = &w[..w.len() - 7];
+    for backend in backends() {
+        for bits in [1, 2, 4, 8] {
+            let whole = grid_bits(Backend::Scalar, finite, &scales, bits);
+            for count in 1..=scales.len() {
+                for start in 0..=scales.len() - count {
+                    let cands = &scales[start..start + count];
+                    assert_eq!(
+                        grid_bits(backend, finite, cands, bits),
+                        whole[start..start + count],
+                        "{backend:?} {bits} bits, {count} candidates from {start}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// NaN propagates where `f32::clamp` propagates it, and ±∞ saturates:
+/// a window with NaN sums to NaN with the scalar payload under every
+/// nonzero scale, one with ±∞ to +∞; the zero scale sums `x²`.
+#[test]
+fn calibration_grid_propagates_nan_and_infinity_like_the_scalar_loop() {
+    let scales = calibration_scales();
+    for backend in backends() {
+        for (w, want) in [
+            (vec![0.5, f32::NAN, 0.25], f64::NAN),
+            (vec![0.5, f32::INFINITY, -0.25], f64::INFINITY),
+            (vec![f32::NEG_INFINITY], f64::INFINITY),
+        ] {
+            let got = grid_bits(backend, &w, &scales, 4);
+            assert_eq!(
+                got,
+                grid_bits(Backend::Scalar, &w, &scales, 4),
+                "{backend:?} {w:?}"
+            );
+            for (&s, &bits) in scales.iter().zip(&got) {
+                let sum = f64::from_bits(bits);
+                if want.is_nan() || s == 0.0 {
+                    assert_eq!(
+                        sum.is_nan(),
+                        want.is_nan(),
+                        "{backend:?} {w:?} at s = {s:e}"
+                    );
+                } else if s > f32::from_bits(2) {
+                    assert_eq!(sum, want, "{backend:?} {w:?} at s = {s:e}");
+                }
+            }
+        }
+    }
+}
+
+/// The dispatched entry point runs the active backend.
+#[test]
+fn calibration_grid_dispatches_to_the_active_backend() {
+    let (w, scales) = (calibration_weights(), calibration_scales());
+    let mut out = vec![0.0f64; scales.len()];
+    symmetric_mse_grid(&w[..30], &scales, -8.0, 7.0, &mut out);
+    let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(got, grid_bits(active_backend(), &w[..30], &scales, 4));
 }
