@@ -26,7 +26,13 @@ pub const GLOBAL_FLAGS: &[&str] = &[
 
 /// Flags that were removed. Every command still accepts them, with a
 /// warning, and ignores them, so old command lines keep running.
-pub const REMOVED_FLAGS: &[&str] = &["estimator-seed", "integer", "no-batched-probes", "pool"];
+pub const REMOVED_FLAGS: &[&str] = &[
+    "estimator-seed",
+    "integer",
+    "no-batched-probes",
+    "pool",
+    "retries",
+];
 
 /// Parsed command line: one subcommand plus `--key value` options.
 #[derive(Debug, Clone, Default)]

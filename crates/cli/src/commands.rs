@@ -29,7 +29,7 @@ use clado_serve::{
     SubmitRequest,
 };
 use clado_solver::{IqpProblem, Solution, SolverConfig, SymMatrix};
-use clado_telemetry::{ManifestValue, Telemetry};
+use clado_telemetry::{fmt_us, ManifestValue, Telemetry};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::error::Error;
 use std::io::Write;
@@ -55,7 +55,6 @@ COMMANDS:
                [--threads N (0 = all cores)] [--no-prefix-cache] [--verbose]
                [--checkpoint-dir <dir>   journal each probe for crash-safe resume]
                [--resume                 restore completed probes from the journal]
-               [--retries N (default 1)  per-probe retry budget on worker panics]
                [--workers N              shard the sweep across N local worker processes]
                [--listen <addr>          accept remote `clado worker` processes
                                          (default 127.0.0.1:0; prints the bound address)]
@@ -122,15 +121,13 @@ COMMANDS:
                same --cache-dir; every reply is checked bitwise against the first
                answer for its config, and a divergence (or an SLO breach) exits
                nonzero
-               [--duration 30s] [--clients 4] [--workers 2] [--configs 4]
+               [--duration 30s] [--clients 4] [--workers 2]
                [--daemon-kills 0       SIGKILL + relaunch the daemon N times]
                [--worker-churn-ms 0    kill/respawn one worker this often (0 = off)]
                [--slo-p99-ms 0         fail if request p99 exceeds this (0 = off)]
                [--cache-dir <dir>      persistent Ω cache shared across daemon
                                        generations (default: a temp dir)]
-               [--seed 7] [--model resnet20] [--set-size 8] [--batch-size 16]
-               [--bits 4,8] [--connect-retries 2   per-request budget; failed
-                                       requests re-resolve the daemon address]
+               [--model resnet20] [--set-size 8] [--bits 4,8]
   assign       --model <id> --avg-bits <f>
                                   solve eq. (11) and report the bit map + PTQ accuracy
                [--sens <file.clsm>  solve a stored Ω instead of measuring one]
@@ -176,8 +173,8 @@ TELEMETRY (any command):
   --quiet                         only the final result line; implies --no-progress
 
 Any other flag a command does not list fails with this usage. The removed
-flags --estimator-seed, --integer, --no-batched-probes and --pool are
-ignored with a warning.
+flags --estimator-seed, --integer, --no-batched-probes, --pool and
+--retries are ignored with a warning.
 
 Set CLADO_CACHE_DIR to relocate the trained-weight cache.";
 
@@ -209,7 +206,7 @@ pub const COMMANDS: &[Command] = &[
         names: &["sensitivity", "measure"],
         run: cmd_sensitivity,
         flags: "model out set-size set-seed bits scheme threads no-prefix-cache verbose \
-                checkpoint-dir resume retries workers listen heartbeat-timeout-ms \
+                checkpoint-dir resume workers listen heartbeat-timeout-ms \
                 idle-timeout-secs estimator probe-budget",
     },
     Command {
@@ -238,8 +235,8 @@ pub const COMMANDS: &[Command] = &[
     Command {
         names: &["chaos"],
         run: cmd_chaos,
-        flags: "duration clients workers configs daemon-kills worker-churn-ms slo-p99-ms \
-                cache-dir seed model set-size batch-size bits connect-retries",
+        flags: "duration clients workers daemon-kills worker-churn-ms slo-p99-ms cache-dir \
+                model set-size bits",
     },
     Command {
         names: &["assign"],
@@ -588,7 +585,6 @@ pub fn cmd_sensitivity(args: &Args) -> Result<(), Box<dyn Error>> {
         telemetry: run.telemetry.clone(),
         checkpoint_dir,
         resume,
-        retries: args.get_or("retries", 1)?,
         ..Default::default()
     };
     let mut config: Vec<(&str, ManifestValue)> = vec![
@@ -688,16 +684,15 @@ pub fn cmd_sensitivity(args: &Args) -> Result<(), Box<dyn Error>> {
     for note in &notes {
         run.info(note);
     }
-    if sm.stats.resumed + sm.stats.retried + sm.stats.quarantined > 0 {
+    if sm.stats.resumed + sm.stats.quarantined > 0 {
         run.info(&format!(
-            "fault recovery: {} probes resumed from journal, {} retried, {} quarantined",
-            sm.stats.resumed, sm.stats.retried, sm.stats.quarantined
+            "fault recovery: {} probes resumed from journal, {} quarantined",
+            sm.stats.resumed, sm.stats.quarantined
         ));
     }
     config.extend([
         ("threads", sm.stats.threads_used.into()),
         ("resumed", sm.stats.resumed.into()),
-        ("retried", sm.stats.retried.into()),
         ("quarantined", sm.stats.quarantined.into()),
         ("omega_provenance", sm.stats.provenance.to_string().into()),
     ]);
@@ -1315,7 +1310,7 @@ fn serve_request_percentiles(manifest: &str) -> Option<[u64; 3]> {
 /// byte-identically. `None` for non-comparable kinds (`Failed`).
 ///
 /// `MeasureDone` replies additionally get their CLSM measurement-stats
-/// block (wall-clock seconds, threads used, retry counters, …) zeroed:
+/// block (wall-clock seconds, threads used, fault counters, …) zeroed:
 /// two concurrent cache misses for the same config measure the same
 /// matrix but legitimately record different timings — only the semantic
 /// payload (Ĝ, base loss, bit-widths, Ω provenance) must be stable.
@@ -1358,6 +1353,18 @@ fn comparable_reply(msg: &ServeMessage) -> Option<Vec<u8>> {
     Some(m.encode())
 }
 
+/// Distinct measurement configs `clado chaos` draws from; few, so
+/// repeats (and the Ω cache) dominate.
+const CHAOS_CONFIGS: u64 = 4;
+/// Seed of the chaos clients' request mix.
+const CHAOS_SEED: u64 = 7;
+/// Probe batch size of every chaos request.
+const CHAOS_BATCH_SIZE: u64 = 16;
+/// Per-request connect budget: failed requests re-read the (possibly
+/// relaunched) daemon address from the outer loop, so long backoff
+/// against a dead endpoint would only stall the soak.
+const CHAOS_CONNECT_RETRIES: u32 = 2;
+
 /// `clado chaos --duration 30s [--daemon-kills 1] [--slo-p99-ms N]`
 ///
 /// A soak harness against a live daemon it spawns itself: concurrent
@@ -1385,23 +1392,14 @@ pub fn cmd_chaos(args: &Args) -> Result<(), Box<dyn Error>> {
         .unwrap_or(Duration::from_secs(30));
     let clients: usize = args.get_or("clients", 4)?;
     let workers: usize = args.get_or("workers", 2)?;
-    let configs: u64 = args.get_or("configs", 4)?;
     let daemon_kills: u32 = args.get_or("daemon-kills", 0)?;
     let worker_churn_ms: u64 = args.get_or("worker-churn-ms", 0)?;
     let slo_p99_ms: u64 = args.get_or("slo-p99-ms", 0)?;
-    let seed: u64 = args.get_or("seed", 7)?;
     let model: String = args.get_or("model", "resnet20".to_string())?;
     let set_size: u64 = args.get_or("set-size", 8)?;
-    let batch_size: u64 = args.get_or("batch-size", 16)?;
-    // Small per-request budget: failed requests re-read the (possibly
-    // relaunched) daemon address from the outer loop, so long backoff
-    // against a dead endpoint would only stall the soak.
-    let connect_retries: u32 = args.get_or("connect-retries", 2)?;
     let bits = args.list_or("bits", &[4u8, 8])?;
-    if configs == 0 || clients == 0 {
-        return Err(Box::new(ArgsError(
-            "--configs and --clients must be positive".into(),
-        )));
+    if clients == 0 {
+        return Err(Box::new(ArgsError("--clients must be positive".into())));
     }
 
     let scratch = std::env::temp_dir().join(format!("clado-chaos-{}", std::process::id()));
@@ -1461,19 +1459,19 @@ pub fn cmd_chaos(args: &Args) -> Result<(), Box<dyn Error>> {
         let latencies = Arc::clone(&latencies);
         let (model, bits) = (model.clone(), bits.clone());
         traffic.push(std::thread::spawn(move || {
-            let mut rng = StdRng::seed_from_u64(seed ^ ((client as u64) << 32));
+            let mut rng = StdRng::seed_from_u64(CHAOS_SEED ^ ((client as u64) << 32));
             while !stop.load(Ordering::SeqCst) {
                 // Deterministic mix: config index picks the measurement
                 // identity (odd configs are estimated), the op roll the
                 // work done with it. Repeats are the norm by design —
                 // `configs` is small, so the cache is exercised hard.
-                let config = rng.gen_range(0..configs);
+                let config = rng.gen_range(0..CHAOS_CONFIGS);
                 let estimated = config % 2 == 1;
                 let spec = MeasureSpec {
                     model: model.clone(),
                     set_size,
                     set_seed: config,
-                    batch_size,
+                    batch_size: CHAOS_BATCH_SIZE,
                     bits: bits.clone(),
                     scheme: 0,
                     use_prefix_cache: true,
@@ -1518,7 +1516,7 @@ pub fn cmd_chaos(args: &Args) -> Result<(), Box<dyn Error>> {
                     &addr,
                     &req,
                     Some(Duration::from_secs(120)),
-                    connect_retries,
+                    CHAOS_CONNECT_RETRIES,
                 ) {
                     Ok(outcome) => {
                         if let ServeMessage::Failed { .. } = outcome.response {
@@ -1742,7 +1740,7 @@ pub fn cmd_chaos(args: &Args) -> Result<(), Box<dyn Error>> {
         ("duration_secs", duration.as_secs_f64().into()),
         ("clients", clients.into()),
         ("workers", workers.into()),
-        ("configs", configs.into()),
+        ("configs", CHAOS_CONFIGS.into()),
         ("daemon_kills", u64::from(kills_done).into()),
         ("worker_restarts", worker_restarts.into()),
         ("completed", completed.into()),
@@ -2058,10 +2056,10 @@ fn print_clsm_summary(path: &std::path::Path) -> Result<(), Box<dyn Error>> {
         sm.stats.prefix_cache_hits,
         sm.stats.prefix_cache_builds
     );
-    if sm.stats.resumed + sm.stats.retried + sm.stats.quarantined > 0 {
+    if sm.stats.resumed + sm.stats.quarantined > 0 {
         println!(
-            "  fault recovery: {} resumed, {} retried, {} quarantined",
-            sm.stats.resumed, sm.stats.retried, sm.stats.quarantined
+            "  fault recovery: {} resumed, {} quarantined",
+            sm.stats.resumed, sm.stats.quarantined
         );
     }
     Ok(())
@@ -2192,16 +2190,6 @@ fn self_time_by_name(spans: &[SpanEvent]) -> Vec<(String, u64, u64, u64)> {
         .collect();
     rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     rows
-}
-
-fn fmt_us(us: u64) -> String {
-    if us >= 1_000_000 {
-        format!("{:.2}s", us as f64 / 1e6)
-    } else if us >= 1_000 {
-        format!("{:.1}ms", us as f64 / 1e3)
-    } else {
-        format!("{us}µs")
-    }
 }
 
 /// `clado trace --file <trace.json>`

@@ -255,7 +255,6 @@ fn sensitivity_killed_mid_sweep_resumes_bitwise_identical() {
         "manifest reports resumed probes"
     );
     assert_eq!(config_num("resumed"), b.stats.resumed as f64);
-    assert_eq!(config_num("retried"), b.stats.retried as f64);
     assert_eq!(config_num("quarantined"), b.stats.quarantined as f64);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -682,7 +681,7 @@ fn unknown_flags_fail_and_removed_flags_warn() {
 
     let out = clado()
         .args(["models", "--pool", "--integer", "--estimator-seed", "7"])
-        .args(["--no-batched-probes", "--quiet"])
+        .args(["--no-batched-probes", "--retries", "2", "--quiet"])
         .output()
         .expect("binary runs");
     assert!(
@@ -691,7 +690,13 @@ fn unknown_flags_fail_and_removed_flags_warn() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
-    for flag in ["pool", "integer", "estimator-seed", "no-batched-probes"] {
+    for flag in [
+        "pool",
+        "integer",
+        "estimator-seed",
+        "no-batched-probes",
+        "retries",
+    ] {
         assert!(
             stderr.contains(&format!("--{flag} was removed")),
             "{stderr}"

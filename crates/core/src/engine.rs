@@ -16,12 +16,13 @@
 //! its last forward pass: a network just evaluated on a large batch would
 //! hand each replica a copy of them.
 //!
-//! [`replica_map_checked`] is the fault-tolerant core: per-item panics are
-//! caught, the replica is restored from the weight snapshot, the item is
-//! retried up to a bounded budget, and only then is the failure surfaced
-//! as a typed [`MeasureError`] — after every already-completed result has
-//! been streamed through the caller's `sink` (which the sensitivity layer
-//! uses to journal probes as they finish). A worker thread that dies
+//! [`replica_map_checked`] is the fault-tolerant core: a per-item panic is
+//! caught, the replica is restored from the weight snapshot, the other
+//! items still run, and the failure is surfaced as a typed
+//! [`MeasureError`] — after every completed result has been streamed
+//! through the caller's `sink` (which the sensitivity layer uses to
+//! journal probes as they finish). A failed item is not rerun: items are
+//! deterministic, so a rerun could only fail again. A worker thread that dies
 //! without reporting (a panic outside the per-item guard, or an abort
 //! that somehow unwinds) maps to [`MeasureError::WorkerLost`] instead of
 //! the old useless `expect` abort.
@@ -44,13 +45,13 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// Per-item outcome streamed out of the workers.
-type ItemResult<R> = (usize, Result<(usize, R), (usize, String)>);
+/// Per-item outcome streamed out of the workers: the result, or the
+/// panic message.
+type ItemResult<R> = (usize, Result<R, String>);
 
 /// Maps `f` over `items` on up to `threads` worker threads: the first
 /// runs on `network` itself, every other on a private clone of it.
-/// Results are returned in item order, together with the total number of
-/// per-item retries that were needed. `network`'s weights end as they
+/// Results are returned in item order. `network`'s weights end as they
 /// started; its forward caches and gradients do not.
 ///
 /// `f` must leave the replica's weights exactly as it found them (restore
@@ -58,9 +59,8 @@ type ItemResult<R> = (usize, Result<(usize, R), (usize, String)>);
 /// result does not depend on which items ran before it on the same
 /// replica. Under that contract the result is independent of `threads`.
 ///
-/// A panic inside `f` is caught per item; the replica is restored to the
-/// original weights and the item retried up to `retry_budget` times
-/// before the failure is recorded. Failed items do not stop the sweep —
+/// A panic inside `f` is caught per item and recorded; the replica is
+/// restored to the original weights. Failed items do not stop the sweep —
 /// the remaining items still run (and still reach `sink`), so a journaling
 /// caller salvages every completed probe before the error is returned.
 ///
@@ -72,18 +72,17 @@ type ItemResult<R> = (usize, Result<(usize, R), (usize, String)>);
 /// # Errors
 ///
 /// - The first `sink` error, if any.
-/// - [`MeasureError::WorkerPanic`] for the lowest-indexed item whose
-///   retries were exhausted.
+/// - [`MeasureError::WorkerPanic`] for the lowest-indexed item that
+///   panicked.
 /// - [`MeasureError::WorkerLost`] if a worker thread died without
 ///   reporting a result.
 pub fn replica_map_checked<T, R, F, S>(
     network: &mut Network,
     threads: usize,
     items: &[T],
-    retry_budget: usize,
     f: F,
     mut sink: S,
-) -> Result<(Vec<R>, u64), MeasureError>
+) -> Result<Vec<R>, MeasureError>
 where
     T: Sync,
     R: Send,
@@ -91,40 +90,27 @@ where
     S: FnMut(usize, &R) -> Result<(), MeasureError>,
 {
     let pristine = network.snapshot_weights();
-    let run_item = |replica: &mut Network, i: usize| -> Result<(usize, R), (usize, String)> {
-        let mut attempt = 0usize;
-        loop {
-            match catch_unwind(AssertUnwindSafe(|| f(&mut *replica, &items[i]))) {
-                Ok(r) => return Ok((attempt, r)),
-                Err(payload) => {
-                    // The closure died mid-probe; its replica may hold a
-                    // half-applied perturbation, so rebuild pristine
-                    // weights before retrying (or moving on).
-                    replica.restore_weights(&pristine);
-                    let message = panic_message(&*payload);
-                    if attempt >= retry_budget {
-                        return Err((attempt, message));
-                    }
-                    attempt += 1;
-                }
-            }
-        }
+    let run_item = |replica: &mut Network, i: usize| -> Result<R, String> {
+        catch_unwind(AssertUnwindSafe(|| f(&mut *replica, &items[i]))).map_err(|payload| {
+            // The closure died mid-probe; its replica may hold a
+            // half-applied perturbation, so rebuild pristine weights
+            // before the next item.
+            replica.restore_weights(&pristine);
+            panic_message(&*payload)
+        })
     };
 
     let workers = threads.clamp(1, items.len().max(1));
     let mut results: Vec<Option<R>> = items.iter().map(|_| None).collect();
-    let mut retries = 0u64;
-    let mut failures: Vec<(usize, usize, String)> = Vec::new();
+    let mut failures: Vec<(usize, String)> = Vec::new();
     let mut sink_error: Option<MeasureError> = None;
     let mut apply = |i: usize,
-                     outcome: Result<(usize, R), (usize, String)>,
+                     outcome: Result<R, String>,
                      results: &mut Vec<Option<R>>,
                      sink_error: &mut Option<MeasureError>,
-                     retries: &mut u64,
-                     failures: &mut Vec<(usize, usize, String)>| {
+                     failures: &mut Vec<(usize, String)>| {
         match outcome {
-            Ok((attempts, r)) => {
-                *retries += attempts as u64;
+            Ok(r) => {
                 if sink_error.is_none() {
                     if let Err(e) = sink(i, &r) {
                         *sink_error = Some(e);
@@ -132,10 +118,7 @@ where
                 }
                 results[i] = Some(r);
             }
-            Err((attempts, message)) => {
-                *retries += attempts as u64;
-                failures.push((i, attempts, message));
-            }
+            Err(message) => failures.push((i, message)),
         }
     };
 
@@ -150,14 +133,7 @@ where
             // "lost worker" for a one-thread sweep.
             faultpoint!("engine.worker_kill");
             let outcome = run_item(network, i);
-            apply(
-                i,
-                outcome,
-                &mut results,
-                &mut sink_error,
-                &mut retries,
-                &mut failures,
-            );
+            apply(i, outcome, &mut results, &mut sink_error, &mut failures);
         }
     } else {
         let mut clones: Vec<Network> = (1..workers).map(|_| network.clone()).collect();
@@ -196,14 +172,7 @@ where
             // Stream results as they arrive so the sink (journal) sees
             // completed probes even if a later worker fails.
             for (i, outcome) in rx {
-                apply(
-                    i,
-                    outcome,
-                    &mut results,
-                    &mut sink_error,
-                    &mut retries,
-                    &mut failures,
-                );
+                apply(i, outcome, &mut results, &mut sink_error, &mut failures);
             }
             for (w, handle) in handles.into_iter().enumerate() {
                 if handle.join().is_err() {
@@ -216,12 +185,8 @@ where
     if let Some(e) = sink_error {
         return Err(e);
     }
-    if let Some((item, attempts, message)) = failures.into_iter().min_by_key(|&(i, _, _)| i) {
-        return Err(MeasureError::WorkerPanic {
-            item,
-            retries: attempts,
-            message,
-        });
+    if let Some((item, message)) = failures.into_iter().min_by_key(|&(i, _)| i) {
+        return Err(MeasureError::WorkerPanic { item, message });
     }
     if let Some(&thread) = lost.first() {
         return Err(MeasureError::WorkerLost { thread });
@@ -242,10 +207,10 @@ where
             }
         }
     }
-    Ok((out, retries))
+    Ok(out)
 }
 
-/// Infallible wrapper over [`replica_map_checked`]: no retries, no sink,
+/// Infallible wrapper over [`replica_map_checked`]: no sink,
 /// panics on failure. Kept for callers (Hutchinson probing, random
 /// search) whose probes cannot legitimately fail.
 ///
@@ -266,8 +231,8 @@ where
     R: Send,
     F: Fn(&mut Network, &T) -> R + Sync,
 {
-    match replica_map_checked(network, threads, items, 0, f, |_, _| Ok(())) {
-        Ok((results, _)) => results,
+    match replica_map_checked(network, threads, items, f, |_, _| Ok(())) {
+        Ok(results) => results,
         Err(MeasureError::WorkerPanic { item, message, .. }) => {
             panic!("measurement worker panicked on item {item}: {message}")
         }
@@ -376,33 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn checked_map_retries_flaky_items_and_counts_them() {
-        let mut net = tiny();
-        let items: Vec<usize> = (0..6).collect();
-        let attempts = AtomicUsize::new(0);
-        for threads in [1, 3] {
-            attempts.store(0, Ordering::SeqCst);
-            let (out, retries) = replica_map_checked(
-                &mut net,
-                threads,
-                &items,
-                2,
-                |_, &i| {
-                    // Item 4 fails on its first attempt only.
-                    if i == 4 && attempts.fetch_add(1, Ordering::SeqCst) == 0 {
-                        panic!("transient probe failure");
-                    }
-                    i * 10
-                },
-                |_, _| Ok(()),
-            )
-            .expect("retry rescues the sweep");
-            assert_eq!(out, vec![0, 10, 20, 30, 40, 50], "{threads} threads");
-            assert_eq!(retries, 1, "{threads} threads");
-        }
-    }
-
-    #[test]
     fn exhausted_retries_surface_the_lowest_failing_item() {
         let mut net = tiny();
         let items: Vec<usize> = (0..9).collect();
@@ -411,7 +349,6 @@ mod tests {
                 &mut net,
                 threads,
                 &items,
-                1,
                 |_, &i| {
                     assert!(i != 3 && i != 6, "permanent failure");
                     i
@@ -420,13 +357,8 @@ mod tests {
             )
             .expect_err("items 3 and 6 always panic");
             match err {
-                MeasureError::WorkerPanic {
-                    item,
-                    retries,
-                    message,
-                } => {
+                MeasureError::WorkerPanic { item, message } => {
                     assert_eq!(item, 3, "{threads} threads");
-                    assert_eq!(retries, 1, "{threads} threads");
                     assert!(message.contains("permanent failure"), "{message}");
                 }
                 other => panic!("{threads} threads: unexpected error {other}"),
@@ -443,7 +375,6 @@ mod tests {
             &mut net,
             1,
             &items,
-            0,
             |_, &i| {
                 assert_ne!(i, 2, "bad item");
                 i
@@ -465,28 +396,31 @@ mod tests {
         let mut net = tiny();
         let originals = net.snapshot_weights();
         let items: Vec<usize> = (0..4).collect();
-        let (reads, _) = replica_map_checked(
+        let mut reads: Vec<(usize, f32)> = Vec::new();
+        let err = replica_map_checked(
             &mut net,
             1,
             &items,
-            1,
             |replica, &i| {
-                // Dirty the replica, then die on the first attempt of
-                // item 1; the engine must restore before retrying.
+                // Dirty the replica; item 1 dies before restoring it, so
+                // the engine must restore before item 2 runs.
                 let delta = clado_tensor::Tensor::full(originals[0].shape(), 3.0);
                 replica.perturb_weight(0, &delta);
                 let seen = replica.weight(0).data()[0];
-                if i == 1 && seen > originals[0].data()[0] + 4.0 {
-                    panic!("dirty replica reached item {i}");
-                }
+                assert_ne!(i, 1, "probe died on a dirty replica");
                 replica.set_weight(0, &originals[0]);
                 seen
             },
-            |_, _| Ok(()),
+            |i, &seen| {
+                reads.push((i, seen));
+                Ok(())
+            },
         )
-        .expect("restore-on-panic keeps items independent");
+        .expect_err("item 1 panics");
+        assert!(matches!(err, MeasureError::WorkerPanic { item: 1, .. }));
         let expect = originals[0].data()[0] + 3.0;
-        for (i, &r) in reads.iter().enumerate() {
+        assert_eq!(reads.len(), 3, "items 0, 2 and 3 completed");
+        for (i, r) in reads {
             assert_eq!(r, expect, "item {i} saw a dirty replica");
         }
     }
@@ -500,7 +434,6 @@ mod tests {
             &mut net,
             1,
             &items,
-            0,
             |_, &i| i,
             |i, _| {
                 calls += 1;

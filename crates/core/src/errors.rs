@@ -21,12 +21,11 @@ use std::fmt;
 /// A failure of [`crate::measure_sensitivities`] or the replica fan-out.
 #[derive(Debug)]
 pub enum MeasureError {
-    /// A probe closure panicked on `item` and every retry also panicked.
+    /// A probe closure panicked on `item`. Probes are deterministic, so
+    /// the item is not rerun.
     WorkerPanic {
         /// Index of the work item whose closure panicked.
         item: usize,
-        /// Retries already spent on this item before giving up.
-        retries: usize,
         /// The panic payload rendered as text.
         message: String,
     },
@@ -39,8 +38,8 @@ pub enum MeasureError {
     /// The checkpoint journal failed (I/O, config mismatch, non-empty
     /// directory without resume).
     Journal(JournalError),
-    /// The unperturbed base loss `L(w)` was non-finite even after a
-    /// retry; no sensitivity entry can be formed without it.
+    /// The unperturbed base loss `L(w)` was non-finite; no sensitivity
+    /// entry can be formed without it.
     NonFiniteBaseLoss {
         /// The offending value (NaN or ±Inf).
         loss: f64,
@@ -58,15 +57,9 @@ pub enum MeasureError {
 impl fmt::Display for MeasureError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::WorkerPanic {
-                item,
-                retries,
-                message,
-            } => write!(
-                f,
-                "measurement worker panicked on item {item} \
-                 (after {retries} retries): {message}"
-            ),
+            Self::WorkerPanic { item, message } => {
+                write!(f, "measurement worker panicked on item {item}: {message}")
+            }
             Self::WorkerLost { thread } => write!(
                 f,
                 "measurement worker thread {thread} died without reporting a result"
@@ -74,7 +67,7 @@ impl fmt::Display for MeasureError {
             Self::Journal(e) => write!(f, "{e}"),
             Self::NonFiniteBaseLoss { loss } => write!(
                 f,
-                "base loss L(w) is non-finite ({loss}) after retry; \
+                "base loss L(w) is non-finite ({loss}); \
                  the sensitivity set or model is unusable"
             ),
             Self::MissingProbes { missing, total } => write!(

@@ -78,7 +78,7 @@ pub struct ProbeRecord {
     pub id: ProbeId,
     /// The measured loss (stored bit-exactly; NaN for quarantined probes).
     pub loss: f64,
-    /// Whether the probe was quarantined (non-finite after retry).
+    /// Whether the probe was quarantined (non-finite loss).
     pub quarantined: bool,
 }
 

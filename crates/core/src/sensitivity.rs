@@ -22,11 +22,12 @@
 //! work item; see [`crate::journal`]); a later run with
 //! [`SensitivityOptions::resume`] reloads the journal, skips completed
 //! probes, and — because losses are stored bit-exactly — produces the
-//! bitwise-identical matrix an uninterrupted run would have. Probe panics
-//! are caught per item and retried up to [`SensitivityOptions::retries`]
-//! times; non-finite losses are retried once, then quarantined (the
+//! bitwise-identical matrix an uninterrupted run would have. A probe
+//! panic is caught per item and fails the sweep with a typed error once
+//! every other item is journaled; a non-finite loss is quarantined (the
 //! affected cross-term degrades to the diagonal-only estimate, i.e. the
-//! Ω entry is zeroed) instead of poisoning the IQP objective.
+//! Ω entry is zeroed) instead of poisoning the IQP objective. Neither is
+//! rerun: every probe is deterministic, so a rerun could only fail again.
 
 use crate::engine::resolve_threads;
 use crate::errors::MeasureError;
@@ -71,10 +72,6 @@ pub struct SensitivityOptions {
     /// Without this flag a non-empty checkpoint directory is an error
     /// (so two runs cannot silently interleave journals).
     pub resume: bool,
-    /// Per-item retry budget for probe panics (a panicking probe is
-    /// retried on a restored replica this many times before the sweep
-    /// fails with [`MeasureError::WorkerPanic`]).
-    pub retries: usize,
 }
 
 impl Default for SensitivityOptions {
@@ -88,7 +85,6 @@ impl Default for SensitivityOptions {
             telemetry: Telemetry::disabled(),
             checkpoint_dir: None,
             resume: false,
-            retries: 1,
         }
     }
 }
@@ -195,10 +191,7 @@ pub struct SensitivityStats {
     /// Probes restored from the checkpoint journal instead of being
     /// re-evaluated.
     pub resumed: usize,
-    /// Probe retries: panicking probes re-run on a restored replica plus
-    /// non-finite losses re-evaluated once.
-    pub retried: usize,
-    /// Probes whose loss stayed non-finite after retry; their Ω entries
+    /// Probes whose loss was non-finite; their Ω entries
     /// degrade to zero instead of poisoning the IQP objective.
     pub quarantined: usize,
     /// How this Ω was produced (exact sweep or estimator name/budget/seed).
@@ -353,12 +346,12 @@ impl SensitivityMatrix {
 ///   configuration, or the directory is non-empty without
 ///   [`SensitivityOptions::resume`]. Probes journaled before the failure
 ///   stay on disk.
-/// - [`MeasureError::WorkerPanic`] when a probe panics beyond the retry
-///   budget; [`MeasureError::WorkerLost`] when a worker thread dies
+/// - [`MeasureError::WorkerPanic`] when a probe panics;
+///   [`MeasureError::WorkerLost`] when a worker thread dies
 ///   without reporting. In both cases every *other* completed shard has
 ///   already been journaled.
-/// - [`MeasureError::NonFiniteBaseLoss`] when `L(w)` is NaN/Inf even
-///   after a retry (no sensitivity entry can be formed without it).
+/// - [`MeasureError::NonFiniteBaseLoss`] when `L(w)` is NaN/Inf (no
+///   sensitivity entry can be formed without it).
 pub fn measure_sensitivities(
     network: &mut Network,
     sens_set: &DataSplit,
@@ -627,7 +620,6 @@ mod tests {
             );
             // No faults fired, so the fault-tolerance counters are zero.
             assert_eq!(telemetry.counter_value("measure.resumed"), 0);
-            assert_eq!(telemetry.counter_value("measure.retries"), 0);
             assert_eq!(telemetry.counter_value("measure.quarantined"), 0);
             // The span tree covers the measurement and every probe kind.
             for path in [
@@ -688,7 +680,6 @@ mod tests {
         assert!(s.threads_used >= 1);
         // No checkpoint, no faults: fault-tolerance stats stay zero.
         assert_eq!(s.resumed, 0);
-        assert_eq!(s.retried, 0);
         assert_eq!(s.quarantined, 0);
 
         let naive = SensitivityOptions {

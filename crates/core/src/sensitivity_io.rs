@@ -32,6 +32,10 @@ const MAGIC: &[u8; 4] = b"CLSM";
 /// zero (provenance defaults to the exact sweep), except v1's
 /// `full_evals` which inherits `evaluations` (v1 measurements always ran
 /// the full forward pass).
+///
+/// The `retried` word is retired: probes are no longer rerun, so the
+/// writer stores 0 there and the reader skips it. The layout is
+/// unchanged, and older files that recorded retries still load.
 const VERSION: u32 = 4;
 
 /// Size of the fixed prelude: magic, version, `I`, |𝔹|.
@@ -99,7 +103,7 @@ pub fn sensitivities_to_bytes(sens: &SensitivityMatrix) -> Vec<u8> {
     buf.extend_from_slice(&(sens.stats.prefix_cache_hits as u64).to_le_bytes());
     buf.extend_from_slice(&(sens.stats.full_evals as u64).to_le_bytes());
     buf.extend_from_slice(&(sens.stats.resumed as u64).to_le_bytes());
-    buf.extend_from_slice(&(sens.stats.retried as u64).to_le_bytes());
+    buf.extend_from_slice(&0u64.to_le_bytes()); // the retired `retried` word
     buf.extend_from_slice(&(sens.stats.quarantined as u64).to_le_bytes());
     buf.extend_from_slice(&u64::from(sens.stats.provenance.estimator).to_le_bytes());
     buf.extend_from_slice(&sens.stats.provenance.probe_budget.to_le_bytes());
@@ -218,10 +222,11 @@ pub fn sensitivities_from_bytes(bytes: &[u8]) -> Result<SensitivityMatrix, Sensi
     } else {
         (0, 0, 0, evaluations)
     };
-    let (resumed, retried, quarantined) = if version >= 3 {
-        (u64_at(56), u64_at(64), u64_at(72))
+    // Offset 64 holds the retired `retried` word.
+    let (resumed, quarantined) = if version >= 3 {
+        (u64_at(56), u64_at(72))
     } else {
-        (0, 0, 0)
+        (0, 0)
     };
     let provenance = if version >= 4 {
         let raw_tag = u64_at(80);
@@ -265,7 +270,6 @@ pub fn sensitivities_from_bytes(bytes: &[u8]) -> Result<SensitivityMatrix, Sensi
             prefix_cache_hits,
             full_evals,
             resumed,
-            retried,
             quarantined,
             provenance,
         },
@@ -381,10 +385,12 @@ mod tests {
         assert_eq!(loaded.stats.prefix_cache_hits, sens.stats.prefix_cache_hits);
         assert_eq!(loaded.stats.full_evals, sens.stats.full_evals);
         assert_eq!(loaded.stats.resumed, sens.stats.resumed);
-        assert_eq!(loaded.stats.retried, sens.stats.retried);
         assert_eq!(loaded.stats.quarantined, sens.stats.quarantined);
         assert_eq!(loaded.stats.provenance, sens.stats.provenance);
         assert!(loaded.stats.provenance.is_exact());
+        let retired = PRELUDE_BYTES + sens.bits().len() + 64;
+        let bytes = sensitivities_to_bytes(&sens);
+        assert_eq!(bytes[retired..retired + 8], [0u8; 8], "retired word");
         let n = sens.matrix().dim();
         for i in 0..n {
             for j in 0..n {
@@ -435,7 +441,6 @@ mod tests {
         assert_eq!(loaded.stats.prefix_cache_hits, 0);
         assert_eq!(loaded.stats.full_evals, 7, "v1 evals were all full");
         assert_eq!(loaded.stats.resumed, 0);
-        assert_eq!(loaded.stats.retried, 0);
         assert_eq!(loaded.stats.quarantined, 0);
         assert_eq!(loaded.matrix().get(0, 0), 1.5);
         std::fs::remove_file(path).ok();
@@ -466,7 +471,6 @@ mod tests {
         assert_eq!(loaded.stats.prefix_cache_hits, 3);
         assert_eq!(loaded.stats.full_evals, 6);
         assert_eq!(loaded.stats.resumed, 0);
-        assert_eq!(loaded.stats.retried, 0);
         assert_eq!(loaded.stats.quarantined, 0);
         std::fs::remove_file(path).ok();
     }
@@ -480,7 +484,6 @@ mod tests {
         let loaded = load_sensitivities(&path).unwrap();
         assert_eq!(loaded.stats.threads_used, 4);
         assert_eq!(loaded.stats.resumed, 2);
-        assert_eq!(loaded.stats.retried, 1);
         assert_eq!(loaded.stats.quarantined, 0);
         assert!(loaded.stats.provenance.is_exact());
         assert_eq!(loaded.stats.provenance.estimator_name(), "exact");
@@ -516,7 +519,7 @@ mod tests {
             (evaluations, full_evals) in (0usize..10_000, 0usize..10_000),
             (threads_used, prefix_cache_builds) in (0usize..64, 0usize..10_000),
             prefix_cache_hits in 0usize..10_000,
-            (resumed, retried, quarantined) in (0usize..10_000, 0usize..100, 0usize..100),
+            (resumed, quarantined) in (0usize..10_000, 0usize..100),
             seconds in 0.0f64..1.0e6,
             (estimator, probe_budget, seed) in (0u8..=8, 0u64..=1 << 48, 0u64..=1 << 48),
         ) {
@@ -543,7 +546,6 @@ mod tests {
                     prefix_cache_hits,
                     full_evals,
                     resumed,
-                    retried,
                     quarantined,
                     provenance: OmegaProvenance { estimator, probe_budget, seed },
                 },
@@ -566,7 +568,6 @@ mod tests {
             proptest::prop_assert_eq!(loaded.stats.prefix_cache_hits, sens.stats.prefix_cache_hits);
             proptest::prop_assert_eq!(loaded.stats.full_evals, sens.stats.full_evals);
             proptest::prop_assert_eq!(loaded.stats.resumed, sens.stats.resumed);
-            proptest::prop_assert_eq!(loaded.stats.retried, sens.stats.retried);
             proptest::prop_assert_eq!(loaded.stats.quarantined, sens.stats.quarantined);
             proptest::prop_assert_eq!(loaded.stats.provenance, sens.stats.provenance);
             for i in 0..n {

@@ -139,9 +139,7 @@ pub struct ShardRunStats {
     pub cache_hits: u64,
     /// Prefix-activation caches built.
     pub cache_builds: u64,
-    /// Non-finite losses re-evaluated once.
-    pub retried: u64,
-    /// Probes whose loss stayed non-finite after the retry.
+    /// Probes whose loss was non-finite.
     pub quarantined: u64,
     /// Wall-clock time spent evaluating this shard.
     pub seconds: f64,
@@ -152,7 +150,6 @@ impl std::ops::AddAssign for ShardRunStats {
         self.full_evals += other.full_evals;
         self.cache_hits += other.cache_hits;
         self.cache_builds += other.cache_builds;
-        self.retried += other.retried;
         self.quarantined += other.quarantined;
         self.seconds += other.seconds;
     }
@@ -315,9 +312,10 @@ impl ShardContext {
     /// Every path is bitwise equal to a full forward (see
     /// [`crate::advance_prefix_cache`]).
     ///
-    /// A non-finite loss is re-evaluated once; if it stays non-finite the
-    /// probe is quarantined (canonical NaN stored; assembly degrades the
-    /// affected Ω entries to zero). Work is counted in the returned
+    /// A probe with a non-finite loss is quarantined, not re-evaluated:
+    /// evaluation is deterministic, so a rerun would give the same loss.
+    /// Its record stores the canonical NaN and assembly degrades the
+    /// affected Ω entries to zero. Work is counted in the returned
     /// [`ShardRunStats`] and in `telemetry`'s `measure.*` counters and
     /// `probe.*` histograms. The `measure.probe_panic` fail point panics
     /// a probe; `measure.probe_nan` poisons its loss.
@@ -331,32 +329,6 @@ impl ShardContext {
         let start = Instant::now();
         let h_build = telemetry.histogram("probe.prefix_build");
         let h_eval = telemetry.histogram("probe.eval");
-        // One forward evaluation: the suffix on `cache`, or a full
-        // forward without one.
-        let eval = |net: &mut Network,
-                    cache: Option<&PrefixCache>,
-                    spans: &ProbeSpans,
-                    stats: &mut ShardRunStats| {
-            faultpoint!("measure.probe_panic", {
-                panic!("fault injected: probe panic")
-            });
-            let mut loss = match cache {
-                Some(cache) => {
-                    let _s = telemetry.span_timed(spans.suffix, &h_eval);
-                    stats.cache_hits += 1;
-                    eval_loss_from(net, cache)
-                }
-                None => {
-                    let _s = telemetry.span_timed(spans.full, &h_eval);
-                    stats.full_evals += 1;
-                    eval_loss(net, set, self.batch_size)
-                }
-            };
-            faultpoint!("measure.probe_nan", {
-                loss = f64::NAN;
-            });
-            loss
-        };
         let mut stats = ShardRunStats::default();
         let mut advances = 0u64;
         let mut out = Vec::with_capacity(ids.len());
@@ -435,15 +407,30 @@ impl ShardContext {
             if let Some((j, n)) = probed {
                 net.perturb_weight(j, &self.deltas[j][n]);
             }
+            // One forward evaluation: the suffix on `cache`, or a full
+            // forward without one.
             let loss = with_panic_context(
                 || format!("probe {id:?}"),
                 || {
-                    let loss = eval(net, cache, spans, &mut stats);
-                    if loss.is_finite() {
-                        return loss;
-                    }
-                    stats.retried += 1;
-                    eval(net, cache, spans, &mut stats)
+                    faultpoint!("measure.probe_panic", {
+                        panic!("fault injected: probe panic")
+                    });
+                    let mut loss = match cache {
+                        Some(cache) => {
+                            let _s = telemetry.span_timed(spans.suffix, &h_eval);
+                            stats.cache_hits += 1;
+                            eval_loss_from(net, cache)
+                        }
+                        None => {
+                            let _s = telemetry.span_timed(spans.full, &h_eval);
+                            stats.full_evals += 1;
+                            eval_loss(net, set, self.batch_size)
+                        }
+                    };
+                    faultpoint!("measure.probe_nan", {
+                        loss = f64::NAN;
+                    });
+                    loss
                 },
             );
             if let Some((j, _)) = probed {
@@ -467,7 +454,6 @@ impl ShardContext {
             ("measure.prefix_cache_hits", stats.cache_hits),
             ("measure.prefix_cache_builds", stats.cache_builds),
             ("measure.prefix_cache_advances", advances),
-            ("measure.retries", stats.retried),
             ("measure.quarantined", stats.quarantined),
         ] {
             telemetry.counter(name).add(n);

@@ -142,7 +142,6 @@ pub fn run_plan<E: From<MeasureError>>(
         prefix_cache_hits: run.cache_hits as usize,
         full_evals: run.full_evals as usize,
         resumed,
-        retried: run.retried as usize,
         ..matrix.stats
     };
     Ok(SweepOutcome {
@@ -155,15 +154,14 @@ pub fn run_plan<E: From<MeasureError>>(
 /// Runs `plan` in process: each round's shards fan out over
 /// [`SensitivityOptions::threads`] workers — `network` and clones of it
 /// ([`replica_map_checked`]) — every shard is journaled as soon as it
-/// completes, and a panicking shard is retried up to
-/// [`SensitivityOptions::retries`] times on a restored replica. The
-/// caller's weights end as they started.
+/// completes, and a panicking shard's replica is restored while the
+/// other shards run on. The caller's weights end as they started.
 ///
 /// # Errors
 ///
 /// The errors of [`run_plan`]; [`MeasureError::WorkerPanic`] /
-/// [`MeasureError::WorkerLost`] when a shard fails beyond its retries
-/// (every other completed shard is journaled first).
+/// [`MeasureError::WorkerLost`] when a shard fails (every other
+/// completed shard is journaled first).
 pub fn run_plan_in_process(
     network: &mut Network,
     set: &DataSplit,
@@ -179,11 +177,10 @@ pub fn run_plan_in_process(
         let progress = telemetry.progress("sensitivity probes", (resumed + fresh) as u64);
         progress.add(resumed as u64);
         let journal = &mut state.journal;
-        let (outs, retries) = replica_map_checked(
+        let outs = replica_map_checked(
             &mut *network,
             threads,
             round,
-            options.retries,
             |net, (_, ids)| ctx.run_probes(net, set, ids, telemetry),
             |_, (recs, _)| {
                 progress.add(recs.len() as u64);
@@ -194,11 +191,7 @@ pub fn run_plan_in_process(
             },
         )?;
         progress.finish();
-        telemetry.counter("measure.retries").add(retries);
-        let mut run = ShardRunStats {
-            retried: retries,
-            ..ShardRunStats::default()
-        };
+        let mut run = ShardRunStats::default();
         for (recs, stats) in outs {
             run += stats;
             state.records.extend(recs.into_iter().map(|r| (r.id, r)));

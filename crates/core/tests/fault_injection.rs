@@ -103,24 +103,6 @@ fn reference(net: &mut Network, set: &DataSplit) -> SensitivityMatrix {
 }
 
 #[test]
-fn probe_panic_within_retry_budget_recovers_bitwise() {
-    let _guard = test_guard();
-    let (mut net, set) = setup();
-    let want = reference(&mut net, &set);
-
-    // One probe (the 8th evaluation) panics once; the engine restores the
-    // replica and retries it within the default budget of 1.
-    arm("measure.probe_panic", FaultSpec::panic().skip(7).times(1));
-    let sm = measure_sensitivities(&mut net, &set, &bits(), &opts(None, false))
-        .expect("retry must absorb a single panic");
-    disarm("measure.probe_panic");
-
-    assert_eq!(sm.stats.retried, 1, "one engine retry");
-    assert_eq!(sm.stats.quarantined, 0);
-    assert_bitwise_equal(&sm, &want, "retried run");
-}
-
-#[test]
 fn sweep_killed_mid_run_resumes_to_the_identical_matrix() {
     let _guard = test_guard();
     let (mut net, set) = setup();
@@ -128,17 +110,15 @@ fn sweep_killed_mid_run_resumes_to_the_identical_matrix() {
     let ckpt = temp_ckpt("kill-resume");
 
     // Kill the sweep at roughly 50%: every probe evaluation after the
-    // 10th panics, and a zero retry budget turns the first panic into a
-    // structured WorkerPanic error. Everything completed before the kill
-    // (base + all 6 diagonal probes) is already journaled.
+    // 10th panics, and the first panic becomes a structured WorkerPanic
+    // error. Everything completed before the kill (base + all 6 diagonal
+    // probes) is already journaled.
     arm("measure.probe_panic", FaultSpec::panic().skip(10));
-    let mut broken = opts(Some(&ckpt), false);
-    broken.retries = 0;
-    let err = measure_sensitivities(&mut net, &set, &bits(), &broken)
+    let err = measure_sensitivities(&mut net, &set, &bits(), &opts(Some(&ckpt), false))
         .expect_err("sweep must die at the armed point");
     disarm("measure.probe_panic");
     assert!(
-        matches!(err, MeasureError::WorkerPanic { retries: 0, .. }),
+        matches!(err, MeasureError::WorkerPanic { .. }),
         "expected WorkerPanic, got {err:?}"
     );
     let shards = fs::read_dir(&ckpt)
@@ -178,7 +158,7 @@ fn worker_thread_death_is_a_structured_error_and_resumable() {
     let ckpt = temp_ckpt("worker-lost");
 
     // The kill point sits *outside* the per-item panic guard, so the
-    // worker thread itself dies — no retry can absorb it. Needs the
+    // worker thread itself dies without reporting. Needs the
     // parallel path: in the serial path the same point unwinds the
     // caller directly rather than producing a joinable dead thread.
     arm("engine.worker_kill", FaultSpec::panic().skip(2));
@@ -200,52 +180,45 @@ fn worker_thread_death_is_a_structured_error_and_resumable() {
 }
 
 #[test]
-fn non_finite_loss_is_retried_once_and_recovers() {
-    let _guard = test_guard();
-    let (mut net, set) = setup();
-    let want = reference(&mut net, &set);
-
-    // Poison exactly one loss; the immediate re-evaluation is clean.
-    arm("measure.probe_nan", FaultSpec::trigger().skip(5).times(1));
-    let sm = measure_sensitivities(&mut net, &set, &bits(), &opts(None, false))
-        .expect("NaN retry must recover");
-    disarm("measure.probe_nan");
-
-    assert_eq!(sm.stats.retried, 1, "one NaN retry");
-    assert_eq!(sm.stats.quarantined, 0);
-    assert_bitwise_equal(&sm, &want, "NaN-retried run");
-}
-
-#[test]
 fn persistent_non_finite_loss_is_quarantined_not_propagated() {
     let _guard = test_guard();
     let (mut net, set) = setup();
     let want = reference(&mut net, &set);
 
-    // Poison one probe's evaluation *and* its retry (2 consecutive hits):
-    // the probe is quarantined and its Ω entries degrade to zero.
-    arm("measure.probe_nan", FaultSpec::trigger().skip(5).times(2));
+    // Poison one probe's loss (the 6th evaluation, a diagonal probe): it
+    // is quarantined on its first evaluation, not re-evaluated, and only
+    // the Ω entries that read it degrade to zero.
+    arm("measure.probe_nan", FaultSpec::trigger().skip(5).times(1));
     let sm = measure_sensitivities(&mut net, &set, &bits(), &opts(None, false))
         .expect("quarantine must not fail the sweep");
     disarm("measure.probe_nan");
 
     assert_eq!(sm.stats.quarantined, 1, "one probe quarantined");
     assert_eq!(
-        sm.stats.retried, 1,
-        "the quarantined probe was retried once"
+        sm.stats.evaluations, want.stats.evaluations,
+        "every probe, the poisoned one included, ran exactly once"
     );
     let dim = sm.matrix().dim();
-    let mut zeroed = 0usize;
+    let mut zeroed = Vec::new();
     for u in 0..dim {
         for v in u..dim {
-            let got = sm.matrix().get(u, v);
+            let (got, clean) = (sm.matrix().get(u, v), want.matrix().get(u, v));
             assert!(got.is_finite(), "entry ({u},{v}) leaked a non-finite value");
-            if got == 0.0 && want.matrix().get(u, v) != 0.0 {
-                zeroed += 1;
+            if got.to_bits() != clean.to_bits() {
+                assert_eq!(got, 0.0, "entry ({u},{v}) changed but did not degrade");
+                zeroed.push((u, v));
             }
         }
     }
-    assert!(zeroed > 0, "the quarantined probe's entries degraded to 0");
+    // A diagonal probe feeds one row of Ω: its own entry and every cross
+    // term with it. Every other entry keeps the reference bits.
+    let row = (0..dim)
+        .find(|&r| zeroed.iter().all(|&(u, v)| u == r || v == r))
+        .unwrap_or_else(|| panic!("degraded entries span several rows: {zeroed:?}"));
+    assert!(
+        zeroed.contains(&(row, row)),
+        "the quarantined diagonal entry degraded to 0: {zeroed:?}"
+    );
 }
 
 #[test]
@@ -253,9 +226,9 @@ fn base_loss_that_never_recovers_is_a_typed_error() {
     let _guard = test_guard();
     let (mut net, set) = setup();
 
-    // The very first evaluation is the base loss; poisoning it and its
-    // retry leaves nothing to measure against.
-    arm("measure.probe_nan", FaultSpec::trigger().times(2));
+    // The very first evaluation is the base loss; poisoning it leaves
+    // nothing to measure against.
+    arm("measure.probe_nan", FaultSpec::trigger().times(1));
     let err = measure_sensitivities(&mut net, &set, &bits(), &opts(None, false))
         .expect_err("non-finite base loss must fail");
     disarm("measure.probe_nan");
@@ -342,13 +315,12 @@ fn shard_path_quarantines_a_persistent_non_finite_probe() {
     let mut poisoned = None;
     for shard in ctx.shards() {
         if shard == poisoned_shard {
-            // Poison the shard's third probe and its retry.
-            arm("measure.probe_nan", FaultSpec::trigger().skip(2).times(2));
+            // Poison the shard's third probe.
+            arm("measure.probe_nan", FaultSpec::trigger().skip(2).times(1));
         }
         let (recs, stats) = ctx.run_shard(&mut replica, &set, shard, &Telemetry::disabled());
         disarm("measure.probe_nan");
         if shard == poisoned_shard {
-            assert_eq!(stats.retried, 1, "the poisoned probe was retried once");
             assert_eq!(stats.quarantined, 1, "one probe quarantined");
             let rec = recs[2];
             assert!(rec.quarantined && rec.loss.is_nan(), "{rec:?}");

@@ -38,7 +38,10 @@ use std::io::{self, Read, Write};
 /// v5: leases carry their probe ids — the coordinator's plan picks the
 /// probes and workers evaluate exactly what they are handed — and `Job`
 /// drops the estimator fields.
-pub const PROTOCOL_VERSION: u16 = 5;
+///
+/// v6: `ShardDone` stats lose the `retried` word (probes are no longer
+/// rerun).
+pub const PROTOCOL_VERSION: u16 = 6;
 
 /// Upper bound on a frame payload. The largest legitimate message is a
 /// `ShardDone` for one pairwise shard (26 bytes per probe); 4 MiB leaves
@@ -346,8 +349,9 @@ mod tests {
     fn pre_serve_v1_and_v2_frames_are_rejected() {
         // v1 (no trace context) and v2 (no pooling/serve frames) peers
         // must be refused at the frame layer before any payload
-        // decoding is attempted.
-        for old in [1u16, 2] {
+        // decoding is attempted; so must v5, whose `ShardDone` stats
+        // still carry the `retried` word.
+        for old in [1u16, 2, 5] {
             let mut bytes = frame(1, b"payload");
             bytes[4..6].copy_from_slice(&old.to_le_bytes());
             let err = read_frame(&mut Cursor::new(&bytes)).unwrap_err();

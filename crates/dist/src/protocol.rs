@@ -30,6 +30,9 @@
 //! exactly what it is handed and never plans. `JobSpec` no longer
 //! carries estimator fields.
 //!
+//! Protocol v6 drops the `retried` word from the `ShardDone` stats:
+//! probes are no longer rerun, so there is nothing to count.
+//!
 //! Every decode failure is a typed [`FrameError`]; unknown kinds, short
 //! payloads, trailing bytes, and out-of-range enum tags are all rejected
 //! without panicking.
@@ -267,7 +270,6 @@ fn put_stats(out: &mut Vec<u8>, s: &ShardRunStats) {
         s.full_evals,
         s.cache_hits,
         s.cache_builds,
-        s.retried,
         s.quarantined,
         s.seconds.to_bits(),
     ] {
@@ -380,7 +382,6 @@ fn read_stats(c: &mut Reader<'_>) -> Result<ShardRunStats, FrameError> {
         full_evals: c.u64("stats.full_evals")?,
         cache_hits: c.u64("stats.cache_hits")?,
         cache_builds: c.u64("stats.cache_builds")?,
-        retried: c.u64("stats.retried")?,
         quarantined: c.u64("stats.quarantined")?,
         seconds: f64::from_bits(c.u64("stats.seconds")?),
     })
@@ -642,7 +643,6 @@ mod tests {
                     full_evals: 1,
                     cache_hits: 1,
                     cache_builds: 1,
-                    retried: 1,
                     quarantined: 1,
                     seconds: 0.25,
                 },

@@ -190,7 +190,7 @@ proptest! {
         ),
         stats in (
             (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
-            (0u64..u64::MAX, 0u64..u64::MAX),
+            0u64..u64::MAX,
             (0u8..=7, 0u64..u64::MAX),
         ),
         events in prop::collection::vec(
@@ -209,7 +209,7 @@ proptest! {
             .into_iter()
             .map(|((tag, ts, dur), (tid, sel, raw))| trace_event(tag, ts, dur, tid, sel, raw))
             .collect();
-        let ((full_evals, cache_hits, cache_builds), (retried, quarantined), (sel, raw)) = stats;
+        let ((full_evals, cache_hits, cache_builds), quarantined, (sel, raw)) = stats;
         round_trip(&Message::ShardDone {
             lease,
             shard: shard_spec(shard_tag, shard_index),
@@ -218,7 +218,6 @@ proptest! {
                 full_evals,
                 cache_hits,
                 cache_builds,
-                retried,
                 quarantined,
                 seconds: loss_from(sel, raw),
             },

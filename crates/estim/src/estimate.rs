@@ -27,7 +27,7 @@ pub struct EstimatorOptions {
     /// base+diagonal probes and capped at the full sweep.
     pub probe_budget: usize,
     /// Underlying measurement options (scheme, batch size, threads,
-    /// prefix cache, telemetry, checkpoint dir, resume, retries). The
+    /// prefix cache, telemetry, checkpoint dir, resume). The
     /// journal in `checkpoint_dir` is stamped with the estimator
     /// fingerprint, so exact and estimated runs can never share one.
     pub measure: SensitivityOptions,
@@ -86,9 +86,8 @@ impl EstimatedOmega {
 ///   or when the checkpoint dir is non-empty without
 ///   [`SensitivityOptions::resume`].
 /// - [`MeasureError::WorkerPanic`] / [`MeasureError::WorkerLost`] when a
-///   probe panics beyond the retry budget.
-/// - [`MeasureError::NonFiniteBaseLoss`] when `L(w)` stays non-finite
-///   after the quarantine retry.
+///   probe panics or a worker thread dies.
+/// - [`MeasureError::NonFiniteBaseLoss`] when `L(w)` is non-finite.
 pub fn estimate_sensitivities(
     network: &mut Network,
     set: &DataSplit,

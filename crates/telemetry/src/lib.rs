@@ -50,7 +50,7 @@ mod progress;
 mod trace;
 
 pub use json::{parse as parse_json, Json};
-pub use manifest::ManifestValue;
+pub use manifest::{fmt_us, ManifestValue};
 pub use progress::Progress;
 pub use trace::{Hist, HistSnapshot, SeriesPoint, TraceEvent, PH_COMPLETE, PH_INSTANT};
 

@@ -380,7 +380,7 @@ pub(crate) fn render_summary(t: &Telemetry) -> String {
 }
 
 /// Formats a µs latency with an adaptive unit (`17µs`, `4.2ms`, `1.8s`).
-pub(crate) fn fmt_us(us: u64) -> String {
+pub fn fmt_us(us: u64) -> String {
     if us < 1_000 {
         format!("{us}µs")
     } else if us < 1_000_000 {
