@@ -6,12 +6,17 @@
 //! # Lease/heartbeat state machine
 //!
 //! Each accepted connection gets its own thread. After the `Hello`
-//! handshake the worker is *live* and cycles idle → job → lease loop →
-//! `JobDone` → idle until the pool shuts down or the worker dies:
+//! handshake a reader thread decodes the worker's frames into the
+//! connection's channel, and the worker is *live*: it cycles idle → job
+//! → lease loop → `JobDone` → idle until the pool shuts down or the
+//! worker dies. The connection thread waits only on that channel, which
+//! also carries the wake-ups [`WorkerPool::run_job`] and
+//! [`WorkerPool::shutdown`] post, under one deadline: a worker that
+//! sends no frame for the heartbeat timeout is lost.
 //!
 //! * **Idle.** The thread hands the worker an open job as soon as one
-//!   exists — right after the handshake, after every `JobDone`, and
-//!   after every heartbeat or short poll while it waits.
+//!   exists — right after the handshake, after every `JobDone`, and on
+//!   the wake-up a newly posted job sends.
 //! * **Job.** `Job` → `Ready`. A worker whose `Ready` echoes a different
 //!   fingerprint reconstructed another configuration: it is refused with
 //!   `Reject`, counted, and dropped, while the job runs on.
@@ -20,7 +25,7 @@
 //!   they evaluate, so a slow shard never looks like a dead worker. When
 //!   the job is over the next request is answered `JobDone`.
 //!
-//! A read timeout, a closed socket, or a malformed frame ends the
+//! A missed deadline, a closed socket, or a malformed frame ends the
 //! connection, and every lease the worker held is requeued at the
 //! *front* of its job's queue with a capped backoff (100 ms doubling to
 //! 1.6 s). A shard evicted more than [`PoolOptions::shard_retries`] times
@@ -38,8 +43,9 @@ use clado_telemetry::{ManifestValue, Telemetry, TraceEvent};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -47,9 +53,10 @@ use std::time::{Duration, Instant};
 /// leasable right now (all shards leased, or requeued under backoff).
 const IDLE_RETRY_MS: u32 = 50;
 
-/// Read timeout while a worker idles between jobs: short, so the
-/// connection thread notices new jobs and shutdown promptly.
-const IDLE_POLL: Duration = Duration::from_millis(100);
+/// Events a connection's channel holds before its reader thread blocks,
+/// which stops reading the socket: a worker that floods frames meets TCP
+/// backpressure, not an unbounded queue.
+const CONN_EVENTS: usize = 8;
 
 /// Options controlling the worker pool.
 #[derive(Debug, Clone)]
@@ -210,19 +217,35 @@ struct PoolState {
     next_job: u64,
     next_lease: u64,
     next_span_id: u64,
-    /// worker id → pid of currently connected, handshaken workers.
-    live_workers: HashMap<u64, u32>,
+    /// worker id → the wake-up side of its connection's channel, for
+    /// currently connected, handshaken workers.
+    live_workers: HashMap<u64, SyncSender<Event>>,
     /// Workers refused over the pool's lifetime (protocol version or
     /// job fingerprint mismatch).
     rejected: u64,
+    /// Running connection threads; [`WorkerPool::shutdown`] waits for 0.
+    connections: usize,
+}
+
+impl PoolState {
+    /// Wakes every live connection thread: a job was posted, or the pool
+    /// is shutting down.
+    fn wake_all(&self) {
+        for wake in self.live_workers.values() {
+            // Never blocks under the pool lock. A full channel holds
+            // events already, after each of which an idle thread looks
+            // for work again; a closed one is a connection already
+            // ending.
+            let _ = wake.try_send(Event::Wake);
+        }
+    }
 }
 
 struct Shared {
     state: Mutex<PoolState>,
+    /// Notified when a job's state changes and when a connection ends.
     cv: Condvar,
     shutdown: AtomicBool,
-    /// Live connection threads (accept-side guard for shutdown).
-    conns: AtomicUsize,
     telemetry: Telemetry,
     heartbeat_timeout: Duration,
     shard_retries: u32,
@@ -273,10 +296,10 @@ impl WorkerPool {
                 next_span_id: 1,
                 live_workers: HashMap::new(),
                 rejected: 0,
+                connections: 0,
             }),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            conns: AtomicUsize::new(0),
             telemetry: opts.telemetry,
             heartbeat_timeout: opts.heartbeat_timeout,
             shard_retries: opts.shard_retries,
@@ -291,10 +314,11 @@ impl WorkerPool {
                         let id = next_worker;
                         next_worker += 1;
                         let shared = Arc::clone(&accept_shared);
-                        shared.conns.fetch_add(1, Ordering::SeqCst);
+                        shared.lock().connections += 1;
                         std::thread::spawn(move || {
                             serve_conn(stream, id, &shared);
-                            shared.conns.fetch_sub(1, Ordering::SeqCst);
+                            shared.lock().connections -= 1;
+                            shared.cv.notify_all();
                         });
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -367,9 +391,9 @@ impl WorkerPool {
                     failed: None,
                 },
             );
+            g.wake_all();
             id
         };
-        self.shared.cv.notify_all();
         self.shared.telemetry.counter("dist.pool.jobs").incr();
 
         let mut idle_since = Instant::now();
@@ -464,16 +488,26 @@ impl WorkerPool {
     /// Workers mid-lease finish naturally once their jobs are removed.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.cv.notify_all();
+        self.shared.lock().wake_all();
         if let Some(handle) = self.accept.lock().unwrap_or_else(|p| p.into_inner()).take() {
             let _ = handle.join();
         }
-        // Connection threads notice the flag within one idle poll and
-        // send Shutdown; bound the wait so a wedged socket cannot hold
-        // the caller's exit hostage.
+        // Idle connection threads send Shutdown on their wake-up, and
+        // each one notifies the condvar as it ends; bound the wait so a
+        // wedged socket cannot hold the caller's exit hostage.
         let deadline = Instant::now() + self.shared.heartbeat_timeout + Duration::from_secs(1);
-        while self.shared.conns.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
+        let mut g = self.shared.lock();
+        while g.connections > 0 {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            g = self
+                .shared
+                .cv
+                .wait_timeout(g, left)
+                .unwrap_or_else(|p| p.into_inner())
+                .0;
         }
     }
 }
@@ -639,6 +673,50 @@ impl ConnEnd {
     }
 }
 
+/// What a connection thread waits for.
+enum Event {
+    /// A frame from the connection's reader thread, or the read error
+    /// that ended it.
+    Frame(Result<Message, FrameError>),
+    /// The pool posted a job or is shutting down.
+    Wake,
+}
+
+/// A connection thread's one wait: its channel's events under the
+/// heartbeat deadline, which every frame from the worker moves on.
+struct Inbox {
+    events: Receiver<Event>,
+    heartbeat_timeout: Duration,
+    deadline: Instant,
+}
+
+impl Inbox {
+    /// The next event, or `None` once the worker has sent no frame for
+    /// the heartbeat timeout.
+    fn next(&mut self) -> Option<Event> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        let event = self.events.recv_timeout(left).ok()?;
+        if matches!(event, Event::Frame(_)) {
+            self.deadline = Instant::now() + self.heartbeat_timeout;
+        }
+        Some(event)
+    }
+}
+
+/// A connection's reader thread: decodes the worker's frames into
+/// `events` until a read fails — the worker hung up or sent a corrupt
+/// frame, or the connection thread shut the socket down — and forwards
+/// that error too.
+fn forward_frames(mut stream: &TcpStream, events: &SyncSender<Event>) {
+    loop {
+        let frame = protocol::recv(&mut stream);
+        let ended = frame.is_err();
+        if events.send(Event::Frame(frame)).is_err() || ended {
+            return;
+        }
+    }
+}
+
 /// Serves one worker connection: handshake once, then cycle idle → job
 /// → lease loop → `JobDone` → idle until shutdown or death. Never panics
 /// on worker input; every exit path evicts whatever the worker held.
@@ -682,18 +760,32 @@ fn serve_conn(stream: TcpStream, id: u64, shared: &Shared) {
             return;
         }
     };
-    // Later writes (jobs, leases) block: slow-reading workers are
-    // policed by the heartbeat deadline.
+    // Later writes (jobs, leases) block, and the reader thread waits for
+    // frames with no timeout: the connection thread's heartbeat deadline
+    // polices a silent worker.
     let _ = stream.set_write_timeout(None);
-    shared.lock().live_workers.insert(id, pid);
-    shared.cv.notify_all();
-    telemetry.counter("dist.pool.workers_connected").incr();
-    telemetry.set_process_label(pid, &format!("worker-{id}"));
-    if shared.verbose {
-        eprintln!("dist: worker {id} (pid {pid}) joined the pool");
-    }
-
-    let end = drive_worker(&stream, id, pid, shared);
+    let _ = stream.set_read_timeout(None);
+    let (wake, events) = mpsc::sync_channel(CONN_EVENTS);
+    let end = std::thread::scope(|scope| {
+        let (reader, frames) = (&stream, wake.clone());
+        scope.spawn(move || forward_frames(reader, &frames));
+        shared.lock().live_workers.insert(id, wake);
+        shared.cv.notify_all();
+        telemetry.counter("dist.pool.workers_connected").incr();
+        telemetry.set_process_label(pid, &format!("worker-{id}"));
+        if shared.verbose {
+            eprintln!("dist: worker {id} (pid {pid}) joined the pool");
+        }
+        let inbox = Inbox {
+            events,
+            heartbeat_timeout: shared.heartbeat_timeout,
+            deadline: Instant::now() + shared.heartbeat_timeout,
+        };
+        let end = drive_worker(&stream, inbox, id, pid, shared);
+        // Unblocks the reader thread, which the scope joins.
+        let _ = stream.shutdown(Shutdown::Both);
+        end
+    });
     let evicted = evict_worker(&mut shared.lock(), id, shared.shard_retries);
     shared.cv.notify_all();
     if matches!(end, ConnEnd::ProtocolError) {
@@ -717,38 +809,33 @@ fn serve_conn(stream: TcpStream, id: u64, shared: &Shared) {
 }
 
 /// The idle/job cycle for one handshaken worker.
-fn drive_worker(stream: &TcpStream, id: u64, pid: u32, shared: &Shared) -> ConnEnd {
+fn drive_worker(
+    stream: &TcpStream,
+    mut inbox: Inbox,
+    id: u64,
+    pid: u32,
+    shared: &Shared,
+) -> ConnEnd {
     let mut s = stream;
     let telemetry = &shared.telemetry;
-    let hb = shared.heartbeat_timeout;
     loop {
-        // Idle phase: short poll so shutdown and new jobs are noticed
-        // fast. Only tiny heartbeat frames flow here, so the short
-        // timeout cannot bisect a large frame mid-read.
-        let _ = stream.set_read_timeout(Some(IDLE_POLL));
-        let mut last_frame = Instant::now();
+        // Idle phase. Look for work before every wait: a job already
+        // open when the handshake (or the last `JobDone`) finishes is
+        // served at once, and a job posted later sends a wake-up.
         let (job_id, spec) = loop {
-            if shared.shutdown.load(Ordering::Relaxed) {
+            if shared.shutdown.load(Ordering::SeqCst) {
                 let _ = protocol::send(&mut s, &Message::Shutdown);
                 return ConnEnd::Clean;
             }
-            // Look for work before every read: a job already open when
-            // the handshake (or the last `JobDone`) finishes is served at
-            // once, and a worker heartbeating faster than the poll cannot
-            // starve job pickup.
             if let Some(picked) = pick_job(&shared.lock()) {
                 break picked;
             }
-            match protocol::recv(&mut s) {
-                Ok(Message::Heartbeat { .. }) => last_frame = Instant::now(),
-                Ok(_) => return ConnEnd::ProtocolError,
-                Err(e) if e.is_timeout() => {
-                    if last_frame.elapsed() > hb {
-                        return ConnEnd::Lost;
-                    }
-                }
-                Err(e) if e.is_disconnect() => return ConnEnd::Clean,
-                Err(_) => return ConnEnd::ProtocolError,
+            match inbox.next() {
+                None => return ConnEnd::Lost,
+                Some(Event::Wake | Event::Frame(Ok(Message::Heartbeat { .. }))) => {}
+                Some(Event::Frame(Ok(_))) => return ConnEnd::ProtocolError,
+                Some(Event::Frame(Err(e))) if e.is_disconnect() => return ConnEnd::Clean,
+                Some(Event::Frame(Err(_))) => return ConnEnd::ProtocolError,
             }
         };
         let expect_fp = spec.fingerprint;
@@ -758,22 +845,17 @@ fn drive_worker(stream: &TcpStream, id: u64, pid: u32, shared: &Shared) -> ConnE
         }
 
         // Await Ready (heartbeats flow while the worker builds a model it
-        // hasn't cached). Ready frames are small, so the short timeout
-        // stays safe here too.
+        // hasn't cached).
         let (ready_fp, worker_clock_us) = loop {
-            match protocol::recv(&mut s) {
-                Ok(Message::Heartbeat { .. }) => last_frame = Instant::now(),
-                Ok(Message::Ready {
+            match inbox.next() {
+                None => return ConnEnd::Lost,
+                Some(Event::Wake | Event::Frame(Ok(Message::Heartbeat { .. }))) => {}
+                Some(Event::Frame(Ok(Message::Ready {
                     fingerprint,
                     clock_us,
-                }) => break (fingerprint, clock_us),
-                Ok(_) => return ConnEnd::ProtocolError,
-                Err(e) if e.is_timeout() => {
-                    if last_frame.elapsed() > hb {
-                        return ConnEnd::Lost;
-                    }
-                }
-                Err(e) => return ConnEnd::of(&e),
+                }))) => break (fingerprint, clock_us),
+                Some(Event::Frame(Ok(_))) => return ConnEnd::ProtocolError,
+                Some(Event::Frame(Err(e))) => return ConnEnd::of(&e),
             }
         };
         if ready_fp != expect_fp {
@@ -803,13 +885,16 @@ fn drive_worker(stream: &TcpStream, id: u64, pid: u32, shared: &Shared) -> ConnE
         // errs the offset late by at most one frame round-trip).
         let clock_offset_us = telemetry.now_us() as i64 - worker_clock_us as i64;
 
-        // Lease loop: the long heartbeat timeout is the read timeout here
-        // — ShardDone frames can be large and must not be bisected by a
-        // short poll.
-        let _ = stream.set_read_timeout(Some(hb));
+        // Lease loop.
         loop {
-            match protocol::recv(&mut s) {
-                Ok(Message::LeaseRequest) => {
+            let msg = match inbox.next() {
+                None => return ConnEnd::Lost,
+                Some(Event::Wake) => continue,
+                Some(Event::Frame(Ok(msg))) => msg,
+                Some(Event::Frame(Err(e))) => return ConnEnd::of(&e),
+            };
+            match msg {
+                Message::LeaseRequest => {
                     let reply = grant_lease(shared, job_id, id, traced);
                     if let Message::Lease {
                         lease,
@@ -836,7 +921,7 @@ fn drive_worker(stream: &TcpStream, id: u64, pid: u32, shared: &Shared) -> ConnE
                         break; // back to the idle phase
                     }
                 }
-                Ok(Message::Heartbeat { lease }) => {
+                Message::Heartbeat { lease } => {
                     telemetry.instant(
                         "dist.heartbeat",
                         &[
@@ -845,13 +930,13 @@ fn drive_worker(stream: &TcpStream, id: u64, pid: u32, shared: &Shared) -> ConnE
                         ],
                     );
                 }
-                Ok(Message::ShardDone {
+                Message::ShardDone {
                     lease,
                     shard,
                     records,
                     stats,
                     events,
-                }) => {
+                } => {
                     ingest_worker_events(telemetry, events, pid, clock_offset_us);
                     telemetry.instant(
                         "dist.shard_done",
@@ -878,8 +963,7 @@ fn drive_worker(stream: &TcpStream, id: u64, pid: u32, shared: &Shared) -> ConnE
                     shared.cv.notify_all();
                     telemetry.counter("dist.pool.shards_completed").incr();
                 }
-                Ok(_) => return ConnEnd::ProtocolError,
-                Err(e) => return ConnEnd::of(&e),
+                _ => return ConnEnd::ProtocolError,
             }
         }
     }
@@ -933,8 +1017,9 @@ mod tests {
             next_job: 2,
             next_lease: 2,
             next_span_id: 1,
-            live_workers: HashMap::from([(7, 100)]),
+            live_workers: HashMap::from([(7, mpsc::sync_channel(1).0)]),
             rejected: 0,
+            connections: 0,
         };
         let shard = ShardSpec::Base;
         g.jobs.insert(
@@ -973,7 +1058,7 @@ mod tests {
 
         // A second eviction crosses the cap (retries = 1) → job fails.
         job.leases.insert(5, (shard, 9));
-        g.live_workers.insert(9, 101);
+        g.live_workers.insert(9, mpsc::sync_channel(1).0);
         assert_eq!(evict_worker(&mut g, 9, 1), 1);
         let job = &g.jobs[&1];
         assert!(matches!(

@@ -96,7 +96,8 @@ impl Conn {
 /// Stops and joins the heartbeat thread on every exit path — including
 /// a panic unwinding out of the lease loop, where leaving the thread
 /// running would hold the socket open and stall the pool's
-/// eviction until its heartbeat deadline.
+/// eviction until its heartbeat deadline. The thread parks between
+/// beats, so the unpark ends its wait at once.
 struct HeartbeatGuard {
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
@@ -104,9 +105,31 @@ struct HeartbeatGuard {
 
 impl Drop for HeartbeatGuard {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
         if let Some(handle) = self.handle.take() {
+            handle.thread().unpark();
             let _ = handle.join();
+        }
+    }
+}
+
+/// Sends `Heartbeat` frames every `interval` until `stop` is raised (the
+/// raiser unparks this thread) or the link fails.
+fn heartbeat_loop(conn: &Conn, interval: Duration, stop: &AtomicBool, lease: &AtomicU64) {
+    let mut next_beat = Instant::now() + interval;
+    while !stop.load(Ordering::SeqCst) {
+        let now = Instant::now();
+        if now < next_beat {
+            // Parking may end early (an unpark, or spuriously): recheck.
+            std::thread::park_timeout(next_beat - now);
+            continue;
+        }
+        next_beat = now + interval;
+        let msg = Message::Heartbeat {
+            lease: lease.load(Ordering::Relaxed),
+        };
+        if conn.send(&msg).is_err() {
+            return;
         }
     }
 }
@@ -309,18 +332,7 @@ where
         HeartbeatGuard {
             stop: Arc::clone(&stop),
             handle: Some(std::thread::spawn(move || {
-                while !stop_flag.load(Ordering::Relaxed) {
-                    std::thread::sleep(interval);
-                    if stop_flag.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let msg = Message::Heartbeat {
-                        lease: lease.load(Ordering::Relaxed),
-                    };
-                    if conn.send(&msg).is_err() {
-                        break;
-                    }
-                }
+                heartbeat_loop(&conn, interval, &stop_flag, &lease);
             })),
         }
     };

@@ -1,9 +1,9 @@
 //! End-to-end tests of the distributed sweep on the worker pool over
 //! loopback TCP: bitwise parity with the single-process engine, lease
 //! eviction for dead and hung workers, fingerprint/version rejection,
-//! malformed-frame robustness (during the handshake and while idle), and
-//! crash-safe resume (including journal interop with the single-process
-//! engine).
+//! malformed-frame robustness (during the handshake and while idle),
+//! prompt job dispatch and worker exit, and crash-safe resume (including
+//! journal interop with the single-process engine).
 //!
 //! Every test takes the fault-injection `test_guard`, which serializes
 //! the suite: the fault registry is process-global, so a fault armed
@@ -11,10 +11,10 @@
 
 use clado_core::{
     load_sensitivities, measure_sensitivities, save_sensitivities, MeasureError, OmegaPlan,
-    SensitivityMatrix, SensitivityOptions, ShardContext,
+    ProbeId, SensitivityMatrix, SensitivityOptions, ShardContext, ShardSpec,
 };
 use clado_dist::{
-    protocol, run_sweep, run_worker, DistError, DistOutcome, JobControl, JobSpec, Message,
+    protocol, run_sweep, run_worker, DistError, DistOutcome, Job, JobControl, JobSpec, Message,
     PoolOptions, WorkerOptions, WorkerPool,
 };
 use clado_models::{DataSplit, SynthVision, SynthVisionConfig};
@@ -26,7 +26,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn setup() -> (Network, DataSplit) {
     let mut rng = StdRng::seed_from_u64(3);
@@ -140,6 +140,15 @@ fn spawn_workers(
             })
         })
         .collect()
+}
+
+/// Blocks until `pool` has `n` live workers.
+fn await_live_workers(pool: &WorkerPool, n: usize) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while pool.live_workers() < n {
+        assert!(Instant::now() < deadline, "{n} worker(s) go live");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 fn reference_matrix(net: &Network, set: &DataSplit) -> SensitivityMatrix {
@@ -663,6 +672,84 @@ fn corrupted_frame_from_an_idle_worker_is_a_protocol_error() {
     drop(stream);
     pool.shutdown();
     assert_eq!(telemetry.counter_value("dist.pool.protocol_errors"), 1);
+}
+
+/// A job posted to an idle pool is leased at once: the idle worker's
+/// connection is woken by the post, not by its next heartbeat (10 s
+/// apart here) or a timer. Each job is posted only after the worker has
+/// taken the previous `JobDone`, so every dispatch starts from idle.
+#[test]
+fn a_job_posted_to_an_idle_worker_is_leased_at_once() {
+    let _guard = test_guard();
+    let (net, set) = setup();
+    let ctx = context(&net, &set);
+    let pool = bind(PoolOptions {
+        heartbeat_timeout: Duration::from_secs(30),
+        ..Default::default()
+    });
+    let addr = pool.worker_addr().to_string();
+    let telemetry = Telemetry::new();
+    let opts = WorkerOptions {
+        heartbeat_interval: Duration::from_secs(10),
+        telemetry: telemetry.clone(),
+        ..Default::default()
+    };
+    let workers = spawn_workers(&addr, 1, &net, &set, &opts);
+    await_live_workers(&pool, 1);
+    let mut delays = Vec::new();
+    for done in 0..20 {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while telemetry.counter_value("dist.pool.jobs_completed") < done {
+            assert!(Instant::now() < deadline, "the worker finishes job {done}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let job = Job {
+            spec: job(ctx.fingerprint()),
+            shards: vec![(ShardSpec::Base, vec![ProbeId::Base])],
+            records: Default::default(),
+            journal: None,
+        };
+        let posted = Instant::now();
+        let outcome = pool
+            .run_job(job, &mut JobControl::wait(Some(Duration::from_secs(60))))
+            .expect("one-shard job");
+        let leased = outcome.first_lease.expect("the worker leased the shard");
+        delays.push(leased.duration_since(posted));
+    }
+    finish(pool, workers);
+    delays.sort();
+    let median = delays[delays.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median dispatch delay {median:?} (all: {delays:?})"
+    );
+}
+
+/// A worker leaves as soon as the pool says `Shutdown`: its heartbeat
+/// thread is woken from its wait, not joined after a full interval.
+#[test]
+fn worker_exits_promptly_when_the_pool_shuts_down() {
+    let _guard = test_guard();
+    let pool = bind(PoolOptions {
+        heartbeat_timeout: Duration::from_secs(30),
+        ..Default::default()
+    });
+    let addr = pool.worker_addr().to_string();
+    let opts = WorkerOptions {
+        heartbeat_interval: Duration::from_secs(10),
+        ..Default::default()
+    };
+    let worker =
+        std::thread::spawn(move || run_worker(&addr, |_job| Err("no job is posted".into()), &opts));
+    await_live_workers(&pool, 1);
+    let shutdown = Instant::now();
+    pool.shutdown();
+    worker.join().expect("worker thread").expect("worker run");
+    let took = shutdown.elapsed();
+    assert!(
+        took < Duration::from_millis(200),
+        "the worker took {took:?} to exit after Shutdown"
+    );
 }
 
 #[test]

@@ -142,10 +142,11 @@ struct Queued {
     deadline: Option<Instant>,
     cancel: Arc<AtomicBool>,
     finished: Arc<AtomicBool>,
-    /// Raised by the admission thread once the `Accepted` frame is on
-    /// the wire. The executor must not write the response before then:
-    /// a cache hit can finish faster than the admission reply, and two
-    /// threads racing writes on the same socket would reorder frames.
+    /// Raised by the admission thread, under the queue lock and with a
+    /// notify of [`Inner::cv`], once the `Accepted` frame is on the wire.
+    /// The executor must not write the response before then: a cache hit
+    /// can finish faster than the admission reply, and two threads racing
+    /// writes on the same socket would reorder frames.
     accepted_sent: Arc<AtomicBool>,
 }
 
@@ -542,13 +543,23 @@ fn admit_client(stream: TcpStream, inner: &Arc<Inner>) {
                 cancel.store(true, Ordering::SeqCst);
                 // Unblock an executor that may already be waiting to
                 // write the response.
-                accepted_sent.store(true, Ordering::SeqCst);
+                mark_accepted_sent(inner, &accepted_sent);
                 return;
             }
-            accepted_sent.store(true, Ordering::SeqCst);
+            mark_accepted_sent(inner, &accepted_sent);
             watch_disconnect(&stream, &cancel, &finished);
         }
     }
+}
+
+/// Raises a request's `accepted_sent` under the queue lock and wakes the
+/// executors, one of which may be waiting to write the response.
+fn mark_accepted_sent(inner: &Inner, accepted_sent: &AtomicBool) {
+    {
+        let _q = inner.queue.lock().unwrap_or_else(|p| p.into_inner());
+        accepted_sent.store(true, Ordering::SeqCst);
+    }
+    inner.cv.notify_all();
 }
 
 /// Admission-time deadline feasibility: with an observed service-time
@@ -637,8 +648,11 @@ fn executor_loop(inner: &Arc<Inner>) {
         // A fast request (a cache hit) can finish before the admission
         // thread has written `Accepted`; wait for that frame so the
         // response never overtakes it on the shared socket.
-        while !item.accepted_sent.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(1));
+        if !item.accepted_sent.load(Ordering::SeqCst) {
+            let mut q = inner.queue.lock().unwrap_or_else(|p| p.into_inner());
+            while !item.accepted_sent.load(Ordering::SeqCst) {
+                q = inner.cv.wait(q).unwrap_or_else(|p| p.into_inner());
+            }
         }
         // Fold the service time into the EWMA before replying: a client
         // that submits again as soon as it reads the reply must be
@@ -856,6 +870,14 @@ fn measure(
     let shard_service = telemetry.histogram("serve.pool.shard_service");
     for &seconds in &outcome.shard_seconds {
         shard_service.record_us((seconds * 1e6) as u64);
+    }
+    // How long the miss waited for the pool's first lease. A miss that
+    // local takeover answered alone leased nothing: its startup time is
+    // the whole sweep, not a dispatch delay.
+    if outcome.workers.iter().any(|w| w.shards > 0) {
+        telemetry
+            .histogram("serve.pool.dispatch")
+            .record_us((outcome.startup_seconds * 1e6) as u64);
     }
     let matrix = outcome.matrix;
     let evaluations = matrix.stats.evaluations as u64;

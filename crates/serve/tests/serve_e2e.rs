@@ -703,6 +703,15 @@ fn killed_worker_mid_request_is_retried_on_the_survivor_bitwise_identical() {
         telemetry.counter_value("dist.pool.evictions") >= 1,
         "the dead worker was evicted"
     );
+    let dispatch = telemetry
+        .histograms()
+        .into_iter()
+        .find(|(name, _)| name == "serve.pool.dispatch");
+    assert_eq!(
+        dispatch.map(|(_, h)| h.count),
+        Some(1),
+        "the miss recorded its pool dispatch delay once"
+    );
 
     let report = drain_and_join(&drain, handle);
     assert_eq!(report.completed, 1);
