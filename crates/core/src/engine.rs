@@ -22,14 +22,13 @@
 //! [`MeasureError`] — after every completed result has been streamed
 //! through the caller's `sink` (which the sensitivity layer uses to
 //! journal probes as they finish). A failed item is not rerun: items are
-//! deterministic, so a rerun could only fail again. A worker thread that dies
-//! without reporting (a panic outside the per-item guard, or an abort
-//! that somehow unwinds) maps to [`MeasureError::WorkerLost`] instead of
-//! the old useless `expect` abort.
+//! deterministic, so a rerun could only fail again. Nothing outside the
+//! per-item guard panics; if something did, `std::thread::scope` would
+//! re-raise it in the caller.
 
 use crate::errors::MeasureError;
 use clado_nn::Network;
-use clado_telemetry::{faultpoint, panic_message};
+use clado_telemetry::panic_message;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -74,8 +73,6 @@ type ItemResult<R> = (usize, Result<R, String>);
 /// - The first `sink` error, if any.
 /// - [`MeasureError::WorkerPanic`] for the lowest-indexed item that
 ///   panicked.
-/// - [`MeasureError::WorkerLost`] if a worker thread died without
-///   reporting a result.
 pub fn replica_map_checked<T, R, F, S>(
     network: &mut Network,
     threads: usize,
@@ -122,16 +119,8 @@ where
         }
     };
 
-    let mut lost: Vec<usize> = Vec::new();
-    // The worker that took each item (the serial path is worker 0).
-    let taken_by: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
     if workers <= 1 {
         for i in 0..items.len() {
-            // Fail point: simulate the worker thread being killed between
-            // items (outside the per-item panic guard). In the serial
-            // path this unwinds the caller directly, which is exactly a
-            // "lost worker" for a one-thread sweep.
-            faultpoint!("engine.worker_kill");
             let outcome = run_item(network, i);
             apply(i, outcome, &mut results, &mut sink_error, &mut failures);
         }
@@ -142,42 +131,26 @@ where
         // Items go out in order to whichever worker is free, so a worker
         // held up by an expensive item does not also own every
         // `workers`-th item after it. `Relaxed` suffices: the counter
-        // publishes no data, and `taken_by` is read only after the scope
-        // has joined every worker.
+        // publishes no data.
         let next = AtomicUsize::new(0);
         std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(workers);
-            for (w, replica) in replicas.enumerate() {
-                let run_item = &run_item;
-                let (next, taken_by) = (&next, &taken_by);
+            for replica in replicas {
+                let (run_item, next) = (&run_item, &next);
                 let tx = tx.clone();
-                handles.push(s.spawn(move || loop {
+                s.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= items.len() {
                         return;
                     }
-                    taken_by[i].store(w, Ordering::Relaxed);
-                    // Fail point: a panic here is OUTSIDE the per-item
-                    // guard, so the thread dies without reporting — the
-                    // join below sees `Err` and maps it to `WorkerLost`.
-                    faultpoint!("engine.worker_kill");
-                    let outcome = run_item(&mut *replica, i);
-                    if tx.send((i, outcome)).is_err() {
-                        // Receiver is gone (sink failed hard); stop.
-                        return;
-                    }
-                }));
+                    // The receiver outlives every worker.
+                    let _ = tx.send((i, run_item(&mut *replica, i)));
+                });
             }
             drop(tx);
             // Stream results as they arrive so the sink (journal) sees
             // completed probes even if a later worker fails.
             for (i, outcome) in rx {
                 apply(i, outcome, &mut results, &mut sink_error, &mut failures);
-            }
-            for (w, handle) in handles.into_iter().enumerate() {
-                if handle.join().is_err() {
-                    lost.push(w);
-                }
             }
         });
     }
@@ -188,26 +161,10 @@ where
     if let Some((item, message)) = failures.into_iter().min_by_key(|&(i, _)| i) {
         return Err(MeasureError::WorkerPanic { item, message });
     }
-    if let Some(&thread) = lost.first() {
-        return Err(MeasureError::WorkerLost { thread });
-    }
-    // A worker can also vanish without its join erroring (e.g. it
-    // returned early because the channel closed); any hole in the
-    // results is still a lost item, never a silent zero. It is charged to
-    // the worker that took the item (every item was taken: workers stop
-    // only when the counter runs out, the channel closes, or they die).
-    let mut out = Vec::with_capacity(items.len());
-    for (i, r) in results.into_iter().enumerate() {
-        match r {
-            Some(r) => out.push(r),
-            None => {
-                return Err(MeasureError::WorkerLost {
-                    thread: taken_by[i].load(Ordering::Relaxed),
-                })
-            }
-        }
-    }
-    Ok(out)
+    Ok(results
+        .into_iter()
+        .map(|r| r.expect("every item ran and none failed"))
+        .collect())
 }
 
 /// Infallible wrapper over [`replica_map_checked`]: no sink,
@@ -438,14 +395,14 @@ mod tests {
             |i, _| {
                 calls += 1;
                 if i >= 1 {
-                    Err(MeasureError::WorkerLost { thread: 99 })
+                    Err(MeasureError::NonFiniteBaseLoss { loss: f64::NAN })
                 } else {
                     Ok(())
                 }
             },
         )
         .expect_err("sink fails on the second item");
-        assert!(matches!(err, MeasureError::WorkerLost { thread: 99 }));
+        assert!(matches!(err, MeasureError::NonFiniteBaseLoss { .. }));
         assert_eq!(calls, 2, "sink is not called after its first error");
     }
 }

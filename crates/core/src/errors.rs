@@ -29,12 +29,6 @@ pub enum MeasureError {
         /// The panic payload rendered as text.
         message: String,
     },
-    /// A worker thread died without reporting a result (e.g. killed by a
-    /// double panic or `process::abort` inside the closure).
-    WorkerLost {
-        /// Round-robin index of the lost worker thread.
-        thread: usize,
-    },
     /// The checkpoint journal failed (I/O, config mismatch, non-empty
     /// directory without resume).
     Journal(JournalError),
@@ -60,10 +54,6 @@ impl fmt::Display for MeasureError {
             Self::WorkerPanic { item, message } => {
                 write!(f, "measurement worker panicked on item {item}: {message}")
             }
-            Self::WorkerLost { thread } => write!(
-                f,
-                "measurement worker thread {thread} died without reporting a result"
-            ),
             Self::Journal(e) => write!(f, "{e}"),
             Self::NonFiniteBaseLoss { loss } => write!(
                 f,

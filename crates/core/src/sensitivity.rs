@@ -346,10 +346,8 @@ impl SensitivityMatrix {
 ///   configuration, or the directory is non-empty without
 ///   [`SensitivityOptions::resume`]. Probes journaled before the failure
 ///   stay on disk.
-/// - [`MeasureError::WorkerPanic`] when a probe panics;
-///   [`MeasureError::WorkerLost`] when a worker thread dies
-///   without reporting. In both cases every *other* completed shard has
-///   already been journaled.
+/// - [`MeasureError::WorkerPanic`] when a probe panics. Every *other*
+///   completed shard has already been journaled.
 /// - [`MeasureError::NonFiniteBaseLoss`] when `L(w)` is NaN/Inf (no
 ///   sensitivity entry can be formed without it).
 pub fn measure_sensitivities(

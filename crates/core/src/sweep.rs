@@ -159,9 +159,8 @@ pub fn run_plan<E: From<MeasureError>>(
 ///
 /// # Errors
 ///
-/// The errors of [`run_plan`]; [`MeasureError::WorkerPanic`] /
-/// [`MeasureError::WorkerLost`] when a shard fails (every other
-/// completed shard is journaled first).
+/// The errors of [`run_plan`]; [`MeasureError::WorkerPanic`] when a
+/// shard fails (every other completed shard is journaled first).
 pub fn run_plan_in_process(
     network: &mut Network,
     set: &DataSplit,

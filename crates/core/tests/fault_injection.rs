@@ -157,19 +157,18 @@ fn worker_thread_death_is_a_structured_error_and_resumable() {
     let want = reference(&mut net, &set);
     let ckpt = temp_ckpt("worker-lost");
 
-    // The kill point sits *outside* the per-item panic guard, so the
-    // worker thread itself dies without reporting. Needs the
-    // parallel path: in the serial path the same point unwinds the
-    // caller directly rather than producing a joinable dead thread.
-    arm("engine.worker_kill", FaultSpec::panic().skip(2));
+    // Two worker threads: every probe after the 10th panics inside the
+    // per-item guard, on whichever thread runs it, and the sweep
+    // surfaces the lowest failing item typed after journaling the rest.
+    arm("measure.probe_panic", FaultSpec::panic().skip(10));
     let mut broken = opts(Some(&ckpt), false);
     broken.threads = 2;
     let err = measure_sensitivities(&mut net, &set, &bits(), &broken)
-        .expect_err("worker death must surface");
-    disarm("engine.worker_kill");
+        .expect_err("a probe panic must surface");
+    disarm("measure.probe_panic");
     assert!(
-        matches!(err, MeasureError::WorkerLost { .. }),
-        "expected WorkerLost, got {err:?}"
+        matches!(err, MeasureError::WorkerPanic { .. }),
+        "expected WorkerPanic, got {err:?}"
     );
 
     let sm = measure_sensitivities(&mut net, &set, &bits(), &opts(Some(&ckpt), true))

@@ -41,7 +41,10 @@ use std::io::{self, Read, Write};
 ///
 /// v6: `ShardDone` stats lose the `retried` word (probes are no longer
 /// rerun).
-pub const PROTOCOL_VERSION: u16 = 6;
+///
+/// v7: the coordinator pushes each `Lease` and `JobDone`; `LeaseRequest`
+/// and `Idle` are retired.
+pub const PROTOCOL_VERSION: u16 = 7;
 
 /// Upper bound on a frame payload. The largest legitimate message is a
 /// `ShardDone` for one pairwise shard (26 bytes per probe); 4 MiB leaves

@@ -9,11 +9,11 @@
 //!   frames; every malformed input maps to a typed [`FrameError`].
 //! * **Protocol** ([`protocol`]): a versioned handshake carrying the
 //!   measurement configuration fingerprint (mismatched workers are
-//!   rejected), then a worker-driven lease loop whose leases carry the
-//!   probe ids to evaluate.
+//!   rejected), then a lease loop in which the pool pushes each lease,
+//!   carrying the probe ids to evaluate.
 //! * **Worker pool** ([`WorkerPool`]): the one shard scheduler. Warm
 //!   worker connections lease shards with heartbeat deadlines; shards
-//!   of dead or hung workers are requeued with capped backoff; completed
+//!   of dead or hung workers are requeued and re-leased at once; completed
 //!   shards can be committed through the atomic CLSJ journal.
 //! * **Sweep** ([`run_sweep`]): [`clado_core::run_plan`] on the pool —
 //!   each round of an [`clado_core::OmegaPlan`] (exact or estimated) is

@@ -10,9 +10,10 @@
 //! connection's channel, and the worker is *live*: it cycles idle → job
 //! → lease loop → `JobDone` → idle until the pool shuts down or the
 //! worker dies. The connection thread waits only on that channel, which
-//! also carries the wake-ups [`WorkerPool::run_job`] and
-//! [`WorkerPool::shutdown`] post, under one deadline: a worker that
-//! sends no frame for the heartbeat timeout is lost.
+//! also carries the pool's wake-ups — [`WorkerPool::run_job`] posted or
+//! ended a job, an eviction requeued shards, or [`WorkerPool::shutdown`]
+//! ran — under one deadline: a worker that sends no frame for the
+//! heartbeat timeout is lost.
 //!
 //! * **Idle.** The thread hands the worker an open job as soon as one
 //!   exists — right after the handshake, after every `JobDone`, and on
@@ -20,20 +21,24 @@
 //! * **Job.** `Job` → `Ready`. A worker whose `Ready` echoes a different
 //!   fingerprint reconstructed another configuration: it is refused with
 //!   `Reject`, counted, and dropped, while the job runs on.
-//! * **Lease loop.** The worker requests leases; *any* frame resets the
+//! * **Lease loop.** The thread pushes leases: after `Ready` and after
+//!   each `ShardDone` it sends the worker the job's next pending shard,
+//!   or `JobDone` once the job is over. While every remaining shard is
+//!   leased to another worker it waits for a frame or a wake-up — an
+//!   eviction requeued shards, or the job ended. *Any* frame resets the
 //!   heartbeat deadline, and workers heartbeat from a side thread while
-//!   they evaluate, so a slow shard never looks like a dead worker. When
-//!   the job is over the next request is answered `JobDone`.
+//!   they evaluate, so a slow shard never looks like a dead worker.
 //!
 //! A missed deadline, a closed socket, or a malformed frame ends the
 //! connection, and every lease the worker held is requeued at the
-//! *front* of its job's queue with a capped backoff (100 ms doubling to
-//! 1.6 s). A shard evicted more than [`PoolOptions::shard_retries`] times
-//! fails its job with [`DistError::RetriesExhausted`] — never the pool. A
-//! shard only counts as complete once its `ShardDone` is integrated (and,
-//! for a journaled job, committed to the CLSJ journal under the
-//! scheduler lock), so leases can be evicted and reassigned any number
-//! of times without losing or double-counting work.
+//! *front* of its job's queue, leasable at once, and every live
+//! connection is woken. A shard evicted more than
+//! [`PoolOptions::shard_retries`] times fails its job with
+//! [`DistError::RetriesExhausted`] — never the pool. A shard only counts
+//! as complete once its `ShardDone` is integrated (and, for a journaled
+//! job, committed to the CLSJ journal under the scheduler lock), so
+//! leases can be evicted and reassigned any number of times without
+//! losing or double-counting work.
 
 use crate::error::DistError;
 use crate::frame::{FrameError, PROTOCOL_VERSION};
@@ -48,10 +53,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// Milliseconds a worker is told to wait when its job has nothing
-/// leasable right now (all shards leased, or requeued under backoff).
-const IDLE_RETRY_MS: u32 = 50;
 
 /// Events a connection's channel holds before its reader thread blocks,
 /// which stops reading the socket: a worker that floods frames meets TCP
@@ -187,8 +188,6 @@ struct JobState {
     /// The probe ids each shard's lease carries.
     probes: HashMap<ShardSpec, Vec<ProbeId>>,
     pending: VecDeque<ShardSpec>,
-    /// Earliest re-lease instant for shards requeued by an eviction.
-    not_before: HashMap<ShardSpec, Instant>,
     /// Evictions suffered per shard.
     attempts: HashMap<ShardSpec, u32>,
     /// lease id → (shard, worker id).
@@ -228,8 +227,8 @@ struct PoolState {
 }
 
 impl PoolState {
-    /// Wakes every live connection thread: a job was posted, or the pool
-    /// is shutting down.
+    /// Wakes every live connection thread: a job was posted or ended, an
+    /// eviction requeued shards, or the pool is shutting down.
     fn wake_all(&self) {
         for wake in self.live_workers.values() {
             // Never blocks under the pool lock. A full channel holds
@@ -256,16 +255,6 @@ impl Shared {
     fn lock(&self) -> MutexGuard<'_, PoolState> {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
-}
-
-/// Backoff before re-leasing a shard after its `attempt`-th eviction
-/// (1-based): 100 ms doubling to a 1.6 s cap. Deliberately jitter-free —
-/// re-leases are serialized through the scheduler lock, so there is no
-/// thundering herd to break up.
-fn retry_backoff(attempt: u32) -> Duration {
-    const BASE_MS: u64 = 100;
-    const CAP_MS: u64 = 1_600;
-    Duration::from_millis((BASE_MS << attempt.saturating_sub(1).min(10)).min(CAP_MS))
 }
 
 /// A pool of warm worker connections serving measurement jobs. Bind once
@@ -377,7 +366,6 @@ impl WorkerPool {
                     total: job.shards.len(),
                     pending: job.shards.iter().map(|&(shard, _)| shard).collect(),
                     probes: job.shards.into_iter().collect(),
-                    not_before: HashMap::new(),
                     attempts: HashMap::new(),
                     leases: HashMap::new(),
                     done: HashSet::new(),
@@ -424,6 +412,9 @@ impl WorkerPool {
                 Some(e)
             } else if job.done.len() == job.total {
                 let job = g.jobs.remove(&job_id).expect("job present");
+                // Connections bound to the job without a lease now owe
+                // their workers `JobDone`.
+                g.wake_all();
                 drop(g);
                 self.shared.cv.notify_all();
                 return Ok(JobOutcome {
@@ -449,13 +440,13 @@ impl WorkerPool {
             };
             if let Some(e) = failure {
                 g.jobs.remove(&job_id);
+                g.wake_all();
                 drop(g);
                 self.shared.cv.notify_all();
                 return Err(e);
             }
             // Local takeover: with no live workers, the waiter evaluates
-            // pending shards itself (backoff ignored — there is no other
-            // worker to wait for).
+            // pending shards itself.
             if let Fallback::Local(local) = &mut control.fallback {
                 if g.live_workers.is_empty() {
                     let job = g.jobs.get_mut(&job_id).expect("job present");
@@ -549,11 +540,11 @@ fn integrate_done(
     }
 }
 
-/// Requeues every lease `worker` held, bumping per-shard attempt counts
-/// and backoff. A shard past the retry cap fails its job. Returns how
+/// Requeues every lease `worker` held at the front of its job's queue,
+/// bumping per-shard attempt counts, and wakes the other connections to
+/// lease them. A shard past the retry cap fails its job. Returns how
 /// many leases were evicted.
 fn evict_worker(g: &mut PoolState, worker: u64, shard_retries: u32) -> u64 {
-    let now = Instant::now();
     let mut evicted = 0u64;
     for job in g.jobs.values_mut() {
         let held: Vec<u64> = job
@@ -582,58 +573,37 @@ fn evict_worker(g: &mut PoolState, worker: u64, shard_retries: u32) -> u64 {
                     .get_or_insert(DistError::RetriesExhausted(detail));
                 continue;
             }
-            let attempts = *attempts;
-            job.not_before.insert(shard, now + retry_backoff(attempts));
             job.pending.push_front(shard);
         }
     }
     g.live_workers.remove(&worker);
+    if evicted > 0 {
+        g.wake_all();
+    }
     evicted
 }
 
-/// Pops the first shard whose backoff (if any) has expired.
-fn pop_leasable(job: &mut JobState, now: Instant) -> Option<ShardSpec> {
-    let idx = job
-        .pending
-        .iter()
-        .position(|s| job.not_before.get(s).is_none_or(|&t| t <= now))?;
-    job.pending.remove(idx)
-}
-
-/// First job an idle worker should serve: prefer one with a shard
-/// leasable right now, else one with any outstanding work (so the worker
-/// is on station when a backoff expires or a re-lease is needed).
+/// First job an idle worker should serve: prefer one with a pending
+/// shard, else one whose shards are all leased (so the worker is on
+/// station when an eviction requeues one).
 fn pick_job(g: &PoolState) -> Option<(u64, JobSpec)> {
-    let now = Instant::now();
-    let leasable = g.jobs.iter().find_map(|(&id, job)| {
-        (job.open()
-            && job
-                .pending
-                .iter()
-                .any(|s| job.not_before.get(s).is_none_or(|&t| t <= now)))
-        .then(|| (id, job.spec.clone()))
-    });
-    leasable.or_else(|| {
-        g.jobs.iter().find_map(|(&id, job)| {
-            (job.open() && (!job.pending.is_empty() || !job.leases.is_empty()))
-                .then(|| (id, job.spec.clone()))
-        })
-    })
+    let open = || g.jobs.iter().filter(|(_, job)| job.open());
+    open()
+        .find(|(_, job)| !job.pending.is_empty())
+        .or_else(|| open().find(|(_, job)| !job.leases.is_empty()))
+        .map(|(&id, job)| (id, job.spec.clone()))
 }
 
-/// Answers a `LeaseRequest` for `job_id`: a lease, `Idle` when nothing is
-/// leasable right now, or `JobDone` once the job is over or gone.
-fn grant_lease(shared: &Shared, job_id: u64, worker: u64, traced: bool) -> Message {
+/// What to push to a worker on `job_id` that holds no lease: the next
+/// pending shard's `Lease`, `JobDone` once the job is over or gone, or
+/// `None` while every remaining shard is leased to another worker.
+fn next_lease(shared: &Shared, job_id: u64, worker: u64, traced: bool) -> Option<Message> {
     let mut guard = shared.lock();
     let g = &mut *guard;
     let Some(job) = g.jobs.get_mut(&job_id).filter(|job| job.open()) else {
-        return Message::JobDone;
+        return Some(Message::JobDone);
     };
-    let Some(shard) = pop_leasable(job, Instant::now()) else {
-        return Message::Idle {
-            retry_ms: IDLE_RETRY_MS,
-        };
-    };
+    let shard = job.pending.pop_front()?;
     let lease = g.next_lease;
     g.next_lease += 1;
     let span_id = if traced {
@@ -644,12 +614,12 @@ fn grant_lease(shared: &Shared, job_id: u64, worker: u64, traced: bool) -> Messa
     };
     job.leases.insert(lease, (shard, worker));
     job.first_lease.get_or_insert_with(Instant::now);
-    Message::Lease {
+    Some(Message::Lease {
         lease,
         span_id,
         shard,
         probes: job.probes[&shard].clone(),
-    }
+    })
 }
 
 /// Why a connection ended.
@@ -678,7 +648,7 @@ enum Event {
     /// A frame from the connection's reader thread, or the read error
     /// that ended it.
     Frame(Result<Message, FrameError>),
-    /// The pool posted a job or is shutting down.
+    /// The pool's jobs changed (see [`PoolState::wake_all`]).
     Wake,
 }
 
@@ -885,23 +855,19 @@ fn drive_worker(
         // errs the offset late by at most one frame round-trip).
         let clock_offset_us = telemetry.now_us() as i64 - worker_clock_us as i64;
 
-        // Lease loop.
+        // Lease loop. A worker that holds no lease is sent the next one,
+        // or `JobDone` once the job is over; with nothing leasable yet
+        // the thread waits for a frame or a wake-up.
+        let mut holding = false;
         loop {
-            let msg = match inbox.next() {
-                None => return ConnEnd::Lost,
-                Some(Event::Wake) => continue,
-                Some(Event::Frame(Ok(msg))) => msg,
-                Some(Event::Frame(Err(e))) => return ConnEnd::of(&e),
-            };
-            match msg {
-                Message::LeaseRequest => {
-                    let reply = grant_lease(shared, job_id, id, traced);
+            if !holding {
+                if let Some(msg) = next_lease(shared, job_id, id, traced) {
                     if let Message::Lease {
                         lease,
                         span_id,
                         shard,
                         ..
-                    } = &reply
+                    } = &msg
                     {
                         telemetry.instant(
                             "dist.lease_grant",
@@ -913,14 +879,22 @@ fn drive_worker(
                             ],
                         );
                     }
-                    let job_over = matches!(reply, Message::JobDone);
-                    if protocol::send(&mut s, &reply).is_err() {
+                    if protocol::send(&mut s, &msg).is_err() {
                         return ConnEnd::Lost;
                     }
-                    if job_over {
+                    if matches!(msg, Message::JobDone) {
                         break; // back to the idle phase
                     }
+                    holding = true;
                 }
+            }
+            let msg = match inbox.next() {
+                None => return ConnEnd::Lost,
+                Some(Event::Wake) => continue,
+                Some(Event::Frame(Ok(msg))) => msg,
+                Some(Event::Frame(Err(e))) => return ConnEnd::of(&e),
+            };
+            match msg {
                 Message::Heartbeat { lease } => {
                     telemetry.instant(
                         "dist.heartbeat",
@@ -962,6 +936,7 @@ fn drive_worker(
                     drop(g);
                     shared.cv.notify_all();
                     telemetry.counter("dist.pool.shards_completed").incr();
+                    holding = false;
                 }
                 _ => return ConnEnd::ProtocolError,
             }
@@ -992,15 +967,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn retry_backoff_doubles_to_a_cap() {
-        assert_eq!(retry_backoff(1), Duration::from_millis(100));
-        assert_eq!(retry_backoff(2), Duration::from_millis(200));
-        assert_eq!(retry_backoff(5), Duration::from_millis(1_600));
-        assert_eq!(retry_backoff(40), Duration::from_millis(1_600));
-    }
-
-    #[test]
-    fn eviction_requeues_with_backoff_and_fails_past_the_cap() {
+    fn eviction_requeues_at_once_and_fails_past_the_cap() {
         let spec = JobSpec {
             model: "m".into(),
             set_size: 1,
@@ -1012,58 +979,74 @@ mod tests {
             fingerprint: 1,
             trace_id: 0,
         };
-        let mut g = PoolState {
-            jobs: BTreeMap::new(),
+        let (wake, woken) = mpsc::sync_channel(1);
+        let shard = ShardSpec::Base;
+        let state = PoolState {
+            jobs: BTreeMap::from([(
+                1,
+                JobState {
+                    spec,
+                    probes: HashMap::from([(shard, vec![ProbeId::Base])]),
+                    pending: VecDeque::new(),
+                    attempts: HashMap::new(),
+                    leases: HashMap::from([(1, (shard, 7))]),
+                    done: HashSet::new(),
+                    total: 1,
+                    records: HashMap::new(),
+                    journal: None,
+                    totals: ShardRunStats::default(),
+                    shard_seconds: Vec::new(),
+                    workers: BTreeMap::new(),
+                    evictions: 0,
+                    first_lease: None,
+                    failed: None,
+                },
+            )]),
             next_job: 2,
             next_lease: 2,
             next_span_id: 1,
-            live_workers: HashMap::from([(7, mpsc::sync_channel(1).0)]),
+            live_workers: HashMap::from([(7, mpsc::sync_channel(1).0), (9, wake)]),
             rejected: 0,
             connections: 0,
         };
-        let shard = ShardSpec::Base;
-        g.jobs.insert(
-            1,
-            JobState {
-                spec,
-                probes: HashMap::from([(shard, vec![ProbeId::Base])]),
-                pending: VecDeque::new(),
-                not_before: HashMap::new(),
-                attempts: HashMap::new(),
-                leases: HashMap::from([(1, (shard, 7))]),
-                done: HashSet::new(),
-                total: 1,
-                records: HashMap::new(),
-                journal: None,
-                totals: ShardRunStats::default(),
-                shard_seconds: Vec::new(),
-                workers: BTreeMap::new(),
-                evictions: 0,
-                first_lease: None,
-                failed: None,
-            },
-        );
-        assert_eq!(evict_worker(&mut g, 7, 1), 1);
-        let job = g.jobs.get_mut(&1).expect("job");
-        assert!(!g.live_workers.contains_key(&7));
-        assert_eq!(job.pending.len(), 1);
-        assert_eq!(job.attempts[&shard], 1);
-        assert_eq!(job.evictions, 1);
-        assert!(job.failed.is_none());
-        // The backoff keeps the shard unleasable right now…
-        assert!(pop_leasable(job, Instant::now()).is_none());
-        // …but not after the backoff expires.
-        let later = Instant::now() + Duration::from_secs(2);
-        assert_eq!(pop_leasable(job, later), Some(shard));
-
-        // A second eviction crosses the cap (retries = 1) → job fails.
-        job.leases.insert(5, (shard, 9));
-        g.live_workers.insert(9, mpsc::sync_channel(1).0);
-        assert_eq!(evict_worker(&mut g, 9, 1), 1);
-        let job = &g.jobs[&1];
+        let shared = Shared {
+            state: Mutex::new(state),
+            cv: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            telemetry: Telemetry::disabled(),
+            heartbeat_timeout: Duration::from_secs(3),
+            shard_retries: 1,
+            verbose: false,
+        };
+        assert_eq!(evict_worker(&mut shared.lock(), 7, 1), 1);
+        {
+            let g = shared.lock();
+            let job = &g.jobs[&1];
+            assert!(!g.live_workers.contains_key(&7));
+            assert_eq!(job.pending, [shard]);
+            assert_eq!(job.attempts[&shard], 1);
+            assert_eq!(job.evictions, 1);
+            assert!(job.failed.is_none());
+        }
+        // The surviving connection is woken, and the requeued shard is
+        // leasable at once.
+        assert!(matches!(woken.try_recv(), Ok(Event::Wake)));
         assert!(matches!(
-            &job.failed,
+            next_lease(&shared, 1, 9, false),
+            Some(Message::Lease {
+                lease: 2,
+                shard: ShardSpec::Base,
+                ..
+            })
+        ));
+
+        // A second eviction crosses the cap (retries = 1) → job fails,
+        // and a worker still bound to it is told `JobDone`.
+        assert_eq!(evict_worker(&mut shared.lock(), 9, 1), 1);
+        assert!(matches!(
+            &shared.lock().jobs[&1].failed,
             Some(DistError::RetriesExhausted(d)) if d.contains("retry cap")
         ));
+        assert_eq!(next_lease(&shared, 1, 9, false), Some(Message::JobDone));
     }
 }

@@ -1,6 +1,6 @@
 //! Wire messages of the coordinator/worker protocol.
 //!
-//! The conversation is worker-driven after the handshake:
+//! The coordinator drives the conversation after the handshake:
 //!
 //! ```text
 //! worker → Hello { protocol, pid }
@@ -8,11 +8,14 @@
 //! worker → Ready { fingerprint, clock_us }
 //! coord  →                             (Reject + close on fingerprint mismatch)
 //! loop:
-//!   worker → LeaseRequest
-//!   coord  → Lease { lease, span_id, shard, probes } | Idle { retry_ms } | Shutdown
-//!   worker → Heartbeat { lease }        (from a side thread, any time)
+//!   coord  → Lease { lease, span_id, shard, probes } | JobDone | Shutdown
 //!   worker → ShardDone { lease, shard, records, stats, events }
+//! worker → Heartbeat { lease }          (from a side thread, any time)
 //! ```
+//!
+//! The coordinator sends the next `Lease` after `Ready` and after each
+//! `ShardDone`, as soon as the job has a shard no worker holds, and
+//! `JobDone` once the job is over; the worker only answers.
 //!
 //! Protocol v2 carries trace context end to end: the coordinator mints
 //! a `trace_id` in the `JobSpec`, hands a per-shard `span_id` with each
@@ -32,6 +35,10 @@
 //!
 //! Protocol v6 drops the `retried` word from the `ShardDone` stats:
 //! probes are no longer rerun, so there is nothing to count.
+//!
+//! Protocol v7 makes the lease phase coordinator-driven: leases and
+//! `JobDone` are pushed, so `LeaseRequest` (kind 5) and `Idle` (kind 7)
+//! are retired and decode as unknown kinds.
 //!
 //! Every decode failure is a typed [`FrameError`]; unknown kinds, short
 //! payloads, trailing bytes, and out-of-range enum tags are all rejected
@@ -98,8 +105,6 @@ pub enum Message {
         /// Human-readable refusal reason.
         reason: String,
     },
-    /// Worker asks for a shard lease.
-    LeaseRequest,
     /// A leased shard (coordinator → worker).
     Lease {
         /// Lease id to echo in `Heartbeat` and `ShardDone`.
@@ -111,11 +116,6 @@ pub enum Message {
         shard: ShardSpec,
         /// The probes to evaluate, in evaluation order.
         probes: Vec<ProbeId>,
-    },
-    /// Nothing to lease right now; ask again after `retry_ms`.
-    Idle {
-        /// Suggested retry delay in milliseconds.
-        retry_ms: u32,
     },
     /// The sweep is complete (or aborted); the worker should exit.
     Shutdown,
@@ -143,8 +143,8 @@ pub enum Message {
     },
     /// The current job is over but the connection is not (v3, pooled
     /// workers): the worker should await the next `Job` instead of
-    /// exiting. Sent in reply to a `LeaseRequest` once every shard of
-    /// the job is accounted for.
+    /// exiting. Sent once the job is over: every shard is accounted for,
+    /// or the job failed.
     JobDone,
 }
 
@@ -152,9 +152,8 @@ const KIND_HELLO: u16 = 1;
 const KIND_JOB: u16 = 2;
 const KIND_READY: u16 = 3;
 const KIND_REJECT: u16 = 4;
-const KIND_LEASE_REQUEST: u16 = 5;
+// Kinds 5 (`LeaseRequest`) and 7 (`Idle`) were retired in v7.
 const KIND_LEASE: u16 = 6;
-const KIND_IDLE: u16 = 7;
 const KIND_SHUTDOWN: u16 = 8;
 const KIND_HEARTBEAT: u16 = 9;
 const KIND_SHARD_DONE: u16 = 10;
@@ -395,9 +394,7 @@ impl Message {
             Self::Job(_) => KIND_JOB,
             Self::Ready { .. } => KIND_READY,
             Self::Reject { .. } => KIND_REJECT,
-            Self::LeaseRequest => KIND_LEASE_REQUEST,
             Self::Lease { .. } => KIND_LEASE,
-            Self::Idle { .. } => KIND_IDLE,
             Self::Shutdown => KIND_SHUTDOWN,
             Self::Heartbeat { .. } => KIND_HEARTBEAT,
             Self::ShardDone { .. } => KIND_SHARD_DONE,
@@ -432,7 +429,7 @@ impl Message {
                 put_u64(&mut out, *clock_us);
             }
             Self::Reject { reason } => put_bytes(&mut out, reason.as_bytes()),
-            Self::LeaseRequest | Self::Shutdown | Self::JobDone => {}
+            Self::Shutdown | Self::JobDone => {}
             Self::Lease {
                 lease,
                 span_id,
@@ -447,7 +444,6 @@ impl Message {
                     put_probe(&mut out, id);
                 }
             }
-            Self::Idle { retry_ms } => put_u32(&mut out, *retry_ms),
             Self::Heartbeat { lease } => put_u64(&mut out, *lease),
             Self::ShardDone {
                 lease,
@@ -504,7 +500,6 @@ impl Message {
             KIND_REJECT => Self::Reject {
                 reason: c.string("reject.reason")?,
             },
-            KIND_LEASE_REQUEST => Self::LeaseRequest,
             KIND_LEASE => Self::Lease {
                 lease: c.u64("lease.id")?,
                 span_id: c.u64("lease.span_id")?,
@@ -516,9 +511,6 @@ impl Message {
                         .map(|_| read_probe(&mut c))
                         .collect::<Result<_, _>>()?
                 },
-            },
-            KIND_IDLE => Self::Idle {
-                retry_ms: c.u32("idle.retry_ms")?,
             },
             KIND_SHUTDOWN => Self::Shutdown,
             KIND_HEARTBEAT => Self::Heartbeat {
@@ -600,7 +592,6 @@ mod tests {
             Message::Reject {
                 reason: "config fingerprint mismatch".into(),
             },
-            Message::LeaseRequest,
             Message::Lease {
                 lease: 3,
                 span_id: 77,
@@ -620,7 +611,6 @@ mod tests {
                     },
                 ],
             },
-            Message::Idle { retry_ms: 50 },
             Message::Shutdown,
             Message::JobDone,
             Message::Heartbeat { lease: 9 },
@@ -684,8 +674,14 @@ mod tests {
 
     #[test]
     fn unknown_kind_is_typed() {
-        let err = Message::decode(999, &[]).unwrap_err();
-        assert!(matches!(err, FrameError::UnknownKind(999)), "{err}");
+        // 5 and 7 are the retired `LeaseRequest` and `Idle`.
+        for kind in [5, 7, 999] {
+            let err = Message::decode(kind, &[]).unwrap_err();
+            assert!(
+                matches!(err, FrameError::UnknownKind(k) if k == kind),
+                "{err}"
+            );
+        }
     }
 
     #[test]

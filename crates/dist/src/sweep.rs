@@ -43,6 +43,10 @@ pub struct DistOutcome {
     /// Fleet spin-up: entering the sweep → first lease grant (connects,
     /// handshakes, and worker model builds).
     pub startup_seconds: f64,
+    /// Each round's dispatch delay, in round order: posting the round's
+    /// job → its first lease grant. Rounds that leased nothing (answered
+    /// by local takeover, or with no pending shard) have none.
+    pub dispatch_seconds: Vec<f64>,
     /// Steady-state shard service after the first lease grant.
     pub steady_seconds: f64,
 }
@@ -70,6 +74,7 @@ pub fn run_sweep(
     let started = Instant::now();
     let mut workers: BTreeMap<u64, WorkerSummary> = BTreeMap::new();
     let (mut shard_seconds, mut evictions, mut first_lease) = (Vec::new(), 0, None);
+    let mut dispatch_seconds = Vec::new();
     let swept = run_plan(plan, checkpoint_dir, resume, |round, _, state| {
         let job = Job {
             spec: spec.clone(),
@@ -77,6 +82,7 @@ pub fn run_sweep(
             records: std::mem::take(&mut state.records),
             journal: state.journal.take(),
         };
+        let posted = Instant::now();
         let outcome = pool.run_job(job, control)?;
         state.records = outcome.records;
         state.journal = outcome.journal;
@@ -93,6 +99,9 @@ pub fn run_sweep(
         }
         shard_seconds.extend(outcome.shard_seconds);
         evictions += outcome.evictions;
+        if let Some(leased) = outcome.first_lease {
+            dispatch_seconds.push(leased.duration_since(posted).as_secs_f64());
+        }
         first_lease = first_lease.or(outcome.first_lease);
         Ok::<_, DistError>(outcome.totals)
     })?;
@@ -112,6 +121,7 @@ pub fn run_sweep(
         evictions,
         rejected: pool.rejected_workers(),
         startup_seconds,
+        dispatch_seconds,
         steady_seconds: (total_seconds - startup_seconds).max(0.0),
     })
 }

@@ -2,7 +2,7 @@
 //! locally, and evaluates the probes each lease carries until told to
 //! shut down. It never plans: which probes run is the coordinator's call.
 //!
-//! The worker's main thread is synchronous — request a lease, evaluate
+//! The worker's main thread is synchronous — receive a lease, evaluate
 //! it, report it — while a side thread sends `Heartbeat` frames every
 //! [`WorkerOptions::heartbeat_interval`] so the pool can tell a
 //! slow shard from a dead worker. Writes from the two threads are
@@ -21,11 +21,6 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// How long the worker waits for a pool reply before giving up
-/// (replies are immediate in a healthy exchange; this only bounds a
-/// wedged pool).
-const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Options controlling a worker run.
 #[derive(Debug, Clone)]
@@ -194,7 +189,8 @@ enum JobEnd {
     Shutdown,
 }
 
-/// The worker-driven lease/evaluate/report cycle for one job.
+/// The lease phase of one job, entered right after `Ready`: evaluate
+/// and report each lease the pool pushes until `JobDone` or `Shutdown`.
 fn lease_loop(
     conn: &Conn,
     ctx: &ShardContext,
@@ -205,13 +201,13 @@ fn lease_loop(
     report: &mut WorkerReport,
 ) -> Result<JobEnd, DistError> {
     let telemetry = &opts.telemetry;
+    // From `Ready` or `ShardDone` to the pool's next frame.
     let roundtrip = telemetry.histogram("dist.roundtrip");
+    let mut reported = Instant::now();
     loop {
-        let rt_start = Instant::now();
-        conn.send(&Message::LeaseRequest)?;
-        let reply = conn.recv()?;
-        roundtrip.record(rt_start.elapsed());
-        match reply {
+        let msg = conn.recv()?;
+        roundtrip.record(reported.elapsed());
+        match msg {
             Message::Lease {
                 lease,
                 span_id,
@@ -257,9 +253,7 @@ fn lease_loop(
                     stats,
                     events,
                 })?;
-            }
-            Message::Idle { retry_ms } => {
-                std::thread::sleep(Duration::from_millis(u64::from(retry_ms)));
+                reported = Instant::now();
             }
             Message::JobDone => return Ok(JobEnd::JobOver),
             Message::Shutdown => return Ok(JobEnd::Shutdown),
@@ -306,9 +300,6 @@ where
     let stream = connect_with_retry(addr, Some(opts.connect_timeout), opts.connect_retries)
         .map_err(DistError::Io)?;
     stream.set_nodelay(true).map_err(DistError::Io)?;
-    stream
-        .set_read_timeout(Some(REPLY_TIMEOUT))
-        .map_err(DistError::Io)?;
     let conn = Arc::new(Conn {
         stream,
         write: Mutex::new(()),
@@ -341,9 +332,8 @@ where
     let mut cached: Option<(JobSpec, Network, DataSplit, ShardContext)> = None;
     let mut report = WorkerReport::default();
     loop {
-        // Await the next job. Read timeouts are routine here — the pool
-        // may sit idle between requests — and the heartbeat thread keeps
-        // the link alive meanwhile.
+        // Await the next job. The pool may sit idle between requests;
+        // the heartbeat thread keeps the link alive meanwhile.
         let job = match conn.recv() {
             Ok(Message::Job(job)) => job,
             Ok(Message::Shutdown) => return Ok(report),
@@ -355,7 +345,6 @@ where
                 ))
                 .into())
             }
-            Err(e) if e.is_timeout() => continue,
             Err(e) if e.is_disconnect() => return Ok(report),
             Err(e) => return Err(e.into()),
         };

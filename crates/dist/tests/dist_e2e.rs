@@ -2,8 +2,9 @@
 //! loopback TCP: bitwise parity with the single-process engine, lease
 //! eviction for dead and hung workers, fingerprint/version rejection,
 //! malformed-frame robustness (during the handshake and while idle),
-//! prompt job dispatch and worker exit, and crash-safe resume (including
-//! journal interop with the single-process engine).
+//! pushed leases and `JobDone`, prompt job dispatch and worker exit, and
+//! crash-safe resume (including journal interop with the single-process
+//! engine).
 //!
 //! Every test takes the fault-injection `test_guard`, which serializes
 //! the suite: the fault registry is process-global, so a fault armed
@@ -85,6 +86,16 @@ fn job(fingerprint: u64) -> JobSpec {
         use_prefix_cache: true,
         fingerprint,
         trace_id: 0,
+    }
+}
+
+/// A one-shard job: the base probe.
+fn base_job(fingerprint: u64) -> Job {
+    Job {
+        spec: job(fingerprint),
+        shards: vec![(ShardSpec::Base, vec![ProbeId::Base])],
+        records: Default::default(),
+        journal: None,
     }
 }
 
@@ -350,6 +361,120 @@ fn raw_hello(addr: &str, protocol: u16, pid: u32) -> TcpStream {
     stream
 }
 
+/// A raw worker on `addr` that has taken its `Job` and answered `Ready`
+/// with `fingerprint`; its reads give up after `read_timeout`.
+fn raw_ready(addr: &str, fingerprint: u64, pid: u32, read_timeout: Duration) -> TcpStream {
+    let stream = raw_hello(addr, clado_dist::PROTOCOL_VERSION, pid);
+    stream
+        .set_read_timeout(Some(read_timeout))
+        .expect("read timeout");
+    let mut s = &stream;
+    let Message::Job(_) = protocol::recv(&mut s).expect("job") else {
+        panic!("expected job");
+    };
+    let ready = Message::Ready {
+        fingerprint,
+        clock_us: 0,
+    };
+    protocol::send(&mut s, &ready).expect("ready");
+    stream
+}
+
+/// Evaluates a pushed lease on `net` and reports it.
+fn complete_lease(stream: &TcpStream, ctx: &ShardContext, net: &mut Network, set: &DataSplit) {
+    let mut s = stream;
+    let Message::Lease {
+        lease,
+        shard,
+        probes,
+        ..
+    } = protocol::recv(&mut s).expect("a pushed lease")
+    else {
+        panic!("expected a lease");
+    };
+    let (records, stats) = ctx.run_probes(net, set, &probes, &Telemetry::disabled());
+    let done = Message::ShardDone {
+        lease,
+        shard,
+        records,
+        stats,
+        events: Vec::new(),
+    };
+    protocol::send(&mut s, &done).expect("shard done");
+}
+
+/// The pool pushes the first lease right after `Ready`, and `JobDone`
+/// right after the last `ShardDone`: the worker never asks.
+#[test]
+fn a_ready_worker_is_sent_its_lease_unprompted() {
+    let _guard = test_guard();
+    let (net, set) = setup();
+    let ctx = context(&net, &set);
+    let fp = ctx.fingerprint();
+    let pool = bind(PoolOptions {
+        heartbeat_timeout: Duration::from_secs(10),
+        ..Default::default()
+    });
+    let addr = pool.worker_addr().to_string();
+    let outcome = std::thread::scope(|scope| {
+        let running = scope.spawn(|| {
+            pool.run_job(
+                base_job(fp),
+                &mut JobControl::wait(Some(Duration::from_secs(5))),
+            )
+        });
+        let stream = raw_ready(&addr, fp, 5, Duration::from_secs(2));
+        complete_lease(&stream, &ctx, &mut net.clone(), &set);
+        let mut s = &stream;
+        let reply = protocol::recv(&mut s).expect("a pushed JobDone");
+        assert_eq!(reply, Message::JobDone);
+        running.join().expect("job thread").expect("job")
+    });
+    pool.shutdown();
+    assert_eq!(outcome.workers.len(), 1);
+    assert_eq!(outcome.workers[0].shards, 1);
+}
+
+/// A worker bound to a job whose only shard another worker holds waits
+/// without asking, and is sent `JobDone` as soon as that shard completes
+/// — long before its heartbeat deadline.
+#[test]
+fn a_waiting_worker_is_sent_job_done_when_the_shard_completes() {
+    let _guard = test_guard();
+    let (net, set) = setup();
+    let ctx = context(&net, &set);
+    let fp = ctx.fingerprint();
+    let pool = bind(PoolOptions {
+        heartbeat_timeout: Duration::from_secs(10),
+        ..Default::default()
+    });
+    let addr = pool.worker_addr().to_string();
+    let outcome = std::thread::scope(|scope| {
+        let running = scope.spawn(|| {
+            pool.run_job(
+                base_job(fp),
+                &mut JobControl::wait(Some(Duration::from_secs(5))),
+            )
+        });
+        let read_timeout = Duration::from_secs(2);
+        let holder = raw_ready(&addr, fp, 6, read_timeout);
+        let waiter = raw_ready(&addr, fp, 7, read_timeout);
+        // Let the waiter's connection take its `Ready` and find nothing
+        // leasable before the shard completes.
+        std::thread::sleep(Duration::from_millis(100));
+        complete_lease(&holder, &ctx, &mut net.clone(), &set);
+        for (who, stream) in [("holder", &holder), ("waiter", &waiter)] {
+            let mut s = stream;
+            let reply = protocol::recv(&mut s).unwrap_or_else(|e| panic!("{who}: {e}"));
+            assert_eq!(reply, Message::JobDone, "{who}");
+        }
+        running.join().expect("job thread").expect("job")
+    });
+    pool.shutdown();
+    assert_eq!(outcome.evictions, 0);
+    assert_eq!(outcome.workers.len(), 2, "both workers passed Ready");
+}
+
 #[test]
 fn hung_worker_is_evicted_by_heartbeat_deadline() {
     let _guard = test_guard();
@@ -370,21 +495,9 @@ fn hung_worker_is_evicted_by_heartbeat_deadline() {
     let outcome = std::thread::scope(|scope| {
         let running = scope.spawn(|| sweep(&pool, &ctx, job(fp), None, false));
         let hung = scope.spawn(|| {
-            let stream = raw_hello(&addr, clado_dist::PROTOCOL_VERSION, 0);
+            let stream = raw_ready(&addr, fp, 0, Duration::from_secs(10));
             let mut s = &stream;
-            let Message::Job(_) = protocol::recv(&mut s).expect("job") else {
-                panic!("expected job");
-            };
-            protocol::send(
-                &mut s,
-                &Message::Ready {
-                    fingerprint: fp,
-                    clock_us: 0,
-                },
-            )
-            .expect("ready");
-            protocol::send(&mut s, &Message::LeaseRequest).expect("lease request");
-            match protocol::recv(&mut s).expect("lease reply") {
+            match protocol::recv(&mut s).expect("pushed lease") {
                 Message::Lease { .. } => {}
                 other => panic!("expected a lease, got kind {}", other.kind()),
             }
@@ -441,21 +554,12 @@ fn worker_stays_pooled_after_a_job_longer_than_the_heartbeat_timeout() {
         let running = scope.spawn(|| sweep(&pool, &ctx, job(fp), None, false));
         // A hand-driven worker that holds its first lease for twice the
         // heartbeat timeout, heartbeating, and evaluates every shard.
-        let stream = raw_hello(&addr, clado_dist::PROTOCOL_VERSION, 4);
+        let stream = raw_ready(&addr, fp, 4, Duration::from_secs(10));
         let mut s = &stream;
-        let Message::Job(_) = protocol::recv(&mut s).expect("job") else {
-            panic!("expected job");
-        };
-        let ready = Message::Ready {
-            fingerprint: fp,
-            clock_us: 0,
-        };
-        protocol::send(&mut s, &ready).expect("ready");
         let mut net = net.clone();
         let mut held_long = false;
         loop {
-            protocol::send(&mut s, &Message::LeaseRequest).expect("lease request");
-            match protocol::recv(&mut s).expect("lease reply") {
+            match protocol::recv(&mut s).expect("pushed lease or JobDone") {
                 Message::Lease { lease, shard, .. } => {
                     if !held_long {
                         for _ in 0..4 {
@@ -475,9 +579,6 @@ fn worker_stays_pooled_after_a_job_longer_than_the_heartbeat_timeout() {
                         events: Vec::new(),
                     };
                     protocol::send(&mut s, &done).expect("shard done");
-                }
-                Message::Idle { retry_ms } => {
-                    std::thread::sleep(Duration::from_millis(u64::from(retry_ms)))
                 }
                 Message::JobDone => break,
                 other => panic!("unexpected kind {}", other.kind()),
@@ -510,19 +611,8 @@ fn fingerprint_mismatch_worker_is_rejected() {
         // An impostor with a different configuration fingerprint must be
         // refused with a Reject frame naming both fingerprints.
         let impostor = scope.spawn(|| {
-            let stream = raw_hello(&addr, clado_dist::PROTOCOL_VERSION, 1);
+            let stream = raw_ready(&addr, fp ^ 0xFFFF, 1, Duration::from_secs(10));
             let mut s = &stream;
-            let Message::Job(_) = protocol::recv(&mut s).expect("job") else {
-                panic!("expected job");
-            };
-            protocol::send(
-                &mut s,
-                &Message::Ready {
-                    fingerprint: fp ^ 0xFFFF,
-                    clock_us: 0,
-                },
-            )
-            .expect("ready");
             match protocol::recv(&mut s).expect("reject reply") {
                 Message::Reject { reason } => {
                     assert!(
@@ -582,13 +672,10 @@ fn malformed_frames_never_disturb_the_sweep() {
     // truncated frame, an oversized length header, and a corrupted
     // version field. Each must be dropped without panicking the pool or
     // corrupting the sweep.
+    let heartbeat = Message::Heartbeat { lease: 0 };
     let mut good_frame = Vec::new();
-    clado_dist::frame::write_frame(
-        &mut good_frame,
-        Message::LeaseRequest.kind(),
-        &Message::LeaseRequest.encode(),
-    )
-    .expect("encode");
+    clado_dist::frame::write_frame(&mut good_frame, heartbeat.kind(), &heartbeat.encode())
+        .expect("encode");
     let mut oversized = good_frame.clone();
     oversized[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
     let mut bad_version = good_frame.clone();
@@ -703,15 +790,12 @@ fn a_job_posted_to_an_idle_worker_is_leased_at_once() {
             assert!(Instant::now() < deadline, "the worker finishes job {done}");
             std::thread::sleep(Duration::from_millis(1));
         }
-        let job = Job {
-            spec: job(ctx.fingerprint()),
-            shards: vec![(ShardSpec::Base, vec![ProbeId::Base])],
-            records: Default::default(),
-            journal: None,
-        };
         let posted = Instant::now();
         let outcome = pool
-            .run_job(job, &mut JobControl::wait(Some(Duration::from_secs(60))))
+            .run_job(
+                base_job(ctx.fingerprint()),
+                &mut JobControl::wait(Some(Duration::from_secs(60))),
+            )
             .expect("one-shard job");
         let leased = outcome.first_lease.expect("the worker leased the shard");
         delays.push(leased.duration_since(posted));

@@ -85,8 +85,7 @@ impl EstimatedOmega {
 /// - [`MeasureError::Journal`] on journal I/O or fingerprint mismatch,
 ///   or when the checkpoint dir is non-empty without
 ///   [`SensitivityOptions::resume`].
-/// - [`MeasureError::WorkerPanic`] / [`MeasureError::WorkerLost`] when a
-///   probe panics or a worker thread dies.
+/// - [`MeasureError::WorkerPanic`] when a probe panics.
 /// - [`MeasureError::NonFiniteBaseLoss`] when `L(w)` is non-finite.
 pub fn estimate_sensitivities(
     network: &mut Network,

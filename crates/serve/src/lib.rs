@@ -19,8 +19,8 @@
 //!   CLSM image byte for byte, with zero probe evaluations.
 //! * **Pooled crash-resilient workers** ([`clado_dist::WorkerPool`]): warm
 //!   connections reused across requests, dead workers evicted by
-//!   heartbeat, failed shards retried on surviving workers with capped
-//!   backoff — a SIGKILLed worker mid-request costs a retry, not the
+//!   heartbeat, their shards re-leased at once to surviving workers — a
+//!   SIGKILLed worker mid-request costs a retry, not the
 //!   request, and never the daemon.
 //! * **Graceful drain** ([`Server::drain_flag`]): stop admitting,
 //!   finish in-flight work, shut the pool down, return the final

@@ -49,7 +49,7 @@ use clado_solver::SolverConfig;
 use clado_telemetry::Telemetry;
 use std::collections::VecDeque;
 use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -136,12 +136,12 @@ struct Queued {
     id: u64,
     req: SubmitRequest,
     /// Write side of the client connection (the admission thread holds a
-    /// clone of the read side as its disconnect watcher).
+    /// clone of the read side as its disconnect watcher, which the
+    /// executor ends by shutting the socket down after the reply).
     stream: TcpStream,
     accepted_at: Instant,
     deadline: Option<Instant>,
     cancel: Arc<AtomicBool>,
-    finished: Arc<AtomicBool>,
     /// Raised by the admission thread, under the queue lock and with a
     /// notify of [`Inner::cv`], once the `Accepted` frame is on the wire.
     /// The executor must not write the response before then: a cache hit
@@ -496,16 +496,14 @@ fn admit_client(stream: TcpStream, inner: &Arc<Inner>) {
                 deadline: (req.deadline_ms > 0)
                     .then(|| accepted_at + Duration::from_millis(req.deadline_ms)),
                 cancel: Arc::new(AtomicBool::new(false)),
-                finished: Arc::new(AtomicBool::new(false)),
                 accepted_sent: Arc::new(AtomicBool::new(false)),
             };
             let cancel = Arc::clone(&item.cancel);
-            let finished = Arc::clone(&item.finished);
             let accepted_sent = Arc::clone(&item.accepted_sent);
             q.push_back(item);
             let depth = q.len();
             t.set_gauge("serve.queue_depth", depth as f64);
-            Ok((id, depth as u32, cancel, finished, accepted_sent))
+            Ok((id, depth as u32, cancel, accepted_sent))
         }
     };
 
@@ -526,7 +524,7 @@ fn admit_client(stream: TcpStream, inner: &Arc<Inner>) {
             t.counter(&format!("serve.shed.{}", reason.label())).incr();
             let _ = protocol::send(&mut s, &ServeMessage::Rejected { reason, detail });
         }
-        Ok((request_id, queue_depth, cancel, finished, accepted_sent)) => {
+        Ok((request_id, queue_depth, cancel, accepted_sent)) => {
             inner.cv.notify_all();
             // Response frames (the CLSM image) can be large; lift the
             // handshake-scoped write bound for the executor's reply.
@@ -547,7 +545,7 @@ fn admit_client(stream: TcpStream, inner: &Arc<Inner>) {
                 return;
             }
             mark_accepted_sent(inner, &accepted_sent);
-            watch_disconnect(&stream, &cancel, &finished);
+            watch_disconnect(&stream, &cancel);
         }
     }
 }
@@ -584,34 +582,18 @@ fn deadline_infeasible(inner: &Inner, queued: usize, deadline_ms: u64) -> Option
     })
 }
 
-/// Blocks until the client hangs up (→ cancel the request) or the
-/// request finishes. The read side of the connection is dedicated to
-/// this; the executor writes the response on its own clone.
-fn watch_disconnect(stream: &TcpStream, cancel: &AtomicBool, finished: &AtomicBool) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+/// Blocks until the connection's read side ends: the client hung up
+/// (→ cancel the request), or the executor shut the socket down after
+/// its reply, when the cancel flag no longer matters. The read side of
+/// the connection is dedicated to this; the executor writes the response
+/// on its own clone.
+fn watch_disconnect(stream: &TcpStream, cancel: &AtomicBool) {
+    let _ = stream.set_read_timeout(None);
     let mut r = stream;
     let mut scratch = [0u8; 64];
-    loop {
-        if finished.load(Ordering::SeqCst) {
-            return;
-        }
-        match r.read(&mut scratch) {
-            Ok(0) => {
-                cancel.store(true, Ordering::SeqCst);
-                return;
-            }
-            Ok(_) => {} // stray bytes; the protocol sends nothing here
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) => {}
-            Err(_) => {
-                cancel.store(true, Ordering::SeqCst);
-                return;
-            }
-        }
-    }
+    // Stray bytes are read and ignored: the protocol sends nothing here.
+    while matches!(r.read(&mut scratch), Ok(n) if n > 0) {}
+    cancel.store(true, Ordering::SeqCst);
 }
 
 /// One executor: pop → process → respond, until drained.
@@ -672,7 +654,8 @@ fn executor_loop(inner: &Arc<Inner>) {
         }
         let mut w = &item.stream;
         let _ = protocol::send(&mut w, &response);
-        item.finished.store(true, Ordering::SeqCst);
+        // Ends the admission thread's disconnect watch.
+        let _ = item.stream.shutdown(Shutdown::Both);
         if ok {
             inner.completed.fetch_add(1, Ordering::SeqCst);
         } else {
@@ -871,13 +854,12 @@ fn measure(
     for &seconds in &outcome.shard_seconds {
         shard_service.record_us((seconds * 1e6) as u64);
     }
-    // How long the miss waited for the pool's first lease. A miss that
-    // local takeover answered alone leased nothing: its startup time is
-    // the whole sweep, not a dispatch delay.
-    if outcome.workers.iter().any(|w| w.shards > 0) {
+    // How long each pool round of the miss waited for its first lease
+    // (a round that local takeover answered alone leased nothing).
+    for &seconds in &outcome.dispatch_seconds {
         telemetry
             .histogram("serve.pool.dispatch")
-            .record_us((outcome.startup_seconds * 1e6) as u64);
+            .record_us((seconds * 1e6) as u64);
     }
     let matrix = outcome.matrix;
     let evaluations = matrix.stats.evaluations as u64;

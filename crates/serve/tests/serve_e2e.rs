@@ -324,6 +324,89 @@ fn estimated_measure_misses_the_exact_cache_and_matches_single_process() {
     assert_eq!(report.cache_misses, 3);
 }
 
+/// Each pool round of a miss records its own dispatch delay: an
+/// estimated miss on a one-worker pool runs two rounds and records two
+/// `serve.pool.dispatch` samples, and its Ω still matches the
+/// single-process estimator bitwise.
+#[test]
+fn a_pooled_estimated_miss_records_a_dispatch_sample_per_round() {
+    let _guard = test_guard();
+    let (net, set) = setup();
+    let telemetry = Telemetry::new();
+    let (addr, worker_addr, drain, handle) = start(
+        provider_of(&net, &set),
+        ServeOptions {
+            telemetry: telemetry.clone(),
+            ..ServeOptions::default()
+        },
+    );
+    let worker = {
+        let (net, set) = (net.clone(), set.clone());
+        std::thread::spawn(move || {
+            run_worker(
+                &worker_addr,
+                move |_job| Ok((net.clone(), set.clone())),
+                &WorkerOptions::default(),
+            )
+        })
+    };
+    let connect_deadline = Instant::now() + Duration::from_secs(10);
+    while telemetry.counter_value("dist.pool.workers_connected") < 1 {
+        assert!(Instant::now() < connect_deadline, "the worker connects");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    // Base + diagonal take 7 probes; a budget of 13 leaves pair probes
+    // for the second round.
+    let budget = 13;
+    let est_spec = MeasureSpec {
+        estimator: 3, // blocktopk
+        probe_budget: budget as u64,
+        estimator_seed: clado_estim::DEFAULT_ESTIMATOR_SEED,
+        ..spec()
+    };
+    let outcome = submit(&addr, &measure_request(est_spec), None).expect("estimated submit");
+    let ServeMessage::MeasureDone {
+        cache_hit, clsm, ..
+    } = outcome.response
+    else {
+        panic!("expected MeasureDone, got kind {}", outcome.response.kind());
+    };
+    assert!(!cache_hit);
+    let single = clado_estim::estimate_sensitivities(
+        &mut net.clone(),
+        &set,
+        &BitWidthSet::new(&[2, 8]),
+        &clado_estim::EstimatorOptions {
+            probe_budget: budget,
+            ..clado_estim::EstimatorOptions::new(clado_estim::EstimatorKind::BlockTopK)
+        },
+    )
+    .expect("single-process estimate");
+    let served = sensitivities_from_bytes(&clsm).expect("served CLSM decodes");
+    assert_bitwise_equal(&served, &single.matrix, "pooled estimation");
+    assert!(
+        telemetry.counter_value("dist.pool.shards_completed") > 0,
+        "the worker measured, not local takeover"
+    );
+    let dispatch = telemetry
+        .histograms()
+        .into_iter()
+        .find(|(name, _)| name == "serve.pool.dispatch");
+    assert_eq!(
+        dispatch.map(|(_, h)| h.count),
+        Some(2),
+        "one dispatch sample per pool round"
+    );
+
+    let report = drain_and_join(&drain, handle);
+    assert_eq!(report.completed, 1);
+    worker
+        .join()
+        .expect("worker thread")
+        .expect("worker shuts down cleanly");
+}
+
 /// The retired adaptive estimator's tag (2) names no estimator any
 /// more: an estimated spec that carries it is shed at admission as
 /// `Malformed`, like the other retired tags, and measures nothing.
