@@ -516,6 +516,39 @@ fn pretrained_with_set(kind: ModelKind, set_size: usize, set_seed: u64) -> (Netw
     )
 }
 
+/// The pretrained networks a pool worker or the serve daemon has loaded,
+/// one per model kind, each loaded on first use. Every job gets a clone,
+/// and a clone keeps the loaded weights' content ids, so the model tables
+/// of the previous job on the same model fit the next one
+/// ([`clado_core::ModelTables::fits`]) and are not rebuilt.
+#[derive(Default)]
+struct LoadedModels(std::sync::Mutex<Vec<(ModelKind, Network)>>);
+
+impl LoadedModels {
+    /// [`pretrained_with_set`] for the model named `model`, with the
+    /// network cloned from the loaded copy.
+    fn with_set(
+        &self,
+        model: &str,
+        set_size: u64,
+        set_seed: u64,
+    ) -> Result<(Network, DataSplit), String> {
+        let kind = model_kind(model).map_err(|e| e.to_string())?;
+        let network = {
+            let mut loaded = self.0.lock().unwrap_or_else(|p| p.into_inner());
+            match loaded.iter().find(|(k, _)| *k == kind) {
+                Some((_, network)) => network.clone(),
+                None => {
+                    let network = pretrained_network(kind);
+                    loaded.push((kind, network.clone()));
+                    network
+                }
+            }
+        };
+        Ok((network, sensitivity_set(set_size as usize, set_seed)))
+    }
+}
+
 /// `size` training samples of the default dataset (clamped to the split)
 /// drawn with `seed`: bitwise `pretrained(kind).data.train.sample_subset`.
 fn sensitivity_set(size: usize, seed: u64) -> DataSplit {
@@ -920,14 +953,8 @@ pub fn cmd_worker(args: &Args) -> Result<(), Box<dyn Error>> {
     // Mirror the pool owner's job setup exactly: same model loader,
     // same subset sampling. Any drift shows up as a fingerprint
     // mismatch and the pool rejects us.
-    let provider = |job: &JobSpec| {
-        let kind = model_kind(&job.model).map_err(|e| e.to_string())?;
-        Ok(pretrained_with_set(
-            kind,
-            job.set_size as usize,
-            job.set_seed,
-        ))
-    };
+    let models = LoadedModels::default();
+    let provider = |job: &JobSpec| models.with_set(&job.model, job.set_size, job.set_seed);
     let opts = WorkerOptions {
         heartbeat_interval: Duration::from_millis(args.get_or("heartbeat-ms", 500)?),
         connect_timeout: Duration::from_secs(args.get_or("connect-timeout-secs", 10)?),
@@ -973,13 +1000,9 @@ pub fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
         telemetry: run.telemetry.clone(),
         verbose,
     };
-    let provider: clado_serve::ModelProvider = Arc::new(|spec: &MeasureSpec| {
-        let kind = model_kind(&spec.model).map_err(|e| e.to_string())?;
-        Ok(pretrained_with_set(
-            kind,
-            spec.set_size as usize,
-            spec.set_seed,
-        ))
+    let models = LoadedModels::default();
+    let provider: clado_serve::ModelProvider = Arc::new(move |spec: &MeasureSpec| {
+        models.with_set(&spec.model, spec.set_size, spec.set_seed)
     });
     let server = Server::bind(
         args.get("listen").unwrap_or("127.0.0.1:4750"),
@@ -997,20 +1020,17 @@ pub fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
     std::io::stdout().flush()?;
 
     // Bridge the signal handler's static drain flag to this server's:
-    // a handler can only touch statics, and the server's flag is born
+    // a handler can only touch statics, and the server's drain is born
     // with the server.
-    let drain = server.drain_flag();
+    let drain = server.drain_handle();
     let sig = crate::cancel::install_drain();
-    {
-        let drain = Arc::clone(&drain);
-        std::thread::spawn(move || loop {
-            if sig.load(Ordering::SeqCst) {
-                drain.store(true, Ordering::SeqCst);
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        });
-    }
+    std::thread::spawn(move || loop {
+        if sig.load(Ordering::SeqCst) {
+            drain.raise();
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    });
 
     let mut children = Vec::new();
     for _ in 0..workers {

@@ -83,8 +83,8 @@ pub use sensitivity_io::{
     SensitivityIoError,
 };
 pub use shard::{
-    config_fingerprint, estimator_config_fingerprint, PartialAssembly, ShardContext, ShardRunStats,
-    ShardSpec,
+    config_fingerprint, estimator_config_fingerprint, ModelTables, PartialAssembly, ShardContext,
+    ShardRunStats, ShardSpec,
 };
 pub use sweep::{
     run_plan, run_plan_in_process, OmegaPlan, Records, Round, SweepOutcome, SweepState,

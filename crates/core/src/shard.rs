@@ -32,7 +32,7 @@
 use crate::errors::MeasureError;
 use crate::journal::{fingerprint, ProbeId, ProbeRecord};
 use crate::probe::{
-    advance_prefix_cache, build_prefix_cache, eval_loss, eval_loss_from, quant_error_table,
+    advance_prefix_cache, build_prefix_tape, eval_loss, eval_loss_from, quant_error_table,
     PrefixCache,
 };
 use crate::sensitivity::{SensitivityMatrix, SensitivityStats};
@@ -45,6 +45,7 @@ use clado_telemetry::{faultpoint, with_panic_context, Telemetry};
 use clado_tensor::Tensor;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// One leasable unit of the probe grid (see the module docs for the
@@ -157,48 +158,116 @@ impl std::ops::AddAssign for ShardRunStats {
 
 /// The `measure.<pass>.<step>` span names of one measurement pass.
 struct ProbeSpans {
-    build: &'static str,
     advance: &'static str,
     suffix: &'static str,
     full: &'static str,
 }
 
 const BASE_SPANS: ProbeSpans = ProbeSpans {
-    build: "measure.base.prefix_build",
     advance: "measure.base.prefix_advance",
     suffix: "measure.base.suffix_eval",
     full: "measure.base.full_eval",
 };
 const DIAG_SPANS: ProbeSpans = ProbeSpans {
-    build: "measure.diagonal.prefix_build",
     advance: "measure.diagonal.prefix_advance",
     suffix: "measure.diagonal.suffix_eval",
     full: "measure.diagonal.full_eval",
 };
 const PAIR_SPANS: ProbeSpans = ProbeSpans {
-    build: "measure.pairwise.prefix_build",
     advance: "measure.pairwise.prefix_advance",
     suffix: "measure.pairwise.suffix_eval",
     full: "measure.pairwise.full_eval",
 };
 
+/// What a sweep derives from the pristine model alone: the Δw
+/// perturbation table, the pristine weight snapshot and the stage map,
+/// under one bit-width set and scheme.
+///
+/// These depend on the quantizable weights, not on the sensitivity set,
+/// so a process that probes the same model for many sets (a pool worker,
+/// the serve daemon) builds them once and shares them between its
+/// [`ShardContext`]s: [`ModelTables::fits`] checks, by the weights'
+/// content ids, that a network still carries the weights the tables were
+/// derived from.
+pub struct ModelTables {
+    deltas: Vec<Vec<Tensor>>,
+    originals: Vec<Tensor>,
+    stages: Vec<usize>,
+    bits: BitWidthSet,
+    scheme: QuantScheme,
+}
+
+impl ModelTables {
+    /// Derives the tables from `network`'s current weights.
+    pub fn new(network: &Network, bits: &BitWidthSet, scheme: QuantScheme) -> Self {
+        let num_layers = network.quantizable_layers().len();
+        Self {
+            deltas: quant_error_table(network, bits, scheme),
+            stages: (0..num_layers).map(|i| network.stage_of(i)).collect(),
+            originals: network.snapshot_weights(),
+            bits: bits.clone(),
+            scheme,
+        }
+    }
+
+    /// Whether these tables are the ones [`ModelTables::new`] would
+    /// derive from `network` under `bits` and `scheme`: the same
+    /// candidate set and scheme, the same stage map, and quantizable
+    /// weights with the snapshot's content ids (so bitwise its weights).
+    pub fn fits(&self, network: &Network, bits: &BitWidthSet, scheme: QuantScheme) -> bool {
+        self.bits == *bits
+            && self.scheme == scheme
+            && self.stages.len() == network.quantizable_layers().len()
+            && self
+                .stages
+                .iter()
+                .enumerate()
+                .all(|(i, &stage)| network.stage_of(i) == stage)
+            && network
+                .weight_ids()
+                .into_iter()
+                .eq(self.originals.iter().map(Tensor::id))
+    }
+
+    /// The tables in `warm` when they [fit](ModelTables::fits) `network`
+    /// (and `true`), otherwise new ones, which replace them in `warm`
+    /// (and `false`).
+    pub fn reuse_or_build(
+        warm: &mut Option<Arc<ModelTables>>,
+        network: &Network,
+        bits: &BitWidthSet,
+        scheme: QuantScheme,
+    ) -> (Arc<ModelTables>, bool) {
+        match warm {
+            Some(tables) if tables.fits(network, bits, scheme) => (Arc::clone(tables), true),
+            _ => {
+                let tables = Arc::new(ModelTables::new(network, bits, scheme));
+                (Arc::clone(warm.insert(tables)), false)
+            }
+        }
+    }
+}
+
 /// Everything needed to evaluate any shard of one measurement
-/// configuration: the Δw perturbation table, the pristine weight
-/// snapshot, and the probe-evaluation options.
+/// configuration on one sensitivity set: the [`ModelTables`], the
+/// probe-evaluation options, and the set's pristine tape.
 ///
 /// Construction is deterministic, so a coordinator and its workers —
 /// each building a `ShardContext` from its own copy of the model —
 /// arrive at identical perturbations and identical
 /// [`ShardContext::fingerprint`]s.
+///
+/// The *tape* holds the pristine activations entering every stage a
+/// probe resumes from. The first [`ShardContext::run_probes`] call
+/// builds it in one forward pass over its set; every later call and every
+/// replica thread shares that one copy. A context therefore serves one
+/// sensitivity set: the `set_len` it was built with.
 pub struct ShardContext {
-    deltas: Vec<Vec<Tensor>>,
-    stages: Vec<usize>,
-    originals: Vec<Tensor>,
-    bits: BitWidthSet,
-    scheme: QuantScheme,
+    tables: Arc<ModelTables>,
     batch_size: usize,
     use_prefix_cache: bool,
     set_len: usize,
+    tape: OnceLock<Vec<PrefixCache>>,
 }
 
 impl ShardContext {
@@ -213,27 +282,40 @@ impl ShardContext {
         batch_size: usize,
         use_prefix_cache: bool,
     ) -> Self {
-        let num_layers = network.quantizable_layers().len();
+        let tables = Arc::new(ModelTables::new(network, bits, scheme));
+        Self::with_tables(tables, set_len, batch_size, use_prefix_cache)
+    }
+
+    /// [`ShardContext::new`] on tables already derived from the network
+    /// to be probed (see [`ModelTables::fits`]).
+    pub fn with_tables(
+        tables: Arc<ModelTables>,
+        set_len: usize,
+        batch_size: usize,
+        use_prefix_cache: bool,
+    ) -> Self {
         Self {
-            deltas: quant_error_table(network, bits, scheme),
-            stages: (0..num_layers).map(|i| network.stage_of(i)).collect(),
-            originals: network.snapshot_weights(),
-            bits: bits.clone(),
-            scheme,
+            tables,
             batch_size,
             use_prefix_cache,
             set_len,
+            tape: OnceLock::new(),
         }
+    }
+
+    /// The model tables this context probes with.
+    pub fn tables(&self) -> &Arc<ModelTables> {
+        &self.tables
     }
 
     /// Number of quantizable layers `I`.
     pub fn num_layers(&self) -> usize {
-        self.stages.len()
+        self.tables.stages.len()
     }
 
     /// The bit-width candidate set 𝔹.
     pub fn bits(&self) -> &BitWidthSet {
-        &self.bits
+        &self.tables.bits
     }
 
     /// The configuration fingerprint (see [`config_fingerprint`]); equal
@@ -242,8 +324,8 @@ impl ShardContext {
     pub fn fingerprint(&self) -> u64 {
         config_fingerprint(
             self.num_layers(),
-            &self.bits,
-            self.scheme,
+            self.bits(),
+            self.tables.scheme,
             self.set_len,
             self.batch_size,
         )
@@ -262,7 +344,7 @@ impl ShardContext {
 
     /// The probe ids a shard evaluates, in evaluation order.
     pub fn shard_probes(&self, spec: ShardSpec) -> Vec<ProbeId> {
-        let k = self.bits.len() as u32;
+        let k = self.bits().len() as u32;
         let i_n = self.num_layers() as u32;
         match spec {
             ShardSpec::Base => vec![ProbeId::Base],
@@ -289,7 +371,7 @@ impl ShardContext {
     /// Total probe count across all shards:
     /// `1 + |𝔹|I + ½|𝔹|²I(I−1)`.
     pub fn total_probes(&self) -> usize {
-        let k = self.bits.len();
+        let k = self.bits().len();
         let i_n = self.num_layers();
         1 + k * i_n + k * k * i_n * i_n.saturating_sub(1) / 2
     }
@@ -299,18 +381,20 @@ impl ShardContext {
     /// probe executor: [`ShardContext::run_shard`], the in-process
     /// engine, dist/serve workers and the estimators all run through it.
     ///
-    /// Probes keep one prefix cache per stage, one applied outer
-    /// perturbation per run of pair probes sharing an outer
-    /// `(layer, bit)`, and — for a pair probe whose inner layer sits in a
-    /// later stage than its outer layer — one cache advanced to the inner
-    /// layer's stage with the outer perturbation baked in, so each inner
-    /// probe re-runs only the suffix from its own stage. The advanced
-    /// cache is dropped when the outer perturbation changes and rebuilt
-    /// from the stage cache when a later inner layer comes first, so any
-    /// id order is *correct*; canonical order (the order
-    /// [`ShardContext::shard_probes`] emits) does the least forward work.
-    /// Every path is bitwise equal to a full forward (see
-    /// [`crate::advance_prefix_cache`]).
+    /// Probes resume from the context's pristine tape (built on the first
+    /// call, see [`ShardContext`]), keep one applied outer perturbation
+    /// per run of pair probes sharing an outer `(layer, bit)`, and — for
+    /// a pair probe whose inner layer sits in a later stage than its
+    /// outer layer — one cache advanced to the inner layer's stage with
+    /// the outer perturbation baked in, so each inner probe re-runs only
+    /// the suffix from its own stage. The advanced cache is dropped when
+    /// the outer perturbation changes and rebuilt from the tape when a
+    /// later inner layer comes first, so any id order is *correct*;
+    /// canonical order (the order [`ShardContext::shard_probes`] emits)
+    /// does the least forward work. Every path is bitwise equal to a full
+    /// forward (see [`crate::advance_prefix_cache`]). `cache_builds`
+    /// counts the tape stages a call switches to, which is the number of
+    /// stage caches a call would build without a tape.
     ///
     /// A probe with a non-finite loss is quarantined, not re-evaluated:
     /// evaluation is deterministic, so a rerun would give the same loss.
@@ -319,6 +403,10 @@ impl ShardContext {
     /// [`ShardRunStats`] and in `telemetry`'s `measure.*` counters and
     /// `probe.*` histograms. The `measure.probe_panic` fail point panics
     /// a probe; `measure.probe_nan` poisons its loss.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `set` is not of the context's `set_len`.
     pub fn run_probes(
         &self,
         net: &mut Network,
@@ -326,16 +414,31 @@ impl ShardContext {
         ids: &[ProbeId],
         telemetry: &Telemetry,
     ) -> (Vec<ProbeRecord>, ShardRunStats) {
+        assert_eq!(set.len(), self.set_len, "a context probes one set");
         let start = Instant::now();
-        let h_build = telemetry.histogram("probe.prefix_build");
         let h_eval = telemetry.histogram("probe.eval");
+        let tables = &*self.tables;
+        let tape = if self.use_prefix_cache {
+            self.tape.get_or_init(|| {
+                let _s = telemetry.span_timed(
+                    "measure.prefix_tape",
+                    &telemetry.histogram("probe.prefix_build"),
+                );
+                let mut stages = tables.stages.clone();
+                stages.sort_unstable();
+                stages.dedup();
+                build_prefix_tape(net, set, self.batch_size, &stages)
+            })
+        } else {
+            &[][..]
+        };
         let mut stats = ShardRunStats::default();
         let mut advances = 0u64;
         let mut out = Vec::with_capacity(ids.len());
-        // Unperturbed activations entering one stage. Only pristine
-        // weights feed them, so they stay valid across perturbation
-        // changes and are keyed by stage alone.
-        let mut base: Option<PrefixCache> = None;
+        // The tape's unperturbed activations entering the current stage.
+        // Only pristine weights feed them, so they stay valid across
+        // perturbation changes.
+        let mut base: Option<&PrefixCache> = None;
         // `base` advanced past the applied outer layer's stage with its
         // perturbation in place; valid only while that stays applied.
         let mut advanced: Option<PrefixCache> = None;
@@ -361,31 +464,31 @@ impl ShardContext {
             };
             if applied != outer {
                 if let Some((i, _)) = applied {
-                    net.set_weight(i, &self.originals[i]);
+                    net.set_weight(i, &tables.originals[i]);
                 }
                 if let Some((i, m)) = outer {
-                    net.perturb_weight(i, &self.deltas[i][m]);
+                    net.perturb_weight(i, &tables.deltas[i][m]);
                 }
                 applied = outer;
                 advanced = None;
             }
             // The stage cache the probe needs (`None`: a full forward),
             // and the stage to advance it to first, if any.
+            let stages = &tables.stages;
             let (from, advance_to) = match (outer, probed) {
                 _ if !self.use_prefix_cache => (None, None),
                 (_, None) => (None, None),
-                (Some((i, _)), Some((j, _))) if self.stages[j] > self.stages[i] => {
-                    (Some(self.stages[i]), Some(self.stages[j]))
+                (Some((i, _)), Some((j, _))) if stages[j] > stages[i] => {
+                    (Some(stages[i]), Some(stages[j]))
                 }
                 (Some((i, _)), _) | (None, Some((i, _))) => {
-                    ((self.stages[i] > 0).then_some(self.stages[i]), None)
+                    ((stages[i] > 0).then_some(stages[i]), None)
                 }
             };
             if let Some(stage) = from {
-                if base.as_ref().is_none_or(|c| c.stage() != stage) {
-                    let _s = telemetry.span_timed(spans.build, &h_build);
+                if base.is_none_or(|c| c.stage() != stage) {
                     stats.cache_builds += 1;
-                    base = Some(build_prefix_cache(net, set, self.batch_size, stage));
+                    base = tape.iter().find(|c| c.stage() == stage);
                 }
             }
             if let Some(to) = advance_to {
@@ -394,7 +497,7 @@ impl ShardContext {
                     advances += 1;
                     let src = match &advanced {
                         Some(c) if c.stage() < to => c,
-                        _ => base.as_ref().expect("stage cache built above"),
+                        _ => base.expect("the tape holds every layer's stage"),
                     };
                     advanced = Some(advance_prefix_cache(net, src, to));
                 }
@@ -402,10 +505,10 @@ impl ShardContext {
             let cache = if advance_to.is_some() {
                 advanced.as_ref()
             } else {
-                from.and(base.as_ref())
+                from.and(base)
             };
             if let Some((j, n)) = probed {
-                net.perturb_weight(j, &self.deltas[j][n]);
+                net.perturb_weight(j, &tables.deltas[j][n]);
             }
             // One forward evaluation: the suffix on `cache`, or a full
             // forward without one.
@@ -434,7 +537,7 @@ impl ShardContext {
                 },
             );
             if let Some((j, _)) = probed {
-                net.set_weight(j, &self.originals[j]);
+                net.set_weight(j, &tables.originals[j]);
             }
             let quarantined = !loss.is_finite();
             stats.quarantined += u64::from(quarantined);
@@ -445,7 +548,7 @@ impl ShardContext {
             });
         }
         if let Some((i, _)) = applied {
-            net.set_weight(i, &self.originals[i]);
+            net.set_weight(i, &tables.originals[i]);
         }
         stats.seconds = start.elapsed().as_secs_f64();
         for (name, n) in [
@@ -494,7 +597,7 @@ impl ShardContext {
         records: &HashMap<ProbeId, ProbeRecord>,
     ) -> Result<PartialAssembly, MeasureError> {
         let i_n = self.num_layers();
-        let k = self.bits.len();
+        let k = self.bits().len();
         let mut missing = 0usize;
         let mut quarantined = 0usize;
         let base_loss = match records.get(&ProbeId::Base) {
@@ -636,7 +739,7 @@ impl OmegaPlan for ShardContext {
         let matrix = SensitivityMatrix::from_parts(
             p.g,
             self.num_layers(),
-            self.bits.clone(),
+            self.bits().clone(),
             p.base_loss,
             stats,
         );

@@ -756,13 +756,19 @@ fn serve_conn(stream: TcpStream, id: u64, shared: &Shared) {
         let _ = stream.shutdown(Shutdown::Both);
         end
     });
-    let evicted = evict_worker(&mut shared.lock(), id, shared.shard_retries);
+    let evicted = {
+        let mut g = shared.lock();
+        let evicted = evict_worker(&mut g, id, shared.shard_retries);
+        // Counted before the lock is released, so whoever sees a
+        // requeued shard's job finish also sees its eviction counted.
+        telemetry.counter("dist.pool.evictions").add(evicted);
+        evicted
+    };
     shared.cv.notify_all();
     if matches!(end, ConnEnd::ProtocolError) {
         telemetry.counter("dist.pool.protocol_errors").incr();
     }
     if evicted > 0 {
-        telemetry.counter("dist.pool.evictions").add(evicted);
         telemetry.instant(
             "dist.eviction",
             &[

@@ -11,7 +11,7 @@
 use crate::error::DistError;
 use crate::frame::{FrameError, PROTOCOL_VERSION};
 use crate::protocol::{self, scheme_from_u8, JobSpec, Message};
-use clado_core::{fnv1a, ShardContext};
+use clado_core::{fnv1a, ModelTables, ShardContext};
 use clado_models::DataSplit;
 use clado_nn::Network;
 use clado_quant::BitWidthSet;
@@ -278,8 +278,11 @@ fn lease_loop(
 /// set from a [`JobSpec`] (the CLI passes the pretrained-model loader;
 /// tests and benches pass synthetic builders). It is consulted once per
 /// distinct job spec: repeat specs (ignoring the trace id) reuse the
-/// previously reconstructed model, which is what makes a warm pool cheap
-/// to hit.
+/// previous job's context whole, pristine tape included. A new spec
+/// reuses the last job's [`ModelTables`] when they
+/// [fit](ModelTables::fits) the provided network, which holds whenever
+/// the provider hands out clones of one loaded model (as the CLI's does):
+/// then only the set and the per-job fields change between jobs.
 ///
 /// # Errors
 ///
@@ -330,6 +333,8 @@ where
 
     // The last job's reconstruction; a sweep's rounds share one spec.
     let mut cached: Option<(JobSpec, Network, DataSplit, ShardContext)> = None;
+    // The last job's model tables, for the next spec on the same model.
+    let mut warm: Option<Arc<ModelTables>> = None;
     let mut report = WorkerReport::default();
     loop {
         // Await the next job. The pool may sit idle between requests;
@@ -365,11 +370,14 @@ where
         if fresh {
             let _s = telemetry.span("dist.work.load");
             let (network, set) = provider(&job).map_err(DistError::Provider)?;
-            let ctx = ShardContext::new(
-                &network,
+            let bits = BitWidthSet::new(&job.bits);
+            let (tables, reused) = ModelTables::reuse_or_build(&mut warm, &network, &bits, scheme);
+            if reused {
+                telemetry.counter("dist.pool.tables_reuse").incr();
+            }
+            let ctx = ShardContext::with_tables(
+                tables,
                 set.len(),
-                &BitWidthSet::new(&job.bits),
-                scheme,
                 job.batch_size as usize,
                 job.use_prefix_cache,
             );

@@ -219,6 +219,60 @@ fn distributed_sweep_matches_single_process_bitwise() {
     assert!(outcome.straggler_seconds >= 0.0);
 }
 
+/// A worker keeps its last job's model tables for the next job on the
+/// same model. One worker sweeps set seeds a, b, a: the second and third
+/// jobs reuse the tables, and every Ω is bitwise the in-process sweep of
+/// its set, so neither tables nor the per-set tape leak between sets.
+#[test]
+fn one_worker_sweeps_sets_a_b_a_bitwise_like_in_process() {
+    let _guard = test_guard();
+    let (net, _) = setup();
+    let data = SynthVision::generate(SynthVisionConfig {
+        classes: 4,
+        img: 8,
+        train: 48,
+        val: 32,
+        seed: 9,
+        noise: 0.2,
+        label_noise: 0.0,
+    });
+    let pool = bind(PoolOptions::default());
+    let addr = pool.worker_addr().to_string();
+    let telemetry = Telemetry::new();
+    let worker = {
+        let (net, train) = (net.clone(), data.train.clone());
+        let opts = WorkerOptions {
+            telemetry: telemetry.clone(),
+            ..WorkerOptions::default()
+        };
+        std::thread::spawn(move || {
+            let provider = move |job: &JobSpec| {
+                let set = train.sample_subset(job.set_size as usize, job.set_seed);
+                Ok((net.clone(), set))
+            };
+            run_worker(&addr, provider, &opts)
+        })
+    };
+    await_live_workers(&pool, 1);
+    for seed in [1, 2, 1] {
+        let set = data.train.sample_subset(16, seed);
+        let ctx = context(&net, &set);
+        let spec = JobSpec {
+            set_seed: seed,
+            ..job(ctx.fingerprint())
+        };
+        let outcome = sweep(&pool, &ctx, spec, None, false).expect("pooled sweep");
+        assert!(
+            outcome.workers.iter().any(|w| w.shards > 0),
+            "the worker swept"
+        );
+        let reference = reference_matrix(&net, &set);
+        assert_bitwise_equal(&outcome.matrix, &reference, &format!("set seed {seed}"));
+    }
+    finish(pool, vec![worker]);
+    assert_eq!(telemetry.counter_value("dist.pool.tables_reuse"), 2);
+}
+
 /// Same budget ⇒ a 2-worker distributed estimation sweep is bitwise
 /// identical to the single-process estimator: its pair selection reads
 /// only the diagonal records, and the sweep runs the same PSD projection

@@ -10,6 +10,7 @@
 use clado_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use std::sync::Mutex;
 
 /// Configuration of a [`SynthVision`] dataset.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -189,27 +190,85 @@ impl SynthVision {
     ///
     /// Panics if `classes` or `img` is zero.
     pub fn generate(config: SynthVisionConfig) -> Self {
+        assert!(
+            config.classes > 0 && config.img > 0,
+            "degenerate dataset config"
+        );
         let templates = class_templates(&config);
         let [train, val] = [Split::Train, Split::Val].map(|split| {
-            let all: Vec<usize> = (0..split_len(&config, split)).collect();
-            render_with(&templates, &config, split, &all)
+            let count = split_len(&config, split);
+            let mut rng = StdRng::seed_from_u64(stream_seed(&config, split));
+            let mut images = Vec::with_capacity(count * CHANNELS * config.img * config.img);
+            let labels = (0..count)
+                .map(|_| draw_sample(&templates, &config, &mut rng, Some(&mut images)))
+                .collect();
+            DataSplit {
+                images,
+                labels,
+                img: config.img,
+            }
         });
         Self { train, val, config }
     }
 
     /// Samples `indices` of `split`, in that order, bitwise the samples
     /// [`generate`](Self::generate) puts at those positions, without
-    /// rendering the rest of the split: a sample before the largest index
-    /// that is not asked for consumes its random draws but computes no
-    /// pixels. A sensitivity set is
+    /// rendering the rest of the split. A sensitivity set is
     /// `render(config, Split::Train, &sample_indices(config.train, size, seed))`.
+    ///
+    /// The process remembers, per (config, split), the class templates
+    /// and the random-stream state at the start of every sample up to the
+    /// largest index rendered so far. The first render walks the stream
+    /// to its largest index (a sample not asked for consumes its random
+    /// draws but computes no pixels); a later render walks only past the
+    /// largest index seen before, and starts each sample from its
+    /// remembered state.
     ///
     /// # Panics
     ///
     /// Panics if `classes` or `img` is zero, or if an index is out of
     /// bounds.
     pub fn render(config: SynthVisionConfig, split: Split, indices: &[usize]) -> DataSplit {
-        render_with(&class_templates(&config), &config, split, indices)
+        assert!(
+            config.classes > 0 && config.img > 0,
+            "degenerate dataset config"
+        );
+        let count = split_len(&config, split);
+        for &i in indices {
+            assert!(
+                i < count,
+                "sample index {i} out of bounds ({count} samples)"
+            );
+        }
+        let mut memos = STREAMS.lock().unwrap_or_else(|p| p.into_inner());
+        let at = match memos
+            .iter()
+            .position(|m| m.config == config && m.split == split)
+        {
+            Some(at) => at,
+            None => {
+                if memos.len() == STREAM_MEMOS {
+                    memos.remove(0);
+                }
+                memos.push(StreamMemo::new(config, split));
+                memos.len() - 1
+            }
+        };
+        let memo = &mut memos[at];
+        memo.walk_to(indices.iter().max().map_or(0, |&i| i + 1));
+        let mut images = Vec::with_capacity(indices.len() * CHANNELS * config.img * config.img);
+        let labels = indices
+            .iter()
+            .map(|&i| {
+                let mut rng = memo.starts[i].clone();
+                draw_sample(&memo.templates, &config, &mut rng, Some(&mut images))
+            })
+            .collect();
+        DataSplit {
+            images,
+            labels,
+            img: config.img,
+        }
     }
 
     /// The generating configuration.
@@ -223,6 +282,14 @@ fn split_len(config: &SynthVisionConfig, split: Split) -> usize {
     match split {
         Split::Train => config.train,
         Split::Val => config.val,
+    }
+}
+
+/// The seed of `split`'s sample stream.
+fn stream_seed(config: &SynthVisionConfig, split: Split) -> u64 {
+    match split {
+        Split::Train => config.seed.wrapping_add(1),
+        Split::Val => config.seed.wrapping_add(2),
     }
 }
 
@@ -255,58 +322,40 @@ fn class_templates(config: &SynthVisionConfig) -> Vec<Vec<f32>> {
         .collect()
 }
 
-/// Walks `split`'s sample stream up to the largest of `indices`, renders
-/// the samples asked for and returns them in the order asked for.
-fn render_with(
-    templates: &[Vec<f32>],
-    config: &SynthVisionConfig,
+/// (config, split) streams [`SynthVision::render`] remembers; the least
+/// recently created is forgotten first.
+const STREAM_MEMOS: usize = 4;
+
+static STREAMS: Mutex<Vec<StreamMemo>> = Mutex::new(Vec::new());
+
+/// What [`SynthVision::render`] remembers of one split's sample stream.
+struct StreamMemo {
+    config: SynthVisionConfig,
     split: Split,
-    indices: &[usize],
-) -> DataSplit {
-    assert!(
-        config.classes > 0 && config.img > 0,
-        "degenerate dataset config"
-    );
-    let count = split_len(config, split);
-    // `slot[i]`: where stream sample `i` lands among the rendered ones.
-    let mut slot = vec![None; count];
-    for &i in indices {
-        assert!(
-            i < count,
-            "sample index {i} out of bounds ({count} samples)"
-        );
-        slot[i] = Some(0);
-    }
-    let seed = match split {
-        Split::Train => config.seed.wrapping_add(1),
-        Split::Val => config.seed.wrapping_add(2),
-    };
-    let mut rng = StdRng::seed_from_u64(seed);
-    let stride = CHANNELS * config.img * config.img;
-    let mut images = Vec::with_capacity(indices.len() * stride);
-    let mut labels = Vec::with_capacity(indices.len());
-    let end = indices.iter().max().map_or(0, |&i| i + 1);
-    for s in &mut slot[..end] {
-        if s.is_some() {
-            *s = Some(labels.len());
-            labels.push(draw_sample(templates, config, &mut rng, Some(&mut images)));
-        } else {
-            draw_sample(templates, config, &mut rng, None);
+    templates: Vec<Vec<f32>>,
+    /// `starts[i]`: the stream's state at the start of sample `i`.
+    starts: Vec<StdRng>,
+}
+
+impl StreamMemo {
+    fn new(config: SynthVisionConfig, split: Split) -> Self {
+        Self {
+            config,
+            split,
+            templates: class_templates(&config),
+            starts: vec![StdRng::seed_from_u64(stream_seed(&config, split))],
         }
     }
-    let rendered = DataSplit {
-        images,
-        labels,
-        img: config.img,
-    };
-    if indices.windows(2).all(|w| w[0] < w[1]) {
-        return rendered;
+
+    /// Skips through the stream until the starts of samples `0..end` are
+    /// known.
+    fn walk_to(&mut self, end: usize) {
+        let mut rng = self.starts.last().expect("stream start").clone();
+        while self.starts.len() < end {
+            draw_sample(&self.templates, &self.config, &mut rng, None);
+            self.starts.push(rng.clone());
+        }
     }
-    let order: Vec<usize> = indices
-        .iter()
-        .map(|&i| slot[i].expect("rendered"))
-        .collect();
-    rendered.subset(&order)
 }
 
 /// Draws the next sample of a split's stream and returns its label. With

@@ -70,6 +70,40 @@ fn rendered_samples_equal_the_generated_ones() {
     }
 }
 
+/// `render` remembers each stream's sample starts up to the largest index
+/// it has rendered. A later render with indices below, at and past that
+/// maximum must still give the generated samples, and so must a render
+/// after the stream's memo was forgotten.
+#[test]
+fn a_render_past_an_earlier_maximum_equals_the_generated_samples() {
+    // A config no other test renders, so the first render starts cold.
+    let cfg = SynthVisionConfig {
+        seed: 0x5EED_0036,
+        train: 300,
+        val: 40,
+        ..Default::default()
+    };
+    let data = SynthVision::generate(cfg);
+    let first = [17, 120, 64];
+    let set = SynthVision::render(cfg, Split::Train, &first);
+    assert_bitwise_equal(&set, &data.train.subset(&first), "first render");
+    let second = [250, 3, 120, 119, 121, 299, 64];
+    let set = SynthVision::render(cfg, Split::Train, &second);
+    assert_bitwise_equal(&set, &data.train.subset(&second), "second render");
+    // Renders of four other streams push this one out of the memo.
+    for split in [Split::Train, Split::Val] {
+        for seed in [1, 2] {
+            let other = SynthVisionConfig { seed, ..cfg };
+            SynthVision::render(other, split, &[5]);
+        }
+    }
+    let set = SynthVision::render(cfg, Split::Train, &second);
+    assert_bitwise_equal(&set, &data.train.subset(&second), "render after eviction");
+    let val = [39, 0];
+    let set = SynthVision::render(cfg, Split::Val, &val);
+    assert_bitwise_equal(&set, &data.val.subset(&val), "val render");
+}
+
 #[test]
 #[should_panic(expected = "out of bounds")]
 fn rendering_past_the_split_panics() {

@@ -282,7 +282,9 @@ impl Network {
     }
 
     /// Replaces the weight tensor of quantizable layer `index`, copying
-    /// into the existing buffer (no allocation).
+    /// into the existing buffer (no allocation). The weight takes
+    /// `value`'s content id ([`Tensor::copy_from`]), so restoring it from
+    /// a snapshot reuses what kernels derived from the snapshot.
     ///
     /// # Panics
     ///
@@ -298,7 +300,7 @@ impl Network {
                     value.shape(),
                     "weight shape mismatch for layer {index}"
                 );
-                p.value.data_mut().copy_from_slice(value.data());
+                p.value.copy_from(value);
                 found = true;
             }
             cursor += 1;
@@ -342,6 +344,22 @@ impl Network {
         out
     }
 
+    /// The content ids ([`Tensor::id`]) of the quantizable weights, in
+    /// layer order: equal ids mean bitwise equal weights.
+    pub fn weight_ids(&self) -> Vec<u64> {
+        let mut out = Vec::with_capacity(self.quantizable.len());
+        let mut cursor = 0usize;
+        let mut qi = 0usize;
+        self.root.visit_params_ref("", &mut |_, p| {
+            if qi < self.slots.len() && cursor == self.slots[qi] {
+                out.push(p.value.id());
+                qi += 1;
+            }
+            cursor += 1;
+        });
+        out
+    }
+
     /// Snapshots *every* parameter and buffer (including BatchNorm running
     /// statistics). Use around procedures that mutate non-weight state,
     /// e.g. QAT fine-tuning.
@@ -368,7 +386,7 @@ impl Network {
                 src.shape(),
                 "snapshot shape mismatch at {name}"
             );
-            p.value = src.clone();
+            p.value.copy_from(src);
             idx += 1;
         });
         assert_eq!(idx, snapshot.len(), "snapshot has extra entries");

@@ -151,17 +151,19 @@ impl Layer for BatchNorm2d {
         let (n, h, w) = self.dims(&x);
         let c = self.channels;
         let plane = h * w;
-        let inv_std: Vec<f32> = self.running_var().iter().map(|&v| bn_inv_std(v)).collect();
-        let (md, gd, bd) = (
+        let (md, vd, gd, bd) = (
             self.running_mean(),
+            self.running_var(),
             self.gamma.value.data(),
             self.beta.value.data(),
         );
         let xd = x.data_mut();
-        for s in 0..n {
-            for ch in 0..c {
+        // Channel by channel, so each channel's σ⁻¹ is computed once
+        // without a per-call buffer; every element's formula is unchanged.
+        for ch in 0..c {
+            let (m, is, g, b) = (md[ch], bn_inv_std(vd[ch]), gd[ch], bd[ch]);
+            for s in 0..n {
                 let base = (s * c + ch) * plane;
-                let (m, is, g, b) = (md[ch], inv_std[ch], gd[ch], bd[ch]);
                 for v in &mut xd[base..base + plane] {
                     *v = g * ((*v - m) * is) + b;
                 }

@@ -22,7 +22,7 @@
 //!   heartbeat, their shards re-leased at once to surviving workers — a
 //!   SIGKILLed worker mid-request costs a retry, not the
 //!   request, and never the daemon.
-//! * **Graceful drain** ([`Server::drain_flag`]): stop admitting,
+//! * **Graceful drain** ([`Server::drain_handle`]): stop admitting,
 //!   finish in-flight work, shut the pool down, return the final
 //!   [`ServeReport`].
 //!
@@ -35,7 +35,7 @@
 //! # fn provider(_: &clado_serve::MeasureSpec) -> Result<(clado_nn::Network, clado_models::DataSplit), String> { unimplemented!() }
 //! let server = Server::bind("127.0.0.1:0", "127.0.0.1:0", Arc::new(provider), ServeOptions::default())?;
 //! let addr = server.client_addr().to_string();
-//! let drain = server.drain_flag();
+//! let drain = server.drain_handle();
 //! std::thread::spawn(move || server.run());
 //! let outcome = submit(&addr, &SubmitRequest {
 //!     spec: MeasureSpec {
@@ -47,7 +47,7 @@
 //!     deadline_ms: 0,
 //! }, None)?;
 //! println!("request {} answered", outcome.request_id);
-//! drain.store(true, std::sync::atomic::Ordering::SeqCst);
+//! drain.raise();
 //! # Ok::<(), clado_serve::ServeError>(())
 //! ```
 
@@ -67,4 +67,4 @@ pub use error::ServeError;
 pub use protocol::{
     AssignRow, FailKind, MeasureSpec, Op, RejectReason, ServeMessage, SubmitRequest,
 };
-pub use server::{ModelProvider, ServeOptions, ServeReport, Server};
+pub use server::{DrainHandle, ModelProvider, ServeOptions, ServeReport, Server};

@@ -36,7 +36,8 @@ use crate::protocol::{
     self, AssignRow, FailKind, MeasureSpec, Op, RejectReason, ServeMessage, SubmitRequest,
 };
 use clado_core::{
-    assign_bits, sensitivities_to_bytes, AssignOptions, OmegaPlan, ProbeId, ShardContext,
+    assign_bits, sensitivities_to_bytes, AssignOptions, ModelTables, OmegaPlan, ProbeId,
+    ShardContext,
 };
 use clado_dist::{
     run_sweep, scheme_from_u8, DistError, Fallback, JobControl, JobSpec, PoolOptions, WorkerPool,
@@ -49,7 +50,7 @@ use clado_solver::SolverConfig;
 use clado_telemetry::Telemetry;
 use std::collections::VecDeque;
 use std::io::{self, Read};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -150,10 +151,46 @@ struct Queued {
     accepted_sent: Arc<AtomicBool>,
 }
 
+/// Raises a daemon's drain (see [`Server::drain_handle`]). Cloneable and
+/// sendable, so a signal bridge or a test can hold one while
+/// [`Server::run`] owns the server.
+#[derive(Debug, Clone)]
+pub struct DrainHandle {
+    flag: Arc<AtomicBool>,
+    /// The client listener, reachable from this host.
+    wake: SocketAddr,
+}
+
+impl DrainHandle {
+    /// Raises the drain flag and wakes the accept loop, which blocks in
+    /// `accept`, with a connection to the client listener: admission
+    /// stops, in-flight work finishes, and [`Server::run`] returns.
+    pub fn raise(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+        wake_accept(self.wake);
+    }
+
+    /// Whether the drain has been raised.
+    pub fn is_raised(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+}
+
+/// Connects to the client listener at `addr` and hangs up at once, which
+/// returns a blocked `accept` so the accept loop rechecks the drain. The
+/// connection reads as a client that sent nothing, which admission
+/// ignores.
+fn wake_accept(addr: SocketAddr) {
+    let _ = TcpStream::connect(addr);
+}
+
 struct Inner {
     queue: Mutex<VecDeque<Queued>>,
     cv: Condvar,
     drain: Arc<AtomicBool>,
+    /// The client listener's address as this host reaches it, for
+    /// [`wake_accept`].
+    wake: SocketAddr,
     busy: AtomicUsize,
     next_request: AtomicU64,
     /// EWMA of observed request service times, µs (admission estimator).
@@ -162,6 +199,9 @@ struct Inner {
     disk: Option<DiskCache>,
     pool: WorkerPool,
     provider: ModelProvider,
+    /// The last miss's model tables, reused by the next miss whose
+    /// provided network they fit ([`ModelTables::reuse_or_build`]).
+    warm: Mutex<Option<Arc<ModelTables>>>,
     telemetry: Telemetry,
     opts: ServeOptions,
     requests: AtomicU64,
@@ -198,7 +238,13 @@ impl Server {
     ) -> Result<Self, ServeError> {
         let listener = TcpListener::bind(client_addr)?;
         let client_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
+        let mut wake = client_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let pool = WorkerPool::bind(
             worker_addr,
             PoolOptions {
@@ -245,6 +291,7 @@ impl Server {
             queue: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
             drain: Arc::new(AtomicBool::new(false)),
+            wake,
             busy: AtomicUsize::new(0),
             next_request: AtomicU64::new(1),
             ewma_us: Mutex::new(None),
@@ -252,6 +299,7 @@ impl Server {
             disk,
             pool,
             provider,
+            warm: Mutex::new(None),
             telemetry: opts.telemetry.clone(),
             opts,
             requests: AtomicU64::new(0),
@@ -286,11 +334,14 @@ impl Server {
         self.inner.pool.live_workers()
     }
 
-    /// The drain flag: raising it (e.g. from a SIGTERM handler) stops
-    /// admission, finishes in-flight work, and makes [`Server::run`]
-    /// return.
-    pub fn drain_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.inner.drain)
+    /// The drain handle: [`DrainHandle::raise`] (e.g. from a SIGTERM
+    /// bridge) stops admission, finishes in-flight work, and makes
+    /// [`Server::run`] return.
+    pub fn drain_handle(&self) -> DrainHandle {
+        DrainHandle {
+            flag: Arc::clone(&self.inner.drain),
+            wake: self.inner.wake,
+        }
     }
 
     /// Runs the daemon until drained. Accepts clients, sheds overload
@@ -311,24 +362,17 @@ impl Server {
             })
             .collect();
 
-        loop {
-            let draining = inner.drain.load(Ordering::SeqCst);
-            if draining {
-                // Keep answering late submitters with the typed Draining
-                // rejection while admitted work finishes.
-                let queue_len = inner.queue.lock().unwrap_or_else(|p| p.into_inner()).len();
-                if queue_len == 0 && inner.busy.load(Ordering::SeqCst) == 0 {
-                    break;
-                }
-            }
+        // `accept` blocks. A raised drain wakes it (`DrainHandle::raise`),
+        // and so does the executor that finishes the last admitted
+        // request of a drain; meanwhile late submitters keep getting the
+        // typed Draining rejection.
+        while !drained(inner) {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     let inner = Arc::clone(inner);
                     std::thread::spawn(move || admit_client(stream, &inner));
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(ServeError::Io(e)),
             }
         }
@@ -362,6 +406,17 @@ impl Server {
         );
         Ok(report)
     }
+}
+
+/// Whether the drain is raised and every admitted request answered.
+fn drained(inner: &Inner) -> bool {
+    inner.drain.load(Ordering::SeqCst)
+        && inner
+            .queue
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .is_empty()
+        && inner.busy.load(Ordering::SeqCst) == 0
 }
 
 /// Upper bound on sweep rows a single request may ask for.
@@ -663,6 +718,9 @@ fn executor_loop(inner: &Arc<Inner>) {
         }
         inner.busy.fetch_sub(1, Ordering::SeqCst);
         inner.cv.notify_all();
+        if drained(inner) {
+            wake_accept(inner.wake);
+        }
     }
 }
 
@@ -780,11 +838,16 @@ fn measure(
         .map_err(|e| failed(id, FailKind::Internal, format!("model provider: {e}")))?;
     let bits = BitWidthSet::new(&spec.bits); // widths validated at admission
     let scheme = scheme_from_u8(spec.scheme).expect("scheme validated at admission");
-    let ctx = ShardContext::new(
-        &network,
+    let (tables, reused) = {
+        let mut warm = inner.warm.lock().unwrap_or_else(|p| p.into_inner());
+        ModelTables::reuse_or_build(&mut warm, &network, &bits, scheme)
+    };
+    if reused {
+        inner.telemetry.counter("serve.tables_reuse").incr();
+    }
+    let ctx = ShardContext::with_tables(
+        tables,
         set.len(),
-        &bits,
-        scheme,
         spec.batch_size as usize,
         spec.use_prefix_cache,
     );

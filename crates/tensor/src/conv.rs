@@ -612,6 +612,12 @@ mod fused {
 /// pixels (8 when at most 8 channels remain), which keeps up to 8
 /// independent FMA chains in flight. No column matrix is built.
 ///
+/// The transposed weights are kept per thread, keyed by the weight's
+/// content id ([`Tensor::id`]), for the `PACKS` most
+/// recently used weights: a probe sweep restores every weight it perturbs
+/// from its snapshot, which gives back the snapshot's id, so a pristine
+/// layer is transposed once per thread rather than once per call.
+///
 /// Every output is the chain the im2col GEMM computes for it: `fma` over
 /// the `(c, ky, kx)` taps in ascending order from +0, padded taps
 /// included. [`supported`] admits only geometries where the GEMM runs
@@ -627,13 +633,27 @@ mod direct {
     use std::arch::x86_64::*;
     use std::cell::RefCell;
 
-    /// Per-call buffers, reused across calls.
+    /// Transposed weights kept per thread, most recently used first.
+    const PACKS: usize = 64;
+
+    /// One weight tensor transposed to `[cin·k·k][lanes]`.
+    struct Pack {
+        /// Content id of the weight it was transposed from.
+        id: u64,
+        /// `cin·k·k`.
+        kk: usize,
+        /// `cout` rounded up to 8.
+        lanes: usize,
+        wt: Vec<f32>,
+    }
+
+    /// Buffers reused across calls.
     struct Stage {
         /// The sample's zero-padded image `[cin][h+2·pad][w+2·pad]`
         /// (unused when `pad == 0`: the sample is read in place).
         padded: Vec<f32>,
-        /// Transposed weights `[cin·k·k][cout rounded up to 8]`.
-        wt: Vec<f32>,
+        /// At most [`PACKS`] transposed weights, most recently used first.
+        packs: Vec<Pack>,
         /// Image offset of each tap `(c, ky, kx)`.
         off: Vec<usize>,
         /// Image offset of each output pixel's first tap.
@@ -644,11 +664,40 @@ mod direct {
         static STAGE: RefCell<Stage> = const {
             RefCell::new(Stage {
                 padded: Vec::new(),
-                wt: Vec::new(),
+                packs: Vec::new(),
                 off: Vec::new(),
                 pix: Vec::new(),
             })
         };
+    }
+
+    /// Moves `weight`'s transposed pack to the front of `packs`,
+    /// transposing it first (into the least recently used pack's buffer
+    /// once [`PACKS`] are kept) when no pack has its id and layout.
+    fn pack_to_front(packs: &mut Vec<Pack>, weight: &Tensor, kk: usize, lanes: usize) {
+        let key = (weight.id(), kk, lanes);
+        let at = match packs.iter().position(|p| (p.id, p.kk, p.lanes) == key) {
+            Some(at) => at,
+            None => {
+                let mut wt = if packs.len() == PACKS {
+                    packs.pop().map(|p| p.wt).unwrap_or_default()
+                } else {
+                    Vec::new()
+                };
+                // wt[p][oc] = weight[oc][p]; lanes past `cout` stay zero.
+                wt.clear();
+                wt.resize(kk * lanes, 0.0);
+                for (oc, row) in weight.data().chunks_exact(kk).enumerate() {
+                    for (p, &v) in row.iter().enumerate() {
+                        wt[p * lanes + oc] = v;
+                    }
+                }
+                let (id, kk, lanes) = key;
+                packs.push(Pack { id, kk, lanes, wt });
+                packs.len() - 1
+            }
+        };
+        packs[..=at].rotate_right(1);
     }
 
     /// Whether [`run`] computes bitwise what the im2col path would for
@@ -692,7 +741,7 @@ mod direct {
             let mut stage = stage.borrow_mut();
             let Stage {
                 padded,
-                wt,
+                packs,
                 off,
                 pix,
             } = &mut *stage;
@@ -700,14 +749,8 @@ mod direct {
             if pad > 0 {
                 padded.resize(cin * hp * wp, 0.0);
             }
-            // wt[p][oc] = weight[oc][p]; lanes past `cout` stay zero.
-            wt.clear();
-            wt.resize(kk * lanes, 0.0);
-            for (oc, row) in weight.data().chunks_exact(kk).enumerate() {
-                for (p, &v) in row.iter().enumerate() {
-                    wt[p * lanes + oc] = v;
-                }
-            }
+            pack_to_front(packs, weight, kk, lanes);
+            let wt = &packs[0].wt;
             off.clear();
             for c in 0..cin {
                 for ky in 0..k {

@@ -1,8 +1,33 @@
 //! The dense tensor type and its elementwise operations.
 
 use crate::shape::Shape;
+use std::cell::Cell;
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The next unreserved block of content ids.
+static NEXT_ID_BLOCK: AtomicU64 = AtomicU64::new(0);
+
+/// A fresh, process-unique content id. Each thread reserves ids in
+/// blocks, so drawing one is a thread-local increment, not a shared
+/// atomic per tensor.
+fn fresh_id() -> u64 {
+    const BLOCK: u64 = 1 << 16;
+    thread_local! {
+        /// `(next, end)` of this thread's reserved block.
+        static IDS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    }
+    IDS.with(|ids| {
+        let (mut next, mut end) = ids.get();
+        if next == end {
+            next = NEXT_ID_BLOCK.fetch_add(BLOCK, Ordering::Relaxed);
+            end = next + BLOCK;
+        }
+        ids.set((next + 1, end));
+        next
+    })
+}
 
 /// Error produced when constructing or reshaping a [`Tensor`] with
 /// inconsistent sizes.
@@ -30,6 +55,14 @@ impl std::error::Error for ShapeMismatchError {}
 /// activations, weights, and gradients are all `Tensor`s. Data is stored
 /// contiguously; vision tensors use the NCHW layout.
 ///
+/// Every tensor carries a *content id*: two tensors with the same id hold
+/// the same shape and data, so anything derived from one tensor's data
+/// (such as a conv kernel's packed weights) can be reused for any tensor
+/// with its id. Constructors and every `&mut` method draw a fresh,
+/// process-unique id; [`Clone`], [`Tensor::into_shape`] and
+/// [`Tensor::copy_from`] (which takes the source's id) do not. Equality
+/// ignores ids.
+///
 /// # Examples
 ///
 /// ```
@@ -41,10 +74,17 @@ impl std::error::Error for ShapeMismatchError {}
 /// assert_eq!(c.data(), &[1.5, 2.5, 3.5, 4.5]);
 /// # Ok::<(), clado_tensor::ShapeMismatchError>(())
 /// ```
-#[derive(Clone, PartialEq)]
+#[derive(Clone)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
+    id: u64,
+}
+
+impl PartialEq for Tensor {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape == other.shape && self.data == other.data
+    }
 }
 
 impl Tensor {
@@ -54,6 +94,7 @@ impl Tensor {
         Self {
             data: vec![0.0; shape.numel()],
             shape,
+            id: fresh_id(),
         }
     }
 
@@ -63,6 +104,7 @@ impl Tensor {
         Self {
             data: vec![value; shape.numel()],
             shape,
+            id: fresh_id(),
         }
     }
 
@@ -80,7 +122,11 @@ impl Tensor {
                 actual: data.len(),
             });
         }
-        Ok(Self { shape, data })
+        Ok(Self {
+            shape,
+            data,
+            id: fresh_id(),
+        })
     }
 
     /// The tensor's shape.
@@ -98,9 +144,28 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutable view of the underlying data (row-major).
+    /// The content id (see the type docs).
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// Mutable view of the underlying data (row-major). Draws a fresh id.
     pub fn data_mut(&mut self) -> &mut [f32] {
+        self.id = fresh_id();
         &mut self.data
+    }
+
+    /// Copies `src`'s data into this tensor's buffer (no allocation) and
+    /// takes `src`'s id: restoring a weight from its snapshot gives it
+    /// back the snapshot's id, and with it whatever was derived from it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes differ.
+    pub fn copy_from(&mut self, src: &Self) {
+        self.assert_same_shape(src);
+        self.data.copy_from_slice(&src.data);
+        self.id = src.id;
     }
 
     /// Reinterprets the tensor with a new shape of identical element count.
@@ -128,6 +193,7 @@ impl Tensor {
         Ok(Self {
             shape,
             data: self.data,
+            id: self.id,
         })
     }
 
@@ -136,6 +202,7 @@ impl Tensor {
         Self {
             shape: self.shape,
             data: self.data.iter().map(|&x| f(x)).collect(),
+            id: fresh_id(),
         }
     }
 
@@ -154,6 +221,7 @@ impl Tensor {
                 .zip(&other.data)
                 .map(|(&a, &b)| f(a, b))
                 .collect(),
+            id: fresh_id(),
         }
     }
 
@@ -164,14 +232,14 @@ impl Tensor {
     /// Panics if the shapes differ.
     pub fn axpy(&mut self, alpha: f32, other: &Self) {
         self.assert_same_shape(other);
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+        for (a, &b) in self.data_mut().iter_mut().zip(&other.data) {
             *a += alpha * b;
         }
     }
 
     /// Multiplies every element by `alpha` in place.
     pub fn scale(&mut self, alpha: f32) {
-        for x in &mut self.data {
+        for x in self.data_mut() {
             *x *= alpha;
         }
     }
@@ -351,6 +419,49 @@ mod tests {
         let a = Tensor::zeros([2]);
         let b = Tensor::zeros([3]);
         let _ = &a + &b;
+    }
+
+    #[test]
+    fn mutation_draws_a_fresh_id_and_copies_keep_it() {
+        let t = Tensor::from_vec([2, 2], vec![1., 2., 3., 4.]).unwrap();
+        // Constructors draw distinct ids; equality ignores them.
+        let same = Tensor::from_vec([2, 2], vec![1., 2., 3., 4.]).unwrap();
+        assert_ne!(t.id(), same.id());
+        assert_eq!(t, same);
+        let fresh = [
+            Tensor::zeros([2, 2]).id(),
+            Tensor::full([2, 2], 1.0).id(),
+            t.map(|x| x).id(),
+            t.zip(&t, |a, _| a).id(),
+            (&t + &t).id(),
+        ];
+        for (k, id) in fresh.iter().enumerate() {
+            assert!(fresh[..k].iter().chain([&t.id()]).all(|other| other != id));
+        }
+        // Clone, into_shape and copy_from keep (or take) the id.
+        assert_eq!(t.clone().id(), t.id());
+        assert_eq!(t.clone().into_shape([4]).unwrap().id(), t.id());
+        assert_eq!(t.reshape([4]).unwrap().id(), t.id());
+        let mut dst = Tensor::zeros([2, 2]);
+        dst.copy_from(&t);
+        assert_eq!((dst.id(), dst.data()), (t.id(), t.data()));
+        // Every `&mut` method draws a fresh id, even one that leaves the
+        // data as it was.
+        type Mutation = (&'static str, fn(&mut Tensor));
+        let mutations: [Mutation; 4] = [
+            ("data_mut", |x| {
+                x.data_mut();
+            }),
+            ("axpy", |x| x.axpy(0.0, &Tensor::zeros([2, 2]))),
+            ("scale", |x| x.scale(1.0)),
+            ("add_assign", |x| *x += &Tensor::zeros([2, 2])),
+        ];
+        for (name, mutate) in mutations {
+            let mut m = t.clone();
+            mutate(&mut m);
+            assert_ne!(m.id(), t.id(), "{name} kept the id");
+            assert_eq!(m, t, "{name} changed the data");
+        }
     }
 
     #[test]

@@ -431,6 +431,50 @@ fn dense_conv_forward_equals_im2col_reference_bitwise() {
     );
 }
 
+/// The direct kernel keeps transposed weights keyed by content id. A
+/// weight mutated in place through any `&mut` API, overwritten by
+/// `copy_from`, or restored from its snapshot must give the im2col
+/// reference's bits on the next call, never a stale pack's.
+#[test]
+fn direct_conv_repacks_a_weight_mutated_through_any_api() {
+    // resnet34-mini's 16→16 layer4 conv at an 8-sample probe batch.
+    let spec = Conv2dSpec::new(16, 16, 3, 1, 1);
+    let (n, hw) = (8, 2);
+    if active_backend() == Backend::Avx2Fma {
+        assert_eq!(conv2d_path(&spec, n, hw, hw), ConvPath::Direct);
+    } else {
+        eprintln!("no direct path on this backend: every run compared the fallback");
+    }
+    let input = Tensor::from_vec([n, 16, hw, hw], fill(n * 16 * hw * hw, 1)).unwrap();
+    let shape = spec.weight_shape();
+    let other = Tensor::from_vec(shape, fill(spec.weight_numel(), 2)).unwrap();
+    let pristine = Tensor::from_vec(shape, fill(spec.weight_numel(), 3)).unwrap();
+    type Mutation<'a> = (&'a str, &'a dyn Fn(&mut Tensor));
+    let mutations: [Mutation; 6] = [
+        ("data_mut", &|w| w.data_mut()[0] += 0.5),
+        ("axpy", &|w| w.axpy(0.25, &other)),
+        ("scale", &|w| w.scale(-1.5)),
+        ("add_assign", &|w| *w += &other),
+        ("copy_from", &|w| w.copy_from(&other)),
+        ("restore", &|w| w.copy_from(&pristine)),
+    ];
+    let mut weight = pristine.clone();
+    for (name, mutate) in mutations {
+        // Packs the weight as it is, then changes it in place.
+        let _ = conv2d_forward(&input, &weight, None, &spec);
+        mutate(&mut weight);
+        let got = conv2d_forward(&input, &weight, None, &spec);
+        let want = conv2d_forward_im2col(&input, &weight, None, &spec);
+        for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "after {name}: element {i} is {g:e}, im2col gives {w:e}"
+            );
+        }
+    }
+}
+
 /// The sign of a zero sum: products that all underflow to −0 leave the
 /// FMA chain at −0. The skinny GEMM (cout < 16) stores that; the blocked
 /// GEMM adds it to a zeroed output and lands on +0. The dispatched conv
