@@ -66,36 +66,6 @@ pub fn build_prefix_cache(
     }
 }
 
-/// [`build_prefix_cache`] at every stage of `stages` (ascending, distinct)
-/// in one pass over `set`: each batch runs the stage fold once, and its
-/// activation is copied out at each boundary on the way. The op sequence
-/// up to each boundary is the one [`build_prefix_cache`] runs, so every
-/// cache is bitwise the one built alone.
-pub(crate) fn build_prefix_tape(
-    network: &mut Network,
-    set: &DataSplit,
-    batch_size: usize,
-    stages: &[usize],
-) -> Vec<PrefixCache> {
-    let mut tape: Vec<PrefixCache> = stages
-        .iter()
-        .map(|&stage| PrefixCache {
-            stage,
-            batches: Vec::new(),
-            total: set.len(),
-        })
-        .collect();
-    for (mut x, labels) in set.batches(batch_size) {
-        let mut at = 0;
-        for cache in &mut tape {
-            x = network.forward_range(at, cache.stage, x, false);
-            at = cache.stage;
-            cache.batches.push((x.clone(), labels.clone()));
-        }
-    }
-    tape
-}
-
 /// Advances a prefix cache to a later stage boundary by running stages
 /// `cache.stage()..to_stage` once per batch with the network's *current*
 /// weights.
@@ -116,20 +86,28 @@ pub fn advance_prefix_cache(
     cache: &PrefixCache,
     to_stage: usize,
 ) -> PrefixCache {
+    roll_prefix_cache(network, cache.clone(), to_stage)
+}
+
+/// [`advance_prefix_cache`] for a cache that is not needed afterwards:
+/// each batch's activation moves through the stages instead of being
+/// copied first, so the old and the new cache are never held whole at
+/// once.
+pub(crate) fn roll_prefix_cache(
+    network: &mut Network,
+    cache: PrefixCache,
+    to_stage: usize,
+) -> PrefixCache {
     assert!(
         to_stage >= cache.stage,
         "cannot rewind a prefix cache ({} -> {to_stage})",
         cache.stage
     );
+    let from = cache.stage;
     let batches = cache
         .batches
-        .iter()
-        .map(|(x, labels)| {
-            (
-                network.forward_range(cache.stage, to_stage, x.clone(), false),
-                labels.clone(),
-            )
-        })
+        .into_iter()
+        .map(|(x, labels)| (network.forward_range(from, to_stage, x, false), labels))
         .collect();
     PrefixCache {
         stage: to_stage,

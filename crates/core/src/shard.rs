@@ -32,8 +32,8 @@
 use crate::errors::MeasureError;
 use crate::journal::{fingerprint, ProbeId, ProbeRecord};
 use crate::probe::{
-    advance_prefix_cache, build_prefix_tape, eval_loss, eval_loss_from, quant_error_table,
-    PrefixCache,
+    advance_prefix_cache, build_prefix_cache, eval_loss, eval_loss_from, quant_error_table,
+    roll_prefix_cache, PrefixCache,
 };
 use crate::sensitivity::{SensitivityMatrix, SensitivityStats};
 use crate::sweep::{OmegaPlan, Records, Round};
@@ -45,7 +45,7 @@ use clado_telemetry::{faultpoint, with_panic_context, Telemetry};
 use clado_tensor::Tensor;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One leasable unit of the probe grid (see the module docs for the
@@ -158,22 +158,26 @@ impl std::ops::AddAssign for ShardRunStats {
 
 /// The `measure.<pass>.<step>` span names of one measurement pass.
 struct ProbeSpans {
+    build: &'static str,
     advance: &'static str,
     suffix: &'static str,
     full: &'static str,
 }
 
 const BASE_SPANS: ProbeSpans = ProbeSpans {
+    build: "measure.base.prefix_build",
     advance: "measure.base.prefix_advance",
     suffix: "measure.base.suffix_eval",
     full: "measure.base.full_eval",
 };
 const DIAG_SPANS: ProbeSpans = ProbeSpans {
+    build: "measure.diagonal.prefix_build",
     advance: "measure.diagonal.prefix_advance",
     suffix: "measure.diagonal.suffix_eval",
     full: "measure.diagonal.full_eval",
 };
 const PAIR_SPANS: ProbeSpans = ProbeSpans {
+    build: "measure.pairwise.prefix_build",
     advance: "measure.pairwise.prefix_advance",
     suffix: "measure.pairwise.suffix_eval",
     full: "measure.pairwise.full_eval",
@@ -249,25 +253,17 @@ impl ModelTables {
 }
 
 /// Everything needed to evaluate any shard of one measurement
-/// configuration on one sensitivity set: the [`ModelTables`], the
-/// probe-evaluation options, and the set's pristine tape.
+/// configuration: the [`ModelTables`] and the probe-evaluation options.
 ///
 /// Construction is deterministic, so a coordinator and its workers —
 /// each building a `ShardContext` from its own copy of the model —
 /// arrive at identical perturbations and identical
 /// [`ShardContext::fingerprint`]s.
-///
-/// The *tape* holds the pristine activations entering every stage a
-/// probe resumes from. The first [`ShardContext::run_probes`] call
-/// builds it in one forward pass over its set; every later call and every
-/// replica thread shares that one copy. A context therefore serves one
-/// sensitivity set: the `set_len` it was built with.
 pub struct ShardContext {
     tables: Arc<ModelTables>,
     batch_size: usize,
     use_prefix_cache: bool,
     set_len: usize,
-    tape: OnceLock<Vec<PrefixCache>>,
 }
 
 impl ShardContext {
@@ -299,7 +295,6 @@ impl ShardContext {
             batch_size,
             use_prefix_cache,
             set_len,
-            tape: OnceLock::new(),
         }
     }
 
@@ -381,20 +376,23 @@ impl ShardContext {
     /// probe executor: [`ShardContext::run_shard`], the in-process
     /// engine, dist/serve workers and the estimators all run through it.
     ///
-    /// Probes resume from the context's pristine tape (built on the first
-    /// call, see [`ShardContext`]), keep one applied outer perturbation
+    /// Probes keep one pristine prefix cache, of the stage the current
+    /// probe resumes from: a switch to a later stage advances it through
+    /// the pristine layers in between, a switch back rebuilds it from the
+    /// input, so a run of probes in ascending stage order runs each
+    /// pristine layer once. They also keep one applied outer perturbation
     /// per run of pair probes sharing an outer `(layer, bit)`, and — for
     /// a pair probe whose inner layer sits in a later stage than its
     /// outer layer — one cache advanced to the inner layer's stage with
     /// the outer perturbation baked in, so each inner probe re-runs only
     /// the suffix from its own stage. The advanced cache is dropped when
-    /// the outer perturbation changes and rebuilt from the tape when a
-    /// later inner layer comes first, so any id order is *correct*;
-    /// canonical order (the order [`ShardContext::shard_probes`] emits)
-    /// does the least forward work. Every path is bitwise equal to a full
-    /// forward (see [`crate::advance_prefix_cache`]). `cache_builds`
-    /// counts the tape stages a call switches to, which is the number of
-    /// stage caches a call would build without a tape.
+    /// the outer perturbation changes and rebuilt from the stage cache
+    /// when a later inner layer comes first, so any id order is
+    /// *correct*; canonical order (the order
+    /// [`ShardContext::shard_probes`] emits) does the least forward work.
+    /// Every path is bitwise equal to a full forward (see
+    /// [`crate::advance_prefix_cache`]). `cache_builds` counts the stage
+    /// switches.
     ///
     /// A probe with a non-finite loss is quarantined, not re-evaluated:
     /// evaluation is deterministic, so a rerun would give the same loss.
@@ -403,10 +401,6 @@ impl ShardContext {
     /// [`ShardRunStats`] and in `telemetry`'s `measure.*` counters and
     /// `probe.*` histograms. The `measure.probe_panic` fail point panics
     /// a probe; `measure.probe_nan` poisons its loss.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `set` is not of the context's `set_len`.
     pub fn run_probes(
         &self,
         net: &mut Network,
@@ -414,31 +408,18 @@ impl ShardContext {
         ids: &[ProbeId],
         telemetry: &Telemetry,
     ) -> (Vec<ProbeRecord>, ShardRunStats) {
-        assert_eq!(set.len(), self.set_len, "a context probes one set");
         let start = Instant::now();
         let h_eval = telemetry.histogram("probe.eval");
+        let h_build = telemetry.histogram("probe.prefix_build");
         let tables = &*self.tables;
-        let tape = if self.use_prefix_cache {
-            self.tape.get_or_init(|| {
-                let _s = telemetry.span_timed(
-                    "measure.prefix_tape",
-                    &telemetry.histogram("probe.prefix_build"),
-                );
-                let mut stages = tables.stages.clone();
-                stages.sort_unstable();
-                stages.dedup();
-                build_prefix_tape(net, set, self.batch_size, &stages)
-            })
-        } else {
-            &[][..]
-        };
         let mut stats = ShardRunStats::default();
         let mut advances = 0u64;
         let mut out = Vec::with_capacity(ids.len());
-        // The tape's unperturbed activations entering the current stage.
-        // Only pristine weights feed them, so they stay valid across
-        // perturbation changes.
-        let mut base: Option<&PrefixCache> = None;
+        // Unperturbed activations entering the current stage. Only
+        // pristine weights feed them (an applied outer perturbation sits
+        // at or past that stage), so they stay valid across perturbation
+        // changes and are keyed by stage alone.
+        let mut base: Option<PrefixCache> = None;
         // `base` advanced past the applied outer layer's stage with its
         // perturbation in place; valid only while that stays applied.
         let mut advanced: Option<PrefixCache> = None;
@@ -486,26 +467,36 @@ impl ShardContext {
                 }
             };
             if let Some(stage) = from {
-                if base.is_none_or(|c| c.stage() != stage) {
+                if base.as_ref().is_none_or(|c| c.stage() != stage) {
+                    let _s = telemetry.span_timed(spans.build, &h_build);
                     stats.cache_builds += 1;
-                    base = tape.iter().find(|c| c.stage() == stage);
+                    base = Some(match base.take() {
+                        Some(c) if c.stage() < stage => roll_prefix_cache(net, c, stage),
+                        old => {
+                            drop(old);
+                            build_prefix_cache(net, set, self.batch_size, stage)
+                        }
+                    });
                 }
             }
             if let Some(to) = advance_to {
                 if advanced.as_ref().is_none_or(|c| c.stage() != to) {
                     let _s = telemetry.span(spans.advance);
                     advances += 1;
-                    let src = match &advanced {
-                        Some(c) if c.stage() < to => c,
-                        _ => base.expect("the tape holds every layer's stage"),
-                    };
-                    advanced = Some(advance_prefix_cache(net, src, to));
+                    advanced = Some(match advanced.take() {
+                        Some(c) if c.stage() < to => roll_prefix_cache(net, c, to),
+                        old => {
+                            drop(old);
+                            let base = base.as_ref().expect("stage cache built above");
+                            advance_prefix_cache(net, base, to)
+                        }
+                    });
                 }
             }
             let cache = if advance_to.is_some() {
                 advanced.as_ref()
             } else {
-                from.and(base)
+                from.and(base.as_ref())
             };
             if let Some((j, n)) = probed {
                 net.perturb_weight(j, &tables.deltas[j][n]);

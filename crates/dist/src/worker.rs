@@ -278,11 +278,11 @@ fn lease_loop(
 /// set from a [`JobSpec`] (the CLI passes the pretrained-model loader;
 /// tests and benches pass synthetic builders). It is consulted once per
 /// distinct job spec: repeat specs (ignoring the trace id) reuse the
-/// previous job's context whole, pristine tape included. A new spec
-/// reuses the last job's [`ModelTables`] when they
-/// [fit](ModelTables::fits) the provided network, which holds whenever
-/// the provider hands out clones of one loaded model (as the CLI's does):
-/// then only the set and the per-job fields change between jobs.
+/// previous job's context whole. A new spec reuses the last job's
+/// [`ModelTables`] when they [fit](ModelTables::fits) the provided
+/// network, which holds whenever the provider hands out clones of one
+/// loaded model (as the CLI's does): then only the set and the per-job
+/// fields change between jobs.
 ///
 /// # Errors
 ///
@@ -333,8 +333,6 @@ where
 
     // The last job's reconstruction; a sweep's rounds share one spec.
     let mut cached: Option<(JobSpec, Network, DataSplit, ShardContext)> = None;
-    // The last job's model tables, for the next spec on the same model.
-    let mut warm: Option<Arc<ModelTables>> = None;
     let mut report = WorkerReport::default();
     loop {
         // Await the next job. The pool may sit idle between requests;
@@ -369,6 +367,9 @@ where
         let fresh = !matches!(&cached, Some((k, ..)) if *k == key);
         if fresh {
             let _s = telemetry.span("dist.work.load");
+            // Only the last job's model tables outlive it, for a next
+            // spec on the same model; its network and set go now.
+            let mut warm = cached.take().map(|(.., ctx)| Arc::clone(ctx.tables()));
             let (network, set) = provider(&job).map_err(DistError::Provider)?;
             let bits = BitWidthSet::new(&job.bits);
             let (tables, reused) = ModelTables::reuse_or_build(&mut warm, &network, &bits, scheme);

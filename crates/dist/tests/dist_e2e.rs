@@ -222,7 +222,7 @@ fn distributed_sweep_matches_single_process_bitwise() {
 /// A worker keeps its last job's model tables for the next job on the
 /// same model. One worker sweeps set seeds a, b, a: the second and third
 /// jobs reuse the tables, and every Ω is bitwise the in-process sweep of
-/// its set, so neither tables nor the per-set tape leak between sets.
+/// its set, so nothing derived from one set leaks into another.
 #[test]
 fn one_worker_sweeps_sets_a_b_a_bitwise_like_in_process() {
     let _guard = test_guard();

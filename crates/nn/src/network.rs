@@ -328,19 +328,24 @@ impl Network {
         assert!(found, "quantizable layer {index} not found");
     }
 
-    /// Snapshots all quantizable weights (cheap undo for perturbations).
-    pub fn snapshot_weights(&self) -> Vec<Tensor> {
-        let mut out = Vec::with_capacity(self.quantizable.len());
+    /// Calls `f` on each quantizable weight, in layer order.
+    fn visit_weights(&self, mut f: impl FnMut(&Tensor)) {
         let mut cursor = 0usize;
         let mut qi = 0usize;
         self.root.visit_params_ref("", &mut |_, p| {
             if qi < self.slots.len() && cursor == self.slots[qi] {
-                out.push(p.value.clone());
+                f(&p.value);
                 qi += 1;
             }
             cursor += 1;
         });
-        assert_eq!(out.len(), self.quantizable.len(), "walk covers every slot");
+        assert_eq!(qi, self.quantizable.len(), "walk covers every slot");
+    }
+
+    /// Snapshots all quantizable weights (cheap undo for perturbations).
+    pub fn snapshot_weights(&self) -> Vec<Tensor> {
+        let mut out = Vec::with_capacity(self.quantizable.len());
+        self.visit_weights(|w| out.push(w.clone()));
         out
     }
 
@@ -348,15 +353,7 @@ impl Network {
     /// layer order: equal ids mean bitwise equal weights.
     pub fn weight_ids(&self) -> Vec<u64> {
         let mut out = Vec::with_capacity(self.quantizable.len());
-        let mut cursor = 0usize;
-        let mut qi = 0usize;
-        self.root.visit_params_ref("", &mut |_, p| {
-            if qi < self.slots.len() && cursor == self.slots[qi] {
-                out.push(p.value.id());
-                qi += 1;
-            }
-            cursor += 1;
-        });
+        self.visit_weights(|w| out.push(w.id()));
         out
     }
 

@@ -169,11 +169,6 @@ impl DrainHandle {
         self.flag.store(true, Ordering::SeqCst);
         wake_accept(self.wake);
     }
-
-    /// Whether the drain has been raised.
-    pub fn is_raised(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
-    }
 }
 
 /// Connects to the client listener at `addr` and hangs up at once, which

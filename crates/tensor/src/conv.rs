@@ -633,8 +633,13 @@ mod direct {
     use std::arch::x86_64::*;
     use std::cell::RefCell;
 
-    /// Transposed weights kept per thread, most recently used first.
-    const PACKS: usize = 64;
+    /// Transposed weights kept per thread, most recently used first. A
+    /// sweep's suffix forwards cycle through the direct-path layers
+    /// after the probed one, and each probe adds a perturbed weight seen
+    /// only for a while; on resnet34-mini (8-sample sweep) an LRU of 16
+    /// misses 13% of calls against 12% for 64 and 37% for 8, and holds
+    /// at most 134 KB against 462 KB for 64.
+    const PACKS: usize = 16;
 
     /// One weight tensor transposed to `[cin·k·k][lanes]`.
     struct Pack {
@@ -672,21 +677,17 @@ mod direct {
     }
 
     /// Moves `weight`'s transposed pack to the front of `packs`,
-    /// transposing it first (into the least recently used pack's buffer
-    /// once [`PACKS`] are kept) when no pack has its id and layout.
+    /// transposing it first (and forgetting the least recently used pack
+    /// once [`PACKS`] are kept) when no pack has its id and layout. Each
+    /// pack is sized to its own weight.
     fn pack_to_front(packs: &mut Vec<Pack>, weight: &Tensor, kk: usize, lanes: usize) {
         let key = (weight.id(), kk, lanes);
         let at = match packs.iter().position(|p| (p.id, p.kk, p.lanes) == key) {
             Some(at) => at,
             None => {
-                let mut wt = if packs.len() == PACKS {
-                    packs.pop().map(|p| p.wt).unwrap_or_default()
-                } else {
-                    Vec::new()
-                };
+                packs.truncate(PACKS - 1);
                 // wt[p][oc] = weight[oc][p]; lanes past `cout` stay zero.
-                wt.clear();
-                wt.resize(kk * lanes, 0.0);
+                let mut wt = vec![0.0; kk * lanes];
                 for (oc, row) in weight.data().chunks_exact(kk).enumerate() {
                     for (p, &v) in row.iter().enumerate() {
                         wt[p * lanes + oc] = v;
