@@ -6,8 +6,12 @@
 //! SIGINT exits immediately with the conventional 128+SIGINT status, so an
 //! impatient user is never trapped.
 //!
-//! The handler is registered through a raw `signal(2)` FFI call (the build
-//! environment has no `libc`/`ctrlc` crates) and does only
+//! `clado serve` drains instead ([`install_drain`]): its handler writes
+//! one byte into a self-pipe, and a bridge thread blocked on the pipe's
+//! read end raises the daemon's drain.
+//!
+//! The handlers are registered through a raw `signal(2)` FFI call (the
+//! build environment has no `libc`/`ctrlc` crates) and do only
 //! async-signal-safe work: an atomic swap, `write(2)`, and `_exit(2)`.
 
 use std::sync::atomic::AtomicBool;
@@ -15,7 +19,10 @@ use std::sync::Arc;
 
 #[cfg(unix)]
 mod imp {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::io::Read;
+    use std::os::unix::io::IntoRawFd;
+    use std::os::unix::net::UnixStream;
+    use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
     use std::sync::{Arc, OnceLock};
 
     const SIGINT: i32 = 2;
@@ -25,9 +32,11 @@ mod imp {
     /// The flag shared between the handler and every `SolverConfig`.
     static CANCEL: OnceLock<Arc<AtomicBool>> = OnceLock::new();
 
-    /// The drain flag shared with `clado serve`: SIGTERM or Ctrl-C
-    /// raises it once; a second signal hard-exits.
-    static DRAIN: OnceLock<Arc<AtomicBool>> = OnceLock::new();
+    /// Raised by the first drain signal; a second signal hard-exits.
+    static DRAINING: AtomicBool = AtomicBool::new(false);
+
+    /// The write end of the drain self-pipe (-1 until installed).
+    static DRAIN_PIPE: AtomicI32 = AtomicI32::new(-1);
 
     extern "C" {
         fn signal(signum: i32, handler: usize) -> usize;
@@ -52,17 +61,17 @@ mod imp {
     }
 
     extern "C" fn on_drain(signum: i32) {
-        // First SIGTERM/SIGINT: raise the drain flag; the daemon stops
-        // admitting, finishes in-flight requests, and exits 0. A second
-        // signal aborts immediately with the conventional status.
-        if let Some(flag) = DRAIN.get() {
-            if !flag.swap(true, Ordering::SeqCst) {
-                let msg = b"\ndraining: finishing in-flight requests (signal again to abort)\n";
-                unsafe {
-                    write(STDERR, msg.as_ptr(), msg.len());
-                }
-                return;
+        // First SIGTERM/SIGINT: wake the bridge thread through the pipe;
+        // the daemon stops admitting, finishes in-flight requests, and
+        // exits 0. A second signal aborts immediately with the
+        // conventional status.
+        if !DRAINING.swap(true, Ordering::SeqCst) {
+            let msg = b"\ndraining: finishing in-flight requests (signal again to abort)\n";
+            unsafe {
+                write(STDERR, msg.as_ptr(), msg.len());
+                write(DRAIN_PIPE.load(Ordering::SeqCst), b"!".as_ptr(), 1);
             }
+            return;
         }
         unsafe { _exit(128 + signum) }
     }
@@ -77,15 +86,21 @@ mod imp {
         flag
     }
 
-    pub fn install_drain() -> Arc<AtomicBool> {
-        let flag = DRAIN
-            .get_or_init(|| Arc::new(AtomicBool::new(false)))
-            .clone();
+    pub fn install_drain(bridge: impl FnOnce() + Send + 'static) -> std::io::Result<()> {
+        let (mut read_end, write_end) = UnixStream::pair()?;
+        // The write end lives as long as the process: the handler may
+        // write to it at any time.
+        DRAIN_PIPE.store(write_end.into_raw_fd(), Ordering::SeqCst);
+        std::thread::spawn(move || {
+            if read_end.read_exact(&mut [0u8]).is_ok() {
+                bridge();
+            }
+        });
         unsafe {
             signal(SIGTERM, on_drain as *const () as usize);
             signal(SIGINT, on_drain as *const () as usize);
         }
-        flag
+        Ok(())
     }
 }
 
@@ -99,9 +114,9 @@ mod imp {
         Arc::new(AtomicBool::new(false))
     }
 
-    pub fn install_drain() -> Arc<AtomicBool> {
+    pub fn install_drain(_bridge: impl FnOnce() + Send + 'static) -> std::io::Result<()> {
         // No signal support: the daemon runs until killed.
-        Arc::new(AtomicBool::new(false))
+        Ok(())
     }
 }
 
@@ -111,13 +126,18 @@ pub fn install() -> Arc<AtomicBool> {
     imp::install()
 }
 
-/// Installs the SIGTERM + SIGINT drain handler for `clado serve`
-/// (idempotent) and returns the shared drain flag: the first signal
-/// raises it (graceful drain), the second aborts with `128 + signum`.
-/// Takes over SIGINT from [`install`] — the daemon drains on Ctrl-C
-/// rather than cancelling a single solve.
-pub fn install_drain() -> Arc<AtomicBool> {
-    imp::install_drain()
+/// Installs the SIGTERM + SIGINT drain handler for `clado serve`: the
+/// first signal runs `bridge` on a thread that blocks on the handler's
+/// self-pipe until then (graceful drain), the second aborts with
+/// `128 + signum`. Call it once per process. Takes over SIGINT from
+/// [`install`] — the daemon drains on Ctrl-C rather than cancelling a
+/// single solve.
+///
+/// # Errors
+///
+/// The error of creating the self-pipe.
+pub fn install_drain(bridge: impl FnOnce() + Send + 'static) -> std::io::Result<()> {
+    imp::install_drain(bridge)
 }
 
 #[cfg(all(test, unix))]
@@ -132,13 +152,16 @@ mod tests {
         assert!(!a.load(Ordering::Relaxed));
     }
 
+    /// The first drain signal reaches the bridge through the self-pipe.
     #[test]
-    fn install_drain_is_idempotent_and_distinct_from_cancel() {
-        let cancel = super::install();
-        let a = super::install_drain();
-        let b = super::install_drain();
-        assert!(std::sync::Arc::ptr_eq(&a, &b));
-        assert!(!std::sync::Arc::ptr_eq(&a, &cancel));
-        assert!(!a.load(Ordering::Relaxed));
+    fn a_drain_signal_runs_the_bridge() {
+        extern "C" {
+            fn raise(sig: i32) -> i32;
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        super::install_drain(move || tx.send(()).expect("bridge reports")).expect("install");
+        assert_eq!(unsafe { raise(15) }, 0, "SIGTERM raised");
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the bridge ran");
     }
 }

@@ -1010,6 +1010,12 @@ pub fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
         provider,
         opts,
     )?;
+    // Bridge the signal handler to this server's drain: a handler can
+    // only touch statics, and the server's drain is born with the
+    // server. Installed before the ports are announced, so a script that
+    // signals the daemon once it reads them always gets a drain.
+    let drain = server.drain_handle();
+    crate::cancel::install_drain(move || drain.raise())?;
     let client_addr = server.client_addr();
     let worker_addr = server.worker_addr();
     // Always printed (even under --quiet): with a :0 listen address
@@ -1018,19 +1024,6 @@ pub fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
     println!("serve listening on {client_addr}");
     println!("serve worker port {worker_addr}");
     std::io::stdout().flush()?;
-
-    // Bridge the signal handler's static drain flag to this server's:
-    // a handler can only touch statics, and the server's drain is born
-    // with the server.
-    let drain = server.drain_handle();
-    let sig = crate::cancel::install_drain();
-    std::thread::spawn(move || loop {
-        if sig.load(Ordering::SeqCst) {
-            drain.raise();
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    });
 
     let mut children = Vec::new();
     for _ in 0..workers {

@@ -829,3 +829,49 @@ fn invalid_model_is_reported() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown model"));
 }
+
+/// SIGTERM drains `clado serve` through its signal self-pipe: the daemon
+/// prints its lifetime report and exits 0. The drain handler is in place
+/// by the time the ports are announced, so the signal is sent as soon as
+/// they are read.
+#[cfg(unix)]
+#[test]
+fn serve_drains_on_sigterm_and_exits_zero() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    let mut daemon = clado()
+        .args(["serve", "--listen", "127.0.0.1:0", "--quiet"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("daemon spawns");
+    let mut stdout = BufReader::new(daemon.stdout.take().expect("stdout"));
+    let mut announced = String::new();
+    for _ in 0..2 {
+        stdout.read_line(&mut announced).expect("port announcement");
+    }
+    assert!(announced.contains("serve worker port"), "{announced}");
+    let kill = Command::new("kill")
+        .args(["-s", "TERM", &daemon.id().to_string()])
+        .status()
+        .expect("kill runs");
+    assert!(kill.success());
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let exit = loop {
+        if let Some(exit) = daemon.try_wait().expect("daemon status") {
+            break exit;
+        }
+        if Instant::now() >= deadline {
+            let _ = daemon.kill();
+            panic!("the daemon did not drain within 30 s of SIGTERM");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let (mut report, mut stderr) = (String::new(), String::new());
+    stdout.read_to_string(&mut report).expect("stdout");
+    let mut err = daemon.stderr.take().expect("stderr");
+    err.read_to_string(&mut stderr).expect("stderr");
+    assert!(exit.success(), "exit {exit:?}; stderr:\n{stderr}");
+    assert!(report.contains("serve drained"), "{report}\n{stderr}");
+}

@@ -51,6 +51,7 @@
 
 #![warn(missing_docs)]
 
+mod accept;
 mod error;
 pub mod frame;
 mod pool;
@@ -59,6 +60,7 @@ mod sweep;
 pub mod wire;
 mod worker;
 
+pub use accept::{accept_until, wake_accept};
 pub use error::DistError;
 pub use frame::{FrameError, MAX_PAYLOAD, PROTOCOL_VERSION};
 pub use pool::{

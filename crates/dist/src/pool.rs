@@ -25,7 +25,9 @@
 //!   each `ShardDone` it sends the worker the job's next pending shard,
 //!   or `JobDone` once the job is over. While every remaining shard is
 //!   leased to another worker it waits for a frame or a wake-up — an
-//!   eviction requeued shards, or the job ended. *Any* frame resets the
+//!   eviction requeued shards, or the job ended. A job that ends under a
+//!   held lease (canceled, failed) sends that worker `JobDone` at once,
+//!   and the late `ShardDone` is dropped. *Any* frame resets the
 //!   heartbeat deadline, and workers heartbeat from a side thread while
 //!   they evaluate, so a slow shard never looks like a dead worker.
 //!
@@ -40,15 +42,18 @@
 //! leases can be evicted and reassigned any number of times without
 //! losing or double-counting work.
 
+use crate::accept::{accept_until, wake_accept};
 use crate::error::DistError;
 use crate::frame::{FrameError, PROTOCOL_VERSION};
 use crate::protocol::{self, JobSpec, Message};
-use clado_core::{JournalWriter, ProbeId, ProbeRecord, Records, Round, ShardRunStats, ShardSpec};
-use clado_telemetry::{ManifestValue, Telemetry, TraceEvent};
+use clado_core::{
+    JournalWriter, MeasureError, ProbeId, ProbeRecord, Records, Round, ShardRunStats, ShardSpec,
+};
+use clado_telemetry::{panic_message, ManifestValue, Telemetry, TraceEvent};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -121,7 +126,8 @@ pub enum Fallback<'a> {
 /// How a job runs besides its shards: when it gives up, what runs while
 /// no worker is live, and who hears of its progress.
 pub struct JobControl<'a> {
-    /// Raising this fails the job with [`DistError::Canceled`].
+    /// Raising this fails the job with [`DistError::Canceled`]; call
+    /// [`WorkerPool::notify_cancel`] after raising it.
     pub cancel: &'a AtomicBool,
     /// Past this instant the job fails with
     /// [`DistError::DeadlineExceeded`].
@@ -219,6 +225,9 @@ struct PoolState {
     /// worker id → the wake-up side of its connection's channel, for
     /// currently connected, handshaken workers.
     live_workers: HashMap<u64, SyncSender<Event>>,
+    /// When the last live worker left (the pool's start until one has):
+    /// [`Fallback::Wait`]'s idle limit runs from here.
+    idle_since: Instant,
     /// Workers refused over the pool's lifetime (protocol version or
     /// job fingerprint mismatch).
     rejected: u64,
@@ -276,7 +285,6 @@ impl WorkerPool {
     pub fn bind(addr: &str, opts: PoolOptions) -> Result<Self, DistError> {
         let listener = TcpListener::bind(addr).map_err(DistError::Io)?;
         let addr = listener.local_addr().map_err(DistError::Io)?;
-        listener.set_nonblocking(true).map_err(DistError::Io)?;
         let shared = Arc::new(Shared {
             state: Mutex::new(PoolState {
                 jobs: BTreeMap::new(),
@@ -284,6 +292,7 @@ impl WorkerPool {
                 next_lease: 1,
                 next_span_id: 1,
                 live_workers: HashMap::new(),
+                idle_since: Instant::now(),
                 rejected: 0,
                 connections: 0,
             }),
@@ -297,25 +306,20 @@ impl WorkerPool {
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::spawn(move || {
             let mut next_worker = 0u64;
-            while !accept_shared.shutdown.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let id = next_worker;
-                        next_worker += 1;
-                        let shared = Arc::clone(&accept_shared);
-                        shared.lock().connections += 1;
-                        std::thread::spawn(move || {
-                            serve_conn(stream, id, &shared);
-                            shared.lock().connections -= 1;
-                            shared.cv.notify_all();
-                        });
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
-            }
+            let stop = || accept_shared.shutdown.load(Ordering::SeqCst);
+            // An accept error ends the loop: the pool keeps the workers
+            // it has and takes no more.
+            let _ = accept_until(&listener, stop, |stream| {
+                let id = next_worker;
+                next_worker += 1;
+                let shared = Arc::clone(&accept_shared);
+                shared.lock().connections += 1;
+                std::thread::spawn(move || {
+                    serve_conn(stream, id, &shared);
+                    shared.lock().connections -= 1;
+                    shared.cv.notify_all();
+                });
+            });
         });
         Ok(Self {
             shared,
@@ -340,21 +344,37 @@ impl WorkerPool {
         self.shared.lock().rejected
     }
 
+    /// Wakes every [`WorkerPool::run_job`] waiter to recheck its cancel
+    /// flag; call it after raising a [`JobControl::cancel`]. A waiter
+    /// checks the flag under the pool lock, which this takes before it
+    /// notifies, so a raise never falls between a check and the wait.
+    pub fn notify_cancel(&self) {
+        drop(self.shared.lock());
+        self.shared.cv.notify_all();
+    }
+
     /// Runs one job to completion: registers its shards, lets live
     /// workers lease them, and blocks until every shard is done or the
-    /// job fails under `control`.
+    /// job fails under `control`. The wait ends only on an event — a
+    /// shard done, a worker joining or leaving, a job failing,
+    /// [`WorkerPool::notify_cancel`] — or at the deadline or the idle
+    /// limit, whichever comes first.
     ///
     /// # Errors
     ///
     /// [`DistError::DeadlineExceeded`] / [`DistError::Canceled`] when the
     /// deadline or cancel flag fires first,
     /// [`DistError::RetriesExhausted`] when a shard was evicted past the
-    /// retry cap, [`DistError::Journal`] when a shard commit fails, and
-    /// [`DistError::NoWorkers`] when [`Fallback::Wait`] runs out. Failures
-    /// never tear down the pool.
+    /// retry cap, [`DistError::Journal`] when a shard commit fails,
+    /// [`DistError::NoWorkers`] when [`Fallback::Wait`] runs out, and
+    /// [`DistError::Measure`] ([`MeasureError::WorkerPanic`]) when a
+    /// [`Fallback::Local`] shard panics. Failures never tear down the
+    /// pool.
     pub fn run_job(&self, job: Job, control: &mut JobControl<'_>) -> Result<JobOutcome, DistError> {
         let _span = self.shared.telemetry.span("dist.pool.job");
         let mut reported = job.records.len() as u64;
+        let round: Vec<ShardSpec> = job.shards.iter().map(|&(shard, _)| shard).collect();
+        let posted = Instant::now();
         let job_id = {
             let mut g = self.shared.lock();
             let id = g.next_job;
@@ -364,7 +384,7 @@ impl WorkerPool {
                 JobState {
                     spec: job.spec,
                     total: job.shards.len(),
-                    pending: job.shards.iter().map(|&(shard, _)| shard).collect(),
+                    pending: round.iter().copied().collect(),
                     probes: job.shards.into_iter().collect(),
                     attempts: HashMap::new(),
                     leases: HashMap::new(),
@@ -384,9 +404,18 @@ impl WorkerPool {
         };
         self.shared.telemetry.counter("dist.pool.jobs").incr();
 
-        let mut idle_since = Instant::now();
         let mut g = self.shared.lock();
         loop {
+            // With no live worker, `Fallback::Wait`'s limit runs from when
+            // the last one left, or from the post if that was later. (A
+            // limit too large to add never runs out.)
+            let idle_limit = match &control.fallback {
+                Fallback::Wait(Some(limit)) if g.live_workers.is_empty() => {
+                    let from = g.idle_since.max(posted);
+                    from.checked_add(*limit).map(|at| (*limit, at))
+                }
+                _ => None,
+            };
             let job = g
                 .jobs
                 .get_mut(&job_id)
@@ -401,13 +430,6 @@ impl WorkerPool {
                 g = self.shared.lock();
                 continue;
             }
-            if !g.live_workers.is_empty() {
-                idle_since = Instant::now();
-            }
-            let job = g
-                .jobs
-                .get_mut(&job_id)
-                .expect("a job is removed only by its waiter");
             let failure = if let Some(e) = job.failed.take() {
                 Some(e)
             } else if job.done.len() == job.total {
@@ -431,9 +453,9 @@ impl WorkerPool {
             } else if control.deadline.is_some_and(|d| Instant::now() >= d) {
                 Some(DistError::DeadlineExceeded)
             } else {
-                match &control.fallback {
-                    Fallback::Wait(Some(limit)) if idle_since.elapsed() > *limit => {
-                        Some(DistError::NoWorkers { waited: *limit })
+                match idle_limit {
+                    Some((waited, at)) if Instant::now() >= at => {
+                        Some(DistError::NoWorkers { waited })
                     }
                     _ => None,
                 }
@@ -453,24 +475,46 @@ impl WorkerPool {
                     if let Some(shard) = job.pending.pop_front() {
                         let ids = job.probes[&shard].clone();
                         drop(g);
-                        let (records, stats) = local(&ids);
+                        // A panicking probe fails the job, not the
+                        // caller's thread: the job leaves the pool and the
+                        // caller gets the typed error.
+                        let ran = catch_unwind(AssertUnwindSafe(|| local(&ids)));
                         self.shared
                             .telemetry
                             .counter("dist.pool.local_shards")
                             .incr();
                         g = self.shared.lock();
                         let job = g.jobs.get_mut(&job_id).expect("job present");
-                        integrate_done(job, None, shard, &records, &stats);
+                        match ran {
+                            Ok((records, stats)) => {
+                                integrate_done(job, None, shard, &records, &stats);
+                            }
+                            Err(payload) => {
+                                let item = round.iter().position(|&s| s == shard);
+                                let panicked = MeasureError::WorkerPanic {
+                                    item: item.expect("a leased shard is in its round"),
+                                    message: panic_message(&*payload),
+                                };
+                                job.failed.get_or_insert(DistError::Measure(panicked));
+                            }
+                        }
                         continue;
                     }
                 }
             }
-            let (guard, _timeout) = self
-                .shared
-                .cv
-                .wait_timeout(g, Duration::from_millis(50))
-                .unwrap_or_else(|p| p.into_inner());
-            g = guard;
+            let wake_at = idle_limit
+                .map(|(_, at)| at)
+                .into_iter()
+                .chain(control.deadline)
+                .min();
+            g = match wake_at {
+                Some(at) => {
+                    let left = at.saturating_duration_since(Instant::now());
+                    let waited = self.shared.cv.wait_timeout(g, left);
+                    waited.unwrap_or_else(|p| p.into_inner()).0
+                }
+                None => self.shared.cv.wait(g).unwrap_or_else(|p| p.into_inner()),
+            };
         }
     }
 
@@ -479,6 +523,7 @@ impl WorkerPool {
     /// Workers mid-lease finish naturally once their jobs are removed.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        wake_accept(self.addr);
         self.shared.lock().wake_all();
         if let Some(handle) = self.accept.lock().unwrap_or_else(|p| p.into_inner()).take() {
             let _ = handle.join();
@@ -576,7 +621,9 @@ fn evict_worker(g: &mut PoolState, worker: u64, shard_retries: u32) -> u64 {
             job.pending.push_front(shard);
         }
     }
-    g.live_workers.remove(&worker);
+    if g.live_workers.remove(&worker).is_some() && g.live_workers.is_empty() {
+        g.idle_since = Instant::now();
+    }
     if evicted > 0 {
         g.wake_all();
     }
@@ -594,15 +641,24 @@ fn pick_job(g: &PoolState) -> Option<(u64, JobSpec)> {
         .map(|(&id, job)| (id, job.spec.clone()))
 }
 
-/// What to push to a worker on `job_id` that holds no lease: the next
-/// pending shard's `Lease`, `JobDone` once the job is over or gone, or
-/// `None` while every remaining shard is leased to another worker.
-fn next_lease(shared: &Shared, job_id: u64, worker: u64, traced: bool) -> Option<Message> {
+/// What to push to a worker on `job_id`: `JobDone` once the job is over
+/// or gone; else, unless the worker is `holding` a lease, the next
+/// pending shard's `Lease`; `None` while there is nothing to send.
+fn next_lease(
+    shared: &Shared,
+    job_id: u64,
+    worker: u64,
+    traced: bool,
+    holding: bool,
+) -> Option<Message> {
     let mut guard = shared.lock();
     let g = &mut *guard;
     let Some(job) = g.jobs.get_mut(&job_id).filter(|job| job.open()) else {
         return Some(Message::JobDone);
     };
+    if holding {
+        return None;
+    }
     let shard = job.pending.pop_front()?;
     let lease = g.next_lease;
     g.next_lease += 1;
@@ -863,11 +919,13 @@ fn drive_worker(
 
         // Lease loop. A worker that holds no lease is sent the next one,
         // or `JobDone` once the job is over; with nothing leasable yet
-        // the thread waits for a frame or a wake-up.
-        let mut holding = false;
+        // the thread waits for a frame or a wake-up. A worker whose job
+        // ends (canceled, failed) under its lease is sent `JobDone` at
+        // once, and its late `ShardDone` ends the loop.
+        let (mut holding, mut over) = (false, false);
         loop {
-            if !holding {
-                if let Some(msg) = next_lease(shared, job_id, id, traced) {
+            if !over {
+                if let Some(msg) = next_lease(shared, job_id, id, traced, holding) {
                     if let Message::Lease {
                         lease,
                         span_id,
@@ -888,10 +946,11 @@ fn drive_worker(
                     if protocol::send(&mut s, &msg).is_err() {
                         return ConnEnd::Lost;
                     }
-                    if matches!(msg, Message::JobDone) {
-                        break; // back to the idle phase
+                    match msg {
+                        Message::JobDone if !holding => break, // back to idle
+                        Message::JobDone => over = true,
+                        _ => holding = true,
                     }
-                    holding = true;
                 }
             }
             let msg = match inbox.next() {
@@ -942,6 +1001,9 @@ fn drive_worker(
                     drop(g);
                     shared.cv.notify_all();
                     telemetry.counter("dist.pool.shards_completed").incr();
+                    if over {
+                        break;
+                    }
                     holding = false;
                 }
                 _ => return ConnEnd::ProtocolError,
@@ -1012,6 +1074,7 @@ mod tests {
             next_lease: 2,
             next_span_id: 1,
             live_workers: HashMap::from([(7, mpsc::sync_channel(1).0), (9, wake)]),
+            idle_since: Instant::now(),
             rejected: 0,
             connections: 0,
         };
@@ -1038,7 +1101,7 @@ mod tests {
         // leasable at once.
         assert!(matches!(woken.try_recv(), Ok(Event::Wake)));
         assert!(matches!(
-            next_lease(&shared, 1, 9, false),
+            next_lease(&shared, 1, 9, false, false),
             Some(Message::Lease {
                 lease: 2,
                 shard: ShardSpec::Base,
@@ -1053,6 +1116,9 @@ mod tests {
             &shared.lock().jobs[&1].failed,
             Some(DistError::RetriesExhausted(d)) if d.contains("retry cap")
         ));
-        assert_eq!(next_lease(&shared, 1, 9, false), Some(Message::JobDone));
+        assert_eq!(
+            next_lease(&shared, 1, 9, false, true),
+            Some(Message::JobDone)
+        );
     }
 }

@@ -2,9 +2,10 @@
 //! loopback TCP: bitwise parity with the single-process engine, lease
 //! eviction for dead and hung workers, fingerprint/version rejection,
 //! malformed-frame robustness (during the handshake and while idle),
-//! pushed leases and `JobDone`, prompt job dispatch and worker exit, and
-//! crash-safe resume (including journal interop with the single-process
-//! engine).
+//! pushed leases and `JobDone`, prompt job dispatch and worker exit,
+//! jobs that end at their deadline, idle limit or cancel with no timer
+//! tick, and crash-safe resume (including journal interop with the
+//! single-process engine).
 //!
 //! Every test takes the fault-injection `test_guard`, which serializes
 //! the suite: the fault registry is process-global, so a fault armed
@@ -15,8 +16,8 @@ use clado_core::{
     ProbeId, SensitivityMatrix, SensitivityOptions, ShardContext, ShardSpec,
 };
 use clado_dist::{
-    protocol, run_sweep, run_worker, DistError, DistOutcome, Job, JobControl, JobSpec, Message,
-    PoolOptions, WorkerOptions, WorkerPool,
+    protocol, run_sweep, run_worker, DistError, DistOutcome, Fallback, Job, JobControl, JobSpec,
+    Message, PoolOptions, WorkerOptions, WorkerPool,
 };
 use clado_models::{DataSplit, SynthVision, SynthVisionConfig};
 use clado_nn::Network;
@@ -27,6 +28,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 fn setup() -> (Network, DataSplit) {
@@ -887,6 +889,119 @@ fn worker_exits_promptly_when_the_pool_shuts_down() {
     assert!(
         took < Duration::from_millis(200),
         "the worker took {took:?} to exit after Shutdown"
+    );
+}
+
+/// With no worker, `run_job` ends at the instant that ends it — a 10 ms
+/// deadline, a 20 ms idle limit, a cancel raised at +10 ms — and not at
+/// the next tick of a timer: the median of 5 runs of each lands less
+/// than 15 ms late.
+#[test]
+fn a_job_ends_at_its_deadline_idle_limit_or_cancel() {
+    let _guard = test_guard();
+    let pool = bind(PoolOptions::default());
+    let ms = Duration::from_millis;
+    for case in ["deadline", "idle limit", "cancel"] {
+        let mut late = Vec::new();
+        for _ in 0..5 {
+            let cancel = AtomicBool::new(false);
+            let posted = Instant::now();
+            let mut control = JobControl {
+                cancel: &cancel,
+                deadline: None,
+                fallback: Fallback::Wait(None),
+                progress: Box::new(|_| {}),
+            };
+            let (result, due) = std::thread::scope(|scope| {
+                let raised = match case {
+                    "deadline" => {
+                        control.deadline = Some(posted + ms(10));
+                        None
+                    }
+                    "idle limit" => {
+                        control.fallback = Fallback::Wait(Some(ms(20)));
+                        None
+                    }
+                    _ => Some(scope.spawn(|| {
+                        std::thread::sleep(ms(10));
+                        let raised = Instant::now();
+                        cancel.store(true, Ordering::SeqCst);
+                        pool.notify_cancel();
+                        raised
+                    })),
+                };
+                let result = pool.run_job(base_job(1), &mut control);
+                let due = match (raised, case) {
+                    (Some(raiser), _) => raiser.join().expect("cancel thread"),
+                    (None, "deadline") => posted + ms(10),
+                    (None, _) => posted + ms(20),
+                };
+                (result, due)
+            });
+            let ended = Instant::now();
+            match (case, &result) {
+                ("deadline", Err(DistError::DeadlineExceeded))
+                | ("idle limit", Err(DistError::NoWorkers { .. }))
+                | ("cancel", Err(DistError::Canceled)) => {}
+                _ => panic!("{case}: unexpected outcome {:?}", result.err()),
+            }
+            assert!(ended >= due, "{case}: the job ended before its instant");
+            late.push(ended.duration_since(due));
+        }
+        late.sort();
+        assert!(
+            late[2] < ms(15),
+            "{case}: median {:?} past its instant (all: {late:?})",
+            late[2]
+        );
+    }
+    pool.shutdown();
+}
+
+/// `Fallback::Wait`'s idle limit runs from when the last live worker
+/// left, not from the job's post: a worker that holds its lease past the
+/// limit, heartbeating, and then dies leaves the job the whole limit to
+/// find another worker before it fails with `NoWorkers`.
+#[test]
+fn the_idle_limit_runs_from_when_the_last_worker_left() {
+    let _guard = test_guard();
+    let (net, set) = setup();
+    let fp = context(&net, &set).fingerprint();
+    let pool = bind(PoolOptions {
+        heartbeat_timeout: Duration::from_secs(10),
+        ..Default::default()
+    });
+    let addr = pool.worker_addr().to_string();
+    let limit = Duration::from_millis(300);
+    let (result, after_drop) = std::thread::scope(|scope| {
+        let running = scope.spawn(|| {
+            let result = pool.run_job(base_job(fp), &mut JobControl::wait(Some(limit)));
+            (result, Instant::now())
+        });
+        let stream = raw_ready(&addr, fp, 8, Duration::from_secs(2));
+        let mut s = &stream;
+        let Message::Lease { lease, .. } = protocol::recv(&mut s).expect("a pushed lease") else {
+            panic!("expected a lease");
+        };
+        // Hold the lease for twice the limit, heartbeating, then die.
+        for _ in 0..6 {
+            std::thread::sleep(limit / 3);
+            protocol::send(&mut s, &Message::Heartbeat { lease }).expect("heartbeat");
+        }
+        let dropped = Instant::now();
+        drop(stream);
+        let (result, ended) = running.join().expect("job thread");
+        (result, ended.duration_since(dropped))
+    });
+    pool.shutdown();
+    assert!(
+        matches!(result, Err(DistError::NoWorkers { waited }) if waited == limit),
+        "expected NoWorkers, got {:?}",
+        result.err()
+    );
+    assert!(
+        after_drop >= limit && after_drop < limit + Duration::from_secs(2),
+        "NoWorkers {after_drop:?} after the last worker left (limit {limit:?})"
     );
 }
 

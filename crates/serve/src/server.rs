@@ -40,7 +40,8 @@ use clado_core::{
     ShardContext,
 };
 use clado_dist::{
-    run_sweep, scheme_from_u8, DistError, Fallback, JobControl, JobSpec, PoolOptions, WorkerPool,
+    accept_until, run_sweep, scheme_from_u8, wake_accept, DistError, Fallback, JobControl, JobSpec,
+    PoolOptions, WorkerPool,
 };
 use clado_estim::{EstimationPlan, GridEstimation, DEFAULT_ESTIMATOR_SEED};
 use clado_models::DataSplit;
@@ -49,8 +50,8 @@ use clado_quant::{BitWidthSet, LayerSizes};
 use clado_solver::SolverConfig;
 use clado_telemetry::Telemetry;
 use std::collections::VecDeque;
-use std::io::{self, Read};
-use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::Read;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -157,7 +158,7 @@ struct Queued {
 #[derive(Debug, Clone)]
 pub struct DrainHandle {
     flag: Arc<AtomicBool>,
-    /// The client listener, reachable from this host.
+    /// The client listener's address.
     wake: SocketAddr,
 }
 
@@ -171,21 +172,11 @@ impl DrainHandle {
     }
 }
 
-/// Connects to the client listener at `addr` and hangs up at once, which
-/// returns a blocked `accept` so the accept loop rechecks the drain. The
-/// connection reads as a client that sent nothing, which admission
-/// ignores.
-fn wake_accept(addr: SocketAddr) {
-    let _ = TcpStream::connect(addr);
-}
-
 struct Inner {
     queue: Mutex<VecDeque<Queued>>,
     cv: Condvar,
     drain: Arc<AtomicBool>,
-    /// The client listener's address as this host reaches it, for
-    /// [`wake_accept`].
-    wake: SocketAddr,
+    client_addr: SocketAddr,
     busy: AtomicUsize,
     next_request: AtomicU64,
     /// EWMA of observed request service times, µs (admission estimator).
@@ -214,7 +205,6 @@ struct Inner {
 /// drain flag is raised and every admitted request has been answered.
 pub struct Server {
     listener: TcpListener,
-    client_addr: SocketAddr,
     inner: Arc<Inner>,
 }
 
@@ -233,13 +223,6 @@ impl Server {
     ) -> Result<Self, ServeError> {
         let listener = TcpListener::bind(client_addr)?;
         let client_addr = listener.local_addr()?;
-        let mut wake = client_addr;
-        if wake.ip().is_unspecified() {
-            wake.set_ip(match wake {
-                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
-                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
-            });
-        }
         let pool = WorkerPool::bind(
             worker_addr,
             PoolOptions {
@@ -286,7 +269,7 @@ impl Server {
             queue: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
             drain: Arc::new(AtomicBool::new(false)),
-            wake,
+            client_addr,
             busy: AtomicUsize::new(0),
             next_request: AtomicU64::new(1),
             ewma_us: Mutex::new(None),
@@ -307,16 +290,12 @@ impl Server {
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
         });
-        Ok(Self {
-            listener,
-            client_addr,
-            inner,
-        })
+        Ok(Self { listener, inner })
     }
 
     /// The address clients should submit to.
     pub fn client_addr(&self) -> SocketAddr {
-        self.client_addr
+        self.inner.client_addr
     }
 
     /// The address pooled workers should connect to.
@@ -335,7 +314,7 @@ impl Server {
     pub fn drain_handle(&self) -> DrainHandle {
         DrainHandle {
             flag: Arc::clone(&self.inner.drain),
-            wake: self.inner.wake,
+            wake: self.inner.client_addr,
         }
     }
 
@@ -361,16 +340,14 @@ impl Server {
         // and so does the executor that finishes the last admitted
         // request of a drain; meanwhile late submitters keep getting the
         // typed Draining rejection.
-        while !drained(inner) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let inner = Arc::clone(inner);
-                    std::thread::spawn(move || admit_client(stream, &inner));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(ServeError::Io(e)),
-            }
-        }
+        accept_until(
+            &self.listener,
+            || drained(inner),
+            |stream| {
+                let inner = Arc::clone(inner);
+                std::thread::spawn(move || admit_client(stream, &inner));
+            },
+        )?;
 
         inner.cv.notify_all();
         for h in executors {
@@ -588,14 +565,14 @@ fn admit_client(stream: TcpStream, inner: &Arc<Inner>) {
             )
             .is_err()
             {
-                cancel.store(true, Ordering::SeqCst);
+                cancel_request(inner, &cancel);
                 // Unblock an executor that may already be waiting to
                 // write the response.
                 mark_accepted_sent(inner, &accepted_sent);
                 return;
             }
             mark_accepted_sent(inner, &accepted_sent);
-            watch_disconnect(&stream, &cancel);
+            watch_disconnect(inner, &stream, &cancel);
         }
     }
 }
@@ -637,13 +614,20 @@ fn deadline_infeasible(inner: &Inner, queued: usize, deadline_ms: u64) -> Option
 /// its reply, when the cancel flag no longer matters. The read side of
 /// the connection is dedicated to this; the executor writes the response
 /// on its own clone.
-fn watch_disconnect(stream: &TcpStream, cancel: &AtomicBool) {
+fn watch_disconnect(inner: &Inner, stream: &TcpStream, cancel: &AtomicBool) {
     let _ = stream.set_read_timeout(None);
     let mut r = stream;
     let mut scratch = [0u8; 64];
     // Stray bytes are read and ignored: the protocol sends nothing here.
     while matches!(r.read(&mut scratch), Ok(n) if n > 0) {}
+    cancel_request(inner, cancel);
+}
+
+/// Raises a request's cancel flag and wakes the pool's job waiters, so a
+/// measurement in flight ends now rather than at its next event.
+fn cancel_request(inner: &Inner, cancel: &AtomicBool) {
     cancel.store(true, Ordering::SeqCst);
+    inner.pool.notify_cancel();
 }
 
 /// One executor: pop → process → respond, until drained.
@@ -659,14 +643,14 @@ fn executor_loop(inner: &Arc<Inner>) {
                         .set_gauge("serve.queue_depth", q.len() as f64);
                     break Some(item);
                 }
+                // `Server::run` notifies once `drained` has seen the raised
+                // drain and then taken this lock, so an executor either
+                // sees the flag here or is already waiting for that
+                // notify: the wait needs no timeout.
                 if inner.drain.load(Ordering::SeqCst) {
                     break None;
                 }
-                let (guard, _t) = inner
-                    .cv
-                    .wait_timeout(q, Duration::from_millis(100))
-                    .unwrap_or_else(|p| p.into_inner());
-                q = guard;
+                q = inner.cv.wait(q).unwrap_or_else(|p| p.into_inner());
             }
         };
         let Some(item) = item else { return };
@@ -714,7 +698,7 @@ fn executor_loop(inner: &Arc<Inner>) {
         inner.busy.fetch_sub(1, Ordering::SeqCst);
         inner.cv.notify_all();
         if drained(inner) {
-            wake_accept(inner.wake);
+            wake_accept(inner.client_addr);
         }
     }
 }

@@ -2,8 +2,9 @@
 //! loopback TCP: Ω-cache hits are bitwise identical with zero probe
 //! evaluations, overload and infeasible deadlines shed with *typed*
 //! rejections (never timeouts or crashes), a worker killed mid-request
-//! costs a retry but not the request, and a drain under load finishes
-//! in-flight work while refusing late submitters.
+//! costs a retry but not the request, a client that hangs up mid-measure
+//! or a probe that panics fails its request typed, and a drain under load
+//! finishes in-flight work while refusing late submitters.
 //!
 //! Every test takes the fault-injection `test_guard`, which serializes
 //! the suite: the fault registry is process-global, so a fault armed
@@ -12,7 +13,7 @@
 use clado_core::{
     measure_sensitivities, sensitivities_from_bytes, SensitivityMatrix, SensitivityOptions,
 };
-use clado_dist::{run_worker, WorkerOptions};
+use clado_dist::{protocol as wire, run_worker, Message, WorkerOptions, PROTOCOL_VERSION};
 use clado_models::{DataSplit, SynthVision, SynthVisionConfig};
 use clado_nn::Network;
 use clado_quant::BitWidthSet;
@@ -967,6 +968,117 @@ fn drain_under_load_finishes_inflight_work_and_refuses_late_submitters() {
     assert_eq!(report.completed, 1);
     assert_eq!(report.failed, 0);
     assert_eq!(report.shed_draining, 1);
+}
+
+/// Joins the daemon's thread, failing the test if the drain has not
+/// returned within `within`.
+fn join_within(
+    handle: std::thread::JoinHandle<Result<ServeReport, ServeError>>,
+    within: Duration,
+) -> ServeReport {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(handle.join()));
+    rx.recv_timeout(within)
+        .expect("the drain returns")
+        .expect("server thread")
+        .expect("clean drain")
+}
+
+/// A probe that panics on the daemon's local takeover (no pooled worker)
+/// fails its request with a typed `Internal`, and the drain still
+/// returns: the panic neither kills the executor nor strands the job.
+#[cfg(debug_assertions)]
+#[test]
+fn a_panicking_local_probe_fails_the_request_typed_and_the_drain_returns() {
+    let _guard = test_guard();
+    let (net, set) = setup();
+    faultinject::arm("measure.probe_panic", FaultSpec::panic().times(1));
+    let (addr, _w, drain, handle) = start(provider_of(&net, &set), ServeOptions::default());
+    let outcome = submit(
+        &addr,
+        &measure_request(spec()),
+        Some(Duration::from_secs(10)),
+    )
+    .expect("a typed reply, not a hang");
+    match outcome.response {
+        ServeMessage::Failed { kind, detail, .. } => {
+            assert_eq!(kind, FailKind::Internal, "{detail}");
+            assert!(detail.contains("panicked"), "{detail}");
+        }
+        other => panic!("expected Failed, got kind {}", other.kind()),
+    }
+    drain.raise();
+    let report = join_within(handle, Duration::from_secs(10));
+    assert_eq!(report.failed, 1, "{report:?}");
+    assert_eq!(report.completed, 0, "{report:?}");
+}
+
+/// A client that hangs up while a pooled worker holds its request's only
+/// lease cancels the request at once: the daemon counts it failed,
+/// removes the job (the worker is sent `JobDone` although it never
+/// answered), and drains.
+#[test]
+fn a_client_hang_up_mid_measure_cancels_the_pooled_job() {
+    let _guard = test_guard();
+    let (net, set) = setup();
+    let telemetry = Telemetry::new();
+    let (addr, worker_addr, drain, handle) = start(
+        provider_of(&net, &set),
+        ServeOptions {
+            heartbeat_timeout: Duration::from_secs(10),
+            telemetry: telemetry.clone(),
+            ..ServeOptions::default()
+        },
+    );
+    // A fake worker that echoes the job's fingerprint, takes a lease and
+    // never answers it.
+    let worker = std::net::TcpStream::connect(&worker_addr).expect("worker connect");
+    worker
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut w = &worker;
+    let hello = Message::Hello {
+        protocol: PROTOCOL_VERSION,
+        pid: 1,
+    };
+    wire::send(&mut w, &hello).expect("hello");
+    // Live before the request arrives, so the job goes to the pool rather
+    // than to local takeover.
+    let live_deadline = Instant::now() + Duration::from_secs(10);
+    while telemetry.counter_value("dist.pool.workers_connected") < 1 {
+        assert!(Instant::now() < live_deadline, "the fake worker goes live");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let client = std::net::TcpStream::connect(&addr).expect("client connect");
+    let mut c = &client;
+    clado_serve::protocol::send(&mut c, &ServeMessage::Submit(measure_request(spec())))
+        .expect("submit");
+    assert!(matches!(
+        clado_serve::protocol::recv(&mut c),
+        Ok(ServeMessage::Accepted { .. })
+    ));
+    let Ok(Message::Job(job)) = wire::recv(&mut w) else {
+        panic!("expected the job");
+    };
+    let ready = Message::Ready {
+        fingerprint: job.fingerprint,
+        clock_us: 0,
+    };
+    wire::send(&mut w, &ready).expect("ready");
+    let Ok(Message::Lease { .. }) = wire::recv(&mut w) else {
+        panic!("expected a lease");
+    };
+
+    drop(client);
+    let after = wire::recv(&mut w).expect("a frame before the read timeout");
+    assert_eq!(after, Message::JobDone, "the canceled job is over");
+    drop(worker);
+
+    drain.raise();
+    let report = join_within(handle, Duration::from_secs(10));
+    assert_eq!(report.failed, 1, "{report:?}");
+    assert_eq!(report.completed, 0, "{report:?}");
 }
 
 /// A unique scratch directory for persistent-cache tests.
