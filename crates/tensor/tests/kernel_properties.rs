@@ -329,9 +329,62 @@ const EDGE_CONVS: &[(&str, usize, usize, usize, usize, usize, usize)] = &[
     ("k 5 stride 2", 6, 16, 5, 2, 2, 9),
 ];
 
-/// Runs one geometry at batch `n` both ways, requires equal bits (within
-/// rounding on the fused width-4 branch), and returns the path the
-/// dispatcher took with the reference output.
+/// The fused kernel's chain for every output element of a
+/// `[n, cin, h, w]` input: from +0 over the `(c, ky, kx)` taps of its
+/// group in ascending order, padded taps included, each tap either fused
+/// (`w·x + acc` rounded once) or multiplied then added; the bias is added
+/// last, as `conv2d_forward` does.
+fn chain_reference(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    spec: &Conv2dSpec,
+    fused: bool,
+) -> Vec<f32> {
+    let d = input.shape().dims().to_vec();
+    let (n, cin, h, w) = (d[0], d[1], d[2], d[3]);
+    let (k, pad, cout) = (spec.kernel, spec.padding, spec.out_channels);
+    let (cg, cg_out) = (cin / spec.groups, cout / spec.groups);
+    let (ho, wo) = (spec.out_size(h), spec.out_size(w));
+    let (x, wt) = (input.data(), weight.data());
+    let mut out = Vec::with_capacity(n * cout * ho * wo);
+    for s in 0..n {
+        for oc in 0..cout {
+            let c0 = oc / cg_out * cg;
+            for oy in 0..ho {
+                for ox in 0..wo {
+                    let mut acc = 0.0f32;
+                    for c in 0..cg {
+                        for ky in 0..k {
+                            for kx in 0..k {
+                                let iy = (oy * spec.stride + ky) as isize - pad as isize;
+                                let ix = (ox * spec.stride + kx) as isize - pad as isize;
+                                let xv = if iy < 0 || ix < 0 || iy >= h as isize || ix >= w as isize
+                                {
+                                    0.0
+                                } else {
+                                    x[((s * cin + c0 + c) * h + iy as usize) * w + ix as usize]
+                                };
+                                let wv = wt[((oc * cg + c) * k + ky) * k + kx];
+                                acc = if fused { wv.mul_add(xv, acc) } else { acc + wv * xv };
+                            }
+                        }
+                    }
+                    if let Some(b) = bias {
+                        acc += b.data()[oc];
+                    }
+                    out.push(acc);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Runs one geometry at batch `n` both ways, requires equal bits (the
+/// fused width-4 branch against [`chain_reference`]'s multiply-then-add
+/// chain, every other path against im2col), and returns the path the
+/// dispatcher took with the im2col output.
 fn dispatched_equals_im2col(
     label: &str,
     (cin, cout, k, stride, pad, hw): (usize, usize, usize, usize, usize, usize),
@@ -347,26 +400,28 @@ fn dispatched_equals_im2col(
     let got = conv2d_forward(&input, &weight, bias.as_ref(), &spec);
     let want = conv2d_forward_im2col(&input, &weight, bias.as_ref(), &spec);
     let path = conv2d_path(&spec, n, hw, hw);
+    assert_eq!(got.shape(), want.shape());
     // The fused kernel's width-4 branch multiplies and adds instead of
     // fusing them: the one AVX2 conv whose arithmetic is not the GEMM's.
-    let exact = !(path == ConvPath::Fused && spec.out_size(hw) == 4);
-    assert_eq!(got.shape(), want.shape());
-    for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
-        assert!(
-            if exact {
-                g.to_bits() == w.to_bits()
-            } else {
-                (g - w).abs() <= 1e-5 * w.abs().max(1.0)
-            },
-            "{label} {spec:?} batch {n} on {path:?}: element {i} is {g:e}, im2col gives {w:e}"
+    let (reference, name) = if path == ConvPath::Fused && spec.out_size(hw) == 4 {
+        let chain = chain_reference(&input, &weight, bias.as_ref(), &spec, false);
+        (chain, "the multiply-then-add chain")
+    } else {
+        (want.data().to_vec(), "im2col")
+    };
+    for (i, (g, w)) in got.data().iter().zip(&reference).enumerate() {
+        assert_eq!(
+            g.to_bits(),
+            w.to_bits(),
+            "{label} {spec:?} batch {n} on {path:?}: element {i} is {g:e}, {name} gives {w:e}"
         );
     }
     (path, want)
 }
 
 /// `conv2d_forward` equals the im2col + `sgemm_overwrite` reference bit
-/// for bit on every dense zoo geometry and the edge geometries (except on
-/// the fused kernel's width-4 branch, which rounds differently), at batch
+/// for bit on every dense zoo geometry and the edge geometries (the fused
+/// kernel's width-4 branch equals its multiply-then-add chain), at batch
 /// sizes on both sides of the GEMM's scalar threshold. On AVX2 it also
 /// pins which geometries take the direct path; elsewhere the dispatcher
 /// has no direct path and the test says which fallback it compared.
@@ -429,6 +484,75 @@ fn dense_conv_forward_equals_im2col_reference_bitwise() {
         census[ConvPath::Direct as usize],
         census[ConvPath::Im2col as usize]
     );
+}
+
+/// Fused-path geometries `(label, cin, cout, k, padding, groups, h, w)`,
+/// all stride 1: output channels 1–13 at widths 4, 8 and 16 (every
+/// split into channel passes), width-4 maps of 2 and 6 rows, 1×1 and 5×5
+/// kernels, and grouped and depthwise width-4 convs.
+fn fused_geometries() -> Vec<(String, [usize; 7])> {
+    let mut out = Vec::new();
+    for side in [4, 8, 16] {
+        for cout in 1..=13 {
+            out.push((format!("{side}x{side} cout {cout}"), [3, cout, 3, 1, 1, side, side]));
+        }
+    }
+    for (label, g) in [
+        ("6x4 map", [12, 12, 3, 1, 1, 6, 4]),
+        ("2x4 map", [5, 7, 3, 1, 1, 2, 4]),
+        ("1x1 on 4x4", [12, 7, 1, 0, 1, 4, 4]),
+        ("5x5 on 4x4", [4, 6, 5, 2, 1, 4, 4]),
+        ("groups 3 on 4x4", [12, 12, 3, 1, 3, 4, 4]),
+        ("groups 2 on 6x4", [8, 12, 3, 1, 2, 6, 4]),
+        ("depthwise on 4x4", [12, 12, 3, 1, 12, 4, 4]),
+        ("depthwise x2 on 4x4", [6, 12, 3, 1, 6, 4, 4]),
+    ] {
+        out.push((label.to_string(), g));
+    }
+    out
+}
+
+/// Every fused-path output is exactly its chain: fused multiply-adds at
+/// widths 8 and 16, multiply-then-add at width 4, at batch 1, 3, 8, 16
+/// and 64. On a backend without the fused kernel the test says which
+/// path it compared instead.
+#[test]
+fn fused_conv_equals_its_chain_bitwise() {
+    let mut fused = 0;
+    for (i, (label, [cin, cout, k, pad, groups, h, w])) in
+        fused_geometries().into_iter().enumerate()
+    {
+        let spec = Conv2dSpec::new(cin, cout, k, 1, pad).with_groups(groups);
+        let wo = spec.out_size(w);
+        for n in [1, 3, 8, 16, 64] {
+            let seed = (i * 100 + n) as u64;
+            let input = Tensor::from_vec([n, cin, h, w], fill(n * cin * h * w, seed)).unwrap();
+            let weight =
+                Tensor::from_vec(spec.weight_shape(), fill(spec.weight_numel(), seed + 1)).unwrap();
+            let bias = Tensor::from_vec([cout], fill(cout, seed + 2)).unwrap();
+            let got = conv2d_forward(&input, &weight, Some(&bias), &spec);
+            let path = conv2d_path(&spec, n, h, w);
+            let want = if path == ConvPath::Fused {
+                fused += 1;
+                chain_reference(&input, &weight, Some(&bias), &spec, wo != 4)
+            } else {
+                assert_ne!(active_backend(), Backend::Avx2Fma, "{label}: not fused");
+                conv2d_forward_im2col(&input, &weight, Some(&bias), &spec)
+                    .data()
+                    .to_vec()
+            };
+            for (j, (g, r)) in got.data().iter().zip(&want).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    r.to_bits(),
+                    "{label} {spec:?} batch {n} on {path:?}: element {j} is {g:e}, reference {r:e}"
+                );
+            }
+        }
+    }
+    if fused == 0 {
+        eprintln!("no fused kernel on this backend: every run compared the im2col path");
+    }
 }
 
 /// The direct kernel keeps transposed weights keyed by content id. A
