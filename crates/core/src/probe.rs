@@ -86,13 +86,31 @@ pub fn advance_prefix_cache(
     cache: &PrefixCache,
     to_stage: usize,
 ) -> PrefixCache {
-    roll_prefix_cache(network, cache.clone(), to_stage)
+    assert!(
+        to_stage >= cache.stage,
+        "cannot rewind a prefix cache ({} -> {to_stage})",
+        cache.stage
+    );
+    let batches = cache
+        .batches
+        .iter()
+        .map(|(x, labels)| {
+            (
+                network.infer_range(cache.stage, to_stage, x),
+                labels.clone(),
+            )
+        })
+        .collect();
+    PrefixCache {
+        stage: to_stage,
+        batches,
+        total: cache.total,
+    }
 }
 
 /// [`advance_prefix_cache`] for a cache that is not needed afterwards:
-/// each batch's activation moves through the stages instead of being
-/// copied first, so the old and the new cache are never held whole at
-/// once.
+/// each batch's activation moves through the stages, so the old and the
+/// new cache are never held whole at once.
 pub(crate) fn roll_prefix_cache(
     network: &mut Network,
     cache: PrefixCache,
@@ -125,7 +143,7 @@ pub fn eval_loss_from(network: &mut Network, cache: &PrefixCache) -> f64 {
     let mut loss_weighted = 0.0f64;
     for (x, labels) in &cache.batches {
         let n = labels.len() as f64;
-        let logits = network.forward_from(cache.stage, x.clone(), false);
+        let logits = network.infer_from(cache.stage, x);
         loss_weighted += clado_nn::cross_entropy_loss(&logits, labels) * n;
     }
     loss_weighted / cache.total as f64

@@ -51,15 +51,18 @@ impl Layer for ResidualBlock {
         out
     }
 
-    /// The sum and the post-activation are done in place in the main
-    /// branch's output.
     fn infer(&self, x: Tensor) -> Tensor {
-        let mut out = self.main.infer(x.clone());
-        let short = match &self.shortcut {
-            Some(s) => s.infer(x),
-            None => x,
-        };
-        out += &short;
+        self.infer_ref(&x)
+    }
+
+    /// Both branches read `x` borrowed; the sum and the post-activation
+    /// are done in place in the main branch's output.
+    fn infer_ref(&self, x: &Tensor) -> Tensor {
+        let mut out = self.main.infer_ref(x);
+        match &self.shortcut {
+            Some(s) => out += &s.infer_ref(x),
+            None => out += x,
+        }
         if let Some(kind) = self.post_act {
             activate_in_place(kind, &mut out);
         }

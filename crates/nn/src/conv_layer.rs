@@ -40,16 +40,6 @@ impl Conv2d {
     pub fn spec(&self) -> &Conv2dSpec {
         &self.spec
     }
-
-    /// The convolution of `x`, read in place.
-    fn infer_ref(&self, x: &Tensor) -> Tensor {
-        conv2d_forward(
-            x,
-            &self.weight.value,
-            self.bias.as_ref().map(|b| &b.value),
-            &self.spec,
-        )
-    }
 }
 
 impl Layer for Conv2d {
@@ -61,6 +51,16 @@ impl Layer for Conv2d {
 
     fn infer(&self, x: Tensor) -> Tensor {
         self.infer_ref(&x)
+    }
+
+    /// The convolution of `x`, read in place.
+    fn infer_ref(&self, x: &Tensor) -> Tensor {
+        conv2d_forward(
+            x,
+            &self.weight.value,
+            self.bias.as_ref().map(|b| &b.value),
+            &self.spec,
+        )
     }
 
     fn backward(&mut self, d_out: Tensor) -> Tensor {

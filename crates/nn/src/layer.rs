@@ -48,6 +48,14 @@ pub trait Layer: LayerClone + Send {
     /// pending `backward`.
     fn infer(&self, x: Tensor) -> Tensor;
 
+    /// [`Layer::infer`] of a borrowed input: bitwise `infer(x.clone())`,
+    /// and `x` is left as it was. The default clones; a layer that only
+    /// reads its input (a convolution, or a container whose first step
+    /// does) overrides it so that no copy is made.
+    fn infer_ref(&self, x: &Tensor) -> Tensor {
+        self.infer(x.clone())
+    }
+
     /// Backward pass: consumes the cached activations from the most recent
     /// `forward`, accumulates parameter gradients, returns `∂L/∂input`.
     ///
@@ -391,6 +399,15 @@ impl Sequential {
         self.children[stage].1.infer(x)
     }
 
+    /// [`Layer::infer_ref`] of the single child at position `stage`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stage >= self.len()`.
+    pub fn infer_stage_ref(&self, stage: usize, x: &Tensor) -> Tensor {
+        self.children[stage].1.infer_ref(x)
+    }
+
     /// Visits the parameters of the single child at position `stage`,
     /// producing the same dotted paths as the full walk.
     ///
@@ -418,6 +435,16 @@ impl Layer for Sequential {
 
     fn infer(&self, x: Tensor) -> Tensor {
         self.children.iter().fold(x, |acc, (_, l)| l.infer(acc))
+    }
+
+    /// The first child reads `x` borrowed; the rest run [`Layer::infer`].
+    fn infer_ref(&self, x: &Tensor) -> Tensor {
+        match self.children.split_first() {
+            Some(((_, first), rest)) => rest
+                .iter()
+                .fold(first.infer_ref(x), |acc, (_, l)| l.infer(acc)),
+            None => x.clone(),
+        }
     }
 
     fn backward(&mut self, d_out: Tensor) -> Tensor {

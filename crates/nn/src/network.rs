@@ -187,6 +187,38 @@ impl Network {
         self.forward_range(stage, self.root.len(), x, training)
     }
 
+    /// [`Network::forward_from`] in evaluation mode on a borrowed boundary
+    /// activation; see [`Network::infer_range`].
+    pub fn infer_from(&mut self, stage: usize, x: &Tensor) -> Tensor {
+        self.infer_range(stage, self.root.len(), x)
+    }
+
+    /// [`Network::forward_range`] in evaluation mode on a borrowed
+    /// activation: stage `from` reads `x` through [`Layer::infer_ref`], so
+    /// a cached activation is evaluated without being copied. Bitwise
+    /// `forward_range(from, to, x.clone(), false)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from > to` or `to > self.num_stages()`.
+    pub fn infer_range(&mut self, from: usize, to: usize, x: &Tensor) -> Tensor {
+        assert!(
+            from <= to && to <= self.root.len(),
+            "stage range {from}..{to}"
+        );
+        if from == to {
+            return x.clone();
+        }
+        let first = {
+            let _s = self
+                .telemetry
+                .is_enabled()
+                .then(|| self.telemetry.span(&self.span_paths[from]));
+            self.root.infer_stage_ref(from, x)
+        };
+        self.run_stages(from + 1, to, first, Pass::Infer)
+    }
+
     /// Runs the contiguous stage slice `from..to`. Ranges that tile
     /// `0..num_stages()` compose bitwise-identically to one full forward;
     /// the batched probe evaluator uses this to advance a prefix cache

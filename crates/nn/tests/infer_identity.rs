@@ -2,8 +2,10 @@
 //! forward without its backward bookkeeping: on all six zoo models, at
 //! batch 1, 8 and 64, dispatched and on the forced scalar backend, their
 //! logits are bitwise those of `forward(x, false)`, whole and split at
-//! every stage boundary. An `infer` between a `forward` and its
-//! `backward` changes no gradient.
+//! every stage boundary. The borrowed entries (`Layer::infer_ref` of each
+//! stage, `Network::infer_from`) give bitwise the same and leave their
+//! input as it was. An `infer` between a `forward`
+//! and its `backward` changes no gradient.
 //!
 //! `force_backend` is process-wide, so this must stay the only test in its
 //! binary.
@@ -59,8 +61,29 @@ fn check_logits(kind: ModelKind, net: &mut Network, batch: usize, backend: &str)
     assert_eq!(bits(&net.infer(x.clone())), want, "{case}: infer");
     for stage in 0..=net.num_stages() {
         let boundary = net.forward_prefix(stage, x.clone(), false);
+        let kept = bits(&boundary);
+        let y = net.infer_from(stage, &boundary);
+        assert_eq!(bits(&y), want, "{case}: borrowed split at stage {stage}");
+        assert_eq!(bits(&boundary), kept, "{case}: infer_from moved its input");
         let y = net.forward_from(stage, boundary, false);
         assert_eq!(bits(&y), want, "{case}: split at stage {stage}");
+    }
+}
+
+/// Each stage's `Layer::infer_ref(&x)` (through `Network::infer_range`
+/// over that one stage) is bitwise its `infer(x.clone())`, and leaves `x`
+/// as it was.
+fn check_borrowed(kind: ModelKind, net: &mut Network, batch: usize, backend: &str) {
+    let mut rng = StdRng::seed_from_u64(batch as u64 + 1);
+    let mut x = init::normal([batch, 3, 16, 16], 0.0, 1.0, &mut rng);
+    let case = format!("{kind} batch {batch} ({backend})");
+    for stage in 0..net.num_stages() {
+        let kept = bits(&x);
+        let want = bits(&net.forward_range(stage, stage + 1, x.clone(), false));
+        let got = net.infer_range(stage, stage + 1, &x);
+        assert_eq!(bits(&got), want, "{case}: infer_ref of stage {stage}");
+        assert_eq!(bits(&x), kept, "{case}: stage {stage} moved its input");
+        x = got;
     }
 }
 
@@ -103,6 +126,7 @@ fn infer_is_the_evaluation_forward_bitwise() {
             let mut net = model(kind);
             for batch in [1, 8, 64] {
                 check_logits(kind, &mut net, batch, name);
+                check_borrowed(kind, &mut net, batch, name);
             }
             check_gradients(kind, &net, name);
         }

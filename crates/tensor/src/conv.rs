@@ -366,21 +366,48 @@ fn stage_padded(src: &[f32], channels: usize, h: usize, w: usize, pad: usize, pa
 }
 
 /// Fused implicit-im2col convolution for the AVX2 backend: stages each
-/// sample's group-slice into a small zero-padded image and runs the GEMM
-/// microkernel straight out of it through a precomputed offsets table —
+/// sample's group-slice into a small zero-padded image and runs a
+/// register-blocked kernel straight out of it through a precomputed offsets table —
 /// the 9×-inflated column matrix is never materialized. Stride-1 only;
-/// each output element accumulates its `cg·k·k` terms in ascending order
-/// (the same order as the scalar reference, with FMA rounding).
+/// each output element accumulates its `cg·k·k` terms from +0 in
+/// ascending order, padded taps included (the same order as the scalar
+/// reference): fused multiply-adds at output width 8 and 16, a multiply
+/// then an add at width 4.
+///
+/// Every pass computes 16 outputs of up to 6 output channels per
+/// iteration, two 8-float vectors per channel (12 accumulators): one
+/// 16-wide row, two 8-wide rows, or four 4-wide rows. For width 4 each
+/// padded channel is first copied into `k` shifted strips,
+/// `strip[c][kx][y][0..4] = padded[c][y][kx..kx+4]`, so a tap's inputs
+/// for consecutive output rows are contiguous.
 #[cfg(target_arch = "x86_64")]
 mod fused {
     use super::{stage_padded, Conv2dSpec, Tensor};
     use std::arch::x86_64::*;
     use std::cell::RefCell;
 
+    /// Output channels per pass at most.
+    const PASS: usize = 6;
+
+    /// Buffers reused across calls.
+    struct Stage {
+        /// The group-slice's zero-padded image `[cg][h+2·pad][w+2·pad]`.
+        padded: Vec<f32>,
+        /// Width 4 only: the shifted strips `[cg][k][rows][4]`, where
+        /// `rows` is the output rows rounded up to 4, plus `k − 1`.
+        strips: Vec<f32>,
+        /// Offset of each tap `(c, ky, kx)` in the image a pass reads.
+        off: Vec<usize>,
+    }
+
     thread_local! {
-        /// Padded-image staging + offsets table, reused across calls.
-        static STAGE: RefCell<(Vec<f32>, Vec<usize>)> =
-            const { RefCell::new((Vec::new(), Vec::new())) };
+        static STAGE: RefCell<Stage> = const {
+            RefCell::new(Stage {
+                padded: Vec::new(),
+                strips: Vec::new(),
+                off: Vec::new(),
+            })
+        };
     }
 
     /// Whether [`run`] supports this geometry (caller has already checked
@@ -389,8 +416,8 @@ mod fused {
         spec.stride == 1 && matches!(wo, 4 | 8 | 16) && (wo == 16 || ho.is_multiple_of(2))
     }
 
-    /// Runs the fused convolution. Output tensor must be zero-filled;
-    /// every output element is written exactly once.
+    /// Runs the fused convolution. Every output element is written
+    /// exactly once.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn run(
         input: &Tensor,
@@ -409,19 +436,46 @@ mod fused {
         let g = spec.groups;
         let (cg, cg_out) = (cin / g, spec.out_channels / g);
         let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+        // The bounds in the safety argument below rest on this.
+        assert_eq!(
+            (ho, wo, hp),
+            (spec.out_size(h), spec.out_size(w), ho + k - 1)
+        );
         let kk = cg * k * k;
         let howo = ho * wo;
+        // Strip rows per (c, kx): the last pass of a 2-row remainder reads
+        // two zero rows past the image.
+        let rows = ho.next_multiple_of(4) + k - 1;
+        // Floats a pass advances per iteration, and the offset of its
+        // second vector.
+        let (step, second) = match wo {
+            16 => (wp, 8),
+            8 => (2 * wp, wp),
+            _ => (16, 8),
+        };
+        let passes = cg_out.div_ceil(PASS);
         STAGE.with(|stage| {
             let mut stage = stage.borrow_mut();
-            let (padded, off) = &mut *stage;
+            let Stage {
+                padded,
+                strips,
+                off,
+            } = &mut *stage;
             padded.clear();
             padded.resize(cg * hp * wp, 0.0);
+            strips.clear();
+            if wo == 4 {
+                strips.resize(cg * k * rows * 4, 0.0);
+            }
             off.clear();
-            off.reserve(kk);
             for c in 0..cg {
                 for ky in 0..k {
                     for kx in 0..k {
-                        off.push(c * hp * wp + ky * wp + kx);
+                        off.push(if wo == 4 {
+                            ((c * k + kx) * rows + ky) * 4
+                        } else {
+                            c * hp * wp + ky * wp + kx
+                        });
                     }
                 }
             }
@@ -431,24 +485,41 @@ mod fused {
             for s in 0..n {
                 for gi in 0..g {
                     stage_padded(&indat[(s * cin + gi * cg) * h * w..], cg, h, w, pad, padded);
+                    let img = if wo == 4 {
+                        stage_strips(padded, hp * wp, wp, k, rows, strips);
+                        &strips[..]
+                    } else {
+                        &padded[..]
+                    };
                     let out_base = (s * spec.out_channels + gi * cg_out) * howo;
-                    let mut oc = 0;
-                    // SAFETY: AVX2+FMA availability is the caller's
-                    // dispatch condition; offsets stay within the staged
-                    // image (max term `off[kk-1] + (ho-1)·wp + wo` equals
-                    // the buffer length for stride 1).
-                    unsafe {
-                        while oc + 4 <= cg_out {
-                            let wrow = wdat.as_ptr().add((gi * cg_out + oc) * kk);
-                            let dst = od.as_mut_ptr().add(out_base + oc * howo);
-                            rows4(wrow, kk, padded, off, wp, ho, wo, dst, howo);
-                            oc += 4;
-                        }
-                        while oc < cg_out {
-                            let wrow = wdat.as_ptr().add((gi * cg_out + oc) * kk);
-                            let dst = od.as_mut_ptr().add(out_base + oc * howo);
-                            rows1(wrow, kk, padded, off, wp, ho, wo, dst);
-                            oc += 1;
+                    for i in 0..passes {
+                        // Passes of as equal a size as 6 channels allow.
+                        let (lo, hi) = (i * cg_out / passes, (i + 1) * cg_out / passes);
+                        let pass = if wo == 4 {
+                            MUL_ADD_PASSES[hi - lo - 1]
+                        } else {
+                            FMA_PASSES[hi - lo - 1]
+                        };
+                        // SAFETY: AVX2+FMA availability is the caller's
+                        // dispatch condition. Iteration `j` of a pass reads
+                        // `off[p] + j·step` and `+ second` for 8 floats:
+                        // in the padded image the largest read ends at
+                        // `off[kk-1] + (ho-1)·wp + wo`, its length for
+                        // stride 1; in the strips it ends at `((cg·k-1)·rows
+                        // + k-1)·4 + (ho/4 rounded up − 1)·16 + 16`, their
+                        // length. The destination is rows `lo..hi` of this
+                        // group's `cg_out·ho·wo` block of `out`.
+                        unsafe {
+                            pass(
+                                wdat.as_ptr().add((gi * cg_out + lo) * kk),
+                                kk,
+                                img.as_ptr(),
+                                off,
+                                step,
+                                second,
+                                od.as_mut_ptr().add(out_base + lo * howo),
+                                howo,
+                            );
                         }
                     }
                 }
@@ -456,150 +527,100 @@ mod fused {
         });
     }
 
-    /// Four output channels at once over the staged image.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2+FMA; `w` valid for 4 rows of `kk`, `dst` for 4 rows
-    /// of `ho·wo` at stride `dstride`; offsets in bounds per [`run`].
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn rows4(
-        w: *const f32,
-        kk: usize,
+    /// Copies each `hp × wp` plane of `padded` into its `k` width-4
+    /// strips of `rows` rows: `strips[c][kx][y][0..4] =
+    /// padded[c][y][kx..kx+4]`. Rows past the plane are never written, so
+    /// they keep the zeros the buffer was sized with.
+    fn stage_strips(
         padded: &[f32],
-        off: &[usize],
+        plane: usize,
         wp: usize,
-        ho: usize,
-        wo: usize,
-        dst: *mut f32,
-        dstride: usize,
+        k: usize,
+        rows: usize,
+        strips: &mut [f32],
     ) {
-        let pd = padded.as_ptr();
-        let z = _mm256_setzero_ps();
-        let zx = _mm_setzero_ps();
-        match wo {
-            16 => {
-                for oy in 0..ho {
-                    let oyw = oy * wp;
-                    let mut acc = [z; 8];
-                    for (p, &o) in off.iter().enumerate().take(kk) {
-                        let bp = pd.add(o + oyw);
-                        let b0 = _mm256_loadu_ps(bp);
-                        let b1 = _mm256_loadu_ps(bp.add(8));
-                        for r in 0..4 {
-                            let av = _mm256_broadcast_ss(&*w.add(r * kk + p));
-                            acc[2 * r] = _mm256_fmadd_ps(av, b0, acc[2 * r]);
-                            acc[2 * r + 1] = _mm256_fmadd_ps(av, b1, acc[2 * r + 1]);
-                        }
-                    }
-                    for r in 0..4 {
-                        let d = dst.add(r * dstride + oy * wo);
-                        _mm256_storeu_ps(d, acc[2 * r]);
-                        _mm256_storeu_ps(d.add(8), acc[2 * r + 1]);
-                    }
-                }
-            }
-            8 => {
-                let mut oy = 0;
-                while oy < ho {
-                    let oyw = oy * wp;
-                    let mut acc = [z; 8];
-                    for (p, &o) in off.iter().enumerate().take(kk) {
-                        let bp = pd.add(o + oyw);
-                        let b0 = _mm256_loadu_ps(bp);
-                        let b1 = _mm256_loadu_ps(bp.add(wp));
-                        for r in 0..4 {
-                            let av = _mm256_broadcast_ss(&*w.add(r * kk + p));
-                            acc[2 * r] = _mm256_fmadd_ps(av, b0, acc[2 * r]);
-                            acc[2 * r + 1] = _mm256_fmadd_ps(av, b1, acc[2 * r + 1]);
-                        }
-                    }
-                    for r in 0..4 {
-                        let d = dst.add(r * dstride + oy * wo);
-                        _mm256_storeu_ps(d, acc[2 * r]);
-                        _mm256_storeu_ps(d.add(wo), acc[2 * r + 1]);
-                    }
-                    oy += 2;
-                }
-            }
-            _ => {
-                let mut oy = 0;
-                while oy < ho {
-                    let oyw = oy * wp;
-                    let mut acc = [zx; 8];
-                    for (p, &o) in off.iter().enumerate().take(kk) {
-                        let bp = pd.add(o + oyw);
-                        let b0 = _mm_loadu_ps(bp);
-                        let b1 = _mm_loadu_ps(bp.add(wp));
-                        for r in 0..4 {
-                            let av = _mm_set1_ps(*w.add(r * kk + p));
-                            acc[2 * r] = _mm_add_ps(acc[2 * r], _mm_mul_ps(av, b0));
-                            acc[2 * r + 1] = _mm_add_ps(acc[2 * r + 1], _mm_mul_ps(av, b1));
-                        }
-                    }
-                    for r in 0..4 {
-                        let d = dst.add(r * dstride + oy * wo);
-                        _mm_storeu_ps(d, acc[2 * r]);
-                        _mm_storeu_ps(d.add(wo), acc[2 * r + 1]);
-                    }
-                    oy += 2;
+        let mut strips = strips.chunks_exact_mut(rows * 4);
+        for plane in padded.chunks_exact(plane) {
+            for kx in 0..k {
+                let strip = strips.next().expect("one strip per (c, kx)");
+                for (dst, row) in strip.chunks_exact_mut(4).zip(plane.chunks_exact(wp)) {
+                    dst.copy_from_slice(&row[kx..kx + 4]);
                 }
             }
         }
     }
 
-    /// Single-channel remainder of [`rows4`].
+    type Pass = unsafe fn(*const f32, usize, *const f32, &[usize], usize, usize, *mut f32, usize);
+
+    /// [`pass`] for 1–6 channels with fused multiply-adds (width 8, 16).
+    const FMA_PASSES: [Pass; PASS] = [
+        pass::<1, true>,
+        pass::<2, true>,
+        pass::<3, true>,
+        pass::<4, true>,
+        pass::<5, true>,
+        pass::<6, true>,
+    ];
+
+    /// [`pass`] for 1–6 channels with a multiply then an add (width 4).
+    const MUL_ADD_PASSES: [Pass; PASS] = [
+        pass::<1, false>,
+        pass::<2, false>,
+        pass::<3, false>,
+        pass::<4, false>,
+        pass::<5, false>,
+        pass::<6, false>,
+    ];
+
+    /// `R` output channels over the staged image: each iteration `j`
+    /// accumulates 16 outputs per channel, from the 8 floats at
+    /// `img + off[p] + j·step` and at `+ second` for every tap `p`, and
+    /// stores them at `16·j` of the channel's row (the second vector only
+    /// where the row has room for it).
     ///
     /// # Safety
     ///
-    /// Same contract as [`rows4`] with one weight/output row.
+    /// Requires AVX2+FMA; `w` valid for `R` rows of `kk`, `dst` for `R`
+    /// rows of `howo` (a multiple of 8); reads in bounds per [`run`].
     #[target_feature(enable = "avx2,fma")]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn rows1(
+    unsafe fn pass<const R: usize, const FMA: bool>(
         w: *const f32,
         kk: usize,
-        padded: &[f32],
+        img: *const f32,
         off: &[usize],
-        wp: usize,
-        ho: usize,
-        wo: usize,
+        step: usize,
+        second: usize,
         dst: *mut f32,
+        howo: usize,
     ) {
-        let pd = padded.as_ptr();
-        for oy in 0..ho {
-            let oyw = oy * wp;
-            match wo {
-                16 => {
-                    let mut a0 = _mm256_setzero_ps();
-                    let mut a1 = _mm256_setzero_ps();
-                    for (p, &o) in off.iter().enumerate().take(kk) {
-                        let bp = pd.add(o + oyw);
-                        let av = _mm256_broadcast_ss(&*w.add(p));
-                        a0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp), a0);
-                        a1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp.add(8)), a1);
+        let mut base = img;
+        let mut q = 0;
+        while q < howo {
+            let mut acc = [[_mm256_setzero_ps(); 2]; R];
+            for (p, &o) in off.iter().enumerate() {
+                let bp = base.add(o);
+                let x = [_mm256_loadu_ps(bp), _mm256_loadu_ps(bp.add(second))];
+                for (r, row) in acc.iter_mut().enumerate() {
+                    let wv = _mm256_broadcast_ss(&*w.add(r * kk + p));
+                    for (a, &x) in row.iter_mut().zip(&x) {
+                        *a = if FMA {
+                            _mm256_fmadd_ps(wv, x, *a)
+                        } else {
+                            _mm256_add_ps(*a, _mm256_mul_ps(wv, x))
+                        };
                     }
-                    let d = dst.add(oy * wo);
-                    _mm256_storeu_ps(d, a0);
-                    _mm256_storeu_ps(d.add(8), a1);
-                }
-                8 => {
-                    let mut a0 = _mm256_setzero_ps();
-                    for (p, &o) in off.iter().enumerate().take(kk) {
-                        let av = _mm256_broadcast_ss(&*w.add(p));
-                        a0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(pd.add(o + oyw)), a0);
-                    }
-                    _mm256_storeu_ps(dst.add(oy * wo), a0);
-                }
-                _ => {
-                    let mut a0 = _mm_setzero_ps();
-                    for (p, &o) in off.iter().enumerate().take(kk) {
-                        let av = _mm_set1_ps(*w.add(p));
-                        a0 = _mm_add_ps(a0, _mm_mul_ps(av, _mm_loadu_ps(pd.add(o + oyw))));
-                    }
-                    _mm_storeu_ps(dst.add(oy * wo), a0);
                 }
             }
+            for (r, row) in acc.iter().enumerate() {
+                let d = dst.add(r * howo + q);
+                _mm256_storeu_ps(d, row[0]);
+                if q + 8 < howo {
+                    _mm256_storeu_ps(d.add(8), row[1]);
+                }
+            }
+            base = base.add(step);
+            q += 16;
         }
     }
 }

@@ -366,7 +366,11 @@ fn chain_reference(
                                     x[((s * cin + c0 + c) * h + iy as usize) * w + ix as usize]
                                 };
                                 let wv = wt[((oc * cg + c) * k + ky) * k + kx];
-                                acc = if fused { wv.mul_add(xv, acc) } else { acc + wv * xv };
+                                acc = if fused {
+                                    wv.mul_add(xv, acc)
+                                } else {
+                                    acc + wv * xv
+                                };
                             }
                         }
                     }
@@ -494,7 +498,10 @@ fn fused_geometries() -> Vec<(String, [usize; 7])> {
     let mut out = Vec::new();
     for side in [4, 8, 16] {
         for cout in 1..=13 {
-            out.push((format!("{side}x{side} cout {cout}"), [3, cout, 3, 1, 1, side, side]));
+            out.push((
+                format!("{side}x{side} cout {cout}"),
+                [3, cout, 3, 1, 1, side, side],
+            ));
         }
     }
     for (label, g) in [
