@@ -4,8 +4,8 @@
 //! logits are bitwise those of `forward(x, false)`, whole and split at
 //! every stage boundary. The borrowed entries (`Layer::infer_ref` of each
 //! stage, `Network::infer_from`) give bitwise the same and leave their
-//! input as it was. An `infer` between a `forward`
-//! and its `backward` changes no gradient.
+//! input as it was. An `infer` between a `forward` and its `backward`
+//! changes no gradient.
 //!
 //! `force_backend` is process-wide, so this must stay the only test in its
 //! binary.

@@ -366,9 +366,9 @@ fn stage_padded(src: &[f32], channels: usize, h: usize, w: usize, pad: usize, pa
 }
 
 /// Fused implicit-im2col convolution for the AVX2 backend: stages each
-/// sample's group-slice into a small zero-padded image and runs a
-/// register-blocked kernel straight out of it through a precomputed offsets table —
-/// the 9×-inflated column matrix is never materialized. Stride-1 only;
+/// sample into a small zero-padded image and runs a register-blocked
+/// kernel straight out of it through a precomputed offsets table — the
+/// 9×-inflated column matrix is never materialized. Stride-1 only;
 /// each output element accumulates its `cg·k·k` terms from +0 in
 /// ascending order, padded taps included (the same order as the scalar
 /// reference): fused multiply-adds at output width 8 and 16, a multiply
@@ -391,9 +391,9 @@ mod fused {
 
     /// Buffers reused across calls.
     struct Stage {
-        /// The group-slice's zero-padded image `[cg][h+2·pad][w+2·pad]`.
+        /// The sample's zero-padded image `[cin][h+2·pad][w+2·pad]`.
         padded: Vec<f32>,
-        /// Width 4 only: the shifted strips `[cg][k][rows][4]`, where
+        /// Width 4 only: the shifted strips `[cin][k][rows][4]`, where
         /// `rows` is the output rows rounded up to 4, plus `k − 1`.
         strips: Vec<f32>,
         /// Offset of each tap `(c, ky, kx)` in the image a pass reads.
@@ -462,11 +462,13 @@ mod fused {
                 off,
             } = &mut *stage;
             padded.clear();
-            padded.resize(cg * hp * wp, 0.0);
+            padded.resize(cin * hp * wp, 0.0);
             strips.clear();
             if wo == 4 {
-                strips.resize(cg * k * rows * 4, 0.0);
+                strips.resize(cin * k * rows * 4, 0.0);
             }
+            // Floats per channel of the image a pass reads.
+            let chan = if wo == 4 { k * rows * 4 } else { hp * wp };
             off.clear();
             for c in 0..cg {
                 for ky in 0..k {
@@ -483,14 +485,15 @@ mod fused {
             let indat = input.data();
             let od = out.data_mut();
             for s in 0..n {
+                stage_padded(&indat[s * cin * h * w..], cin, h, w, pad, padded);
+                let img = if wo == 4 {
+                    stage_strips(padded, hp * wp, wp, k, rows, strips);
+                    &strips[..]
+                } else {
+                    &padded[..]
+                };
                 for gi in 0..g {
-                    stage_padded(&indat[(s * cin + gi * cg) * h * w..], cg, h, w, pad, padded);
-                    let img = if wo == 4 {
-                        stage_strips(padded, hp * wp, wp, k, rows, strips);
-                        &strips[..]
-                    } else {
-                        &padded[..]
-                    };
+                    let img = &img[gi * cg * chan..(gi + 1) * cg * chan];
                     let out_base = (s * spec.out_channels + gi * cg_out) * howo;
                     for i in 0..passes {
                         // Passes of as equal a size as 6 channels allow.
@@ -502,13 +505,14 @@ mod fused {
                         };
                         // SAFETY: AVX2+FMA availability is the caller's
                         // dispatch condition. Iteration `j` of a pass reads
-                        // `off[p] + j·step` and `+ second` for 8 floats:
-                        // in the padded image the largest read ends at
-                        // `off[kk-1] + (ho-1)·wp + wo`, its length for
-                        // stride 1; in the strips it ends at `((cg·k-1)·rows
-                        // + k-1)·4 + (ho/4 rounded up − 1)·16 + 16`, their
-                        // length. The destination is rows `lo..hi` of this
-                        // group's `cg_out·ho·wo` block of `out`.
+                        // `off[p] + j·step` and `+ second` for 8 floats of
+                        // the group's `cg·chan` image: in the padded image
+                        // the largest read ends at `off[kk-1] + (ho-1)·wp +
+                        // wo`, its length for stride 1; in the strips it
+                        // ends at `((cg·k-1)·rows + k-1)·4 + (ho/4 rounded
+                        // up − 1)·16 + 16`, their length. The destination is
+                        // rows `lo..hi` of this group's `cg_out·ho·wo` block
+                        // of `out`.
                         unsafe {
                             pass(
                                 wdat.as_ptr().add((gi * cg_out + lo) * kk),
