@@ -473,11 +473,12 @@ mod fused {
             for c in 0..cg {
                 for ky in 0..k {
                     for kx in 0..k {
-                        off.push(if wo == 4 {
-                            ((c * k + kx) * rows + ky) * 4
+                        let tap = if wo == 4 {
+                            (kx * rows + ky) * 4
                         } else {
-                            c * hp * wp + ky * wp + kx
-                        });
+                            ky * wp + kx
+                        };
+                        off.push(c * chan + tap);
                     }
                 }
             }
